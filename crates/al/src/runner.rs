@@ -405,33 +405,6 @@ fn run_al_serial(
             ],
         );
     }
-    // Per-campaign labeled series, resolved once so the per-iteration cost
-    // is a single relaxed atomic on the cached child handle. The fit-time
-    // family is keyed by (strategy, tier) and the tier can change across
-    // iterations (Auto tier), so that one is resolved per iteration.
-    let campaign_label = run_id.to_string();
-    let campaign_key = format!("campaign:{run_id}");
-    let campaign_iters = obs_on.then(|| {
-        alperf_obs::counter_vec(
-            names::AL_CAMPAIGN_ITERATIONS,
-            &[names::LABEL_CAMPAIGN, names::LABEL_STRATEGY],
-        )
-        .with(&[&campaign_label, strategy.name()])
-    });
-    let campaign_degraded = obs_on.then(|| {
-        alperf_obs::counter_vec(
-            names::AL_CAMPAIGN_DEGRADED,
-            &[names::LABEL_CAMPAIGN, names::LABEL_STRATEGY],
-        )
-        .with(&[&campaign_label, strategy.name()])
-    });
-    let fit_by_tier = obs_on.then(|| {
-        alperf_obs::histogram_vec(
-            names::AL_FIT_BY_TIER,
-            &[names::LABEL_STRATEGY, names::LABEL_TIER],
-        )
-    });
-
     // Batched-prediction caches over the pool and the (fixed) test set.
     // Between hyperparameter refits these maintain K(candidates, train)
     // incrementally — one appended column per iteration — instead of
@@ -444,16 +417,11 @@ fn run_al_serial(
         if pool.is_empty() {
             break;
         }
-        // One span per iteration, with fit/predict/select child spans
-        // bracketing the same regions the *_ns record fields measure —
-        // the trace tree decomposes al.iteration into its stages.
-        let _iter_span = alperf_obs::span("al.iteration");
+        // One span per iteration, with fit/predict/select child spans; the
+        // record's *_ns fields are the durations those spans recorded, so
+        // the trace tree decomposes al.iteration into exactly its stages.
+        let _iter_span = alperf_obs::span(names::AL_ITERATION);
         let fit_span = alperf_obs::span("al.iteration.fit");
-        let t_fit = if obs_on {
-            alperf_obs::clock::monotonic_ns()
-        } else {
-            0
-        };
         let refit_kind = refit_step(
             config,
             x_all,
@@ -464,12 +432,7 @@ fn run_al_serial(
             &mut warm_theta,
         )?;
         let optimize_now = matches!(refit_kind, "full" | "warm");
-        let fit_ns = if obs_on {
-            alperf_obs::clock::monotonic_ns() - t_fit
-        } else {
-            0
-        };
-        drop(fit_span);
+        let fit_ns = fit_span.finish();
         let m = model.as_ref().expect("model fitted above");
         if optimize_now {
             // Hyperparameters may have moved: the cached cross-covariances
@@ -483,11 +446,6 @@ fn run_al_serial(
         // loop of O(n^2) scalar solves.
         let cache_warm = obs_on && pool_cache.is_warm_for(m);
         let predict_span = alperf_obs::span("al.iteration.predict");
-        let t_predict = if obs_on {
-            alperf_obs::clock::monotonic_ns()
-        } else {
-            0
-        };
         let predictions = pool_cache.predictions(m)?;
         let rmse = if test.is_empty() {
             0.0
@@ -503,12 +461,7 @@ fn run_al_serial(
                 .sum();
             (se / test.len() as f64).sqrt()
         };
-        let predict_ns = if obs_on {
-            alperf_obs::clock::monotonic_ns() - t_predict
-        } else {
-            0
-        };
-        drop(predict_span);
+        let predict_ns = predict_span.finish();
         let select_span = alperf_obs::span("al.iteration.select");
         // AMSD folded directly — no per-iteration Vec of SDs.
         let amsd = predictions.iter().map(|p| p.std).sum::<f64>() / predictions.len() as f64;
@@ -521,20 +474,10 @@ fn run_al_serial(
             pool: &pool,
             predictions: &predictions,
         };
-        let t_select = if obs_on {
-            alperf_obs::clock::monotonic_ns()
-        } else {
-            0
-        };
         let Some(pos) = strategy.select(&ctx, &mut rng) else {
             break;
         };
-        let select_ns = if obs_on {
-            alperf_obs::clock::monotonic_ns() - t_select
-        } else {
-            0
-        };
-        drop(select_span);
+        let select_ns = select_span.finish();
         let row = pool[pos];
         // "Run" the experiment through the oracle. Either way its cost is
         // charged — the paper counts failed experiments against the budget.
@@ -547,11 +490,6 @@ fn run_al_serial(
             // and cache->train mapping are untouched.
             if obs_on {
                 alperf_obs::inc(names::AL_DEGRADED_ITERATION);
-                if let Some(c) = &campaign_degraded {
-                    c.inc();
-                }
-                // A degraded iteration is still forward progress.
-                alperf_obs::watchdog::global().beat(&campaign_key);
                 alperf_obs::record(
                     names::AL_DEGRADED_ITERATION,
                     &[
@@ -577,7 +515,7 @@ fn run_al_serial(
         let attempts = outcome.attempts();
         if obs_on {
             alperf_obs::record(
-                "al.iteration",
+                names::AL_ITERATION,
                 &[
                     ("run", Value::U64(run_id)),
                     ("iter", Value::U64(iter as u64)),
@@ -599,16 +537,7 @@ fn run_al_serial(
                     ("attempts", Value::U64(attempts as u64)),
                 ],
             );
-            // (The stage spans above already record into the
-            // al.iteration.* histograms on drop.)
             alperf_obs::inc("al.iterations");
-            if let Some(c) = &campaign_iters {
-                c.inc();
-            }
-            if let Some(f) = &fit_by_tier {
-                f.with(&[strategy.name(), m.tier_name()]).record(fit_ns);
-            }
-            alperf_obs::watchdog::global().beat(&campaign_key);
         }
         history.push(IterationRecord {
             iter,
@@ -635,10 +564,6 @@ fn run_al_serial(
         if config.refit_every <= 1 {
             model = None;
         }
-    }
-    if obs_on {
-        // A finished campaign is not a stalled one.
-        alperf_obs::watchdog::global().clear(&campaign_key);
     }
     Ok(AlRun {
         strategy: strategy.name(),
@@ -670,6 +595,9 @@ struct PendingSelection {
     predict_ns: u64,
     select_ns: u64,
     cache_warm: bool,
+    /// Duration of the whole selection round (its `al.iteration` span) —
+    /// the refit/select side of the pipeline's overlap.
+    round_ns: u64,
 }
 
 /// One pipelined selection round: refit on the current training set (which
@@ -697,20 +625,10 @@ fn pipeline_select_round(
     if pool.is_empty() {
         return Ok(None);
     }
-    let _iter_span = alperf_obs::span("al.iteration");
+    let iter_span = alperf_obs::span(names::AL_ITERATION);
     let fit_span = alperf_obs::span("al.iteration.fit");
-    let t_fit = if obs_on {
-        alperf_obs::clock::monotonic_ns()
-    } else {
-        0
-    };
     let refit_kind = refit_step(config, x_all, y_all, train, iter, model, warm_theta)?;
-    let fit_ns = if obs_on {
-        alperf_obs::clock::monotonic_ns() - t_fit
-    } else {
-        0
-    };
-    drop(fit_span);
+    let fit_ns = fit_span.finish();
     let m = model.as_ref().expect("model fitted above");
     if matches!(refit_kind, "full" | "warm") {
         pool_cache.invalidate();
@@ -718,11 +636,6 @@ fn pipeline_select_round(
     }
     let cache_warm = obs_on && pool_cache.is_warm_for(m);
     let predict_span = alperf_obs::span("al.iteration.predict");
-    let t_predict = if obs_on {
-        alperf_obs::clock::monotonic_ns()
-    } else {
-        0
-    };
     let predictions = pool_cache.predictions(m)?;
     let rmse = if test.is_empty() {
         0.0
@@ -738,12 +651,7 @@ fn pipeline_select_round(
             .sum();
         (se / test.len() as f64).sqrt()
     };
-    let predict_ns = if obs_on {
-        alperf_obs::clock::monotonic_ns() - t_predict
-    } else {
-        0
-    };
-    drop(predict_span);
+    let predict_ns = predict_span.finish();
     let select_span = alperf_obs::span("al.iteration.select");
     let amsd = predictions.iter().map(|p| p.std).sum::<f64>() / predictions.len() as f64;
     let ctx = SelectionContext {
@@ -754,25 +662,21 @@ fn pipeline_select_round(
         pool,
         predictions: &predictions,
     };
-    let t_select = if obs_on {
-        alperf_obs::clock::monotonic_ns()
-    } else {
-        0
-    };
     let Some(pos) = strategy.select(&ctx, rng) else {
         return Ok(None);
     };
-    let select_ns = if obs_on {
-        alperf_obs::clock::monotonic_ns() - t_select
-    } else {
-        0
-    };
-    drop(select_span);
+    let select_ns = select_span.finish();
     let row = pool[pos];
-    let pending = PendingSelection {
+    let pool_size = pool.len();
+    // The measurement is now in flight: take the row out of the pool (and
+    // mirror it in the cache) so the next speculative round selects from
+    // the survivors.
+    pool.swap_remove(pos);
+    pool_cache.swap_remove(pos);
+    Ok(Some(PendingSelection {
         iter,
         row,
-        pool_size: pool.len(),
+        pool_size,
         sigma: predictions[pos].std,
         amsd,
         rmse,
@@ -785,13 +689,8 @@ fn pipeline_select_round(
         predict_ns,
         select_ns,
         cache_warm,
-    };
-    // The measurement is now in flight: take the row out of the pool (and
-    // mirror it in the cache) so the next speculative round selects from
-    // the survivors.
-    pool.swap_remove(pos);
-    pool_cache.swap_remove(pos);
-    Ok(Some(pending))
+        round_ns: iter_span.finish(),
+    }))
 }
 
 /// The speculative pipelined loop (`PipelineConfig::Speculative`): while a
@@ -847,31 +746,6 @@ fn run_al_pipelined(
             ],
         );
     }
-    // Same per-campaign labeled series as the serial loop (one resolved
-    // child handle; per-event cost is a relaxed atomic).
-    let campaign_label = run_id.to_string();
-    let campaign_key = format!("campaign:{run_id}");
-    let campaign_iters = obs_on.then(|| {
-        alperf_obs::counter_vec(
-            names::AL_CAMPAIGN_ITERATIONS,
-            &[names::LABEL_CAMPAIGN, names::LABEL_STRATEGY],
-        )
-        .with(&[&campaign_label, strategy.name()])
-    });
-    let campaign_degraded = obs_on.then(|| {
-        alperf_obs::counter_vec(
-            names::AL_CAMPAIGN_DEGRADED,
-            &[names::LABEL_CAMPAIGN, names::LABEL_STRATEGY],
-        )
-        .with(&[&campaign_label, strategy.name()])
-    });
-    let fit_by_tier = obs_on.then(|| {
-        alperf_obs::histogram_vec(
-            names::AL_FIT_BY_TIER,
-            &[names::LABEL_STRATEGY, names::LABEL_TIER],
-        )
-    });
-
     let mut pool_cache = PoolPredictionCache::new(x_all.select_rows(&pool));
     let mut test_cache = PoolPredictionCache::new(x_all.select_rows(test));
 
@@ -909,28 +783,13 @@ fn run_al_pipelined(
         // candidate. The worker only touches the oracle (Sync); every
         // piece of runner state stays on this thread.
         let mut next: Result<Option<PendingSelection>, AlError> = Ok(None);
-        let mut select_side_ns = 0u64;
         let (outcome, measure_ns) = std::thread::scope(|s| {
             let handle = s.spawn(|| {
-                let t0 = if obs_on {
-                    alperf_obs::clock::monotonic_ns()
-                } else {
-                    0
-                };
+                let measure_span = alperf_obs::span("al.pipeline.measure");
                 let out = oracle.run_experiment(row);
-                let t1 = if obs_on {
-                    alperf_obs::clock::monotonic_ns()
-                } else {
-                    0
-                };
-                (out, t1 - t0)
+                (out, measure_span.finish())
             });
             if want_next {
-                let t0 = if obs_on {
-                    alperf_obs::clock::monotonic_ns()
-                } else {
-                    0
-                };
                 next = pipeline_select_round(
                     x_all,
                     y_all,
@@ -947,11 +806,8 @@ fn run_al_pipelined(
                     &mut warm_theta,
                     obs_on,
                 );
-                if obs_on {
-                    select_side_ns = alperf_obs::clock::monotonic_ns() - t0;
-                    if matches!(next, Ok(Some(_))) {
-                        alperf_obs::inc(names::AL_PIPELINE_STALE_SELECTS);
-                    }
+                if obs_on && matches!(next, Ok(Some(_))) {
+                    alperf_obs::inc(names::AL_PIPELINE_STALE_SELECTS);
                 }
             }
             match handle.join() {
@@ -963,6 +819,10 @@ fn run_al_pipelined(
         // way — the paper counts failed experiments against the budget.
         cumulative_cost += cost[row];
         if obs_on {
+            let select_side_ns = match &next {
+                Ok(Some(p)) => p.round_ns,
+                _ => 0,
+            };
             alperf_obs::inc(names::AL_PIPELINE_RECONCILES);
             alperf_obs::add(
                 names::AL_PIPELINE_OVERLAP_NS,
@@ -978,10 +838,6 @@ fn run_al_pipelined(
                 if obs_on {
                     alperf_obs::inc(names::AL_DEGRADED_ITERATION);
                     alperf_obs::inc(names::AL_PIPELINE_LOST_SPECULATION);
-                    if let Some(c) = &campaign_degraded {
-                        c.inc();
-                    }
-                    alperf_obs::watchdog::global().beat(&campaign_key);
                     alperf_obs::record(
                         names::AL_DEGRADED_ITERATION,
                         &[
@@ -1013,7 +869,7 @@ fn run_al_pipelined(
             ExperimentOutcome::Measured { attempts } => {
                 if obs_on {
                     alperf_obs::record(
-                        "al.iteration",
+                        names::AL_ITERATION,
                         &[
                             ("run", Value::U64(run_id)),
                             ("iter", Value::U64(p.iter as u64)),
@@ -1036,13 +892,6 @@ fn run_al_pipelined(
                         ],
                     );
                     alperf_obs::inc("al.iterations");
-                    if let Some(c) = &campaign_iters {
-                        c.inc();
-                    }
-                    if let Some(f) = &fit_by_tier {
-                        f.with(&[strategy.name(), p.tier]).record(p.fit_ns);
-                    }
-                    alperf_obs::watchdog::global().beat(&campaign_key);
                 }
                 history.push(IterationRecord {
                     iter: p.iter,
@@ -1074,9 +923,6 @@ fn run_al_pipelined(
         if pending.is_some() {
             iter += 1;
         }
-    }
-    if obs_on {
-        alperf_obs::watchdog::global().clear(&campaign_key);
     }
     Ok(AlRun {
         strategy: strategy.name(),

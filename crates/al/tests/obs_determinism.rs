@@ -1,12 +1,12 @@
 //! Determinism guard: telemetry must be strictly observational.
 //!
 //! Runs the same small AL experiment with telemetry off and then fully on
-//! (global switch + JSONL trace sink + labeled metric families + the
-//! stack-sampling profiler + the streaming aggregator + the tsdb
-//! scraper + the alerting rules engine + the black-box flight
-//! recorder), same seed, and requires the *bit-identical* histories —
+//! (global switch + JSONL trace sink + metrics registry + Prometheus
+//! snapshot), same seed, and requires the *bit-identical* histories —
 //! RMSE/AMSD/sigma_f traces, selected-candidate sequence, costs, LML,
-//! noise — via `IterationRecord`'s `PartialEq`.
+//! noise — via `IterationRecord`'s `PartialEq`. The trace must also time
+//! each runner stage once: every `al.iteration` record's stage times are
+//! the durations its stage spans recorded.
 //! This is the contract that lets instrumentation live inside the hot
 //! numeric paths: a telemetry-on run may only be slower, never different.
 //!
@@ -20,8 +20,11 @@ use alperf_gp::kernel::SquaredExponential;
 use alperf_gp::noise::NoiseFloor;
 use alperf_gp::optimize::{ApproxConfig, FitTier, GprConfig};
 use alperf_linalg::matrix::Matrix;
+use alperf_obs::event::Event;
+use alperf_obs::names;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::collections::BTreeMap;
 
 fn dataset(n: usize, seed: u64) -> (Matrix, Vec<f64>, Vec<f64>) {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -75,8 +78,9 @@ fn run_once_sparse() -> AlRun {
 }
 
 /// Same campaign through the speculative pipelined runner: overlap
-/// timing is read from the clock only when telemetry is on, so on/off
-/// bit-identity is the proof the clock never leaks into the numerics.
+/// timing comes from spans, which read the clock only when telemetry is
+/// on, so on/off bit-identity is the proof the clock never leaks into the
+/// numerics.
 fn run_once_pipelined() -> AlRun {
     let (x, y, cost) = dataset(40, 11);
     let part = Partition::random(40, 2, 0.8, 5);
@@ -93,6 +97,53 @@ fn run_once_pipelined() -> AlRun {
     run_al(&x, &y, &cost, &part, &mut VarianceReduction, &cfg).unwrap()
 }
 
+/// Check that every `al.iteration` record's `fit_ns`/`predict_ns`/
+/// `select_ns` equal the `dur_ns` of its iteration's
+/// `al.iteration.{fit,predict,select}` spans, and return how many records
+/// were checked. Stage spans are children of their iteration's
+/// `al.iteration` span; within one run (delimited by `al.run_start`) the
+/// k-th iteration span, in the order its fit stage closed, is iteration k —
+/// for the serial loop, which emits the record before the iteration span
+/// closes, and for the pipelined one, which emits it a round later.
+fn assert_stage_times_match_spans(text: &str) -> usize {
+    let mut stages: BTreeMap<u64, [Option<u64>; 3]> = BTreeMap::new();
+    let mut iterations: Vec<u64> = Vec::new();
+    let mut checked = 0;
+    for line in text.lines() {
+        match Event::parse(line).expect("trace line parses") {
+            Event::Record(r) if r.name == "al.run_start" => iterations.clear(),
+            Event::Record(r) if r.name == names::AL_ITERATION => {
+                let iter = r.f64("iter").expect("iter") as usize;
+                let parent = iterations[iter];
+                for (slot, key) in ["fit_ns", "predict_ns", "select_ns"].iter().enumerate() {
+                    let span_ns = stages[&parent][slot].expect("stage span closed");
+                    assert_eq!(
+                        r.f64(key),
+                        Some(span_ns as f64),
+                        "iteration {iter}: record {key} differs from its span's dur_ns"
+                    );
+                }
+                checked += 1;
+            }
+            Event::Span(s) => {
+                let slot = match s.name.as_str() {
+                    "al.iteration.fit" => 0,
+                    "al.iteration.predict" => 1,
+                    "al.iteration.select" => 2,
+                    _ => continue,
+                };
+                let parent = s.parent_id.expect("stage span has an al.iteration parent");
+                if slot == 0 {
+                    iterations.push(parent);
+                }
+                stages.entry(parent).or_default()[slot] = Some(s.dur_ns);
+            }
+            _ => {}
+        }
+    }
+    checked
+}
+
 // One #[test] only: the global telemetry switch is process-wide, and the
 // default multi-threaded test runner would race two tests flipping it.
 #[test]
@@ -103,55 +154,21 @@ fn telemetry_on_is_bit_identical_to_telemetry_off() {
     let off_sparse = run_once_sparse();
     let off_pipelined = run_once_pipelined();
 
-    // Telemetry fully on: global switch, JSONL trace, metrics registry —
-    // plus the full live-telemetry stack (cooperative stack sampler at an
-    // aggressive rate and the streaming aggregator), which must be just
-    // as strictly observational as the passive sinks.
+    // Telemetry fully on: global switch, JSONL trace, metrics registry.
     let trace = std::env::temp_dir().join(format!(
         "alperf_obs_determinism_{}.jsonl",
         std::process::id()
     ));
     alperf_obs::sink::install_jsonl(&trace).unwrap();
     alperf_obs::set_enabled(true);
-    let sampler = alperf_obs::profiler::start(500.0);
-    let aggregator = alperf_obs::aggregate::install(alperf_obs::aggregate::DEFAULT_WINDOW_NS);
-    // The retentive stack too: scraper feeding the embedded tsdb, the
-    // default alerting rules evaluated after every scrape, and the
-    // black-box recorder mirroring every span/record into its rings.
-    // All of it must be as strictly observational as the passive sinks.
-    let tsdb = alperf_obs::tsdb::install(alperf_obs::TsdbConfig::default());
-    let scraper =
-        alperf_obs::tsdb::start_scraper(tsdb.clone(), std::time::Duration::from_millis(20));
-    let engine = alperf_obs::alerts::install(alperf_obs::alerts::default_rules());
-    alperf_obs::blackbox::arm(alperf_obs::blackbox::DEFAULT_CAPACITY);
-    let campaign_iters_before = alperf_obs::counter_vec(
-        alperf_obs::names::AL_CAMPAIGN_ITERATIONS,
-        &[
-            alperf_obs::names::LABEL_CAMPAIGN,
-            alperf_obs::names::LABEL_STRATEGY,
-        ],
-    )
-    .snapshot()
-    .iter()
-    .map(|(_, v)| v)
-    .sum::<u64>();
     let on = run_once();
     // Second telemetry-on run: run ids differ, numerics must not.
     let on2 = run_once();
     let on_sparse = run_once_sparse();
-    let stale_before = alperf_obs::counter(alperf_obs::names::AL_PIPELINE_STALE_SELECTS).get();
-    let reconciles_before = alperf_obs::counter(alperf_obs::names::AL_PIPELINE_RECONCILES).get();
+    let stale_before = alperf_obs::counter(names::AL_PIPELINE_STALE_SELECTS).get();
+    let reconciles_before = alperf_obs::counter(names::AL_PIPELINE_RECONCILES).get();
     let on_pipelined = run_once_pipelined();
-    let agg = aggregator.snapshot();
-    let tsdb_stats = tsdb.stats();
-    let evaluations = engine.evaluations();
-    let blackbox_events = alperf_obs::blackbox::snapshot().len();
-    scraper.stop();
-    sampler.stop();
-    alperf_obs::blackbox::disarm();
-    alperf_obs::alerts::uninstall();
-    alperf_obs::tsdb::uninstall();
-    alperf_obs::aggregate::uninstall();
+    let snapshot = alperf_obs::registry().prometheus_snapshot();
     alperf_obs::set_enabled(false);
     alperf_obs::sink::uninstall();
 
@@ -192,8 +209,8 @@ fn telemetry_on_is_bit_identical_to_telemetry_off() {
         "trace has no fitc-tier iteration records"
     );
 
-    // Pipelined runner: same contract — telemetry (and the monotonic
-    // clock reads it gates) must not perturb the speculative schedule.
+    // Pipelined runner: same contract — telemetry (and the clock reads its
+    // spans make) must not perturb the speculative schedule.
     assert_eq!(
         off_pipelined.history, on_pipelined.history,
         "pipelined runner diverged under telemetry"
@@ -207,75 +224,30 @@ fn telemetry_on_is_bit_identical_to_telemetry_off() {
             || text.contains("\"pipeline\": \"speculative\""),
         "trace has no speculative-pipeline run-start record"
     );
-    let stale = alperf_obs::counter(alperf_obs::names::AL_PIPELINE_STALE_SELECTS).get();
+    let stale = alperf_obs::counter(names::AL_PIPELINE_STALE_SELECTS).get();
     assert!(
         stale > stale_before,
         "stale-selection counter did not advance"
     );
     assert_eq!(
-        alperf_obs::counter(alperf_obs::names::AL_PIPELINE_RECONCILES).get() - reconciles_before,
+        alperf_obs::counter(names::AL_PIPELINE_RECONCILES).get() - reconciles_before,
         on_pipelined.history.len() as u64,
         "one reconcile per measured pipelined iteration"
     );
 
-    // The live-telemetry stack was really running, not just enabled:
-    // labeled per-campaign counters advanced (one series per run id, all
-    // tagged with the strategy), and the aggregator tracked the runs.
-    let campaign_iters = alperf_obs::counter_vec(
-        alperf_obs::names::AL_CAMPAIGN_ITERATIONS,
-        &[
-            alperf_obs::names::LABEL_CAMPAIGN,
-            alperf_obs::names::LABEL_STRATEGY,
-        ],
-    )
-    .snapshot();
-    let labeled_total: u64 = campaign_iters.iter().map(|(_, v)| v).sum();
-    let expected = (on.history.len()
-        + on2.history.len()
-        + on_sparse.history.len()
-        + on_pipelined.history.len()) as u64;
-    assert!(
-        labeled_total - campaign_iters_before >= expected,
-        "labeled campaign counters advanced by {} (< {expected})",
-        labeled_total - campaign_iters_before
-    );
-    assert!(
-        campaign_iters
-            .iter()
-            .all(|(values, _)| values[1] == "variance_reduction"),
-        "campaign series not tagged with the strategy label"
-    );
-    assert!(
-        !agg.campaigns.is_empty(),
-        "aggregator saw no campaigns from the telemetry-on runs"
-    );
-    // The sampler observed the telemetry-on runs without perturbing them
-    // (the bit-identity assertions above ran with it armed).
-    assert!(
-        alperf_obs::counter(alperf_obs::names::OBS_PROFILER_SAMPLES).get() > 0,
-        "stack sampler took no samples during the telemetry-on runs"
-    );
-    assert!(
-        text.lines().any(|l| l.contains("\"t\":\"sample\"")),
-        "trace has no profiler sample records"
+    // Each stage is timed once: the record fields are the span durations,
+    // on every telemetry-on run (serial twice, sparse tier, pipelined).
+    let records = [&on, &on2, &on_sparse, &on_pipelined]
+        .iter()
+        .map(|run| run.history.len())
+        .sum::<usize>();
+    assert_eq!(
+        assert_stage_times_match_spans(&text),
+        records,
+        "every al.iteration record checked against its stage spans"
     );
 
-    // The retentive stack was really running too (the bit-identity
-    // assertions above ran with all of it armed): the scraper retained
-    // series in the tsdb, the alert engine evaluated its rules, and the
-    // flight recorder captured events.
-    assert!(
-        tsdb_stats.scrapes > 0 && tsdb_stats.series > 0,
-        "tsdb scraper retained nothing (scrapes {}, series {})",
-        tsdb_stats.scrapes,
-        tsdb_stats.series
-    );
-    assert!(
-        evaluations > 0,
-        "alert engine never evaluated during the telemetry-on runs"
-    );
-    assert!(
-        blackbox_events > 0,
-        "black-box recorder captured no events during the telemetry-on runs"
-    );
+    // The snapshot renders the same registry the spans recorded into.
+    assert!(snapshot.contains("alperf_al_iterations_total"));
+    assert!(snapshot.contains("# TYPE alperf_al_iteration_fit_ns summary"));
 }

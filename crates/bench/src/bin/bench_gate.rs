@@ -112,14 +112,10 @@ impl Suite {
             },
             Suite::Obs => {
                 // Short measurements (batched predict, the per-site ns
-                // loops) swing 30-40% run to run under CPU steal on shared
+                // loop) swing 30-40% run to run under CPU steal on shared
                 // VMs; grant them a recorded 50% allowance so only the
                 // long, stable fit path gates at the strict CLI tolerance.
-                let tol_pct = matches!(
-                    name,
-                    "predict_ms" | "site_ns" | "labeled_site_ns" | "labeled_lookup_ns"
-                )
-                .then_some(50.0);
+                let tol_pct = matches!(name, "predict_ms" | "site_ns").then_some(50.0);
                 Metric {
                     kind: GateKind::Relative,
                     value,

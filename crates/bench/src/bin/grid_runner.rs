@@ -28,7 +28,7 @@
 //! history — unless `--timing` arms real wall/CPU nanoseconds per
 //! record. See `crates/grid` docs and DESIGN.md §4k.
 
-use alperf_bench::{obs_finish, obs_from_env, threads_from_env};
+use alperf_bench::{obs_from_env, threads_from_env};
 use alperf_grid::exec::{run_grid, CommitMode, ExecConfig};
 use alperf_grid::rank::{
     leaderboards, render_claims, render_leaderboards, render_significance, significance, RankConfig,
@@ -153,7 +153,7 @@ fn usage() -> ExitCode {
 
 fn main() -> ExitCode {
     let (_, pool_source) = threads_from_env();
-    let obs = obs_from_env();
+    let _obs = obs_from_env();
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut out: Option<PathBuf> = None;
     let mut spec_path: Option<String> = None;
@@ -199,17 +199,13 @@ fn main() -> ExitCode {
     }
 
     if let Some(path) = rank_only {
-        let code = match rank_report(&path, &baseline_strategy) {
+        return match rank_report(&path, &baseline_strategy) {
             Ok(()) => ExitCode::SUCCESS,
             Err(e) => {
                 eprintln!("grid_runner: {e}");
                 ExitCode::from(2)
             }
         };
-        if obs {
-            obs_finish();
-        }
-        return code;
     }
 
     let spec = match (&spec_path, quick) {
@@ -266,9 +262,6 @@ fn main() -> ExitCode {
         Ok(r) => r,
         Err(e) => {
             eprintln!("grid_runner: {e}");
-            if obs {
-                obs_finish();
-            }
             return ExitCode::FAILURE;
         }
     };
@@ -297,9 +290,6 @@ fn main() -> ExitCode {
             eprintln!("grid_runner: {e}");
             failed = true;
         }
-    }
-    if obs {
-        obs_finish();
     }
     if failed || report.errors > 0 {
         return ExitCode::FAILURE;

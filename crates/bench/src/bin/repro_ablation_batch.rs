@@ -136,6 +136,7 @@ fn run(mode: Mode, x: &Matrix, y: &[f64], part: &Partition, seed: u64) -> Vec<f6
 }
 
 fn main() {
+    let _obs = alperf_bench::obs_from_env();
     let (x, y) = problem();
     banner(&format!(
         "X3: batch AL — {ROUNDS} rounds x q={Q}, averaged over {REPS} partitions"

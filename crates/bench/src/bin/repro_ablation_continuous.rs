@@ -24,6 +24,7 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
 fn main() {
+    let _obs = alperf_bench::obs_from_env();
     let data = load_datasets();
     banner("X6: continuous vs finite-pool acquisition optimization");
     let sub = data

@@ -84,6 +84,7 @@ fn batch(
 }
 
 fn main() {
+    let _obs = alperf_bench::obs_from_env();
     let (x, y, cost) = problem();
     banner(&format!(
         "X2: EMCM vs GPR-variance AL — {REPETITIONS} repetitions x {ITERS} iterations, 1-point seed"

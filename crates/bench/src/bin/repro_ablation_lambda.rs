@@ -66,6 +66,7 @@ fn batch(x: &Matrix, y: &[f64], cost: &[f64], lambda: f64) -> Vec<AlRun> {
 }
 
 fn main() {
+    let _obs = alperf_bench::obs_from_env();
     let (x, y, cost) = problem();
     banner(&format!(
         "X4: cost-awareness sweep (sigma - lambda*mu), {REPETITIONS} reps x 80 iters"

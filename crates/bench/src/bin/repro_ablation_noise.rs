@@ -76,6 +76,7 @@ fn batch(x: &Matrix, y: &[f64], cost: &[f64], floor: NoiseFloor) -> Vec<AlRun> {
 }
 
 fn main() {
+    let _obs = alperf_bench::obs_from_env();
     let (x, y, cost) = problem();
     banner(&format!(
         "X1: noise-floor ablation — {REPETITIONS} repetitions x {ITERS} iterations"

@@ -62,6 +62,7 @@ fn gpr(seed: u64) -> GprConfig {
 }
 
 fn main() {
+    let _obs = alperf_bench::obs_from_env();
     let (x, y, cost) = problem();
     banner(&format!(
         "X5: strategy comparison at a budget of {BUDGET} experiments ({REPETITIONS} partitions)"

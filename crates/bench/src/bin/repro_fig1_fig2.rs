@@ -106,6 +106,7 @@ fn loglog_slope(data: &DataSet) -> f64 {
 }
 
 fn main() {
+    let _obs = alperf_bench::obs_from_env();
     let data = load_datasets();
     banner("Fig. 1 / Fig. 2: dataset subsets (poisson1; NP in {1, 8, 64})");
     emit_subset(&data.performance, "Runtime", "performance_runtime");

@@ -100,6 +100,7 @@ fn emit_gprs(x: &[f64], y: &[f64], tag: &str) {
 }
 
 fn main() {
+    let _obs = alperf_bench::obs_from_env();
     banner("Fig. 3: predictive distributions for a 1-D cross-section");
     let (x, y) = cross_section();
 

@@ -57,6 +57,7 @@ fn lml_grid(x: &Matrix, y: &[f64], tag: &str) -> (f64, f64) {
 }
 
 fn main() {
+    let _obs = alperf_bench::obs_from_env();
     let data = load_datasets();
     banner("Fig. 4: LML contour for the data-rich 1-D cross-section");
     let sub = data

@@ -22,6 +22,7 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
 fn main() {
+    let _obs = alperf_bench::obs_from_env();
     let data = load_datasets();
     banner("Fig. 5(a): GPR surfaces from 4 training points over (size, freq)");
     let sub = data

@@ -19,6 +19,7 @@ use alperf_gp::optimize::GprConfig;
 use alperf_linalg::matrix::Matrix;
 
 fn main() {
+    let _obs = alperf_bench::obs_from_env();
     let data = load_datasets();
     banner("Fig. 6: AL (Variance Reduction) trajectories over (size, freq)");
     let sub = data

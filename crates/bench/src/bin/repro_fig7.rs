@@ -127,7 +127,7 @@ fn report(tag: &str, runs: &[AlRun]) -> (f64, f64, f64, f64) {
 
 fn main() {
     alperf_bench::threads_from_env();
-    let telemetry = alperf_bench::obs_from_env();
+    let obs = alperf_bench::obs_from_env();
     let (repetitions, iters) = scale();
     let (x, y, cost) = problem();
     banner(&format!(
@@ -184,10 +184,9 @@ fn main() {
         )
     );
 
-    if telemetry {
-        // Flush the JSONL trace and write the metrics snapshot; print the
-        // span aggregates so the run telemetry is visible in the terminal.
-        alperf_bench::obs_finish();
+    if obs.enabled() {
+        // Print the span aggregates so the run telemetry is visible in the
+        // terminal; the guard flushes the trace and writes the snapshot.
         banner("run telemetry (span aggregates)");
         print!("{}", alperf_obs::registry().summary_table());
     }

@@ -89,6 +89,7 @@ fn batch(
 }
 
 fn main() {
+    let _obs = alperf_bench::obs_from_env();
     let (x, y, cost) = problem();
     banner(&format!(
         "Fig. 8: {} partitions per strategy on {} jobs (pool exhaustion)",

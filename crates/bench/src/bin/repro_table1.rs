@@ -8,6 +8,7 @@ use alperf_bench::{banner, load_datasets};
 use alperf_data::summary::summarize;
 
 fn main() {
+    let _obs = alperf_bench::obs_from_env();
     let data = load_datasets();
     banner("Table I: The Parameters of the Analyzed Datasets");
 

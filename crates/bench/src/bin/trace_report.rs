@@ -5,23 +5,12 @@
 //!   trace_report <trace.jsonl>                     # self-time table
 //!   trace_report --json <trace.jsonl>              # table as JSON
 //!   trace_report --folded <trace.jsonl>            # folded stacks (stdout)
-//!   trace_report --folded-samples <trace.jsonl>    # folded profiler samples
 //!   trace_report --critical-path <name> <trace.jsonl>
 //!   trace_report --diff <a.jsonl> <b.jsonl> [--json] [--threshold <pct>] [--seed <n>]
-//!   trace_report --postmortem <blackbox.jsonl> [--window-s <s>]
 //!
 //! Folded output feeds any flamegraph renderer:
 //!   trace_report --folded trace.jsonl > trace.folded
 //!   inferno-flamegraph < trace.folded > flame.svg   # or flamegraph.pl / speedscope
-//!
-//! `--folded` weights frames by span *self time*; `--folded-samples`
-//! weights by profiler *sample count* (wall-clock incidence, including
-//! blocked time), so the two flamegraphs are directly comparable.
-//!
-//! `--postmortem` reads an `alperf-blackbox-v1` flight-recorder dump
-//! (written on panic, executor fault, or exit when the recorder is
-//! armed) and reconstructs the final seconds: the span tree that was in
-//! flight, record traffic, and the alerts firing at dump time.
 //!
 //! Exit codes: 0 ok; 1 malformed trace, broken span tree, or (--diff)
 //! significant regressions found; 2 usage; 3 unreadable input; 4 empty
@@ -30,8 +19,7 @@
 use alperf_obs::json;
 use alperf_trace::{
     aggregate, child_coverage, critical_path, diff_traces, folded_stacks, read_path,
-    render_diff_json, render_diff_table, sampled_stacks, significant_regressions, DiffConfig,
-    SpanForest, Trace,
+    render_diff_json, render_diff_table, significant_regressions, DiffConfig, SpanForest, Trace,
 };
 use std::path::Path;
 use std::process::ExitCode;
@@ -40,10 +28,8 @@ fn usage() -> ExitCode {
     eprintln!(
         "usage: trace_report [--json] <trace.jsonl>\n\
          \x20      trace_report --folded <trace.jsonl>\n\
-         \x20      trace_report --folded-samples <trace.jsonl>\n\
          \x20      trace_report --critical-path <name> <trace.jsonl>\n\
-         \x20      trace_report --diff <a.jsonl> <b.jsonl> [--json] [--threshold <pct>] [--seed <n>]\n\
-         \x20      trace_report --postmortem <blackbox.jsonl> [--window-s <s>]"
+         \x20      trace_report --diff <a.jsonl> <b.jsonl> [--json] [--threshold <pct>] [--seed <n>]"
     );
     ExitCode::from(2)
 }
@@ -109,11 +95,10 @@ fn report_table(trace: &Trace, forest: &SpanForest, as_json: bool) {
         );
     }
     println!(
-        "\n{} spans in {} trees, {} records, {} profiler samples",
+        "\n{} spans in {} trees, {} records",
         forest.len(),
         forest.roots.len(),
-        trace.records.len(),
-        trace.samples.len()
+        trace.records.len()
     );
     if let Some(cov) = child_coverage(forest, "al.iteration") {
         println!(
@@ -175,26 +160,6 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
         Some("--diff") => run_diff(&args[1..]),
-        Some("--postmortem") => {
-            let (path, window_s) = match args[1..] {
-                [ref path] => (path, 10.0),
-                [ref path, ref flag, ref s] if flag == "--window-s" => match s.parse::<f64>() {
-                    Ok(v) if v > 0.0 => (path, v),
-                    _ => return usage(),
-                },
-                _ => return usage(),
-            };
-            match alperf_trace::read_dump(Path::new(path)) {
-                Ok(pm) => {
-                    print!("{}", pm.render((window_s * 1e9) as u64));
-                    ExitCode::SUCCESS
-                }
-                Err(e) => {
-                    eprintln!("trace_report: {path}: {e}");
-                    ExitCode::FAILURE
-                }
-            }
-        }
         Some("--folded") => {
             let [_, path] = args.as_slice() else {
                 return usage();
@@ -208,24 +173,6 @@ fn main() -> ExitCode {
                 Err(c) => return c,
             };
             print!("{}", folded_stacks(&forest));
-            ExitCode::SUCCESS
-        }
-        Some("--folded-samples") => {
-            let [_, path] = args.as_slice() else {
-                return usage();
-            };
-            let trace = match load(path) {
-                Ok(t) => t,
-                Err(c) => return c,
-            };
-            if trace.samples.is_empty() {
-                eprintln!(
-                    "trace_report: {path} has no profiler samples \
-                     (run with ALPERF_OBS_SAMPLE_HZ or the live_report sampler)"
-                );
-                return ExitCode::FAILURE;
-            }
-            print!("{}", sampled_stacks(&trace.samples));
             ExitCode::SUCCESS
         }
         Some("--critical-path") => {

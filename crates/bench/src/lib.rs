@@ -96,61 +96,65 @@ pub fn banner(title: &str) {
     println!("\n=== {title} ===");
 }
 
-/// Background telemetry services started by [`obs_from_env`], shut down
-/// by [`obs_finish`]. Process-wide because the env-driven telemetry
-/// switch is process-wide.
-static OBS_SERVICES: std::sync::Mutex<(
-    Option<alperf_obs::profiler::SamplerHandle>,
-    Option<alperf_obs::HttpServer>,
-    Option<alperf_obs::ScraperHandle>,
-)> = std::sync::Mutex::new((None, None, None));
+/// Telemetry switched on from the environment by [`obs_from_env`].
+///
+/// Dropping the guard finishes the run's telemetry: it flushes the JSONL
+/// trace and writes the metrics snapshot. The drop also runs while a
+/// panic unwinds out of `main` and on every early `return`, so a failed
+/// paper check or a usage error still leaves a complete, readable trace.
+#[must_use = "telemetry is finished when the guard drops; bind it with `let _obs = ...`"]
+pub struct ObsGuard {
+    enabled: bool,
+    snapshot: Option<PathBuf>,
+}
+
+impl ObsGuard {
+    /// Did the environment switch telemetry on?
+    pub fn enabled(&self) -> bool {
+        self.enabled
+    }
+}
+
+impl Drop for ObsGuard {
+    fn drop(&mut self) {
+        if !self.enabled {
+            return;
+        }
+        alperf_obs::sink::flush();
+        if let Some(path) = &self.snapshot {
+            // A drop must not panic (it may run during an unwind), so a
+            // failed write is reported, not raised.
+            match std::fs::write(path, alperf_obs::registry().prometheus_snapshot()) {
+                Ok(()) => eprintln!("(telemetry: metrics snapshot -> {})", path.display()),
+                Err(e) => eprintln!(
+                    "(telemetry: cannot write metrics snapshot {}: {e})",
+                    path.display()
+                ),
+            }
+        }
+    }
+}
 
 /// Enable telemetry from the environment, if requested.
 ///
 /// * `ALPERF_OBS_TRACE=<path>` — install a JSONL trace sink at `<path>`
 ///   and switch instrumentation on.
 /// * `ALPERF_OBS_SNAPSHOT=<path>` — write a Prometheus-style metrics
-///   snapshot to `<path>` at [`obs_finish`]; also switches
+///   snapshot to `<path>` when the returned guard drops; also switches
 ///   instrumentation on.
-/// * `ALPERF_OBS_SAMPLE_HZ=<hz>` — start the cooperative stack-sampling
-///   profiler at `<hz>`; samples land in the trace sink when one is
-///   installed. Also switches instrumentation on.
-/// * `ALPERF_OBS_HTTP=<addr>|1` — serve `/metrics` and `/health` over
-///   HTTP (`1` binds an ephemeral localhost port). Also switches
-///   instrumentation on.
-/// * `ALPERF_OBS_SCRAPE_MS=<ms>` — install the embedded time-series
-///   store and scrape every registered metric into it at `<ms>`
-///   intervals (serves `/query` when the HTTP endpoint is up). Also
-///   switches instrumentation on.
-/// * `ALPERF_OBS_ALERTS=1` — install the default alerting rules engine;
-///   the scraper evaluates it after every scrape, so this implies a
-///   scraper (default interval when `ALPERF_OBS_SCRAPE_MS` is unset).
-/// * `ALPERF_OBS_BLACKBOX=<path>` — arm the black-box flight recorder
-///   and dump its rings to `<path>` on panic, executor fault, or exit.
-///   Also switches instrumentation on.
 ///
-/// Returns `true` when telemetry was enabled. Call [`obs_finish`] before
-/// exiting so the sampler and scraper stop, the trace is flushed, the
-/// snapshot and black-box dump are written, and the HTTP server shuts
-/// down.
-pub fn obs_from_env() -> bool {
+/// Hold the returned guard for the rest of `main`
+/// (`let _obs = alperf_bench::obs_from_env();`): its drop flushes the
+/// trace and writes the snapshot, panics and early returns included.
+pub fn obs_from_env() -> ObsGuard {
     let env_path = |key: &str| std::env::var(key).ok().filter(|p| !p.is_empty());
     let trace = env_path("ALPERF_OBS_TRACE");
-    let snapshot = env_path("ALPERF_OBS_SNAPSHOT");
-    let sample_hz = env_path("ALPERF_OBS_SAMPLE_HZ");
-    let http = env_path(alperf_obs::http::ENV_HTTP).filter(|v| v != "0");
-    let scrape_ms = env_path("ALPERF_OBS_SCRAPE_MS");
-    let alerts = env_path("ALPERF_OBS_ALERTS").filter(|v| v != "0");
-    let blackbox = env_path("ALPERF_OBS_BLACKBOX");
-    if trace.is_none()
-        && snapshot.is_none()
-        && sample_hz.is_none()
-        && http.is_none()
-        && scrape_ms.is_none()
-        && alerts.is_none()
-        && blackbox.is_none()
-    {
-        return false;
+    let snapshot = env_path("ALPERF_OBS_SNAPSHOT").map(PathBuf::from);
+    if trace.is_none() && snapshot.is_none() {
+        return ObsGuard {
+            enabled: false,
+            snapshot: None,
+        };
     }
     if let Some(path) = trace {
         let p = std::path::Path::new(&path);
@@ -161,53 +165,10 @@ pub fn obs_from_env() -> bool {
         eprintln!("(telemetry: JSONL trace -> {path})");
     }
     alperf_obs::set_enabled(true);
-    let mut services = OBS_SERVICES.lock().unwrap();
-    if let Some(hz) = sample_hz {
-        let hz: f64 = hz
-            .parse()
-            .unwrap_or_else(|_| panic!("ALPERF_OBS_SAMPLE_HZ={hz:?} is not a number"));
-        services.0 = Some(alperf_obs::profiler::start(hz));
-        eprintln!("(telemetry: stack sampler at {hz} Hz)");
+    ObsGuard {
+        enabled: true,
+        snapshot,
     }
-    if let Some(result) = alperf_obs::http::serve_from_env() {
-        let server = result.expect("bind telemetry HTTP endpoint");
-        eprintln!("(telemetry: /metrics at http://{})", server.local_addr());
-        services.1 = Some(server);
-    }
-    if alerts.is_some() {
-        alperf_obs::alerts::install(alperf_obs::alerts::default_rules());
-        eprintln!("(telemetry: alerting rules engine armed)");
-    }
-    if scrape_ms.is_some() || alerts.is_some() {
-        let ms: u64 = scrape_ms.map_or(alperf_obs::tsdb::DEFAULT_SCRAPE_INTERVAL_MS, |ms| {
-            ms.parse()
-                .unwrap_or_else(|_| panic!("ALPERF_OBS_SCRAPE_MS={ms:?} is not an integer"))
-        });
-        let tsdb = alperf_obs::tsdb::install(alperf_obs::TsdbConfig::default());
-        services.2 = Some(alperf_obs::tsdb::start_scraper(
-            tsdb,
-            std::time::Duration::from_millis(ms.max(1)),
-        ));
-        eprintln!("(telemetry: tsdb scraper every {ms} ms)");
-    }
-    if let Some(path) = blackbox {
-        alperf_obs::blackbox::arm(alperf_obs::blackbox::DEFAULT_CAPACITY);
-        alperf_obs::blackbox::set_dump_path(Some(std::path::PathBuf::from(&path)));
-        alperf_obs::blackbox::install_panic_hook();
-        eprintln!("(telemetry: black-box recorder armed -> {path})");
-    }
-    true
-}
-
-/// Address of the `/metrics` HTTP server started by [`obs_from_env`], if
-/// one is running (lets a binary self-probe its own endpoint).
-pub fn obs_http_addr() -> Option<std::net::SocketAddr> {
-    OBS_SERVICES
-        .lock()
-        .unwrap()
-        .1
-        .as_ref()
-        .map(|s| s.local_addr())
 }
 
 /// Configure the global rayon pool from `ALPERF_NUM_THREADS`, once per
@@ -218,41 +179,6 @@ pub fn obs_http_addr() -> Option<std::net::SocketAddr> {
 pub fn threads_from_env() -> (usize, &'static str) {
     let (n, source) = alperf_linalg::threads::configure_from_env();
     (n, source.label())
-}
-
-/// Flush the telemetry trace and write the Prometheus snapshot, if
-/// `ALPERF_OBS_SNAPSHOT` names a path. Stops the stack sampler, the
-/// tsdb scraper, and the `/metrics` server when [`obs_from_env`]
-/// started them, and writes the final black-box dump when the recorder
-/// is armed with a dump path. No-op when telemetry is off.
-pub fn obs_finish() {
-    if !alperf_obs::enabled() {
-        return;
-    }
-    {
-        // Stop the scraper and sampler before flushing so their last
-        // samples land in the trace; the HTTP server goes last so
-        // /metrics stays live until the final snapshot is on disk.
-        let mut services = OBS_SERVICES.lock().unwrap();
-        if let Some(scraper) = services.2.take() {
-            scraper.stop();
-        }
-        if let Some(sampler) = services.0.take() {
-            sampler.stop();
-        }
-        services.1.take(); // drop shuts the server down
-    }
-    if let Some(path) = alperf_obs::blackbox::dump_on_fault("exit") {
-        eprintln!("(telemetry: black-box dump -> {})", path.display());
-    }
-    alperf_obs::sink::flush();
-    if let Ok(path) = std::env::var("ALPERF_OBS_SNAPSHOT") {
-        if !path.is_empty() {
-            std::fs::write(&path, alperf_obs::registry().prometheus_snapshot())
-                .expect("write metrics snapshot");
-            eprintln!("(telemetry: metrics snapshot -> {path})");
-        }
-    }
 }
 
 #[cfg(test)]

@@ -68,34 +68,6 @@ pub fn disabled_site_ns() -> f64 {
     t.elapsed().as_secs_f64() * 1e9 / iters as f64
 }
 
-/// Cost of one labeled-counter increment through a *cached* child handle,
-/// in nanoseconds — the per-event price of the `counter_vec(..).with(..)`
-/// pattern the runner uses (resolve once per campaign, then one relaxed
-/// atomic per event).
-pub fn labeled_site_ns() -> f64 {
-    let child = alperf_obs::counter_vec("overhead.labeled", &["campaign"]).with(&["bench"]);
-    let iters = 20_000_000u64;
-    let t = Instant::now();
-    for _ in 0..iters {
-        black_box(&child).inc();
-    }
-    t.elapsed().as_secs_f64() * 1e9 / iters as f64
-}
-
-/// Cost of one labeled-family child *lookup* (`with()` on an existing
-/// series: read lock + map probe), in nanoseconds. This is the price paid
-/// by rare-event sites (fault counters) that skip handle caching.
-pub fn labeled_lookup_ns() -> f64 {
-    let family = alperf_obs::counter_vec("overhead.labeled", &["campaign"]);
-    family.with(&["bench"]); // pre-create so rounds measure the hit path
-    let iters = 2_000_000u64;
-    let t = Instant::now();
-    for _ in 0..iters {
-        black_box(family.with(black_box(&["bench"])));
-    }
-    t.elapsed().as_secs_f64() * 1e9 / iters as f64
-}
-
 /// Median of a sample (empty -> NaN).
 pub fn median(xs: &[f64]) -> f64 {
     if xs.is_empty() {
@@ -126,30 +98,16 @@ pub struct OverheadResult {
     pub fit_off_ms: f64,
     /// Fit wall time, telemetry enabled, ms.
     pub fit_on_ms: f64,
-    /// Fit wall time, telemetry enabled *and* the stack sampler running
-    /// at its default rate, ms.
-    pub fit_sampler_ms: f64,
-    /// Fit wall time, telemetry enabled *and* the tsdb scraper thread
-    /// sampling every registered metric on a fast interval, ms.
-    pub fit_scrape_ms: f64,
     /// Batched-predict wall time, telemetry disabled, ms.
     pub predict_off_ms: f64,
     /// Batched-predict wall time, telemetry enabled, ms.
     pub predict_on_ms: f64,
     /// Per-site disabled cost, ns.
     pub site_ns: f64,
-    /// Per-event cost of a cached labeled-counter handle, ns.
-    pub labeled_site_ns: f64,
-    /// Per-call cost of a labeled-family child lookup, ns.
-    pub labeled_lookup_ns: f64,
     /// Per-round enabled-vs-disabled fit ratios, percent.
     pub fit_pcts: Vec<f64>,
     /// Per-round enabled-vs-disabled predict ratios, percent.
     pub predict_pcts: Vec<f64>,
-    /// Per-round sampler-vs-enabled fit ratios, percent.
-    pub sampler_pcts: Vec<f64>,
-    /// Per-round scraper-vs-enabled fit ratios, percent.
-    pub scrape_pcts: Vec<f64>,
 }
 
 impl OverheadResult {
@@ -167,26 +125,9 @@ impl OverheadResult {
         median(&self.predict_pcts)
     }
 
-    /// Sampler overhead on the fit path — running the stack sampler at
-    /// its default rate vs telemetry merely enabled, percent (median of
-    /// rounds).
-    pub fn sampler_pct(&self) -> f64 {
-        median(&self.sampler_pcts)
-    }
-
-    /// Scraper overhead on the fit path — running the tsdb scraper on a
-    /// fast interval vs telemetry merely enabled, percent (median of
-    /// rounds).
-    pub fn scrape_pct(&self) -> f64 {
-        median(&self.scrape_pcts)
-    }
-
-    /// All overheads inside [`BUDGET_PCT`]?
+    /// Both overheads inside [`BUDGET_PCT`]?
     pub fn within_budget(&self) -> bool {
-        self.fit_pct() < BUDGET_PCT
-            && self.predict_pct() < BUDGET_PCT
-            && self.sampler_pct() < BUDGET_PCT
-            && self.scrape_pct() < BUDGET_PCT
+        self.fit_pct() < BUDGET_PCT && self.predict_pct() < BUDGET_PCT
     }
 
     /// The metrics the `bench_gate` baseline gates on, by stable name.
@@ -197,12 +138,8 @@ impl OverheadResult {
             ("fit_ms", self.fit_off_ms),
             ("predict_ms", self.predict_off_ms),
             ("site_ns", self.site_ns),
-            ("labeled_site_ns", self.labeled_site_ns),
-            ("labeled_lookup_ns", self.labeled_lookup_ns),
             ("fit_overhead_pct", self.fit_pct()),
             ("predict_overhead_pct", self.predict_pct()),
-            ("sampler_overhead_pct", self.sampler_pct()),
-            ("scrape_overhead_pct", self.scrape_pct()),
         ]
     }
 }
@@ -241,11 +178,8 @@ pub fn measure(quick: bool) -> OverheadResult {
     // drift or a background phase masquerade as telemetry overhead. Each
     // round also yields an on/off ratio; the overhead estimate is the
     // *median* ratio, so a round hit by a CPU-steal spike is discarded.
-    let (mut fit_off_ms, mut fit_on_ms, mut fit_sampler_ms, mut fit_scrape_ms) =
-        (f64::INFINITY, f64::INFINITY, f64::INFINITY, f64::INFINITY);
+    let (mut fit_off_ms, mut fit_on_ms) = (f64::INFINITY, f64::INFINITY);
     let mut fit_pcts = Vec::with_capacity(reps);
-    let mut sampler_pcts = Vec::with_capacity(reps);
-    let mut scrape_pcts = Vec::with_capacity(reps);
     // Quick fits are ~30 ms — short enough that a single scheduler blip
     // swings one arm by a few percent — so each arm takes the min of
     // several fits per round. Full-mode fits run seconds; one is enough.
@@ -259,33 +193,10 @@ pub fn measure(quick: bool) -> OverheadResult {
         let on = best_ms(arm_reps, || {
             black_box(fit_gpr(&x, &y, &cfg).unwrap());
         });
-        // Third arm of the same round: telemetry on *plus* the stack
-        // sampler, so the sampler ratio shares the round's noise epoch
-        // with its enabled-only denominator.
-        let sampler = alperf_obs::profiler::start(alperf_obs::profiler::DEFAULT_HZ);
-        let on_sampled = best_ms(arm_reps, || {
-            black_box(fit_gpr(&x, &y, &cfg).unwrap());
-        });
-        sampler.stop();
-        // Fourth arm: telemetry on *plus* the tsdb scraper thread on a
-        // fast interval, so the price of retaining every metric in the
-        // embedded store is measured against the same enabled baseline.
-        let tsdb = alperf_obs::tsdb::install(alperf_obs::TsdbConfig::default());
-        let scraper = alperf_obs::tsdb::start_scraper(tsdb, std::time::Duration::from_millis(10));
-        let on_scraped = best_ms(arm_reps, || {
-            black_box(fit_gpr(&x, &y, &cfg).unwrap());
-        });
-        scraper.stop();
-        alperf_obs::tsdb::uninstall();
         fit_off_ms = fit_off_ms.min(off);
         fit_on_ms = fit_on_ms.min(on);
-        fit_sampler_ms = fit_sampler_ms.min(on_sampled);
-        fit_scrape_ms = fit_scrape_ms.min(on_scraped);
         fit_pcts.push((on - off) / off * 100.0);
-        sampler_pcts.push((on_sampled - on) / on * 100.0);
-        scrape_pcts.push((on_scraped - on) / on * 100.0);
     }
-    alperf_obs::profiler::reset_folded();
     // The predict path is short (single-digit ms): many more rounds are
     // affordable and needed to pin its minimum on a noisy VM.
     let (mut predict_off_ms, mut predict_on_ms) = (f64::INFINITY, f64::INFINITY);
@@ -305,8 +216,6 @@ pub fn measure(quick: bool) -> OverheadResult {
     }
     alperf_obs::set_enabled(false);
     let site_ns = disabled_site_ns();
-    let labeled_site_ns = labeled_site_ns();
-    let labeled_lookup_ns = labeled_lookup_ns();
 
     OverheadResult {
         quick,
@@ -315,16 +224,10 @@ pub fn measure(quick: bool) -> OverheadResult {
         restarts,
         fit_off_ms,
         fit_on_ms,
-        fit_sampler_ms,
-        fit_scrape_ms,
         predict_off_ms,
         predict_on_ms,
         site_ns,
-        labeled_site_ns,
-        labeled_lookup_ns,
         fit_pcts,
         predict_pcts,
-        sampler_pcts,
-        scrape_pcts,
     }
 }

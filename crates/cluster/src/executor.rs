@@ -135,13 +135,6 @@ impl std::fmt::Display for ExecError {
 
 impl std::error::Error for ExecError {}
 
-/// Child counter for the `{fault_kind}`-labeled injected-fault family.
-/// Faults are rare events, so the per-fault family lookup (a read-lock +
-/// map probe) is fine here — no handle caching needed.
-fn fault_kind_counter(kind: &str) -> std::sync::Arc<alperf_obs::Counter> {
-    alperf_obs::counter_vec(names::CLUSTER_FAULTS_BY_KIND, &[names::LABEL_FAULT_KIND]).with(&[kind])
-}
-
 fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
@@ -202,22 +195,12 @@ pub fn measure_all(
             });
         }
     })
-    .map_err(|p| {
-        // Flight-recorder dump on the terminal failure path: capture what
-        // every thread was doing when the pool died (no-op unless armed).
-        alperf_obs::blackbox::dump_on_fault("cluster.worker_panic");
-        ExecError::WorkerPanic(panic_message(p))
-    })?;
+    .map_err(|p| ExecError::WorkerPanic(panic_message(p)))?;
     results
         .into_inner()
         .into_iter()
         .enumerate()
-        .map(|(idx, m)| {
-            m.ok_or_else(|| {
-                alperf_obs::blackbox::dump_on_fault("cluster.missing_result");
-                ExecError::MissingResult { idx }
-            })
-        })
+        .map(|(idx, m)| m.ok_or(ExecError::MissingResult { idx }))
         .collect()
 }
 
@@ -284,7 +267,6 @@ fn measure_job(
                     if alperf_obs::enabled() {
                         let _s = alperf_obs::span_with_parent(names::CLUSTER_RETRY, batch_ctx);
                         alperf_obs::inc(names::CLUSTER_RETRY);
-                        fault_kind_counter(f.kind.name()).inc();
                         alperf_obs::record(
                             names::CLUSTER_RETRY,
                             &[
@@ -312,9 +294,6 @@ fn measure_job(
                     Ok(mut measurement) => {
                         if let Some(f) = other {
                             apply_trace_fault(f.kind, &mut measurement.trace, job_seed);
-                            if alperf_obs::enabled() {
-                                fault_kind_counter(f.kind.name()).inc();
-                            }
                             match f.kind {
                                 crate::fault::FaultKind::PowerTraceDropout => {
                                     alperf_obs::inc(names::CLUSTER_POWER_DROPOUT)
@@ -362,7 +341,6 @@ fn emit_failed(
     }
     let _s = alperf_obs::span_with_parent(names::CLUSTER_FAILED, batch_ctx);
     alperf_obs::inc(names::CLUSTER_FAILED);
-    fault_kind_counter(fault.kind.name()).inc();
     alperf_obs::record(
         names::CLUSTER_FAILED,
         &[

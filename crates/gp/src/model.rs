@@ -225,14 +225,6 @@ impl Gpr {
         let _span = alperf_obs::span("gp.predict_batch");
         let (m, n) = (xs.nrows(), self.x.nrows());
         alperf_obs::add("gp.predict.points", m as u64);
-        if alperf_obs::enabled() {
-            alperf_obs::counter_vec(
-                alperf_obs::names::GP_PREDICT_POINTS_BY_TIER,
-                &[alperf_obs::names::LABEL_TIER],
-            )
-            .with(&["exact"])
-            .add(m as u64);
-        }
         if kxt.nrows() != m || kxt.ncols() != n {
             return Err(GpError::Dimension(format!(
                 "cross-covariance is {}x{}, expected {m}x{n}",

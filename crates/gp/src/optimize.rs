@@ -521,19 +521,6 @@ pub fn fit_gpr(x: &Matrix, y: &[f64], config: &GprConfig) -> Result<(Gpr, OptimO
     ))
 }
 
-/// Bump the `{tier}`-labeled fit counter once per completed surrogate fit,
-/// keyed by the tier actually returned (gate fallback counts as `exact`).
-fn note_fit_tier(tier: &'static str) {
-    if alperf_obs::enabled() {
-        alperf_obs::counter_vec(
-            alperf_obs::names::GP_FITS_BY_TIER,
-            &[alperf_obs::names::LABEL_TIER],
-        )
-        .with(&[tier])
-        .inc();
-    }
-}
-
 /// Tier-selecting fit: exact ([`fit_gpr`]) or the sparse inducing-point
 /// approximation, per `config.tier`.
 ///
@@ -574,7 +561,6 @@ pub fn fit_surrogate(
     };
     if !sparse_now {
         let (model, outcome) = fit_gpr(x, y, config)?;
-        note_fit_tier("exact");
         return Ok((Surrogate::Exact(model), outcome));
     }
     if n == 0 {
@@ -647,11 +633,9 @@ pub fn fit_surrogate(
         );
         if !pass {
             alperf_obs::inc("gp.tier.fallback");
-            note_fit_tier("exact");
             return Ok((Surrogate::Exact(exact), outcome));
         }
     }
-    note_fit_tier(sparse.method().name());
     Ok((Surrogate::Sparse(sparse), outcome))
 }
 

@@ -330,14 +330,6 @@ impl SparseGpr {
         let _span = alperf_obs::span("gp.predict_batch");
         let (nq, m) = (xs.nrows(), self.z.nrows());
         alperf_obs::add("gp.predict.points", nq as u64);
-        if alperf_obs::enabled() {
-            alperf_obs::counter_vec(
-                alperf_obs::names::GP_PREDICT_POINTS_BY_TIER,
-                &[alperf_obs::names::LABEL_TIER],
-            )
-            .with(&[self.method.name()])
-            .add(nq as u64);
-        }
         if kxz.nrows() != nq || kxz.ncols() != m {
             return Err(GpError::Dimension(format!(
                 "cross-covariance is {}x{}, expected {nq}x{m}",

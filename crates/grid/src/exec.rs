@@ -33,10 +33,7 @@ use crate::campaign::run_campaign;
 use crate::spec::{CampaignConfig, GridSpec, SpecError};
 use crate::summary::{parse_record, render_meta, render_record};
 use alperf_linalg::threads;
-use alperf_obs::names::{
-    GRID_CONFIGS_DONE, GRID_CONFIG_ERRORS, GRID_DEGRADED, GRID_RUN_START, LABEL_GRID,
-    LABEL_STRATEGY,
-};
+use alperf_obs::names::GRID_RUN_START;
 use alperf_obs::Value;
 use std::collections::BTreeMap;
 use std::fs;
@@ -189,7 +186,6 @@ fn valid_prefix(
 struct Commit {
     index: usize,
     line: String,
-    strategy: &'static str,
     error: bool,
     degraded: bool,
 }
@@ -225,22 +221,15 @@ pub fn run_grid(spec: &GridSpec, out: &Path, exec: &ExecConfig) -> Result<GridRe
 
     let remaining = configs.len() - start;
     let width = threads::current().max(1).min(remaining.max(1));
-    let obs_on = alperf_obs::enabled();
-    if obs_on {
-        alperf_obs::record(
-            GRID_RUN_START,
-            &[
-                ("grid", Value::Str(spec.name.as_str())),
-                ("n_configs", Value::U64(configs.len() as u64)),
-                ("resumed_at", Value::U64(start as u64)),
-                ("width", Value::U64(width as u64)),
-            ],
-        );
-    }
-    let done = alperf_obs::counter_vec(GRID_CONFIGS_DONE, &[LABEL_GRID, LABEL_STRATEGY]);
-    let errs = alperf_obs::counter_vec(GRID_CONFIG_ERRORS, &[LABEL_GRID, LABEL_STRATEGY]);
-    let degr = alperf_obs::counter_vec(GRID_DEGRADED, &[LABEL_GRID, LABEL_STRATEGY]);
-    let watchdog_key = format!("grid:{}", spec.name);
+    alperf_obs::record(
+        GRID_RUN_START,
+        &[
+            ("grid", Value::Str(spec.name.as_str())),
+            ("n_configs", Value::U64(configs.len() as u64)),
+            ("resumed_at", Value::U64(start as u64)),
+            ("width", Value::U64(width as u64)),
+        ],
+    );
 
     let next = AtomicUsize::new(start);
     let (tx, rx) = mpsc::channel::<Commit>();
@@ -274,7 +263,6 @@ pub fn run_grid(spec: &GridSpec, out: &Path, exec: &ExecConfig) -> Result<GridRe
                     let commit = Commit {
                         index: i,
                         line: render_record(cfg, &res, wall_ns, cpu_ns),
-                        strategy: cfg.strategy.name(),
                         error: res.error.is_some(),
                         degraded: res.degraded > 0,
                     };
@@ -308,16 +296,6 @@ pub fn run_grid(spec: &GridSpec, out: &Path, exec: &ExecConfig) -> Result<GridRe
                 executed += 1;
                 errors += c.error as usize;
                 degraded_total += c.degraded as usize;
-                if obs_on {
-                    done.with(&[spec.name.as_str(), c.strategy]).inc();
-                    if c.error {
-                        errs.with(&[spec.name.as_str(), c.strategy]).inc();
-                    }
-                    if c.degraded {
-                        degr.with(&[spec.name.as_str(), c.strategy]).inc();
-                    }
-                    alperf_obs::watchdog::global().beat(&watchdog_key);
-                }
                 next_commit += 1;
             }
         }
@@ -328,9 +306,6 @@ pub fn run_grid(spec: &GridSpec, out: &Path, exec: &ExecConfig) -> Result<GridRe
         }
         Ok(())
     })?;
-    if obs_on {
-        alperf_obs::watchdog::global().clear(&watchdog_key);
-    }
 
     Ok(GridReport {
         n_configs: configs.len(),

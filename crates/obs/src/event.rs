@@ -22,9 +22,6 @@ pub enum Event {
     Span(SpanEvent),
     /// A structured record with free-form fields.
     Record(RecordEvent),
-    /// A profiler stack sample (one thread's live span stack at an
-    /// instant, captured by the cooperative sampler).
-    Sample(SampleEvent),
 }
 
 /// The meta line: schema identity and time unit.
@@ -122,36 +119,6 @@ impl RecordEvent {
     }
 }
 
-/// A profiler stack sample: the live span stack of one thread at one
-/// instant, root-first. Sample records carry their own schema version
-/// (`sv`, see [`SampleEvent::SCHEMA_VERSION`]) so the sample shape can
-/// evolve without revving the whole trace schema.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SampleEvent {
-    /// Per-process thread id of the *sampled* thread (not the sampler).
-    pub tid: u64,
-    /// Capture time, nanoseconds since the process epoch.
-    pub t_ns: u64,
-    /// Open span names, root first, leaf last (never empty: idle threads
-    /// are not emitted).
-    pub stack: Vec<String>,
-}
-
-impl SampleEvent {
-    /// Version of the sample-record shape (the `sv` field).
-    pub const SCHEMA_VERSION: u64 = 1;
-
-    /// The folded-stack key for this sample: names joined with `;`.
-    pub fn folded_key(&self) -> String {
-        self.stack.join(";")
-    }
-
-    /// Render the exact JSONL line the sink would emit for this event.
-    pub fn to_line(&self) -> String {
-        sample_line(self.tid, self.t_ns, self.stack.iter().map(String::as_str))
-    }
-}
-
 fn write_json(out: &mut String, v: &Json) {
     match v {
         Json::Null => out.push_str("null"),
@@ -211,24 +178,6 @@ pub(crate) fn span_line(
         line.push_str(&format!(",\"pid\":{pid}"));
     }
     line.push_str(&format!(",\"start_ns\":{start_ns},\"dur_ns\":{dur_ns}}}"));
-    line
-}
-
-/// Build a sample JSONL line — the single writer shared by the live
-/// sampler emit path and [`SampleEvent::to_line`].
-pub(crate) fn sample_line<'a>(tid: u64, t_ns: u64, stack: impl Iterator<Item = &'a str>) -> String {
-    let mut line = String::with_capacity(96);
-    line.push_str(&format!(
-        "{{\"v\":1,\"t\":\"sample\",\"sv\":{},\"tid\":{tid},\"t_ns\":{t_ns},\"stack\":[",
-        SampleEvent::SCHEMA_VERSION
-    ));
-    for (i, frame) in stack.enumerate() {
-        if i > 0 {
-            line.push(',');
-        }
-        json::escape_into(&mut line, frame);
-    }
-    line.push_str("]}");
     line
 }
 
@@ -300,30 +249,6 @@ impl Event {
                     name: req_str(&obj, "name")?.to_string(),
                     tid: req_f64(&obj, "tid")? as u64,
                     fields,
-                }))
-            }
-            "sample" => {
-                let sv = req_f64(&obj, "sv")? as u64;
-                if sv != SampleEvent::SCHEMA_VERSION {
-                    return Err(EventError(format!("unsupported sample version {sv}")));
-                }
-                let stack = obj
-                    .get("stack")
-                    .and_then(|v| match v {
-                        Json::Arr(items) => items
-                            .iter()
-                            .map(|f| f.as_str().map(str::to_string))
-                            .collect::<Option<Vec<String>>>(),
-                        _ => None,
-                    })
-                    .ok_or_else(|| EventError("sample without string \"stack\" array".into()))?;
-                if stack.is_empty() {
-                    return Err(EventError("sample with empty stack".into()));
-                }
-                Ok(Event::Sample(SampleEvent {
-                    tid: req_f64(&obj, "tid")? as u64,
-                    t_ns: req_f64(&obj, "t_ns")? as u64,
-                    stack,
                 }))
             }
             other => Err(EventError(format!("unknown event type {other:?}"))),
@@ -403,44 +328,11 @@ mod tests {
     }
 
     #[test]
-    fn sample_line_round_trips() {
-        let ev = SampleEvent {
-            tid: 4,
-            t_ns: 987,
-            stack: vec![
-                "al.iteration".into(),
-                "gp.fit".into(),
-                "gp.fit.restart".into(),
-            ],
-        };
-        let line = ev.to_line();
-        assert!(line.contains("\"t\":\"sample\""));
-        assert!(line.contains("\"sv\":1"));
-        match Event::parse(&line).unwrap() {
-            Event::Sample(back) => {
-                assert_eq!(back, ev);
-                assert_eq!(back.folded_key(), "al.iteration;gp.fit;gp.fit.restart");
-            }
-            other => panic!("expected sample, got {other:?}"),
-        }
-    }
-
-    #[test]
     fn bad_lines_are_rejected() {
         assert!(Event::parse("not json").is_err());
         assert!(Event::parse("{\"v\":2,\"t\":\"span\"}").is_err());
         assert!(Event::parse("{\"v\":1,\"t\":\"mystery\"}").is_err());
         assert!(Event::parse("{\"v\":1,\"t\":\"span\",\"name\":\"a\"}").is_err());
         assert!(Event::parse("{\"v\":1,\"t\":\"record\",\"name\":\"a\",\"tid\":1}").is_err());
-        // Samples: wrong version, empty/missing stack.
-        assert!(Event::parse(
-            "{\"v\":1,\"t\":\"sample\",\"sv\":2,\"tid\":1,\"t_ns\":0,\"stack\":[\"a\"]}"
-        )
-        .is_err());
-        assert!(Event::parse(
-            "{\"v\":1,\"t\":\"sample\",\"sv\":1,\"tid\":1,\"t_ns\":0,\"stack\":[]}"
-        )
-        .is_err());
-        assert!(Event::parse("{\"v\":1,\"t\":\"sample\",\"sv\":1,\"tid\":1,\"t_ns\":0}").is_err());
     }
 }

@@ -40,35 +40,21 @@
 //! alperf_obs::set_enabled(false);
 //! ```
 
-pub mod aggregate;
-pub mod alerts;
-pub mod blackbox;
 pub mod clock;
 pub mod event;
-pub mod http;
 pub mod json;
-pub mod labels;
 pub mod metrics;
 pub mod names;
-pub mod profiler;
 pub mod registry;
 pub mod sink;
 pub mod span;
-pub mod tsdb;
-pub mod watchdog;
 
-pub use aggregate::{AggregateSnapshot, Aggregator, CampaignStats};
-pub use alerts::{AlertState, Condition, Engine as AlertEngine, Rule as AlertRule};
 pub use clock::{Clock, FakeClock, SystemClock};
-pub use event::{Event, MetaEvent, RecordEvent, SampleEvent, SpanEvent};
-pub use http::HttpServer;
-pub use labels::{CounterVec, HistogramVec};
+pub use event::{Event, MetaEvent, RecordEvent, SpanEvent};
 pub use metrics::{Counter, HistStats, Histogram};
 pub use registry::Registry;
 pub use sink::Value;
 pub use span::{SpanCtx, SpanGuard};
-pub use tsdb::{ScraperHandle, Tsdb, TsdbConfig};
-pub use watchdog::{StallReport, Watchdog};
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -103,19 +89,6 @@ pub fn counter(name: &str) -> Arc<Counter> {
 /// Get-or-create a histogram in the global registry.
 pub fn histogram(name: &str) -> Arc<Histogram> {
     registry::global().histogram(name)
-}
-
-/// Get-or-create a labeled counter family in the global registry. Call
-/// once per campaign/phase, then cache the child handle from
-/// [`CounterVec::with`] — the per-event cost is then one relaxed atomic,
-/// same as an unlabeled counter.
-pub fn counter_vec(name: &str, keys: &'static [&'static str]) -> Arc<CounterVec> {
-    registry::global().counter_vec(name, keys)
-}
-
-/// Get-or-create a labeled histogram family in the global registry.
-pub fn histogram_vec(name: &str, keys: &'static [&'static str]) -> Arc<HistogramVec> {
-    registry::global().histogram_vec(name, keys)
 }
 
 /// Increment counter `name` by one — a no-op when telemetry is disabled.
@@ -171,35 +144,12 @@ pub fn current_span() -> Option<SpanCtx> {
 
 /// Emit a structured record event (one JSONL line) — a no-op when
 /// telemetry is disabled or no sink is installed. `fields` appear under
-/// the `"fields"` key of the emitted object. When a live aggregator is
-/// installed ([`aggregate::install`]) the record is also streamed into
-/// its rolling windows, and when the black-box flight recorder is armed
-/// ([`blackbox::arm`]) the record is noted in this thread's ring.
+/// the `"fields"` key of the emitted object.
 #[inline]
 pub fn record(name: &str, fields: &[(&str, Value<'_>)]) {
     if enabled() {
         sink::emit_record(name, fields);
-        aggregate::observe_global(name, fields);
-        if blackbox::armed() {
-            blackbox::note_record(name);
-        }
     }
-}
-
-/// Time `f` through an explicit [`Clock`], recording the duration into
-/// histogram `name` (and the sink) when telemetry is enabled. Returns the
-/// closure result and the measured duration in nanoseconds (0 when
-/// disabled: the clock is not even read).
-pub fn time_with<T>(clock: &dyn Clock, name: &str, f: impl FnOnce() -> T) -> (T, u64) {
-    if !enabled() {
-        return (f(), 0);
-    }
-    let start = clock.now_ns();
-    let out = f();
-    let dur = clock.now_ns().saturating_sub(start);
-    registry::global().histogram(name).record(dur);
-    sink::emit_span(name, span::next_span_id(), span::current(), start, dur);
-    (out, dur)
 }
 
 /// Monotone sequence numbers for run-scoped telemetry (each AL run grabs
@@ -245,19 +195,6 @@ mod tests {
         set_enabled(false);
         assert_eq!(counter("test.enabled.counter").get(), 5);
         assert_eq!(histogram("test.enabled.span").stats().count, 1);
-    }
-
-    #[test]
-    fn time_with_fake_clock_is_exact() {
-        let _l = TEST_LOCK.lock();
-        set_enabled(true);
-        let clock = FakeClock::with_step(7_000);
-        let ((), dur) = time_with(&clock, "test.time_with", || {});
-        set_enabled(false);
-        assert_eq!(dur, 7_000);
-        let stats = histogram("test.time_with").stats();
-        assert_eq!(stats.min_ns, 7_000);
-        assert_eq!(stats.max_ns, 7_000);
     }
 
     #[test]

@@ -1,26 +1,20 @@
 //! Name → metric registry and the Prometheus-style snapshot exporter.
 
-use crate::labels::{render_label_block, CounterVec, HistogramVec};
 use crate::metrics::{Counter, HistStats, Histogram};
 use parking_lot::RwLock;
 use std::collections::BTreeMap;
 use std::sync::{Arc, OnceLock};
 
-/// A collection of named counters and histograms, plus labeled families
-/// ([`CounterVec`]/[`HistogramVec`]).
+/// A collection of named counters and histograms.
 ///
 /// The process-wide instance lives behind [`global`]; tests that need
 /// isolation can hold their own `Registry`. Lookups take a read lock and
 /// clone an `Arc`; callers on hot paths should cache the handle (or gate
-/// on [`crate::enabled`], as [`crate::inc`] does). Labeled call sites
-/// cache the *child* handle — `registry.counter_vec(...).with(...)` once
-/// per campaign, then relaxed atomics per event.
+/// on [`crate::enabled`], as [`crate::inc`] does).
 #[derive(Default)]
 pub struct Registry {
     counters: RwLock<BTreeMap<String, Arc<Counter>>>,
     histograms: RwLock<BTreeMap<String, Arc<Histogram>>>,
-    counter_vecs: RwLock<BTreeMap<String, Arc<CounterVec>>>,
-    histogram_vecs: RwLock<BTreeMap<String, Arc<HistogramVec>>>,
 }
 
 impl Registry {
@@ -55,37 +49,6 @@ impl Registry {
         )
     }
 
-    /// Get-or-create the labeled counter family named `name` over label
-    /// keys `keys`. The first declaration of a family fixes its keys (and
-    /// cap); later calls return the existing family regardless of the
-    /// keys passed — families are schema, declared once in
-    /// [`crate::names`] and referenced from call sites.
-    pub fn counter_vec(&self, name: &str, keys: &[&'static str]) -> Arc<CounterVec> {
-        if let Some(v) = self.counter_vecs.read().get(name) {
-            return Arc::clone(v);
-        }
-        Arc::clone(
-            self.counter_vecs
-                .write()
-                .entry(name.to_string())
-                .or_insert_with(|| Arc::new(CounterVec::new(name, keys))),
-        )
-    }
-
-    /// Get-or-create the labeled histogram family named `name`; same
-    /// first-declaration-wins semantics as [`Registry::counter_vec`].
-    pub fn histogram_vec(&self, name: &str, keys: &[&'static str]) -> Arc<HistogramVec> {
-        if let Some(v) = self.histogram_vecs.read().get(name) {
-            return Arc::clone(v);
-        }
-        Arc::clone(
-            self.histogram_vecs
-                .write()
-                .entry(name.to_string())
-                .or_insert_with(|| Arc::new(HistogramVec::new(name, keys))),
-        )
-    }
-
     /// All counters as `(name, value)`, name-sorted.
     pub fn counters_snapshot(&self) -> Vec<(String, u64)> {
         self.counters
@@ -104,31 +67,6 @@ impl Registry {
             .collect()
     }
 
-    /// All histograms as `(name, handle)`, name-sorted — for consumers
-    /// (the tsdb scraper) that need more than [`HistStats`], e.g. the
-    /// span exemplar.
-    pub fn histogram_handles(&self) -> Vec<(String, Arc<Histogram>)> {
-        self.histograms
-            .read()
-            .iter()
-            .map(|(k, v)| (k.clone(), Arc::clone(v)))
-            .collect()
-    }
-
-    /// All labeled counter families, name-sorted.
-    pub fn counter_vecs_snapshot(&self) -> Vec<Arc<CounterVec>> {
-        self.counter_vecs.read().values().map(Arc::clone).collect()
-    }
-
-    /// All labeled histogram families, name-sorted.
-    pub fn histogram_vecs_snapshot(&self) -> Vec<Arc<HistogramVec>> {
-        self.histogram_vecs
-            .read()
-            .values()
-            .map(Arc::clone)
-            .collect()
-    }
-
     /// Zero every metric (handles stay valid — existing `Arc`s keep
     /// recording into the same, now-empty, metrics).
     pub fn reset(&self) {
@@ -138,62 +76,29 @@ impl Registry {
         for h in self.histograms.read().values() {
             h.reset();
         }
-        for v in self.counter_vecs.read().values() {
-            v.reset();
-        }
-        for v in self.histogram_vecs.read().values() {
-            v.reset();
-        }
     }
 
     /// Render every metric in the Prometheus text exposition format.
     /// Counters become `<name>_total`; histograms become summaries with
     /// p50/p90/p99 quantile series plus `_sum`/`_count`/`_min`/`_max`.
-    /// Labeled families render one series per label tuple with values
-    /// escaped per the exposition format.
-    ///
-    /// The output is **byte-stable**: metric blocks sort by exposition
-    /// name, label tuples within a family sort by value, so two
-    /// snapshots of identical metric state are identical strings no
-    /// matter the registration order or thread interleaving that built
-    /// the state.
+    /// Both sections are name-sorted, so two snapshots of identical
+    /// metric state are identical strings.
     pub fn prometheus_snapshot(&self) -> String {
-        // name -> rendered blocks (a plain metric and a family may
-        // sanitize to the same exposition name; both blocks are kept,
-        // in plain-then-family order).
-        let mut blocks: BTreeMap<String, Vec<String>> = BTreeMap::new();
+        let mut out = String::new();
         for (name, value) in self.counters_snapshot() {
             let m = format!("alperf_{}_total", sanitize(&name));
-            let b = format!("# TYPE {m} counter\n{m} {value}\n");
-            blocks.entry(m).or_default().push(b);
+            out.push_str(&format!("# TYPE {m} counter\n{m} {value}\n"));
         }
         for (name, s) in self.histograms_snapshot() {
             let m = format!("alperf_{}_ns", sanitize(&name));
-            let b = format!("# TYPE {m} summary\n{}", render_series(&m, &[], &[], &s));
-            blocks.entry(m).or_default().push(b);
-        }
-        for fam in self.counter_vecs_snapshot() {
-            let m = format!("alperf_{}_total", sanitize(fam.name()));
-            let mut b = format!("# TYPE {m} counter\n");
-            for (values, v) in fam.snapshot() {
-                let lbl = render_label_block(fam.keys(), &values, None);
-                b.push_str(&format!("{m}{lbl} {v}\n"));
+            out.push_str(&format!("# TYPE {m} summary\n"));
+            for (q, v) in [("0.5", s.p50), ("0.9", s.p90), ("0.99", s.p99)] {
+                out.push_str(&format!("{m}{{quantile=\"{q}\"}} {v}\n"));
             }
-            blocks.entry(m).or_default().push(b);
-        }
-        for fam in self.histogram_vecs_snapshot() {
-            let m = format!("alperf_{}_ns", sanitize(fam.name()));
-            let mut b = format!("# TYPE {m} summary\n");
-            for (values, s) in fam.snapshot() {
-                b.push_str(&render_series(&m, fam.keys(), &values, &s));
-            }
-            blocks.entry(m).or_default().push(b);
-        }
-        let mut out = String::new();
-        for bs in blocks.values() {
-            for b in bs {
-                out.push_str(b);
-            }
+            out.push_str(&format!("{m}_sum {}\n", s.sum));
+            out.push_str(&format!("{m}_count {}\n", s.count));
+            out.push_str(&format!("{m}_min {}\n", s.min_ns));
+            out.push_str(&format!("{m}_max {}\n", s.max_ns));
         }
         out
     }
@@ -228,25 +133,9 @@ impl Registry {
     }
 }
 
-/// One summary series (quantiles + `_sum`/`_count`/`_min`/`_max`) for the
-/// label tuple `values`, without the `# TYPE` line.
-fn render_series(m: &str, keys: &[&'static str], values: &[String], s: &HistStats) -> String {
-    let mut b = String::new();
-    for (q, v) in [("0.5", s.p50), ("0.9", s.p90), ("0.99", s.p99)] {
-        let lbl = render_label_block(keys, values, Some(("quantile", q)));
-        b.push_str(&format!("{m}{lbl} {v}\n"));
-    }
-    let lbl = render_label_block(keys, values, None);
-    b.push_str(&format!("{m}_sum{lbl} {}\n", s.sum));
-    b.push_str(&format!("{m}_count{lbl} {}\n", s.count));
-    b.push_str(&format!("{m}_min{lbl} {}\n", s.min_ns));
-    b.push_str(&format!("{m}_max{lbl} {}\n", s.max_ns));
-    b
-}
-
 /// Prometheus metric-name sanitization: `[a-zA-Z0-9_]` pass through,
 /// everything else becomes `_`.
-pub(crate) fn sanitize(name: &str) -> String {
+fn sanitize(name: &str) -> String {
     name.chars()
         .map(|c| {
             if c.is_ascii_alphanumeric() || c == '_' {
@@ -256,105 +145,6 @@ pub(crate) fn sanitize(name: &str) -> String {
             }
         })
         .collect()
-}
-
-/// Validate a Prometheus text exposition body: every line must be a
-/// `# TYPE`/`# HELP` comment or a `name[{labels}] value` sample with a
-/// well-formed metric name, correctly quoted/escaped label values, and a
-/// parseable numeric value. Returns the number of sample lines.
-///
-/// This is the checker the CI smoke and `live_report` run against the
-/// `/metrics` endpoint — deliberately strict about exactly the things the
-/// satellite hardening covers (name charset, label escaping).
-pub fn validate_exposition(text: &str) -> Result<usize, String> {
-    let mut samples = 0usize;
-    for (i, line) in text.lines().enumerate() {
-        let n = i + 1;
-        if line.is_empty() || line.starts_with("# ") {
-            continue;
-        }
-        let rest = parse_metric_name(line).ok_or(format!("line {n}: bad metric name: {line:?}"))?;
-        let rest = if let Some(after) = rest.strip_prefix('{') {
-            parse_labels(after).ok_or(format!("line {n}: malformed labels: {line:?}"))?
-        } else {
-            rest
-        };
-        let value = rest.trim();
-        if value.is_empty()
-            || value
-                .split_whitespace()
-                .next()
-                .unwrap()
-                .parse::<f64>()
-                .is_err()
-        {
-            return Err(format!("line {n}: unparseable value: {line:?}"));
-        }
-        samples += 1;
-    }
-    if samples == 0 {
-        return Err("no samples in exposition body".to_string());
-    }
-    Ok(samples)
-}
-
-/// Consume a metric name (`[a-zA-Z_:][a-zA-Z0-9_:]*`) from the start of
-/// `line`; return the remainder, or `None` on an invalid name.
-fn parse_metric_name(line: &str) -> Option<&str> {
-    let mut chars = line.char_indices();
-    match chars.next() {
-        Some((_, c)) if c.is_ascii_alphabetic() || c == '_' || c == ':' => {}
-        _ => return None,
-    }
-    for (i, c) in chars {
-        if c.is_ascii_alphanumeric() || c == '_' || c == ':' {
-            continue;
-        }
-        if c == '{' || c == ' ' {
-            return Some(&line[i..]);
-        }
-        return None;
-    }
-    None // a name with no value is not a sample line
-}
-
-/// Consume a `k="v",...}` label-block tail (the leading `{` is already
-/// stripped); return the remainder after `}`, or `None` when malformed.
-fn parse_labels(mut rest: &str) -> Option<&str> {
-    loop {
-        // key
-        let eq = rest.find('=')?;
-        let key = &rest[..eq];
-        if key.is_empty()
-            || !key.chars().all(|c| c.is_ascii_alphanumeric() || c == '_')
-            || !key.starts_with(|c: char| c.is_ascii_alphabetic() || c == '_')
-        {
-            return None;
-        }
-        rest = rest[eq + 1..].strip_prefix('"')?;
-        // quoted value with \\, \", \n escapes
-        let mut chars = rest.char_indices();
-        let close = loop {
-            let (i, c) = chars.next()?;
-            match c {
-                '\\' => {
-                    let (_, e) = chars.next()?;
-                    if !matches!(e, '\\' | '"' | 'n') {
-                        return None;
-                    }
-                }
-                '"' => break i,
-                '\n' => return None, // raw newline inside a value
-                _ => {}
-            }
-        };
-        rest = &rest[close + 1..];
-        match rest.chars().next()? {
-            ',' => rest = &rest[1..],
-            '}' => return Some(&rest[1..]),
-            _ => return None,
-        }
-    }
 }
 
 /// The process-wide registry.
@@ -418,76 +208,5 @@ mod tests {
         let t = r.summary_table();
         assert!(t.contains("seen"));
         assert!(!t.contains("empty"));
-    }
-
-    #[test]
-    fn labeled_families_render_sorted_series() {
-        let r = Registry::new();
-        let v = r.counter_vec("al.campaign.iterations", &["campaign", "strategy"]);
-        v.with(&["2", "cost_effective"]).add(7);
-        v.with(&["1", "variance_reduction"]).add(3);
-        let h = r.histogram_vec("gp.fit.by_tier", &["tier"]);
-        h.with(&["sparse"]).record(10);
-        h.with(&["exact"]).record(20);
-        let text = r.prometheus_snapshot();
-        assert!(text.contains("# TYPE alperf_al_campaign_iterations_total counter"));
-        let a = text
-            .find("alperf_al_campaign_iterations_total{campaign=\"1\",strategy=\"variance_reduction\"} 3")
-            .unwrap();
-        let b = text
-            .find(
-                "alperf_al_campaign_iterations_total{campaign=\"2\",strategy=\"cost_effective\"} 7",
-            )
-            .unwrap();
-        assert!(a < b, "label tuples must render value-sorted");
-        assert!(text.contains("alperf_gp_fit_by_tier_ns{tier=\"exact\",quantile=\"0.5\"} 20"));
-        assert!(text.contains("alperf_gp_fit_by_tier_ns_sum{tier=\"sparse\"} 10"));
-        assert!(text.contains("alperf_gp_fit_by_tier_ns_count{tier=\"exact\"} 1"));
-        validate_exposition(&text).unwrap();
-    }
-
-    #[test]
-    fn adversarial_label_values_escape_and_validate() {
-        let r = Registry::new();
-        let v = r.counter_vec("evil family name!", &["fault_kind"]);
-        v.with(&["quote\" backslash\\ newline\n end"]).inc();
-        v.with(&["{},=\"\\"]).inc();
-        let text = r.prometheus_snapshot();
-        // Name fully sanitized; values quoted with only legal escapes.
-        assert!(text.contains("# TYPE alperf_evil_family_name__total counter"));
-        assert!(text.contains(
-            r#"alperf_evil_family_name__total{fault_kind="quote\" backslash\\ newline\n end"} 1"#
-        ));
-        assert!(!text.contains('\u{0}'));
-        // No raw newline may survive inside a quoted value: every line
-        // must independently validate.
-        validate_exposition(&text).unwrap();
-    }
-
-    #[test]
-    fn snapshot_is_byte_stable_across_registration_order() {
-        let build = |order: &[usize]| {
-            let r = Registry::new();
-            let families = ["fam.a", "fam.b", "fam.c"];
-            for &i in order {
-                let v = r.counter_vec(families[i], &["k"]);
-                v.with(&["x"]).add(i as u64 + 1);
-                r.counter(families[i]).add(10 + i as u64);
-                r.histogram(families[i]).record(100 * (i as u64 + 1));
-            }
-            r.prometheus_snapshot()
-        };
-        assert_eq!(build(&[0, 1, 2]), build(&[2, 0, 1]));
-    }
-
-    #[test]
-    fn validator_rejects_malformed_lines() {
-        assert!(validate_exposition("ok_metric 1\n").is_ok());
-        assert!(validate_exposition("9starts_with_digit 1\n").is_err());
-        assert!(validate_exposition("name{k=\"unterminated} 1\n").is_err());
-        assert!(validate_exposition("name{k=\"bad\\q\"} 1\n").is_err());
-        assert!(validate_exposition("name{k=\"v\"} not_a_number\n").is_err());
-        assert!(validate_exposition("name{k=\"v\",} 1\n").is_err());
-        assert!(validate_exposition("").is_err());
     }
 }

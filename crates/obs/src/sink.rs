@@ -13,12 +13,7 @@
 //! {"v":1,"t":"meta","schema":"alperf-obs-v1","unit":"ns"}
 //! {"v":1,"t":"span","name":"gp.fit","tid":1,"parent":"al.iteration","start_ns":123,"dur_ns":456}
 //! {"v":1,"t":"record","name":"al.iteration","tid":1,"fields":{"iter":0,"rmse":0.5}}
-//! {"v":1,"t":"sample","sv":1,"tid":1,"t_ns":789,"stack":["al.iteration","gp.fit"]}
 //! ```
-//!
-//! `sample` lines (added with the cooperative profiler) carry their own
-//! `sv` schema version; readers that predate them reject the line, which
-//! is the intended fail-loud behavior for mixed-version tooling.
 
 use crate::json;
 use crate::span::SpanCtx;
@@ -66,7 +61,8 @@ impl Drop for Sink {
     // Flush guarantee: a replaced sink (a second `install_jsonl`) flushes
     // its buffered tail when the last handle drops, so no trace lines are
     // lost across reinstalls. Process exit still requires [`flush`] /
-    // [`uninstall`] (statics are not dropped), which `obs_finish` does.
+    // [`uninstall`] (statics are not dropped), which the bench crate's
+    // telemetry guard does on drop — panics included.
     fn drop(&mut self) {
         let _ = self.writer.lock().flush();
     }
@@ -157,17 +153,6 @@ pub fn emit_span(name: &str, id: u64, parent: Option<SpanCtx>, start_ns: u64, du
         start_ns,
         dur_ns,
     );
-    write_line(&line);
-}
-
-/// Emit a profiler sample line for thread `tid` whose live span stack is
-/// `stack` (root first). No-op without a sink. Called by the sampler
-/// thread, never by instrumented code itself.
-pub fn emit_sample<'a>(tid: u64, t_ns: u64, stack: impl Iterator<Item = &'a str>) {
-    if !active() {
-        return;
-    }
-    let line = crate::event::sample_line(tid, t_ns, stack);
     write_line(&line);
 }
 

@@ -4,19 +4,11 @@
 //! sorted-vector nearest-rank oracle: the estimate must land in the same
 //! log-linear bucket as the true order statistic (which bounds the
 //! relative error by `1/SUB`), and the exact side statistics (count, sum,
-//! min, max) must match the oracle exactly. Counters — plain and labeled
-//! families — are hammered from many threads and must sum exactly per
-//! label set; the family cardinality cap must route every excess tuple to
-//! the overflow series without losing a count. The watchdog's stall
-//! detection is driven through arbitrary beat/advance schedules on a
-//! `FakeClock` and must flag exactly the keys whose idle gap crossed the
-//! threshold.
+//! min, max) must match the oracle exactly. Counters are hammered from
+//! many threads and must sum exactly.
 
-use alperf_obs::labels::{CounterVec, HistogramVec, OVERFLOW_VALUE};
 use alperf_obs::metrics::{bucket_bounds, bucket_index, Counter, Histogram, BUCKETS, SUB};
-use alperf_obs::{FakeClock, Watchdog};
 use proptest::prelude::*;
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Nearest-rank quantile of a sorted slice (the oracle definition the
@@ -101,137 +93,6 @@ proptest! {
         for q in [0.1, 0.5, 0.9, 0.99] {
             prop_assert_eq!(ha.quantile(q), hall.quantile(q));
         }
-    }
-}
-
-proptest! {
-    // Thread-spawning and map-heavy cases: fewer, bigger cases.
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// Concurrent labeled increments through families equal the serial
-    /// per-label-set sums — each thread resolves its own child handles,
-    /// so the double-checked `with()` creation path races too.
-    #[test]
-    fn concurrent_labeled_increments_sum_exactly_per_series(
-        ops in prop::collection::vec(prop::collection::vec(0usize..6, 1..200), 2..5),
-    ) {
-        let cv = Arc::new(CounterVec::new("prop.labeled.counter", &["series"]));
-        let hv = Arc::new(HistogramVec::new("prop.labeled.hist", &["series"]));
-        let handles: Vec<_> = ops
-            .iter()
-            .map(|thread_ops| {
-                let cv = Arc::clone(&cv);
-                let hv = Arc::clone(&hv);
-                let thread_ops = thread_ops.clone();
-                std::thread::spawn(move || {
-                    for &i in &thread_ops {
-                        let label = format!("s{i}");
-                        cv.with(&[&label]).inc();
-                        hv.with(&[&label]).record(i as u64);
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        let mut expected: BTreeMap<usize, u64> = BTreeMap::new();
-        for &i in ops.iter().flatten() {
-            *expected.entry(i).or_insert(0) += 1;
-        }
-        let counts: BTreeMap<usize, u64> = cv
-            .snapshot()
-            .into_iter()
-            .map(|(values, v)| (values[0][1..].parse().unwrap(), v))
-            .collect();
-        prop_assert_eq!(&counts, &expected);
-        for (values, stats) in hv.snapshot() {
-            let i: usize = values[0][1..].parse().unwrap();
-            prop_assert_eq!(stats.count, expected[&i]);
-            prop_assert_eq!(stats.sum, expected[&i] * i as u64);
-        }
-    }
-
-    /// The cardinality cap keeps exactly the first `cap` distinct label
-    /// sets as named series and routes every later tuple to the overflow
-    /// series — no count is ever lost.
-    #[test]
-    fn cap_routes_excess_series_to_overflow_without_losing_counts(
-        idxs in prop::collection::vec(0usize..20, 1..300),
-        cap in 1usize..8,
-    ) {
-        let cv = CounterVec::with_cap("prop.cap", &["k"], cap);
-        for &i in &idxs {
-            cv.with(&[&format!("v{i:02}")]).inc();
-        }
-        // Model: first-come distinct labels up to `cap` get named series.
-        let mut kept: Vec<usize> = Vec::new();
-        for &i in &idxs {
-            if !kept.contains(&i) && kept.len() < cap {
-                kept.push(i);
-            }
-        }
-        let mut expected: BTreeMap<String, u64> = BTreeMap::new();
-        for &i in &idxs {
-            let key = if kept.contains(&i) {
-                format!("v{i:02}")
-            } else {
-                OVERFLOW_VALUE.to_string()
-            };
-            *expected.entry(key).or_insert(0) += 1;
-        }
-        let snapshot: BTreeMap<String, u64> = cv
-            .snapshot()
-            .into_iter()
-            .map(|(values, v)| (values[0].clone(), v))
-            .collect();
-        prop_assert_eq!(&snapshot, &expected);
-        let total: u64 = snapshot.values().sum();
-        prop_assert_eq!(total, idxs.len() as u64);
-    }
-
-    /// Watchdog stall detection against a straightforward model: run an
-    /// arbitrary beat/advance schedule on a FakeClock, then a final idle
-    /// gap; `check()` must flag exactly the watched keys whose idle time
-    /// exceeds the threshold.
-    #[test]
-    fn watchdog_flags_exactly_the_keys_past_threshold(
-        schedule in prop::collection::vec((0usize..4, 0u64..800), 1..40),
-        final_gap in 0u64..3_000,
-    ) {
-        const STALL_NS: u64 = 1_000;
-        let clock = Arc::new(FakeClock::new());
-        let wd = Watchdog::new(Arc::clone(&clock) as Arc<dyn alperf_obs::Clock>, STALL_NS);
-        let mut now = 0u64;
-        let mut last_beat: BTreeMap<usize, u64> = BTreeMap::new();
-        for &(key, advance) in &schedule {
-            clock.advance(advance);
-            now += advance;
-            wd.beat(&format!("k{key}"));
-            last_beat.insert(key, now);
-        }
-        clock.advance(final_gap);
-        now += final_gap;
-        let expected: Vec<String> = last_beat
-            .iter()
-            .filter(|(_, &t)| now - t > STALL_NS)
-            .map(|(k, _)| format!("k{k}"))
-            .collect();
-        let flagged: Vec<String> = wd.check().into_iter().map(|r| r.key).collect();
-        prop_assert_eq!(&flagged, &expected, "stalled-key set diverged from model");
-        // Flag-once: an immediate re-check reports nothing new.
-        prop_assert!(wd.check().is_empty());
-        // Recovery: beating every flagged key un-flags it; after another
-        // full threshold of idleness *every* watched key has stalled (the
-        // recovered ones again, the rest for the first time).
-        for key in &expected {
-            wd.beat(key);
-        }
-        prop_assert!(wd.flagged().is_empty());
-        clock.advance(STALL_NS + 1);
-        let reflagged: Vec<String> = wd.check().into_iter().map(|r| r.key).collect();
-        let all_keys: Vec<String> = last_beat.keys().map(|k| format!("k{k}")).collect();
-        prop_assert_eq!(&reflagged, &all_keys);
     }
 }
 

@@ -11,15 +11,7 @@
 //! `BTreeMap` and emitted in lexicographic order, so golden tests can
 //! compare exact bytes.
 
-//! Two sources fold to this format: span trees ([`folded_stacks`], value
-//! = self time in ns) and profiler stack samples ([`sampled_stacks`],
-//! value = sample count — a wall-clock estimate that, unlike span self
-//! time, also weights time spans spend blocked). `trace_report` exports
-//! either view from the same trace (`--folded` / `--folded-samples`) so
-//! the two flamegraphs can be compared side by side.
-
 use crate::tree::SpanForest;
-use alperf_obs::event::SampleEvent;
 use std::collections::BTreeMap;
 
 /// Sanitize a span name for the folded format: `;` separates frames and
@@ -54,26 +46,6 @@ pub fn folded_stacks(forest: &SpanForest) -> String {
         out.push_str(&path);
         out.push(' ');
         out.push_str(&ns.to_string());
-        out.push('\n');
-    }
-    out
-}
-
-/// Render profiler samples as folded stacks, one line per unique sampled
-/// stack, value = number of samples. Same sanitization and lexicographic
-/// ordering as [`folded_stacks`], so output is byte-stable; an empty
-/// sample set renders as an empty string.
-pub fn sampled_stacks(samples: &[SampleEvent]) -> String {
-    let mut merged: BTreeMap<String, u64> = BTreeMap::new();
-    for s in samples {
-        let path: Vec<String> = s.stack.iter().map(|f| sanitize(f)).collect();
-        *merged.entry(path.join(";")).or_insert(0) += 1;
-    }
-    let mut out = String::new();
-    for (path, count) in merged {
-        out.push_str(&path);
-        out.push(' ');
-        out.push_str(&count.to_string());
         out.push('\n');
     }
     out
@@ -127,27 +99,6 @@ mod tests {
     fn zero_self_leaf_still_appears() {
         let forest = SpanForest::build(&[span("instant", 1, None, 0, 0)]).unwrap();
         assert_eq!(folded_stacks(&forest), "instant 0\n");
-    }
-
-    #[test]
-    fn sampled_stacks_fold_counts() {
-        let sample = |stack: &[&str], t_ns: u64| SampleEvent {
-            tid: 1,
-            t_ns,
-            stack: stack.iter().map(|s| s.to_string()).collect(),
-        };
-        let samples = vec![
-            sample(&["al.iteration", "gp.fit"], 0),
-            sample(&["al.iteration"], 1),
-            sample(&["al.iteration", "gp.fit"], 2),
-            sample(&["al.iteration", "gp.fit;odd name"], 3),
-        ];
-        let folded = sampled_stacks(&samples);
-        assert_eq!(
-            folded,
-            "al.iteration 1\nal.iteration;gp.fit 2\nal.iteration;gp.fit_odd_name 1\n"
-        );
-        assert_eq!(sampled_stacks(&[]), "");
     }
 
     #[test]

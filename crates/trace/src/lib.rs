@@ -28,10 +28,6 @@
 //!   shared by [`diff`] and the `alperf-grid` significance ranker.
 //! * [`diff`] — cross-run per-span-name comparison with seeded bootstrap
 //!   confidence intervals; flags statistically significant regressions.
-//! * [`postmortem`] — `alperf-blackbox-v1` flight-recorder dump reader
-//!   with a *lenient* tree builder (ring overwrite orphans spans, so
-//!   orphans render as roots instead of erroring) for last-seconds
-//!   crash forensics.
 //!
 //! No external dependencies: JSON comes from `alperf_obs::json`, the
 //! bootstrap RNG is the workspace's deterministic `StdRng`.
@@ -40,7 +36,6 @@ pub mod analyze;
 pub mod bootstrap;
 pub mod diff;
 pub mod folded;
-pub mod postmortem;
 pub mod reader;
 pub mod tree;
 
@@ -53,7 +48,6 @@ pub use diff::{
     diff_traces, render_json as render_diff_json, render_table as render_diff_table,
     significant_regressions, DiffConfig, SpanDiff,
 };
-pub use folded::{folded_stacks, sampled_stacks};
-pub use postmortem::{read_dump, Postmortem};
+pub use folded::folded_stacks;
 pub use reader::{read_path, read_trace, Trace, TraceError};
 pub use tree::{SpanForest, SpanNode, TreeError};

@@ -8,14 +8,14 @@
 //! newer schema" from "the trace is corrupt", so each failure mode is its
 //! own [`TraceError`] variant with its own conventional exit code.
 
-use alperf_obs::event::{Event, RecordEvent, SampleEvent, SpanEvent};
+use alperf_obs::event::{Event, RecordEvent, SpanEvent};
 use alperf_obs::sink::SCHEMA;
 use std::fmt;
 use std::io::BufRead;
 use std::path::Path;
 
-/// A fully read trace: schema-checked meta plus all spans, records, and
-/// profiler samples in file (= span close) order.
+/// A fully read trace: schema-checked meta plus all spans and records in
+/// file (= span close) order.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Trace {
     /// Schema identifier from the meta line.
@@ -24,8 +24,6 @@ pub struct Trace {
     pub spans: Vec<SpanEvent>,
     /// All record events, in emission order.
     pub records: Vec<RecordEvent>,
-    /// All profiler stack samples, in capture order.
-    pub samples: Vec<SampleEvent>,
 }
 
 impl Trace {
@@ -121,10 +119,7 @@ pub fn read_trace<R: BufRead>(reader: R) -> Result<Trace, TraceError> {
             }
             Event::Span(span) if saw_meta => trace.spans.push(span),
             Event::Record(record) if saw_meta => trace.records.push(record),
-            Event::Sample(sample) if saw_meta => trace.samples.push(sample),
-            Event::Span(_) | Event::Record(_) | Event::Sample(_) => {
-                return Err(TraceError::MissingMeta)
-            }
+            Event::Span(_) | Event::Record(_) => return Err(TraceError::MissingMeta),
         }
     }
     if !saw_meta {
@@ -165,19 +160,6 @@ mod tests {
         assert_eq!(trace.records.len(), 1);
         assert_eq!(trace.records_named("r").count(), 1);
         assert_eq!(trace.records[0].f64("k"), Some(3.0));
-    }
-
-    #[test]
-    fn reads_profiler_samples() {
-        let text = format!(
-            "{META}\n\
-             {{\"v\":1,\"t\":\"sample\",\"sv\":1,\"tid\":2,\"t_ns\":10,\"stack\":[\"al.iteration\",\"gp.fit\"]}}\n\
-             {{\"v\":1,\"t\":\"sample\",\"sv\":1,\"tid\":2,\"t_ns\":20,\"stack\":[\"al.iteration\"]}}\n"
-        );
-        let trace = read_str(&text).unwrap();
-        assert_eq!(trace.samples.len(), 2);
-        assert_eq!(trace.samples[0].folded_key(), "al.iteration;gp.fit");
-        assert_eq!(trace.samples[1].t_ns, 20);
     }
 
     #[test]
