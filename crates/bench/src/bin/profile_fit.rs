@@ -3,8 +3,16 @@
 //! aggregates.
 //!
 //! Usage:
-//!   profile_fit            # stage breakdown at n=200 + full sweep
-//!   profile_fit --quick    # tiny sizes / few reps (CI smoke run)
+//!   profile_fit            # stage breakdowns (SE at n=200, ARD-SE at
+//!                          # n=15 and n=60) + full sweep
+//!   profile_fit --quick    # same breakdowns at fewer reps, tiny sweep
+//!                          # (CI smoke run)
+//!
+//! The ARD-SE tables cover the orders of the Fig. 7 campaigns (n <= 61)
+//! and split one LML value + gradient evaluation into its kernels:
+//! covariance assembly, Cholesky, `L^{-1}` (`profile.factor_inverse`) and
+//! the lower triangle of `K^{-1}` (`profile.inverse_lower`), which together
+//! form the gradient's weight matrix.
 //!
 //! The bin no longer times anything itself: it switches telemetry on, runs
 //! each stage under a span, and reads the per-span histograms out of the
@@ -14,7 +22,7 @@
 //! min/max beside the bucketized quantiles) — min-over-reps remains the
 //! right statistic on a noisy shared VM.
 
-use alperf_gp::kernel::SquaredExponential;
+use alperf_gp::kernel::{ArdSquaredExponential, Kernel, SquaredExponential};
 use alperf_gp::lml::{self, FitCache};
 use alperf_gp::noise::NoiseFloor;
 use alperf_gp::optimize::{fit_gpr, GprConfig};
@@ -22,13 +30,29 @@ use alperf_linalg::cholesky::Cholesky;
 use alperf_linalg::matrix::Matrix;
 use std::hint::black_box;
 
-/// Run `f` `reps` times, each under a fresh `name` span.
-fn timed<F: FnMut()>(name: &'static str, reps: usize, mut f: F) {
+/// Run `f` `batch` times under each of `reps` fresh `name` spans.
+fn timed<F: FnMut()>(name: &'static str, reps: usize, batch: usize, mut f: F) {
     for _ in 0..reps {
         let _s = alperf_obs::span(name);
-        f();
+        for _ in 0..batch {
+            f();
+        }
     }
 }
+
+/// The stages [`lml_stages`] records, in order.
+const LML_STAGES: [&str; 10] = [
+    "profile.assemble_k",
+    "profile.chol_unblocked",
+    "profile.chol_blocked",
+    "profile.factor_inverse",
+    "profile.inverse_lower",
+    "profile.lml_pointwise",
+    "profile.lml_cached",
+    "profile.grad_pointwise",
+    "profile.grad_cached",
+    "profile.grad_from_state",
+];
 
 /// Exact minimum of a span's recorded durations, in milliseconds.
 fn span_min_ms(name: &str) -> f64 {
@@ -58,44 +82,61 @@ fn fit_config(restarts: usize) -> GprConfig {
         .with_seed(17)
 }
 
-fn stage_breakdown(n: usize, reps: usize) {
+/// One LML value + gradient evaluation at order `n` with noise `sn`, split
+/// into its stages: `reps` spans of `batch` calls each.
+/// `profile.grad_from_state` is the gradient alone, from an already
+/// factored state — `inverse_lower` plus the `dK/dtheta` contractions.
+fn lml_stages(kernel: &dyn Kernel, n: usize, sn: f64, reps: usize, batch: usize) {
     let (x, y) = training_data(n);
-    let kernel = SquaredExponential::new(1.0, 1.0);
-    let sn = 0.1;
-    let cache = FitCache::build(&kernel, &x);
-    alperf_obs::registry().reset();
-
-    timed("profile.assemble_k", reps, || {
-        black_box(lml::assemble_covariance(&kernel, &x));
+    let cache = FitCache::build(kernel, &x);
+    timed("profile.assemble_k", reps, batch, || {
+        black_box(lml::assemble_covariance(kernel, &x));
     });
-    let mut ky = lml::assemble_covariance(&kernel, &x);
+    let mut ky = lml::assemble_covariance(kernel, &x);
     ky.add_diagonal(sn * sn);
-    timed("profile.chol_unblocked", reps, || {
+    timed("profile.chol_unblocked", reps, batch, || {
         black_box(Cholesky::decompose_unblocked(&ky).unwrap());
     });
-    timed("profile.chol_blocked", reps, || {
+    timed("profile.chol_blocked", reps, batch, || {
         black_box(Cholesky::decompose_blocked(&ky).unwrap());
     });
-    timed("profile.lml_pointwise", reps, || {
-        black_box(lml::lml_value(&kernel, sn, &x, &y).unwrap());
+    let chol = Cholesky::decompose(&ky).unwrap();
+    timed("profile.factor_inverse", reps, batch, || {
+        black_box(chol.factor_inverse().unwrap());
     });
-    timed("profile.lml_cached", reps, || {
-        black_box(lml::lml_value_cached(&kernel, sn, &x, &y, &cache).unwrap());
+    timed("profile.inverse_lower", reps, batch, || {
+        black_box(chol.inverse_lower().unwrap());
     });
-    timed("profile.grad_pointwise", reps, || {
-        black_box(lml::lml_and_grad(&kernel, sn, &x, &y, true).unwrap());
+    timed("profile.lml_pointwise", reps, batch, || {
+        black_box(lml::lml_value(kernel, sn, &x, &y).unwrap());
     });
-    timed("profile.grad_cached", reps, || {
-        black_box(lml::lml_and_grad_cached(&kernel, sn, &x, &y, true, &cache).unwrap());
+    timed("profile.lml_cached", reps, batch, || {
+        black_box(lml::lml_value_cached(kernel, sn, &x, &y, &cache).unwrap());
     });
+    timed("profile.grad_pointwise", reps, batch, || {
+        black_box(lml::lml_and_grad(kernel, sn, &x, &y, true).unwrap());
+    });
+    timed("profile.grad_cached", reps, batch, || {
+        black_box(lml::lml_and_grad_cached(kernel, sn, &x, &y, true, &cache).unwrap());
+    });
+    let state = lml::lml_state_cached(kernel, sn, &x, &y, &cache).unwrap();
+    timed("profile.grad_from_state", reps, batch, || {
+        black_box(lml::grad_from_state(kernel, sn, &x, true, &state, &cache).unwrap());
+    });
+}
+
+fn stage_breakdown(n: usize, reps: usize) {
+    let (x, y) = training_data(n);
+    alperf_obs::registry().reset();
+    lml_stages(&SquaredExponential::new(1.0, 1.0), n, 0.1, reps, 1);
     // End-to-end single ascent (restarts=1) with/without parallel dispatch.
-    timed("profile.fit_r1", reps.min(5), || {
+    timed("profile.fit_r1", reps.min(5), 1, || {
         black_box(fit_gpr(&x, &y, &fit_config(1)).unwrap());
     });
-    timed("profile.fit_r5_serial", reps.min(3), || {
+    timed("profile.fit_r5_serial", reps.min(3), 1, || {
         black_box(fit_gpr(&x, &y, &fit_config(5).with_parallel(false)).unwrap());
     });
-    timed("profile.fit_r5_parallel", reps.min(3), || {
+    timed("profile.fit_r5_parallel", reps.min(3), 1, || {
         black_box(fit_gpr(&x, &y, &fit_config(5)).unwrap());
     });
 
@@ -103,6 +144,22 @@ fn stage_breakdown(n: usize, reps: usize) {
     // spans (linalg.cholesky, gp.lml_eval, gp.fit.restart, ...) side by side.
     println!("== span aggregates at n={n} ({reps} reps; ms; min is exact) ==");
     print!("{}", alperf_obs::registry().summary_table());
+}
+
+/// ARD-SE stage breakdown at one of Fig. 7's orders, at the recommended
+/// noise floor, in microseconds per call: each span covers `BATCH` calls so
+/// sub-microsecond stages clear the span's own clock reads, and the
+/// minimum over `spans` spans is reported.
+fn ard_breakdown(n: usize, spans: usize) {
+    const BATCH: usize = 20;
+    let kernel = ArdSquaredExponential::new(vec![1.0, 0.5], 1.0);
+    alperf_obs::registry().reset();
+    lml_stages(&kernel, n, 0.1, spans, BATCH);
+    println!("== ARD-SE stages at n={n} (us per call; min over {spans} spans of {BATCH} calls) ==");
+    for name in LML_STAGES {
+        let us = alperf_obs::histogram(name).stats().min_ns as f64 / 1e3 / BATCH as f64;
+        println!("{name:<28} {us:>10.3}");
+    }
 }
 
 /// Approximate-tier sweep: end-to-end `fit_surrogate` on `FitTier::Approximate`
@@ -156,10 +213,14 @@ fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
     if quick {
         stage_breakdown(64, 3);
+        ard_breakdown(15, 50);
+        ard_breakdown(60, 10);
         sweep(&[32], &[1]);
         sweep_approx(&[2000], 2, 100);
     } else {
         stage_breakdown(200, 10);
+        ard_breakdown(15, 500);
+        ard_breakdown(60, 100);
         sweep(&[50, 100, 200, 400], &[1, 5]);
         sweep_approx(&[2000, 5000, 10_000, 20_000], 5, 200);
     }

@@ -497,8 +497,8 @@ pub fn fit_gpr(x: &Matrix, y: &[f64], config: &GprConfig) -> Result<(Gpr, OptimO
     };
     // Refit on the *raw* y so Gpr's own standardizer matches ours.
     let model = Gpr::fit(x.clone(), y, kernel, noise, config.standardize)?;
-    // Fit-completion record: streamed into the live aggregator / black-box
-    // ring (observational only — emitted after every numeric decision).
+    // Fit-completion record: one JSONL event in the campaign trace
+    // (observational only — emitted after every numeric decision).
     alperf_obs::record(
         "gp.fit.done",
         &[

@@ -11,16 +11,16 @@
 use crate::error::LinalgError;
 use crate::matrix::Matrix;
 use crate::triangular::{
-    solve_lower, solve_lower_matrix, solve_lower_rhs_rows, solve_lower_transpose,
-    solve_lower_transpose_matrix,
+    forward_sub_block, solve_lower, solve_lower_matrix, solve_lower_rhs_rows,
+    solve_lower_transpose, solve_lower_transpose_matrix,
 };
 
 /// Panel width of the blocked right-looking factorization. Matches the
 /// multi-RHS triangular solver's `RHS_BLOCK` so the TRSM step packs into a
 /// single block pass.
 const BLOCK: usize = 64;
-/// Below this order the unblocked reference path wins: the blocked variant's
-/// panel copies and matmul dispatch cost more than they save.
+/// Below this order the unblocked sweep wins: the blocked variant's panel
+/// copies and matmul dispatch cost more than they save.
 const BLOCKED_MIN: usize = 128;
 
 /// A lower-triangular Cholesky factor `L` with `A = L L^T`.
@@ -47,107 +47,102 @@ fn validate(a: &Matrix) -> Result<(), LinalgError> {
     Ok(())
 }
 
-/// (Re)initialize the factor buffer from `a`: off-diagonal lower-triangle
-/// entries of columns `0..dirty_cols` are copied back, and every diagonal
-/// entry is set to `a_ii + jitter` (the jitter changes between retries, so
-/// the diagonal is always refreshed). Columns at or beyond `dirty_cols` were
-/// never written by the failed attempt and still hold `a`'s values. The
-/// strict upper triangle is never touched by any factor path and stays zero.
-fn restore_lower(l: &mut Matrix, a: &Matrix, jitter: f64, dirty_cols: usize) {
-    let n = a.nrows();
-    for i in 0..n {
-        let lim = i.min(dirty_cols);
+/// (Re)initialize the factor buffer from `a`: the strict lower triangle is
+/// copied back and every diagonal entry is set to `a_ii + jitter`. The
+/// right-looking sweep updates the whole trailing triangle after every
+/// pivot, so a failed attempt may have dirtied any lower-triangle entry and
+/// each retry restores all columns. No factor kernel writes the strict
+/// upper triangle, so it stays zero and is never copied.
+fn restore_lower(l: &mut Matrix, a: &Matrix, jitter: f64) {
+    for i in 0..a.nrows() {
         let dst = l.row_mut(i);
         let src = a.row(i);
-        dst[..lim].copy_from_slice(&src[..lim]);
+        dst[..i].copy_from_slice(&src[..i]);
         dst[i] = src[i] + jitter;
     }
 }
 
-/// In-place unblocked factorization of the lower triangle of `l` (which on
-/// entry holds `A + jitter I`). Bit-identical to the historical scalar
-/// column sweep; kept as the reference path for small orders and for
-/// blocked-vs-unblocked equivalence tests.
-///
-/// On failure returns the offending pivot/value plus the number of columns
-/// the attempt dirtied (so a retry only has to restore those).
-fn factor_unblocked(l: &mut Matrix) -> Result<(), (LinalgError, usize)> {
+/// In-place factorization of the lower triangle of `l` (which on entry
+/// holds `A + jitter I`).
+type FactorKernel = fn(&mut Matrix) -> Result<(), LinalgError>;
+
+/// The kernel [`Cholesky::decompose`] dispatches to for order `n`.
+fn kernel_for(n: usize) -> FactorKernel {
+    if n >= BLOCKED_MIN {
+        factor_blocked
+    } else {
+        factor_unblocked
+    }
+}
+
+/// Unblocked factorization: the right-looking sweep over the whole matrix.
+fn factor_unblocked(l: &mut Matrix) -> Result<(), LinalgError> {
     let n = l.nrows();
-    for j in 0..n {
-        // Diagonal element.
-        let mut d = l[(j, j)];
-        for k in 0..j {
-            let ljk = l[(j, k)];
-            d -= ljk * ljk;
-        }
+    factor_diag_block(l, 0, n)
+}
+
+/// In-place right-looking factorization of the diagonal block
+/// `l[k0..k1, k0..k1]` (lower triangle; entries outside the block are
+/// neither read nor written).
+///
+/// After pivot `j` is taken, column `j` is scaled into a contiguous buffer,
+/// and each later row `i` applies `row_i[j+1..=i] -= l_ij * col[j+1..=i]`
+/// as one vectorizable pass. Every element still sees the exact operation
+/// sequence of the classic left-looking dot-product sweep — a separate
+/// multiply and subtract per `k`, `k` ascending, then one divide (or square
+/// root on the diagonal) — so the factor is bit-identical to it, and so are
+/// the failing pivot and its value.
+fn factor_diag_block(l: &mut Matrix, k0: usize, k1: usize) -> Result<(), LinalgError> {
+    let n = l.ncols();
+    // The column buffer lives on the stack for every order the dispatch
+    // sends here; only a forced unblocked factorization of a larger matrix
+    // allocates.
+    let mut stack = [0.0f64; BLOCKED_MIN];
+    let mut heap;
+    let buf: &mut [f64] = if k1 - k0 <= BLOCKED_MIN {
+        &mut stack
+    } else {
+        heap = vec![0.0; k1 - k0];
+        &mut heap
+    };
+    let data = l.as_mut_slice();
+    for j in k0..k1 {
+        let d = data[j * n + j];
         if d <= 0.0 || !d.is_finite() {
-            // Columns 0..j are final; column j itself was only read.
-            return Err((LinalgError::NotPositiveDefinite { pivot: j, value: d }, j));
+            return Err(LinalgError::NotPositiveDefinite { pivot: j, value: d });
         }
         let dsqrt = d.sqrt();
-        l[(j, j)] = dsqrt;
-        // Column below the diagonal.
-        for i in (j + 1)..n {
-            let mut s = l[(i, j)];
-            for k in 0..j {
-                s -= l[(i, k)] * l[(j, k)];
+        data[j * n + j] = dsqrt;
+        // Row t of `rows` is row j+1+t; `col[t]` receives its l_{j+1+t, j}.
+        // Row t's update reads only col[..=t], so each row is scaled and
+        // updated in one visit.
+        let col = &mut buf[..k1 - j - 1];
+        let rows = data[(j + 1) * n..].chunks_exact_mut(n);
+        for (t, row) in rows.take(col.len()).enumerate() {
+            let lij = row[j] / dsqrt;
+            row[j] = lij;
+            col[t] = lij;
+            for (a, &c) in row[j + 1..=j + 1 + t].iter_mut().zip(&col[..=t]) {
+                *a -= lij * c;
             }
-            l[(i, j)] = s / dsqrt;
         }
     }
     Ok(())
 }
 
 /// In-place blocked right-looking factorization: per `BLOCK`-wide panel,
-/// (1) unblocked factor of the diagonal block, (2) TRSM of the sub-diagonal
-/// panel through the runtime-dispatched multi-RHS solver
+/// (1) the right-looking sweep over the diagonal block, (2) TRSM of the
+/// sub-diagonal panel through the runtime-dispatched multi-RHS solver
 /// (`L21 L11^T = A21`, one row per RHS), (3) SYRK-style trailing update
 /// `A22 -= L21 L21^T` evaluated in row chunks through the cache-blocked
 /// matmul, subtracting only the lower triangle.
-///
-/// A genuine mid-factorization *resume* across jitter retries is impossible
-/// — the jitter perturbs every pivot, so every retry must refactor from the
-/// top — but the failure report carries how far the attempt got so the
-/// retry's `restore_lower` only re-copies the dirtied columns: a failure in
-/// panel 0 (the common case for indefinite matrices) makes retries nearly
-/// copy-free.
-fn factor_blocked(l: &mut Matrix) -> Result<(), (LinalgError, usize)> {
+fn factor_blocked(l: &mut Matrix) -> Result<(), LinalgError> {
     let n = l.nrows();
     let mut k0 = 0usize;
     while k0 < n {
         let nb = BLOCK.min(n - k0);
         let k1 = k0 + nb;
-        // Panel diagonal block, unblocked in place.
-        for j in 0..nb {
-            let gj = k0 + j;
-            let mut d = l[(gj, gj)];
-            for k in 0..j {
-                let v = l[(gj, k0 + k)];
-                d -= v * v;
-            }
-            if d <= 0.0 || !d.is_finite() {
-                // Before any trailing update ran (panel 0) only the columns
-                // written so far are dirty; afterwards everything is.
-                let dirty = if k0 == 0 { gj } else { n };
-                return Err((
-                    LinalgError::NotPositiveDefinite {
-                        pivot: gj,
-                        value: d,
-                    },
-                    dirty,
-                ));
-            }
-            let dsqrt = d.sqrt();
-            l[(gj, gj)] = dsqrt;
-            for i in (j + 1)..nb {
-                let gi = k0 + i;
-                let mut s = l[(gi, gj)];
-                for k in 0..j {
-                    s -= l[(gi, k0 + k)] * l[(gj, k0 + k)];
-                }
-                l[(gi, gj)] = s / dsqrt;
-            }
-        }
+        factor_diag_block(l, k0, k1)?;
         let m = n - k1;
         if m > 0 {
             // Pack the diagonal block (lower triangle) and the sub-diagonal
@@ -161,7 +156,7 @@ fn factor_blocked(l: &mut Matrix) -> Result<(), (LinalgError, usize)> {
             for r in 0..m {
                 a21.row_mut(r).copy_from_slice(&l.row(k1 + r)[k0..k1]);
             }
-            let l21 = solve_lower_rhs_rows(&l11, &a21).map_err(|e| (e, n))?;
+            let l21 = solve_lower_rhs_rows(&l11, &a21)?;
             for r in 0..m {
                 l.row_mut(k1 + r)[k0..k1].copy_from_slice(l21.row(r));
             }
@@ -182,7 +177,7 @@ fn factor_blocked(l: &mut Matrix) -> Result<(), (LinalgError, usize)> {
                         rt[(c, r)] = *v;
                     }
                 }
-                let p = lhs.matmul(&rt).map_err(|e| (e, n))?;
+                let p = lhs.matmul(&rt)?;
                 for r in r0..r1 {
                     let prow = p.row(r - r0);
                     let lrow = &mut l.row_mut(k1 + r)[k1..];
@@ -201,21 +196,22 @@ fn factor_blocked(l: &mut Matrix) -> Result<(), (LinalgError, usize)> {
 impl Cholesky {
     /// Factor a symmetric positive-definite matrix. Only the lower triangle
     /// of `a` is read. Dispatches to the blocked right-looking algorithm for
-    /// large orders and the unblocked reference sweep below [`BLOCKED_MIN`].
+    /// large orders and the unblocked right-looking sweep below
+    /// [`BLOCKED_MIN`].
     ///
     /// # Errors
     /// [`LinalgError::NotPositiveDefinite`] if a pivot is `<= 0`;
     /// [`LinalgError::DimensionMismatch`] if `a` is not square;
     /// [`LinalgError::NonFinite`] if the input contains NaN/inf.
     pub fn decompose(a: &Matrix) -> Result<Self, LinalgError> {
-        Self::decompose_impl(a, 0.0, None)
+        Self::decompose_with(a, kernel_for(a.nrows()))
     }
 
-    /// Force the unblocked reference factorization regardless of order.
-    /// Bit-identical to the pre-blocked implementation; used by equivalence
-    /// tests and available for debugging.
+    /// Force the unblocked factorization regardless of order. Bit-identical
+    /// to the classic left-looking column sweep; used by equivalence tests
+    /// and available for debugging.
     pub fn decompose_unblocked(a: &Matrix) -> Result<Self, LinalgError> {
-        Self::decompose_impl(a, 0.0, Some(false))
+        Self::decompose_with(a, factor_unblocked)
     }
 
     /// Force the blocked right-looking factorization regardless of order
@@ -223,28 +219,16 @@ impl Cholesky {
     /// with [`Self::decompose_unblocked`] to ~1e-12 on well-conditioned
     /// inputs, differing only in floating-point summation grouping).
     pub fn decompose_blocked(a: &Matrix) -> Result<Self, LinalgError> {
-        Self::decompose_impl(a, 0.0, Some(true))
+        Self::decompose_with(a, factor_blocked)
     }
 
-    fn decompose_impl(
-        a: &Matrix,
-        jitter: f64,
-        force_blocked: Option<bool>,
-    ) -> Result<Self, LinalgError> {
+    fn decompose_with(a: &Matrix, factor: FactorKernel) -> Result<Self, LinalgError> {
         validate(a)?;
         let n = a.nrows();
         let mut l = Matrix::zeros(n, n);
-        restore_lower(&mut l, a, jitter, n);
-        let blocked = force_blocked.unwrap_or(n >= BLOCKED_MIN);
-        let res = if blocked {
-            factor_blocked(&mut l)
-        } else {
-            factor_unblocked(&mut l)
-        };
-        match res {
-            Ok(()) => Ok(Cholesky { l, jitter }),
-            Err((e, _)) => Err(e),
-        }
+        restore_lower(&mut l, a, 0.0);
+        factor(&mut l)?;
+        Ok(Cholesky { l, jitter: 0.0 })
     }
 
     /// Factor with retries: if the plain factorization fails, add
@@ -252,11 +236,14 @@ impl Cholesky {
     /// diagonal until it succeeds. `first_jitter` is scaled by the mean
     /// diagonal magnitude so the retry ladder is dimensionally sensible.
     ///
-    /// The input is validated (shape + finiteness) once up front, every
-    /// retry reuses the same factor buffer, and a retry only restores the
-    /// columns the previous attempt actually dirtied — for matrices that
-    /// fail at an early pivot of the first panel, each rung of the ladder
-    /// costs little beyond the factorization work it performs itself.
+    /// The input is validated (shape + finiteness) once up front and every
+    /// retry reuses the same factor buffer. Both factor kernels are
+    /// right-looking — each pivot updates the whole trailing triangle — so
+    /// a failed rung may have dirtied every column, and the next rung
+    /// restores all of them (`O(n^2)` copies, against the `O(n^3)`
+    /// factorization it precedes). A true resume from the failed pivot is
+    /// impossible anyway: each rung's jitter perturbs every pivot. Rung,
+    /// factor and final error are bit-identical to the left-looking sweep's.
     ///
     /// Returns the factor together with the jitter that was used (see
     /// [`Cholesky::jitter`]).
@@ -266,6 +253,15 @@ impl Cholesky {
         max_tries: usize,
     ) -> Result<Self, LinalgError> {
         let _span = alperf_obs::span("linalg.cholesky");
+        Self::jittered_with(a, first_jitter, max_tries, kernel_for(a.nrows()))
+    }
+
+    fn jittered_with(
+        a: &Matrix,
+        first_jitter: f64,
+        max_tries: usize,
+        factor: FactorKernel,
+    ) -> Result<Self, LinalgError> {
         validate(a)?;
         let n = a.nrows();
         let mean_diag = if n == 0 {
@@ -274,9 +270,7 @@ impl Cholesky {
             a.diagonal().iter().map(|v| v.abs()).sum::<f64>() / n as f64
         };
         let base = first_jitter * mean_diag.max(f64::MIN_POSITIVE);
-        let blocked = n >= BLOCKED_MIN;
         let mut l = Matrix::zeros(n, n);
-        let mut dirty = n;
         let mut last_err = None;
         for k in 0..max_tries.max(1) {
             let jitter = if k == 0 {
@@ -284,20 +278,14 @@ impl Cholesky {
             } else {
                 base * 10f64.powi(k as i32 - 1)
             };
-            restore_lower(&mut l, a, jitter, dirty);
-            let res = if blocked {
-                factor_blocked(&mut l)
-            } else {
-                factor_unblocked(&mut l)
-            };
-            match res {
+            restore_lower(&mut l, a, jitter);
+            match factor(&mut l) {
                 Ok(()) => return Ok(Cholesky { l, jitter }),
-                Err((e @ LinalgError::NotPositiveDefinite { .. }, d)) => {
+                Err(e @ LinalgError::NotPositiveDefinite { .. }) => {
                     alperf_obs::inc("linalg.cholesky.jitter_retry");
-                    dirty = d;
                     last_err = Some(e);
                 }
-                Err((e, _)) => return Err(e),
+                Err(e) => return Err(e),
             }
         }
         Err(last_err.unwrap_or(LinalgError::NotPositiveDefinite {
@@ -369,58 +357,57 @@ impl Cholesky {
 
     /// Explicit triangular inverse `L^{-1}` (lower triangular).
     ///
-    /// Exploits the identity right-hand side's structure: column `j` of
-    /// `L^{-1}` is zero above row `j`, so each [`BLOCK`]-wide column block
-    /// is solved against the *trailing* submatrix `L[j0.., j0..]` only —
-    /// about `n^3/6` multiply-adds through the SIMD multi-RHS kernel versus
-    /// `n^3/2` for a dense forward solve against the full identity.
+    /// Solves `L X = I` per [`BLOCK`]-wide column block through the SIMD
+    /// multi-RHS forward substitution, telling its kernels that the
+    /// right-hand sides are unit vectors: column `c` of `L^{-1}` is exactly
+    /// zero above row `c`, so each panel update's `j` sweep starts at its
+    /// column tile's first index and every scalar row op by row `j` stops
+    /// at column `j`. That is about `n^3/6` multiply-adds against `n^3/2`
+    /// for the dense solve, at every order (the skip works inside a block,
+    /// not just between blocks), and the result is bit-identical to
+    /// `solve_lower_rhs_rows(L, I)` transposed on every ISA: only exact
+    /// zeros are skipped, and panels, tiles and FMA use are unchanged.
     ///
     /// # Errors
     /// [`LinalgError::Singular`] if a diagonal entry is zero.
     pub fn factor_inverse(&self) -> Result<Matrix, LinalgError> {
         let n = self.order();
+        if let Some(i) = (0..n).find(|&i| self.l[(i, i)] == 0.0) {
+            return Err(LinalgError::Singular { index: i });
+        }
         let mut inv = Matrix::zeros(n, n);
-        let mut j0 = 0;
-        while j0 < n {
+        for j0 in (0..n).step_by(BLOCK) {
             let nb = BLOCK.min(n - j0);
-            let m = n - j0;
-            // Trailing submatrix L[j0.., j0..] (lower triangle only; the
-            // strict upper of the copy stays zero).
-            let mut lsub = Matrix::zeros(m, m);
-            for i in 0..m {
-                lsub.row_mut(i)[..=i].copy_from_slice(&self.l.row(j0 + i)[j0..=j0 + i]);
-            }
-            // RHS rows: unit vectors e_0..e_{nb-1} in submatrix coordinates.
-            let mut rhs = Matrix::zeros(nb, m);
+            // Columns j0..j0+nb of the identity; rows above j0 stay zero
+            // and are skipped along with the rest of each column's leading
+            // zeros.
+            let mut buf = vec![0.0; n * nb];
             for c in 0..nb {
-                rhs[(c, c)] = 1.0;
+                buf[(j0 + c) * nb + c] = 1.0;
             }
-            let sol = solve_lower_rhs_rows(&lsub, &rhs)?;
-            // Row c of `sol` is column j0+c of L^{-1}, rows j0 and below;
-            // its first c entries are exactly zero.
-            for c in 0..nb {
-                let src = sol.row(c);
-                for i in c..m {
-                    inv[(j0 + i, j0 + c)] = src[i];
-                }
+            forward_sub_block(&self.l, &mut buf, nb, Some(j0));
+            for i in j0..n {
+                let w = nb.min(i - j0 + 1);
+                inv.row_mut(i)[j0..j0 + w].copy_from_slice(&buf[i * nb..i * nb + w]);
             }
-            j0 += nb;
         }
         Ok(inv)
     }
 
-    /// Lower triangle of `A^{-1}` (strict upper left zero), computed as the
-    /// SYRK-style product `L^{-T} L^{-1}` from [`Self::factor_inverse`] in
-    /// [`BLOCK`]-row chunks routed through the cache-blocked matmul.
+    /// Lower triangle of `A^{-1}` (strict upper left zero), formed directly
+    /// from [`Self::factor_inverse`] as `(A^{-1})_{ij} = sum_{k >= i}
+    /// (L^{-1})_{ki} (L^{-1})_{kj}` for `j <= i`: row `i` accumulates
+    /// `linv[k][i] * linv[k][..=i]` for `k` ascending from `i`, about `n^3/6`
+    /// multiply-adds. The terms with `k < i` that a full `L^{-T} L^{-1}`
+    /// product would add are exactly zero, so the result is bit-identical
+    /// to the lower triangle of that product.
     ///
     /// `A^{-1}` is symmetric, so this is the whole inverse for consumers
     /// that read one triangle — the LML gradient's weight matrix
     /// `W = alpha alpha^T - K_y^{-1}` is contracted against symmetric
     /// `dK/dtheta` terms and only ever touches `i >= j` (see
-    /// `alperf-gp::lml`). Roughly 3x cheaper than a dense identity solve
-    /// for the full inverse: `(K^{-1})_{ij} = sum_{k >= i} (L^{-1})_{ki}
-    /// (L^{-1})_{kj}` for `i >= j`, and the triangular solves skip the
-    /// structural zeros.
+    /// `alperf-gp::lml`). With the `n^3/6` of `factor_inverse` that is a
+    /// third of the `n^3` a dense identity solve for the full inverse takes.
     ///
     /// # Errors
     /// [`LinalgError::Singular`] if a diagonal entry is zero.
@@ -428,31 +415,15 @@ impl Cholesky {
         let n = self.order();
         let linv = self.factor_inverse()?;
         let mut w = Matrix::zeros(n, n);
-        let mut r0 = 0;
-        while r0 < n {
-            let r1 = (r0 + BLOCK).min(n);
-            let cr = r1 - r0;
-            let k = n - r0;
-            // A = (L^{-1}[r0.., r0..r1])^T, shape cr x k: only rows >= r0 of
-            // those columns are nonzero, so the leading rows are skipped.
-            let mut a = Matrix::zeros(cr, k);
-            for kk in 0..k {
-                let src = &linv.row(r0 + kk)[r0..r1];
-                for (t, v) in src.iter().enumerate() {
-                    a[(t, kk)] = *v;
+        for i in 0..n {
+            let wi = &mut w.row_mut(i)[..=i];
+            for k in i..n {
+                let lk = &linv.row(k)[..=i];
+                let c = lk[i];
+                for (a, &b) in wi.iter_mut().zip(lk) {
+                    *a += c * b;
                 }
             }
-            // B = L^{-1}[r0.., 0..r1], shape k x r1 (columns j <= i only).
-            let mut b = Matrix::zeros(k, r1);
-            for kk in 0..k {
-                b.row_mut(kk).copy_from_slice(&linv.row(r0 + kk)[..r1]);
-            }
-            let p = a.matmul(&b)?;
-            for t in 0..cr {
-                let i = r0 + t;
-                w.row_mut(i)[..=i].copy_from_slice(&p.row(t)[..=i]);
-            }
-            r0 = r1;
         }
         Ok(w)
     }
@@ -544,10 +515,10 @@ mod tests {
         Matrix::from_rows(&[&[4.0, 2.0, 0.6], &[2.0, 5.0, 1.0], &[0.6, 1.0, 3.0]]).unwrap()
     }
 
-    /// Deterministic well-conditioned SPD matrix: `B B^T / n + I`.
-    fn well_conditioned_spd(n: usize) -> Matrix {
-        let mut s = 0x9e3779b97f4a7c15u64 ^ n as u64;
-        let data: Vec<f64> = (0..n * n)
+    /// Deterministic `rows x cols` matrix with entries in `[-1, 1)`.
+    fn pseudo_random(rows: usize, cols: usize, seed: u64) -> Matrix {
+        let mut s = 0x9e3779b97f4a7c15u64 ^ rows as u64 ^ seed.rotate_left(32);
+        let data: Vec<f64> = (0..rows * cols)
             .map(|_| {
                 s ^= s << 13;
                 s ^= s >> 7;
@@ -555,7 +526,12 @@ mod tests {
                 (s >> 11) as f64 / (1u64 << 53) as f64 - 1.0
             })
             .collect();
-        let b = Matrix::from_vec(n, n, data).unwrap();
+        Matrix::from_vec(rows, cols, data).unwrap()
+    }
+
+    /// Deterministic well-conditioned SPD matrix: `B B^T / n + I`.
+    fn well_conditioned_spd(n: usize, seed: u64) -> Matrix {
+        let b = pseudo_random(n, n, seed);
         let mut a = b.matmul(&b.transpose()).unwrap();
         let inv_n = 1.0 / n as f64;
         for v in a.as_mut_slice() {
@@ -620,7 +596,7 @@ mod tests {
     fn factor_inverse_inverts_the_factor() {
         // Sizes on both sides of the column-block width.
         for n in [1usize, 3, 40, 64, 70, 130] {
-            let a = well_conditioned_spd(n);
+            let a = well_conditioned_spd(n, 0);
             let c = Cholesky::decompose(&a).unwrap();
             let linv = c.factor_inverse().unwrap();
             let prod = c.factor().matmul(&linv).unwrap();
@@ -638,7 +614,7 @@ mod tests {
     #[test]
     fn inverse_lower_matches_full_inverse() {
         for n in [1usize, 3, 40, 64, 70, 130] {
-            let a = well_conditioned_spd(n);
+            let a = well_conditioned_spd(n, 0);
             let c = Cholesky::decompose(&a).unwrap();
             let wl = c.inverse_lower().unwrap();
             let full = c.solve_matrix(&Matrix::identity(n)).unwrap();
@@ -786,5 +762,213 @@ mod tests {
         let quad: f64 = crate::vector::dot(&k, &c.solve(&k).unwrap());
         let nz: f64 = crate::vector::dot(&z, &z);
         assert!((quad - nz).abs() < 1e-12);
+    }
+
+    // ---- Bit-identity of the right-looking sweep -------------------------
+
+    /// The left-looking column sweep: the bit-identity reference for the
+    /// right-looking one (over the diagonal block `k0..k1`; `(0, n)` is the
+    /// whole unblocked factorization). On failure it reports the pivot and
+    /// how many columns it dirtied.
+    fn left_looking(l: &mut Matrix, k0: usize, k1: usize) -> Result<(), (LinalgError, usize)> {
+        let nb = k1 - k0;
+        for j in 0..nb {
+            let gj = k0 + j;
+            let mut d = l[(gj, gj)];
+            for k in 0..j {
+                let v = l[(gj, k0 + k)];
+                d -= v * v;
+            }
+            if d <= 0.0 || !d.is_finite() {
+                return Err((
+                    LinalgError::NotPositiveDefinite {
+                        pivot: gj,
+                        value: d,
+                    },
+                    gj,
+                ));
+            }
+            let dsqrt = d.sqrt();
+            l[(gj, gj)] = dsqrt;
+            for i in (j + 1)..nb {
+                let gi = k0 + i;
+                let mut s = l[(gi, gj)];
+                for k in 0..j {
+                    s -= l[(gi, k0 + k)] * l[(gj, k0 + k)];
+                }
+                l[(gi, gj)] = s / dsqrt;
+            }
+        }
+        Ok(())
+    }
+
+    /// The jitter ladder over the left-looking sweep, which lets a retry
+    /// restore only the columns the failed attempt dirtied.
+    fn left_looking_jittered(
+        a: &Matrix,
+        first_jitter: f64,
+        max_tries: usize,
+    ) -> Result<(Matrix, f64), LinalgError> {
+        let n = a.nrows();
+        let mean_diag = if n == 0 {
+            1.0
+        } else {
+            a.diagonal().iter().map(|v| v.abs()).sum::<f64>() / n as f64
+        };
+        let base = first_jitter * mean_diag.max(f64::MIN_POSITIVE);
+        let mut l = Matrix::zeros(n, n);
+        let mut dirty = n;
+        let mut last_err = None;
+        for k in 0..max_tries.max(1) {
+            let jitter = if k == 0 {
+                0.0
+            } else {
+                base * 10f64.powi(k as i32 - 1)
+            };
+            for i in 0..n {
+                let lim = i.min(dirty);
+                l.row_mut(i)[..lim].copy_from_slice(&a.row(i)[..lim]);
+                l[(i, i)] = a[(i, i)] + jitter;
+            }
+            match left_looking(&mut l, 0, n) {
+                Ok(()) => return Ok((l, jitter)),
+                Err((e, d)) => {
+                    dirty = d;
+                    last_err = Some(e);
+                }
+            }
+        }
+        Err(last_err.unwrap())
+    }
+
+    fn bits(m: &Matrix) -> Vec<u64> {
+        m.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    fn same_error(got: &LinalgError, want: &LinalgError) -> bool {
+        match (got, want) {
+            (
+                LinalgError::NotPositiveDefinite { pivot: p, value: v },
+                LinalgError::NotPositiveDefinite { pivot: q, value: w },
+            ) => p == q && v.to_bits() == w.to_bits(),
+            _ => got == want,
+        }
+    }
+
+    /// Rank-deficient Gram matrix with duplicated rows and a `1e-16`
+    /// diagonal — the shape of `K + sigma_n^2 I` at the 1e-8 noise floor
+    /// once the design repeats a configuration.
+    fn near_singular(n: usize, seed: u64) -> Matrix {
+        let mut b = pseudo_random(n, n / 3 + 1, seed);
+        for i in (1..n).step_by(4) {
+            let prev = b.row(i - 1).to_vec();
+            b.row_mut(i).copy_from_slice(&prev);
+        }
+        let mut a = b.matmul(&b.transpose()).unwrap();
+        a.add_diagonal(1e-16);
+        a
+    }
+
+    #[test]
+    fn right_looking_sweep_matches_left_looking_bit_for_bit() {
+        for n in 1..=130usize {
+            let a = well_conditioned_spd(n, 7 + n as u64);
+            let mut want = Matrix::zeros(n, n);
+            restore_lower(&mut want, &a, 0.0);
+            left_looking(&mut want, 0, n).unwrap();
+            let got = Cholesky::decompose_unblocked(&a).unwrap();
+            assert_eq!(bits(got.factor()), bits(&want), "n={n}");
+            if n < BLOCKED_MIN {
+                let auto = Cholesky::decompose(&a).unwrap();
+                assert_eq!(bits(auto.factor()), bits(&want), "n={n} (auto)");
+            }
+        }
+    }
+
+    #[test]
+    fn blocked_panels_match_left_looking_bit_for_bit() {
+        // The blocked path factors each diagonal block with the same sweep;
+        // check it on the panels of a 130 x 130 matrix, whose trailing
+        // blocks start at 64 and 128.
+        let n = 130;
+        let a = well_conditioned_spd(n, 99);
+        for (k0, k1) in [(0, 64), (64, 128), (128, 130)] {
+            let mut got = Matrix::zeros(n, n);
+            restore_lower(&mut got, &a, 0.0);
+            let mut want = got.clone();
+            factor_diag_block(&mut got, k0, k1).unwrap();
+            left_looking(&mut want, k0, k1).unwrap();
+            assert_eq!(bits(&got), bits(&want), "block {k0}..{k1}");
+        }
+    }
+
+    #[test]
+    fn jitter_ladder_matches_left_looking_rung_for_rung() {
+        let mut climbed = 0;
+        for n in 1..=130usize {
+            let a = near_singular(n, n as u64);
+            for tries in [1usize, 2, 12] {
+                let want = left_looking_jittered(&a, 1e-10, tries);
+                let got = Cholesky::jittered_with(&a, 1e-10, tries, factor_unblocked);
+                match (&got, &want) {
+                    (Ok(c), Ok((l, jitter))) => {
+                        assert_eq!(
+                            c.jitter().to_bits(),
+                            jitter.to_bits(),
+                            "n={n} tries={tries}"
+                        );
+                        assert_eq!(bits(c.factor()), bits(l), "n={n} tries={tries}");
+                        if tries == 12 && *jitter > 0.0 {
+                            climbed += 1;
+                        }
+                    }
+                    (Err(e), Err(w)) => assert!(same_error(e, w), "n={n}: {e:?} vs {w:?}"),
+                    _ => panic!("n={n} tries={tries}: {got:?} vs {want:?}"),
+                }
+                if n < BLOCKED_MIN {
+                    let auto = Cholesky::decompose_jittered(&a, 1e-10, tries);
+                    match (&auto, &got) {
+                        (Ok(x), Ok(y)) => assert_eq!(bits(x.factor()), bits(y.factor())),
+                        (Err(x), Err(y)) => assert!(same_error(x, y)),
+                        _ => panic!("n={n}: dispatch differs"),
+                    }
+                }
+            }
+        }
+        assert!(climbed > 60, "only {climbed} inputs needed jitter");
+        // A ladder that never succeeds ends in the same typed error.
+        let neg = Matrix::from_fn(5, 5, |i, j| if i == j { -1.0 } else { 0.1 });
+        let got = Cholesky::jittered_with(&neg, 1e-10, 4, factor_unblocked).unwrap_err();
+        let want = left_looking_jittered(&neg, 1e-10, 4).unwrap_err();
+        assert!(same_error(&got, &want), "{got:?} vs {want:?}");
+    }
+
+    #[test]
+    fn factor_inverse_matches_dense_identity_solve_bit_for_bit() {
+        for n in 1..=130usize {
+            let c = Cholesky::decompose(&well_conditioned_spd(n, n as u64)).unwrap();
+            let dense = solve_lower_rhs_rows(c.factor(), &Matrix::identity(n))
+                .unwrap()
+                .transpose();
+            assert_eq!(bits(&c.factor_inverse().unwrap()), bits(&dense), "n={n}");
+        }
+    }
+
+    #[test]
+    fn inverse_lower_matches_dense_product_bit_for_bit() {
+        for n in 1..=130usize {
+            let c = Cholesky::decompose(&well_conditioned_spd(n, 3 * n as u64)).unwrap();
+            let linv = solve_lower_rhs_rows(c.factor(), &Matrix::identity(n))
+                .unwrap()
+                .transpose();
+            let full = linv.transpose().matmul(&linv).unwrap();
+            let w = c.inverse_lower().unwrap();
+            for i in 0..n {
+                for j in 0..n {
+                    let want = if j <= i { full[(i, j)] } else { 0.0 };
+                    assert_eq!(w[(i, j)].to_bits(), want.to_bits(), "n={n} ({i},{j})");
+                }
+            }
+        }
     }
 }

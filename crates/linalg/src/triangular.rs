@@ -115,7 +115,9 @@ pub fn solve_upper(u: &Matrix, b: &[f64]) -> Result<Vec<f64>, LinalgError> {
 /// the scalar solve, while the runtime-detected x86-64 FMA kernels fuse
 /// each multiply-subtract and agree with it to a few ulps.
 pub fn solve_lower_matrix(l: &Matrix, b: &Matrix) -> Result<Matrix, LinalgError> {
-    multi_rhs_solve(l, b, "solve_lower_matrix", forward_sub_block)
+    multi_rhs_solve(l, b, "solve_lower_matrix", |l, buf, bs| {
+        forward_sub_block(l, buf, bs, None)
+    })
 }
 
 /// Solve `L X = B^T` where the right-hand sides arrive as the *rows* of
@@ -167,7 +169,7 @@ pub fn solve_lower_rhs_rows(l: &Matrix, bt: &Matrix) -> Result<Matrix, LinalgErr
                 buf[i * bs + c] = row[i];
             }
         }
-        forward_sub_block(l, &mut buf, bs);
+        forward_sub_block(l, &mut buf, bs, None);
         buf
     };
     let blocks: Vec<Vec<f64>> = if n * m >= RHS_PAR_THRESHOLD {
@@ -209,10 +211,32 @@ const PANEL: usize = 4;
 /// PANEL = 4, KCHUNK = 8).
 const KCHUNK: usize = 8;
 
+/// Leading-zero structure of a block of right-hand sides, threaded through
+/// every kernel of [`forward_sub_block`]. `None`: dense right-hand sides.
+/// `Some(o)`: column `c` of the block is the unit vector `e_{o + c}` (the
+/// explicit `L^{-1}` of `Cholesky::factor_inverse`), so its solution is
+/// exactly zero above row `o + c`. Updates by those rows would subtract
+/// products with `+0.0` from accumulators that are themselves still `+0.0`
+/// or `1.0`, and the `+0.0` entries above the unit row would be divided by
+/// a positive diagonal (every Cholesky factor's); neither changes a bit, so
+/// the kernels skip both.
+type UnitRhs = Option<usize>;
+
+/// First solved row whose update can change column `c`.
+fn first_row(unit: UnitRhs, c: usize) -> usize {
+    unit.map_or(0, |o| o + c)
+}
+
+/// End (exclusive) of the columns a row op by solved row `j` can change.
+fn col_end(unit: UnitRhs, j: usize, bs: usize) -> usize {
+    unit.map_or(bs, |o| (j + 1).saturating_sub(o).min(bs))
+}
+
 /// Update four pending panel rows against all previously solved rows:
 /// `r_t[k] -= L[p0 + t][j] * done[j][k]` for `j` ascending. Dispatches to a
 /// runtime-detected FMA kernel on x86-64 and to the portable tiled loop
 /// elsewhere.
+#[allow(clippy::too_many_arguments)]
 fn panel_update(
     lrows: (&[f64], &[f64], &[f64], &[f64]),
     done: &[f64],
@@ -221,24 +245,25 @@ fn panel_update(
     r2: &mut [f64],
     r3: &mut [f64],
     bs: usize,
+    unit: UnitRhs,
 ) {
     #[cfg(target_arch = "x86_64")]
     {
         match simd::isa() {
             simd::Isa::Avx512 => {
                 // SAFETY: `isa()` verified avx512f support on this CPU.
-                unsafe { simd::panel_update_avx512(lrows, done, r0, r1, r2, r3, bs) };
+                unsafe { simd::panel_update_avx512(lrows, done, r0, r1, r2, r3, bs, unit) };
                 return;
             }
             simd::Isa::Fma => {
                 // SAFETY: `isa()` verified avx2+fma support on this CPU.
-                unsafe { simd::panel_update_fma(lrows, done, r0, r1, r2, r3, bs) };
+                unsafe { simd::panel_update_fma(lrows, done, r0, r1, r2, r3, bs, unit) };
                 return;
             }
             simd::Isa::Portable => {}
         }
     }
-    panel_update_portable(lrows, done, r0, r1, r2, r3, bs);
+    panel_update_portable(lrows, done, r0, r1, r2, r3, bs, unit);
 }
 
 /// Portable panel update: the column dimension is tiled by [`KCHUNK`] so
@@ -246,7 +271,10 @@ fn panel_update(
 /// `j` sweep; `x_j` values are loaded once per panel instead of once per
 /// row, and the accumulators incur no per-`j` store/reload traffic.
 /// Bit-identical to the scalar substitution (separate multiply and
-/// subtract, `j` ascending).
+/// subtract, `j` ascending). With unit right-hand sides each tile's `j`
+/// sweep starts at the tile's first column's unit row, and the ragged
+/// remainder's row ops stop at the last column row `j` can change.
+#[allow(clippy::too_many_arguments)]
 fn panel_update_portable(
     lrows: (&[f64], &[f64], &[f64], &[f64]),
     done: &[f64],
@@ -255,6 +283,7 @@ fn panel_update_portable(
     r2: &mut [f64],
     r3: &mut [f64],
     bs: usize,
+    unit: UnitRhs,
 ) {
     let (l0, l1, l2, l3) = lrows;
     let mut k0 = 0;
@@ -267,7 +296,8 @@ fn panel_update_portable(
         a1.copy_from_slice(&r1[k0..k0 + KCHUNK]);
         a2.copy_from_slice(&r2[k0..k0 + KCHUNK]);
         a3.copy_from_slice(&r3[k0..k0 + KCHUNK]);
-        for (j, xj) in done.chunks_exact(bs).enumerate() {
+        let js = first_row(unit, k0);
+        for (j, xj) in done.chunks_exact(bs).enumerate().skip(js) {
             let (c0, c1, c2, c3) = (l0[j], l1[j], l2[j], l3[j]);
             let b = &xj[k0..k0 + KCHUNK];
             for t in 0..KCHUNK {
@@ -285,9 +315,10 @@ fn panel_update_portable(
     }
     // Ragged column remainder of the block.
     if k0 < bs {
-        for (j, xj) in done.chunks_exact(bs).enumerate() {
+        let js = first_row(unit, k0);
+        for (j, xj) in done.chunks_exact(bs).enumerate().skip(js) {
             let (c0, c1, c2, c3) = (l0[j], l1[j], l2[j], l3[j]);
-            for k in k0..bs {
+            for k in k0..col_end(unit, j, bs) {
                 let b = xj[k];
                 r0[k] -= c0 * b;
                 r1[k] -= c1 * b;
@@ -304,6 +335,7 @@ fn panel_update_portable(
 /// cached.
 #[cfg(target_arch = "x86_64")]
 mod simd {
+    use super::{first_row, UnitRhs};
     use std::arch::x86_64::*;
     use std::sync::OnceLock;
 
@@ -333,7 +365,8 @@ mod simd {
     }
 
     /// Scalar column remainder shared by both kernels: same update order,
-    /// unfused ops (the remainder is at most KCHUNK - 1 columns).
+    /// unfused ops (the remainder is at most KCHUNK - 1 columns). Column
+    /// `k` of unit right-hand sides starts at its unit row.
     #[allow(clippy::too_many_arguments)]
     fn remainder(
         lrows: (&[f64], &[f64], &[f64], &[f64]),
@@ -344,11 +377,12 @@ mod simd {
         r3: &mut [f64],
         bs: usize,
         k0: usize,
+        unit: UnitRhs,
     ) {
         let (l0, l1, l2, l3) = lrows;
         for k in k0..bs {
             let (mut s0, mut s1, mut s2, mut s3) = (r0[k], r1[k], r2[k], r3[k]);
-            for (j, xj) in done.chunks_exact(bs).enumerate() {
+            for (j, xj) in done.chunks_exact(bs).enumerate().skip(first_row(unit, k)) {
                 let b = xj[k];
                 s0 -= l0[j] * b;
                 s1 -= l1[j] * b;
@@ -367,6 +401,7 @@ mod simd {
     /// # Safety
     /// The CPU must support `avx2` and `fma` (checked by [`isa`]).
     #[target_feature(enable = "avx2", enable = "fma")]
+    #[allow(clippy::too_many_arguments)]
     pub unsafe fn panel_update_fma(
         lrows: (&[f64], &[f64], &[f64], &[f64]),
         done: &[f64],
@@ -375,6 +410,7 @@ mod simd {
         r2: &mut [f64],
         r3: &mut [f64],
         bs: usize,
+        unit: UnitRhs,
     ) {
         let (l0, l1, l2, l3) = lrows;
         let p0 = done.len() / bs;
@@ -390,7 +426,7 @@ mod simd {
                 let mut a21 = _mm256_loadu_pd(r2.as_ptr().add(k0 + 4));
                 let mut a30 = _mm256_loadu_pd(r3.as_ptr().add(k0));
                 let mut a31 = _mm256_loadu_pd(r3.as_ptr().add(k0 + 4));
-                for j in 0..p0 {
+                for j in first_row(unit, k0)..p0 {
                     let xj = dp.add(j * bs + k0);
                     let b0 = _mm256_loadu_pd(xj);
                     let b1 = _mm256_loadu_pd(xj.add(4));
@@ -418,7 +454,7 @@ mod simd {
             }
             k0 += 8;
         }
-        remainder(lrows, done, r0, r1, r2, r3, bs, k0);
+        remainder(lrows, done, r0, r1, r2, r3, bs, k0, unit);
     }
 
     /// AVX-512F panel update: 8 zmm accumulators (4 rows x 16 columns).
@@ -426,6 +462,7 @@ mod simd {
     /// # Safety
     /// The CPU must support `avx512f` (checked by [`isa`]).
     #[target_feature(enable = "avx512f")]
+    #[allow(clippy::too_many_arguments)]
     pub unsafe fn panel_update_avx512(
         lrows: (&[f64], &[f64], &[f64], &[f64]),
         done: &[f64],
@@ -434,6 +471,7 @@ mod simd {
         r2: &mut [f64],
         r3: &mut [f64],
         bs: usize,
+        unit: UnitRhs,
     ) {
         let (l0, l1, l2, l3) = lrows;
         let p0 = done.len() / bs;
@@ -449,7 +487,7 @@ mod simd {
                 let mut a21 = _mm512_loadu_pd(r2.as_ptr().add(k0 + 8));
                 let mut a30 = _mm512_loadu_pd(r3.as_ptr().add(k0));
                 let mut a31 = _mm512_loadu_pd(r3.as_ptr().add(k0 + 8));
-                for j in 0..p0 {
+                for j in first_row(unit, k0)..p0 {
                     let xj = dp.add(j * bs + k0);
                     let b0 = _mm512_loadu_pd(xj);
                     let b1 = _mm512_loadu_pd(xj.add(8));
@@ -477,7 +515,7 @@ mod simd {
             }
             k0 += 16;
         }
-        remainder(lrows, done, r0, r1, r2, r3, bs, k0);
+        remainder(lrows, done, r0, r1, r2, r3, bs, k0, unit);
     }
 
     /// Double-height AVX-512 panel update on the raw block buffer: rows
@@ -494,6 +532,7 @@ mod simd {
         p0: usize,
         buf: &mut [f64],
         bs: usize,
+        unit: UnitRhs,
     ) {
         let lp: [&[f64]; 8] = std::array::from_fn(|t| l.row(p0 + t));
         let base = buf.as_mut_ptr();
@@ -506,7 +545,7 @@ mod simd {
                 let mut acc1: [__m512d; 8] = std::array::from_fn(|t| {
                     _mm512_loadu_pd(base.add((p0 + t) * bs + k0 + 8) as *const f64)
                 });
-                for j in 0..p0 {
+                for j in first_row(unit, k0)..p0 {
                     let xj = base.add(j * bs + k0) as *const f64;
                     let b0 = _mm512_loadu_pd(xj);
                     let b1 = _mm512_loadu_pd(xj.add(8));
@@ -526,7 +565,7 @@ mod simd {
         // Scalar column remainder, same update order.
         for k in k0..bs {
             let mut s: [f64; 8] = std::array::from_fn(|t| buf[(p0 + t) * bs + k]);
-            for j in 0..p0 {
+            for j in first_row(unit, k)..p0 {
                 let b = buf[j * bs + k];
                 for (st, lt) in s.iter_mut().zip(&lp) {
                     *st -= lt[j] * b;
@@ -549,7 +588,13 @@ mod simd {
 /// finished row by row. Each element still sees `x_i -= L[i][j] * x_j` for
 /// `j = 0..i` in ascending order followed by one divide, exactly as
 /// [`solve_lower`] computes it.
-fn forward_sub_block(l: &Matrix, buf: &mut [f64], bs: usize) {
+///
+/// `unit` declares unit right-hand sides (see [`UnitRhs`]): every kernel
+/// then skips the updates and divides that leave exact zeros unchanged,
+/// and nothing else. Panel boundaries, column tiles and so every
+/// FMA-or-mul/sub decision stay where they are, so the block comes out
+/// bit-identical to the dense solve of the same right-hand sides.
+pub(crate) fn forward_sub_block(l: &Matrix, buf: &mut [f64], bs: usize, unit: UnitRhs) {
     let n = l.nrows();
     let mut p0 = 0;
     // AVX-512 gets double-height panels: 16 zmm accumulators cover
@@ -559,9 +604,9 @@ fn forward_sub_block(l: &Matrix, buf: &mut [f64], bs: usize) {
         while n - p0 >= 2 * PANEL {
             if p0 > 0 {
                 // SAFETY: `isa()` verified avx512f support on this CPU.
-                unsafe { simd::panel_update8_avx512(l, p0, buf, bs) };
+                unsafe { simd::panel_update8_avx512(l, p0, buf, bs, unit) };
             }
-            finish_triangle(l, buf, bs, p0, 2 * PANEL);
+            finish_triangle(l, buf, bs, p0, 2 * PANEL, unit);
             p0 += 2 * PANEL;
         }
     }
@@ -575,7 +620,7 @@ fn forward_sub_block(l: &Matrix, buf: &mut [f64], bs: usize) {
             let (r2, rest) = rest.split_at_mut(bs);
             let r3 = &mut rest[..bs];
             let lrows = (l.row(p0), l.row(p0 + 1), l.row(p0 + 2), l.row(p0 + 3));
-            panel_update(lrows, done, r0, r1, r2, r3, bs);
+            panel_update(lrows, done, r0, r1, r2, r3, bs, unit);
         } else if p0 > 0 {
             // Ragged final panel: plain row-at-a-time update.
             for i in p0..p0 + ph {
@@ -584,32 +629,32 @@ fn forward_sub_block(l: &Matrix, buf: &mut [f64], bs: usize) {
                 let xi = &mut rest[..bs];
                 for (j, xj) in done.chunks_exact(bs).enumerate().take(p0) {
                     let lij = lrow[j];
-                    for (a, &b) in xi.iter_mut().zip(xj) {
+                    for (a, &b) in xi[..col_end(unit, j, bs)].iter_mut().zip(xj) {
                         *a -= lij * b;
                     }
                 }
             }
         }
-        finish_triangle(l, buf, bs, p0, ph);
+        finish_triangle(l, buf, bs, p0, ph, unit);
         p0 += ph;
     }
 }
 
 /// Finish a panel: the triangle of updates internal to rows
 /// `p0..p0 + ph` (`j` in `[p0, i)`, ascending), then the diagonal divide.
-fn finish_triangle(l: &Matrix, buf: &mut [f64], bs: usize, p0: usize, ph: usize) {
+fn finish_triangle(l: &Matrix, buf: &mut [f64], bs: usize, p0: usize, ph: usize, unit: UnitRhs) {
     for i in p0..p0 + ph {
         let lrow = l.row(i);
         let (done, rest) = buf.split_at_mut(i * bs);
         let xi = &mut rest[..bs];
         for (j, xj) in done.chunks_exact(bs).enumerate().skip(p0) {
             let lij = lrow[j];
-            for (a, &b) in xi.iter_mut().zip(xj) {
+            for (a, &b) in xi[..col_end(unit, j, bs)].iter_mut().zip(xj) {
                 *a -= lij * b;
             }
         }
         let d = lrow[i];
-        for a in xi.iter_mut() {
+        for a in xi[..col_end(unit, i, bs)].iter_mut() {
             *a /= d;
         }
     }
@@ -890,6 +935,153 @@ mod tests {
         let x2 = solve_lower(&lower(), &b).unwrap();
         for (a, b) in x1.iter().zip(&x2) {
             assert_eq!(a, b);
+        }
+    }
+
+    /// A block of unit right-hand sides (column `c` is `e_{o + c}`) part way
+    /// through forward substitution: rows `0..solved` hold solved values —
+    /// random on and below each column's unit row, exactly `+0.0` above it —
+    /// and the later rows still hold the right-hand side.
+    fn unit_block(rows: usize, bs: usize, o: usize, solved: usize, seed: u64) -> Vec<f64> {
+        let vals = random_rhs(rows, bs, seed);
+        let mut buf = vec![0.0; rows * bs];
+        for j in 0..rows {
+            for c in 0..bs {
+                buf[j * bs + c] = if j < solved {
+                    if j >= o + c {
+                        vals[(j, c)]
+                    } else {
+                        0.0
+                    }
+                } else if j == o + c {
+                    1.0
+                } else {
+                    0.0
+                };
+            }
+        }
+        buf
+    }
+
+    type Panel4 = fn(
+        (&[f64], &[f64], &[f64], &[f64]),
+        &[f64],
+        &mut [f64],
+        &mut [f64],
+        &mut [f64],
+        &mut [f64],
+        usize,
+        UnitRhs,
+    );
+
+    /// Rows `p0..p0 + 4` of `buf` updated against rows `0..p0` by `kernel`.
+    fn run_panel4(
+        kernel: Panel4,
+        l: &Matrix,
+        p0: usize,
+        buf: &mut [f64],
+        bs: usize,
+        unit: UnitRhs,
+    ) {
+        let (done, rest) = buf.split_at_mut(p0 * bs);
+        let (r0, rest) = rest.split_at_mut(bs);
+        let (r1, rest) = rest.split_at_mut(bs);
+        let (r2, rest) = rest.split_at_mut(bs);
+        let lrows = (l.row(p0), l.row(p0 + 1), l.row(p0 + 2), l.row(p0 + 3));
+        kernel(lrows, done, r0, r1, r2, &mut rest[..bs], bs, unit);
+    }
+
+    #[test]
+    fn panel_kernels_skip_only_exact_zeros() {
+        // Every panel kernel this CPU can run, called directly: told that
+        // the right-hand sides are unit vectors, each must leave exactly
+        // the bits of its dense sweep.
+        let mut kernels: Vec<(&str, Panel4)> = vec![("portable", panel_update_portable)];
+        #[cfg(target_arch = "x86_64")]
+        {
+            if is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma") {
+                kernels.push(("avx2+fma", |lr, d, a, b, c, e, bs, u| {
+                    // SAFETY: avx2 and fma were detected above.
+                    unsafe { simd::panel_update_fma(lr, d, a, b, c, e, bs, u) }
+                }));
+            }
+            if is_x86_feature_detected!("avx512f") {
+                kernels.push(("avx512", |lr, d, a, b, c, e, bs, u| {
+                    // SAFETY: avx512f was detected above.
+                    unsafe { simd::panel_update_avx512(lr, d, a, b, c, e, bs, u) }
+                }));
+            }
+        }
+        let mut checked = 0;
+        for bs in [1usize, 3, 8, 13, 16, 21, 40, 64] {
+            for o in [0usize, 2, 9] {
+                for p0 in [4usize, 8, 12, 20, 36, 68] {
+                    let seed = (bs * 1000 + o * 100 + p0) as u64;
+                    let rows = p0 + 2 * PANEL;
+                    let l = random_lower(rows, seed);
+                    let start = unit_block(rows, bs, o, p0, seed);
+                    for (name, kernel) in &kernels {
+                        let mut dense = start.clone();
+                        let mut skip = start.clone();
+                        run_panel4(*kernel, &l, p0, &mut dense, bs, None);
+                        run_panel4(*kernel, &l, p0, &mut skip, bs, Some(o));
+                        let (d, s): (Vec<u64>, Vec<u64>) = dense
+                            .iter()
+                            .zip(&skip)
+                            .map(|(d, s)| (d.to_bits(), s.to_bits()))
+                            .unzip();
+                        assert_eq!(d, s, "{name}: bs={bs} o={o} p0={p0}");
+                        checked += 1;
+                    }
+                    #[cfg(target_arch = "x86_64")]
+                    if is_x86_feature_detected!("avx512f") {
+                        let mut dense = start.clone();
+                        let mut skip = start.clone();
+                        // SAFETY: avx512f was detected above; both buffers
+                        // hold p0 + 8 rows.
+                        unsafe {
+                            simd::panel_update8_avx512(&l, p0, &mut dense, bs, None);
+                            simd::panel_update8_avx512(&l, p0, &mut skip, bs, Some(o));
+                        }
+                        let same = dense
+                            .iter()
+                            .zip(&skip)
+                            .all(|(d, s)| d.to_bits() == s.to_bits());
+                        assert!(same, "avx512 x8: bs={bs} o={o} p0={p0}");
+                    }
+                }
+            }
+        }
+        assert!(checked >= 144);
+    }
+
+    #[test]
+    fn unit_block_solve_matches_dense_solve() {
+        // The dispatched sweep, panels and triangle finish included, on
+        // unit columns that start below row 0 (a later column block of
+        // `Cholesky::factor_inverse`).
+        for (n, o, bs) in [
+            (1usize, 0usize, 1usize),
+            (30, 0, 30),
+            (70, 64, 6),
+            (130, 64, 64),
+        ] {
+            let l = random_lower(n, n as u64);
+            let mut dense = vec![0.0; n * bs];
+            for c in 0..bs {
+                dense[(o + c) * bs + c] = 1.0;
+            }
+            let mut skip = dense.clone();
+            forward_sub_block(&l, &mut dense, bs, None);
+            forward_sub_block(&l, &mut skip, bs, Some(o));
+            for i in 0..n {
+                for c in 0..bs {
+                    let (d, s) = (dense[i * bs + c], skip[i * bs + c]);
+                    // Above each unit row the dense sweep divides +0.0 by a
+                    // positive diagonal; the skip leaves it +0.0 undivided.
+                    assert_eq!(d.to_bits(), s.to_bits(), "n={n} o={o} ({i},{c})");
+                }
+            }
         }
     }
 }

@@ -241,7 +241,7 @@ proptest! {
         seed in 1u64..1_000_000,
     ) {
         // n >= 128 exercises the blocked factorization inside the retry
-        // ladder, including the dirty-column restore between rungs.
+        // ladder, including the full restore between rungs.
         let b = pseudo_mat(n, n / 3, seed);
         let a = b.matmul(&b.transpose()).unwrap();
         prop_assert!(Cholesky::decompose(&a).is_err());

@@ -9,7 +9,8 @@ use alperf::cluster::campaign::{Campaign, COL_FREQ, COL_NP, COL_OPERATOR, COL_SI
 use alperf::cluster::workload::WorkloadSpec;
 use alperf::data::partition::Partition;
 use alperf::framework::analysis::paper_kernel_bounds;
-use alperf::gp::kernel::ArdSquaredExponential;
+use alperf::gp::kernel::{ArdSquaredExponential, Kernel};
+use alperf::gp::lml::{lml_and_grad, lml_and_grad_cached, lml_value_cached, FitCache};
 use alperf::gp::noise::NoiseFloor;
 use alperf::gp::optimize::GprConfig;
 use alperf::linalg::matrix::Matrix;
@@ -158,4 +159,58 @@ fn amsd_convergence_implies_rmse_convergence() {
         "stopping at AMSD convergence (iter {stop}) left RMSE {rmse_at_stop:.4} \
          far above the final {rmse_final:.4}"
     );
+}
+
+/// Eq. 12's analytic gradient on the paper's own data: 40 rows of the
+/// (poisson1, NP=32) slice under ARD-SE at the recommended noise floor.
+/// The cached gradient the optimizer ascends (Eq. 13) must match central
+/// finite differences of the cached LML and the uncached gradient.
+#[test]
+fn lml_gradient_matches_finite_differences_on_paper_data() {
+    let (x_all, y_all, _) = focus_problem();
+    let rows: Vec<usize> = (0..x_all.nrows()).step_by(2).take(40).collect();
+    assert_eq!(rows.len(), 40, "slice has {} rows", x_all.nrows());
+    let x = x_all.select_rows(&rows);
+    let y: Vec<f64> = rows.iter().map(|&i| y_all[i]).collect();
+    let sn = NoiseFloor::recommended().clamp(0.0, rows.len());
+    let kernel = ArdSquaredExponential::new(vec![1.5, 0.6], 0.8);
+    let cache = FitCache::build(&kernel, &x);
+    let (lml, grad) = lml_and_grad_cached(&kernel, sn, &x, &y, true, &cache).expect("cached");
+    let (lml_plain, grad_plain) = lml_and_grad(&kernel, sn, &x, &y, true).expect("uncached");
+    assert_eq!(grad.len(), 4, "two length scales, amplitude, noise");
+    assert!((lml - lml_plain).abs() <= 1e-9 * lml_plain.abs());
+
+    // Central differences in log-parameter space: the kernel's three
+    // hyperparameters, then log sigma_n.
+    let h = 1e-5;
+    let lml_at = |p: &[f64], log_sn: f64| -> f64 {
+        let mut k = kernel.clone();
+        k.set_params(p);
+        let c = FitCache::build(&k, &x);
+        lml_value_cached(&k, log_sn.exp(), &x, &y, &c).expect("lml")
+    };
+    let p0 = kernel.params();
+    let mut fd = Vec::new();
+    for j in 0..p0.len() {
+        let (mut up, mut dn) = (p0.clone(), p0.clone());
+        up[j] += h;
+        dn[j] -= h;
+        fd.push((lml_at(&up, sn.ln()) - lml_at(&dn, sn.ln())) / (2.0 * h));
+    }
+    fd.push((lml_at(&p0, sn.ln() + h) - lml_at(&p0, sn.ln() - h)) / (2.0 * h));
+
+    for j in 0..grad.len() {
+        assert!(
+            (grad[j] - fd[j]).abs() <= 1e-4 * fd[j].abs(),
+            "theta_{j}: analytic {} vs finite difference {}",
+            grad[j],
+            fd[j]
+        );
+        assert!(
+            (grad[j] - grad_plain[j]).abs() <= 1e-9 * grad_plain[j].abs(),
+            "theta_{j}: cached {} vs uncached {}",
+            grad[j],
+            grad_plain[j]
+        );
+    }
 }
