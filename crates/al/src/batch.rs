@@ -14,46 +14,15 @@
 use alperf_gp::model::{GpError, Prediction};
 use alperf_gp::surrogate::Surrogate;
 use alperf_linalg::matrix::Matrix;
-use rayon::prelude::*;
 
-/// Below this many open candidates the max-SD scan runs serially; the scan
-/// is a handful of compares per item, so fork-join overhead dominates for
-/// small pools.
-const PAR_SCAN_MIN: usize = 256;
-
-/// Max-predictive-SD scan over the open candidates, `(pool position, std,
-/// mean)` of the winner. Chunked across rayon workers with a serial
-/// in-order fold of the per-chunk winners — bit-identical to the one-pass
-/// serial scan for any chunking (predictive SDs are finite, scores are
-/// per-item, and both levels keep the first occurrence on ties via the
-/// same `best >= s` rule).
+/// Max-predictive-SD scan over the open candidates: `(pool position, std,
+/// mean)` of the winner, keeping the first occurrence on ties.
 fn max_std_candidate(open: &[usize], preds: &[Prediction]) -> Option<(usize, f64, f64)> {
-    let scan = |base: usize, items: &[usize]| {
-        let mut best: Option<(usize, f64, f64)> = None;
-        for (i, &pos) in items.iter().enumerate() {
-            let p = &preds[base + i];
-            match best {
-                Some((_, bs, _)) if bs >= p.std => {}
-                _ => best = Some((pos, p.std, p.mean)),
-            }
-        }
-        best
-    };
-    let threads = rayon::current_num_threads();
-    if open.len() < PAR_SCAN_MIN || threads <= 1 {
-        return scan(0, open);
-    }
-    let chunk = open.len().div_ceil(threads);
-    let per_chunk: Vec<Option<(usize, f64, f64)>> = open
-        .par_chunks(chunk)
-        .enumerate()
-        .map(|(ci, block)| scan(ci * chunk, block))
-        .collect();
     let mut best: Option<(usize, f64, f64)> = None;
-    for cand in per_chunk.into_iter().flatten() {
+    for (&pos, p) in open.iter().zip(preds) {
         match best {
-            Some((_, bs, _)) if bs >= cand.1 => {}
-            _ => best = Some(cand),
+            Some((_, bs, _)) if bs >= p.std => {}
+            _ => best = Some((pos, p.std, p.mean)),
         }
     }
     best
@@ -206,36 +175,6 @@ mod tests {
         let y_train = vec![y[10]];
         let batch = select_batch(&model, &x_all, &train, &y_train, &pool, 0).unwrap();
         assert!(batch.is_empty());
-    }
-
-    #[test]
-    fn max_std_scan_matches_serial_across_widths() {
-        // Parity of the chunked scan with a one-pass serial scan on a pool
-        // large enough to clear the fallback threshold, exact ties included.
-        let n = 1200;
-        let preds: Vec<alperf_gp::model::Prediction> = (0..n)
-            .map(|i: usize| alperf_gp::model::Prediction {
-                mean: (i as f64) * 0.01,
-                std: if i.is_multiple_of(17) {
-                    0.9
-                } else {
-                    (i as f64 * 0.377) % 1.0
-                },
-            })
-            .collect();
-        let open: Vec<usize> = (0..n).map(|i| i + 5).collect();
-        let mut serial: Option<(usize, f64, f64)> = None;
-        for (i, &pos) in open.iter().enumerate() {
-            let p = &preds[i];
-            match serial {
-                Some((_, bs, _)) if bs >= p.std => {}
-                _ => serial = Some((pos, p.std, p.mean)),
-            }
-        }
-        for t in [1usize, 2, 4, 8] {
-            let par = alperf_linalg::threads::with_threads(t, || max_std_candidate(&open, &preds));
-            assert_eq!(par, serial, "t={t}");
-        }
     }
 
     #[test]

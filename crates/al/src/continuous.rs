@@ -18,7 +18,6 @@ use alperf_gp::surrogate::Surrogate;
 use alperf_linalg::matrix::Matrix;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rayon::prelude::*;
 
 /// Acquisition criteria over the GP posterior at a point.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -125,11 +124,6 @@ impl ContinuousAcquisition {
         let start_m =
             Matrix::from_vec(starts.len(), d, starts.concat()).expect("starts are d-dimensional");
         let start_f = score_batch(&start_m)?;
-        // Each start's pattern search is independent and deterministic (all
-        // randomness was pre-drawn into `starts` above), so the searches
-        // fan out across rayon workers; the winner is picked by a serial
-        // in-order fold whose `f > best_f` rule keeps the earliest start on
-        // exact ties — bit-identical to running the starts sequentially.
         let refine = |(mut x, mut f): (Vec<f64>, f64)| -> Result<(Vec<f64>, f64), GpError> {
             // Pattern search: probe +/- step along each axis (one batched
             // prediction per sweep), shrink on failure.
@@ -187,16 +181,12 @@ impl ContinuousAcquisition {
             }
             Ok((x, f))
         };
-        let pairs: Vec<(Vec<f64>, f64)> = starts.into_iter().zip(start_f).collect();
-        let refined: Vec<Result<(Vec<f64>, f64), GpError>> = if rayon::current_num_threads() > 1 {
-            pairs.into_par_iter().map(refine).collect()
-        } else {
-            pairs.into_iter().map(refine).collect()
-        };
+        // Refine each start in order; `f > best_f` keeps the earliest start
+        // on exact ties.
         let mut best_x: Option<Vec<f64>> = None;
         let mut best_f = f64::NEG_INFINITY;
-        for r in refined {
-            let (x, f) = r?;
+        for start in starts.into_iter().zip(start_f) {
+            let (x, f) = refine(start)?;
             if f > best_f {
                 best_f = f;
                 best_x = Some(x);
@@ -390,8 +380,9 @@ mod tests {
 
     #[test]
     fn maximize_is_bit_identical_across_thread_widths() {
-        // The per-start searches fan out over workers; the result must not
-        // depend on the pool width.
+        // Each probe sweep is a batched prediction through the linalg
+        // blocks, which split across workers; the result must not depend
+        // on the pool width.
         let gpr = model();
         let acq = ContinuousAcquisition::new(vec![(0.0, 10.0)]);
         let serial = alperf_linalg::threads::with_threads(1, || {

@@ -133,13 +133,8 @@ impl Strategy for Emcm {
             .par_iter()
             .map(|w| w.predict_batch(&cand_x).ok())
             .collect();
-        // Candidate scores are independent of each other, so compute them
-        // across rayon workers (contiguous ordered blocks) and keep the
-        // argmax as a serial in-order fold — bit-identical to the old
-        // serial loop for any chunking, and serial below the threshold
-        // where fork-join overhead would dominate.
-        let score_of = |ci: usize, pos: usize| -> Option<f64> {
-            let x = cand_x.row(ci);
+        let mut best: Option<(usize, f64)> = None;
+        for (ci, &pos) in eligible.iter().enumerate() {
             let f = ctx.predictions[pos].mean;
             let mut change = 0.0;
             let mut used = 0usize;
@@ -148,33 +143,12 @@ impl Strategy for Emcm {
                 used += 1;
             }
             if used == 0 {
-                return None;
+                continue;
             }
-            let score = (change / used as f64) * norm2(x);
+            let score = (change / used as f64) * norm2(cand_x.row(ci));
             if score.is_nan() {
-                None
-            } else {
-                Some(score)
+                continue;
             }
-        };
-        const PAR_SCORE_MIN: usize = 256;
-        let scores: Vec<Option<f64>> =
-            if eligible.len() >= PAR_SCORE_MIN && rayon::current_num_threads() > 1 {
-                eligible
-                    .par_iter()
-                    .enumerate()
-                    .map(|(ci, &pos)| score_of(ci, pos))
-                    .collect()
-            } else {
-                eligible
-                    .iter()
-                    .enumerate()
-                    .map(|(ci, &pos)| score_of(ci, pos))
-                    .collect()
-            };
-        let mut best: Option<(usize, f64)> = None;
-        for (&pos, score) in eligible.iter().zip(&scores) {
-            let Some(score) = *score else { continue };
             match best {
                 Some((_, bs)) if bs >= score => {}
                 _ => best = Some((pos, score)),

@@ -40,8 +40,6 @@ pub mod runner;
 pub mod strategy;
 pub mod tradeoff;
 
-pub use oracle::{
-    DatasetOracle, ExperimentOracle, ExperimentOutcome, LatencyOracle, SeededFaultOracle,
-};
-pub use runner::{AlConfig, AlRun, IterationRecord, LostExperiment, PipelineConfig};
+pub use oracle::{DatasetOracle, ExperimentOracle, ExperimentOutcome, SeededFaultOracle};
+pub use runner::{AlConfig, AlRun, IterationRecord, LostExperiment};
 pub use strategy::{CostEfficiency, RandomSampling, Strategy, VarianceReduction};

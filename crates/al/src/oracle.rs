@@ -45,11 +45,7 @@ impl ExperimentOutcome {
 
 /// Decides the fate of a selected experiment. Implementations must be
 /// deterministic in `row` — see the module docs.
-///
-/// `Sync` is a supertrait because the pipelined runner measures the
-/// in-flight experiment on a worker thread while the main thread refits
-/// and selects; a shared reference to the oracle crosses that boundary.
-pub trait ExperimentOracle: Sync {
+pub trait ExperimentOracle {
     /// Run the experiment for dataset row `row`.
     fn run_experiment(&self, row: usize) -> ExperimentOutcome;
 
@@ -142,42 +138,6 @@ impl ExperimentOracle for SeededFaultOracle {
     }
 }
 
-/// Wraps any oracle with a fixed per-experiment measurement latency
-/// (a real `thread::sleep`, not a simulated clock). This is what makes
-/// speculative fit pipelining measurable: with a `DatasetOracle` the
-/// "measurement" is free and there is nothing to overlap, whereas real
-/// experiments take wall-clock time during which the pipelined runner
-/// refits and selects. Sleeping does not burn CPU, so the overlap wins
-/// even on a single-core machine. The verdict is delegated unchanged —
-/// latency never affects numerics or determinism.
-#[derive(Debug, Clone)]
-pub struct LatencyOracle<O> {
-    /// The oracle deciding each experiment's fate.
-    pub inner: O,
-    /// Wall-clock latency charged (slept) per `run_experiment` call.
-    pub latency: std::time::Duration,
-}
-
-impl<O: ExperimentOracle> LatencyOracle<O> {
-    /// Wrap `inner`, sleeping `latency` on every experiment.
-    pub fn new(inner: O, latency: std::time::Duration) -> Self {
-        LatencyOracle { inner, latency }
-    }
-}
-
-impl<O: ExperimentOracle> ExperimentOracle for LatencyOracle<O> {
-    fn run_experiment(&self, row: usize) -> ExperimentOutcome {
-        if !self.latency.is_zero() {
-            std::thread::sleep(self.latency);
-        }
-        self.inner.run_experiment(row)
-    }
-
-    fn name(&self) -> &'static str {
-        "latency"
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -230,21 +190,6 @@ mod tests {
                 ExperimentOutcome::Measured { attempts: 1 }
             );
         }
-    }
-
-    #[test]
-    fn latency_oracle_delegates_verdicts_unchanged() {
-        let inner = SeededFaultOracle::new(9, 0.3);
-        let wrapped = LatencyOracle::new(inner.clone(), std::time::Duration::from_micros(50));
-        for row in 0..200 {
-            assert_eq!(wrapped.run_experiment(row), inner.run_experiment(row));
-        }
-        // Zero latency skips the sleep entirely.
-        let instant = LatencyOracle::new(DatasetOracle, std::time::Duration::ZERO);
-        assert_eq!(
-            instant.run_experiment(0),
-            ExperimentOutcome::Measured { attempts: 1 }
-        );
     }
 
     #[test]

@@ -29,25 +29,6 @@ use alperf_obs::Value;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-/// How the runner schedules surrogate refits against experiment execution.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PipelineConfig {
-    /// The paper's serial loop: select, measure, refit, repeat. This path
-    /// is bit-identical to the pre-pipelining runner and serves as the
-    /// determinism oracle for the speculative mode.
-    #[default]
-    Off,
-    /// Asynchronous AL: while the selected experiment is being measured on
-    /// a worker thread, the main thread refits the surrogate on the
-    /// training set *without* the in-flight measurement (one batch stale)
-    /// and speculatively selects the next candidate from it. The in-flight
-    /// outcome is reconciled when both sides finish. Trades depth-1 model
-    /// staleness for overlapping measurement latency with fit/select
-    /// compute — the asynchronous setting of the materials-benchmarking
-    /// literature.
-    Speculative,
-}
-
 /// Configuration of one AL run.
 pub struct AlConfig {
     /// GPR fitting configuration (kernel template, noise floor, restarts).
@@ -67,8 +48,6 @@ pub struct AlConfig {
     pub full_refit_every: usize,
     /// RNG seed for strategy randomness.
     pub seed: u64,
-    /// Refit/measurement scheduling (serial, or speculative pipelining).
-    pub pipeline: PipelineConfig,
 }
 
 impl AlConfig {
@@ -81,7 +60,6 @@ impl AlConfig {
             warm_start: true,
             full_refit_every: 10,
             seed: 0,
-            pipeline: PipelineConfig::Off,
         }
     }
 }
@@ -268,114 +246,6 @@ pub fn run_al_with_oracle(
             "partition does not cover 0..{n} exactly"
         )));
     }
-    match config.pipeline {
-        PipelineConfig::Off => {
-            run_al_serial(x_all, y_all, cost, partition, strategy, oracle, config)
-        }
-        PipelineConfig::Speculative => {
-            run_al_pipelined(x_all, y_all, cost, partition, strategy, oracle, config)
-        }
-    }
-}
-
-/// One surrogate refit under the runner's scheduling policy: a full
-/// multi-restart hyperparameter search, a warm-started single ascent, a
-/// rank-one Cholesky extension, or a fixed-hyperparameter refit — exactly
-/// the decision tree the serial loop has always used, shared verbatim with
-/// the pipelined runner. Returns the refit kind (`"full"`, `"warm"`,
-/// `"rank1"`, `"refit"`); the caller invalidates prediction caches iff the
-/// kind re-optimized hyperparameters (`"full"`/`"warm"`).
-fn refit_step(
-    config: &AlConfig,
-    x_all: &Matrix,
-    y_all: &[f64],
-    train: &[usize],
-    iter: usize,
-    model: &mut Option<Surrogate>,
-    warm_theta: &mut Option<Vec<f64>>,
-) -> Result<&'static str, AlError> {
-    let xs = x_all.select_rows(train);
-    let ys: Vec<f64> = train.iter().map(|&i| y_all[i]).collect();
-    let refit_kind;
-    // Re-optimize hyperparameters on schedule; while the training set
-    // is small every new point reshapes the LML, so always optimize.
-    let optimize_now =
-        model.is_none() || train.len() <= 30 || iter.is_multiple_of(config.refit_every.max(1));
-    if optimize_now {
-        // Full multi-restart search early (small-n fits are cheap and
-        // the LML landscape still shifts with every point — a warm
-        // start can lock onto a degenerate all-noise optimum), then
-        // warm-started single ascents with periodic full refreshes.
-        let full_search = !config.warm_start
-            || warm_theta.is_none()
-            || train.len() < 15
-            || iter.is_multiple_of(config.full_refit_every.max(1));
-        let cfg = if full_search {
-            config.gpr.clone()
-        } else {
-            // Seed the single ascent from the previous optimum.
-            let theta = warm_theta.as_ref().expect("checked above");
-            let mut kernel = config.gpr.kernel.clone_box();
-            let nk = kernel.n_params();
-            kernel.set_params(&theta[..nk]);
-            let mut cfg = config.gpr.clone();
-            if config.gpr.optimize_noise && theta.len() > nk {
-                cfg.noise_init = theta[nk].exp();
-            }
-            cfg.kernel = kernel;
-            cfg.restarts = 1;
-            // One added point barely moves the optimum: a short, loose
-            // ascent suffices between full refreshes.
-            cfg.max_iters = cfg.max_iters.min(60);
-            cfg.grad_tol = cfg.grad_tol.max(1e-4);
-            cfg
-        };
-        refit_kind = if full_search { "full" } else { "warm" };
-        let (m, outcome) = fit_surrogate(&xs, &ys, &cfg)?;
-        *warm_theta = Some(outcome.theta);
-        *model = Some(m);
-    } else {
-        // Recondition on the grown training set at the current
-        // hyperparameters. The common case (exactly one new point, same
-        // prefix) takes the O(n^2) rank-one Cholesky extension; anything
-        // unexpected — or a numerically indefinite extension from a
-        // duplicated point — falls back to a full O(n^3) refit.
-        let prev = model.as_ref().expect("model exists when not optimizing");
-        // (Under standardization the full refit re-centers on the grown
-        // response set while the incremental path freezes the old
-        // scaler — only bit-identical when standardization is off.)
-        let incremental = if !config.gpr.standardize && prev.n_train() + 1 == train.len() {
-            let new_row = train.last().expect("non-empty train");
-            prev.with_observation(x_all.row(*new_row), y_all[*new_row])
-                .ok()
-        } else {
-            None
-        };
-        *model = Some(match incremental {
-            Some(m) => {
-                refit_kind = "rank1";
-                m
-            }
-            None => {
-                refit_kind = "refit";
-                let prev = model.as_ref().expect("model exists");
-                prev.refit(xs, &ys, config.gpr.standardize)?
-            }
-        });
-    }
-    Ok(refit_kind)
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_al_serial(
-    x_all: &Matrix,
-    y_all: &[f64],
-    cost: &[f64],
-    partition: &Partition,
-    strategy: &mut dyn Strategy,
-    oracle: &dyn ExperimentOracle,
-    config: &AlConfig,
-) -> Result<AlRun, AlError> {
     let mut train: Vec<usize> = partition.initial.clone();
     let mut pool: Vec<usize> = partition.active.clone();
     let test = &partition.test;
@@ -573,363 +443,91 @@ fn run_al_serial(
     })
 }
 
-/// A selection whose measurement is in flight: everything the reconcile
-/// step needs to emit the `al.iteration` record and history entry was
-/// captured at selection time, from the (possibly stale) model that made
-/// the choice.
-struct PendingSelection {
-    iter: usize,
-    row: usize,
-    /// Pool size at selection time, *before* the row was removed — the
-    /// same quantity the serial loop records.
-    pool_size: usize,
-    sigma: f64,
-    amsd: f64,
-    rmse: f64,
-    refit_kind: &'static str,
-    tier: &'static str,
-    rank: usize,
-    lml: f64,
-    noise_std: f64,
-    fit_ns: u64,
-    predict_ns: u64,
-    select_ns: u64,
-    cache_warm: bool,
-    /// Duration of the whole selection round (its `al.iteration` span) —
-    /// the refit/select side of the pipeline's overlap.
-    round_ns: u64,
-}
-
-/// One pipelined selection round: refit on the current training set (which
-/// excludes any in-flight measurement — that is the speculation), predict
-/// over the pool, let the strategy pick, capture the record payload, and
-/// remove the chosen row from the pool so the next round cannot re-select
-/// it. Returns `None` when the strategy declines (empty/NaN pool).
-#[allow(clippy::too_many_arguments)]
-fn pipeline_select_round(
+/// One surrogate refit under the runner's scheduling policy: a full
+/// multi-restart hyperparameter search, a warm-started single ascent, a
+/// rank-one Cholesky extension, or a fixed-hyperparameter refit. Returns
+/// the refit kind (`"full"`, `"warm"`, `"rank1"`, `"refit"`); the caller
+/// invalidates prediction caches iff the kind re-optimized hyperparameters
+/// (`"full"`/`"warm"`).
+fn refit_step(
+    config: &AlConfig,
     x_all: &Matrix,
     y_all: &[f64],
-    test: &[usize],
-    config: &AlConfig,
-    strategy: &mut dyn Strategy,
-    rng: &mut StdRng,
-    iter: usize,
     train: &[usize],
-    pool: &mut Vec<usize>,
-    pool_cache: &mut PoolPredictionCache,
-    test_cache: &mut PoolPredictionCache,
+    iter: usize,
     model: &mut Option<Surrogate>,
     warm_theta: &mut Option<Vec<f64>>,
-    obs_on: bool,
-) -> Result<Option<PendingSelection>, AlError> {
-    if pool.is_empty() {
-        return Ok(None);
-    }
-    let iter_span = alperf_obs::span(names::AL_ITERATION);
-    let fit_span = alperf_obs::span("al.iteration.fit");
-    let refit_kind = refit_step(config, x_all, y_all, train, iter, model, warm_theta)?;
-    let fit_ns = fit_span.finish();
-    let m = model.as_ref().expect("model fitted above");
-    if matches!(refit_kind, "full" | "warm") {
-        pool_cache.invalidate();
-        test_cache.invalidate();
-    }
-    let cache_warm = obs_on && pool_cache.is_warm_for(m);
-    let predict_span = alperf_obs::span("al.iteration.predict");
-    let predictions = pool_cache.predictions(m)?;
-    let rmse = if test.is_empty() {
-        0.0
-    } else {
-        let se: f64 = test_cache
-            .predictions(m)?
-            .iter()
-            .zip(test)
-            .map(|(p, &i)| {
-                let d = p.mean - y_all[i];
-                d * d
-            })
-            .sum();
-        (se / test.len() as f64).sqrt()
-    };
-    let predict_ns = predict_span.finish();
-    let select_span = alperf_obs::span("al.iteration.select");
-    let amsd = predictions.iter().map(|p| p.std).sum::<f64>() / predictions.len() as f64;
-    let ctx = SelectionContext {
-        model: m,
-        x_all,
-        y_all,
-        train,
-        pool,
-        predictions: &predictions,
-    };
-    let Some(pos) = strategy.select(&ctx, rng) else {
-        return Ok(None);
-    };
-    let select_ns = select_span.finish();
-    let row = pool[pos];
-    let pool_size = pool.len();
-    // The measurement is now in flight: take the row out of the pool (and
-    // mirror it in the cache) so the next speculative round selects from
-    // the survivors.
-    pool.swap_remove(pos);
-    pool_cache.swap_remove(pos);
-    Ok(Some(PendingSelection {
-        iter,
-        row,
-        pool_size,
-        sigma: predictions[pos].std,
-        amsd,
-        rmse,
-        refit_kind,
-        tier: m.tier_name(),
-        rank: m.rank(),
-        lml: m.lml(),
-        noise_std: m.noise_std(),
-        fit_ns,
-        predict_ns,
-        select_ns,
-        cache_warm,
-        round_ns: iter_span.finish(),
-    }))
-}
-
-/// The speculative pipelined loop (`PipelineConfig::Speculative`): while a
-/// worker thread measures the in-flight experiment, the main thread refits
-/// the surrogate on the training set *without* that measurement and
-/// speculatively selects the next candidate from the stale posterior. The
-/// two sides join and the outcome is reconciled: a measured row enters the
-/// training set (and the caches' cross-covariance grows by its column); a
-/// lost row is charged, flagged (`al.pipeline.lost_speculation` +
-/// `al.degraded_iteration`), and the already-made stale selection stays
-/// valid because the lost row was removed from the pool at selection time.
-///
-/// Each history/record entry reports the quantities *the selecting model
-/// saw* — sigma, AMSD, RMSE and LML lag the serial loop by the one
-/// in-flight measurement, which is the price of the overlap. The strategy
-/// RNG is consumed in selection order on the main thread only, so runs are
-/// bit-reproducible for a fixed seed; telemetry stays strictly
-/// observational (clocks are only read when the global switch is on).
-#[allow(clippy::too_many_arguments)]
-fn run_al_pipelined(
-    x_all: &Matrix,
-    y_all: &[f64],
-    cost: &[f64],
-    partition: &Partition,
-    strategy: &mut dyn Strategy,
-    oracle: &dyn ExperimentOracle,
-    config: &AlConfig,
-) -> Result<AlRun, AlError> {
-    let mut train: Vec<usize> = partition.initial.clone();
-    let mut pool: Vec<usize> = partition.active.clone();
-    let test = &partition.test;
-    let mut rng = StdRng::seed_from_u64(config.seed);
-    let mut history = Vec::new();
-    let mut lost: Vec<LostExperiment> = Vec::new();
-    let mut cumulative_cost: f64 = train.iter().map(|&i| cost[i]).sum();
-    let mut model: Option<Surrogate> = None;
-    let mut warm_theta: Option<Vec<f64>> = None;
-
-    let obs_on = alperf_obs::enabled();
-    let run_id = if obs_on { alperf_obs::next_run_id() } else { 0 };
-    if obs_on {
-        alperf_obs::record(
-            "al.run_start",
-            &[
-                ("run", Value::U64(run_id)),
-                ("strategy", Value::Str(strategy.name())),
-                ("n_initial", Value::U64(train.len() as u64)),
-                ("pool_size", Value::U64(pool.len() as u64)),
-                ("test_size", Value::U64(test.len() as u64)),
-                ("max_iters", Value::U64(config.max_iters as u64)),
-                ("seed", Value::U64(config.seed)),
-                ("pipeline", Value::Str("speculative")),
-            ],
-        );
-    }
-    let mut pool_cache = PoolPredictionCache::new(x_all.select_rows(&pool));
-    let mut test_cache = PoolPredictionCache::new(x_all.select_rows(test));
-
-    // Prime the pipeline: the first selection has nothing to overlap with.
-    let mut iter = 0usize;
-    let mut pending: Option<PendingSelection> = if config.max_iters == 0 {
-        None
-    } else {
-        pipeline_select_round(
-            x_all,
-            y_all,
-            test,
-            config,
-            strategy,
-            &mut rng,
-            iter,
-            &train,
-            &mut pool,
-            &mut pool_cache,
-            &mut test_cache,
-            &mut model,
-            &mut warm_theta,
-            obs_on,
-        )?
-    };
-    if pending.is_some() {
-        iter += 1;
-    }
-
-    while let Some(p) = pending.take() {
-        let want_next = iter < config.max_iters && !pool.is_empty();
-        let row = p.row;
-        // Overlap: measure `row` on a scoped worker thread while this
-        // thread refits on the stale training set and selects the next
-        // candidate. The worker only touches the oracle (Sync); every
-        // piece of runner state stays on this thread.
-        let mut next: Result<Option<PendingSelection>, AlError> = Ok(None);
-        let (outcome, measure_ns) = std::thread::scope(|s| {
-            let handle = s.spawn(|| {
-                let measure_span = alperf_obs::span("al.pipeline.measure");
-                let out = oracle.run_experiment(row);
-                (out, measure_span.finish())
-            });
-            if want_next {
-                next = pipeline_select_round(
-                    x_all,
-                    y_all,
-                    test,
-                    config,
-                    strategy,
-                    &mut rng,
-                    iter,
-                    &train,
-                    &mut pool,
-                    &mut pool_cache,
-                    &mut test_cache,
-                    &mut model,
-                    &mut warm_theta,
-                    obs_on,
-                );
-                if obs_on && matches!(next, Ok(Some(_))) {
-                    alperf_obs::inc(names::AL_PIPELINE_STALE_SELECTS);
-                }
+) -> Result<&'static str, AlError> {
+    let xs = x_all.select_rows(train);
+    let ys: Vec<f64> = train.iter().map(|&i| y_all[i]).collect();
+    let refit_kind;
+    // Re-optimize hyperparameters on schedule; while the training set
+    // is small every new point reshapes the LML, so always optimize.
+    let optimize_now =
+        model.is_none() || train.len() <= 30 || iter.is_multiple_of(config.refit_every.max(1));
+    if optimize_now {
+        // Full multi-restart search early (small-n fits are cheap and
+        // the LML landscape still shifts with every point — a warm
+        // start can lock onto a degenerate all-noise optimum), then
+        // warm-started single ascents with periodic full refreshes.
+        let full_search = !config.warm_start
+            || warm_theta.is_none()
+            || train.len() < 15
+            || iter.is_multiple_of(config.full_refit_every.max(1));
+        let cfg = if full_search {
+            config.gpr.clone()
+        } else {
+            // Seed the single ascent from the previous optimum.
+            let theta = warm_theta.as_ref().expect("checked above");
+            let mut kernel = config.gpr.kernel.clone_box();
+            let nk = kernel.n_params();
+            kernel.set_params(&theta[..nk]);
+            let mut cfg = config.gpr.clone();
+            if config.gpr.optimize_noise && theta.len() > nk {
+                cfg.noise_init = theta[nk].exp();
             }
-            match handle.join() {
-                Ok(v) => v,
-                Err(payload) => std::panic::resume_unwind(payload),
+            cfg.kernel = kernel;
+            cfg.restarts = 1;
+            // One added point barely moves the optimum: a short, loose
+            // ascent suffices between full refreshes.
+            cfg.max_iters = cfg.max_iters.min(60);
+            cfg.grad_tol = cfg.grad_tol.max(1e-4);
+            cfg
+        };
+        refit_kind = if full_search { "full" } else { "warm" };
+        let (m, outcome) = fit_surrogate(&xs, &ys, &cfg)?;
+        *warm_theta = Some(outcome.theta);
+        *model = Some(m);
+    } else {
+        // Recondition on the grown training set at the current
+        // hyperparameters. The common case (exactly one new point, same
+        // prefix) takes the O(n^2) rank-one Cholesky extension; anything
+        // unexpected — or a numerically indefinite extension from a
+        // duplicated point — falls back to a full O(n^3) refit.
+        let prev = model.as_ref().expect("model exists when not optimizing");
+        // (Under standardization the full refit re-centers on the grown
+        // response set while the incremental path freezes the old
+        // scaler — only bit-identical when standardization is off.)
+        let incremental = if !config.gpr.standardize && prev.n_train() + 1 == train.len() {
+            let new_row = train.last().expect("non-empty train");
+            prev.with_observation(x_all.row(*new_row), y_all[*new_row])
+                .ok()
+        } else {
+            None
+        };
+        *model = Some(match incremental {
+            Some(m) => {
+                refit_kind = "rank1";
+                m
+            }
+            None => {
+                refit_kind = "refit";
+                let prev = model.as_ref().expect("model exists");
+                prev.refit(xs, &ys, config.gpr.standardize)?
             }
         });
-        // Reconcile the in-flight measurement. Its cost is charged either
-        // way — the paper counts failed experiments against the budget.
-        cumulative_cost += cost[row];
-        if obs_on {
-            let select_side_ns = match &next {
-                Ok(Some(p)) => p.round_ns,
-                _ => 0,
-            };
-            alperf_obs::inc(names::AL_PIPELINE_RECONCILES);
-            alperf_obs::add(
-                names::AL_PIPELINE_OVERLAP_NS,
-                select_side_ns.min(measure_ns),
-            );
-        }
-        match outcome {
-            ExperimentOutcome::Lost { attempts } => {
-                // Graceful degradation under speculation: the row was
-                // already out of the pool (removed at selection time), so
-                // the speculative selection made above remains valid; the
-                // loss is charged and flagged, nothing is rolled back.
-                if obs_on {
-                    alperf_obs::inc(names::AL_DEGRADED_ITERATION);
-                    alperf_obs::inc(names::AL_PIPELINE_LOST_SPECULATION);
-                    alperf_obs::record(
-                        names::AL_DEGRADED_ITERATION,
-                        &[
-                            ("run", Value::U64(run_id)),
-                            ("iter", Value::U64(p.iter as u64)),
-                            ("row", Value::U64(row as u64)),
-                            ("attempts", Value::U64(attempts as u64)),
-                            ("pool_size", Value::U64(p.pool_size as u64)),
-                            ("cum_cost", Value::F64(cumulative_cost)),
-                        ],
-                    );
-                    alperf_obs::record(
-                        names::AL_PIPELINE_LOST_SPECULATION,
-                        &[
-                            ("run", Value::U64(run_id)),
-                            ("iter", Value::U64(p.iter as u64)),
-                            ("row", Value::U64(row as u64)),
-                            ("cost", Value::F64(cost[row])),
-                        ],
-                    );
-                }
-                lost.push(LostExperiment {
-                    iter: p.iter,
-                    row,
-                    attempts,
-                    cost: cost[row],
-                });
-            }
-            ExperimentOutcome::Measured { attempts } => {
-                if obs_on {
-                    alperf_obs::record(
-                        names::AL_ITERATION,
-                        &[
-                            ("run", Value::U64(run_id)),
-                            ("iter", Value::U64(p.iter as u64)),
-                            ("chosen_row", Value::U64(row as u64)),
-                            ("pool_size", Value::U64(p.pool_size as u64)),
-                            ("refit", Value::Str(p.refit_kind)),
-                            ("tier", Value::Str(p.tier)),
-                            ("rank", Value::U64(p.rank as u64)),
-                            ("fit_ns", Value::U64(p.fit_ns)),
-                            ("predict_ns", Value::U64(p.predict_ns)),
-                            ("select_ns", Value::U64(p.select_ns)),
-                            ("cache_warm", Value::Bool(p.cache_warm)),
-                            ("sigma", Value::F64(p.sigma)),
-                            ("amsd", Value::F64(p.amsd)),
-                            ("rmse", Value::F64(p.rmse)),
-                            ("cum_cost", Value::F64(cumulative_cost)),
-                            ("lml", Value::F64(p.lml)),
-                            ("noise", Value::F64(p.noise_std)),
-                            ("attempts", Value::U64(attempts as u64)),
-                        ],
-                    );
-                    alperf_obs::inc("al.iterations");
-                }
-                history.push(IterationRecord {
-                    iter: p.iter,
-                    chosen_row: row,
-                    x: x_all.row(row).to_vec(),
-                    y: y_all[row],
-                    sigma_at_chosen: p.sigma,
-                    amsd: p.amsd,
-                    rmse: p.rmse,
-                    cumulative_cost,
-                    lml: p.lml,
-                    noise_std: p.noise_std,
-                });
-                train.push(row);
-                // Extend the cached cross-covariances by the measured
-                // row's column while the model they are warm for is still
-                // current (the caches self-check and rebuild otherwise).
-                if let Some(m) = model.as_ref() {
-                    pool_cache.extend_train(x_all.row(row), m);
-                    test_cache.extend_train(x_all.row(row), m);
-                }
-                // Force a refit next round if refit_every == 1.
-                if config.refit_every <= 1 {
-                    model = None;
-                }
-            }
-        }
-        pending = next?;
-        if pending.is_some() {
-            iter += 1;
-        }
     }
-    Ok(AlRun {
-        strategy: strategy.name(),
-        history,
-        final_train: train,
-        lost,
-    })
+    Ok(refit_kind)
 }
 
 /// RMSE of the model on the test rows (Eq. 2), via one batched prediction.
@@ -1098,6 +696,15 @@ mod tests {
         cfg.max_iters = 100;
         let run = run_al(&x, &y, &cost, &part, &mut VarianceReduction, &cfg).unwrap();
         assert_eq!(run.history.len(), part.active.len());
+        // `max_iters` stops a run before the pool is exhausted.
+        cfg.max_iters = 3;
+        let run = run_al(&x, &y, &cost, &part, &mut VarianceReduction, &cfg).unwrap();
+        assert_eq!(run.history.len(), 3);
+        assert_eq!(run.final_train.len(), part.initial.len() + 3);
+        cfg.max_iters = 0;
+        let run = run_al(&x, &y, &cost, &part, &mut VarianceReduction, &cfg).unwrap();
+        assert!(run.history.is_empty());
+        assert_eq!(run.final_train, part.initial);
     }
 
     #[test]
@@ -1137,70 +744,6 @@ mod tests {
         let run = run_al(&x, &y, &cost, &part, &mut VarianceReduction, &config()).unwrap();
         assert!(!run.history.is_empty());
         assert!(run.history.iter().all(|r| r.rmse.is_finite()));
-    }
-
-    #[test]
-    fn pipelined_campaign_learns_and_is_reproducible() {
-        let (x, y, cost) = dataset(60, 1);
-        let part = Partition::random(60, 2, 0.8, 5);
-        let mut cfg = config();
-        cfg.pipeline = PipelineConfig::Speculative;
-        let a = run_al(&x, &y, &cost, &part, &mut VarianceReduction, &cfg).unwrap();
-        let b = run_al(&x, &y, &cost, &part, &mut VarianceReduction, &cfg).unwrap();
-        assert_eq!(a.history, b.history, "pipelined run not reproducible");
-        assert_eq!(a.history.len(), 25);
-        let first = &a.history[0];
-        let last = a.history.last().unwrap();
-        assert!(
-            last.rmse < 0.6 * first.rmse,
-            "pipelined AL failed to learn: rmse {} -> {}",
-            first.rmse,
-            last.rmse
-        );
-        // Depth-1 staleness costs accuracy boundedly: the pipelined final
-        // RMSE stays within a small absolute band of the serial loop's.
-        let serial = run_al(&x, &y, &cost, &part, &mut VarianceReduction, &config()).unwrap();
-        let rs = serial.history.last().unwrap().rmse;
-        assert!(
-            (last.rmse - rs).abs() <= 0.5 * rs.max(0.1),
-            "pipelined final RMSE {} too far from serial {rs}",
-            last.rmse
-        );
-    }
-
-    #[test]
-    fn pipelined_charges_costs_in_selection_order() {
-        let (x, y, cost) = dataset(30, 6);
-        let part = Partition::random(30, 1, 0.8, 1);
-        let mut cfg = config();
-        cfg.pipeline = PipelineConfig::Speculative;
-        let run = run_al(&x, &y, &cost, &part, &mut RandomSampling, &cfg).unwrap();
-        let mut expected: f64 = part.initial.iter().map(|&i| cost[i]).sum();
-        for r in &run.history {
-            expected += cost[r.chosen_row];
-            assert!((r.cumulative_cost - expected).abs() < 1e-9);
-        }
-        // No row selected twice even under speculation.
-        let rows: Vec<usize> = run.history.iter().map(|r| r.chosen_row).collect();
-        let distinct: std::collections::BTreeSet<_> = rows.iter().collect();
-        assert_eq!(rows.len(), distinct.len());
-    }
-
-    #[test]
-    fn pipelined_stops_on_pool_exhaustion_and_respects_max_iters() {
-        let (x, y, cost) = dataset(12, 7);
-        let part = Partition::random(12, 1, 0.5, 0);
-        let mut cfg = config();
-        cfg.max_iters = 100;
-        cfg.pipeline = PipelineConfig::Speculative;
-        let run = run_al(&x, &y, &cost, &part, &mut VarianceReduction, &cfg).unwrap();
-        assert_eq!(run.history.len(), part.active.len());
-        cfg.max_iters = 3;
-        let run = run_al(&x, &y, &cost, &part, &mut VarianceReduction, &cfg).unwrap();
-        assert_eq!(run.history.len(), 3);
-        cfg.max_iters = 0;
-        let run = run_al(&x, &y, &cost, &part, &mut VarianceReduction, &cfg).unwrap();
-        assert!(run.history.is_empty());
     }
 
     #[test]

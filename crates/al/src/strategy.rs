@@ -18,7 +18,6 @@ use alperf_gp::surrogate::Surrogate;
 use alperf_linalg::matrix::Matrix;
 use rand::rngs::StdRng;
 use rand::Rng;
-use rayon::prelude::*;
 
 /// Everything a strategy may look at when scoring the pool.
 pub struct SelectionContext<'a> {
@@ -57,7 +56,7 @@ impl Strategy for VarianceReduction {
     }
 
     fn select(&mut self, ctx: &SelectionContext<'_>, _rng: &mut StdRng) -> Option<usize> {
-        par_argmax_by(ctx.predictions, |p| p.std)
+        argmax_by(ctx.predictions, |p| p.std)
     }
 }
 
@@ -74,7 +73,7 @@ impl Strategy for CostEfficiency {
     fn select(&mut self, ctx: &SelectionContext<'_>, _rng: &mut StdRng) -> Option<usize> {
         // With y = log10(runtime), mu is the predicted log-cost; subtracting
         // it in log space is dividing by the predicted cost in linear space.
-        par_argmax_by(ctx.predictions, |p| p.std - p.mean)
+        argmax_by(ctx.predictions, |p| p.std - p.mean)
     }
 }
 
@@ -94,7 +93,7 @@ impl Strategy for CostWeighted {
 
     fn select(&mut self, ctx: &SelectionContext<'_>, _rng: &mut StdRng) -> Option<usize> {
         let l = self.lambda;
-        par_argmax_by(ctx.predictions, |p| p.std - l * p.mean)
+        argmax_by(ctx.predictions, |p| p.std - l * p.mean)
     }
 }
 
@@ -128,56 +127,6 @@ pub fn argmax_by(preds: &[Prediction], score: impl Fn(&Prediction) -> f64) -> Op
         match best {
             Some((_, bs)) if bs >= s => {}
             _ => best = Some((i, s)),
-        }
-    }
-    best.map(|(i, _)| i)
-}
-
-/// Pools smaller than this are scored serially: below a few hundred
-/// candidates the fork-join overhead of scoped threads dominates the
-/// per-item score evaluation.
-const PAR_ARGMAX_MIN: usize = 256;
-
-/// Parallel `argmax` over predictions, **bit-identical** to [`argmax_by`]
-/// for any chunking: scores are computed per item (chunk-independent), the
-/// chunks are contiguous and ordered, and the final fold walks chunk
-/// results in input order with the same `best >= s` keep-first tie rule.
-/// Falls back to the serial scan for small pools or a 1-thread pool, so
-/// single-threaded runs never pay the partitioning cost.
-pub fn par_argmax_by(
-    preds: &[Prediction],
-    score: impl Fn(&Prediction) -> f64 + Sync,
-) -> Option<usize> {
-    let n = preds.len();
-    let threads = rayon::current_num_threads();
-    if n < PAR_ARGMAX_MIN || threads <= 1 {
-        return argmax_by(preds, &score);
-    }
-    let chunk = n.div_ceil(threads);
-    let per_chunk: Vec<Option<(usize, f64)>> = preds
-        .par_chunks(chunk)
-        .enumerate()
-        .map(|(ci, block)| {
-            let base = ci * chunk;
-            let mut best: Option<(usize, f64)> = None;
-            for (i, p) in block.iter().enumerate() {
-                let s = score(p);
-                if s.is_nan() {
-                    continue;
-                }
-                match best {
-                    Some((_, bs)) if bs >= s => {}
-                    _ => best = Some((base + i, s)),
-                }
-            }
-            best
-        })
-        .collect();
-    let mut best: Option<(usize, f64)> = None;
-    for cand in per_chunk.into_iter().flatten() {
-        match best {
-            Some((_, bs)) if bs >= cand.1 => {}
-            _ => best = Some(cand),
         }
     }
     best.map(|(i, _)| i)
@@ -321,39 +270,6 @@ mod tests {
         assert_eq!(argmax_by(&preds, |p| p.std), Some(1));
         let allnan = fake_predictions(&[f64::NAN], &[0.0]);
         assert_eq!(argmax_by(&allnan, |p| p.std), None);
-    }
-
-    #[test]
-    fn par_argmax_matches_serial_across_widths() {
-        // Pseudo-random scores with deliberate exact ties and NaN holes,
-        // large enough to clear the serial-fallback threshold.
-        let n = 1500usize;
-        let preds: Vec<Prediction> = (0..n)
-            .map(|i| {
-                let s = if i.is_multiple_of(97) {
-                    f64::NAN
-                } else if i.is_multiple_of(13) {
-                    0.75 // repeated exact tie value
-                } else {
-                    ((i as f64 * 0.61803) % 1.0) * 0.7
-                };
-                Prediction { mean: 0.0, std: s }
-            })
-            .collect();
-        let serial = argmax_by(&preds, |p| p.std);
-        for t in [1usize, 2, 4, 8] {
-            let par = alperf_linalg::threads::with_threads(t, || par_argmax_by(&preds, |p| p.std));
-            assert_eq!(par, serial, "t={t}");
-        }
-        // All-NaN and empty behave like the serial scan too.
-        let allnan: Vec<Prediction> = (0..600)
-            .map(|_| Prediction {
-                mean: 0.0,
-                std: f64::NAN,
-            })
-            .collect();
-        assert_eq!(par_argmax_by(&allnan, |p| p.std), None);
-        assert_eq!(par_argmax_by(&[], |p| p.std), None);
     }
 
     #[test]

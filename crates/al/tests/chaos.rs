@@ -12,7 +12,7 @@
 //! telemetry switch; unit tests in the same process would race it.
 
 use alperf_al::oracle::SeededFaultOracle;
-use alperf_al::runner::{run_al, run_al_with_oracle, AlConfig, AlRun, PipelineConfig};
+use alperf_al::runner::{run_al, run_al_with_oracle, AlConfig, AlRun};
 use alperf_al::strategy::VarianceReduction;
 use alperf_data::partition::Partition;
 use alperf_gp::kernel::SquaredExponential;
@@ -85,20 +85,6 @@ fn run_chaos_sparse(failure_rate: f64) -> AlRun {
         max_iters: 18,
         seed: 3,
         ..AlConfig::new(gpr)
-    };
-    run_al_with_oracle(&x, &y, &cost, &part, &mut VarianceReduction, &oracle, &cfg).unwrap()
-}
-
-/// Chaos run through the speculative pipelined runner: the in-flight
-/// measurement a fault kills was selected from a stale model, so this
-/// exercises the lost-speculation reconcile path.
-fn run_chaos_pipelined(failure_rate: f64) -> AlRun {
-    let (x, y, cost) = dataset(N, 11);
-    let part = Partition::random(N, 2, 0.8, 5);
-    let oracle = SeededFaultOracle::new(ORACLE_SEED, failure_rate);
-    let cfg = AlConfig {
-        pipeline: PipelineConfig::Speculative,
-        ..config()
     };
     run_al_with_oracle(&x, &y, &cost, &part, &mut VarianceReduction, &oracle, &cfg).unwrap()
 }
@@ -177,70 +163,15 @@ fn al_degrades_gracefully_under_faults() {
     let sparse_off = run_chaos_sparse(0.1);
     assert_sane(&sparse_off, 0.1);
 
-    // The pipelined runner under the same fault sweep: a speculated batch
-    // that dies mid-flight must be charged, flagged, and survived.
-    let pruns: Vec<(f64, AlRun)> = [0.0, 0.1, 0.3]
-        .into_iter()
-        .map(|rate| (rate, run_chaos_pipelined(rate)))
-        .collect();
-    for (rate, run) in &pruns {
-        assert_sane(run, *rate);
-    }
-    let pzero = &pruns[0].1;
-    let pheavy = &pruns[2].1;
-    assert!(pzero.lost.is_empty(), "pipelined rate 0.0 lost experiments");
-    // Zero-rate pipelined chaos == fault-free pipelined run.
-    let pclean = {
-        let cfg = AlConfig {
-            pipeline: PipelineConfig::Speculative,
-            ..config()
-        };
-        run_al(&x, &y, &cost, &part, &mut VarianceReduction, &cfg).unwrap()
-    };
-    assert_eq!(pzero.history, pclean.history);
-    assert_eq!(pzero.final_train, pclean.final_train);
-    assert!(
-        !pheavy.lost.is_empty(),
-        "pipelined rate 0.3 lost nothing — seed drift?"
-    );
-    let plost_cost: f64 = pheavy.lost.iter().map(|l| l.cost).sum();
-    assert!(plost_cost > 0.0, "lost speculated batches not charged");
-
     // Telemetry on: same numerics, and every loss visible in the trace.
     let trace = std::env::temp_dir().join(format!("alperf_chaos_{}.jsonl", std::process::id()));
     alperf_obs::sink::install_jsonl(&trace).unwrap();
     alperf_obs::set_enabled(true);
     let degraded_before = alperf_obs::counter(alperf_obs::names::AL_DEGRADED_ITERATION).get();
-    let lost_spec_before =
-        alperf_obs::counter(alperf_obs::names::AL_PIPELINE_LOST_SPECULATION).get();
-    let reconciles_before = alperf_obs::counter(alperf_obs::names::AL_PIPELINE_RECONCILES).get();
     let on = run_chaos(0.3);
     let sparse_on = run_chaos_sparse(0.1);
-    let pipe_on = run_chaos_pipelined(0.3);
     alperf_obs::set_enabled(false);
     alperf_obs::sink::uninstall();
-
-    // Pipelined runner obeys the obs-determinism contract under faults...
-    assert_eq!(
-        pipe_on.history, pheavy.history,
-        "telemetry changed pipelined numerics under faults"
-    );
-    assert_eq!(
-        pipe_on.lost, pheavy.lost,
-        "telemetry changed the pipelined lost list"
-    );
-    // ...every lost speculation is counted, and every round reconciled.
-    assert_eq!(
-        alperf_obs::counter(alperf_obs::names::AL_PIPELINE_LOST_SPECULATION).get()
-            - lost_spec_before,
-        pheavy.lost.len() as u64,
-        "lost-speculation counter did not advance"
-    );
-    assert_eq!(
-        alperf_obs::counter(alperf_obs::names::AL_PIPELINE_RECONCILES).get() - reconciles_before,
-        (pheavy.history.len() + pheavy.lost.len()) as u64,
-        "every pipelined round must reconcile exactly once"
-    );
 
     // Approximate tier obeys the same obs-determinism contract under faults.
     assert_eq!(
@@ -262,18 +193,8 @@ fn al_degrades_gracefully_under_faults() {
         .count();
     assert_eq!(
         degraded_records,
-        heavy.lost.len() + pheavy.lost.len(),
-        "each lost experiment (serial and pipelined) must appear as an \
-         al.degraded_iteration record"
-    );
-    let lost_spec_records = text
-        .lines()
-        .filter(|l| l.contains("\"al.pipeline.lost_speculation\"") && l.contains("\"record\""))
-        .count();
-    assert_eq!(
-        lost_spec_records,
-        pheavy.lost.len(),
-        "each lost speculated batch must appear as an al.pipeline.lost_speculation record"
+        heavy.lost.len(),
+        "each lost experiment must appear as an al.degraded_iteration record"
     );
     assert!(
         text.lines().any(|l| l.contains("\"al.iteration\"")),
@@ -281,7 +202,7 @@ fn al_degrades_gracefully_under_faults() {
     );
     assert_eq!(
         alperf_obs::counter(alperf_obs::names::AL_DEGRADED_ITERATION).get() - degraded_before,
-        (heavy.lost.len() + pheavy.lost.len()) as u64,
+        heavy.lost.len() as u64,
         "degraded-iteration counter did not advance"
     );
 }

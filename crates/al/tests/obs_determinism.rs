@@ -13,7 +13,7 @@
 //! Lives in its own integration-test binary because it flips the global
 //! telemetry switch; unit tests in the same process would race it.
 
-use alperf_al::runner::{run_al, AlConfig, AlRun, PipelineConfig};
+use alperf_al::runner::{run_al, AlConfig, AlRun};
 use alperf_al::strategy::VarianceReduction;
 use alperf_data::partition::Partition;
 use alperf_gp::kernel::SquaredExponential;
@@ -77,34 +77,13 @@ fn run_once_sparse() -> AlRun {
     run_al(&x, &y, &cost, &part, &mut VarianceReduction, &cfg).unwrap()
 }
 
-/// Same campaign through the speculative pipelined runner: overlap
-/// timing comes from spans, which read the clock only when telemetry is
-/// on, so on/off bit-identity is the proof the clock never leaks into the
-/// numerics.
-fn run_once_pipelined() -> AlRun {
-    let (x, y, cost) = dataset(40, 11);
-    let part = Partition::random(40, 2, 0.8, 5);
-    let gpr = GprConfig::new(Box::new(SquaredExponential::unit()))
-        .with_noise_floor(NoiseFloor::Fixed(0.05))
-        .with_restarts(2)
-        .with_seed(7);
-    let cfg = AlConfig {
-        max_iters: 12,
-        seed: 3,
-        pipeline: PipelineConfig::Speculative,
-        ..AlConfig::new(gpr)
-    };
-    run_al(&x, &y, &cost, &part, &mut VarianceReduction, &cfg).unwrap()
-}
-
 /// Check that every `al.iteration` record's `fit_ns`/`predict_ns`/
 /// `select_ns` equal the `dur_ns` of its iteration's
 /// `al.iteration.{fit,predict,select}` spans, and return how many records
 /// were checked. Stage spans are children of their iteration's
 /// `al.iteration` span; within one run (delimited by `al.run_start`) the
-/// k-th iteration span, in the order its fit stage closed, is iteration k —
-/// for the serial loop, which emits the record before the iteration span
-/// closes, and for the pipelined one, which emits it a round later.
+/// k-th iteration span, in the order its fit stage closed, is iteration k.
+/// The runner emits each record before its iteration span closes.
 fn assert_stage_times_match_spans(text: &str) -> usize {
     let mut stages: BTreeMap<u64, [Option<u64>; 3]> = BTreeMap::new();
     let mut iterations: Vec<u64> = Vec::new();
@@ -152,7 +131,6 @@ fn telemetry_on_is_bit_identical_to_telemetry_off() {
     alperf_obs::set_enabled(false);
     let off = run_once();
     let off_sparse = run_once_sparse();
-    let off_pipelined = run_once_pipelined();
 
     // Telemetry fully on: global switch, JSONL trace, metrics registry.
     let trace = std::env::temp_dir().join(format!(
@@ -165,9 +143,6 @@ fn telemetry_on_is_bit_identical_to_telemetry_off() {
     // Second telemetry-on run: run ids differ, numerics must not.
     let on2 = run_once();
     let on_sparse = run_once_sparse();
-    let stale_before = alperf_obs::counter(names::AL_PIPELINE_STALE_SELECTS).get();
-    let reconciles_before = alperf_obs::counter(names::AL_PIPELINE_RECONCILES).get();
-    let on_pipelined = run_once_pipelined();
     let snapshot = alperf_obs::registry().prometheus_snapshot();
     alperf_obs::set_enabled(false);
     alperf_obs::sink::uninstall();
@@ -209,35 +184,9 @@ fn telemetry_on_is_bit_identical_to_telemetry_off() {
         "trace has no fitc-tier iteration records"
     );
 
-    // Pipelined runner: same contract — telemetry (and the clock reads its
-    // spans make) must not perturb the speculative schedule.
-    assert_eq!(
-        off_pipelined.history, on_pipelined.history,
-        "pipelined runner diverged under telemetry"
-    );
-    assert_eq!(off_pipelined.final_train, on_pipelined.final_train);
-    // The speculative run left its fingerprints in the telemetry: a
-    // pipeline-tagged run start, stale selections, and one reconcile per
-    // measured iteration.
-    assert!(
-        text.contains("\"pipeline\":\"speculative\"")
-            || text.contains("\"pipeline\": \"speculative\""),
-        "trace has no speculative-pipeline run-start record"
-    );
-    let stale = alperf_obs::counter(names::AL_PIPELINE_STALE_SELECTS).get();
-    assert!(
-        stale > stale_before,
-        "stale-selection counter did not advance"
-    );
-    assert_eq!(
-        alperf_obs::counter(names::AL_PIPELINE_RECONCILES).get() - reconciles_before,
-        on_pipelined.history.len() as u64,
-        "one reconcile per measured pipelined iteration"
-    );
-
     // Each stage is timed once: the record fields are the span durations,
-    // on every telemetry-on run (serial twice, sparse tier, pipelined).
-    let records = [&on, &on2, &on_sparse, &on_pipelined]
+    // on every telemetry-on run (exact tier twice, sparse tier).
+    let records = [&on, &on2, &on_sparse]
         .iter()
         .map(|run| run.history.len())
         .sum::<usize>();

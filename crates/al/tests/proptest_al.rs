@@ -2,7 +2,7 @@
 //! under random datasets and partitions, tradeoff-curve consistency, and
 //! acquisition determinism.
 
-use alperf_al::runner::{run_al, AlConfig, PipelineConfig};
+use alperf_al::runner::{run_al, AlConfig};
 use alperf_al::strategy::{CostEfficiency, RandomSampling, Strategy, VarianceReduction};
 use alperf_al::tradeoff;
 use alperf_data::partition::Partition;
@@ -130,56 +130,16 @@ proptest! {
             .sum::<f64>() / runs.len() as f64;
         prop_assert!((last - mean_final).abs() <= 1e-9 * (1.0 + mean_final));
     }
-
-    /// Pipelining contract, pt. 1: `PipelineConfig::Off` (the default) is
-    /// bit-identical to a config that never mentions the field, and the
-    /// speculative runner is itself deterministic run to run.
-    /// Pt. 2: depth-1 staleness degrades accuracy *boundedly* — the
-    /// speculative run measures the same number of experiments and its
-    /// final RMSE stays within a loose band of the serial loop's.
-    #[test]
-    fn pipelined_campaign_deterministic_and_near_serial(
-        ys in prop::collection::vec(-2.0..2.0f64, 25..40),
-        seed in 0u64..100,
-    ) {
-        let (x, y, cost) = problem(&ys);
-        let part = Partition::paper_default(y.len(), seed);
-        let serial = run_al(&x, &y, &cost, &part, &mut VarianceReduction, &config(seed, 10))
-            .expect("serial AL");
-        let mut cfg_off = config(seed, 10);
-        cfg_off.pipeline = PipelineConfig::Off;
-        let off = run_al(&x, &y, &cost, &part, &mut VarianceReduction, &cfg_off).expect("AL");
-        prop_assert_eq!(&off.history, &serial.history, "explicit Off diverged from default");
-        let mut cfg_spec = config(seed, 10);
-        cfg_spec.pipeline = PipelineConfig::Speculative;
-        let spec_a = run_al(&x, &y, &cost, &part, &mut VarianceReduction, &cfg_spec).expect("AL");
-        let spec_b = run_al(&x, &y, &cost, &part, &mut VarianceReduction, &cfg_spec).expect("AL");
-        prop_assert_eq!(&spec_a.history, &spec_b.history, "speculative run not reproducible");
-        prop_assert_eq!(spec_a.history.len(), serial.history.len());
-        let rows: Vec<usize> = spec_a.history.iter().map(|r| r.chosen_row).collect();
-        let set: std::collections::BTreeSet<_> = rows.iter().collect();
-        prop_assert_eq!(set.len(), rows.len(), "speculative runner selected a row twice");
-        if let (Some(s), Some(p)) = (serial.history.last(), spec_a.history.last()) {
-            prop_assert!(p.rmse.is_finite() && p.rmse >= 0.0);
-            prop_assert!(
-                (p.rmse - s.rmse).abs() <= 0.5 + 0.5 * s.rmse,
-                "speculative final RMSE {} too far from serial {}",
-                p.rmse,
-                s.rmse
-            );
-        }
-    }
 }
 
 proptest! {
-    // Campaigns below run a 340-row pool (past the 256-candidate parallel
-    // scoring threshold) once per width and tier — fewer cases keep the
-    // suite fast.
+    // Campaigns below run a 340-row pool once per width and tier — fewer
+    // cases keep the suite fast.
     #![proptest_config(ProptestConfig::with_cases(4))]
 
-    /// Parallel pool scoring is an *oracle-checked* optimization: a whole
-    /// campaign — fit, pool prediction, acquisition scoring, selection —
-    /// replayed at 2/4/8 rayon workers is bit-identical to the 1-worker
+    /// A whole campaign — fits with their restart fan-out, pool prediction
+    /// through the parallel linalg blocks, acquisition scoring, selection
+    /// — replayed at 2/4/8 rayon workers is bit-identical to the 1-worker
     /// run, for both acquisition strategies and both surrogate tiers.
     #[test]
     fn campaign_bit_identical_across_thread_widths_and_tiers(

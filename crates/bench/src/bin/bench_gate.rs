@@ -13,9 +13,8 @@
 //!   at n=2000/5000 plus the exact-vs-sparse agreement RMSEs, via
 //!   `alperf_bench::fitbench`) against `BENCH_gpr_fit_gate.json`;
 //! * `scale` re-measures fit / pool-prediction / end-to-end campaign
-//!   times at 1/2/4/8 rayon workers plus the pipelined-vs-serial
-//!   campaign ratio (via `alperf_bench::scalebench`) against
-//!   `BENCH_scaling.json`. Speedup-ratio gates carry a `min_cpus` and
+//!   times at 1/2/4/8 rayon workers (via `alperf_bench::scalebench`)
+//!   against `BENCH_scaling.json`. Speedup-ratio gates carry a `min_cpus` and
 //!   self-skip on machines too small to demonstrate the speedup;
 //! * `grid` re-measures campaign-grid throughput at 1/2/8 workers plus
 //!   the summary-stream overhead (via `alperf_bench::gridbench`) against
@@ -52,7 +51,7 @@ use alperf_bench::gridbench::{
 };
 use alperf_bench::overhead::{self, BUDGET_PCT};
 use alperf_bench::scalebench::{
-    self, PIPELINE_RATIO_T2_BUDGET, PREDICT_POOL_RATIO_T4_BUDGET, PREDICT_POOL_RATIO_T4_MIN_CPUS,
+    self, PREDICT_POOL_RATIO_T4_BUDGET, PREDICT_POOL_RATIO_T4_MIN_CPUS,
 };
 use std::collections::BTreeMap;
 use std::process::ExitCode;
@@ -157,15 +156,6 @@ impl Suite {
                 value: PREDICT_POOL_RATIO_T4_BUDGET,
                 tol_pct: None,
                 min_cpus: Some(PREDICT_POOL_RATIO_T4_MIN_CPUS),
-            },
-            Suite::Scale if name == "pipeline_ratio_t2" => Metric {
-                // Speculative pipelining must beat the serial loop under
-                // measurement latency on any machine — the overlapped
-                // "measurement" sleeps, so even one core wins.
-                kind: GateKind::Budget,
-                value: PIPELINE_RATIO_T2_BUDGET,
-                tol_pct: None,
-                min_cpus: None,
             },
             Suite::Scale => Metric {
                 // Per-width absolute times are cross-checked only on the

@@ -1,7 +1,7 @@
 //! Thread-scaling report: fit / pool-prediction / campaign wall times at
-//! 1/2/4/8 rayon workers plus the pipelined-vs-serial campaign ratio —
-//! the measurement behind the README's "Parallel scaling" table and the
-//! `bench_gate --suite scale` gate (both share `alperf_bench::scalebench`).
+//! 1/2/4/8 rayon workers — the measurement behind the README's "Parallel
+//! scaling" table and the `bench_gate --suite scale` gate (both share
+//! `alperf_bench::scalebench`).
 //!
 //! Usage: scaling_report [--quick]
 
@@ -38,14 +38,6 @@ fn main() {
         1.0 / r.predict_pool_ratio_t4(),
         r.predict_pool_ratio_t4(),
         scalebench::PREDICT_POOL_RATIO_T4_BUDGET
-    );
-    println!(
-        "pipelined campaign under measurement latency: serial {:.1} ms, \
-         speculative {:.1} ms (ratio {:.3}, gate budget {:.3})",
-        r.pipeline_serial_ms,
-        r.pipeline_spec_ms,
-        r.pipeline_ratio_t2(),
-        scalebench::PIPELINE_RATIO_T2_BUDGET
     );
     // Stable-name dump for scripts (same names the gate baseline uses).
     println!();

@@ -4,9 +4,9 @@
 //! Every binary in `src/bin/` regenerates one table or figure of the paper
 //! (see DESIGN.md §3 for the index). They print their series to stdout and
 //! write CSV files under `target/repro/` so results can be plotted or
-//! diffed. The full simulated measurement campaign is generated once and
-//! cached on disk — all figures must come from the *same* dataset, exactly
-//! as in the paper.
+//! diffed. Each binary regenerates the simulated measurement campaign
+//! from its fixed seed, so all figures come from the *same* dataset,
+//! exactly as in the paper.
 
 pub mod fitbench;
 pub mod gate;
@@ -16,7 +16,6 @@ pub mod plot;
 pub mod scalebench;
 
 use alperf_cluster::campaign::{Campaign, CampaignOutput};
-use alperf_data::csvio;
 use alperf_data::dataset::DataSet;
 use std::path::PathBuf;
 
@@ -27,7 +26,7 @@ pub fn repro_dir() -> PathBuf {
     dir
 }
 
-/// The two campaign datasets, loaded from cache or generated.
+/// The two campaign datasets.
 pub struct Datasets {
     /// Performance dataset (~3.3k jobs; response Runtime).
     pub performance: DataSet,
@@ -35,25 +34,12 @@ pub struct Datasets {
     pub power: DataSet,
 }
 
-/// Load the campaign datasets, generating and caching them on first use.
+/// Generate the campaign datasets. The campaign is seeded, so every call
+/// returns the same rows.
 pub fn load_datasets() -> Datasets {
-    let dir = repro_dir().join("datasets");
-    std::fs::create_dir_all(&dir).expect("create dataset cache dir");
-    let perf_path = dir.join("performance.csv");
-    let power_path = dir.join("power.csv");
-    if perf_path.exists() && power_path.exists() {
-        let performance = csvio::read_file(&perf_path, &["Runtime", "Memory"])
-            .expect("read cached performance dataset");
-        let power = csvio::read_file(&power_path, &["Runtime", "Energy"])
-            .expect("read cached power dataset");
-        return Datasets { performance, power };
-    }
-    eprintln!("(generating measurement campaign — cached for later binaries)");
     let CampaignOutput {
         performance, power, ..
     } = Campaign::default().run().expect("campaign");
-    csvio::write_file(&performance, &perf_path).expect("cache performance dataset");
-    csvio::write_file(&power, &power_path).expect("cache power dataset");
     Datasets { performance, power }
 }
 

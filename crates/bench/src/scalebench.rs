@@ -1,5 +1,5 @@
 //! Thread-scaling benchmark: the same three hot paths at 1/2/4/8 rayon
-//! workers, plus a pipelined-vs-serial AL campaign comparison.
+//! workers.
 //!
 //! Shared by the `scaling_report` binary and the `bench_gate --suite
 //! scale` CI gate, which must measure exactly what the checked-in
@@ -18,17 +18,9 @@
 //! fewer hardware threads than a requested width the extra workers just
 //! time-share — absolute times stay honest, speedup ratios go to ~1, and
 //! the ratio gates self-skip via their `min_cpus` (see `gate::Metric`).
-//!
-//! The pipeline comparison runs the same campaign twice at 2 workers
-//! against a [`LatencyOracle`] (a real per-measurement sleep):
-//! `PipelineConfig::Off` pays `select + measure` per iteration,
-//! `PipelineConfig::Speculative` overlaps the next selection with the
-//! in-flight measurement and pays `max(select, measure)`. Sleeping burns
-//! no CPU, so this win survives even a single-core machine.
 
 use crate::overhead::{best_ms, pool_points, training_data};
-use alperf_al::oracle::LatencyOracle;
-use alperf_al::runner::{run_al_with_oracle, AlConfig, PipelineConfig};
+use alperf_al::runner::{run_al_with_oracle, AlConfig};
 use alperf_al::strategy::VarianceReduction;
 use alperf_al::DatasetOracle;
 use alperf_data::partition::Partition;
@@ -39,7 +31,6 @@ use alperf_gp::optimize::{fit_gpr, GprConfig};
 use alperf_linalg::matrix::Matrix;
 use alperf_linalg::threads::with_threads;
 use std::hint::black_box;
-use std::time::Duration;
 
 /// Pool widths every family is measured at.
 pub const THREADS: [usize; 4] = [1, 2, 4, 8];
@@ -67,11 +58,6 @@ pub const CAMPAIGN_NAMES: [&str; 4] = [
 pub const PREDICT_POOL_RATIO_T4_BUDGET: f64 = 1.0 / 1.5;
 /// Minimum CPU count for the 4-thread speedup gate to be meaningful.
 pub const PREDICT_POOL_RATIO_T4_MIN_CPUS: u64 = 4;
-/// Budget for `pipeline_ratio_t2` (speculative / serial campaign wall
-/// time under measurement latency): the pipelined runner must win
-/// clearly, not marginally. Enforced everywhere — the overlap comes from
-/// sleeping measurements, which single-core machines overlap fine.
-pub const PIPELINE_RATIO_T2_BUDGET: f64 = 0.9;
 
 /// One full thread-scaling measurement.
 #[derive(Debug, Clone, PartialEq)]
@@ -90,10 +76,6 @@ pub struct ScaleResult {
     pub predict_pool_ms: [f64; 4],
     /// End-to-end campaign wall time at each width, ms.
     pub campaign_ms: [f64; 4],
-    /// Serial-pipeline campaign wall time under measurement latency, ms.
-    pub pipeline_serial_ms: f64,
-    /// Speculative-pipeline campaign wall time, same setup, ms.
-    pub pipeline_spec_ms: f64,
 }
 
 impl ScaleResult {
@@ -103,22 +85,15 @@ impl ScaleResult {
         self.predict_pool_ms[2] / self.predict_pool_ms[0]
     }
 
-    /// Speculative over serial campaign wall time at 2 workers under
-    /// measurement latency (lower is better).
-    pub fn pipeline_ratio_t2(&self) -> f64 {
-        self.pipeline_spec_ms / self.pipeline_serial_ms
-    }
-
     /// The metrics the `bench_gate` baseline gates on, by stable name.
     /// `*_ms_t<w>` are absolute per-width times (relative gates);
     /// `*_ratio_*` are hardware-normalized speedups (budget gates).
     pub fn metrics(&self) -> Vec<(&'static str, f64)> {
-        let mut out = Vec::with_capacity(14);
+        let mut out = Vec::with_capacity(13);
         out.extend(FIT_NAMES.iter().copied().zip(self.fit_ms));
         out.extend(PREDICT_POOL_NAMES.iter().copied().zip(self.predict_pool_ms));
         out.extend(CAMPAIGN_NAMES.iter().copied().zip(self.campaign_ms));
         out.push(("predict_pool_ratio_t4", self.predict_pool_ratio_t4()));
-        out.push(("pipeline_ratio_t2", self.pipeline_ratio_t2()));
         out
     }
 }
@@ -142,7 +117,7 @@ fn al_problem(n: usize) -> (Matrix, Vec<f64>, Vec<f64>, Partition) {
     (Matrix::from_vec(n, 1, xs).unwrap(), y, cost, part)
 }
 
-fn campaign_config(restart_seed: u64, al_iters: usize, pipeline: PipelineConfig) -> AlConfig {
+fn campaign_config(restart_seed: u64, al_iters: usize) -> AlConfig {
     let gpr = GprConfig::new(Box::new(SquaredExponential::unit()))
         .with_noise_floor(NoiseFloor::Fixed(0.05))
         .with_restarts(2)
@@ -150,7 +125,6 @@ fn campaign_config(restart_seed: u64, al_iters: usize, pipeline: PipelineConfig)
     AlConfig {
         max_iters: al_iters,
         seed: 3,
-        pipeline,
         ..AlConfig::new(gpr)
     }
 }
@@ -188,7 +162,7 @@ pub fn measure(quick: bool) -> ScaleResult {
                 black_box(gpr.predict_batch(&pool).unwrap());
             });
             campaign_ms[i] = best_ms(reps.div_ceil(2), || {
-                let cfg = campaign_config(7, al_iters, PipelineConfig::Off);
+                let cfg = campaign_config(7, al_iters);
                 black_box(
                     run_al_with_oracle(
                         &ax,
@@ -205,42 +179,6 @@ pub fn measure(quick: bool) -> ScaleResult {
         });
     }
 
-    // Pipelined vs serial under measurement latency, 2 workers: one for
-    // the in-flight measurement (asleep), one for the refit/select side.
-    // The overlap win peaks when the measurement takes about as long as
-    // one refit+select round (serial pays `s + l`, pipelined `max(s, l)`),
-    // so derive the latency from the campaign just measured instead of
-    // hard-coding a value that dwarfs — or is dwarfed by — the select
-    // side on unknown hardware. The 2 ms floor keeps OS sleep granularity
-    // out of the signal; the 40 ms ceiling bounds gate runtime.
-    let per_iter_ms = campaign_ms[1] / al_iters as f64;
-    let latency = Duration::from_secs_f64(per_iter_ms.clamp(2.0, 40.0) / 1e3);
-    let oracle = LatencyOracle::new(DatasetOracle, latency);
-    let (mut pipeline_serial_ms, mut pipeline_spec_ms) = (f64::INFINITY, f64::INFINITY);
-    with_threads(2, || {
-        for pipeline in [PipelineConfig::Off, PipelineConfig::Speculative] {
-            let ms = best_ms(2, || {
-                let cfg = campaign_config(7, al_iters, pipeline);
-                black_box(
-                    run_al_with_oracle(
-                        &ax,
-                        &ay,
-                        &acost,
-                        &apart,
-                        &mut VarianceReduction,
-                        &oracle,
-                        &cfg,
-                    )
-                    .unwrap(),
-                );
-            });
-            match pipeline {
-                PipelineConfig::Off => pipeline_serial_ms = ms,
-                PipelineConfig::Speculative => pipeline_spec_ms = ms,
-            }
-        }
-    });
-
     ScaleResult {
         quick,
         n,
@@ -249,8 +187,6 @@ pub fn measure(quick: bool) -> ScaleResult {
         fit_ms,
         predict_pool_ms,
         campaign_ms,
-        pipeline_serial_ms,
-        pipeline_spec_ms,
     }
 }
 
@@ -268,15 +204,12 @@ mod tests {
             fit_ms: [1.0, 2.0, 3.0, 4.0],
             predict_pool_ms: [10.0, 6.0, 5.0, 5.0],
             campaign_ms: [20.0, 12.0, 9.0, 9.0],
-            pipeline_serial_ms: 100.0,
-            pipeline_spec_ms: 70.0,
         };
         let metrics = r.metrics();
-        assert_eq!(metrics.len(), 14);
+        assert_eq!(metrics.len(), 13);
         let names: std::collections::BTreeSet<_> = metrics.iter().map(|(n, _)| *n).collect();
-        assert_eq!(names.len(), 14, "duplicate metric name");
+        assert_eq!(names.len(), 13, "duplicate metric name");
         assert!((r.predict_pool_ratio_t4() - 0.5).abs() < 1e-12);
-        assert!((r.pipeline_ratio_t2() - 0.7).abs() < 1e-12);
         for (i, name) in FIT_NAMES.iter().enumerate() {
             assert!(name.ends_with(&format!("_t{}", THREADS[i])));
         }

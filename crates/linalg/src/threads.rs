@@ -1,8 +1,8 @@
 //! Process-wide thread-pool configuration.
 //!
 //! Every parallel region in the workspace (covariance assembly, GEMM,
-//! multi-RHS solves, GPR restart fan-out, pool scoring, the pipelined AL
-//! runner) sizes itself from the rayon pool width. Historically that width
+//! multi-RHS solves, GPR restart fan-out, EMCM's committee fits, the grid
+//! executor) sizes itself from the rayon pool width. Historically that width
 //! was whatever `available_parallelism` said at each call site; bench
 //! thread counts were therefore neither controlled nor recorded. This
 //! module builds the global pool **once** from the `ALPERF_NUM_THREADS`

@@ -24,18 +24,6 @@ pub const AL_ITERATION: &str = "al.iteration";
 /// Counter + record: an AL iteration whose selected experiment was lost
 /// to a fault and re-selected from the surviving pool.
 pub const AL_DEGRADED_ITERATION: &str = "al.degraded_iteration";
-/// Counter: selections made by the pipelined runner from a stale model
-/// (the previous batch's measurement still in flight).
-pub const AL_PIPELINE_STALE_SELECTS: &str = "al.pipeline.stale_selects";
-/// Counter: in-flight measurements reconciled into the training set (or
-/// into the lost list) by the pipelined runner.
-pub const AL_PIPELINE_RECONCILES: &str = "al.pipeline.reconciles";
-/// Counter (ns): wall-clock overlap won per pipelined round — the smaller
-/// of the measurement-side and the refit/select-side duration.
-pub const AL_PIPELINE_OVERLAP_NS: &str = "al.pipeline.overlap_ns";
-/// Counter + record: a speculated in-flight measurement lost to a fault;
-/// its cost was charged and the already-made stale selection kept.
-pub const AL_PIPELINE_LOST_SPECULATION: &str = "al.pipeline.lost_speculation";
 /// Record: a campaign grid started (name, config count, resume point,
 /// worker width).
 pub const GRID_RUN_START: &str = "grid.run_start";
