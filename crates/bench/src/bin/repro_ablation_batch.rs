@@ -172,9 +172,17 @@ fn main() {
         ],
     );
     let last = ROUNDS - 1;
+    let (s, f, n) = (avg[0][last], avg[1][last], avg[2][last]);
+    let rel = |a: f64, b: f64| if a <= b { "<=" } else { ">" };
+    let holds = s <= f && f <= n;
     println!(
-        "\nfinal RMSE: sequential {:.4} <= batch-fantasy {:.4} <= batch-naive {:.4} (expected ordering)",
-        avg[0][last], avg[1][last], avg[2][last]
+        "\nfinal RMSE: sequential {s:.4} {} batch-fantasy {f:.4} {} batch-naive {n:.4}",
+        rel(s, f),
+        rel(f, n)
+    );
+    println!(
+        "expected ordering sequential <= batch-fantasy <= batch-naive: {}",
+        if holds { "holds" } else { "does not hold" }
     );
     println!("(fantasy updates recover most of the sequential quality while allowing q-way parallel scheduling — the paper's §VI direction)");
 }

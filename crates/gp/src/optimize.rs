@@ -13,9 +13,13 @@
 //! * `restarts` independent starts (the configured initial point plus
 //!   seeded-random points inside the box) race; the best LML wins.
 //!
-//! The ascent itself is projected gradient with an adaptive step and
-//! backtracking — robust on the shallow, low-dimensional LML landscapes this
-//! problem produces (paper Figs. 4, 5b), with no line-search library needed.
+//! The ascent itself is a projected BFGS method on that box, the bounded
+//! quasi-Newton family of scikit-learn's default L-BFGS-B: bound-active
+//! coordinates stay fixed, the inverse-Hessian approximation shapes the
+//! direction, and Armijo backtracking picks its length (see `ascend`).
+//! With at most a handful of hyperparameters the dense `m x m` inverse
+//! Hessian costs nothing next to one LML evaluation, and most restarts
+//! converge in a few dozen evaluations.
 
 use crate::kernel::Kernel;
 use crate::lml::{self, FitCache};
@@ -26,7 +30,7 @@ use crate::sparse::{
     SparseGpr, SparseMethod,
 };
 use crate::surrogate::Surrogate;
-use alperf_linalg::{matrix::Matrix, stats::Standardizer};
+use alperf_linalg::{matrix::Matrix, stats::Standardizer, vector::dot};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rayon::prelude::*;
@@ -223,8 +227,13 @@ pub struct OptimOutcome {
     pub best_restart: usize,
     /// Ascent iterations spent by the winning restart.
     pub iterations: usize,
-    /// Total LML evaluations across all restarts.
+    /// Total LML value and gradient evaluations across all restarts.
     pub evaluations: usize,
+    /// The winning restart stopped on the projected-gradient test, not on
+    /// `max_iters` or a line search that found no increase.
+    pub converged: bool,
+    /// Infinity norm of the winning restart's projected gradient at `theta`.
+    pub pg_norm: f64,
 }
 
 /// Default log-space box for kernel parameters when the caller gives none.
@@ -236,124 +245,188 @@ fn clamp_vec(theta: &mut [f64], bounds: &[(f64, f64)]) {
     }
 }
 
-/// One projected-gradient ascent run from `theta0`. Returns
-/// `(best_theta, best_lml, iterations, evaluations)`.
-#[allow(clippy::too_many_arguments)] // internal: mirrors the optimizer state
-fn ascend(
-    kernel_template: &dyn Kernel,
-    x: &Matrix,
-    y: &[f64],
-    theta0: Vec<f64>,
-    bounds: &[(f64, f64)],
-    optimize_noise: bool,
-    fixed_noise: f64,
-    max_iters: usize,
-    grad_tol: f64,
-    cache: &FitCache,
-) -> (Vec<f64>, f64, usize, usize) {
-    let nk = kernel_template.n_params();
-    let noise_of = |theta: &[f64]| -> f64 {
-        if optimize_noise {
-            theta[nk].exp()
-        } else {
-            fixed_noise
-        }
-    };
-    // Value evaluation (one Cholesky) for the line search, retaining the
-    // factored state; the O(n^3) gradient (lower triangle of K_y^{-1}) is
-    // computed only at accepted points, *from* the accepted candidate's
-    // state — no re-assembly or re-factorization at the same theta. Both go
-    // through the per-fit distance cache: for SE-family kernels a
-    // covariance rebuild is an O(n^2) scale-and-exp.
-    let eval_state = |theta: &[f64]| -> Option<lml::LmlState> {
-        let mut kern = kernel_template.clone_box();
-        kern.set_params(&theta[..nk]);
-        lml::lml_state_cached(kern.as_ref(), noise_of(theta), x, y, cache).ok()
-    };
-    let grad_at = |theta: &[f64], state: &lml::LmlState| -> Option<Vec<f64>> {
-        let mut kern = kernel_template.clone_box();
-        kern.set_params(&theta[..nk]);
-        lml::grad_from_state(
-            kern.as_ref(),
-            noise_of(theta),
-            x,
-            optimize_noise,
-            state,
-            cache,
-        )
-        .ok()
-    };
+/// Where one [`ascend`] run stopped.
+#[derive(Debug)]
+struct Ascent {
+    theta: Vec<f64>,
+    /// Objective at `theta`; `-inf` when the start itself failed.
+    value: f64,
+    iterations: usize,
+    /// Value evaluations plus gradient evaluations.
+    evaluations: usize,
+    /// Stopped on the projected-gradient test.
+    converged: bool,
+    /// Infinity norm of the projected gradient at `theta`.
+    pg_norm: f64,
+}
 
-    let mut theta = theta0;
-    clamp_vec(&mut theta, bounds);
-    let mut evals = 0usize;
-    let (mut f, mut g) = match eval_state(&theta).and_then(|s| {
-        let g = grad_at(&theta, &s)?;
-        Some((s.parts.lml, g))
-    }) {
-        Some(v) => {
-            evals += 1;
-            v
-        }
-        None => return (theta, f64::NEG_INFINITY, 0, 1),
-    };
-    let mut step = 0.1;
-    let mut iters = 0usize;
-    while iters < max_iters {
-        iters += 1;
-        // Projected gradient: zero out components pushing into an active bound.
-        let mut pg = g.clone();
-        for (j, pgj) in pg.iter_mut().enumerate() {
-            let (lo, hi) = bounds[j];
-            if (theta[j] <= lo && *pgj < 0.0) || (theta[j] >= hi && *pgj > 0.0) {
-                *pgj = 0.0;
-            }
-        }
-        let gnorm = pg.iter().fold(0.0f64, |m, v| m.max(v.abs()));
-        if gnorm < grad_tol {
-            break;
-        }
-        // Backtracking line search along the projected gradient; the
-        // accepted candidate's factored state feeds the gradient directly.
-        let mut accepted: Option<lml::LmlState> = None;
-        let mut local_step = step;
-        for _ in 0..30 {
-            let mut cand: Vec<f64> = theta
-                .iter()
-                .zip(&pg)
-                .map(|(t, d)| t + local_step * d)
-                .collect();
-            clamp_vec(&mut cand, bounds);
-            if cand == theta {
-                break; // fully blocked by bounds
-            }
-            evals += 1;
-            if let Some(state) = eval_state(&cand) {
-                let fc = state.parts.lml;
-                if fc > f + 1e-12 {
-                    theta = cand;
-                    f = fc;
-                    accepted = Some(state);
-                    break;
-                }
-            }
-            local_step *= 0.5;
-        }
-        if let Some(state) = accepted {
-            // Gradient at the accepted point only, reusing its Cholesky.
-            match grad_at(&theta, &state) {
-                Some(gc) => {
-                    evals += 1;
-                    g = gc;
-                }
-                None => break,
-            }
-            step = (local_step * 2.0).min(1.0);
-        } else {
-            break; // no improving step found: converged (or stuck on bound)
+/// Sufficient-increase constant of the Armijo test.
+const ARMIJO_C1: f64 = 1e-4;
+/// Step halvings before a line search gives up (step 1 down to ~1e-9).
+const MAX_BACKTRACKS: usize = 30;
+
+/// Whether a coordinate at `theta` sits on a bound that `dir` points out of.
+fn blocked(theta: f64, (lo, hi): (f64, f64), dir: f64) -> bool {
+    (theta <= lo && dir < 0.0) || (theta >= hi && dir > 0.0)
+}
+
+/// BFGS update of the inverse Hessian `h` (row-major `m x m`) of the
+/// negated objective from the step `s` and gradient change `y`, with
+/// `rho = 1 / s^T y`: `H+ = (I - rho s y^T) H (I - rho y s^T) + rho s s^T`.
+/// Returns `None` when the update overflows.
+fn bfgs_update(h: &[f64], s: &[f64], y: &[f64], rho: f64) -> Option<Vec<f64>> {
+    let m = s.len();
+    let hy: Vec<f64> = h.chunks_exact(m).map(|row| dot(row, y)).collect();
+    let c = rho * rho * dot(y, &hy) + rho;
+    let mut out = vec![0.0; m * m];
+    for i in 0..m {
+        for j in 0..m {
+            out[i * m + j] = h[i * m + j] - rho * (hy[i] * s[j] + s[i] * hy[j]) + c * s[i] * s[j];
         }
     }
-    (theta, f, iters, evals)
+    out.iter().all(|v| v.is_finite()).then_some(out)
+}
+
+/// Projected BFGS ascent of `value` from `theta0` inside the box `bounds`.
+///
+/// `value(theta)` returns the objective and a state from which
+/// `grad(theta, &state)` computes the gradient at the same point, so the
+/// gradient at an accepted point reuses the factorization its value
+/// evaluation built. `None`, or a non-finite result, from either marks
+/// `theta` as infeasible. Each iteration:
+///
+/// 1. coordinates on a bound whose gradient points outward stay fixed;
+///    the ascent stops, converged, once the projected gradient's infinity
+///    norm falls below `grad_tol`;
+/// 2. the direction is the inverse-Hessian approximation applied to the
+///    projected gradient, with components that would leave the box zeroed;
+/// 3. the step is Armijo backtracking along the projected path
+///    `clamp(theta + alpha d)`, from `alpha = 1` for a quasi-Newton
+///    direction and from `min(1, 1 / |pg|_2)` (L-BFGS-B's first step) for
+///    the projected gradient itself, which carries no curvature scale;
+/// 4. the inverse Hessian is updated only when `s^T y > 0`, with the
+///    identity scaled by Shanno–Phua's `s^T y / y^T y` before the first
+///    pair. The pair covers the coordinates that moved: a fixed
+///    coordinate's gradient change says nothing about the free subspace.
+///
+/// A quasi-Newton direction that is not an ascent direction, or whose line
+/// search finds no increase, is dropped with its curvature history, and
+/// one projected-gradient step is tried instead; when that also fails, the
+/// ascent stops unconverged. So does reaching `max_iters`.
+fn ascend<S>(
+    theta0: Vec<f64>,
+    bounds: &[(f64, f64)],
+    max_iters: usize,
+    grad_tol: f64,
+    value: impl Fn(&[f64]) -> Option<(f64, S)>,
+    grad: impl Fn(&[f64], &S) -> Option<Vec<f64>>,
+) -> Ascent {
+    let m = theta0.len();
+    let mut theta = theta0;
+    clamp_vec(&mut theta, bounds);
+    let value = |t: &[f64]| value(t).filter(|(f, _)| f.is_finite());
+    let grad = |t: &[f64], s: &S| grad(t, s).filter(|g| g.iter().all(|v| v.is_finite()));
+    let mut evals = 1usize;
+    let start = value(&theta).and_then(|(f, state)| {
+        evals += 1;
+        Some((f, grad(&theta, &state)?))
+    });
+    let Some((mut f, mut g)) = start else {
+        return Ascent {
+            theta,
+            value: f64::NEG_INFINITY,
+            iterations: 0,
+            evaluations: evals,
+            converged: false,
+            pg_norm: f64::INFINITY,
+        };
+    };
+    // Inverse Hessian of -value, row-major; `None` stands for the identity
+    // until the first curvature pair arrives.
+    let mut h: Option<Vec<f64>> = None;
+    let mut iters = 0usize;
+    let (converged, pg_norm) = loop {
+        let fixed: Vec<bool> = (0..m).map(|j| blocked(theta[j], bounds[j], g[j])).collect();
+        let pg: Vec<f64> = g
+            .iter()
+            .zip(&fixed)
+            .map(|(&gj, &fj)| if fj { 0.0 } else { gj })
+            .collect();
+        let pg_norm = pg.iter().fold(0.0f64, |a, v| a.max(v.abs()));
+        if pg_norm < grad_tol {
+            break (true, pg_norm);
+        }
+        if iters == max_iters {
+            break (false, pg_norm);
+        }
+        iters += 1;
+        let mut search = |d: &[f64], mut alpha: f64| {
+            for _ in 0..MAX_BACKTRACKS {
+                let mut cand: Vec<f64> =
+                    theta.iter().zip(d).map(|(t, dj)| t + alpha * dj).collect();
+                clamp_vec(&mut cand, bounds);
+                if cand == theta {
+                    return None;
+                }
+                let step: Vec<f64> = cand.iter().zip(&theta).map(|(c, t)| c - t).collect();
+                let rise = ARMIJO_C1 * dot(&g, &step);
+                evals += 1;
+                if let Some((fc, state)) = value(&cand) {
+                    if fc > f && fc >= f + rise {
+                        return Some((cand, fc, state));
+                    }
+                }
+                alpha *= 0.5;
+            }
+            None
+        };
+        let qn = h.as_ref().and_then(|h| {
+            let mut d: Vec<f64> = h.chunks_exact(m).map(|row| dot(row, &pg)).collect();
+            for (j, dj) in d.iter_mut().enumerate() {
+                if fixed[j] || blocked(theta[j], bounds[j], *dj) {
+                    *dj = 0.0;
+                }
+            }
+            (dot(&g, &d) > 0.0).then_some(d)
+        });
+        let found = qn.and_then(|d| search(&d, 1.0)).or_else(|| {
+            h = None;
+            search(&pg, (1.0 / dot(&pg, &pg).sqrt()).min(1.0))
+        });
+        let Some((cand, fc, state)) = found else {
+            break (false, pg_norm);
+        };
+        evals += 1;
+        let Some(gc) = grad(&cand, &state) else {
+            break (false, pg_norm);
+        };
+        // Curvature pair of -value over the coordinates that moved.
+        let s: Vec<f64> = cand.iter().zip(&theta).map(|(c, t)| c - t).collect();
+        let y: Vec<f64> = (0..m)
+            .map(|j| if s[j] == 0.0 { 0.0 } else { g[j] - gc[j] })
+            .collect();
+        let sy = dot(&s, &y);
+        let rho = 1.0 / sy;
+        if sy > 0.0 && rho.is_finite() {
+            let base = h.take().or_else(|| {
+                let gamma = sy / dot(&y, &y);
+                let diag = |k: usize| if k.is_multiple_of(m + 1) { gamma } else { 0.0 };
+                gamma.is_finite().then(|| (0..m * m).map(diag).collect())
+            });
+            h = base.and_then(|b| bfgs_update(&b, &s, &y, rho));
+        }
+        theta = cand;
+        f = fc;
+        g = gc;
+    };
+    Ascent {
+        theta,
+        value: f,
+        iterations: iters,
+        evaluations: evals,
+        converged,
+        pg_norm,
+    }
 }
 
 /// Fit a GPR with marginal-likelihood hyperparameter optimization (Eq. 13).
@@ -446,6 +519,31 @@ pub fn fit_gpr(x: &Matrix, y: &[f64], config: &GprConfig) -> Result<(Gpr, OptimO
         })
         .collect();
     let fixed_noise = config.noise_floor.clamp(config.noise_init, x.nrows());
+    let noise_of = |theta: &[f64]| -> f64 {
+        if config.optimize_noise {
+            theta[nk].exp()
+        } else {
+            fixed_noise
+        }
+    };
+    // Value evaluation (one Cholesky) for the line search, retaining the
+    // factored state; the O(n^3) gradient (lower triangle of K_y^{-1}) is
+    // computed only at accepted points, *from* the accepted candidate's
+    // state — no re-assembly or re-factorization at the same theta. Both go
+    // through the per-fit distance cache: for SE-family kernels a
+    // covariance rebuild is an O(n^2) scale-and-exp.
+    let value = |theta: &[f64]| -> Option<(f64, lml::LmlState)> {
+        let mut kern = config.kernel.clone_box();
+        kern.set_params(&theta[..nk]);
+        let state = lml::lml_state_cached(kern.as_ref(), noise_of(theta), x, &y_std, &cache);
+        state.ok().map(|s| (s.parts.lml, s))
+    };
+    let grad = |theta: &[f64], state: &lml::LmlState| -> Option<Vec<f64>> {
+        let mut kern = config.kernel.clone_box();
+        kern.set_params(&theta[..nk]);
+        let (noise, opt) = (noise_of(theta), config.optimize_noise);
+        lml::grad_from_state(kern.as_ref(), noise, x, opt, state, &cache).ok()
+    };
     // Restarts may run on rayon worker threads, where the thread-local
     // span stack is empty; carry the gp.fit span's identity into the
     // closure so restart spans still attach under it in the trace tree.
@@ -453,70 +551,70 @@ pub fn fit_gpr(x: &Matrix, y: &[f64], config: &GprConfig) -> Result<(Gpr, OptimO
     let run = |theta0: Vec<f64>| {
         let _restart_span = alperf_obs::span_with_parent("gp.fit.restart", fit_span);
         ascend(
-            config.kernel.as_ref(),
-            x,
-            &y_std,
             theta0,
             &bounds,
-            config.optimize_noise,
-            fixed_noise,
             config.max_iters,
             config.grad_tol,
-            &cache,
+            value,
+            grad,
         )
     };
-    let results: Vec<(Vec<f64>, f64, usize, usize)> = if config.parallel && restarts > 1 {
+    let results: Vec<Ascent> = if config.parallel && restarts > 1 {
         starts.into_par_iter().map(run).collect()
     } else {
         starts.into_iter().map(run).collect()
     };
-    let mut best: Option<(Vec<f64>, f64, usize, usize)> = None;
-    let mut total_evals = 0usize;
-    for (r, (theta, f, iters, evals)) in results.into_iter().enumerate() {
-        total_evals += evals;
+    let total_evals: usize = results.iter().map(|a| a.evaluations).sum();
+    let mut best: Option<(usize, Ascent)> = None;
+    for (r, a) in results.into_iter().enumerate() {
         let better = match &best {
-            Some((_, bf, _, _)) => f > *bf,
-            None => f.is_finite(),
+            Some((_, b)) => a.value > b.value,
+            None => a.value.is_finite(),
         };
         if better {
-            best = Some((theta, f, r, iters));
+            best = Some((r, a));
         }
     }
 
     alperf_obs::add("gp.fit.lml_evaluations", total_evals as u64);
-    let (theta, lml, best_restart, iterations) = best.ok_or_else(|| {
+    let (best_restart, won) = best.ok_or_else(|| {
         GpError::Dimension("all optimizer restarts failed to produce a finite LML".into())
     })?;
 
     let mut kernel = config.kernel.clone_box();
-    kernel.set_params(&theta[..nk]);
-    let noise = if config.optimize_noise {
-        theta[nk].exp()
-    } else {
-        config.noise_floor.clamp(config.noise_init, x.nrows())
-    };
+    kernel.set_params(&won.theta[..nk]);
+    let noise = noise_of(&won.theta);
     // Refit on the *raw* y so Gpr's own standardizer matches ours.
     let model = Gpr::fit(x.clone(), y, kernel, noise, config.standardize)?;
     // Fit-completion record: one JSONL event in the campaign trace
-    // (observational only — emitted after every numeric decision).
+    // (observational only — emitted after every numeric decision). The
+    // floor test matches the one perfbench applies to `al.sigma_floor_iters`.
+    let noise_at_floor = noise <= noise_lo * (1.0 + 1e-9);
     alperf_obs::record(
         "gp.fit.done",
         &[
             ("n", alperf_obs::Value::U64(x.nrows() as u64)),
-            ("lml", alperf_obs::Value::F64(lml)),
+            ("lml", alperf_obs::Value::F64(won.value)),
             ("restarts", alperf_obs::Value::U64(restarts as u64)),
             ("best_restart", alperf_obs::Value::U64(best_restart as u64)),
             ("evaluations", alperf_obs::Value::U64(total_evals as u64)),
+            ("iterations", alperf_obs::Value::U64(won.iterations as u64)),
+            ("pg_norm", alperf_obs::Value::F64(won.pg_norm)),
+            ("converged", alperf_obs::Value::Bool(won.converged)),
+            ("noise", alperf_obs::Value::F64(noise)),
+            ("noise_at_floor", alperf_obs::Value::Bool(noise_at_floor)),
         ],
     );
     Ok((
         model,
         OptimOutcome {
-            lml,
-            theta,
+            lml: won.value,
+            theta: won.theta,
             best_restart,
-            iterations,
+            iterations: won.iterations,
             evaluations: total_evals,
+            converged: won.converged,
+            pg_norm: won.pg_norm,
         },
     ))
 }
@@ -988,6 +1086,95 @@ mod tests {
             a.predict_one(&[5.5]).unwrap(),
             b.predict_one(&[5.5]).unwrap()
         );
+    }
+
+    /// `-(t - c)^T A (t - c) / 2` with `A = R diag(1, 1e4) R^T` (R a 30°
+    /// rotation, so kappa = 1e4 and the axes are coupled), maximized over
+    /// `[-1, 1]^2` with the unconstrained optimum `c` outside the box in
+    /// coordinate 0.
+    #[test]
+    fn ascent_finds_box_projected_optimum_of_ill_conditioned_quadratic() {
+        let (sn, cs) = (0.5f64, 3f64.sqrt() / 2.0);
+        let (l0, l1) = (1.0, 1e4);
+        let a = [
+            [cs * cs * l0 + sn * sn * l1, cs * sn * (l0 - l1)],
+            [cs * sn * (l0 - l1), sn * sn * l0 + cs * cs * l1],
+        ];
+        let c = [2.0, 0.3];
+        let grad_at = |t: &[f64]| -> Vec<f64> {
+            let r = [t[0] - c[0], t[1] - c[1]];
+            (0..2).map(|i| -(a[i][0] * r[0] + a[i][1] * r[1])).collect()
+        };
+        let value = |t: &[f64]| -> Option<(f64, ())> {
+            let g = grad_at(t);
+            Some((0.5 * ((t[0] - c[0]) * g[0] + (t[1] - c[1]) * g[1]), ()))
+        };
+        let grad = |t: &[f64], _: &()| Some(grad_at(t));
+        // Coordinate 0 rests on its upper bound; coordinate 1 maximizes
+        // the objective along that face.
+        let opt = [1.0, c[1] - a[1][0] * (1.0 - c[0]) / a[1][1]];
+        assert!(grad_at(&opt)[0] > 0.0, "fixture: gradient must point out");
+        let bounds = [(-1.0, 1.0); 2];
+        let out = ascend(vec![-0.9, 0.8], &bounds, 200, 1e-9, value, grad);
+        assert!(out.converged, "{out:?}");
+        assert!(out.iterations <= 30, "{out:?}");
+        for j in 0..2 {
+            assert!((out.theta[j] - opt[j]).abs() < 1e-8, "{out:?} vs {opt:?}");
+        }
+    }
+
+    /// Degenerate training sets end in `Ok` with `theta` inside the box
+    /// and a finite LML, or in a typed `GpError`: never NaN, never a panic.
+    #[test]
+    fn degenerate_inputs_fit_inside_the_box_or_fail_typed() {
+        let col = |v: &[f64]| Matrix::from_vec(v.len(), 1, v.to_vec()).unwrap();
+        let cases: Vec<(&str, Matrix, Vec<f64>)> = vec![
+            ("n = 1", col(&[0.5]), vec![3.0]),
+            ("n = 2", col(&[0.0, 1.0]), vec![1.0, 2.0]),
+            (
+                "duplicate rows, different y",
+                col(&[0.0, 1.0, 1.0, 1.0, 2.0]),
+                vec![0.0, 1.0, 1.5, 0.5, 2.0],
+            ),
+            ("constant y", col(&[0.0, 1.0, 2.0, 3.0]), vec![4.2; 4]),
+            (
+                "y spanning five decades",
+                col(&[0.0, 1.0, 2.0, 3.0, 4.0, 5.0]),
+                vec![1.0, 10.0, 1e2, 1e3, 1e4, 1e5],
+            ),
+        ];
+        for (name, x, y) in &cases {
+            for floor in [NoiseFloor::loose(), NoiseFloor::recommended()] {
+                for standardize in [true, false] {
+                    for noise_on_floor in [false, true] {
+                        let mut cfg = GprConfig::new(Box::new(SquaredExponential::unit()))
+                            .with_noise_floor(floor)
+                            .with_restarts(3)
+                            .with_standardize(standardize);
+                        let lo = floor.lower_bound(x.nrows());
+                        if noise_on_floor {
+                            cfg.noise_init = lo;
+                        }
+                        let case = format!(
+                            "{name}, floor {lo:e}, standardize {standardize}, \
+                             start on floor {noise_on_floor}"
+                        );
+                        let Ok((model, out)) = fit_gpr(x, y, &cfg) else {
+                            continue;
+                        };
+                        assert!(out.lml.is_finite(), "{case}: lml {}", out.lml);
+                        assert!(out.pg_norm.is_finite(), "{case}: |pg| {}", out.pg_norm);
+                        let mut bounds = vec![DEFAULT_BOUND; 2];
+                        bounds.push((lo.ln(), cfg.noise_upper.ln()));
+                        for (t, (l, h)) in out.theta.iter().zip(&bounds) {
+                            assert!((*l..=*h).contains(t), "{case}: theta {:?}", out.theta);
+                        }
+                        let p = model.predict_one(&[0.7]).unwrap();
+                        assert!(p.mean.is_finite() && p.std.is_finite(), "{case}: {p:?}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]
