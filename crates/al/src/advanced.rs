@@ -104,7 +104,6 @@ mod tests {
     use super::*;
     use alperf_gp::kernel::SquaredExponential;
     use alperf_gp::model::{Gpr, Prediction};
-    use alperf_gp::surrogate::Surrogate;
     use rand::SeedableRng;
 
     struct Fx {
@@ -112,7 +111,7 @@ mod tests {
         y_all: Vec<f64>,
         train: Vec<usize>,
         pool: Vec<usize>,
-        model: Surrogate,
+        model: Gpr,
     }
 
     fn fixture() -> Fx {
@@ -123,16 +122,14 @@ mod tests {
         let x_all = Matrix::from_vec(8, 1, xs).unwrap();
         let train = vec![3usize];
         let pool = vec![0usize, 1, 2, 4, 5, 6, 7];
-        let model = Surrogate::Exact(
-            Gpr::fit(
-                x_all.select_rows(&train),
-                &[y[3]],
-                Box::new(SquaredExponential::new(1.5, 1.0)),
-                0.1,
-                false,
-            )
-            .unwrap(),
-        );
+        let model = Gpr::fit(
+            x_all.select_rows(&train),
+            &[y[3]],
+            Box::new(SquaredExponential::new(1.5, 1.0)),
+            0.1,
+            false,
+        )
+        .unwrap();
         Fx {
             x_all,
             y_all: y,
@@ -204,16 +201,14 @@ mod tests {
         let y: Vec<f64> = xs.iter().map(|v| v * 1.0).collect();
         let x_all = Matrix::from_vec(10, 1, xs).unwrap();
         let train: Vec<usize> = (0..10).collect();
-        let model = Surrogate::Exact(
-            Gpr::fit(
-                x_all.select_rows(&train),
-                &y,
-                Box::new(SquaredExponential::new(2.0, 3.0)),
-                0.1,
-                false,
-            )
-            .unwrap(),
-        );
+        let model = Gpr::fit(
+            x_all.select_rows(&train),
+            &y,
+            Box::new(SquaredExponential::new(2.0, 3.0)),
+            0.1,
+            false,
+        )
+        .unwrap();
         let pool: Vec<usize> = (0..10).collect();
         let preds: Vec<Prediction> = model.predict_batch(&x_all.select_rows(&pool)).unwrap();
         let mut max_sum = 0.0;

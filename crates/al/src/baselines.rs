@@ -8,7 +8,7 @@
 
 use crate::runner::test_rmse;
 use alperf_gp::model::GpError;
-use alperf_gp::optimize::{fit_surrogate, GprConfig};
+use alperf_gp::optimize::{fit_gpr, GprConfig};
 use alperf_linalg::matrix::Matrix;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -126,7 +126,7 @@ pub fn evaluate_static(
     let rows = choose_rows(design, x_all, pool, m, seed);
     let xs = x_all.select_rows(&rows);
     let ys: Vec<f64> = rows.iter().map(|&i| y_all[i]).collect();
-    let (model, _) = fit_surrogate(&xs, &ys, gpr)?;
+    let (model, _) = fit_gpr(&xs, &ys, gpr)?;
     let rmse = test_rmse(&model, x_all, y_all, test);
     let total_cost = rows.iter().map(|&i| cost[i]).sum();
     Ok(StaticResult {

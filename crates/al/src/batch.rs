@@ -11,8 +11,7 @@
 //! leaves the mean field unchanged and shrinks variances exactly as a real
 //! observation would), repeat.
 
-use alperf_gp::model::{GpError, Prediction};
-use alperf_gp::surrogate::Surrogate;
+use alperf_gp::model::{GpError, Gpr, Prediction};
 use alperf_linalg::matrix::Matrix;
 
 /// Max-predictive-SD scan over the open candidates: `(pool position, std,
@@ -33,14 +32,11 @@ fn max_std_candidate(open: &[usize], preds: &[Prediction]) -> Option<(usize, f64
 /// Returns positions into `pool` (distinct, in selection order). The model
 /// is refit after each fantasy point with hyperparameters *frozen* (kernel
 /// and noise reused — re-optimizing on fantasy data would be circular).
-/// Fantasy refits preserve the incoming model's tier: a sparse surrogate's
-/// refits stay O(n m^2) with the inducing set frozen, so batch selection on
-/// the approximate tier never pays an exact Cholesky.
 ///
 /// # Errors
 /// Propagates GPR failures from the fantasy refits.
 pub fn select_batch(
-    model: &Surrogate,
+    model: &Gpr,
     x_all: &Matrix,
     train: &[usize],
     y_train: &[f64],
@@ -50,9 +46,10 @@ pub fn select_batch(
     let mut chosen: Vec<usize> = Vec::new();
     let mut fx = x_all.select_rows(train);
     let mut fy = y_train.to_vec();
-    // Frozen hyperparameters (and, on the sparse tier, frozen inducing
-    // points) from the incoming model.
-    let mut current = model.refit(fx.clone(), &fy, true)?;
+    // Frozen hyperparameters from the incoming model.
+    let refit =
+        |x: Matrix, y: &[f64]| Gpr::fit(x, y, model.kernel().clone_box(), model.noise_std(), true);
+    let mut current = refit(fx.clone(), &fy)?;
     for _ in 0..q.min(pool.len()) {
         // Max predictive SD among unchosen pool candidates — one batched
         // prediction per round instead of a per-candidate loop.
@@ -67,7 +64,7 @@ pub fn select_batch(
         let row = pool[pos];
         fx = fx.with_row(x_all.row(row)).expect("consistent dims");
         fy.push(fantasy_y);
-        current = model.refit(fx.clone(), &fy, true)?;
+        current = refit(fx.clone(), &fy)?;
     }
     Ok(chosen)
 }
@@ -76,9 +73,8 @@ pub fn select_batch(
 mod tests {
     use super::*;
     use alperf_gp::kernel::SquaredExponential;
-    use alperf_gp::model::Gpr;
 
-    fn setup() -> (Matrix, Vec<f64>, Vec<usize>, Vec<usize>, Surrogate) {
+    fn setup() -> (Matrix, Vec<f64>, Vec<usize>, Vec<usize>, Gpr) {
         // 1-D grid; train on the center, pool everywhere else.
         let n = 21;
         let xs: Vec<f64> = (0..n).map(|i| i as f64 * 0.5).collect();
@@ -86,16 +82,14 @@ mod tests {
         let x_all = Matrix::from_vec(n, 1, xs).unwrap();
         let train = vec![10usize];
         let pool: Vec<usize> = (0..n).filter(|&i| i != 10).collect();
-        let model = Surrogate::Exact(
-            Gpr::fit(
-                x_all.select_rows(&train),
-                &[y[10]],
-                Box::new(SquaredExponential::new(1.5, 1.0)),
-                0.1,
-                true,
-            )
-            .unwrap(),
-        );
+        let model = Gpr::fit(
+            x_all.select_rows(&train),
+            &[y[10]],
+            Box::new(SquaredExponential::new(1.5, 1.0)),
+            0.1,
+            true,
+        )
+        .unwrap();
         (x_all, y, train, pool, model)
     }
 
@@ -175,44 +169,5 @@ mod tests {
         let y_train = vec![y[10]];
         let batch = select_batch(&model, &x_all, &train, &y_train, &pool, 0).unwrap();
         assert!(batch.is_empty());
-    }
-
-    #[test]
-    fn sparse_tier_fantasy_updates_stay_sparse_and_spread() {
-        // A sparse surrogate's fantasy refits keep the tier (frozen inducing
-        // points), and the batch still spreads over the domain.
-        use alperf_gp::sparse::{select_inducing_kcenter, SparseGpr, SparseMethod};
-        let n = 21;
-        let xs: Vec<f64> = (0..n).map(|i| i as f64 * 0.5).collect();
-        let y: Vec<f64> = xs.iter().map(|v| (0.6 * v).sin()).collect();
-        let x_all = Matrix::from_vec(n, 1, xs).unwrap();
-        let train: Vec<usize> = vec![8, 10, 12];
-        let y_train: Vec<f64> = train.iter().map(|&i| y[i]).collect();
-        let pool: Vec<usize> = (0..n).filter(|i| !train.contains(i)).collect();
-        let tx = x_all.select_rows(&train);
-        let z = tx.select_rows(&select_inducing_kcenter(&tx, 3));
-        let model = Surrogate::Sparse(
-            SparseGpr::fit(
-                tx,
-                &y_train,
-                Box::new(SquaredExponential::new(1.5, 1.0)),
-                0.1,
-                true,
-                SparseMethod::Fitc,
-                z,
-            )
-            .unwrap(),
-        );
-        let batch = select_batch(&model, &x_all, &train, &y_train, &pool, 4).unwrap();
-        assert_eq!(batch.len(), 4);
-        let distinct: std::collections::BTreeSet<_> = batch.iter().collect();
-        assert_eq!(distinct.len(), 4);
-        let positions: Vec<f64> = batch.iter().map(|&p| x_all.row(pool[p])[0]).collect();
-        let left = positions.iter().filter(|&&v| v < 4.0).count();
-        let right = positions.iter().filter(|&&v| v > 6.0).count();
-        assert!(
-            left >= 1 && right >= 1,
-            "sparse batch failed to spread: {positions:?}"
-        );
     }
 }

@@ -2,18 +2,15 @@
 //!
 //! The AL loop predicts over the same candidate set every iteration while
 //! the training set grows by exactly one row. Rebuilding `K(candidates,
-//! basis)` from scratch each time costs `O(m n d)`; between hyperparameter
+//! X_train)` from scratch each time costs `O(m n d)`; between hyperparameter
 //! refits the kernel is frozen, so the matrix can instead be maintained
-//! incrementally: for the exact tier the basis is the training set, so the
-//! cache appends one column (`k(candidate_i, x_new)`) per promoted point;
-//! for the sparse tier the basis is the *inducing set*, which does not move
-//! between refits at all — the cached matrix stays warm with no work, the
-//! sparse tier's structural advantage.
+//! incrementally: the cache appends one column (`k(candidate_i, x_new)`)
+//! per promoted point.
 //!
 //! Correctness rests on one invariant: the cached matrix depends only on
-//! the kernel hyperparameters, the candidate rows, and the basis rows.
+//! the kernel hyperparameters, the candidate rows, and the training rows.
 //! [`PoolPredictionCache::predictions`] therefore revalidates against the
-//! model's current kernel parameters and basis size on every call and
+//! model's current kernel parameters and training size on every call and
 //! silently rebuilds when anything moved — a stale cache is impossible, it
 //! can only be slower than intended. Incrementally appended columns go
 //! through the same [`Kernel::cross_matrix`] kernels as a full rebuild, so
@@ -21,16 +18,15 @@
 //! changes an AL trajectory.
 
 use alperf_gp::kernel::Kernel;
-use alperf_gp::model::{GpError, Prediction};
-use alperf_gp::surrogate::Surrogate;
+use alperf_gp::model::{GpError, Gpr, Prediction};
 use alperf_linalg::matrix::Matrix;
 
-/// Cached `K(candidates, basis)` cross-covariance with incremental updates.
+/// Cached `K(candidates, X_train)` cross-covariance with incremental updates.
 #[derive(Debug, Clone)]
 pub struct PoolPredictionCache {
     /// Candidate inputs, one row per candidate (pool or test set).
     x: Matrix,
-    /// Cross-covariance `K(x, basis)` under `params`, when valid.
+    /// Cross-covariance `K(x, X_train)` under `params`, when valid.
     kxb: Option<Matrix>,
     /// Kernel (log-)hyperparameters `kxb` was assembled under.
     params: Vec<f64>,
@@ -63,10 +59,10 @@ impl PoolPredictionCache {
     }
 
     /// Whether the cached cross-covariance currently matches `model`.
-    pub fn is_warm_for(&self, model: &Surrogate) -> bool {
+    pub fn is_warm_for(&self, model: &Gpr) -> bool {
         self.kxb.as_ref().is_some_and(|k| {
             k.nrows() == self.x.nrows()
-                && k.ncols() == model.basis().nrows()
+                && k.ncols() == model.x_train().nrows()
                 && self.params == model.kernel().params()
         })
     }
@@ -85,11 +81,11 @@ impl PoolPredictionCache {
     /// rebuilding) the cached cross-covariance.
     ///
     /// # Errors
-    /// Propagates [`Surrogate::predict_batch_with_cross`] failures.
-    pub fn predictions(&mut self, model: &Surrogate) -> Result<Vec<Prediction>, GpError> {
+    /// Propagates [`Gpr::predict_batch_with_cross`] failures.
+    pub fn predictions(&mut self, model: &Gpr) -> Result<Vec<Prediction>, GpError> {
         if !self.is_warm_for(model) {
             alperf_obs::inc("al.cache.rebuild");
-            self.kxb = Some(model.kernel().cross_matrix(&self.x, model.basis()));
+            self.kxb = Some(model.kernel().cross_matrix(&self.x, model.x_train()));
             self.params = model.kernel().params();
         } else {
             alperf_obs::inc("al.cache.hit");
@@ -107,19 +103,12 @@ impl PoolPredictionCache {
         }
     }
 
-    /// Record that `x_new` was appended to the training set. For an exact
-    /// model (basis = training set) this extends the cached
-    /// cross-covariance by the column `k(candidate_i, x_new)`; for a sparse
-    /// model the basis is the frozen inducing set, so the cache needs no
-    /// update and stays warm. If the model's kernel hyperparameters differ
-    /// from the cached ones the cache is invalidated instead (the next
-    /// `predictions` call rebuilds).
-    pub fn extend_train(&mut self, x_new: &[f64], model: &Surrogate) {
+    /// Record that `x_new` was appended to the training set: extends the
+    /// cached cross-covariance by the column `k(candidate_i, x_new)`. If the
+    /// model's kernel hyperparameters differ from the cached ones the cache
+    /// is invalidated instead (the next `predictions` call rebuilds).
+    pub fn extend_train(&mut self, x_new: &[f64], model: &Gpr) {
         if self.kxb.is_none() {
-            return;
-        }
-        if !model.basis_tracks_train() {
-            // Sparse tier: K(candidates, Z) is unaffected by training growth.
             return;
         }
         if x_new.len() != self.x.ncols() {
@@ -151,36 +140,16 @@ impl PoolPredictionCache {
 mod tests {
     use super::*;
     use alperf_gp::kernel::SquaredExponential;
-    use alperf_gp::model::Gpr;
-    use alperf_gp::sparse::{select_inducing_kcenter, SparseGpr, SparseMethod};
 
-    fn fit(train_x: &Matrix, y: &[f64], scale: f64) -> Surrogate {
-        Surrogate::Exact(
-            Gpr::fit(
-                train_x.clone(),
-                y,
-                Box::new(SquaredExponential::new(scale, 1.0)),
-                0.05,
-                true,
-            )
-            .unwrap(),
+    fn fit(train_x: &Matrix, y: &[f64], scale: f64) -> Gpr {
+        Gpr::fit(
+            train_x.clone(),
+            y,
+            Box::new(SquaredExponential::new(scale, 1.0)),
+            0.05,
+            true,
         )
-    }
-
-    fn fit_sparse(train_x: &Matrix, y: &[f64], scale: f64, m: usize) -> Surrogate {
-        let z = train_x.select_rows(&select_inducing_kcenter(train_x, m));
-        Surrogate::Sparse(
-            SparseGpr::fit(
-                train_x.clone(),
-                y,
-                Box::new(SquaredExponential::new(scale, 1.0)),
-                0.05,
-                true,
-                SparseMethod::Fitc,
-                z,
-            )
-            .unwrap(),
-        )
+        .unwrap()
     }
 
     /// Replay an AL-like sequence (predict, pick, swap-remove, extend) and
@@ -214,30 +183,6 @@ mod tests {
             y.push((step as f64 * 0.3).sin());
             warm.extend_train(&chosen, &model);
         }
-    }
-
-    #[test]
-    fn sparse_cache_stays_warm_as_training_grows() {
-        // The sparse tier's basis (inducing set) is frozen: promoting pool
-        // rows requires *no* cache maintenance, and a with_observation
-        // update keeps the cache warm across iterations.
-        let pool_x = Matrix::from_fn(8, 1, |i, _| i as f64 * 0.9 + 0.2);
-        let train_x = Matrix::from_fn(12, 1, |i, _| i as f64 * 0.6);
-        let y: Vec<f64> = (0..12).map(|i| (i as f64 * 0.4).sin()).collect();
-        let model = fit_sparse(&train_x, &y, 1.0, 5);
-        let mut cache = PoolPredictionCache::new(pool_x.clone());
-        let first = cache.predictions(&model).unwrap();
-        assert!(cache.is_warm_for(&model));
-        // Direct batch agrees bit-for-bit with the cached path.
-        let direct = model.predict_batch(&pool_x).unwrap();
-        assert_eq!(first, direct);
-        // Grow the training set: cache must stay warm for the grown model.
-        let grown = model.with_observation(&[3.33], 0.5).unwrap();
-        cache.extend_train(&[3.33], &grown);
-        assert!(cache.is_warm_for(&grown), "sparse cache went cold");
-        let after = cache.predictions(&grown).unwrap();
-        let direct_after = grown.predict_batch(&pool_x).unwrap();
-        assert_eq!(after, direct_after);
     }
 
     #[test]

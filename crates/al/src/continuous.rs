@@ -13,8 +13,7 @@
 //! pattern search cannot be fooled by the noisy curvature near training
 //! points), and convenience criteria matching the paper's two strategies.
 
-use alperf_gp::model::GpError;
-use alperf_gp::surrogate::Surrogate;
+use alperf_gp::model::{GpError, Gpr};
 use alperf_linalg::matrix::Matrix;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -95,11 +94,7 @@ impl ContinuousAcquisition {
     ///
     /// # Errors
     /// Propagates prediction failures (dimension mismatch with the model).
-    pub fn maximize(
-        &self,
-        model: &Surrogate,
-        criterion: Criterion,
-    ) -> Result<(Vec<f64>, f64), GpError> {
+    pub fn maximize(&self, model: &Gpr, criterion: Criterion) -> Result<(Vec<f64>, f64), GpError> {
         let d = self.bounds.len();
         let score_batch = |cands: &Matrix| -> Result<Vec<f64>, GpError> {
             Ok(model
@@ -199,14 +194,13 @@ impl ContinuousAcquisition {
     /// gradients* of the GP posterior (projected gradient ascent with
     /// backtracking) — the paper's §VI "gradient-based methods, which are
     /// available with GPR". Falls back to the pattern search when the
-    /// model's kernel has no input gradient — or when the model is the
-    /// sparse tier, whose posterior gradients are not implemented.
+    /// model's kernel has no input gradient.
     ///
     /// # Errors
     /// Propagates prediction failures.
     pub fn maximize_with_gradients(
         &self,
-        model: &Surrogate,
+        model: &Gpr,
         criterion: Criterion,
     ) -> Result<(Vec<f64>, f64), GpError> {
         // Probe gradient availability once.
@@ -294,26 +288,22 @@ impl ContinuousAcquisition {
 mod tests {
     use super::*;
     use alperf_gp::kernel::SquaredExponential;
-    use alperf_gp::model::Gpr;
-    use alperf_gp::sparse::{select_inducing_kcenter, SparseGpr, SparseMethod};
     use alperf_linalg::matrix::Matrix;
     use alperf_linalg::vector::linspace;
 
-    fn model() -> Surrogate {
+    fn model() -> Gpr {
         // Training points at 2, 4, 6 in [0, 10]: sigma is maximized at the
         // domain edges (0 or 10) and locally between points.
         let xs = vec![2.0, 4.0, 6.0];
         let y = vec![0.5, 0.9, 0.2];
-        Surrogate::Exact(
-            Gpr::fit(
-                Matrix::from_vec(3, 1, xs).unwrap(),
-                &y,
-                Box::new(SquaredExponential::new(1.0, 1.0)),
-                0.05,
-                false,
-            )
-            .unwrap(),
+        Gpr::fit(
+            Matrix::from_vec(3, 1, xs).unwrap(),
+            &y,
+            Box::new(SquaredExponential::new(1.0, 1.0)),
+            0.05,
+            false,
         )
+        .unwrap()
     }
 
     #[test]
@@ -413,53 +403,24 @@ mod tests {
     #[test]
     fn gradient_ascent_falls_back_without_kernel_gradients() {
         // Matern32 has no input gradient: maximize_with_gradients must
-        // silently use the pattern search and still succeed.
+        // silently use exactly the pattern search and still succeed.
         let xs = vec![2.0, 4.0, 6.0];
         let y = vec![0.5, 0.9, 0.2];
-        let gpr = Surrogate::Exact(
-            Gpr::fit(
-                Matrix::from_vec(3, 1, xs).unwrap(),
-                &y,
-                Box::new(alperf_gp::kernel::Matern32::new(1.0, 1.0)),
-                0.05,
-                false,
-            )
-            .unwrap(),
-        );
+        let gpr = Gpr::fit(
+            Matrix::from_vec(3, 1, xs).unwrap(),
+            &y,
+            Box::new(alperf_gp::kernel::Matern32::new(1.0, 1.0)),
+            0.05,
+            false,
+        )
+        .unwrap();
         let acq = ContinuousAcquisition::new(vec![(0.0, 10.0)]);
         let (x_star, f_star) = acq.maximize_with_gradients(&gpr, Criterion::Sigma).unwrap();
         assert!((0.0..=10.0).contains(&x_star[0]));
         assert!(f_star > 0.0);
-    }
-
-    #[test]
-    fn sparse_surrogate_falls_back_to_pattern_search() {
-        // The sparse tier has no posterior gradients: both entry points
-        // must still find (nearly) the same maximizer.
-        let n = 24;
-        let xs: Vec<f64> = (0..n).map(|i| i as f64 * 10.0 / (n - 1) as f64).collect();
-        let y: Vec<f64> = xs.iter().map(|v| (0.5 * v).sin()).collect();
-        let x = Matrix::from_vec(n, 1, xs).unwrap();
-        let z = x.select_rows(&select_inducing_kcenter(&x, 8));
-        let sparse = Surrogate::Sparse(
-            SparseGpr::fit(
-                x,
-                &y,
-                Box::new(SquaredExponential::new(1.0, 1.0)),
-                0.05,
-                false,
-                SparseMethod::Fitc,
-                z,
-            )
-            .unwrap(),
-        );
-        let acq = ContinuousAcquisition::new(vec![(0.0, 10.0)]);
-        let (xp, fp) = acq.maximize(&sparse, Criterion::Sigma).unwrap();
-        let (xg, fg) = acq
-            .maximize_with_gradients(&sparse, Criterion::Sigma)
-            .unwrap();
-        assert_eq!(xp, xg, "fallback must be exactly the pattern search");
-        assert_eq!(fp, fg);
+        let (xp, fp) = acq.maximize(&gpr, Criterion::Sigma).unwrap();
+        assert_eq!(xp, x_star, "fallback must be exactly the pattern search");
+        assert_eq!(fp, f_star);
     }
 
     #[test]
@@ -472,16 +433,14 @@ mod tests {
     fn works_in_two_dimensions() {
         let xs = vec![0.5, 0.5, 0.2, 0.8];
         let y = vec![1.0, 0.0];
-        let gpr = Surrogate::Exact(
-            Gpr::fit(
-                Matrix::from_vec(2, 2, xs).unwrap(),
-                &y,
-                Box::new(SquaredExponential::new(0.4, 1.0)),
-                0.05,
-                false,
-            )
-            .unwrap(),
-        );
+        let gpr = Gpr::fit(
+            Matrix::from_vec(2, 2, xs).unwrap(),
+            &y,
+            Box::new(SquaredExponential::new(0.4, 1.0)),
+            0.05,
+            false,
+        )
+        .unwrap();
         let acq = ContinuousAcquisition::new(vec![(0.0, 1.0), (0.0, 1.0)]);
         let (x_star, f_star) = acq.maximize(&gpr, Criterion::Sigma).unwrap();
         assert_eq!(x_star.len(), 2);

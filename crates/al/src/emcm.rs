@@ -21,8 +21,6 @@
 use crate::strategy::{SelectionContext, Strategy};
 use alperf_gp::kernel::Kernel;
 use alperf_gp::model::Gpr;
-use alperf_gp::sparse::{select_inducing_kcenter, SparseGpr};
-use alperf_gp::surrogate::Surrogate;
 use alperf_linalg::matrix::Matrix;
 use alperf_linalg::vector::norm2;
 use rand::rngs::StdRng;
@@ -81,39 +79,13 @@ impl Strategy for Emcm {
         let samples: Vec<Vec<usize>> = (0..self.k)
             .map(|_| (0..n).map(|_| ctx.train[rng.gen_range(0..n)]).collect())
             .collect();
-        // Weak learners inherit the main model's tier: on the sparse tier the
-        // bootstrap refits use sparse GPRs too (k-center inducing points per
-        // resample, rank capped by the main model's), keeping EMCM's
-        // per-iteration cost O(K n m^2) instead of O(K n^3).
-        let sparse = match ctx.model {
-            Surrogate::Sparse(s) => Some((s.rank(), s.method())),
-            Surrogate::Exact(_) => None,
-        };
-        let weak: Vec<Surrogate> = samples
+        let weak: Vec<Gpr> = samples
             .par_iter()
             .map(|sample| {
                 let xs = ctx.x_all.select_rows(sample);
                 let ys: Vec<f64> = sample.iter().map(|&i| ctx.y_all[i]).collect();
                 // A degenerate resample fails to factor; skip that learner.
-                match sparse {
-                    Some((rank, method)) if xs.nrows() > rank => {
-                        let z = xs.select_rows(&select_inducing_kcenter(&xs, rank));
-                        SparseGpr::fit(
-                            xs,
-                            &ys,
-                            self.kernel.clone_box(),
-                            self.noise_std,
-                            true,
-                            method,
-                            z,
-                        )
-                        .ok()
-                        .map(Surrogate::Sparse)
-                    }
-                    _ => Gpr::fit(xs, &ys, self.kernel.clone_box(), self.noise_std, true)
-                        .ok()
-                        .map(Surrogate::Exact),
-                }
+                Gpr::fit(xs, &ys, self.kernel.clone_box(), self.noise_std, true).ok()
             })
             .collect::<Vec<_>>()
             .into_iter()
@@ -196,21 +168,10 @@ mod tests {
     fn run_select(f: &Fixture, emcm: &mut Emcm, seed: u64) -> Option<usize> {
         let xs = f.x_all.select_rows(&f.train);
         let ys: Vec<f64> = f.train.iter().map(|&i| f.y_all[i]).collect();
-        let model = Surrogate::Exact(
-            Gpr::fit(xs, &ys, Box::new(SquaredExponential::unit()), 0.1, true).unwrap(),
-        );
-        run_select_with(f, &model, emcm, seed)
-    }
-
-    fn run_select_with(
-        f: &Fixture,
-        model: &Surrogate,
-        emcm: &mut Emcm,
-        seed: u64,
-    ) -> Option<usize> {
+        let model = Gpr::fit(xs, &ys, Box::new(SquaredExponential::unit()), 0.1, true).unwrap();
         let preds: Vec<Prediction> = model.predict_batch(&f.x_all.select_rows(&f.pool)).unwrap();
         let ctx = SelectionContext {
-            model,
+            model: &model,
             x_all: &f.x_all,
             y_all: &f.y_all,
             train: &f.train,
@@ -285,34 +246,5 @@ mod tests {
         f.pool.clear();
         let mut emcm = Emcm::new(4, Box::new(SquaredExponential::unit()), 0.1);
         assert_eq!(run_select(&f, &mut emcm, 0), None);
-    }
-
-    #[test]
-    fn sparse_tier_committee_selects_valid_candidates() {
-        // When the main model is sparse, the bootstrap committee must fit
-        // sparse weak learners (rank-capped) and still return valid picks.
-        use alperf_gp::sparse::{select_inducing_kcenter, SparseGpr, SparseMethod};
-        let f = fixture();
-        let xs = f.x_all.select_rows(&f.train);
-        let ys: Vec<f64> = f.train.iter().map(|&i| f.y_all[i]).collect();
-        let z = xs.select_rows(&select_inducing_kcenter(&xs, 3));
-        let model = Surrogate::Sparse(
-            SparseGpr::fit(
-                xs,
-                &ys,
-                Box::new(SquaredExponential::unit()),
-                0.1,
-                true,
-                SparseMethod::Fitc,
-                z,
-            )
-            .unwrap(),
-        );
-        let mut emcm = Emcm::new(4, Box::new(SquaredExponential::unit()), 0.1);
-        let pick = run_select_with(&f, &model, &mut emcm, 5).unwrap();
-        assert!(pick < f.pool.len());
-        // Deterministic for a fixed seed.
-        let mut emcm2 = Emcm::new(4, Box::new(SquaredExponential::unit()), 0.1);
-        assert_eq!(run_select_with(&f, &model, &mut emcm2, 5), Some(pick));
     }
 }

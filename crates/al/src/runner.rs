@@ -20,9 +20,8 @@ use crate::cache::PoolPredictionCache;
 use crate::oracle::{DatasetOracle, ExperimentOracle, ExperimentOutcome};
 use crate::strategy::{SelectionContext, Strategy};
 use alperf_data::partition::Partition;
-use alperf_gp::model::GpError;
-use alperf_gp::optimize::{fit_surrogate, GprConfig};
-use alperf_gp::surrogate::Surrogate;
+use alperf_gp::model::{GpError, Gpr};
+use alperf_gp::optimize::{fit_gpr, GprConfig};
 use alperf_linalg::matrix::Matrix;
 use alperf_obs::names;
 use alperf_obs::Value;
@@ -253,7 +252,7 @@ pub fn run_al_with_oracle(
     let mut history = Vec::new();
     let mut lost: Vec<LostExperiment> = Vec::new();
     let mut cumulative_cost: f64 = train.iter().map(|&i| cost[i]).sum();
-    let mut model: Option<Surrogate> = None;
+    let mut model: Option<Gpr> = None;
 
     // Telemetry is strictly observational: timestamps are read and records
     // emitted only when the global switch is on, and nothing below feeds
@@ -392,8 +391,7 @@ pub fn run_al_with_oracle(
                     ("chosen_row", Value::U64(row as u64)),
                     ("pool_size", Value::U64(pool.len() as u64)),
                     ("refit", Value::Str(refit_kind)),
-                    ("tier", Value::Str(m.tier_name())),
-                    ("rank", Value::U64(m.rank() as u64)),
+                    ("rank", Value::U64(m.n_train() as u64)),
                     ("fit_ns", Value::U64(fit_ns)),
                     ("predict_ns", Value::U64(predict_ns)),
                     ("select_ns", Value::U64(select_ns)),
@@ -455,7 +453,7 @@ fn refit_step(
     y_all: &[f64],
     train: &[usize],
     iter: usize,
-    model: &mut Option<Surrogate>,
+    model: &mut Option<Gpr>,
     warm_theta: &mut Option<Vec<f64>>,
 ) -> Result<&'static str, AlError> {
     let xs = x_all.select_rows(train);
@@ -495,7 +493,7 @@ fn refit_step(
             cfg
         };
         refit_kind = if full_search { "full" } else { "warm" };
-        let (m, outcome) = fit_surrogate(&xs, &ys, &cfg)?;
+        let (m, outcome) = fit_gpr(&xs, &ys, &cfg)?;
         *warm_theta = Some(outcome.theta);
         *model = Some(m);
     } else {
@@ -523,7 +521,13 @@ fn refit_step(
             None => {
                 refit_kind = "refit";
                 let prev = model.as_ref().expect("model exists");
-                prev.refit(xs, &ys, config.gpr.standardize)?
+                Gpr::fit(
+                    xs,
+                    &ys,
+                    prev.kernel().clone_box(),
+                    prev.noise_std(),
+                    config.gpr.standardize,
+                )?
             }
         });
     }
@@ -531,7 +535,7 @@ fn refit_step(
 }
 
 /// RMSE of the model on the test rows (Eq. 2), via one batched prediction.
-pub fn test_rmse(model: &Surrogate, x_all: &Matrix, y_all: &[f64], test: &[usize]) -> f64 {
+pub fn test_rmse(model: &Gpr, x_all: &Matrix, y_all: &[f64], test: &[usize]) -> f64 {
     if test.is_empty() {
         return 0.0;
     }
@@ -744,44 +748,5 @@ mod tests {
         let run = run_al(&x, &y, &cost, &part, &mut VarianceReduction, &config()).unwrap();
         assert!(!run.history.is_empty());
         assert!(run.history.iter().all(|r| r.rmse.is_finite()));
-    }
-
-    #[test]
-    fn approximate_tier_campaign_learns_and_is_reproducible() {
-        // The whole loop (fit, pool scoring, caches, selection) on the
-        // sparse tier: still learns, and histories are bit-identical.
-        use alperf_gp::optimize::{ApproxConfig, FitTier};
-        let (x, y, cost) = dataset(60, 8);
-        let part = Partition::random(60, 2, 0.8, 7);
-        let approx = ApproxConfig {
-            max_rank: 12,
-            hyper_subsample: 20,
-            gate_max_n: 0, // no exact-refit gate: force the sparse path
-            ..ApproxConfig::default()
-        };
-        let gpr = GprConfig::new(Box::new(SquaredExponential::unit()))
-            .with_noise_floor(NoiseFloor::Fixed(0.05))
-            .with_restarts(2)
-            .with_seed(7)
-            .with_tier(FitTier::Approximate)
-            .with_approx(approx);
-        let cfg = AlConfig {
-            max_iters: 20,
-            seed: 3,
-            ..AlConfig::new(gpr)
-        };
-        let a = run_al(&x, &y, &cost, &part, &mut VarianceReduction, &cfg).unwrap();
-        let b = run_al(&x, &y, &cost, &part, &mut VarianceReduction, &cfg).unwrap();
-        assert_eq!(a.history, b.history);
-        assert_eq!(a.history.len(), 20);
-        let first = &a.history[0];
-        let last = a.history.last().unwrap();
-        assert!(last.rmse.is_finite());
-        assert!(
-            last.rmse < first.rmse,
-            "sparse-tier AL failed to learn: rmse {} -> {}",
-            first.rmse,
-            last.rmse
-        );
     }
 }

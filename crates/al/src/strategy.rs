@@ -13,17 +13,15 @@
 //! selectable as long as rows remain for it (noisy functions need repeated
 //! measurements, Section III).
 
-use alperf_gp::model::Prediction;
-use alperf_gp::surrogate::Surrogate;
+use alperf_gp::model::{Gpr, Prediction};
 use alperf_linalg::matrix::Matrix;
 use rand::rngs::StdRng;
 use rand::Rng;
 
 /// Everything a strategy may look at when scoring the pool.
 pub struct SelectionContext<'a> {
-    /// The surrogate (exact or sparse GPR) fitted to the current training
-    /// set.
-    pub model: &'a Surrogate,
+    /// The GPR fitted to the current training set.
+    pub model: &'a Gpr,
     /// Design matrix over *all* rows of the dataset.
     pub x_all: &'a Matrix,
     /// Response over all rows (log scale where applicable).
@@ -155,16 +153,14 @@ mod tests {
         let y_all = vec![0.0, 1.0, 0.5, 0.2];
         let train = vec![0usize];
         let pool: Vec<usize> = (0..preds.len()).map(|i| i + 1).collect();
-        let model = Surrogate::Exact(
-            Gpr::fit(
-                x_all.select_rows(&train),
-                &[0.0],
-                Box::new(SquaredExponential::unit()),
-                0.1,
-                false,
-            )
-            .unwrap(),
-        );
+        let model = Gpr::fit(
+            x_all.select_rows(&train),
+            &[0.0],
+            Box::new(SquaredExponential::unit()),
+            0.1,
+            false,
+        )
+        .unwrap();
         let ctx = SelectionContext {
             model: &model,
             x_all: &x_all,
@@ -228,16 +224,14 @@ mod tests {
                 let y_all = vec![0.0; 4];
                 let train = vec![0usize];
                 let pool = vec![1usize, 2, 3];
-                let model = Surrogate::Exact(
-                    Gpr::fit(
-                        x_all.select_rows(&train),
-                        &[0.0],
-                        Box::new(SquaredExponential::unit()),
-                        0.1,
-                        false,
-                    )
-                    .unwrap(),
-                );
+                let model = Gpr::fit(
+                    x_all.select_rows(&train),
+                    &[0.0],
+                    Box::new(SquaredExponential::unit()),
+                    0.1,
+                    false,
+                )
+                .unwrap();
                 let ctx = SelectionContext {
                     model: &model,
                     x_all: &x_all,

@@ -18,7 +18,7 @@ use alperf_al::strategy::VarianceReduction;
 use alperf_data::partition::Partition;
 use alperf_gp::kernel::SquaredExponential;
 use alperf_gp::noise::NoiseFloor;
-use alperf_gp::optimize::{ApproxConfig, FitTier, GprConfig};
+use alperf_gp::optimize::GprConfig;
 use alperf_linalg::matrix::Matrix;
 use alperf_obs::event::Event;
 use alperf_obs::names;
@@ -44,31 +44,6 @@ fn run_once() -> AlRun {
         .with_noise_floor(NoiseFloor::Fixed(0.05))
         .with_restarts(2)
         .with_seed(7);
-    let cfg = AlConfig {
-        max_iters: 12,
-        seed: 3,
-        ..AlConfig::new(gpr)
-    };
-    run_al(&x, &y, &cost, &part, &mut VarianceReduction, &cfg).unwrap()
-}
-
-/// Same campaign on the approximate (sparse) tier: low-rank fits must be
-/// just as indifferent to telemetry as the exact path.
-fn run_once_sparse() -> AlRun {
-    let (x, y, cost) = dataset(40, 11);
-    let part = Partition::random(40, 2, 0.8, 5);
-    let approx = ApproxConfig {
-        max_rank: 10,
-        hyper_subsample: 16,
-        gate_max_n: 0, // no exact-refit gate: keep every iteration sparse
-        ..ApproxConfig::default()
-    };
-    let gpr = GprConfig::new(Box::new(SquaredExponential::unit()))
-        .with_noise_floor(NoiseFloor::Fixed(0.05))
-        .with_restarts(2)
-        .with_seed(7)
-        .with_tier(FitTier::Approximate)
-        .with_approx(approx);
     let cfg = AlConfig {
         max_iters: 12,
         seed: 3,
@@ -130,7 +105,6 @@ fn telemetry_on_is_bit_identical_to_telemetry_off() {
     // Baseline: telemetry fully off.
     alperf_obs::set_enabled(false);
     let off = run_once();
-    let off_sparse = run_once_sparse();
 
     // Telemetry fully on: global switch, JSONL trace, metrics registry.
     let trace = std::env::temp_dir().join(format!(
@@ -142,7 +116,6 @@ fn telemetry_on_is_bit_identical_to_telemetry_off() {
     let on = run_once();
     // Second telemetry-on run: run ids differ, numerics must not.
     let on2 = run_once();
-    let on_sparse = run_once_sparse();
     let snapshot = alperf_obs::registry().prometheus_snapshot();
     alperf_obs::set_enabled(false);
     alperf_obs::sink::uninstall();
@@ -168,25 +141,9 @@ fn telemetry_on_is_bit_identical_to_telemetry_off() {
     );
     assert_eq!(on.history, on2.history, "telemetry-on runs diverged");
 
-    // Approximate tier: same contract, and the trace carries the sparse-fit
-    // spans plus tier-tagged iteration records.
-    assert_eq!(
-        off_sparse.history, on_sparse.history,
-        "sparse tier diverged"
-    );
-    assert_eq!(off_sparse.final_train, on_sparse.final_train);
-    assert!(
-        text.contains("\"gp.sparse_fit\""),
-        "trace has no gp.sparse_fit spans"
-    );
-    assert!(
-        text.contains("\"tier\":\"fitc\"") || text.contains("\"tier\": \"fitc\""),
-        "trace has no fitc-tier iteration records"
-    );
-
     // Each stage is timed once: the record fields are the span durations,
-    // on every telemetry-on run (exact tier twice, sparse tier).
-    let records = [&on, &on2, &on_sparse]
+    // on every telemetry-on run.
+    let records = [&on, &on2]
         .iter()
         .map(|run| run.history.len())
         .sum::<usize>();

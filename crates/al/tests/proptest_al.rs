@@ -8,7 +8,7 @@ use alperf_al::tradeoff;
 use alperf_data::partition::Partition;
 use alperf_gp::kernel::SquaredExponential;
 use alperf_gp::noise::NoiseFloor;
-use alperf_gp::optimize::{FitTier, GprConfig};
+use alperf_gp::optimize::GprConfig;
 use alperf_linalg::matrix::Matrix;
 use alperf_linalg::threads::with_threads;
 use proptest::prelude::*;
@@ -133,16 +133,16 @@ proptest! {
 }
 
 proptest! {
-    // Campaigns below run a 340-row pool once per width and tier — fewer
-    // cases keep the suite fast.
+    // Campaigns below run a 340-row pool once per width — fewer cases keep
+    // the suite fast.
     #![proptest_config(ProptestConfig::with_cases(4))]
 
     /// A whole campaign — fits with their restart fan-out, pool prediction
     /// through the parallel linalg blocks, acquisition scoring, selection
     /// — replayed at 2/4/8 rayon workers is bit-identical to the 1-worker
-    /// run, for both acquisition strategies and both surrogate tiers.
+    /// run, for both acquisition strategies.
     #[test]
-    fn campaign_bit_identical_across_thread_widths_and_tiers(
+    fn restart_fanout_and_linalg_blocks_bit_identical_across_thread_widths(
         seed in 0u64..50,
         phase in 0.0..3.0f64,
     ) {
@@ -153,36 +153,32 @@ proptest! {
             .collect();
         let cost: Vec<f64> = (0..n).map(|i| 0.5 + (i % 5) as f64).collect();
         let part = Partition::random(n, 4, 0.9, seed);
-        for tier in [FitTier::Exact, FitTier::Approximate] {
-            let mut vr = VarianceReduction;
-            let mut ce = CostEfficiency;
-            let strategies: [&mut dyn Strategy; 2] = [&mut vr, &mut ce];
-            for strategy in strategies {
-                let mk = || {
-                    let gpr = GprConfig::new(Box::new(SquaredExponential::unit()))
-                        .with_noise_floor(NoiseFloor::Fixed(0.05))
-                        .with_restarts(1)
-                        .with_seed(seed)
-                        .with_tier(tier);
-                    AlConfig { max_iters: 6, seed, ..AlConfig::new(gpr) }
-                };
-                let base = with_threads(1, || {
+        let mut vr = VarianceReduction;
+        let mut ce = CostEfficiency;
+        let strategies: [&mut dyn Strategy; 2] = [&mut vr, &mut ce];
+        for strategy in strategies {
+            let mk = || {
+                let gpr = GprConfig::new(Box::new(SquaredExponential::unit()))
+                    .with_noise_floor(NoiseFloor::Fixed(0.05))
+                    .with_restarts(1)
+                    .with_seed(seed);
+                AlConfig { max_iters: 6, seed, ..AlConfig::new(gpr) }
+            };
+            let base = with_threads(1, || {
+                run_al(&x, &y, &cost, &part, &mut *strategy, &mk()).expect("AL")
+            });
+            prop_assert!(!base.history.is_empty());
+            for t in [2usize, 4, 8] {
+                let run = with_threads(t, || {
                     run_al(&x, &y, &cost, &part, &mut *strategy, &mk()).expect("AL")
                 });
-                prop_assert!(!base.history.is_empty());
-                for t in [2usize, 4, 8] {
-                    let run = with_threads(t, || {
-                        run_al(&x, &y, &cost, &part, &mut *strategy, &mk()).expect("AL")
-                    });
-                    prop_assert_eq!(
-                        &run.history,
-                        &base.history,
-                        "{} tier {:?} diverged at {} workers",
-                        strategy.name(),
-                        tier,
-                        t
-                    );
-                }
+                prop_assert_eq!(
+                    &run.history,
+                    &base.history,
+                    "{} diverged at {} workers",
+                    strategy.name(),
+                    t
+                );
             }
         }
     }

@@ -12,7 +12,6 @@ use alperf_gp::kernel::SquaredExponential;
 use alperf_gp::model::{Gpr, Prediction};
 use alperf_gp::noise::NoiseFloor;
 use alperf_gp::optimize::GprConfig;
-use alperf_gp::surrogate::Surrogate;
 use alperf_linalg::matrix::Matrix;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
@@ -56,16 +55,14 @@ fn bench_pool_scoring(c: &mut Criterion) {
 fn bench_selection(c: &mut Criterion) {
     let (x, y, _) = problem(220);
     let train: Vec<usize> = (0..20).collect();
-    let gpr = Surrogate::Exact(
-        Gpr::fit(
-            x.select_rows(&train),
-            &y[..20],
-            Box::new(SquaredExponential::unit()),
-            0.1,
-            true,
-        )
-        .expect("fit"),
-    );
+    let gpr = Gpr::fit(
+        x.select_rows(&train),
+        &y[..20],
+        Box::new(SquaredExponential::unit()),
+        0.1,
+        true,
+    )
+    .expect("fit");
     let pool: Vec<usize> = (20..220).collect();
     let preds: Vec<Prediction> = pool
         .iter()

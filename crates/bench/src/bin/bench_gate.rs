@@ -1,17 +1,14 @@
 //! CI perf-regression gate over the benchmarked hot paths.
 //!
 //! Usage:
-//!   bench_gate [--suite obs|fit|scale|grid] [--baseline <path>] [--tolerance <pct>] [--quick] [--json]
-//!   bench_gate --update-baseline [--suite obs|fit|scale|grid] [--baseline <path>] [--quick]
+//!   bench_gate [--suite obs|scale|grid] [--baseline <path>] [--tolerance <pct>] [--quick] [--json]
+//!   bench_gate --update-baseline [--suite obs|scale|grid] [--baseline <path>] [--quick]
 //!
-//! Four suites share the `alperf-bench-gate-v1` baseline format:
+//! Three suites share the `alperf-bench-gate-v1` baseline format:
 //!
 //! * `obs` (default) re-measures the instrumented GPR fit and
 //!   batched-predict paths (the same measurement `obs_overhead` reports,
 //!   via `alperf_bench::overhead`) against `BENCH_obs_overhead.json`;
-//! * `fit` re-measures the approximate-GPR tier (end-to-end low-rank fits
-//!   at n=2000/5000 plus the exact-vs-sparse agreement RMSEs, via
-//!   `alperf_bench::fitbench`) against `BENCH_gpr_fit_gate.json`;
 //! * `scale` re-measures fit / pool-prediction / end-to-end campaign
 //!   times at 1/2/4/8 rayon workers (via `alperf_bench::scalebench`)
 //!   against `BENCH_scaling.json`. Speedup-ratio gates carry a `min_cpus` and
@@ -29,10 +26,9 @@
 //!   comparable hardware (same CPU count) and mode (quick/full), so the
 //!   gate stays portable to arbitrary CI machines;
 //! * hard-budget metrics gate on any machine: telemetry overhead
-//!   percentages against their recorded budget, the approximate n=5000
-//!   fit time against the checked-in exact n=400/5-restart time (the
-//!   O(n³) ceiling it must beat), and the agreement RMSEs against the
-//!   tier-selection gate tolerance.
+//!   percentages and the summary-stream overhead against their recorded
+//!   budgets, and the width-speedup ratios where the machine has the
+//!   cores to show them (`min_cpus`).
 //!
 //! `--update-baseline` rewrites the baseline from a fresh measurement,
 //! recording machine metadata (CPU count, short git commit) and the
@@ -40,7 +36,6 @@
 //!
 //! Exit codes: 0 all gates pass; 1 any gate fails; 2 usage/baseline error.
 
-use alperf_bench::fitbench::{self, EXACT_N400_R5_MS, GATE_RMSE_BUDGET};
 use alperf_bench::gate::{
     any_failed, evaluate, parse_baseline, render_baseline, render_json, render_table, GateKind,
     GateStatus, Machine, Metric,
@@ -57,7 +52,6 @@ use std::collections::BTreeMap;
 use std::process::ExitCode;
 
 const DEFAULT_OBS_BASELINE: &str = "BENCH_obs_overhead.json";
-const DEFAULT_FIT_BASELINE: &str = "BENCH_gpr_fit_gate.json";
 const DEFAULT_SCALE_BASELINE: &str = "BENCH_scaling.json";
 const DEFAULT_GRID_BASELINE: &str = "BENCH_grid.json";
 const DEFAULT_TOLERANCE: f64 = 0.15;
@@ -65,7 +59,6 @@ const DEFAULT_TOLERANCE: f64 = 0.15;
 #[derive(Clone, Copy, PartialEq)]
 enum Suite {
     Obs,
-    Fit,
     Scale,
     Grid,
 }
@@ -74,7 +67,6 @@ impl Suite {
     fn bench_name(self) -> &'static str {
         match self {
             Suite::Obs => "obs_overhead",
-            Suite::Fit => "gpr_fit_approx",
             Suite::Scale => "thread_scaling",
             Suite::Grid => "campaign_grid",
         }
@@ -83,7 +75,6 @@ impl Suite {
     fn default_baseline(self) -> &'static str {
         match self {
             Suite::Obs => DEFAULT_OBS_BASELINE,
-            Suite::Fit => DEFAULT_FIT_BASELINE,
             Suite::Scale => DEFAULT_SCALE_BASELINE,
             Suite::Grid => DEFAULT_GRID_BASELINE,
         }
@@ -92,7 +83,6 @@ impl Suite {
     fn measure(self, quick: bool) -> Vec<(&'static str, f64)> {
         match self {
             Suite::Obs => overhead::measure(quick).metrics(),
-            Suite::Fit => fitbench::measure(quick).metrics(),
             Suite::Scale => scalebench::measure(quick).metrics(),
             Suite::Grid => gridbench::measure(quick).metrics(),
         }
@@ -122,32 +112,6 @@ impl Suite {
                     min_cpus: None,
                 }
             }
-            Suite::Fit if name.starts_with("gate_rmse_") => Metric {
-                // Agreement with the exact posterior is hardware-free:
-                // enforce the tier-selection gate tolerance everywhere.
-                kind: GateKind::Budget,
-                value: GATE_RMSE_BUDGET,
-                tol_pct: None,
-                min_cpus: None,
-            },
-            Suite::Fit if name == "approx_fit_n5000_ms" => Metric {
-                // The point of the approximate tier: an n=5000 low-rank
-                // fit must beat the checked-in exact n=400/5-restart time
-                // on any machine.
-                kind: GateKind::Budget,
-                value: EXACT_N400_R5_MS,
-                tol_pct: None,
-                min_cpus: None,
-            },
-            Suite::Fit => Metric {
-                // Sub-second fit timings swing heavily under CPU steal on
-                // shared CI VMs; a recorded 50% allowance keeps the
-                // relative gate meaningful without being flaky.
-                kind: GateKind::Relative,
-                value,
-                tol_pct: Some(50.0),
-                min_cpus: None,
-            },
             Suite::Scale if name == "predict_pool_ratio_t4" => Metric {
                 // The acceptance speedup: 4 workers must predict the pool
                 // >= 1.5x faster than 1 — but only on hardware that can
@@ -241,8 +205,8 @@ fn today() -> String {
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: bench_gate [--suite obs|fit|scale|grid] [--baseline <path>] [--tolerance <pct>] [--quick] [--json]\n\
-         \x20      bench_gate --update-baseline [--suite obs|fit|scale|grid] [--baseline <path>] [--quick]"
+        "usage: bench_gate [--suite obs|scale|grid] [--baseline <path>] [--tolerance <pct>] [--quick] [--json]\n\
+         \x20      bench_gate --update-baseline [--suite obs|scale|grid] [--baseline <path>] [--quick]"
     );
     ExitCode::from(2)
 }
@@ -261,7 +225,6 @@ fn main() -> ExitCode {
         match a.as_str() {
             "--suite" => match it.next().map(String::as_str) {
                 Some("obs") => suite = Suite::Obs,
-                Some("fit") => suite = Suite::Fit,
                 Some("scale") => suite = Suite::Scale,
                 Some("grid") => suite = Suite::Grid,
                 _ => return usage(),

@@ -77,7 +77,6 @@ fn quick_spec(base_seed: u64) -> GridSpec {
         batches: vec![1, 2],
         fault_rates: vec![0.0, 0.2],
         seeds: (0..2).collect(),
-        ..GridSpec::default()
     }
 }
 

@@ -162,33 +162,6 @@ fn ard_breakdown(n: usize, spans: usize) {
     }
 }
 
-/// Approximate-tier sweep: end-to-end `fit_surrogate` on `FitTier::Approximate`
-/// at sizes the exact path cannot reach. Timed wall-clock (min over reps):
-/// `fit_surrogate` spans only its stages (`gp.fit` for the subsample hyper
-/// stage, `gp.lowrank_factor`, `gp.sparse_fit`), not the whole pipeline.
-fn sweep_approx(sizes: &[usize], restarts: usize, subsample: usize) {
-    use alperf_bench::fitbench::approx_gpr_config;
-    use alperf_bench::overhead::best_ms;
-    use alperf_gp::optimize::fit_surrogate;
-
-    println!(
-        "== approximate-tier sweep (ms, min-over-reps; restarts={restarts}, \
-         hyper subsample={subsample}) — paste into BENCH_gpr_fit.json =="
-    );
-    let cfg = approx_gpr_config(restarts, subsample);
-    for &n in sizes {
-        let (x, y) = training_data(n);
-        let reps = if n >= 10_000 { 1 } else { 2 };
-        let mut rank = 0;
-        let ms = best_ms(reps, || {
-            let (model, _) = fit_surrogate(&x, &y, &cfg).unwrap();
-            rank = model.rank();
-            black_box(&model);
-        });
-        println!("{{ \"n\": {n}, \"tier\": \"fitc\", \"rank\": {rank}, \"ms\": {ms:.2} }},");
-    }
-}
-
 fn sweep(sizes: &[usize], restart_counts: &[usize]) {
     println!("== fit_gpr sweep (ms, min-over-reps) — paste into BENCH_gpr_fit.json ==");
     for &n in sizes {
@@ -216,12 +189,10 @@ fn main() {
         ard_breakdown(15, 50);
         ard_breakdown(60, 10);
         sweep(&[32], &[1]);
-        sweep_approx(&[2000], 2, 100);
     } else {
         stage_breakdown(200, 10);
         ard_breakdown(15, 500);
         ard_breakdown(60, 100);
         sweep(&[50, 100, 200, 400], &[1, 5]);
-        sweep_approx(&[2000, 5000, 10_000, 20_000], 5, 200);
     }
 }

@@ -19,7 +19,7 @@ use alperf_core::analysis::paper_kernel_bounds;
 use alperf_data::partition::Partition;
 use alperf_gp::kernel::ArdSquaredExponential;
 use alperf_gp::noise::NoiseFloor;
-use alperf_gp::optimize::{fit_gpr, fit_surrogate, GprConfig};
+use alperf_gp::optimize::{fit_gpr, GprConfig};
 use alperf_linalg::matrix::Matrix;
 
 const ROUNDS: usize = 8;
@@ -75,7 +75,7 @@ fn run(mode: Mode, x: &Matrix, y: &[f64], part: &Partition, seed: u64) -> Vec<f6
     for round in 0..ROUNDS {
         let xs = x.select_rows(&train);
         let ys: Vec<f64> = train.iter().map(|&i| y[i]).collect();
-        let (model, _) = fit_surrogate(&xs, &ys, &gpr_cfg(seed + round as u64)).expect("fit");
+        let (model, _) = fit_gpr(&xs, &ys, &gpr_cfg(seed + round as u64)).expect("fit");
         let picks: Vec<usize> = match mode {
             Mode::BatchFantasy => select_batch(&model, x, &train, &ys, &pool, Q).expect("batch"),
             Mode::BatchNaive => {
@@ -129,7 +129,7 @@ fn run(mode: Mode, x: &Matrix, y: &[f64], part: &Partition, seed: u64) -> Vec<f6
         // Evaluate after the round.
         let xs = x.select_rows(&train);
         let ys: Vec<f64> = train.iter().map(|&i| y[i]).collect();
-        let (m, _) = fit_surrogate(&xs, &ys, &gpr_cfg(seed + 991)).expect("fit");
+        let (m, _) = fit_gpr(&xs, &ys, &gpr_cfg(seed + 991)).expect("fit");
         rmses.push(test_rmse(&m, x, y, &part.test));
     }
     rmses

@@ -16,7 +16,7 @@ use alperf_bench::{banner, load_datasets, write_series};
 use alperf_core::analysis::paper_kernel_bounds;
 use alperf_gp::kernel::ArdSquaredExponential;
 use alperf_gp::noise::NoiseFloor;
-use alperf_gp::optimize::{fit_surrogate, GprConfig};
+use alperf_gp::optimize::{fit_gpr, GprConfig};
 use alperf_linalg::matrix::Matrix;
 use alperf_linalg::vector::linspace;
 use rand::rngs::StdRng;
@@ -55,7 +55,7 @@ fn main() {
         .with_kernel_bounds(paper_kernel_bounds(2))
         .with_restarts(4)
         .with_standardize(false);
-    let (gpr, _) = fit_surrogate(&xm, &y, &cfg).expect("fit");
+    let (gpr, _) = fit_gpr(&xm, &y, &cfg).expect("fit");
 
     let s_lo = 1.7e3f64.log10();
     let s_hi = 1.1e9f64.log10();

@@ -120,5 +120,54 @@ fn main() {
             ("rmse_at_budget_500", &budget_col),
         ],
     );
-    println!("\nreading: lambda=0 spends an order of magnitude more for its accuracy; any cost-awareness slashes total cost, and under a fixed 500 core-s budget every 0 < lambda <= 1 beats lambda=0 by ~3x. On this simulated slice the sweet spot is moderate (lambda ~ 0.25–0.5) with the paper's lambda=1 close behind; over-weighting cost (lambda=2) degrades accuracy — the criterion is a genuine tradeoff dial, not monotone.");
+    // The reading is computed from the table; LAMBDAS[0] is lambda = 0.
+    println!("\nreading (from the table above):");
+    let ratios: Vec<String> = (1..LAMBDAS.len())
+        .map(|i| {
+            format!(
+                "lambda={} {:.2}x",
+                LAMBDAS[i],
+                budget_col[i] / budget_col[0]
+            )
+        })
+        .collect();
+    println!(
+        "  RMSE at the 500 core-s budget relative to lambda=0 (below 1x beats it): {}",
+        ratios.join(", ")
+    );
+    let best = (0..LAMBDAS.len())
+        .min_by(|&a, &b| budget_col[a].total_cmp(&budget_col[b]))
+        .expect("non-empty sweep");
+    println!(
+        "  best lambda at the budget: {} (RMSE {:.4})",
+        LAMBDAS[best], budget_col[best]
+    );
+    let at = |lambda: f64| {
+        LAMBDAS
+            .iter()
+            .position(|&l| l == lambda)
+            .expect("lambda swept")
+    };
+    let (one, two) = (at(1.0), at(2.0));
+    println!(
+        "  lambda=2 vs lambda=1 at the budget: {} ({:.4} vs {:.4})",
+        if budget_col[two] > budget_col[one] {
+            "worse"
+        } else {
+            "not worse"
+        },
+        budget_col[two],
+        budget_col[one]
+    );
+    // The smallest saving is the costliest lambda > 0.
+    let least = (1..LAMBDAS.len())
+        .max_by(|&a, &b| cost_col[a].total_cmp(&cost_col[b]))
+        .expect("a lambda > 0 swept");
+    println!(
+        "  smallest total-cost saving of any lambda > 0: {:.1}x (lambda={}: {:.0} vs {:.0} core-s)",
+        cost_col[0] / cost_col[least],
+        LAMBDAS[least],
+        cost_col[least],
+        cost_col[0]
+    );
 }

@@ -68,7 +68,6 @@ pub fn bench_spec(quick: bool) -> GridSpec {
         batches: vec![1, 2],
         fault_rates: vec![0.2],
         seeds: if quick { vec![0] } else { (0..2).collect() },
-        ..GridSpec::default()
     }
 }
 

@@ -8,7 +8,6 @@
 //! from its fixed seed, so all figures come from the *same* dataset,
 //! exactly as in the paper.
 
-pub mod fitbench;
 pub mod gate;
 pub mod gridbench;
 pub mod overhead;

@@ -10,7 +10,7 @@
 
 use alperf_al::strategy::{SelectionContext, Strategy};
 use alperf_gp::model::{GpError, Prediction};
-use alperf_gp::optimize::{fit_surrogate, GprConfig};
+use alperf_gp::optimize::{fit_gpr, GprConfig};
 use alperf_linalg::matrix::Matrix;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -110,7 +110,7 @@ impl OnlineAl {
         // AL iterations.
         let all_rows: Vec<usize> = (0..self.candidates.nrows()).collect();
         for iter in 1..iters {
-            let (model, _) = fit_surrogate(&x_train, &y_train, &self.gpr)?;
+            let (model, _) = fit_gpr(&x_train, &y_train, &self.gpr)?;
             let predictions: Vec<Prediction> = all_rows
                 .iter()
                 .map(|&i| model.predict_one(self.candidates.row(i)))

@@ -16,7 +16,7 @@ use alperf_al::runner::test_rmse;
 use alperf_cluster::job::JobRequest;
 use alperf_cluster::scheduler::schedule_batch;
 use alperf_data::partition::Partition;
-use alperf_gp::optimize::{fit_surrogate, GprConfig};
+use alperf_gp::optimize::{fit_gpr, GprConfig};
 use alperf_hpgmg::model::PerfModel;
 use alperf_linalg::matrix::Matrix;
 
@@ -93,7 +93,7 @@ impl ParallelCampaign<'_> {
             }
             let xs = self.x_all.select_rows(&train);
             let ys: Vec<f64> = train.iter().map(|&i| self.y_all[i]).collect();
-            let (model, _) = fit_surrogate(&xs, &ys, &self.gpr).map_err(AnalysisError::from_gp)?;
+            let (model, _) = fit_gpr(&xs, &ys, &self.gpr).map_err(AnalysisError::from_gp)?;
             let picks = select_batch(&model, self.x_all, &train, &ys, &pool, self.q)
                 .map_err(AnalysisError::from_gp)?;
             if picks.is_empty() {
@@ -119,7 +119,7 @@ impl ParallelCampaign<'_> {
             // Retrain and evaluate.
             let xs = self.x_all.select_rows(&train);
             let ys: Vec<f64> = train.iter().map(|&i| self.y_all[i]).collect();
-            let (model, _) = fit_surrogate(&xs, &ys, &self.gpr).map_err(AnalysisError::from_gp)?;
+            let (model, _) = fit_gpr(&xs, &ys, &self.gpr).map_err(AnalysisError::from_gp)?;
             let rmse = test_rmse(&model, self.x_all, self.y_all, &partition.test);
             records.push(RoundRecord {
                 round,

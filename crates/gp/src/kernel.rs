@@ -75,8 +75,8 @@ pub trait Kernel: Send + Sync {
     /// line-search step — the distance matrices can be computed once per
     /// fit and every covariance rebuild collapses to an O(n^2)
     /// scale-and-exp (`lml::FitCache`). Kernels without this structure
-    /// (Matern, rational quadratic, compositions) return `None` and take
-    /// the generic pointwise path.
+    /// (Matern, rational quadratic) return `None` and take the generic
+    /// pointwise path.
     fn distance_form(&self) -> Option<DistanceForm> {
         None
     }
@@ -585,291 +585,6 @@ impl Kernel for RationalQuadratic {
     }
 }
 
-/// White-noise kernel: `k(a, b) = sigma^2 [a == b]` (exact equality).
-///
-/// Summed with a smooth kernel it models per-point jitter *inside* the
-/// covariance (scikit-learn's `WhiteKernel`); this workspace usually keeps
-/// the noise outside the kernel as `K + sigma_n^2 I`, but the composed form
-/// is needed to reproduce kernels written the scikit way.
-#[derive(Debug, Clone, PartialEq)]
-pub struct WhiteNoise {
-    /// Noise standard deviation `sigma > 0`.
-    pub sigma: f64,
-}
-
-impl WhiteNoise {
-    /// New white-noise kernel; panics on non-positive sigma.
-    pub fn new(sigma: f64) -> Self {
-        assert!(sigma > 0.0, "hyperparameters must be positive");
-        WhiteNoise { sigma }
-    }
-}
-
-impl Kernel for WhiteNoise {
-    fn eval(&self, a: &[f64], b: &[f64]) -> f64 {
-        if a == b {
-            self.sigma * self.sigma
-        } else {
-            0.0
-        }
-    }
-
-    fn diag_value(&self, _a: &[f64]) -> f64 {
-        self.sigma * self.sigma
-    }
-
-    fn n_params(&self) -> usize {
-        1
-    }
-
-    fn params(&self) -> Vec<f64> {
-        vec![self.sigma.ln()]
-    }
-
-    fn set_params(&mut self, p: &[f64]) {
-        assert_eq!(p.len(), 1, "WhiteNoise has 1 param");
-        self.sigma = p[0].exp();
-    }
-
-    fn param_names(&self) -> Vec<String> {
-        vec!["log_sigma".into()]
-    }
-
-    fn grad(&self, a: &[f64], b: &[f64]) -> Vec<f64> {
-        vec![2.0 * self.eval(a, b)]
-    }
-
-    fn clone_box(&self) -> Box<dyn Kernel> {
-        Box::new(self.clone())
-    }
-}
-
-/// A kernel multiplied by a tunable positive constant: `k = c^2 * inner`.
-/// scikit-learn's `ConstantKernel * RBF(...)` pattern.
-#[derive(Clone)]
-pub struct ScaledKernel {
-    /// Scale factor `c > 0` (applied squared, like an amplitude).
-    pub scale: f64,
-    /// The kernel being scaled.
-    pub inner: Box<dyn Kernel>,
-}
-
-impl ScaledKernel {
-    /// New scaled kernel; panics on non-positive scale.
-    pub fn new(scale: f64, inner: Box<dyn Kernel>) -> Self {
-        assert!(scale > 0.0, "hyperparameters must be positive");
-        ScaledKernel { scale, inner }
-    }
-}
-
-impl Kernel for ScaledKernel {
-    fn eval(&self, a: &[f64], b: &[f64]) -> f64 {
-        self.scale * self.scale * self.inner.eval(a, b)
-    }
-
-    fn cross_matrix(&self, a: &Matrix, b: &Matrix) -> Matrix {
-        let c2 = self.scale * self.scale;
-        let mut m = self.inner.cross_matrix(a, b);
-        for v in m.as_mut_slice() {
-            *v *= c2;
-        }
-        m
-    }
-
-    fn diag_value(&self, a: &[f64]) -> f64 {
-        self.scale * self.scale * self.inner.diag_value(a)
-    }
-
-    fn n_params(&self) -> usize {
-        1 + self.inner.n_params()
-    }
-
-    fn params(&self) -> Vec<f64> {
-        let mut p = vec![self.scale.ln()];
-        p.extend(self.inner.params());
-        p
-    }
-
-    fn set_params(&mut self, p: &[f64]) {
-        assert_eq!(
-            p.len(),
-            self.n_params(),
-            "ScaledKernel param count mismatch"
-        );
-        self.scale = p[0].exp();
-        self.inner.set_params(&p[1..]);
-    }
-
-    fn param_names(&self) -> Vec<String> {
-        let mut names = vec!["log_scale".into()];
-        names.extend(
-            self.inner
-                .param_names()
-                .into_iter()
-                .map(|n| format!("inner.{n}")),
-        );
-        names
-    }
-
-    fn grad(&self, a: &[f64], b: &[f64]) -> Vec<f64> {
-        let c2 = self.scale * self.scale;
-        let mut g = vec![2.0 * c2 * self.inner.eval(a, b)];
-        g.extend(self.inner.grad(a, b).into_iter().map(|d| c2 * d));
-        g
-    }
-
-    fn grad_x(&self, a: &[f64], b: &[f64]) -> Option<Vec<f64>> {
-        let c2 = self.scale * self.scale;
-        self.inner
-            .grad_x(a, b)
-            .map(|g| g.into_iter().map(|d| c2 * d).collect())
-    }
-
-    fn clone_box(&self) -> Box<dyn Kernel> {
-        Box::new(self.clone())
-    }
-}
-
-/// Sum of two kernels: `k = k1 + k2`; parameter vector is the concatenation.
-#[derive(Clone)]
-pub struct SumKernel {
-    /// Left summand.
-    pub left: Box<dyn Kernel>,
-    /// Right summand.
-    pub right: Box<dyn Kernel>,
-}
-
-impl SumKernel {
-    /// Combine two kernels additively.
-    pub fn new(left: Box<dyn Kernel>, right: Box<dyn Kernel>) -> Self {
-        SumKernel { left, right }
-    }
-}
-
-impl Kernel for SumKernel {
-    fn eval(&self, a: &[f64], b: &[f64]) -> f64 {
-        self.left.eval(a, b) + self.right.eval(a, b)
-    }
-
-    fn diag_value(&self, a: &[f64]) -> f64 {
-        self.left.diag_value(a) + self.right.diag_value(a)
-    }
-
-    fn n_params(&self) -> usize {
-        self.left.n_params() + self.right.n_params()
-    }
-
-    fn params(&self) -> Vec<f64> {
-        let mut p = self.left.params();
-        p.extend(self.right.params());
-        p
-    }
-
-    fn set_params(&mut self, p: &[f64]) {
-        assert_eq!(p.len(), self.n_params(), "SumKernel param count mismatch");
-        let nl = self.left.n_params();
-        self.left.set_params(&p[..nl]);
-        self.right.set_params(&p[nl..]);
-    }
-
-    fn param_names(&self) -> Vec<String> {
-        let mut names: Vec<String> = self
-            .left
-            .param_names()
-            .into_iter()
-            .map(|n| format!("left.{n}"))
-            .collect();
-        names.extend(
-            self.right
-                .param_names()
-                .into_iter()
-                .map(|n| format!("right.{n}")),
-        );
-        names
-    }
-
-    fn grad(&self, a: &[f64], b: &[f64]) -> Vec<f64> {
-        let mut g = self.left.grad(a, b);
-        g.extend(self.right.grad(a, b));
-        g
-    }
-
-    fn clone_box(&self) -> Box<dyn Kernel> {
-        Box::new(self.clone())
-    }
-}
-
-/// Product of two kernels: `k = k1 * k2`; gradient via the product rule.
-#[derive(Clone)]
-pub struct ProductKernel {
-    /// Left factor.
-    pub left: Box<dyn Kernel>,
-    /// Right factor.
-    pub right: Box<dyn Kernel>,
-}
-
-impl ProductKernel {
-    /// Combine two kernels multiplicatively.
-    pub fn new(left: Box<dyn Kernel>, right: Box<dyn Kernel>) -> Self {
-        ProductKernel { left, right }
-    }
-}
-
-impl Kernel for ProductKernel {
-    fn eval(&self, a: &[f64], b: &[f64]) -> f64 {
-        self.left.eval(a, b) * self.right.eval(a, b)
-    }
-
-    fn n_params(&self) -> usize {
-        self.left.n_params() + self.right.n_params()
-    }
-
-    fn params(&self) -> Vec<f64> {
-        let mut p = self.left.params();
-        p.extend(self.right.params());
-        p
-    }
-
-    fn set_params(&mut self, p: &[f64]) {
-        assert_eq!(
-            p.len(),
-            self.n_params(),
-            "ProductKernel param count mismatch"
-        );
-        let nl = self.left.n_params();
-        self.left.set_params(&p[..nl]);
-        self.right.set_params(&p[nl..]);
-    }
-
-    fn param_names(&self) -> Vec<String> {
-        let mut names: Vec<String> = self
-            .left
-            .param_names()
-            .into_iter()
-            .map(|n| format!("left.{n}"))
-            .collect();
-        names.extend(
-            self.right
-                .param_names()
-                .into_iter()
-                .map(|n| format!("right.{n}")),
-        );
-        names
-    }
-
-    fn grad(&self, a: &[f64], b: &[f64]) -> Vec<f64> {
-        let kl = self.left.eval(a, b);
-        let kr = self.right.eval(a, b);
-        let mut g: Vec<f64> = self.left.grad(a, b).into_iter().map(|d| d * kr).collect();
-        g.extend(self.right.grad(a, b).into_iter().map(|d| d * kl));
-        g
-    }
-
-    fn clone_box(&self) -> Box<dyn Kernel> {
-        Box::new(self.clone())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1030,93 +745,6 @@ mod tests {
         assert!((se.eval(&a, &b) - rq.eval(&a, &b)).abs() < 1e-5);
     }
 
-    #[test]
-    fn sum_kernel_eval_and_grad() {
-        let k = SumKernel::new(
-            Box::new(SquaredExponential::new(1.0, 1.0)),
-            Box::new(Matern32::new(2.0, 0.5)),
-        );
-        let a = [0.3, 0.1];
-        let b = [-0.2, 0.9];
-        let expect =
-            SquaredExponential::new(1.0, 1.0).eval(&a, &b) + Matern32::new(2.0, 0.5).eval(&a, &b);
-        assert!((k.eval(&a, &b) - expect).abs() < 1e-14);
-        assert_eq!(k.n_params(), 4);
-        check_grad(&k, &a, &b);
-        assert!(k.param_names()[0].starts_with("left."));
-        assert!(k.param_names()[2].starts_with("right."));
-    }
-
-    #[test]
-    fn product_kernel_eval_and_grad() {
-        let k = ProductKernel::new(
-            Box::new(SquaredExponential::new(0.8, 1.1)),
-            Box::new(RationalQuadratic::new(1.5, 0.9, 1.2)),
-        );
-        let a = [0.3];
-        let b = [-0.4];
-        let expect = SquaredExponential::new(0.8, 1.1).eval(&a, &b)
-            * RationalQuadratic::new(1.5, 0.9, 1.2).eval(&a, &b);
-        assert!((k.eval(&a, &b) - expect).abs() < 1e-14);
-        check_grad(&k, &a, &b);
-    }
-
-    #[test]
-    fn white_noise_is_diagonal() {
-        let k = WhiteNoise::new(0.5);
-        assert_eq!(k.eval(&[1.0, 2.0], &[1.0, 2.0]), 0.25);
-        assert_eq!(k.eval(&[1.0, 2.0], &[1.0, 2.1]), 0.0);
-        assert_eq!(k.diag_value(&[9.0]), 0.25);
-        // Gradient: d k / d log sigma = 2k on the diagonal, 0 off it.
-        assert_eq!(k.grad(&[0.0], &[0.0]), vec![0.5]);
-        assert_eq!(k.grad(&[0.0], &[1.0]), vec![0.0]);
-        let mut k2 = k.clone();
-        k2.set_params(&[1.0f64.ln()]);
-        assert_eq!(k2.sigma, 1.0);
-    }
-
-    #[test]
-    fn scikit_style_composition_matches_direct_noise() {
-        // ConstantKernel * RBF + WhiteKernel == scaled SE with diagonal
-        // noise: verify against the direct K + sigma^2 I formulation.
-        let composed = SumKernel::new(
-            Box::new(ScaledKernel::new(
-                1.5,
-                Box::new(SquaredExponential::new(0.7, 1.0)),
-            )),
-            Box::new(WhiteNoise::new(0.3)),
-        );
-        let a = [0.2, 0.4];
-        let b = [0.9, -0.1];
-        let se = SquaredExponential::new(0.7, 1.5);
-        assert!((composed.eval(&a, &b) - se.eval(&a, &b)).abs() < 1e-12);
-        assert!((composed.eval(&a, &a) - (se.eval(&a, &a) + 0.09)).abs() < 1e-12);
-    }
-
-    #[test]
-    fn scaled_kernel_grads_match_fd() {
-        let k = ScaledKernel::new(1.3, Box::new(Matern52::new(0.8, 1.0)));
-        check_grad(&k, &[0.3, -0.2], &[0.7, 0.5]);
-        assert_eq!(k.n_params(), 3);
-        assert!(k.param_names()[1].starts_with("inner."));
-        // Input gradient passes through with the c^2 factor.
-        let gx = k.grad_x(&[0.3], &[0.9]).unwrap();
-        let inner_gx = Matern52::new(0.8, 1.0).grad_x(&[0.3], &[0.9]).unwrap();
-        assert!((gx[0] - 1.69 * inner_gx[0]).abs() < 1e-12);
-    }
-
-    #[test]
-    fn composite_set_params_distributes() {
-        let mut k = SumKernel::new(
-            Box::new(SquaredExponential::unit()),
-            Box::new(SquaredExponential::unit()),
-        );
-        k.set_params(&[0.1, 0.2, 0.3, 0.4]);
-        let p = k.params();
-        assert!((p[0] - 0.1).abs() < 1e-12);
-        assert!((p[3] - 0.4).abs() < 1e-12);
-    }
-
     /// Central finite-difference check of `grad_x` against `eval`.
     fn check_grad_x(k: &dyn Kernel, a: &[f64], b: &[f64]) {
         let g = k.grad_x(a, b).expect("kernel implements grad_x");
@@ -1181,10 +809,6 @@ mod tests {
             Box::new(SquaredExponential::new(0.8, 1.4)),
             Box::new(ArdSquaredExponential::new(vec![0.5, 2.0, 1.1], 0.9)),
             Box::new(Matern52::new(0.9, 1.2)), // default pointwise path
-            Box::new(ScaledKernel::new(
-                1.3,
-                Box::new(SquaredExponential::new(0.6, 1.0)),
-            )),
         ];
         for k in &kernels {
             let m = k.cross_matrix(&a, &b);

@@ -27,7 +27,6 @@ pub mod model;
 pub mod noise;
 pub mod optimize;
 pub mod sample;
-pub mod sparse;
 pub mod surrogate;
 
 pub use kernel::{
@@ -35,6 +34,4 @@ pub use kernel::{
 };
 pub use model::{Gpr, Prediction};
 pub use noise::NoiseFloor;
-pub use optimize::{fit_gpr, fit_surrogate, ApproxConfig, FitTier, GprConfig, OptimOutcome};
-pub use sparse::{InducingSelector, SparseGpr, SparseMethod};
-pub use surrogate::Surrogate;
+pub use optimize::{fit_gpr, GprConfig, OptimOutcome};

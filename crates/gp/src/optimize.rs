@@ -25,74 +25,22 @@ use crate::kernel::Kernel;
 use crate::lml::{self, FitCache};
 use crate::model::{GpError, Gpr};
 use crate::noise::NoiseFloor;
-use crate::sparse::{
-    select_inducing_kcenter, select_inducing_pivoted, stride_subsample, InducingSelector,
-    SparseGpr, SparseMethod,
-};
-use crate::surrogate::Surrogate;
 use alperf_linalg::{matrix::Matrix, stats::Standardizer, vector::dot};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rayon::prelude::*;
 
-/// Which posterior tier [`fit_surrogate`] builds.
+/// The posterior tier a [`GprConfig`] asks for. Only the exact tier exists;
+/// the name is kept so that `perfbench/`, which pins this API, still
+/// compiles (see [`GprConfig::with_tier`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FitTier {
-    /// Always the exact `O(n³)` path ([`fit_gpr`]). The default — existing
-    /// callers see bit-identical behavior.
+    /// The exact `O(n³)` posterior ([`fit_gpr`]).
     Exact,
-    /// Always the sparse inducing-point path, with an exact-agreement
-    /// validation gate at calibration sizes (`n <= gate_max_n`).
-    Approximate,
-    /// Exact below [`ApproxConfig::exact_threshold`] training points,
-    /// sparse above — the size-based selector.
-    Auto,
 }
 
-/// Knobs of the approximate (sparse) tier.
-#[derive(Debug, Clone, Copy)]
-pub struct ApproxConfig {
-    /// Which sparse posterior to build. FITC is the default: its corrected
-    /// diagonal keeps far-field variances honest, which variance-driven AL
-    /// strategies depend on.
-    pub method: SparseMethod,
-    /// How inducing points are chosen from the training rows.
-    pub selector: InducingSelector,
-    /// Maximum number of inducing points `m` (clamped to `n`).
-    pub max_rank: usize,
-    /// Early-stop tolerance for the pivoted-Cholesky selector: stop once
-    /// the residual kernel trace falls below `trace_tol * trace(K)`.
-    pub trace_tol: f64,
-    /// Hyperparameters are optimized exactly on a deterministic stride
-    /// subsample of this many training rows (clamped to `n`) — `O(k³)`
-    /// instead of `O(n³)` per LML evaluation.
-    pub hyper_subsample: usize,
-    /// [`FitTier::Auto`] uses the exact tier at `n <= exact_threshold`.
-    pub exact_threshold: usize,
-    /// Validation-gate tolerance: with [`FitTier::Approximate`] and
-    /// `n <= gate_max_n`, the sparse posterior mean is compared against the
-    /// exact one on the training inputs; if the standardized RMSE exceeds
-    /// this, the fit falls back to exact (counter `gp.tier.fallback`).
-    pub gate_tol: f64,
-    /// Largest `n` at which the validation gate runs (an exact fit must be
-    /// affordable to compare against).
-    pub gate_max_n: usize,
-}
-
-impl Default for ApproxConfig {
-    fn default() -> Self {
-        ApproxConfig {
-            method: SparseMethod::Fitc,
-            selector: InducingSelector::PivotedCholesky,
-            max_rank: 256,
-            trace_tol: 1e-6,
-            hyper_subsample: 200,
-            exact_threshold: 800,
-            gate_tol: 0.05,
-            gate_max_n: 400,
-        }
-    }
-}
+/// The name `perfbench/` calls the fit by; the same function as [`fit_gpr`].
+pub use fit_gpr as fit_surrogate;
 
 /// Configuration for [`fit_gpr`].
 #[derive(Clone)]
@@ -125,11 +73,6 @@ pub struct GprConfig {
     /// `(lml, restart index)`, so the outcome is bit-identical to the
     /// serial loop (see `parallel_restarts_match_serial`).
     pub parallel: bool,
-    /// Which posterior tier [`fit_surrogate`] builds; [`fit_gpr`] ignores
-    /// this and is always exact.
-    pub tier: FitTier,
-    /// Approximate-tier knobs (inducing selection, rank, validation gate).
-    pub approx: ApproxConfig,
 }
 
 impl GprConfig {
@@ -149,20 +92,12 @@ impl GprConfig {
             standardize: true,
             seed: 0,
             parallel: true,
-            tier: FitTier::Exact,
-            approx: ApproxConfig::default(),
         }
     }
 
-    /// Builder: select the posterior tier for [`fit_surrogate`].
-    pub fn with_tier(mut self, tier: FitTier) -> Self {
-        self.tier = tier;
-        self
-    }
-
-    /// Builder: set the approximate-tier knobs.
-    pub fn with_approx(mut self, approx: ApproxConfig) -> Self {
-        self.approx = approx;
+    /// Builder kept for `perfbench/`: every fit is exact, so this returns
+    /// the config unchanged.
+    pub fn with_tier(self, _tier: FitTier) -> Self {
         self
     }
 
@@ -619,124 +554,6 @@ pub fn fit_gpr(x: &Matrix, y: &[f64], config: &GprConfig) -> Result<(Gpr, OptimO
     ))
 }
 
-/// Tier-selecting fit: exact ([`fit_gpr`]) or the sparse inducing-point
-/// approximation, per `config.tier`.
-///
-/// The approximate path breaks the exact tier's `O(n³)` ceiling in three
-/// `O(n m²)`-or-cheaper stages:
-///
-/// 1. **Hyperparameters** are optimized exactly — same multi-restart
-///    machinery, same seed stream — on a deterministic *stride subsample*
-///    of `approx.hyper_subsample` rows, so each LML evaluation is `O(k³)`
-///    with `k ≪ n`.
-/// 2. **Inducing points** are selected from the full training set under
-///    the fitted kernel: pivoted-Cholesky pivots (information-greedy,
-///    trace-based early stop) or greedy k-center. Both are strictly serial
-///    and bit-identical across worker counts.
-/// 3. The **sparse posterior** ([`SparseGpr`]) is conditioned on all `n`
-///    rows through the `m`-dimensional capacitance factor.
-///
-/// With [`FitTier::Approximate`] at calibration sizes
-/// (`n <= approx.gate_max_n`) a **validation gate** also fits the exact
-/// posterior and compares means on the training inputs; if the
-/// standardized RMSE exceeds `approx.gate_tol` the exact model is returned
-/// instead (counter `gp.tier.fallback`, record `gp.tier.gate`). The gate
-/// is how the repo pins approximate-vs-exact agreement in CI without ever
-/// paying `O(n³)` at large `n`.
-///
-/// # Errors
-/// Propagates [`fit_gpr`] / [`SparseGpr::fit`] failures.
-pub fn fit_surrogate(
-    x: &Matrix,
-    y: &[f64],
-    config: &GprConfig,
-) -> Result<(Surrogate, OptimOutcome), GpError> {
-    let n = x.nrows();
-    let sparse_now = match config.tier {
-        FitTier::Exact => false,
-        FitTier::Approximate => true,
-        FitTier::Auto => n > config.approx.exact_threshold,
-    };
-    if !sparse_now {
-        let (model, outcome) = fit_gpr(x, y, config)?;
-        return Ok((Surrogate::Exact(model), outcome));
-    }
-    if n == 0 {
-        return Err(GpError::Empty);
-    }
-    if y.len() != n {
-        return Err(GpError::Dimension(format!(
-            "X has {n} rows but y has {} values",
-            y.len()
-        )));
-    }
-    let a = &config.approx;
-
-    // 1. Exact hyperparameter fit on the stride subsample.
-    let k = a.hyper_subsample.max(1).min(n);
-    let idx = stride_subsample(n, k);
-    let xs = x.select_rows(&idx);
-    let ys: Vec<f64> = idx.iter().map(|&i| y[i]).collect();
-    let (hyper_model, outcome) = fit_gpr(&xs, &ys, config)?;
-    let kernel = hyper_model.kernel().clone_box();
-    let noise = hyper_model.noise_std();
-
-    // 2. Inducing selection under the fitted kernel.
-    let m = a.max_rank.max(1).min(n);
-    let pivots = match a.selector {
-        InducingSelector::PivotedCholesky => {
-            select_inducing_pivoted(kernel.as_ref(), x, m, a.trace_tol)?
-        }
-        InducingSelector::KCenter => select_inducing_kcenter(x, m),
-    };
-    let z = x.select_rows(&pivots);
-
-    // 3. Sparse posterior over all n rows.
-    let sparse = SparseGpr::fit(x.clone(), y, kernel, noise, config.standardize, a.method, z)?;
-
-    // 4. Validation gate at calibration sizes: approximate means must track
-    // the exact posterior or the fit falls back.
-    if matches!(config.tier, FitTier::Approximate) && n <= a.gate_max_n {
-        let exact = Gpr::fit(
-            x.clone(),
-            y,
-            sparse.kernel().clone_box(),
-            sparse.noise_std(),
-            config.standardize,
-        )?;
-        let pe = exact.predict_batch(x)?;
-        let pa = sparse.predict_batch(x)?;
-        let mse: f64 = pe
-            .iter()
-            .zip(&pa)
-            .map(|(e, s)| {
-                let d = e.mean - s.mean;
-                d * d
-            })
-            .sum::<f64>()
-            / n as f64;
-        // Normalize by the response scale so the tolerance is unitless.
-        let scale = exact.standardizer().std.abs().max(1e-12);
-        let gate_rmse = mse.sqrt() / scale;
-        let pass = gate_rmse <= a.gate_tol;
-        alperf_obs::record(
-            "gp.tier.gate",
-            &[
-                ("n", alperf_obs::Value::U64(n as u64)),
-                ("rank", alperf_obs::Value::U64(sparse.rank() as u64)),
-                ("rmse", alperf_obs::Value::F64(gate_rmse)),
-                ("tol", alperf_obs::Value::F64(a.gate_tol)),
-                ("pass", alperf_obs::Value::Bool(pass)),
-            ],
-        );
-        if !pass {
-            alperf_obs::inc("gp.tier.fallback");
-            return Ok((Surrogate::Exact(exact), outcome));
-        }
-    }
-    Ok((Surrogate::Sparse(sparse), outcome))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -983,109 +800,6 @@ mod tests {
         // random start succeeded would need far more evaluations than the
         // 8-restart budget actually spent here.
         assert!(op.lml.is_finite());
-    }
-
-    #[test]
-    fn fit_surrogate_exact_tier_matches_fit_gpr() {
-        let (x, y) = noisy_data(25, 2);
-        let cfg = GprConfig::new(Box::new(SquaredExponential::unit()))
-            .with_restarts(2)
-            .with_seed(9);
-        let (s, so) = fit_surrogate(&x, &y, &cfg).unwrap();
-        let (g, go) = fit_gpr(&x, &y, &cfg).unwrap();
-        assert_eq!(s.tier_name(), "exact");
-        assert_eq!(so.theta, go.theta);
-        assert_eq!(s.noise_std(), g.noise_std());
-        assert_eq!(
-            s.predict_one(&[3.3]).unwrap(),
-            g.predict_one(&[3.3]).unwrap()
-        );
-    }
-
-    #[test]
-    fn fit_surrogate_approximate_tier_passes_gate_on_smooth_data() {
-        let (x, y) = smooth_data(120);
-        let cfg = GprConfig::new(Box::new(SquaredExponential::unit()))
-            .with_restarts(2)
-            .with_tier(FitTier::Approximate)
-            .with_approx(ApproxConfig {
-                max_rank: 24,
-                hyper_subsample: 60,
-                ..ApproxConfig::default()
-            });
-        let (s, _) = fit_surrogate(&x, &y, &cfg).unwrap();
-        assert_eq!(s.tier_name(), "fitc", "gate should pass on smooth data");
-        assert!(s.rank() <= 24);
-        // Posterior means track the exact fit closely on the training grid.
-        let exact = Gpr::fit(x.clone(), &y, s.kernel().clone_box(), s.noise_std(), true).unwrap();
-        for i in (0..120).step_by(17) {
-            let a = s.predict_one(x.row(i)).unwrap().mean;
-            let e = exact.predict_one(x.row(i)).unwrap().mean;
-            assert!((a - e).abs() < 0.1, "row {i}: {a} vs {e}");
-        }
-    }
-
-    #[test]
-    fn fit_surrogate_gate_falls_back_when_rank_is_starved() {
-        // Rank 2 cannot represent ~9 wiggles: the gate must detect the
-        // mismatch and return the exact tier.
-        let (x, y) = smooth_data(100);
-        let cfg = GprConfig::new(Box::new(SquaredExponential::unit()))
-            .with_restarts(2)
-            .with_tier(FitTier::Approximate)
-            .with_approx(ApproxConfig {
-                max_rank: 2,
-                hyper_subsample: 50,
-                ..ApproxConfig::default()
-            });
-        let (s, _) = fit_surrogate(&x, &y, &cfg).unwrap();
-        // (The gp.tier.fallback counter only moves when telemetry is
-        // globally enabled, which unit tests leave off.)
-        assert_eq!(s.tier_name(), "exact");
-    }
-
-    #[test]
-    fn fit_surrogate_auto_switches_on_size() {
-        let cfg_template = || {
-            GprConfig::new(Box::new(SquaredExponential::unit()))
-                .with_restarts(1)
-                .with_tier(FitTier::Auto)
-                .with_approx(ApproxConfig {
-                    exact_threshold: 40,
-                    max_rank: 16,
-                    hyper_subsample: 30,
-                    ..ApproxConfig::default()
-                })
-        };
-        let (x_small, y_small) = smooth_data(30);
-        let (s, _) = fit_surrogate(&x_small, &y_small, &cfg_template()).unwrap();
-        assert_eq!(s.tier_name(), "exact");
-        let (x_big, y_big) = smooth_data(80);
-        let (s, _) = fit_surrogate(&x_big, &y_big, &cfg_template()).unwrap();
-        assert_eq!(s.tier_name(), "fitc");
-        assert_eq!(s.rank(), 16);
-    }
-
-    #[test]
-    fn fit_surrogate_is_deterministic() {
-        let (x, y) = noisy_data(90, 13);
-        let cfg = GprConfig::new(Box::new(SquaredExponential::unit()))
-            .with_restarts(2)
-            .with_seed(4)
-            .with_tier(FitTier::Approximate)
-            .with_approx(ApproxConfig {
-                max_rank: 20,
-                hyper_subsample: 45,
-                ..ApproxConfig::default()
-            });
-        let (a, oa) = fit_surrogate(&x, &y, &cfg).unwrap();
-        let (b, ob) = fit_surrogate(&x, &y, &cfg).unwrap();
-        assert_eq!(oa.theta, ob.theta);
-        assert_eq!(a.tier_name(), b.tier_name());
-        assert_eq!(
-            a.predict_one(&[5.5]).unwrap(),
-            b.predict_one(&[5.5]).unwrap()
-        );
     }
 
     /// `-(t - c)^T A (t - c) / 2` with `A = R diag(1, 1e4) R^T` (R a 30°

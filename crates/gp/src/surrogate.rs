@@ -1,350 +1,21 @@
-//! A tier-agnostic surrogate model: either the exact GPR posterior or the
-//! sparse inducing-point approximation, behind one API.
-//!
-//! The AL loop, the acquisition strategies, and the pool-prediction caches
-//! only need posterior queries — they do not care whether those come from
-//! an `O(n³)` exact factorization or an `O(n m²)` sparse one. [`Surrogate`]
-//! is the seam: [`crate::optimize::fit_surrogate`] picks the tier, and
-//! everything downstream is written against this enum.
-//!
-//! The one structural difference the consumers *can* observe is the
-//! **basis** the cross-covariance cache keys on: the exact tier predicts
-//! through `K(X_*, X_train)` (grows every iteration), the sparse tier
-//! through `K(X_*, Z)` (frozen between hyperparameter refits) — see
-//! [`Surrogate::basis`].
+//! The name `perfbench/` wraps the fitted model in. Every fit is exact, so
+//! [`Surrogate`] has one variant and dereferences to the [`Gpr`] inside it;
+//! no workspace code uses it.
 
-use crate::kernel::Kernel;
-use crate::model::{GpError, Gpr, Prediction, PredictionWithGradient};
-use crate::sparse::{SparseGpr, SparseMethod};
-use alperf_linalg::matrix::Matrix;
-use alperf_linalg::stats::Standardizer;
-use rand::Rng;
+use crate::model::Gpr;
 
-/// Either posterior tier (see module docs).
+/// A fitted model, as `perfbench/` names it.
 pub enum Surrogate {
     /// The exact GPR posterior.
     Exact(Gpr),
-    /// The sparse inducing-point posterior.
-    Sparse(SparseGpr),
 }
 
-impl Surrogate {
-    /// Posterior predictive distribution at one point.
-    ///
-    /// # Errors
-    /// Propagates the underlying model's errors.
-    pub fn predict_one(&self, xstar: &[f64]) -> Result<Prediction, GpError> {
+impl std::ops::Deref for Surrogate {
+    type Target = Gpr;
+
+    fn deref(&self) -> &Gpr {
         match self {
-            Surrogate::Exact(m) => m.predict_one(xstar),
-            Surrogate::Sparse(m) => m.predict_one(xstar),
-        }
-    }
-
-    /// Batched posterior prediction at every row of `xs`.
-    ///
-    /// # Errors
-    /// Propagates the underlying model's errors.
-    pub fn predict_batch(&self, xs: &Matrix) -> Result<Vec<Prediction>, GpError> {
-        match self {
-            Surrogate::Exact(m) => m.predict_batch(xs),
-            Surrogate::Sparse(m) => m.predict_batch(xs),
-        }
-    }
-
-    /// Batched prediction with a caller-supplied cross-covariance against
-    /// [`Surrogate::basis`]: `K(X_*, X_train)` for the exact tier,
-    /// `K(X_*, Z)` for the sparse tier.
-    ///
-    /// # Errors
-    /// Dimension mismatch between `kxb` and the basis.
-    pub fn predict_batch_with_cross(
-        &self,
-        xs: &Matrix,
-        kxb: &Matrix,
-    ) -> Result<Vec<Prediction>, GpError> {
-        match self {
-            Surrogate::Exact(m) => m.predict_batch_with_cross(xs, kxb),
-            Surrogate::Sparse(m) => m.predict_batch_with_cross(xs, kxb),
-        }
-    }
-
-    /// Prediction with input-space gradients where available. The sparse
-    /// tier returns `Ok(None)` — continuous acquisition falls back to its
-    /// derivative-free pattern search, exactly as it does for gradientless
-    /// kernels on the exact tier.
-    ///
-    /// # Errors
-    /// Propagates the exact model's errors.
-    pub fn predict_with_gradient(
-        &self,
-        xstar: &[f64],
-    ) -> Result<Option<PredictionWithGradient>, GpError> {
-        match self {
-            Surrogate::Exact(m) => m.predict_with_gradient(xstar),
-            Surrogate::Sparse(_) => Ok(None),
-        }
-    }
-
-    /// Joint posterior covariance over the rows of `xs`.
-    ///
-    /// # Errors
-    /// Propagates the underlying model's errors.
-    pub fn posterior_covariance(&self, xs: &Matrix) -> Result<Matrix, GpError> {
-        match self {
-            Surrogate::Exact(m) => m.posterior_covariance(xs),
-            Surrogate::Sparse(m) => m.posterior_covariance(xs),
-        }
-    }
-
-    /// Draw `n_samples` posterior functions at the rows of `xs`.
-    ///
-    /// # Errors
-    /// Propagates the underlying model's errors.
-    pub fn sample_posterior(
-        &self,
-        xs: &Matrix,
-        n_samples: usize,
-        rng: &mut impl Rng,
-    ) -> Result<Vec<Vec<f64>>, GpError> {
-        match self {
-            Surrogate::Exact(m) => m.sample_posterior(xs, n_samples, rng),
-            Surrogate::Sparse(m) => m.sample_posterior(xs, n_samples, rng),
-        }
-    }
-
-    /// Condition on one extra observation with hyperparameters frozen
-    /// (`O(n²)` exact, `O(m²)` sparse).
-    ///
-    /// # Errors
-    /// Propagates the underlying model's errors.
-    pub fn with_observation(&self, x_new: &[f64], y_new: f64) -> Result<Surrogate, GpError> {
-        Ok(match self {
-            Surrogate::Exact(m) => Surrogate::Exact(m.with_observation(x_new, y_new)?),
-            Surrogate::Sparse(m) => Surrogate::Sparse(m.with_observation(x_new, y_new)?),
-        })
-    }
-
-    /// Refit the same tier on a new training set with hyperparameters (and,
-    /// for the sparse tier, the inducing set) frozen from this model — the
-    /// AL runner's between-refit reconditioning path and the batch
-    /// selector's fantasy updates.
-    ///
-    /// # Errors
-    /// Propagates the underlying fit errors.
-    pub fn refit(&self, x: Matrix, y: &[f64], standardize: bool) -> Result<Surrogate, GpError> {
-        Ok(match self {
-            Surrogate::Exact(m) => Surrogate::Exact(Gpr::fit(
-                x,
-                y,
-                m.kernel().clone_box(),
-                m.noise_std(),
-                standardize,
-            )?),
-            Surrogate::Sparse(m) => Surrogate::Sparse(SparseGpr::fit(
-                x,
-                y,
-                m.kernel().clone_box(),
-                m.noise_std(),
-                standardize,
-                m.method(),
-                m.inducing().clone(),
-            )?),
-        })
-    }
-
-    /// The kernel in use.
-    pub fn kernel(&self) -> &dyn Kernel {
-        match self {
-            Surrogate::Exact(m) => m.kernel(),
-            Surrogate::Sparse(m) => m.kernel(),
-        }
-    }
-
-    /// Noise standard deviation on the (possibly standardized) fit scale.
-    pub fn noise_std(&self) -> f64 {
-        match self {
-            Surrogate::Exact(m) => m.noise_std(),
-            Surrogate::Sparse(m) => m.noise_std(),
-        }
-    }
-
-    /// Noise standard deviation on the original response scale.
-    pub fn noise_std_raw(&self) -> f64 {
-        match self {
-            Surrogate::Exact(m) => m.noise_std_raw(),
-            Surrogate::Sparse(m) => m.noise_std_raw(),
-        }
-    }
-
-    /// Number of training observations conditioned on.
-    pub fn n_train(&self) -> usize {
-        match self {
-            Surrogate::Exact(m) => m.n_train(),
-            Surrogate::Sparse(m) => m.n_train(),
-        }
-    }
-
-    /// Input dimensionality.
-    pub fn dim(&self) -> usize {
-        match self {
-            Surrogate::Exact(m) => m.dim(),
-            Surrogate::Sparse(m) => m.dim(),
-        }
-    }
-
-    /// The prediction basis: training inputs (exact) or inducing inputs
-    /// (sparse). Cross-covariances passed to
-    /// [`Surrogate::predict_batch_with_cross`] must be `K(X_*, basis)`.
-    pub fn basis(&self) -> &Matrix {
-        match self {
-            Surrogate::Exact(m) => m.x_train(),
-            Surrogate::Sparse(m) => m.inducing(),
-        }
-    }
-
-    /// Whether the basis grows when the training set does (true only for
-    /// the exact tier) — the cache's append-a-column rule.
-    pub fn basis_tracks_train(&self) -> bool {
-        matches!(self, Surrogate::Exact(_))
-    }
-
-    /// The response standardizer.
-    pub fn standardizer(&self) -> &Standardizer {
-        match self {
-            Surrogate::Exact(m) => m.standardizer(),
-            Surrogate::Sparse(m) => m.standardizer(),
-        }
-    }
-
-    /// (Approximate) log marginal likelihood on the fit scale.
-    pub fn lml(&self) -> f64 {
-        match self {
-            Surrogate::Exact(m) => m.lml(),
-            Surrogate::Sparse(m) => m.lml(),
-        }
-    }
-
-    /// Cheap condition estimate of the underlying factorization(s).
-    pub fn condition_estimate(&self) -> f64 {
-        match self {
-            Surrogate::Exact(m) => m.condition_estimate(),
-            Surrogate::Sparse(m) => m.condition_estimate(),
-        }
-    }
-
-    /// Stable tier name for telemetry: `"exact"`, `"sor"`, or `"fitc"`.
-    pub fn tier_name(&self) -> &'static str {
-        match self {
-            Surrogate::Exact(_) => "exact",
-            Surrogate::Sparse(m) => match m.method() {
-                SparseMethod::Sor => "sor",
-                SparseMethod::Fitc => "fitc",
-            },
-        }
-    }
-
-    /// Effective rank of the posterior representation: `n` for the exact
-    /// tier, the inducing-point count `m` for the sparse tier.
-    pub fn rank(&self) -> usize {
-        match self {
-            Surrogate::Exact(m) => m.n_train(),
-            Surrogate::Sparse(m) => m.rank(),
-        }
-    }
-
-    /// True for the sparse tier.
-    pub fn is_sparse(&self) -> bool {
-        matches!(self, Surrogate::Sparse(_))
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::kernel::SquaredExponential;
-    use crate::sparse::select_inducing_kcenter;
-
-    fn pair() -> (Surrogate, Surrogate) {
-        let n = 30;
-        let xs: Vec<f64> = (0..n).map(|i| i as f64 * 0.3).collect();
-        let y: Vec<f64> = xs.iter().map(|v| (0.8 * v).cos() * 2.0).collect();
-        let x = Matrix::from_vec(n, 1, xs).unwrap();
-        let kernel = SquaredExponential::new(1.0, 1.0);
-        let exact = Surrogate::Exact(
-            Gpr::fit(x.clone(), &y, Box::new(kernel.clone()), 0.05, true).unwrap(),
-        );
-        let z = x.select_rows(&select_inducing_kcenter(&x, 10));
-        let sparse = Surrogate::Sparse(
-            SparseGpr::fit(x, &y, Box::new(kernel), 0.05, true, SparseMethod::Fitc, z).unwrap(),
-        );
-        (exact, sparse)
-    }
-
-    #[test]
-    fn delegation_is_consistent_per_tier() {
-        let (exact, sparse) = pair();
-        assert_eq!(exact.tier_name(), "exact");
-        assert_eq!(sparse.tier_name(), "fitc");
-        assert_eq!(exact.rank(), 30);
-        assert_eq!(sparse.rank(), 10);
-        assert!(exact.basis_tracks_train());
-        assert!(!sparse.basis_tracks_train());
-        assert_eq!(exact.basis().nrows(), 30);
-        assert_eq!(sparse.basis().nrows(), 10);
-        assert!(sparse.is_sparse() && !exact.is_sparse());
-        for s in [&exact, &sparse] {
-            let p = s.predict_one(&[2.5]).unwrap();
-            assert!(p.mean.is_finite() && p.std >= 0.0);
-            let b = s
-                .predict_batch(&Matrix::from_vec(1, 1, vec![2.5]).unwrap())
-                .unwrap();
-            // predict_one and the batched path use different (but equally
-            // valid) solve orders — agree to rounding, not bit-for-bit.
-            assert!((b[0].mean - p.mean).abs() < 1e-10);
-            assert!((b[0].std - p.std).abs() < 1e-10);
-            assert_eq!(s.n_train(), 30);
-            assert_eq!(s.dim(), 1);
-            assert!(s.lml().is_finite());
-            assert!(s.noise_std_raw() > 0.0);
-            assert!(s.condition_estimate() >= 1.0);
-        }
-    }
-
-    #[test]
-    fn sparse_gradient_is_none_exact_is_some() {
-        let (exact, sparse) = pair();
-        assert!(exact.predict_with_gradient(&[2.5]).unwrap().is_some());
-        assert!(sparse.predict_with_gradient(&[2.5]).unwrap().is_none());
-    }
-
-    #[test]
-    fn with_observation_and_refit_preserve_tier() {
-        let (exact, sparse) = pair();
-        for s in [&exact, &sparse] {
-            let grown = s.with_observation(&[9.3], 1.0).unwrap();
-            assert_eq!(grown.tier_name(), s.tier_name());
-            assert_eq!(grown.n_train(), 31);
-            let xs: Vec<f64> = (0..20).map(|i| i as f64 * 0.45).collect();
-            let y: Vec<f64> = xs.iter().map(|v| (0.8 * v).cos() * 2.0).collect();
-            let x = Matrix::from_vec(20, 1, xs).unwrap();
-            let refitted = s.refit(x, &y, true).unwrap();
-            assert_eq!(refitted.tier_name(), s.tier_name());
-            assert_eq!(refitted.n_train(), 20);
-            // Hyperparameters frozen across the refit.
-            assert_eq!(refitted.kernel().params(), s.kernel().params());
-            assert_eq!(refitted.noise_std(), s.noise_std());
-        }
-    }
-
-    #[test]
-    fn cross_basis_prediction_matches_direct() {
-        let (exact, sparse) = pair();
-        let q = Matrix::from_vec(3, 1, vec![0.7, 3.2, 8.0]).unwrap();
-        for s in [&exact, &sparse] {
-            let kxb = s.kernel().cross_matrix(&q, s.basis());
-            let direct = s.predict_batch(&q).unwrap();
-            let cross = s.predict_batch_with_cross(&q, &kxb).unwrap();
-            assert_eq!(direct, cross, "{}", s.tier_name());
+            Surrogate::Exact(m) => m,
         }
     }
 }

@@ -7,9 +7,6 @@ use alperf_gp::kernel::{
 };
 use alperf_gp::lml::assemble_covariance;
 use alperf_gp::model::Gpr;
-use alperf_gp::sparse::{
-    select_inducing_kcenter, select_inducing_pivoted, SparseGpr, SparseMethod,
-};
 use alperf_linalg::{cholesky::Cholesky, matrix::Matrix};
 use proptest::prelude::*;
 
@@ -202,134 +199,6 @@ proptest! {
         let g1 = Gpr::fit(x1, &y, Box::new(k.clone()), 0.1, false).unwrap();
         let g2 = Gpr::fit(x2, &y2, Box::new(k), 0.1, false).unwrap();
         prop_assert!((g1.lml() - g2.lml()).abs() < 1e-8);
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Approximate (sparse) tier properties.
-// ---------------------------------------------------------------------------
-
-/// Smooth 1-D dataset with deterministic xorshift jitter so inputs aren't
-/// perfectly gridded (gridded inputs make the SE gram near-singular).
-fn smooth_dataset(n: usize, seed: u64) -> (Matrix, Vec<f64>) {
-    let mut s = seed | 1;
-    let xs: Vec<f64> = (0..n)
-        .map(|i| {
-            s ^= s << 13;
-            s ^= s >> 7;
-            s ^= s << 17;
-            let jitter = ((s >> 11) as f64 / (1u64 << 53) as f64 - 1.0) * 0.02;
-            i as f64 * 8.0 / n as f64 + jitter
-        })
-        .collect();
-    let y: Vec<f64> = xs.iter().map(|v| (0.9 * v).sin() * 2.0 + 5.0).collect();
-    (Matrix::from_vec(n, 1, xs).unwrap(), y)
-}
-
-proptest! {
-    // Each case fits several GPRs; keep the case count civil.
-    #![proptest_config(ProptestConfig::with_cases(12))]
-
-    /// Sweeping the rank upward, the sparse posterior approaches the exact
-    /// one, and at rank ~ n the predictions agree tightly — for both SoR
-    /// and FITC, at random sizes and seeds.
-    #[test]
-    fn sparse_posterior_agrees_with_exact(n in 40usize..120, seed in 0u64..1000) {
-        let (x, y) = smooth_dataset(n, seed);
-        let kernel = SquaredExponential::new(1.0, 1.0);
-        let exact = Gpr::fit(x.clone(), &y, Box::new(kernel.clone()), 0.05, true).unwrap();
-        let probes: Vec<f64> = (0..16).map(|i| 0.3 + i as f64 * 0.45).collect();
-        for method in [SparseMethod::Sor, SparseMethod::Fitc] {
-            let mut errs = Vec::new();
-            for m in [n / 4, n / 2, n] {
-                let idx = select_inducing_pivoted(&kernel, &x, m.max(2), 0.0).unwrap();
-                let z = x.select_rows(&idx);
-                let sparse = SparseGpr::fit(
-                    x.clone(), &y, Box::new(kernel.clone()), 0.05, true, method, z,
-                ).unwrap();
-                let mut worst = 0.0f64;
-                for &p in &probes {
-                    let e = exact.predict_one(&[p]).unwrap();
-                    let s = sparse.predict_one(&[p]).unwrap();
-                    worst = worst.max((e.mean - s.mean).abs());
-                }
-                errs.push(worst);
-            }
-            // High-rank fit is accurate...
-            prop_assert!(
-                errs[2] < 1e-3,
-                "{method:?}: rank ~ n error {} too large", errs[2]
-            );
-            // ...and no worse than the quarter-rank fit (tiny slack for
-            // jitter-ladder noise on near-singular grams).
-            prop_assert!(
-                errs[2] <= errs[0] + 1e-6,
-                "{method:?}: errors not improving with rank: {errs:?}"
-            );
-        }
-    }
-
-    /// Inducing-point selection is bit-identical regardless of how many
-    /// rayon workers are available: selection must never depend on thread
-    /// scheduling.
-    #[test]
-    fn inducing_selection_identical_across_worker_counts(n in 30usize..90, seed in 0u64..1000) {
-        let (x, _) = smooth_dataset(n, seed);
-        let kernel = SquaredExponential::new(1.0, 1.0);
-        let m = (n / 3).max(2);
-        let baseline_piv = select_inducing_pivoted(&kernel, &x, m, 1e-6).unwrap();
-        let baseline_kc = select_inducing_kcenter(&x, m);
-        for workers in [1usize, 2, 4] {
-            let pool = rayon::ThreadPoolBuilder::new()
-                .num_threads(workers)
-                .build()
-                .unwrap();
-            let (piv, kc) = pool.install(|| {
-                (
-                    select_inducing_pivoted(&kernel, &x, m, 1e-6).unwrap(),
-                    select_inducing_kcenter(&x, m),
-                )
-            });
-            prop_assert_eq!(&piv, &baseline_piv, "pivoted selection diverged at {} workers", workers);
-            prop_assert_eq!(&kc, &baseline_kc, "k-center selection diverged at {} workers", workers);
-        }
-    }
-}
-
-/// The full n <= 400 sweep from the acceptance criteria: at n = 400 the
-/// FITC posterior at the default rank cap stays within the exact-vs-sparse
-/// gate tolerance on standardized training-mean RMSE.
-#[test]
-fn sparse_agreement_at_n400_default_rank() {
-    let n = 400;
-    let (x, y) = smooth_dataset(n, 0x5eed);
-    let kernel = SquaredExponential::new(1.0, 1.0);
-    let exact = Gpr::fit(x.clone(), &y, Box::new(kernel.clone()), 0.05, true).unwrap();
-    for m in [64usize, 128, 256] {
-        let idx = select_inducing_pivoted(&kernel, &x, m, 1e-6).unwrap();
-        let z = x.select_rows(&idx);
-        let sparse = SparseGpr::fit(
-            x.clone(),
-            &y,
-            Box::new(kernel.clone()),
-            0.05,
-            true,
-            SparseMethod::Fitc,
-            z,
-        )
-        .unwrap();
-        let mut se = 0.0;
-        for i in 0..n {
-            let e = exact.predict_one(x.row(i)).unwrap();
-            let s = sparse.predict_one(x.row(i)).unwrap();
-            se += (e.mean - s.mean).powi(2);
-        }
-        let scale = exact.standardizer().std.abs().max(1e-12);
-        let rmse = (se / n as f64).sqrt() / scale;
-        assert!(
-            rmse < 0.05,
-            "rank {m}: standardized RMSE {rmse} exceeds the 0.05 gate tolerance"
-        );
     }
 }
 

@@ -1,5 +1,5 @@
 //! One grid campaign: synthesize the scenario's dataset, run the AL
-//! loop under the config's strategy/kernel/tier/fault axes, and reduce
+//! loop under the config's strategy/kernel/fault axes, and reduce
 //! the run to the summary trajectories.
 //!
 //! Everything here is a pure function of the [`CampaignConfig`] — no
@@ -14,14 +14,14 @@
 //! each round then measures the whole batch through the fault oracle
 //! before the next refit.
 
-use crate::spec::{mix, CampaignConfig, KernelKind, StrategyKind, TierKind};
+use crate::spec::{mix, CampaignConfig, KernelKind, StrategyKind};
 use alperf_al::oracle::{ExperimentOracle, ExperimentOutcome, SeededFaultOracle};
 use alperf_al::runner::{run_al_with_oracle, AlConfig};
 use alperf_al::strategy::{CostEfficiency, RandomSampling, Strategy, VarianceReduction};
 use alperf_data::partition::Partition;
 use alperf_gp::kernel::{Kernel, Matern32, Matern52, RationalQuadratic, SquaredExponential};
 use alperf_gp::noise::NoiseFloor;
-use alperf_gp::optimize::{fit_surrogate, ApproxConfig, FitTier, GprConfig};
+use alperf_gp::optimize::{fit_gpr, GprConfig};
 use alperf_linalg::matrix::Matrix;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
@@ -72,24 +72,10 @@ fn make_strategy(kind: StrategyKind) -> Box<dyn Strategy> {
 }
 
 fn gpr_config(cfg: &CampaignConfig) -> GprConfig {
-    let gpr = GprConfig::new(make_kernel(cfg.kernel))
+    GprConfig::new(make_kernel(cfg.kernel))
         .with_noise_floor(NoiseFloor::Fixed(0.05))
         .with_restarts(2)
-        .with_seed(mix(cfg.run_seed, 0x6770)); // "gp"
-    match cfg.tier {
-        TierKind::Exact => gpr.with_tier(FitTier::Exact),
-        // Tiny campaigns: rank/subsample caps sized to the training sets
-        // the grid actually produces, so the sparse path really runs.
-        TierKind::Approximate => gpr
-            .with_tier(FitTier::Approximate)
-            .with_approx(ApproxConfig {
-                max_rank: 12,
-                hyper_subsample: 24,
-                gate_max_n: 0,
-                ..ApproxConfig::default()
-            }),
-        TierKind::Auto => gpr.with_tier(FitTier::Auto),
-    }
+        .with_seed(mix(cfg.run_seed, 0x6770)) // "gp"
 }
 
 /// The scenario: inputs, noisy response, per-row cost, and the
@@ -203,7 +189,7 @@ fn run_batched(
     while budget > 0 && !pool.is_empty() {
         let xt = x.select_rows(&train);
         let yt: Vec<f64> = train.iter().map(|&i| y[i]).collect();
-        let model = match fit_surrogate(&xt, &yt, &gpr) {
+        let model = match fit_gpr(&xt, &yt, &gpr) {
             Ok((m, _)) => m,
             Err(e) => return error_result(format!("{e}")),
         };

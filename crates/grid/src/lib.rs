@@ -3,14 +3,14 @@
 //!
 //! Campaign-grid orchestrator: thousands of deterministic AL campaigns
 //! as one workload. A declarative [`GridSpec`] (strategy × kernel ×
-//! surrogate tier × noise × batch × fault rate × replicate seed)
-//! expands into a canonical config list; the executor runs every config
-//! across worker threads and streams one `alperf-grid-v1` JSONL summary
-//! per campaign, **bit-identical for any worker width, commit mode, or
-//! kill/resume cycle**; the ranking layer turns summary files into
-//! per-slice strategy leaderboards and pairwise bootstrap significance
-//! verdicts — the paper's "variance reduction beats random" claim,
-//! tested across a whole scenario space instead of one configuration.
+//! noise × batch × fault rate × replicate seed) expands into a
+//! canonical config list; the executor runs every config across worker
+//! threads and streams one `alperf-grid-v1` JSONL summary per campaign,
+//! **bit-identical for any worker width, commit mode, or kill/resume
+//! cycle**; the ranking layer turns summary files into per-slice strategy
+//! leaderboards and pairwise bootstrap significance verdicts — the
+//! paper's "variance reduction beats random" claim, tested across a whole
+//! scenario space instead of one configuration.
 //!
 //! ```text
 //! GridSpec ──expand──▶ [CampaignConfig] ──run_grid──▶ summaries.jsonl

@@ -1,7 +1,7 @@
 //! Declarative grid specs and their expansion into campaign configs.
 //!
 //! A [`GridSpec`] names one value list per axis (strategy × kernel ×
-//! surrogate tier × noise × batch size × fault rate × seed). Expansion
+//! noise × batch size × fault rate × seed). Expansion
 //! is the full cartesian product in a **fixed canonical nesting order**
 //! over **canonically sorted, deduplicated** axis values — so two specs
 //! that declare the same sets of values, in any order and with any
@@ -16,7 +16,7 @@
 //! * `run_seed = splitmix64(base_seed + (index + 1) · φ64)` — drives the
 //!   strategy RNG and hyperparameter restarts; injective in `index`.
 //! * the *dataset* seed is derived from `(base_seed, noise, seed, rows)`
-//!   only — deliberately shared by every strategy/tier/batch in a
+//!   only — deliberately shared by every strategy/batch in a
 //!   scenario slice, so strategies compete on identical data,
 //!   partitions, and fault verdicts.
 
@@ -116,15 +116,13 @@ impl KernelKind {
     }
 }
 
-/// Surrogate fit tier axis (`gp::FitTier`).
+/// The surrogate tier every campaign fits: only exact GPR exists. It stays
+/// a name so config keys, summary records and spec files still read
+/// `tier=exact`, and so `perfbench/` still compiles.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum TierKind {
     /// Exact GPR.
     Exact,
-    /// Low-rank / inducing-point approximation.
-    Approximate,
-    /// Size-gated automatic choice.
-    Auto,
 }
 
 impl TierKind {
@@ -132,8 +130,6 @@ impl TierKind {
     pub fn name(self) -> &'static str {
         match self {
             TierKind::Exact => "exact",
-            TierKind::Approximate => "approx",
-            TierKind::Auto => "auto",
         }
     }
 
@@ -141,8 +137,6 @@ impl TierKind {
     pub fn parse(s: &str) -> Result<Self, SpecError> {
         match s {
             "exact" => Ok(TierKind::Exact),
-            "approx" => Ok(TierKind::Approximate),
-            "auto" => Ok(TierKind::Auto),
             _ => Err(SpecError(format!("unknown tier {s:?}"))),
         }
     }
@@ -181,8 +175,6 @@ pub struct GridSpec {
     pub strategies: Vec<StrategyKind>,
     /// Kernel axis.
     pub kernels: Vec<KernelKind>,
-    /// Surrogate tier axis.
-    pub tiers: Vec<TierKind>,
     /// Observation noise half-width axis (uniform noise on the synthetic
     /// response).
     pub noises: Vec<f64>,
@@ -203,7 +195,6 @@ impl Default for GridSpec {
             iters: 10,
             strategies: vec![StrategyKind::VarianceReduction],
             kernels: vec![KernelKind::Se],
-            tiers: vec![TierKind::Exact],
             noises: vec![0.1],
             batches: vec![1],
             fault_rates: vec![0.0],
@@ -229,7 +220,6 @@ impl GridSpec {
         for (axis, empty) in [
             ("strategy", self.strategies.is_empty()),
             ("kernel", self.kernels.is_empty()),
-            ("tier", self.tiers.is_empty()),
             ("noise", self.noises.is_empty()),
             ("batch", self.batches.is_empty()),
             ("fault", self.fault_rates.is_empty()),
@@ -255,8 +245,6 @@ impl GridSpec {
         self.strategies.dedup();
         self.kernels.sort();
         self.kernels.dedup();
-        self.tiers.sort();
-        self.tiers.dedup();
         canon_f64(&mut self.noises, "noise")?;
         self.batches.sort();
         self.batches.dedup();
@@ -270,7 +258,6 @@ impl GridSpec {
     pub fn n_configs(&self) -> usize {
         self.strategies.len()
             * self.kernels.len()
-            * self.tiers.len()
             * self.noises.len()
             * self.batches.len()
             * self.fault_rates.len()
@@ -278,7 +265,7 @@ impl GridSpec {
     }
 
     /// Expand the cartesian product in the canonical nesting order
-    /// (strategy ▸ kernel ▸ tier ▸ noise ▸ batch ▸ fault ▸ seed, seed
+    /// (strategy ▸ kernel ▸ noise ▸ batch ▸ fault ▸ seed, seed
     /// innermost). Call on a [`canonicalize`](Self::canonicalize)d spec;
     /// this canonicalizes defensively either way.
     pub fn expand(&self) -> Result<Vec<CampaignConfig>, SpecError> {
@@ -286,27 +273,25 @@ impl GridSpec {
         let mut out = Vec::with_capacity(spec.n_configs());
         for &strategy in &spec.strategies {
             for &kernel in &spec.kernels {
-                for &tier in &spec.tiers {
-                    for &noise in &spec.noises {
-                        for &batch in &spec.batches {
-                            for &fault_rate in &spec.fault_rates {
-                                for &seed in &spec.seeds {
-                                    let index = out.len();
-                                    out.push(CampaignConfig {
-                                        index,
-                                        strategy,
-                                        kernel,
-                                        tier,
-                                        noise,
-                                        batch,
-                                        fault_rate,
-                                        seed,
-                                        rows: spec.rows,
-                                        iters: spec.iters,
-                                        run_seed: derived_seed(spec.base_seed, index),
-                                        base_seed: spec.base_seed,
-                                    });
-                                }
+                for &noise in &spec.noises {
+                    for &batch in &spec.batches {
+                        for &fault_rate in &spec.fault_rates {
+                            for &seed in &spec.seeds {
+                                let index = out.len();
+                                out.push(CampaignConfig {
+                                    index,
+                                    strategy,
+                                    kernel,
+                                    tier: TierKind::Exact,
+                                    noise,
+                                    batch,
+                                    fault_rate,
+                                    seed,
+                                    rows: spec.rows,
+                                    iters: spec.iters,
+                                    run_seed: derived_seed(spec.base_seed, index),
+                                    base_seed: spec.base_seed,
+                                });
                             }
                         }
                     }
@@ -326,7 +311,7 @@ impl GridSpec {
     /// iters = 10
     /// strategy = vr, ce, random
     /// kernel = se, m52
-    /// tier = exact
+    /// tier = exact        # optional; the only tier
     /// noise = 0.05, 0.2, 0.5
     /// batch = 1, 2
     /// fault = 0, 0.2
@@ -370,7 +355,12 @@ impl GridSpec {
                 "kernel" => {
                     spec.kernels = list().map(KernelKind::parse).collect::<Result<_, _>>()?
                 }
-                "tier" => spec.tiers = list().map(TierKind::parse).collect::<Result<_, _>>()?,
+                "tier" => {
+                    let tiers = list().map(TierKind::parse).collect::<Result<Vec<_>, _>>()?;
+                    if tiers.is_empty() {
+                        return Err(SpecError("axis tier has no values".into()));
+                    }
+                }
                 "noise" => spec.noises = f64s()?,
                 "batch" => {
                     spec.batches = list()
@@ -421,11 +411,7 @@ impl GridSpec {
             " kernel={}",
             join(self.kernels.iter().map(|v| v.name().into()).collect())
         );
-        let _ = write!(
-            s,
-            " tier={}",
-            join(self.tiers.iter().map(|v| v.name().into()).collect())
-        );
+        let _ = write!(s, " tier={}", TierKind::Exact.name());
         let _ = write!(
             s,
             " noise={}",
@@ -468,7 +454,7 @@ pub struct CampaignConfig {
     pub strategy: StrategyKind,
     /// Kernel axis value.
     pub kernel: KernelKind,
-    /// Tier axis value.
+    /// The fit tier, always [`TierKind::Exact`].
     pub tier: TierKind,
     /// Noise axis value.
     pub noise: f64,
@@ -518,7 +504,7 @@ impl CampaignConfig {
 
     /// Seed for the synthetic dataset, partition, and fault oracle:
     /// derived from `(base_seed, noise, seed, rows)` only, so every
-    /// strategy/tier/batch in a slice sees identical data, splits, and
+    /// strategy/batch in a slice sees identical data, splits, and
     /// fault verdicts. (Strategy comparisons stay paired.)
     pub fn data_seed(&self) -> u64 {
         let mut s = mix(self.base_seed, 0x6772_6964); // "grid"
@@ -595,6 +581,42 @@ mod tests {
         assert!(GridSpec::parse("fault = 1.0").is_err());
         assert!(GridSpec::parse("batch = 0").is_err());
         assert!(GridSpec::parse("seed = ").is_err());
+    }
+
+    #[test]
+    fn removed_tiers_are_typed_errors_and_exact_still_reads_exact() {
+        for tier in ["approx", "auto"] {
+            assert_eq!(
+                GridSpec::parse(&format!("tier = {tier}")),
+                Err(SpecError(format!("unknown tier {tier:?}")))
+            );
+        }
+        assert_eq!(
+            GridSpec::parse("tier = "),
+            Err(SpecError("axis tier has no values".into()))
+        );
+        assert_eq!(
+            GridSpec::parse("tier = exact").unwrap(),
+            GridSpec::parse("").unwrap()
+        );
+        // The golden fixture's meta line, byte for byte.
+        let golden = GridSpec {
+            name: "golden".into(),
+            base_seed: 11,
+            rows: 16,
+            iters: 4,
+            strategies: StrategyKind::ALL.to_vec(),
+            noises: vec![0.1, 0.4],
+            fault_rates: vec![0.2],
+            seeds: vec![0, 1, 2],
+            ..GridSpec::default()
+        };
+        assert_eq!(
+            golden.canonicalize().unwrap().canonical_text(),
+            "name=golden base_seed=11 rows=16 iters=4 \
+             strategy=variance_reduction,cost_efficiency,random kernel=se tier=exact \
+             noise=0.1,0.4 batch=1 fault=0.2 seed=0,1,2"
+        );
     }
 
     #[test]

@@ -24,7 +24,6 @@ fn spec64() -> GridSpec {
         batches: vec![1, 2],
         fault_rates: vec![0.2],
         seeds: (0..4).collect(),
-        ..GridSpec::default()
     }
 }
 

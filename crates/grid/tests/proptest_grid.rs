@@ -8,15 +8,11 @@ use std::collections::BTreeSet;
 
 /// An arbitrary multi-axis spec, axes drawn with duplicates allowed and
 /// in arbitrary order. Kept small enough that full expansion (bounded by
-/// 3·2·2·3·2·3·4 = 864 configs) stays fast under many proptest cases.
+/// 3·2·3·3·3·5 = 810 configs) stays fast under many proptest cases.
 fn arb_spec() -> impl Strategy<Value = GridSpec> {
     let strategies = prop::collection::vec(prop::sample::select(StrategyKind::ALL.to_vec()), 1..=4);
     let kernels = prop::collection::vec(
         prop::sample::select(vec![KernelKind::Se, KernelKind::Matern52]),
-        1..=3,
-    );
-    let tiers = prop::collection::vec(
-        prop::sample::select(vec![TierKind::Exact, TierKind::Auto]),
         1..=3,
     );
     let noises = prop::collection::vec(prop::sample::select(vec![0.0, 0.1, 0.5]), 1..=4);
@@ -24,22 +20,19 @@ fn arb_spec() -> impl Strategy<Value = GridSpec> {
     let faults = prop::collection::vec(prop::sample::select(vec![0.0, 0.2, 0.4]), 1..=4);
     let seeds = prop::collection::vec(0u64..50, 1..=5);
     (
-        (strategies, kernels, tiers, noises, batches, faults, seeds),
+        (strategies, kernels, noises, batches, faults, seeds),
         0u64..u64::MAX / 2,
     )
         .prop_map(
-            |((strategies, kernels, tiers, noises, batches, fault_rates, seeds), base_seed)| {
-                GridSpec {
-                    base_seed,
-                    strategies,
-                    kernels,
-                    tiers,
-                    noises,
-                    batches,
-                    fault_rates,
-                    seeds,
-                    ..GridSpec::default()
-                }
+            |((strategies, kernels, noises, batches, fault_rates, seeds), base_seed)| GridSpec {
+                base_seed,
+                strategies,
+                kernels,
+                noises,
+                batches,
+                fault_rates,
+                seeds,
+                ..GridSpec::default()
             },
         )
 }
@@ -58,10 +51,11 @@ proptest! {
             prop_assert_eq!(c.index, i);
         }
         // Completeness: every axis combination appears.
-        let expected = canon.strategies.len() * canon.kernels.len() * canon.tiers.len()
+        let expected = canon.strategies.len() * canon.kernels.len()
             * canon.noises.len() * canon.batches.len() * canon.fault_rates.len()
             * canon.seeds.len();
         prop_assert_eq!(configs.len(), expected);
+        prop_assert!(configs.iter().all(|c| c.tier == TierKind::Exact));
         for s in &canon.strategies {
             prop_assert!(configs.iter().any(|c| c.strategy == *s));
         }
@@ -91,7 +85,6 @@ proptest! {
         }
         mangle(&mut mutated.strategies, rot, dup);
         mangle(&mut mutated.kernels, rot + 1, dup);
-        mangle(&mut mutated.tiers, rot + 2, dup);
         mangle(&mut mutated.noises, rot + 3, dup);
         mangle(&mut mutated.batches, rot, dup + 1);
         mangle(&mut mutated.fault_rates, rot + 1, dup + 2);

@@ -321,13 +321,6 @@ impl Cholesky {
         solve_lower(&self.l, b)
     }
 
-    /// Backward solve only: `L^T x = b` — the second half of
-    /// [`Self::solve`], exposed for consumers that assemble products like
-    /// `L^{-T} w` directly (the sparse-GPR mean weights).
-    pub fn solve_backward(&self, b: &[f64]) -> Result<Vec<f64>, LinalgError> {
-        solve_lower_transpose(&self.l, b)
-    }
-
     /// Multi-RHS solve `A X = B`, one column of `X` per column of `B`.
     /// Delegates to the blocked (and, for large systems, parallel)
     /// triangular kernels, so it is much faster than calling [`Self::solve`]
@@ -437,9 +430,11 @@ impl Cholesky {
     }
 
     /// Extend the factorization by one row/column in `O(n^2)`: given the
-    /// factor of `A`, produce the factor of
-    /// `[[A, a], [a^T, alpha]]` where `a` is the new off-diagonal column
-    /// and `alpha` the new diagonal entry.
+    /// factor of `A + jI` (`j` = [`Cholesky::jitter`]), produce the factor
+    /// of `[[A + jI, a], [a^T, alpha + j]]` where `a` is the new
+    /// off-diagonal column and `alpha` the new diagonal entry of `A`. The
+    /// new pivot carries the same jitter as the old ones, so `jitter()`
+    /// still describes the whole grown factor.
     ///
     /// This is the engine of incremental GPR updates: adding one training
     /// point extends `K_y` exactly this way, so the AL loop can recondition
@@ -447,7 +442,7 @@ impl Cholesky {
     ///
     /// # Errors
     /// [`LinalgError::NotPositiveDefinite`] if the extended matrix is not
-    /// PD (`alpha - ||L^{-1} a||^2 <= 0`);
+    /// PD (`alpha + j - ||L^{-1} a||^2 <= 0`);
     /// [`LinalgError::DimensionMismatch`] if `a.len() != order()`.
     pub fn extend(&self, a: &[f64], alpha: f64) -> Result<Cholesky, LinalgError> {
         let n = self.order();
@@ -458,7 +453,7 @@ impl Cholesky {
             });
         }
         let z = solve_lower(&self.l, a)?;
-        let d2 = alpha - crate::vector::dot(&z, &z);
+        let d2 = alpha + self.jitter - crate::vector::dot(&z, &z);
         if d2 <= 0.0 || !d2.is_finite() {
             return Err(LinalgError::NotPositiveDefinite {
                 pivot: n,
@@ -714,6 +709,30 @@ mod tests {
         let x2 = full.solve(&rhs).unwrap();
         for (a, b) in x1.iter().zip(&x2) {
             assert!((a - b).abs() < 1e-12);
+        }
+    }
+
+    #[test]
+    fn extend_keeps_the_factor_jitter_on_the_new_pivot() {
+        // The all-ones matrix is singular, so the ladder settles on a
+        // nonzero jitter j; the grown factor must then be that of the
+        // all-ones 4x4 matrix plus jI on every diagonal entry.
+        let ones = Matrix::from_fn(3, 3, |_, _| 1.0);
+        let c3 = Cholesky::decompose_jittered(&ones, 1e-10, 8).unwrap();
+        let j = c3.jitter();
+        assert!(j > 0.0);
+        let c4 = c3.extend(&[1.0; 3], 1.0).unwrap();
+        assert_eq!(c4.jitter(), j);
+        let rec = c4.reconstruct();
+        for r in 0..4 {
+            for c in 0..4 {
+                let want = if r == c { 1.0 + j } else { 1.0 };
+                assert!(
+                    (rec[(r, c)] - want).abs() <= 1e-14 * want,
+                    "({r},{c}): {} vs {want}",
+                    rec[(r, c)]
+                );
+            }
         }
     }
 

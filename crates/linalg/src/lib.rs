@@ -24,7 +24,6 @@
 pub mod cholesky;
 pub mod error;
 pub mod fastmath;
-pub mod lowrank;
 pub mod matrix;
 pub mod stats;
 pub mod threads;

@@ -19,7 +19,7 @@ use alperf::framework::analysis::paper_kernel_bounds;
 use alperf::framework::online::OnlineAl;
 use alperf::gp::kernel::ArdSquaredExponential;
 use alperf::gp::noise::NoiseFloor;
-use alperf::gp::optimize::{fit_surrogate, GprConfig};
+use alperf::gp::optimize::{fit_gpr, GprConfig};
 use alperf::hpgmg::model::PerfModel;
 use alperf::hpgmg::operator::OperatorKind;
 use alperf::linalg::matrix::Matrix;
@@ -90,7 +90,7 @@ fn main() {
         xt = xt.with_row(&r.x).expect("rows");
         yt.push(r.y);
     }
-    let (gp, _) = fit_surrogate(&xt, &yt, &gpr).expect("refit");
+    let (gp, _) = fit_gpr(&xt, &yt, &gpr).expect("refit");
     let acq = ContinuousAcquisition::new(vec![(3.23, 9.04), (0.0, 6.0)]);
     let (x_next, sigma_next) = acq.maximize(&gp, Criterion::Sigma).expect("maximize");
     println!(
