@@ -14,10 +14,9 @@
 //!   (find the best configuration) rather than coverage; also a randomized
 //!   exploration baseline.
 //!
-//! Both cost more per iteration than Variance Reduction — ALC needs the
+//! Both cost more per iteration than Variance Reduction: ALC needs the
 //! joint posterior covariance over the pool (O(pool^2) solves), Thompson a
-//! posterior Cholesky — the `acquisition_argmax` criterion bench quantifies
-//! the difference.
+//! posterior Cholesky.
 
 use crate::strategy::{SelectionContext, Strategy};
 use alperf_linalg::matrix::Matrix;

@@ -37,14 +37,6 @@ pub struct AlConfig {
     /// Refit hyperparameters every `refit_every` iterations (1 = always,
     /// matching the paper; larger values are an ablation knob).
     pub refit_every: usize,
-    /// Warm-start refits from the previous iteration's hyperparameters
-    /// with a single ascent (no random restarts), falling back to the full
-    /// multi-restart search every `full_refit_every` iterations. The LML
-    /// landscape moves slowly as one point is added, so this matches the
-    /// full search in practice at a fraction of the cost.
-    pub warm_start: bool,
-    /// Period of full multi-restart refits under warm starting.
-    pub full_refit_every: usize,
     /// RNG seed for strategy randomness.
     pub seed: u64,
 }
@@ -56,8 +48,6 @@ impl AlConfig {
             gpr,
             max_iters: 100,
             refit_every: 1,
-            warm_start: true,
-            full_refit_every: 10,
             seed: 0,
         }
     }
@@ -467,11 +457,13 @@ fn refit_step(
         // Full multi-restart search early (small-n fits are cheap and
         // the LML landscape still shifts with every point — a warm
         // start can lock onto a degenerate all-noise optimum), then
-        // warm-started single ascents with periodic full refreshes.
-        let full_search = !config.warm_start
-            || warm_theta.is_none()
-            || train.len() < 15
-            || iter.is_multiple_of(config.full_refit_every.max(1));
+        // single ascents warm-started from the previous optimum, with a
+        // full refresh every `FULL_REFIT_EVERY` iterations. The LML moves
+        // slowly as one point is added, so the warm ascent matches the
+        // full search in practice at a fraction of the cost.
+        const FULL_REFIT_EVERY: usize = 10;
+        let full_search =
+            warm_theta.is_none() || train.len() < 15 || iter.is_multiple_of(FULL_REFIT_EVERY);
         let cfg = if full_search {
             config.gpr.clone()
         } else {

@@ -1,46 +1,275 @@
-//! Telemetry overhead budget check — prints an overhead report and
-//! asserts the <2% budget.
+//! Hard performance budgets that hold on any machine. Prints a JSON
+//! report and exits non-zero when a budget fails:
+//!
+//! * telemetry overhead: an instrumented GPR fit and a batched predict
+//!   with telemetry on stay within [`BUDGET_PCT`] of the same calls with
+//!   it off;
+//! * grid summary stream: per-record commits (write + flush per line)
+//!   cost at most [`STREAM_OVERHEAD_BUDGET_PCT`] over one buffered
+//!   end-of-run write;
+//! * grid width: 2 workers run the grid in under [`GRID_RATIO_T2_BUDGET`]
+//!   of the 1-worker wall time, checked only on machines with at least
+//!   [`GRID_RATIO_T2_MIN_CPUS`] CPUs.
 //!
 //! Usage:
 //!   obs_overhead           # full sizes (n=200 fit, 1024-candidate pool)
-//!   obs_overhead --quick   # tiny sizes (CI smoke run)
+//!   obs_overhead --quick   # small sizes (CI)
 //!
-//! The measurement itself lives in `alperf_bench::overhead` and is shared
-//! with the `bench_gate` binary, which gates these numbers against the
-//! checked-in `BENCH_obs_overhead.json` baseline (and refreshes it via
-//! `--update-baseline`).
+//! Timings use `std::time::Instant` directly, the one place that cannot
+//! route through the layer it is measuring.
 
-use alperf_bench::overhead::{self, BUDGET_PCT};
+use alperf_gp::kernel::SquaredExponential;
+use alperf_gp::model::Gpr;
+use alperf_gp::noise::NoiseFloor;
+use alperf_gp::optimize::{fit_gpr, GprConfig};
+use alperf_grid::exec::{run_grid, CommitMode, ExecConfig};
+use alperf_grid::spec::{GridSpec, KernelKind, StrategyKind};
+use alperf_linalg::matrix::Matrix;
+use alperf_linalg::threads::with_threads;
+use std::hint::black_box;
+use std::process::ExitCode;
+use std::time::Instant;
 
-fn main() {
+/// The telemetry overhead budget, percent of hot-path runtime.
+const BUDGET_PCT: f64 = 2.0;
+/// Per-record flushes may cost at most this much over a single buffered
+/// write of the whole summary file, percent.
+const STREAM_OVERHEAD_BUDGET_PCT: f64 = 10.0;
+/// 2-worker over 1-worker grid wall time: campaigns are embarrassingly
+/// parallel, so two real cores must beat 1.25x.
+const GRID_RATIO_T2_BUDGET: f64 = 0.8;
+/// Minimum CPU count for the 2-worker speedup budget to be meaningful.
+const GRID_RATIO_T2_MIN_CPUS: usize = 2;
+
+/// Minimum-over-repeats wall time of `f`, in milliseconds.
+fn best_ms<F: FnMut()>(reps: usize, mut f: F) -> f64 {
+    let mut best = f64::INFINITY;
+    for _ in 0..reps {
+        let t = Instant::now();
+        f();
+        best = best.min(t.elapsed().as_secs_f64() * 1e3);
+    }
+    best
+}
+
+/// Median of a non-empty sample.
+fn median(xs: &[f64]) -> f64 {
+    let mut s = xs.to_vec();
+    s.sort_by(f64::total_cmp);
+    let mid = s.len() / 2;
+    if s.len() % 2 == 1 {
+        s[mid]
+    } else {
+        (s[mid - 1] + s[mid]) / 2.0
+    }
+}
+
+/// Deterministic synthetic training set (2-D inputs, smooth response).
+fn training_data(n: usize) -> (Matrix, Vec<f64>) {
+    let x = Matrix::from_fn(n, 2, |i, j| {
+        if j == 0 {
+            3.0 + 6.0 * (i as f64 / n as f64)
+        } else {
+            1.2 + 1.2 * ((i * 7 % n) as f64 / n as f64)
+        }
+    });
+    let y: Vec<f64> = (0..n)
+        .map(|i| (i as f64 * 0.1).sin() + i as f64 * 0.01)
+        .collect();
+    (x, y)
+}
+
+/// Deterministic synthetic candidate pool.
+fn pool_points(m: usize) -> Matrix {
+    Matrix::from_fn(m, 2, |i, j| {
+        if j == 0 {
+            3.0 + 6.0 * ((i * 13 % m) as f64 / m as f64)
+        } else {
+            1.2 + 1.2 * ((i * 29 % m) as f64 / m as f64)
+        }
+    })
+}
+
+/// Telemetry on/off timings of one hot path.
+struct Overhead {
+    off_ms: f64,
+    on_ms: f64,
+    /// Median of the per-round on/off ratios, percent. Each round's pair
+    /// runs back to back in the same noise epoch, and the median discards
+    /// rounds a CPU-steal spike landed in, so this is far more stable on a
+    /// time-shared VM than a ratio of overall minima.
+    pct: f64,
+}
+
+/// Interleave `rounds` disabled/enabled arms of `f`, each the best of
+/// `arm_reps` calls, so both sides sample the same machine epochs: an
+/// off-block then on-block would let clock drift or a background phase
+/// masquerade as telemetry overhead. Leaves telemetry disabled.
+fn on_off<F: FnMut()>(rounds: usize, arm_reps: usize, mut f: F) -> Overhead {
+    let (mut off_ms, mut on_ms) = (f64::INFINITY, f64::INFINITY);
+    let mut pcts = Vec::with_capacity(rounds);
+    for _ in 0..rounds {
+        alperf_obs::set_enabled(false);
+        let off = best_ms(arm_reps, &mut f);
+        alperf_obs::set_enabled(true);
+        let on = best_ms(arm_reps, &mut f);
+        off_ms = off_ms.min(off);
+        on_ms = on_ms.min(on);
+        pcts.push((on - off) / off * 100.0);
+    }
+    alperf_obs::set_enabled(false);
+    Overhead {
+        off_ms,
+        on_ms,
+        pct: median(&pcts),
+    }
+}
+
+/// The benchmark grid: every strategy, two kernels, two noise levels,
+/// serial and batched selection and a 20% fault rate, the shape real
+/// studies sweep.
+fn bench_spec(quick: bool) -> GridSpec {
+    GridSpec {
+        name: if quick { "bench_quick" } else { "bench" }.into(),
+        base_seed: 29,
+        rows: if quick { 12 } else { 16 },
+        iters: if quick { 3 } else { 4 },
+        strategies: vec![
+            StrategyKind::VarianceReduction,
+            StrategyKind::CostEfficiency,
+            StrategyKind::Random,
+        ],
+        kernels: vec![KernelKind::Se, KernelKind::Matern52],
+        noises: vec![0.1, 0.4],
+        batches: vec![1, 2],
+        fault_rates: vec![0.2],
+        seeds: if quick { vec![0] } else { (0..2).collect() },
+    }
+}
+
+/// Wall time of one run of the bench grid at `width` workers, in ms.
+/// Every run writes the same bytes (the executor's determinism
+/// contract), so times compare across widths and commit modes.
+fn grid_ms(spec: &GridSpec, width: usize, mode: CommitMode) -> f64 {
+    let dir = std::env::temp_dir().join("alperf-grid-bench");
+    std::fs::create_dir_all(&dir).expect("create grid bench dir");
+    let out = dir.join(format!("grid_t{width}_{mode:?}.jsonl"));
+    let exec = ExecConfig {
+        mode,
+        ..ExecConfig::default()
+    };
+    best_ms(1, || {
+        with_threads(width, || run_grid(spec, &out, &exec)).expect("bench grid must run");
+    })
+}
+
+fn main() -> ExitCode {
     alperf_bench::threads_from_env();
     let quick = std::env::args().any(|a| a == "--quick");
-    let r = overhead::measure(quick);
-    let (fit_pct, predict_pct) = (r.fit_pct(), r.predict_pct());
-    let within = r.within_budget();
+    let cpus = std::thread::available_parallelism().map_or(1, |c| c.get());
 
-    let json = format!(
-        "{{\n  \"bench\": \"obs_overhead\",\n  \"budget_pct\": {BUDGET_PCT},\n  \
-         \"quick\": {quick},\n  \
-         \"fit\": {{ \"n\": {}, \"restarts\": {}, \"disabled_ms\": {:.3}, \
-         \"enabled_ms\": {:.3}, \"overhead_pct\": {fit_pct:.3} }},\n  \
-         \"predict\": {{ \"train_n\": {}, \"pool_m\": {}, \"disabled_ms\": {:.3}, \
-         \"enabled_ms\": {:.3}, \"overhead_pct\": {predict_pct:.3} }},\n  \
-         \"disabled_site_ns\": {:.3},\n  \"within_budget\": {within}\n}}\n",
-        r.n,
-        r.restarts,
-        r.fit_off_ms,
-        r.fit_on_ms,
-        r.n,
-        r.m,
-        r.predict_off_ms,
-        r.predict_on_ms,
-        r.site_ns
+    // Quick fits take a few ms, so extra rounds are cheap, and the median
+    // ratio needs them to stay stable; each arm takes the best of three
+    // fits so one scheduler blip cannot swing it. Full-size fits run long
+    // enough that one per arm suffices.
+    let (n, m, restarts, rounds, arm_reps, grid_rounds) = if quick {
+        (48, 128, 2, 7, 3, 15)
+    } else {
+        (200, 1024, 5, 5, 1, 5)
+    };
+    let (x, y) = training_data(n);
+    let cfg = GprConfig::new(Box::new(SquaredExponential::unit()))
+        .with_noise_floor(NoiseFloor::recommended())
+        .with_restarts(restarts)
+        .with_seed(17);
+    let gpr = Gpr::fit(
+        x.clone(),
+        &y,
+        Box::new(SquaredExponential::new(1.0, 1.0)),
+        0.1,
+        true,
+    )
+    .expect("fit the predict-path model");
+    let pool = pool_points(m);
+    // Width 1, the width perfbench runs fig7 at: wider, the restart
+    // fan-out and the pool's row blocks hand work to other threads, and
+    // the ratios measure thread scheduling rather than telemetry.
+    let (fit, predict) = with_threads(1, || {
+        let fit = on_off(rounds, arm_reps, || {
+            black_box(fit_gpr(&x, &y, &cfg).expect("bench fit"));
+        });
+        // The predict path is short (well under a millisecond at quick
+        // sizes): many more rounds are affordable and needed to pin it.
+        let predict = on_off(rounds * 20, 1, || {
+            black_box(gpr.predict_batch(&pool).expect("bench predict"));
+        });
+        (fit, predict)
+    });
+
+    // Each round runs the grid buffered and streaming at width 1, then
+    // streaming at width 2, back to back. A quick run takes ~10 ms and its
+    // per-line flushes a small share of that, so only the medians of the
+    // per-round ratios, which one CPU-steal spike cannot move, resolve it.
+    let spec = bench_spec(quick);
+    let (mut stream_pcts, mut ratios) = (Vec::new(), Vec::new());
+    for _ in 0..grid_rounds {
+        let buffered = grid_ms(&spec, 1, CommitMode::Buffered);
+        let t1 = grid_ms(&spec, 1, CommitMode::Streaming);
+        let t2 = grid_ms(&spec, 2, CommitMode::Streaming);
+        stream_pcts.push((t1 - buffered) / buffered * 100.0);
+        ratios.push(t2 / t1);
+    }
+    let (stream_pct, ratio_t2) = (median(&stream_pcts), median(&ratios));
+    let ratio_enforced = cpus >= GRID_RATIO_T2_MIN_CPUS;
+
+    let mut failed = Vec::new();
+    if fit.pct >= BUDGET_PCT {
+        failed.push(format!("fit overhead {:.2}% >= {BUDGET_PCT}%", fit.pct));
+    }
+    if predict.pct >= BUDGET_PCT {
+        failed.push(format!(
+            "predict overhead {:.2}% >= {BUDGET_PCT}%",
+            predict.pct
+        ));
+    }
+    if stream_pct >= STREAM_OVERHEAD_BUDGET_PCT {
+        failed.push(format!(
+            "grid stream overhead {stream_pct:.2}% >= {STREAM_OVERHEAD_BUDGET_PCT}%"
+        ));
+    }
+    if ratio_enforced && ratio_t2 >= GRID_RATIO_T2_BUDGET {
+        failed.push(format!(
+            "grid_ratio_t2 {ratio_t2:.3} >= {GRID_RATIO_T2_BUDGET} on {cpus} cpus"
+        ));
+    }
+
+    print!(
+        "{{\n  \"bench\": \"obs_overhead\",\n  \"quick\": {quick},\n  \"cpus\": {cpus},\n  \
+         \"fit\": {{ \"n\": {n}, \"restarts\": {restarts}, \"threads\": 1, \
+         \"disabled_ms\": {:.3}, \"enabled_ms\": {:.3}, \"overhead_pct\": {:.3}, \
+         \"budget_pct\": {BUDGET_PCT} }},\n  \
+         \"predict\": {{ \"train_n\": {n}, \"pool_m\": {m}, \"threads\": 1, \
+         \"disabled_ms\": {:.3}, \"enabled_ms\": {:.3}, \"overhead_pct\": {:.3}, \
+         \"budget_pct\": {BUDGET_PCT} }},\n  \
+         \"grid\": {{ \"configs\": {}, \"rounds\": {grid_rounds}, \
+         \"stream_overhead_pct\": {stream_pct:.3}, \
+         \"stream_budget_pct\": {STREAM_OVERHEAD_BUDGET_PCT}, \"ratio_t2\": {ratio_t2:.3}, \
+         \"ratio_t2_budget\": {GRID_RATIO_T2_BUDGET}, \"ratio_t2_enforced\": {ratio_enforced} }},\n  \
+         \"within_budget\": {}\n}}\n",
+        fit.off_ms,
+        fit.on_ms,
+        fit.pct,
+        predict.off_ms,
+        predict.on_ms,
+        predict.pct,
+        spec.n_configs(),
+        failed.is_empty()
     );
-    print!("{json}");
-    assert!(
-        within,
-        "telemetry overhead exceeds the {BUDGET_PCT}% budget: fit {fit_pct:.2}%, \
-         predict {predict_pct:.2}%"
-    );
+    if failed.is_empty() {
+        return ExitCode::SUCCESS;
+    }
+    for f in &failed {
+        eprintln!("obs_overhead: budget exceeded: {f}");
+    }
+    ExitCode::FAILURE
 }

@@ -1,6 +1,6 @@
-//! Stage-by-stage profiler for the GPR training path plus the
-//! `BENCH_gpr_fit.json` sweep — a thin consumer of `alperf-obs` span
-//! aggregates.
+//! Stage-by-stage profiler for the GPR training path plus a `fit_gpr`
+//! sweep over training-set size and restart count — a thin consumer of
+//! `alperf-obs` span aggregates.
 //!
 //! Usage:
 //!   profile_fit            # stage breakdowns (SE at n=200, ARD-SE at
@@ -163,7 +163,7 @@ fn ard_breakdown(n: usize, spans: usize) {
 }
 
 fn sweep(sizes: &[usize], restart_counts: &[usize]) {
-    println!("== fit_gpr sweep (ms, min-over-reps) — paste into BENCH_gpr_fit.json ==");
+    println!("== fit_gpr sweep (ms, min-over-reps) ==");
     for &n in sizes {
         let (x, y) = training_data(n);
         for &r in restart_counts {

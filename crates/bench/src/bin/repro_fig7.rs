@@ -126,7 +126,6 @@ fn report(tag: &str, runs: &[AlRun]) -> (f64, f64, f64, f64) {
 }
 
 fn main() {
-    alperf_bench::threads_from_env();
     let obs = alperf_bench::obs_from_env();
     let (repetitions, iters) = scale();
     let (x, y, cost) = problem();

@@ -8,11 +8,7 @@
 //! from its fixed seed, so all figures come from the *same* dataset,
 //! exactly as in the paper.
 
-pub mod gate;
-pub mod gridbench;
-pub mod overhead;
 pub mod plot;
-pub mod scalebench;
 
 use alperf_cluster::campaign::{Campaign, CampaignOutput};
 use alperf_data::dataset::DataSet;
@@ -120,7 +116,9 @@ impl Drop for ObsGuard {
     }
 }
 
-/// Enable telemetry from the environment, if requested.
+/// Configure the run from the environment: the global rayon pool from
+/// `ALPERF_NUM_THREADS` (see [`threads_from_env`]), and telemetry, if
+/// requested.
 ///
 /// * `ALPERF_OBS_TRACE=<path>` — install a JSONL trace sink at `<path>`
 ///   and switch instrumentation on.
@@ -132,6 +130,7 @@ impl Drop for ObsGuard {
 /// (`let _obs = alperf_bench::obs_from_env();`): its drop flushes the
 /// trace and writes the snapshot, panics and early returns included.
 pub fn obs_from_env() -> ObsGuard {
+    threads_from_env();
     let env_path = |key: &str| std::env::var(key).ok().filter(|p| !p.is_empty());
     let trace = env_path("ALPERF_OBS_TRACE");
     let snapshot = env_path("ALPERF_OBS_SNAPSHOT").map(PathBuf::from);
@@ -157,10 +156,10 @@ pub fn obs_from_env() -> ObsGuard {
 }
 
 /// Configure the global rayon pool from `ALPERF_NUM_THREADS`, once per
-/// process (the thread-pool sibling of [`obs_from_env`] — call it at the
-/// top of every binary's `main`). Returns the configured width (`0` =
-/// all cores) and its source label (`"env"` / `"default"`) for banners
-/// and bench-gate machine metadata.
+/// process. [`obs_from_env`] calls it, so every binary that holds an
+/// [`ObsGuard`] honours the variable; binaries without one call it at the
+/// top of `main`. Returns the configured width (`0` = all cores) and its
+/// source label (`"env"` / `"default"`) for run metadata.
 pub fn threads_from_env() -> (usize, &'static str) {
     let (n, source) = alperf_linalg::threads::configure_from_env();
     (n, source.label())

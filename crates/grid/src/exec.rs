@@ -21,7 +21,8 @@
 //! pipelined default — summaries overlap campaign execution),
 //! [`CommitMode::Buffered`] holds everything and writes once at the
 //! end. Byte-identical output across modes is part of the determinism
-//! test, and the streaming overhead is budgeted in `BENCH_grid.json`.
+//! test, and the `obs_overhead` bin holds the streaming overhead under
+//! 10% of the buffered run.
 //!
 //! Resume: re-running onto a partially written file validates the meta
 //! line against the spec byte-for-byte, keeps the longest valid prefix

@@ -350,13 +350,19 @@ impl GridSpec {
                     spec.iters = val.parse().map_err(|_| bad(format!("bad iters {val:?}")))?
                 }
                 "strategy" => {
-                    spec.strategies = list().map(StrategyKind::parse).collect::<Result<_, _>>()?
+                    spec.strategies = list()
+                        .map(|v| StrategyKind::parse(v).map_err(|e| bad(e.0)))
+                        .collect::<Result<_, _>>()?
                 }
                 "kernel" => {
-                    spec.kernels = list().map(KernelKind::parse).collect::<Result<_, _>>()?
+                    spec.kernels = list()
+                        .map(|v| KernelKind::parse(v).map_err(|e| bad(e.0)))
+                        .collect::<Result<_, _>>()?
                 }
                 "tier" => {
-                    let tiers = list().map(TierKind::parse).collect::<Result<Vec<_>, _>>()?;
+                    let tiers = list()
+                        .map(|v| TierKind::parse(v).map_err(|e| bad(e.0)))
+                        .collect::<Result<Vec<_>, _>>()?;
                     if tiers.is_empty() {
                         return Err(SpecError("axis tier has no values".into()));
                     }
@@ -581,6 +587,14 @@ mod tests {
         assert!(GridSpec::parse("fault = 1.0").is_err());
         assert!(GridSpec::parse("batch = 0").is_err());
         assert!(GridSpec::parse("seed = ").is_err());
+        assert_eq!(
+            GridSpec::parse("name = demo\nstrategy = vr, gradient"),
+            Err(SpecError("line 2: unknown strategy \"gradient\"".into()))
+        );
+        assert_eq!(
+            GridSpec::parse("name = demo\nkernel = se, m72"),
+            Err(SpecError("line 2: unknown kernel \"m72\"".into()))
+        );
     }
 
     #[test]
@@ -588,7 +602,7 @@ mod tests {
         for tier in ["approx", "auto"] {
             assert_eq!(
                 GridSpec::parse(&format!("tier = {tier}")),
-                Err(SpecError(format!("unknown tier {tier:?}")))
+                Err(SpecError(format!("line 1: unknown tier {tier:?}")))
             );
         }
         assert_eq!(

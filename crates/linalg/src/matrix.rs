@@ -11,8 +11,7 @@ use crate::vector::dot;
 use rayon::prelude::*;
 
 /// Below this many total elements, parallel products fall back to the serial
-/// path: rayon's fork-join overhead dominates for tiny matrices (see the
-/// `matmul` criterion bench in `alperf-bench`).
+/// path: rayon's fork-join overhead dominates for tiny matrices.
 const PAR_THRESHOLD: usize = 64 * 64;
 
 /// Tile sizes for the blocked matrix product: `MM_ROW_BLOCK` output rows are

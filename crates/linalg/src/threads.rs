@@ -2,22 +2,17 @@
 //!
 //! Every parallel region in the workspace (covariance assembly, GEMM,
 //! multi-RHS solves, GPR restart fan-out, EMCM's committee fits, the grid
-//! executor) sizes itself from the rayon pool width. Historically that width
-//! was whatever `available_parallelism` said at each call site; bench
-//! thread counts were therefore neither controlled nor recorded. This
-//! module builds the global pool **once** from the `ALPERF_NUM_THREADS`
-//! environment variable and exposes the two primitives everything else
-//! needs:
+//! executor) sizes itself from the rayon pool width. This module builds
+//! the global pool **once** from the `ALPERF_NUM_THREADS` environment
+//! variable and exposes the two primitives everything else needs:
 //!
 //! * [`configure_from_env`] — idempotent process-wide setup, called from
-//!   bin entry points (next to `obs_from_env`-style helpers);
+//!   bin entry points (`alperf_bench::obs_from_env` calls it);
 //! * [`with_threads`] — scoped width override for in-process sweeps
-//!   (the thread-scaling bench measures 1/2/4/8 threads in one run).
+//!   (the width-determinism tests, the grid's per-campaign width 1).
 //!
 //! `ALPERF_NUM_THREADS=0`, unset, or unparsable all mean "use all
-//! available cores". The configured width is what the bench gate records
-//! in its machine metadata, so per-thread-count baselines only compare
-//! against runs at the same width.
+//! available cores".
 
 use std::sync::OnceLock;
 
@@ -25,8 +20,8 @@ use std::sync::OnceLock;
 /// "all available cores".
 pub const ENV_NUM_THREADS: &str = "ALPERF_NUM_THREADS";
 
-/// How the global pool width was chosen — recorded in bench-gate machine
-/// metadata so baselines are only compared against like-configured runs.
+/// How the global pool width was chosen — reported in run metadata such
+/// as `grid_runner`'s banner.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PoolSource {
     /// `ALPERF_NUM_THREADS` was set to a positive integer.

@@ -14,7 +14,8 @@
 //!    is off — no clock read, no thread-local access, no allocation. The
 //!    instrumented hot paths (blocked Cholesky, LML gradients,
 //!    `predict_batch`, restart dispatch) therefore cost nothing in the
-//!    common case; `BENCH_obs_overhead.json` tracks the <2% budget.
+//!    common case; the `obs_overhead` bin holds the instrumented fit and
+//!    predict paths, telemetry on, within 2% of telemetry off.
 //! 2. **Determinism.** Telemetry only *reads* clocks and *writes* sinks;
 //!    it never feeds back into any numeric computation. Enabling it must
 //!    not change a single bit of any model output (the AL determinism
