@@ -151,18 +151,24 @@ pub fn try_schedule_batch(
     let mut free = total_nodes;
     let mut now = 0.0f64;
     let mut makespan = 0.0f64;
+    // Started jobs stay in `queue` as tombstones; `head` is the first job
+    // still waiting. Every job needs at least one node, so a pass ends as
+    // soon as no node is free.
+    let mut started = vec![false; queue.len()];
+    let mut head = 0usize;
 
-    while !queue.is_empty() {
+    while head < queue.len() {
         // Start the queue head if it fits; else backfill.
         let mut started_any = false;
-        let mut i = 0;
         // Head's earliest start: time when enough nodes will be free.
-        let head_nodes = queue[0].nodes;
+        let head_nodes = queue[head].nodes;
         let head_start = earliest_start(now, free, head_nodes, &running);
-        while i < queue.len() {
+        let mut i = head;
+        while i < queue.len() && free > 0 {
             let q = queue[i];
-            let can_start_now = q.nodes <= free
-                && (i == 0
+            let can_start_now = !started[i]
+                && q.nodes <= free
+                && (i == head
                     // Conservative backfill: must finish by the head's
                     // reserved start (or not interfere with its nodes).
                     || now + q.runtime <= head_start
@@ -175,15 +181,17 @@ pub fn try_schedule_batch(
                     nodes: q.nodes,
                 });
                 makespan = makespan.max(now + q.runtime);
-                queue.remove(i);
+                started[i] = true;
                 started_any = true;
-                if i == 0 {
+                if i == head {
                     // New head: recompute reservation next outer pass.
+                    while head < queue.len() && started[head] {
+                        head += 1;
+                    }
                     break;
                 }
-            } else {
-                i += 1;
             }
+            i += 1;
         }
         if started_any {
             continue;
@@ -384,6 +392,100 @@ mod tests {
         let a = try_schedule_batch(&m, &jobs, &[2.0, 3.0]).unwrap();
         let b = schedule_batch(&m, &jobs, &[2.0, 3.0]);
         assert_eq!(a.placements, b.placements);
+    }
+
+    /// The backfill scan as it was before started jobs became tombstones:
+    /// every pass walks the whole queue and `Vec::remove`s each started
+    /// job. The reference for [`try_schedule_batch`]'s placements.
+    fn schedule_reference(
+        model: &PerfModel,
+        requests: &[JobRequest],
+        runtimes: &[f64],
+    ) -> Schedule {
+        let mut queue: Vec<Queued> = requests
+            .iter()
+            .zip(runtimes)
+            .enumerate()
+            .map(|(idx, (r, &runtime))| Queued {
+                idx,
+                nodes: model.machine.nodes_used(r.np),
+                runtime,
+            })
+            .collect();
+        let mut placements = vec![(0.0, 0usize); requests.len()];
+        let mut running: BinaryHeap<Completion> = BinaryHeap::new();
+        let mut free = model.machine.nodes;
+        let mut now = 0.0f64;
+        let mut makespan = 0.0f64;
+        while !queue.is_empty() {
+            let mut started_any = false;
+            let mut i = 0;
+            let head_nodes = queue[0].nodes;
+            let head_start = earliest_start(now, free, head_nodes, &running);
+            while i < queue.len() {
+                let q = queue[i];
+                let can_start_now = q.nodes <= free
+                    && (i == 0 || now + q.runtime <= head_start || free - q.nodes >= head_nodes);
+                if can_start_now {
+                    free -= q.nodes;
+                    placements[q.idx] = (now, q.nodes);
+                    running.push(Completion {
+                        end: now + q.runtime,
+                        nodes: q.nodes,
+                    });
+                    makespan = makespan.max(now + q.runtime);
+                    queue.remove(i);
+                    started_any = true;
+                    if i == 0 {
+                        break;
+                    }
+                } else {
+                    i += 1;
+                }
+            }
+            if started_any {
+                continue;
+            }
+            let c = running.pop().expect("something is running");
+            now = c.end;
+            free += c.nodes;
+            while let Some(peek) = running.peek() {
+                if peek.end <= now {
+                    free += peek.nodes;
+                    running.pop();
+                } else {
+                    break;
+                }
+            }
+        }
+        Schedule {
+            placements,
+            makespan,
+        }
+    }
+
+    proptest::proptest! {
+        /// Tombstones and the early end of a pass change no placement and
+        /// no makespan: random batches of 1-4-node jobs whose runtimes are
+        /// drawn from a handful of values, so completions tie often.
+        #[test]
+        fn scan_matches_the_reference_scan(
+            jobs in proptest::collection::vec(
+                (
+                    proptest::sample::select(vec![16usize, 32, 48, 64]),
+                    proptest::sample::select(vec![1.0f64, 2.0, 2.5, 4.0, 7.0]),
+                ),
+                1..80,
+            ),
+        ) {
+            let m = model();
+            let requests: Vec<JobRequest> = jobs.iter().map(|&(np, _)| req(np)).collect();
+            let runtimes: Vec<f64> = jobs.iter().map(|&(_, rt)| rt).collect();
+            let got = schedule_batch(&m, &requests, &runtimes);
+            let want = schedule_reference(&m, &requests, &runtimes);
+            proptest::prop_assert_eq!(got.placements, want.placements);
+            proptest::prop_assert_eq!(got.makespan.to_bits(), want.makespan.to_bits());
+        }
     }
 
     #[test]

@@ -69,14 +69,17 @@ pub trait Kernel: Send + Sync {
 
     /// Squared-distance parameterization of this kernel, if it has one.
     ///
-    /// SE-family kernels are functions of the (per-dimension) pairwise
-    /// squared distances *only*, so during hyperparameter optimization —
-    /// where the training inputs are fixed while `theta` changes at every
-    /// line-search step — the distance matrices can be computed once per
-    /// fit and every covariance rebuild collapses to an O(n^2)
-    /// scale-and-exp (`lml::FitCache`). Kernels without this structure
-    /// (Matern, rational quadratic) return `None` and take the generic
-    /// pointwise path.
+    /// Every stationary kernel here is a function of the (per-dimension,
+    /// for ARD) pairwise squared distances *only*, so during
+    /// hyperparameter optimization — where the training inputs are fixed
+    /// while `theta` changes at every line-search step — the distance
+    /// matrices are computed once per fit (`lml::FitCache`) and every
+    /// covariance rebuild and gradient contraction reads them
+    /// (`lml::LmlWorkspace`): a vectorized scale-and-exp for the SE forms,
+    /// one scalar formula per pair for the Matérn and rational-quadratic
+    /// forms. The LML gradient is formed from the form alone, so
+    /// `optimize::fit_gpr` rejects a kernel that returns `None` (the
+    /// default).
     fn distance_form(&self) -> Option<DistanceForm> {
         None
     }
@@ -86,6 +89,13 @@ pub trait Kernel: Send + Sync {
 /// [`Kernel::distance_form`]). Values reflect the kernel's *current*
 /// hyperparameters; the structure (which variant) is invariant under
 /// `set_params`, which is what makes per-fit distance caching sound.
+///
+/// The radial variants (Matérn, rational quadratic) are evaluated one pair
+/// at a time by `radial_parts`, `radial_value` and `radial_grad`, which are
+/// the very functions the kernels' own `eval` and `grad` call, so the
+/// fit's covariance and gradient are bit-identical to pointwise
+/// evaluation. The SE variants are evaluated in bulk through the
+/// vectorized exponential instead.
 #[derive(Debug, Clone, PartialEq)]
 pub enum DistanceForm {
     /// `k = sf2 * exp(-0.5 * d2 / l^2)` over the total squared distance,
@@ -104,6 +114,116 @@ pub enum DistanceForm {
         /// Amplitude *variance* `sigma_f^2`.
         sf2: f64,
     },
+    /// Matérn 3/2, `k = sf2 (1 + s) exp(-s)` with `s = sqrt(3) r / l` and
+    /// `r = sqrt(d2)`, params `[log l, log sf]`.
+    Matern32 {
+        /// Length scale `l`.
+        length_scale: f64,
+        /// Amplitude *variance* `sigma_f^2`.
+        sf2: f64,
+    },
+    /// Matérn 5/2, `k = sf2 (1 + s + s^2/3) exp(-s)` with
+    /// `s = sqrt(5) r / l`, params `[log l, log sf]`.
+    Matern52 {
+        /// Length scale `l`.
+        length_scale: f64,
+        /// Amplitude *variance* `sigma_f^2`.
+        sf2: f64,
+    },
+    /// Rational quadratic, `k = sf^2 (1 + d2 / (2 alpha l^2))^{-alpha}`,
+    /// params `[log l, log sf, log alpha]`.
+    RationalQuadratic {
+        /// Length scale `l`.
+        length_scale: f64,
+        /// Amplitude `sigma_f` (its gradient multiplies it in twice, so
+        /// the variance alone would not reproduce `grad`'s rounding).
+        amplitude: f64,
+        /// Scale-mixture parameter `alpha`.
+        alpha: f64,
+    },
+}
+
+impl DistanceForm {
+    /// Whether this is a radial variant (Matérn or rational quadratic),
+    /// the ones the `radial_*` methods evaluate.
+    pub fn is_radial(&self) -> bool {
+        !matches!(
+            self,
+            DistanceForm::IsoSe { .. } | DistanceForm::ArdSe { .. }
+        )
+    }
+
+    /// The two intermediates a radial pair's covariance and gradient
+    /// share, at squared distance `d2`: `(s, exp(-s))` with `s = sqrt(3)
+    /// r / l` or `sqrt(5) r / l` for Matérn, `(u, (1 + u)^(-alpha))` with
+    /// `u = d2 / (2 alpha l^2)` for RQ. All of a pair's divisions, roots
+    /// and transcendentals happen here. NaN for the SE variants.
+    #[inline]
+    pub(crate) fn radial_parts(&self, d2: f64) -> (f64, f64) {
+        match *self {
+            DistanceForm::Matern32 { length_scale, .. } => {
+                let s = 3f64.sqrt() * d2.sqrt() / length_scale;
+                (s, (-s).exp())
+            }
+            DistanceForm::Matern52 { length_scale, .. } => {
+                let s = 5f64.sqrt() * d2.sqrt() / length_scale;
+                (s, (-s).exp())
+            }
+            DistanceForm::RationalQuadratic {
+                length_scale,
+                alpha,
+                ..
+            } => {
+                let u = d2 / (2.0 * alpha * length_scale * length_scale);
+                (u, (1.0 + u).powf(-alpha))
+            }
+            DistanceForm::IsoSe { .. } | DistanceForm::ArdSe { .. } => (f64::NAN, f64::NAN),
+        }
+    }
+
+    /// Covariance of a pair from its [`Self::radial_parts`] `(t, e)`. NaN
+    /// for the SE variants.
+    #[inline]
+    pub(crate) fn radial_value(&self, t: f64, e: f64) -> f64 {
+        match *self {
+            DistanceForm::Matern32 { sf2, .. } => sf2 * (1.0 + t) * e,
+            DistanceForm::Matern52 { sf2, .. } => sf2 * (1.0 + t + t * t / 3.0) * e,
+            DistanceForm::RationalQuadratic { amplitude, .. } => amplitude * amplitude * e,
+            DistanceForm::IsoSe { .. } | DistanceForm::ArdSe { .. } => f64::NAN,
+        }
+    }
+
+    /// Log-parameter gradient `[d k / d theta_j]` of a pair from its
+    /// [`Self::radial_parts`] `(t, e)`, padded with zeros to three entries
+    /// (Matérn has two parameters, RQ three). NaN for the SE variants.
+    #[inline]
+    pub(crate) fn radial_grad(&self, t: f64, e: f64) -> [f64; 3] {
+        match *self {
+            DistanceForm::Matern32 { sf2, .. } => {
+                // d k / d log l = sigma_f^2 s^2 exp(-s)
+                let dl = sf2 * t * t * e;
+                [dl, 2.0 * (sf2 * (1.0 + t) * e), 0.0]
+            }
+            DistanceForm::Matern52 { sf2, .. } => {
+                // d k / d s = -sigma_f^2 e^{-s} s (1 + s) / 3 ;
+                // d s / d log l = -s  =>  d k / d log l = sigma_f^2 e^{-s} s^2 (1+s)/3
+                let dl = sf2 * e * t * t * (1.0 + t) / 3.0;
+                [dl, 2.0 * (sf2 * (1.0 + t + t * t / 3.0) * e), 0.0]
+            }
+            DistanceForm::RationalQuadratic {
+                amplitude, alpha, ..
+            } => {
+                let base = 1.0 + t;
+                let k = amplitude * amplitude * e;
+                // d k / d log l = 2 alpha sigma_f^2 u (1+u)^{-alpha-1}
+                let dl = 2.0 * alpha * amplitude * amplitude * t * base.powf(-alpha - 1.0);
+                // d k / d log alpha = k * alpha * (u/(1+u) - ln(1+u))
+                let da = k * alpha * (t / base - base.ln());
+                [dl, 2.0 * k, da]
+            }
+            DistanceForm::IsoSe { .. } | DistanceForm::ArdSe { .. } => [f64::NAN; 3],
+        }
+    }
 }
 
 impl Clone for Box<dyn Kernel> {
@@ -378,11 +498,20 @@ impl Matern32 {
     }
 }
 
+impl Matern32 {
+    fn form(&self) -> DistanceForm {
+        DistanceForm::Matern32 {
+            length_scale: self.length_scale,
+            sf2: self.amplitude * self.amplitude,
+        }
+    }
+}
+
 impl Kernel for Matern32 {
     fn eval(&self, a: &[f64], b: &[f64]) -> f64 {
-        let r = alperf_linalg::vector::sq_dist(a, b).sqrt();
-        let s = 3f64.sqrt() * r / self.length_scale;
-        self.amplitude * self.amplitude * (1.0 + s) * (-s).exp()
+        let form = self.form();
+        let (t, e) = form.radial_parts(alperf_linalg::vector::sq_dist(a, b));
+        form.radial_value(t, e)
     }
 
     fn diag_value(&self, _a: &[f64]) -> f64 {
@@ -408,17 +537,17 @@ impl Kernel for Matern32 {
     }
 
     fn grad(&self, a: &[f64], b: &[f64]) -> Vec<f64> {
-        let r = alperf_linalg::vector::sq_dist(a, b).sqrt();
-        let s = 3f64.sqrt() * r / self.length_scale;
-        let sf2 = self.amplitude * self.amplitude;
-        // d k / d log l = sigma_f^2 s^2 exp(-s)
-        let dl = sf2 * s * s * (-s).exp();
-        let k = sf2 * (1.0 + s) * (-s).exp();
-        vec![dl, 2.0 * k]
+        let form = self.form();
+        let (t, e) = form.radial_parts(alperf_linalg::vector::sq_dist(a, b));
+        form.radial_grad(t, e)[..2].to_vec()
     }
 
     fn clone_box(&self) -> Box<dyn Kernel> {
         Box::new(self.clone())
+    }
+
+    fn distance_form(&self) -> Option<DistanceForm> {
+        Some(self.form())
     }
 }
 
@@ -446,11 +575,20 @@ impl Matern52 {
     }
 }
 
+impl Matern52 {
+    fn form(&self) -> DistanceForm {
+        DistanceForm::Matern52 {
+            length_scale: self.length_scale,
+            sf2: self.amplitude * self.amplitude,
+        }
+    }
+}
+
 impl Kernel for Matern52 {
     fn eval(&self, a: &[f64], b: &[f64]) -> f64 {
-        let r = alperf_linalg::vector::sq_dist(a, b).sqrt();
-        let s = 5f64.sqrt() * r / self.length_scale;
-        self.amplitude * self.amplitude * (1.0 + s + s * s / 3.0) * (-s).exp()
+        let form = self.form();
+        let (t, e) = form.radial_parts(alperf_linalg::vector::sq_dist(a, b));
+        form.radial_value(t, e)
     }
 
     fn diag_value(&self, _a: &[f64]) -> f64 {
@@ -476,15 +614,9 @@ impl Kernel for Matern52 {
     }
 
     fn grad(&self, a: &[f64], b: &[f64]) -> Vec<f64> {
-        let r = alperf_linalg::vector::sq_dist(a, b).sqrt();
-        let s = 5f64.sqrt() * r / self.length_scale;
-        let sf2 = self.amplitude * self.amplitude;
-        let e = (-s).exp();
-        // d k / d s = -sigma_f^2 e^{-s} s (1 + s) / 3 ;
-        // d s / d log l = -s  =>  d k / d log l = sigma_f^2 e^{-s} s^2 (1+s)/3
-        let dl = sf2 * e * s * s * (1.0 + s) / 3.0;
-        let k = sf2 * (1.0 + s + s * s / 3.0) * e;
-        vec![dl, 2.0 * k]
+        let form = self.form();
+        let (t, e) = form.radial_parts(alperf_linalg::vector::sq_dist(a, b));
+        form.radial_grad(t, e)[..2].to_vec()
     }
 
     fn grad_x(&self, a: &[f64], b: &[f64]) -> Option<Vec<f64>> {
@@ -502,6 +634,10 @@ impl Kernel for Matern52 {
 
     fn clone_box(&self) -> Box<dyn Kernel> {
         Box::new(self.clone())
+    }
+
+    fn distance_form(&self) -> Option<DistanceForm> {
+        Some(self.form())
     }
 }
 
@@ -533,11 +669,21 @@ impl RationalQuadratic {
     }
 }
 
+impl RationalQuadratic {
+    fn form(&self) -> DistanceForm {
+        DistanceForm::RationalQuadratic {
+            length_scale: self.length_scale,
+            amplitude: self.amplitude,
+            alpha: self.alpha,
+        }
+    }
+}
+
 impl Kernel for RationalQuadratic {
     fn eval(&self, a: &[f64], b: &[f64]) -> f64 {
-        let r2 = alperf_linalg::vector::sq_dist(a, b);
-        let u = r2 / (2.0 * self.alpha * self.length_scale * self.length_scale);
-        self.amplitude * self.amplitude * (1.0 + u).powf(-self.alpha)
+        let form = self.form();
+        let (t, e) = form.radial_parts(alperf_linalg::vector::sq_dist(a, b));
+        form.radial_value(t, e)
     }
 
     fn diag_value(&self, _a: &[f64]) -> f64 {
@@ -568,20 +714,17 @@ impl Kernel for RationalQuadratic {
     }
 
     fn grad(&self, a: &[f64], b: &[f64]) -> Vec<f64> {
-        let r2 = alperf_linalg::vector::sq_dist(a, b);
-        let u = r2 / (2.0 * self.alpha * self.length_scale * self.length_scale);
-        let base = 1.0 + u;
-        let k = self.amplitude * self.amplitude * base.powf(-self.alpha);
-        // d k / d log l = 2 alpha sigma_f^2 u (1+u)^{-alpha-1}
-        let dl =
-            2.0 * self.alpha * self.amplitude * self.amplitude * u * base.powf(-self.alpha - 1.0);
-        // d k / d log alpha = k * alpha * (u/(1+u) - ln(1+u))
-        let da = k * self.alpha * (u / base - base.ln());
-        vec![dl, 2.0 * k, da]
+        let form = self.form();
+        let (t, e) = form.radial_parts(alperf_linalg::vector::sq_dist(a, b));
+        form.radial_grad(t, e)[..3].to_vec()
     }
 
     fn clone_box(&self) -> Box<dyn Kernel> {
         Box::new(self.clone())
+    }
+
+    fn distance_form(&self) -> Option<DistanceForm> {
+        Some(self.form())
     }
 }
 
@@ -743,6 +886,62 @@ mod tests {
         let a = [0.0];
         let b = [1.3];
         assert!((se.eval(&a, &b) - rq.eval(&a, &b)).abs() < 1e-5);
+    }
+
+    /// The radial forms run exactly the scalar operations of the pointwise
+    /// formulas they replaced inside `eval` and `grad`, so the fit's
+    /// covariance and gradient (which read the forms) stay bit-identical.
+    #[test]
+    fn radial_forms_reproduce_the_pointwise_formulas_bit_for_bit() {
+        let (l, amp, alpha) = (0.83, 1.27, 0.61);
+        let sf2 = amp * amp;
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for d2 in [0.0, 1e-300, 0.37, 2.0, 41.5, 1e6, f64::INFINITY] {
+            let r = f64::sqrt(d2);
+            let s3 = 3f64.sqrt() * r / l;
+            let k32 = amp * amp * (1.0 + s3) * (-s3).exp();
+            let g32 = [
+                sf2 * s3 * s3 * (-s3).exp(),
+                2.0 * (sf2 * (1.0 + s3) * (-s3).exp()),
+            ];
+            let s5 = 5f64.sqrt() * r / l;
+            let e = (-s5).exp();
+            let k52 = amp * amp * (1.0 + s5 + s5 * s5 / 3.0) * (-s5).exp();
+            let g52 = [
+                sf2 * e * s5 * s5 * (1.0 + s5) / 3.0,
+                2.0 * (sf2 * (1.0 + s5 + s5 * s5 / 3.0) * e),
+            ];
+            let u = d2 / (2.0 * alpha * l * l);
+            let base = 1.0 + u;
+            let krq = amp * amp * (1.0 + u).powf(-alpha);
+            let grq = [
+                2.0 * alpha * amp * amp * u * base.powf(-alpha - 1.0),
+                2.0 * krq,
+                krq * alpha * (u / base - base.ln()),
+            ];
+            let cases: [(Box<dyn Kernel>, f64, &[f64]); 3] = [
+                (Box::new(Matern32::new(l, amp)), k32, &g32),
+                (Box::new(Matern52::new(l, amp)), k52, &g52),
+                (Box::new(RationalQuadratic::new(l, amp, alpha)), krq, &grq),
+            ];
+            for (k, want, want_g) in cases {
+                let form = k.distance_form().unwrap();
+                assert!(form.is_radial());
+                let np = k.n_params();
+                let (t, e) = form.radial_parts(d2);
+                assert_eq!(form.radial_value(t, e).to_bits(), want.to_bits());
+                assert_eq!(bits(&form.radial_grad(t, e)[..np]), bits(want_g));
+                // eval/grad read the same form (a 1-D pair at distance r).
+                if d2.is_finite() {
+                    let (a, b) = ([0.25], [0.25 + r]);
+                    let (t, e) = form.radial_parts(alperf_linalg::vector::sq_dist(&a, &b));
+                    assert_eq!(k.eval(&a, &b).to_bits(), form.radial_value(t, e).to_bits());
+                    assert_eq!(bits(&k.grad(&a, &b)), bits(&form.radial_grad(t, e)[..np]));
+                }
+            }
+        }
+        let se = SquaredExponential::unit().distance_form().unwrap();
+        assert!(!se.is_radial() && se.radial_parts(1.0).1.is_nan());
     }
 
     /// Central finite-difference check of `grad_x` against `eval`.

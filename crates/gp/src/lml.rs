@@ -65,100 +65,75 @@ pub fn covariance_vector(kernel: &dyn Kernel, x: &Matrix, xstar: &[f64]) -> Vec<
         .collect()
 }
 
-/// Per-fit cache of X-dependent quantities reused across every LML
-/// evaluation of a `fit_gpr` call.
+/// Per-fit cache of the pairwise squared distances, reused across every
+/// LML evaluation of a `fit_gpr` call.
 ///
 /// The training inputs are fixed for the whole multi-restart optimization
 /// while the hyperparameters change at every gradient step and line-search
-/// probe. For SE-family kernels ([`Kernel::distance_form`]) the covariance
-/// is a function of the pairwise squared distances only, so those are
-/// computed once here — `O(n^2 d)` — and every subsequent covariance
-/// rebuild collapses to an `O(n^2)` scale-and-exp through the fastmath
-/// vectorized exponential. Kernels without a distance form fall back to
-/// pointwise assembly, unchanged.
+/// probe. Every stationary kernel is a function of the pairwise squared
+/// distances only ([`Kernel::distance_form`]), so those are computed once
+/// here — `O(n^2 d)` — and each covariance rebuild in an
+/// [`LmlWorkspace`] reads them. Only the lower triangle is kept, packed
+/// row by row.
 pub struct FitCache {
+    n: usize,
     kind: CacheKind,
 }
 
 enum CacheKind {
-    /// Isotropic SE: total pairwise squared distances.
-    Iso { d2: Matrix },
-    /// ARD SE: one squared-distance matrix per input dimension.
-    Ard { d2: Vec<Matrix> },
-    /// No distance structure: pointwise assembly.
-    Generic,
+    /// Total pairwise squared distances (every form but ARD-SE).
+    Total { d2: Vec<f64> },
+    /// ARD SE: the squared distances of each input dimension.
+    PerDim { d2: Vec<Vec<f64>> },
+}
+
+/// Row `i` of a packed lower triangle, diagonal included (`i + 1` long).
+fn tri_row(packed: &[f64], i: usize) -> &[f64] {
+    &packed[i * (i + 1) / 2..][..=i]
+}
+
+/// Copy a packed lower triangle into the lower triangle of `m`.
+fn unpack_lower(packed: &[f64], m: &mut Matrix) {
+    for i in 0..m.nrows() {
+        m.row_mut(i)[..=i].copy_from_slice(tri_row(packed, i));
+    }
+}
+
+/// The lower triangle of `f(i, j)` over `n` points, packed row by row.
+fn packed(n: usize, f: impl Fn(usize, usize) -> f64) -> Vec<f64> {
+    (0..n)
+        .flat_map(|i| (0..=i).map(move |j| (i, j)))
+        .map(|(i, j)| f(i, j))
+        .collect()
 }
 
 impl FitCache {
-    /// Precompute the distance matrices appropriate for `kernel` on the
-    /// training inputs `x` (rows = points).
+    /// Precompute the squared distances `kernel`'s distance form reads on
+    /// the training inputs `x` (rows = points): per dimension for ARD-SE,
+    /// total otherwise.
     pub fn build(kernel: &dyn Kernel, x: &Matrix) -> FitCache {
         let n = x.nrows();
         let kind = match kernel.distance_form() {
-            Some(DistanceForm::IsoSe { .. }) => CacheKind::Iso {
-                d2: Matrix::from_fn(n, n, |i, j| sq_dist(x.row(i), x.row(j))),
-            },
-            Some(DistanceForm::ArdSe { .. }) => {
-                let d = x.ncols();
-                CacheKind::Ard {
-                    d2: (0..d)
-                        .map(|c| {
-                            Matrix::from_fn(n, n, |i, j| {
-                                let v = x.row(i)[c] - x.row(j)[c];
-                                v * v
-                            })
+            Some(DistanceForm::ArdSe { .. }) => CacheKind::PerDim {
+                d2: (0..x.ncols())
+                    .map(|c| {
+                        packed(n, |i, j| {
+                            let v = x.row(i)[c] - x.row(j)[c];
+                            v * v
                         })
-                        .collect(),
-                }
-            }
-            None => CacheKind::Generic,
+                    })
+                    .collect(),
+            },
+            _ => CacheKind::Total {
+                d2: packed(n, |i, j| sq_dist(x.row(i), x.row(j))),
+            },
         };
-        FitCache { kind }
+        FitCache { n, kind }
     }
 
-    /// A cache that always takes the pointwise path (for kernels without a
-    /// distance form, or when no reuse is expected).
-    pub fn generic() -> FitCache {
-        FitCache {
-            kind: CacheKind::Generic,
-        }
-    }
-
-    /// Whether covariance rebuilds use the cached fast path.
-    pub fn is_cached(&self) -> bool {
-        !matches!(self.kind, CacheKind::Generic)
-    }
-}
-
-/// Assemble the training covariance through the cache when possible,
-/// falling back to [`assemble_covariance`]. The cached path agrees with the
-/// pointwise path to vectorized-exp accuracy (~1e-15 relative).
-fn assemble_covariance_cached(kernel: &dyn Kernel, x: &Matrix, cache: &FitCache) -> Matrix {
-    match (&cache.kind, kernel.distance_form()) {
-        (CacheKind::Iso { d2 }, Some(DistanceForm::IsoSe { length_scale, sf2 })) => {
-            let mut k = d2.clone();
-            let c = -0.5 / (length_scale * length_scale);
-            for v in k.as_mut_slice() {
-                *v *= c;
-            }
-            fastmath::exp_inplace_scaled(k.as_mut_slice(), sf2);
-            k
-        }
-        (CacheKind::Ard { d2 }, Some(DistanceForm::ArdSe { length_scales, sf2 }))
-            if d2.len() == length_scales.len() =>
-        {
-            let n = x.nrows();
-            let mut q = Matrix::zeros(n, n);
-            for (dm, l) in d2.iter().zip(&length_scales) {
-                let c = -0.5 / (l * l);
-                for (qv, dv) in q.as_mut_slice().iter_mut().zip(dm.as_slice()) {
-                    *qv += c * dv;
-                }
-            }
-            fastmath::exp_inplace_scaled(q.as_mut_slice(), sf2);
-            q
-        }
-        _ => assemble_covariance(kernel, x),
+    /// Number of training points.
+    pub fn order(&self) -> usize {
+        self.n
     }
 }
 
@@ -173,40 +148,23 @@ pub struct LmlParts {
     pub lml: f64,
 }
 
+/// Eq. 12 from the factor of `K_y` and `alpha = K_y^{-1} y`.
+fn lml_from(y: &[f64], alpha: &[f64], chol: &Cholesky) -> f64 {
+    -0.5 * dot(y, alpha)
+        - 0.5 * chol.log_det()
+        - 0.5 * y.len() as f64 * (2.0 * std::f64::consts::PI).ln()
+}
+
 /// Evaluate the LML (Eq. 12) for the given kernel and noise standard
-/// deviation on `(x, y)`. Also returns the pieces needed for prediction.
+/// deviation on `(x, y)` through pointwise covariance assembly
+/// ([`assemble_covariance`]). Also returns the pieces needed for
+/// prediction; `Gpr::fit` is built on it.
 pub fn lml_parts(
     kernel: &dyn Kernel,
     noise_std: f64,
     x: &Matrix,
     y: &[f64],
 ) -> Result<LmlParts, LinalgError> {
-    Ok(lml_parts_full(kernel, noise_std, x, y, &FitCache::generic())?.0)
-}
-
-/// [`lml_parts`] through a per-fit distance cache (see [`FitCache`]):
-/// identical contract, but covariance assembly is an O(n^2) scale-and-exp
-/// when the kernel has a distance form.
-pub fn lml_parts_cached(
-    kernel: &dyn Kernel,
-    noise_std: f64,
-    x: &Matrix,
-    y: &[f64],
-    cache: &FitCache,
-) -> Result<LmlParts, LinalgError> {
-    Ok(lml_parts_full(kernel, noise_std, x, y, cache)?.0)
-}
-
-/// Shared implementation: returns the factored parts *and* the assembled
-/// `K_y` (the gradient contraction reads its off-diagonal entries, which
-/// equal the noise-free `K` there).
-fn lml_parts_full(
-    kernel: &dyn Kernel,
-    noise_std: f64,
-    x: &Matrix,
-    y: &[f64],
-    cache: &FitCache,
-) -> Result<(LmlParts, Matrix), LinalgError> {
     let n = x.nrows();
     if y.len() != n {
         return Err(LinalgError::DimensionMismatch {
@@ -214,18 +172,16 @@ fn lml_parts_full(
             details: format!("X has {n} rows, y has {}", y.len()),
         });
     }
-    let mut ky = assemble_covariance_cached(kernel, x, cache);
+    let mut ky = assemble_covariance(kernel, x);
     ky.add_diagonal(noise_std * noise_std);
     let chol = Cholesky::decompose_jittered(&ky, CHOL_JITTER, CHOL_TRIES)?;
     let alpha = chol.solve(y)?;
-    let lml = -0.5 * dot(y, &alpha)
-        - 0.5 * chol.log_det()
-        - 0.5 * n as f64 * (2.0 * std::f64::consts::PI).ln();
-    Ok((LmlParts { chol, alpha, lml }, ky))
+    let lml = lml_from(y, &alpha, &chol);
+    Ok(LmlParts { chol, alpha, lml })
 }
 
-/// Evaluate just the LML value; convenience for plotting likelihood
-/// landscapes (paper Figs. 4 and 5b).
+/// Evaluate just the LML value through pointwise assembly; convenience for
+/// plotting likelihood landscapes (paper Figs. 4 and 5b).
 pub fn lml_value(
     kernel: &dyn Kernel,
     noise_std: f64,
@@ -235,8 +191,7 @@ pub fn lml_value(
     Ok(lml_parts(kernel, noise_std, x, y)?.lml)
 }
 
-/// [`lml_value`] through a per-fit distance cache — the optimizer's
-/// line-search workhorse.
+/// One [`LmlWorkspace::value`] through `cache`, in a fresh workspace.
 pub fn lml_value_cached(
     kernel: &dyn Kernel,
     noise_std: f64,
@@ -244,11 +199,12 @@ pub fn lml_value_cached(
     y: &[f64],
     cache: &FitCache,
 ) -> Result<f64, LinalgError> {
-    Ok(lml_parts_full(kernel, noise_std, x, y, cache)?.0.lml)
+    LmlWorkspace::for_inputs(cache, x, y)?.value(kernel, noise_std)
 }
 
 /// Evaluate the LML and its gradient with respect to
-/// `theta = [kernel log-params..., log sigma_n]`.
+/// `theta = [kernel log-params..., log sigma_n]` through a distance cache
+/// built for this call (see [`lml_and_grad_cached`]).
 ///
 /// When `optimize_noise` is `false` the returned gradient omits the final
 /// noise component.
@@ -259,33 +215,12 @@ pub fn lml_and_grad(
     y: &[f64],
     optimize_noise: bool,
 ) -> Result<(f64, Vec<f64>), LinalgError> {
-    lml_and_grad_cached(
-        kernel,
-        noise_std,
-        x,
-        y,
-        optimize_noise,
-        &FitCache::generic(),
-    )
+    let cache = FitCache::build(kernel, x);
+    lml_and_grad_cached(kernel, noise_std, x, y, optimize_noise, &cache)
 }
 
-/// [`lml_and_grad`] through a per-fit distance cache.
-///
-/// The gradient is `dLML/dtheta_j = 1/2 tr(W dK_y/dtheta_j)` with the
-/// symmetric weight `W = alpha alpha^T - K_y^{-1}` (Eq. 12's analytic
-/// gradient). `K_y^{-1}` comes from structure-exploiting triangular solves
-/// (`Cholesky::inverse_lower`; only the lower triangle, since `W` is
-/// symmetric and every consumer reads `i >= j`) — never from a dense
-/// identity solve for the full inverse — and `W` is materialized once,
-/// then contracted with every
-/// `dK/dtheta_j` in a single pass:
-///
-/// * with a distance cache, `dK/dlog l (= K .* d2 / l^2)` and
-///   `dK/dlog sf (= 2 K)` are functions of the already-assembled `K_y` and
-///   the cached `d2`, so the contraction is pure row-slice arithmetic with
-///   no per-pair kernel calls (and no per-pair `Vec` allocations);
-/// * without one, the kernel's pointwise [`Kernel::grad`] supplies
-///   `dK_ij/dtheta`, exactly as before.
+/// One [`LmlWorkspace::value`] and [`LmlWorkspace::grad`] through `cache`,
+/// in a fresh workspace.
 pub fn lml_and_grad_cached(
     kernel: &dyn Kernel,
     noise_std: f64,
@@ -294,200 +229,336 @@ pub fn lml_and_grad_cached(
     optimize_noise: bool,
     cache: &FitCache,
 ) -> Result<(f64, Vec<f64>), LinalgError> {
-    let state = lml_state_cached(kernel, noise_std, x, y, cache)?;
-    let grad = grad_from_state(kernel, noise_std, x, optimize_noise, &state, cache)?;
-    Ok((state.parts.lml, grad))
+    let mut ws = LmlWorkspace::for_inputs(cache, x, y)?;
+    let lml = ws.value(kernel, noise_std)?;
+    Ok((lml, ws.grad(kernel, noise_std, optimize_noise)?))
 }
 
-/// Factored LML evaluation at one hyperparameter setting, retaining the
-/// assembled `K_y` alongside the [`LmlParts`].
-///
-/// The optimizer's line search evaluates many candidate thetas value-only,
-/// then needs the gradient at exactly the accepted one — keeping the state
-/// of each candidate lets [`grad_from_state`] start from the already-built
-/// covariance and Cholesky factor instead of re-assembling and
-/// re-factorizing (`O(n^3)`) at the same theta.
-pub struct LmlState {
-    /// Factored pieces: Cholesky of `K_y`, `alpha`, and the LML value.
-    pub parts: LmlParts,
-    /// Assembled `K_y` (noise variance on the diagonal).
-    ky: Matrix,
-}
-
-/// Evaluate the LML through the distance cache, returning the full
-/// [`LmlState`] for a later [`grad_from_state`] at the same theta.
-///
-/// # Errors
-/// Same conditions as [`lml_parts`].
-pub fn lml_state_cached(
-    kernel: &dyn Kernel,
-    noise_std: f64,
-    x: &Matrix,
-    y: &[f64],
-    cache: &FitCache,
-) -> Result<LmlState, LinalgError> {
-    let _span = alperf_obs::span("gp.lml_eval");
-    let (parts, ky) = lml_parts_full(kernel, noise_std, x, y, cache)?;
-    Ok(LmlState { parts, ky })
-}
-
-/// Gradient of the LML at the theta captured by `state` (which must have
-/// been produced with the *same* kernel parameters and `noise_std`).
-///
-/// # Errors
-/// Propagates triangular-solve failures.
-pub fn grad_from_state(
-    kernel: &dyn Kernel,
-    noise_std: f64,
-    x: &Matrix,
-    optimize_noise: bool,
-    state: &LmlState,
-    cache: &FitCache,
-) -> Result<Vec<f64>, LinalgError> {
-    let _span = alperf_obs::span("gp.lml_grad");
-    let parts = &state.parts;
-    let ky = &state.ky;
-    let n = x.nrows();
-    // W = alpha alpha^T - K_y^{-1}. Every contraction below (and the noise
-    // trace) reads only `i >= j`, and W is symmetric, so only the lower
-    // triangle is materialized: `inverse_lower` exploits the triangular
-    // structure of the identity solve for ~3x fewer flops than a dense
-    // two-sided solve.
-    let mut w = parts.chol.inverse_lower()?;
-    for i in 0..n {
-        let ai = parts.alpha[i];
-        for (wv, aj) in w.row_mut(i)[..=i].iter_mut().zip(&parts.alpha) {
-            *wv = ai * aj - *wv;
-        }
+/// The radial forms' covariance: each pair's `DistanceForm::radial_parts`
+/// from the packed squared distances `d2` into `arg` and `tri`, then its
+/// `radial_value` into the lower triangle of `ky`. Inlined into one call
+/// site per variant, so each copy's per-pair `match` on the variant folds
+/// away.
+#[inline(always)]
+fn radial_fill(form: &DistanceForm, d2: &[f64], arg: &mut [f64], tri: &mut [f64], ky: &mut Matrix) {
+    for ((t, e), &dv) in arg.iter_mut().zip(tri.iter_mut()).zip(d2) {
+        (*t, *e) = form.radial_parts(dv);
     }
-    let grad_k = match (&cache.kind, kernel.distance_form()) {
-        (CacheKind::Iso { d2 }, Some(DistanceForm::IsoSe { length_scale, sf2 })) => {
-            let inv_l2 = 1.0 / (length_scale * length_scale);
-            let (sl, sk) = contract_rows(n, 1, |i| {
-                let wrow = &w.row(i)[..i];
-                let krow = &ky.row(i)[..i];
-                let drow = &d2.row(i)[..i];
-                let mut sl = 0.0;
-                let mut sk = 0.0;
-                for ((wv, kv), dv) in wrow.iter().zip(krow).zip(drow) {
-                    let wk = wv * kv;
-                    sk += wk;
-                    sl += wk * dv;
-                }
-                // Diagonal: d2 = 0 kills the length-scale term; K_ii = sf2
-                // (the stored K_y diagonal carries the noise, so use the
-                // exact kernel value instead).
-                (vec![sl], sk + 0.5 * w[(i, i)] * sf2)
-            });
-            vec![sl[0] * inv_l2, 2.0 * sk]
+    for i in 0..ky.nrows() {
+        let parts = tri_row(arg, i).iter().zip(tri_row(tri, i));
+        for (k, (&t, &e)) in ky.row_mut(i)[..=i].iter_mut().zip(parts) {
+            *k = form.radial_value(t, e);
         }
-        (CacheKind::Ard { d2 }, Some(DistanceForm::ArdSe { length_scales, sf2 }))
-            if d2.len() == length_scales.len() =>
-        {
-            let nd = d2.len();
-            let (sl, sk) = contract_rows(n, nd, |i| {
-                let wrow = &w.row(i)[..i];
-                let krow = &ky.row(i)[..i];
-                let mut sl = vec![0.0; nd];
-                let mut sk = 0.0;
-                let wk: Vec<f64> = wrow.iter().zip(krow).map(|(wv, kv)| wv * kv).collect();
-                for (sld, dm) in sl.iter_mut().zip(d2) {
-                    let drow = &dm.row(i)[..i];
-                    for (wkv, dv) in wk.iter().zip(drow) {
-                        *sld += wkv * dv;
-                    }
-                }
-                sk += wk.iter().sum::<f64>();
-                (sl, sk + 0.5 * w[(i, i)] * sf2)
-            });
-            let mut g: Vec<f64> = sl
-                .iter()
-                .zip(&length_scales)
-                .map(|(s, l)| s / (l * l))
-                .collect();
-            g.push(2.0 * sk);
-            g
-        }
-        _ => contract_generic(kernel, x, &w),
-    };
-    let mut grad = grad_k;
-    if optimize_noise {
-        // tr(W) * sigma_n^2: dK_y/dlog sigma_n = 2 sigma_n^2 I.
-        let tr_w: f64 = (0..n).map(|i| w[(i, i)]).sum();
-        grad.push(noise_std * noise_std * tr_w);
-    }
-    Ok(grad)
-}
-
-/// Row-parallel reduction helper for the cached gradient contractions:
-/// `f(i)` returns the strict-lower-triangle row contribution as
-/// `(per-length-scale sums, amplitude sum)`; rows are summed (parallel for
-/// n >= 64, matching the assembly threshold).
-fn contract_rows(
-    n: usize,
-    nd: usize,
-    f: impl Fn(usize) -> (Vec<f64>, f64) + Sync,
-) -> (Vec<f64>, f64) {
-    let fold = |(mut asl, ask): (Vec<f64>, f64), (bsl, bsk): (Vec<f64>, f64)| {
-        for (a, b) in asl.iter_mut().zip(&bsl) {
-            *a += b;
-        }
-        (asl, ask + bsk)
-    };
-    if n >= 64 {
-        (0..n)
-            .into_par_iter()
-            .map(f)
-            .reduce(|| (vec![0.0; nd], 0.0), fold)
-    } else {
-        (0..n).map(f).fold((vec![0.0; nd], 0.0), fold)
     }
 }
 
-/// Pointwise-gradient contraction for kernels without a distance form:
-/// `1/2 sum_ij W_ij dK_ij/dtheta`, symmetry-folded (diagonal once,
-/// off-diagonal twice), reading `W` a row slice at a time.
-fn contract_generic(kernel: &dyn Kernel, x: &Matrix, w: &Matrix) -> Vec<f64> {
-    let n = x.nrows();
-    let np = kernel.n_params();
-    let row_term = |i: usize| {
-        let mut acc = vec![0.0; np];
-        let xi = x.row(i);
-        let wrow = w.row(i);
-        for (j, wv) in wrow.iter().enumerate().take(i + 1) {
+/// The radial forms' kernel-parameter gradient `1/2 sum_ij W_ij
+/// dK_ij/dtheta` from the parts [`radial_fill`] left in `arg` and `tri`:
+/// per row, the pairs `j <= i` in order (diagonal halved), then the row
+/// into the total. Inlined per variant like [`radial_fill`].
+#[inline(always)]
+fn radial_contract(form: &DistanceForm, w: &Matrix, arg: &[f64], tri: &[f64]) -> [f64; 3] {
+    let mut total = [0.0; 3];
+    for i in 0..w.nrows() {
+        let mut acc = [0.0; 3];
+        let parts = tri_row(arg, i).iter().zip(tri_row(tri, i));
+        for (j, (wv, (&t, &e))) in w.row(i)[..=i].iter().zip(parts).enumerate() {
             let m = if i == j { 0.5 * wv } else { *wv };
-            let g = kernel.grad(xi, x.row(j));
+            let g = form.radial_grad(t, e);
             for (a, gj) in acc.iter_mut().zip(&g) {
                 *a += m * gj;
             }
         }
-        acc
-    };
-    if n >= 64 {
-        (0..n).into_par_iter().map(row_term).reduce(
-            || vec![0.0; np],
-            |mut a, b| {
-                for (x, y) in a.iter_mut().zip(&b) {
-                    *x += y;
+        for (t, a) in total.iter_mut().zip(&acc) {
+            *t += a;
+        }
+    }
+    total
+}
+
+/// The error for a kernel whose distance form is missing or does not match
+/// the [`FitCache`] it is evaluated through.
+fn form_mismatch() -> LinalgError {
+    LinalgError::DimensionMismatch {
+        op: "lml",
+        details: "the kernel's distance form does not match the fit cache".into(),
+    }
+}
+
+/// The buffers of repeated LML evaluations over one [`FitCache`]: `K_y`,
+/// its Cholesky factor, `alpha`, the gradient's weight matrix and the
+/// gradient's scratch, all sized once, so a value evaluation allocates
+/// nothing and a gradient only the vector it returns. Each optimizer
+/// restart owns one.
+///
+/// [`Self::value`] writes the lower triangle of `K_y` from the cached
+/// distances (a vectorized scale-and-exp for the SE forms, one scalar
+/// formula per pair for the radial forms), refactors it in place through
+/// the jitter ladder and solves for `alpha` into its buffer.
+/// [`Self::grad`] then forms the gradient from that state. Every float is
+/// bit-identical to the allocating path this replaced: the same operations
+/// run in the same order, only into reused buffers.
+pub struct LmlWorkspace<'a> {
+    cache: &'a FitCache,
+    y: &'a [f64],
+    /// `K_y`, lower triangle (the strict upper triangle stays zero).
+    ky: Matrix,
+    chol: Cholesky,
+    /// `K_y^{-1} y`.
+    alpha: Vec<f64>,
+    /// `W = alpha alpha^T - K_y^{-1}`, lower triangle.
+    w: Matrix,
+    /// Scratch of `Cholesky::inverse_lower_into` (ends holding `L^{-1}`).
+    linv: Matrix,
+    /// Packed lower triangle of `K` for the SE forms' one vectorized
+    /// exponential; for the radial forms, the second of each pair's
+    /// `DistanceForm::radial_parts`, which `grad` reads back ...
+    tri: Vec<f64>,
+    /// ... with the first (radial forms only).
+    arg: Vec<f64>,
+    /// ARD-SE contraction scratch: one row of `W .* K` ...
+    row: Vec<f64>,
+    /// ... and that row's sum against each dimension's distances.
+    dims: Vec<f64>,
+    jitter_retries: usize,
+}
+
+impl<'a> LmlWorkspace<'a> {
+    /// Workspace for the targets `y` of the points `cache` was built on.
+    ///
+    /// # Errors
+    /// [`LinalgError::DimensionMismatch`] if `y` does not have one value
+    /// per cached point.
+    pub fn new(cache: &'a FitCache, y: &'a [f64]) -> Result<Self, LinalgError> {
+        let n = cache.order();
+        if y.len() != n {
+            return Err(LinalgError::DimensionMismatch {
+                op: "lml",
+                details: format!("X has {n} rows, y has {}", y.len()),
+            });
+        }
+        let nd = match &cache.kind {
+            CacheKind::PerDim { d2 } => d2.len(),
+            CacheKind::Total { .. } => 0,
+        };
+        Ok(LmlWorkspace {
+            cache,
+            y,
+            ky: Matrix::zeros(n, n),
+            chol: Cholesky::with_order(n),
+            alpha: vec![0.0; n],
+            w: Matrix::zeros(n, n),
+            linv: Matrix::zeros(n, n),
+            tri: vec![0.0; n * (n + 1) / 2],
+            arg: vec![0.0; n * (n + 1) / 2],
+            row: vec![0.0; n],
+            dims: vec![0.0; nd],
+            jitter_retries: 0,
+        })
+    }
+
+    /// [`Self::new`] that also checks `x` has the cached point count.
+    fn for_inputs(cache: &'a FitCache, x: &Matrix, y: &'a [f64]) -> Result<Self, LinalgError> {
+        if x.nrows() != cache.order() {
+            return Err(LinalgError::DimensionMismatch {
+                op: "lml",
+                details: format!("X has {} rows, the cache {}", x.nrows(), cache.order()),
+            });
+        }
+        Self::new(cache, y)
+    }
+
+    /// Jitter-ladder rungs that failed across this workspace's
+    /// evaluations (an exhausted ladder counts all of its rungs).
+    pub fn jitter_retries(&self) -> usize {
+        self.jitter_retries
+    }
+
+    /// LML (Eq. 12) at `kernel`'s current hyperparameters and noise
+    /// standard deviation `noise_std`, keeping the factored state for a
+    /// following [`Self::grad`].
+    ///
+    /// # Errors
+    /// The factorization's errors ([`LinalgError::NonFinite`],
+    /// [`LinalgError::NotPositiveDefinite`] once the jitter ladder is
+    /// exhausted), or a [`LinalgError::DimensionMismatch`] when the
+    /// kernel's distance form does not match the cache.
+    pub fn value(&mut self, kernel: &dyn Kernel, noise_std: f64) -> Result<f64, LinalgError> {
+        let n = self.cache.order();
+        let (ky, tri) = (&mut self.ky, &mut self.tri);
+        match (&self.cache.kind, kernel.distance_form()) {
+            (CacheKind::Total { d2 }, Some(DistanceForm::IsoSe { length_scale, sf2 })) => {
+                let c = -0.5 / (length_scale * length_scale);
+                for (k, dv) in tri.iter_mut().zip(d2) {
+                    *k = dv * c;
                 }
-                a
-            },
-        )
-    } else {
-        let mut acc = vec![0.0; np];
+                fastmath::exp_inplace_scaled(tri, sf2);
+                unpack_lower(tri, ky);
+            }
+            (CacheKind::PerDim { d2 }, Some(DistanceForm::ArdSe { length_scales, sf2 }))
+                if d2.len() == length_scales.len() =>
+            {
+                tri.fill(0.0);
+                for (dm, l) in d2.iter().zip(&length_scales) {
+                    let c = -0.5 / (l * l);
+                    for (q, dv) in tri.iter_mut().zip(dm) {
+                        *q += c * dv;
+                    }
+                }
+                fastmath::exp_inplace_scaled(tri, sf2);
+                unpack_lower(tri, ky);
+            }
+            (CacheKind::Total { d2 }, Some(form)) if form.is_radial() => {
+                let arg = &mut self.arg;
+                match form {
+                    DistanceForm::Matern32 { .. } => radial_fill(&form, d2, arg, tri, ky),
+                    DistanceForm::Matern52 { .. } => radial_fill(&form, d2, arg, tri, ky),
+                    _ => radial_fill(&form, d2, arg, tri, ky),
+                }
+            }
+            _ => return Err(form_mismatch()),
+        }
+        let noise_var = noise_std * noise_std;
         for i in 0..n {
-            for (a, b) in acc.iter_mut().zip(&row_term(i)) {
-                *a += b;
+            ky[(i, i)] += noise_var;
+        }
+        match self.chol.refactor_jittered(ky, CHOL_JITTER, CHOL_TRIES) {
+            Ok(failed) => self.jitter_retries += failed,
+            Err(e) => {
+                if matches!(e, LinalgError::NotPositiveDefinite { .. }) {
+                    self.jitter_retries += CHOL_TRIES;
+                }
+                return Err(e);
             }
         }
-        acc
+        self.chol.solve_into(self.y, &mut self.alpha)?;
+        Ok(lml_from(self.y, &self.alpha, &self.chol))
+    }
+
+    /// Gradient of the LML with respect to
+    /// `theta = [kernel log-params..., log sigma_n]` (the noise entry only
+    /// when `optimize_noise`), at the hyperparameters of the last
+    /// successful [`Self::value`], which `kernel` and `noise_std` must
+    /// repeat.
+    ///
+    /// The gradient is `dLML/dtheta_j = 1/2 tr(W dK_y/dtheta_j)` with the
+    /// symmetric weight `W = alpha alpha^T - K_y^{-1}` (Eq. 12's analytic
+    /// gradient). `K_y^{-1}` comes from structure-exploiting triangular
+    /// solves (`Cholesky::inverse_lower_into`; only the lower triangle,
+    /// since `W` is symmetric and every consumer reads `i >= j`), and `W`
+    /// is contracted with every `dK/dtheta_j` in one pass over the rows:
+    ///
+    /// * SE forms: `dK/dlog l (= K .* d2 / l^2)` and `dK/dlog sf (= 2 K)`
+    ///   are functions of the assembled `K_y` and the cached `d2`, so the
+    ///   contraction is pure row-slice arithmetic;
+    /// * radial forms: `DistanceForm::radial_grad` supplies
+    ///   `dK_ij/dtheta` pair by pair from the intermediates `value` left
+    ///   for that pair (`DistanceForm::radial_parts`: every root,
+    ///   division and transcendental of the pair), symmetry-folded
+    ///   (diagonal once, off-diagonal twice).
+    ///
+    /// For the noise component `dK_y/dlog sigma_n = 2 sigma_n^2 I`, so its
+    /// entry is `sigma_n^2 tr(W)`.
+    ///
+    /// # Errors
+    /// Propagates triangular-solve failures, and the form mismatch of
+    /// [`Self::value`].
+    pub fn grad(
+        &mut self,
+        kernel: &dyn Kernel,
+        noise_std: f64,
+        optimize_noise: bool,
+    ) -> Result<Vec<f64>, LinalgError> {
+        let n = self.cache.order();
+        let (w, ky) = (&mut self.w, &self.ky);
+        self.chol.inverse_lower_into(w, &mut self.linv)?;
+        for i in 0..n {
+            let ai = self.alpha[i];
+            for (wv, aj) in w.row_mut(i)[..=i].iter_mut().zip(&self.alpha) {
+                *wv = ai * aj - *wv;
+            }
+        }
+        let np = kernel.n_params();
+        let mut grad = Vec::with_capacity(np + 1);
+        match (&self.cache.kind, kernel.distance_form()) {
+            (CacheKind::Total { d2 }, Some(DistanceForm::IsoSe { length_scale, sf2 })) => {
+                let inv_l2 = 1.0 / (length_scale * length_scale);
+                let (mut sl, mut sk) = (0.0, 0.0);
+                for i in 0..n {
+                    let wrow = &w.row(i)[..i];
+                    let krow = &ky.row(i)[..i];
+                    let drow = &tri_row(d2, i)[..i];
+                    let (mut rl, mut rk) = (0.0, 0.0);
+                    for ((wv, kv), dv) in wrow.iter().zip(krow).zip(drow) {
+                        let wk = wv * kv;
+                        rk += wk;
+                        rl += wk * dv;
+                    }
+                    sl += rl;
+                    // Diagonal: d2 = 0 kills the length-scale term; K_ii =
+                    // sf2 (the stored K_y diagonal carries the noise, so use
+                    // the exact kernel value instead).
+                    sk += rk + 0.5 * w[(i, i)] * sf2;
+                }
+                grad.extend([sl * inv_l2, 2.0 * sk]);
+            }
+            (CacheKind::PerDim { d2 }, Some(DistanceForm::ArdSe { length_scales, sf2 }))
+                if d2.len() == length_scales.len() =>
+            {
+                grad.resize(d2.len(), 0.0);
+                let mut sk = 0.0;
+                for i in 0..n {
+                    let wk = &mut self.row[..i];
+                    for ((o, wv), kv) in wk.iter_mut().zip(&w.row(i)[..i]).zip(&ky.row(i)[..i]) {
+                        *o = wv * kv;
+                    }
+                    for (rd, dm) in self.dims.iter_mut().zip(d2) {
+                        *rd = 0.0;
+                        for (wkv, dv) in wk.iter().zip(tri_row(dm, i)) {
+                            *rd += wkv * dv;
+                        }
+                    }
+                    for (g, rd) in grad.iter_mut().zip(&self.dims) {
+                        *g += rd;
+                    }
+                    // `0.0 +` as the reference has it: a row of `-0.0`
+                    // products sums to `-0.0`, and this makes it `+0.0`.
+                    let rk = 0.0 + wk.iter().sum::<f64>();
+                    sk += rk + 0.5 * w[(i, i)] * sf2;
+                }
+                for (g, l) in grad.iter_mut().zip(&length_scales) {
+                    *g /= l * l;
+                }
+                grad.push(2.0 * sk);
+            }
+            (CacheKind::Total { .. }, Some(form)) if form.is_radial() => {
+                let (arg, tri) = (&self.arg, &self.tri);
+                let total = match form {
+                    DistanceForm::Matern32 { .. } => radial_contract(&form, w, arg, tri),
+                    DistanceForm::Matern52 { .. } => radial_contract(&form, w, arg, tri),
+                    _ => radial_contract(&form, w, arg, tri),
+                };
+                grad.extend_from_slice(&total[..np.min(3)]);
+            }
+            _ => return Err(form_mismatch()),
+        }
+        if optimize_noise {
+            let tr_w: f64 = (0..n).map(|i| w[(i, i)]).sum();
+            grad.push(noise_std * noise_std * tr_w);
+        }
+        Ok(grad)
     }
 }
 
 #[cfg(test)]
+mod reference;
+
+#[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kernel::SquaredExponential;
+    use crate::kernel::{
+        ArdSquaredExponential, Matern32, Matern52, RationalQuadratic, SquaredExponential,
+    };
 
     fn toy_data() -> (Matrix, Vec<f64>) {
         let x = Matrix::from_rows(&[&[0.0], &[0.5], &[1.3], &[2.0], &[2.6]]).unwrap();
@@ -609,5 +680,173 @@ mod tests {
         for (i, kvi) in kv.iter().enumerate() {
             assert_eq!(*kvi, k.eval(&xs, x.row(i)));
         }
+    }
+
+    /// The five stationary kernels, in 2-D.
+    fn stationary_kernels() -> Vec<Box<dyn Kernel>> {
+        vec![
+            Box::new(SquaredExponential::new(0.9, 1.2)),
+            Box::new(ArdSquaredExponential::new(vec![0.7, 1.6], 0.8)),
+            Box::new(Matern32::new(1.1, 0.9)),
+            Box::new(Matern52::new(0.8, 1.3)),
+            Box::new(RationalQuadratic::new(1.2, 1.1, 0.7)),
+        ]
+    }
+
+    /// `n` irregular 2-D points with every fifth row a duplicate of the row
+    /// before it, and a response with some structure.
+    fn duplicated_data(n: usize) -> (Matrix, Vec<f64>) {
+        let mut x = Matrix::from_fn(n, 2, |i, j| ((i * 7 + j * 3) as f64 * 0.61).sin() * 2.0);
+        for i in (5..n).step_by(5) {
+            let prev = x.row(i - 1).to_vec();
+            x.row_mut(i).copy_from_slice(&prev);
+        }
+        let y = (0..n)
+            .map(|i| (i as f64 * 0.37).cos() + 0.1 * i as f64)
+            .collect();
+        (x, y)
+    }
+
+    fn same_error(got: &LinalgError, want: &LinalgError) -> bool {
+        match (got, want) {
+            (
+                LinalgError::NotPositiveDefinite { pivot: p, value: v },
+                LinalgError::NotPositiveDefinite { pivot: q, value: w },
+            ) => p == q && v.to_bits() == w.to_bits(),
+            _ => got == want,
+        }
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// One value + gradient through a reused workspace against the
+    /// allocating reference; returns whether the evaluation succeeded.
+    fn check_against_reference(
+        ws: &mut LmlWorkspace<'_>,
+        kernel: &dyn Kernel,
+        noise: f64,
+        x: &Matrix,
+        y: &[f64],
+        case: &str,
+    ) -> bool {
+        let rc = reference::RefCache::build(kernel, x);
+        let want = reference::evaluate(kernel, noise, x, y, &rc);
+        match (ws.value(kernel, noise), &want) {
+            (Ok(lml), Ok(state)) => {
+                assert_eq!(lml.to_bits(), state.2.to_bits(), "{case}: lml");
+                for opt in [false, true] {
+                    let got = ws.grad(kernel, noise, opt);
+                    let want = reference::gradient(kernel, noise, x, opt, state, &rc);
+                    match (got, want) {
+                        (Ok(g), Ok(w)) => assert_eq!(bits(&g), bits(&w), "{case}: grad {opt}"),
+                        (Err(e), Err(w)) => assert!(same_error(&e, &w), "{case}: {e:?} vs {w:?}"),
+                        (g, w) => panic!("{case}: grad {g:?} vs {w:?}"),
+                    }
+                }
+                true
+            }
+            (Err(e), Err(w)) => {
+                assert!(same_error(&e, w), "{case}: {e:?} vs {w:?}");
+                false
+            }
+            (got, _) => panic!("{case}: {got:?} vs {:?}", want.map(|s| s.2)),
+        }
+    }
+
+    /// The workspace reproduces the allocating path it replaced bit for
+    /// bit — value, gradient with and without the noise entry, and typed
+    /// errors — for every stationary kernel, across orders that straddle
+    /// the 64-row parallel threshold of the old contraction and the
+    /// 128-row blocked Cholesky, with duplicated rows under the 1e-8 noise
+    /// floor (jitter rungs) and one workspace reused across settings.
+    #[test]
+    fn workspace_matches_the_allocating_path_bit_for_bit() {
+        let mut climbed = 0;
+        for n in [1usize, 2, 7, 13, 40, 63, 64, 65, 130] {
+            let (x, y) = duplicated_data(n);
+            for template in stationary_kernels() {
+                let cache = FitCache::build(template.as_ref(), &x);
+                let mut ws = LmlWorkspace::new(&cache, &y).unwrap();
+                let mut kernel = template.clone_box();
+                let p0 = template.params();
+                for (shift, noise) in [(0.0, 0.1), (0.4, 1e-8), (-0.3, 1e-8), (0.0, 0.1)] {
+                    let p: Vec<f64> = p0.iter().map(|v| v + shift).collect();
+                    kernel.set_params(&p);
+                    let case = format!("{:?} n={n} shift={shift} noise={noise}", p0);
+                    assert!(check_against_reference(
+                        &mut ws,
+                        kernel.as_ref(),
+                        noise,
+                        &x,
+                        &y,
+                        &case
+                    ));
+                }
+                climbed += usize::from(ws.jitter_retries() > 0);
+            }
+        }
+        assert!(
+            climbed > 10,
+            "only {climbed} workspaces climbed the jitter ladder"
+        );
+    }
+
+    /// Non-finite inputs end in the same typed error on both paths, and a
+    /// workspace that failed evaluates the next setting correctly.
+    #[test]
+    fn workspace_errors_match_the_allocating_path() {
+        let (mut x, y) = duplicated_data(9);
+        for template in stationary_kernels() {
+            let cache = FitCache::build(template.as_ref(), &x);
+            let mut ws = LmlWorkspace::new(&cache, &y).unwrap();
+            // An amplitude that overflows to infinity.
+            let mut huge = template.clone_box();
+            let mut p = huge.params();
+            let amp = huge.param_names().iter().position(|n| n == "log_amplitude");
+            p[amp.unwrap()] = 800.0;
+            huge.set_params(&p);
+            for (kernel, noise) in [
+                (template.as_ref(), f64::NAN),
+                (template.as_ref(), f64::INFINITY),
+                (huge.as_ref(), 0.1),
+            ] {
+                let case = format!("{:?} noise={noise}", kernel.params());
+                assert!(!check_against_reference(
+                    &mut ws, kernel, noise, &x, &y, &case
+                ));
+            }
+            assert!(check_against_reference(
+                &mut ws,
+                template.as_ref(),
+                0.2,
+                &x,
+                &y,
+                "after errors"
+            ));
+        }
+        x[(3, 1)] = f64::NAN;
+        for kernel in stationary_kernels() {
+            let cache = FitCache::build(kernel.as_ref(), &x);
+            let mut ws = LmlWorkspace::new(&cache, &y).unwrap();
+            let case = "NaN input";
+            assert!(!check_against_reference(
+                &mut ws,
+                kernel.as_ref(),
+                0.1,
+                &x,
+                &y,
+                case
+            ));
+        }
+        let cache = FitCache::build(&SquaredExponential::unit(), &x);
+        assert!(LmlWorkspace::new(&cache, &y[..3]).is_err());
+        let mut ws = LmlWorkspace::new(&cache, &y).unwrap();
+        let ard = ArdSquaredExponential::unit(2);
+        assert!(matches!(
+            ws.value(&ard, 0.1),
+            Err(LinalgError::DimensionMismatch { .. })
+        ));
     }
 }

@@ -22,7 +22,7 @@
 //! converge in a few dozen evaluations.
 
 use crate::kernel::Kernel;
-use crate::lml::{self, FitCache};
+use crate::lml::{FitCache, LmlWorkspace};
 use crate::model::{GpError, Gpr};
 use crate::noise::NoiseFloor;
 use alperf_linalg::{matrix::Matrix, stats::Standardizer, vector::dot};
@@ -187,12 +187,21 @@ struct Ascent {
     /// Objective at `theta`; `-inf` when the start itself failed.
     value: f64,
     iterations: usize,
-    /// Value evaluations plus gradient evaluations.
-    evaluations: usize,
     /// Stopped on the projected-gradient test.
     converged: bool,
     /// Infinity norm of the projected gradient at `theta`.
     pg_norm: f64,
+}
+
+/// The function [`ascend`] maximizes. `None`, or a non-finite result, from
+/// either method marks `theta` as infeasible.
+trait Objective {
+    /// The objective at `theta`.
+    fn value(&mut self, theta: &[f64]) -> Option<f64>;
+    /// The gradient at `theta`, which is always the point of the last
+    /// `value` call that returned a finite value, so an implementation may
+    /// reuse that evaluation's state.
+    fn grad(&mut self, theta: &[f64]) -> Option<Vec<f64>>;
 }
 
 /// Sufficient-increase constant of the Armijo test.
@@ -222,13 +231,11 @@ fn bfgs_update(h: &[f64], s: &[f64], y: &[f64], rho: f64) -> Option<Vec<f64>> {
     out.iter().all(|v| v.is_finite()).then_some(out)
 }
 
-/// Projected BFGS ascent of `value` from `theta0` inside the box `bounds`.
+/// Projected BFGS ascent of `obj` from `theta0` inside the box `bounds`.
 ///
-/// `value(theta)` returns the objective and a state from which
-/// `grad(theta, &state)` computes the gradient at the same point, so the
-/// gradient at an accepted point reuses the factorization its value
-/// evaluation built. `None`, or a non-finite result, from either marks
-/// `theta` as infeasible. Each iteration:
+/// The gradient is only ever asked for at the point just accepted, right
+/// after its value, so it reuses the factorization that value evaluation
+/// built (see [`Objective::grad`]). Each iteration:
 ///
 /// 1. coordinates on a bound whose gradient points outward stay fixed;
 ///    the ascent stops, converged, once the projected gradient's infinity
@@ -248,30 +255,26 @@ fn bfgs_update(h: &[f64], s: &[f64], y: &[f64], rho: f64) -> Option<Vec<f64>> {
 /// search finds no increase, is dropped with its curvature history, and
 /// one projected-gradient step is tried instead; when that also fails, the
 /// ascent stops unconverged. So does reaching `max_iters`.
-fn ascend<S>(
+fn ascend(
     theta0: Vec<f64>,
     bounds: &[(f64, f64)],
     max_iters: usize,
     grad_tol: f64,
-    value: impl Fn(&[f64]) -> Option<(f64, S)>,
-    grad: impl Fn(&[f64], &S) -> Option<Vec<f64>>,
+    obj: &mut impl Objective,
 ) -> Ascent {
     let m = theta0.len();
     let mut theta = theta0;
     clamp_vec(&mut theta, bounds);
-    let value = |t: &[f64]| value(t).filter(|(f, _)| f.is_finite());
-    let grad = |t: &[f64], s: &S| grad(t, s).filter(|g| g.iter().all(|v| v.is_finite()));
-    let mut evals = 1usize;
-    let start = value(&theta).and_then(|(f, state)| {
-        evals += 1;
-        Some((f, grad(&theta, &state)?))
-    });
+    let start = obj
+        .value(&theta)
+        .filter(|f| f.is_finite())
+        .and_then(|f| Some((f, obj.grad(&theta)?)))
+        .filter(|(_, g)| g.iter().all(|v| v.is_finite()));
     let Some((mut f, mut g)) = start else {
         return Ascent {
             theta,
             value: f64::NEG_INFINITY,
             iterations: 0,
-            evaluations: evals,
             converged: false,
             pg_norm: f64::INFINITY,
         };
@@ -305,10 +308,9 @@ fn ascend<S>(
                 }
                 let step: Vec<f64> = cand.iter().zip(&theta).map(|(c, t)| c - t).collect();
                 let rise = ARMIJO_C1 * dot(&g, &step);
-                evals += 1;
-                if let Some((fc, state)) = value(&cand) {
+                if let Some(fc) = obj.value(&cand).filter(|fc| fc.is_finite()) {
                     if fc > f && fc >= f + rise {
-                        return Some((cand, fc, state));
+                        return Some((cand, fc));
                     }
                 }
                 alpha *= 0.5;
@@ -328,11 +330,10 @@ fn ascend<S>(
             h = None;
             search(&pg, (1.0 / dot(&pg, &pg).sqrt()).min(1.0))
         });
-        let Some((cand, fc, state)) = found else {
+        let Some((cand, fc)) = found else {
             break (false, pg_norm);
         };
-        evals += 1;
-        let Some(gc) = grad(&cand, &state) else {
+        let Some(gc) = obj.grad(&cand).filter(|g| g.iter().all(|v| v.is_finite())) else {
             break (false, pg_norm);
         };
         // Curvature pair of -value over the coordinates that moved.
@@ -358,9 +359,68 @@ fn ascend<S>(
         theta,
         value: f,
         iterations: iters,
-        evaluations: evals,
         converged,
         pg_norm,
+    }
+}
+
+/// One restart's LML objective: its own kernel clone and [`LmlWorkspace`],
+/// and the counts `gp.fit.done` reports. Each evaluation sets the kernel's
+/// parameters once, value and gradient alike.
+struct Restart<'a> {
+    kernel: Box<dyn Kernel>,
+    ws: LmlWorkspace<'a>,
+    /// Number of kernel parameters at the front of `theta`.
+    nk: usize,
+    /// `sigma_n` when it is held fixed; `None` when it is `theta[nk]`'s exp.
+    fixed_noise: Option<f64>,
+    counts: Counts,
+}
+
+/// `sigma_n` at `theta`: `fixed_noise` when it is held fixed, else the
+/// exp of the entry after the `nk` kernel log-parameters.
+fn noise_at(theta: &[f64], nk: usize, fixed_noise: Option<f64>) -> f64 {
+    fixed_noise.unwrap_or_else(|| theta[nk].exp())
+}
+
+impl Restart<'_> {
+    /// Point the kernel at `theta`; returns `sigma_n` there.
+    fn set(&mut self, theta: &[f64]) -> f64 {
+        self.kernel.set_params(&theta[..self.nk]);
+        noise_at(theta, self.nk, self.fixed_noise)
+    }
+}
+
+impl Objective for Restart<'_> {
+    fn value(&mut self, theta: &[f64]) -> Option<f64> {
+        self.counts.values += 1;
+        let noise = self.set(theta);
+        self.ws.value(self.kernel.as_ref(), noise).ok()
+    }
+
+    fn grad(&mut self, theta: &[f64]) -> Option<Vec<f64>> {
+        self.counts.gradients += 1;
+        let noise = self.set(theta);
+        let optimize_noise = self.fixed_noise.is_none();
+        self.ws
+            .grad(self.kernel.as_ref(), noise, optimize_noise)
+            .ok()
+    }
+}
+
+/// One restart's evaluation counts, and their sum over a fit.
+#[derive(Default)]
+struct Counts {
+    values: usize,
+    gradients: usize,
+    jitter_retries: usize,
+}
+
+impl std::ops::AddAssign for Counts {
+    fn add_assign(&mut self, c: Counts) {
+        self.values += c.values;
+        self.gradients += c.gradients;
+        self.jitter_retries += c.jitter_retries;
     }
 }
 
@@ -426,6 +486,11 @@ pub fn fit_gpr(x: &Matrix, y: &[f64], config: &GprConfig) -> Result<(Gpr, OptimO
         bounds.push((noise_lo.ln(), config.noise_upper.ln()));
     }
 
+    if config.kernel.distance_form().is_none() {
+        return Err(GpError::Dimension(
+            "the kernel has no distance form, so its LML gradient cannot be formed".into(),
+        ));
+    }
     // The distance matrices depend only on X, which is fixed for the whole
     // multi-restart optimization: build them once and share across every
     // LML evaluation of every restart.
@@ -453,55 +518,41 @@ pub fn fit_gpr(x: &Matrix, y: &[f64], config: &GprConfig) -> Result<(Gpr, OptimO
             }
         })
         .collect();
-    let fixed_noise = config.noise_floor.clamp(config.noise_init, x.nrows());
-    let noise_of = |theta: &[f64]| -> f64 {
-        if config.optimize_noise {
-            theta[nk].exp()
-        } else {
-            fixed_noise
-        }
-    };
-    // Value evaluation (one Cholesky) for the line search, retaining the
-    // factored state; the O(n^3) gradient (lower triangle of K_y^{-1}) is
-    // computed only at accepted points, *from* the accepted candidate's
-    // state — no re-assembly or re-factorization at the same theta. Both go
-    // through the per-fit distance cache: for SE-family kernels a
-    // covariance rebuild is an O(n^2) scale-and-exp.
-    let value = |theta: &[f64]| -> Option<(f64, lml::LmlState)> {
-        let mut kern = config.kernel.clone_box();
-        kern.set_params(&theta[..nk]);
-        let state = lml::lml_state_cached(kern.as_ref(), noise_of(theta), x, &y_std, &cache);
-        state.ok().map(|s| (s.parts.lml, s))
-    };
-    let grad = |theta: &[f64], state: &lml::LmlState| -> Option<Vec<f64>> {
-        let mut kern = config.kernel.clone_box();
-        kern.set_params(&theta[..nk]);
-        let (noise, opt) = (noise_of(theta), config.optimize_noise);
-        lml::grad_from_state(kern.as_ref(), noise, x, opt, state, &cache).ok()
-    };
+    let fixed_noise =
+        (!config.optimize_noise).then(|| config.noise_floor.clamp(config.noise_init, x.nrows()));
+    // Each restart evaluates the LML in a workspace of its own, through the
+    // shared distance cache: a value evaluation (one Cholesky) per
+    // line-search probe, and the O(n^3) gradient (lower triangle of
+    // K_y^{-1}) only at accepted points, from the state the accepted
+    // point's value evaluation left — no re-assembly or re-factorization at
+    // the same theta, and no allocation in either.
+    //
     // Restarts may run on rayon worker threads, where the thread-local
     // span stack is empty; carry the gp.fit span's identity into the
     // closure so restart spans still attach under it in the trace tree.
     let fit_span = alperf_obs::current_span();
-    let run = |theta0: Vec<f64>| {
+    let run = |theta0: Vec<f64>| -> Result<(Ascent, Counts), GpError> {
         let _restart_span = alperf_obs::span_with_parent("gp.fit.restart", fit_span);
-        ascend(
-            theta0,
-            &bounds,
-            config.max_iters,
-            config.grad_tol,
-            value,
-            grad,
-        )
+        let mut obj = Restart {
+            kernel: config.kernel.clone_box(),
+            ws: LmlWorkspace::new(&cache, &y_std)?,
+            nk,
+            fixed_noise,
+            counts: Counts::default(),
+        };
+        let ascent = ascend(theta0, &bounds, config.max_iters, config.grad_tol, &mut obj);
+        obj.counts.jitter_retries = obj.ws.jitter_retries();
+        Ok((ascent, obj.counts))
     };
-    let results: Vec<Ascent> = if config.parallel && restarts > 1 {
-        starts.into_par_iter().map(run).collect()
+    let runs: Vec<(Ascent, Counts)> = if config.parallel && restarts > 1 {
+        starts.into_par_iter().map(run).collect::<Result<_, _>>()?
     } else {
-        starts.into_iter().map(run).collect()
+        starts.into_iter().map(run).collect::<Result<_, _>>()?
     };
-    let total_evals: usize = results.iter().map(|a| a.evaluations).sum();
+    let mut counts = Counts::default();
     let mut best: Option<(usize, Ascent)> = None;
-    for (r, a) in results.into_iter().enumerate() {
+    for (r, (a, c)) in runs.into_iter().enumerate() {
+        counts += c;
         let better = match &best {
             Some((_, b)) => a.value > b.value,
             None => a.value.is_finite(),
@@ -510,6 +561,7 @@ pub fn fit_gpr(x: &Matrix, y: &[f64], config: &GprConfig) -> Result<(Gpr, OptimO
             best = Some((r, a));
         }
     }
+    let total_evals = counts.values + counts.gradients;
 
     alperf_obs::add("gp.fit.lml_evaluations", total_evals as u64);
     let (best_restart, won) = best.ok_or_else(|| {
@@ -518,7 +570,7 @@ pub fn fit_gpr(x: &Matrix, y: &[f64], config: &GprConfig) -> Result<(Gpr, OptimO
 
     let mut kernel = config.kernel.clone_box();
     kernel.set_params(&won.theta[..nk]);
-    let noise = noise_of(&won.theta);
+    let noise = noise_at(&won.theta, nk, fixed_noise);
     // Refit on the *raw* y so Gpr's own standardizer matches ours.
     let model = Gpr::fit(x.clone(), y, kernel, noise, config.standardize)?;
     // Fit-completion record: one JSONL event in the campaign trace
@@ -533,6 +585,12 @@ pub fn fit_gpr(x: &Matrix, y: &[f64], config: &GprConfig) -> Result<(Gpr, OptimO
             ("restarts", alperf_obs::Value::U64(restarts as u64)),
             ("best_restart", alperf_obs::Value::U64(best_restart as u64)),
             ("evaluations", alperf_obs::Value::U64(total_evals as u64)),
+            ("values", alperf_obs::Value::U64(counts.values as u64)),
+            ("gradients", alperf_obs::Value::U64(counts.gradients as u64)),
+            (
+                "jitter_retries",
+                alperf_obs::Value::U64(counts.jitter_retries as u64),
+            ),
             ("iterations", alperf_obs::Value::U64(won.iterations as u64)),
             ("pg_norm", alperf_obs::Value::F64(won.pg_norm)),
             ("converged", alperf_obs::Value::Bool(won.converged)),
@@ -585,7 +643,7 @@ mod tests {
         let (model, out) = fit_gpr(&x, &y, &cfg).unwrap();
         // LML of the initial hyperparameters on standardized data:
         let std = Standardizer::fit(&y);
-        let init = lml::lml_value(
+        let init = crate::lml::lml_value(
             &SquaredExponential::new(100.0, 0.01),
             0.3,
             &x,
@@ -752,9 +810,15 @@ mod tests {
     #[derive(Clone)]
     struct Fragile(SquaredExponential);
 
+    impl Fragile {
+        fn broken(&self) -> bool {
+            self.0.length_scale < 0.5
+        }
+    }
+
     impl Kernel for Fragile {
         fn eval(&self, a: &[f64], b: &[f64]) -> f64 {
-            if self.0.length_scale < 0.5 {
+            if self.broken() {
                 f64::NAN
             } else {
                 self.0.eval(a, b)
@@ -778,7 +842,17 @@ mod tests {
         fn clone_box(&self) -> Box<dyn Kernel> {
             Box::new(self.clone())
         }
-        // No distance_form: exercises the generic (uncached) path.
+        /// The SE form, with a NaN amplitude below the threshold, so the
+        /// fit's covariance is non-finite there too.
+        fn distance_form(&self) -> Option<crate::kernel::DistanceForm> {
+            let mut form = self.0.distance_form()?;
+            if let crate::kernel::DistanceForm::IsoSe { sf2, .. } = &mut form {
+                if self.broken() {
+                    *sf2 = f64::NAN;
+                }
+            }
+            Some(form)
+        }
     }
 
     #[test]
@@ -819,17 +893,29 @@ mod tests {
             let r = [t[0] - c[0], t[1] - c[1]];
             (0..2).map(|i| -(a[i][0] * r[0] + a[i][1] * r[1])).collect()
         };
-        let value = |t: &[f64]| -> Option<(f64, ())> {
-            let g = grad_at(t);
-            Some((0.5 * ((t[0] - c[0]) * g[0] + (t[1] - c[1]) * g[1]), ()))
-        };
-        let grad = |t: &[f64], _: &()| Some(grad_at(t));
+        /// The quadratic centred on `.0` with gradient `.1`.
+        struct Quadratic<F>([f64; 2], F);
+        impl<F: Fn(&[f64]) -> Vec<f64>> Objective for Quadratic<F> {
+            fn value(&mut self, t: &[f64]) -> Option<f64> {
+                let (c, g) = (self.0, (self.1)(t));
+                Some(0.5 * ((t[0] - c[0]) * g[0] + (t[1] - c[1]) * g[1]))
+            }
+            fn grad(&mut self, t: &[f64]) -> Option<Vec<f64>> {
+                Some((self.1)(t))
+            }
+        }
         // Coordinate 0 rests on its upper bound; coordinate 1 maximizes
         // the objective along that face.
         let opt = [1.0, c[1] - a[1][0] * (1.0 - c[0]) / a[1][1]];
         assert!(grad_at(&opt)[0] > 0.0, "fixture: gradient must point out");
         let bounds = [(-1.0, 1.0); 2];
-        let out = ascend(vec![-0.9, 0.8], &bounds, 200, 1e-9, value, grad);
+        let out = ascend(
+            vec![-0.9, 0.8],
+            &bounds,
+            200,
+            1e-9,
+            &mut Quadratic(c, grad_at),
+        );
         assert!(out.converged, "{out:?}");
         assert!(out.iterations <= 30, "{out:?}");
         for j in 0..2 {

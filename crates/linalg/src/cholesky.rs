@@ -11,8 +11,8 @@
 use crate::error::LinalgError;
 use crate::matrix::Matrix;
 use crate::triangular::{
-    forward_sub_block, solve_lower, solve_lower_matrix, solve_lower_rhs_rows,
-    solve_lower_transpose, solve_lower_transpose_matrix,
+    forward_sub_block, solve_lower, solve_lower_in_place, solve_lower_matrix, solve_lower_rhs_rows,
+    solve_lower_transpose_in_place, solve_lower_transpose_matrix,
 };
 
 /// Panel width of the blocked right-looking factorization. Matches the
@@ -252,7 +252,6 @@ impl Cholesky {
         first_jitter: f64,
         max_tries: usize,
     ) -> Result<Self, LinalgError> {
-        let _span = alperf_obs::span("linalg.cholesky");
         Self::jittered_with(a, first_jitter, max_tries, kernel_for(a.nrows()))
     }
 
@@ -262,15 +261,60 @@ impl Cholesky {
         max_tries: usize,
         factor: FactorKernel,
     ) -> Result<Self, LinalgError> {
+        let mut c = Cholesky::with_order(a.nrows());
+        c.ladder(a, first_jitter, max_tries, factor)?;
+        Ok(c)
+    }
+
+    /// A zero factor of order `n`: the buffer [`Self::refactor_jittered`]
+    /// fills in place.
+    pub fn with_order(n: usize) -> Self {
+        Cholesky {
+            l: Matrix::zeros(n, n),
+            jitter: 0.0,
+        }
+    }
+
+    /// [`Self::decompose_jittered`] into this factor's buffer, which is
+    /// reused when `a` has the same order (no allocation below the blocked
+    /// order). The factor, its jitter and any error are bit-identical to
+    /// `decompose_jittered(a, first_jitter, max_tries)`'s.
+    ///
+    /// Returns how many rungs failed before one succeeded. An exhausted
+    /// ladder ends in [`LinalgError::NotPositiveDefinite`] after
+    /// `max_tries.max(1)` failed rungs. On any error the factor is left
+    /// unspecified until the next successful call.
+    ///
+    /// # Errors
+    /// Same conditions as [`Self::decompose_jittered`].
+    pub fn refactor_jittered(
+        &mut self,
+        a: &Matrix,
+        first_jitter: f64,
+        max_tries: usize,
+    ) -> Result<usize, LinalgError> {
+        self.ladder(a, first_jitter, max_tries, kernel_for(a.nrows()))
+    }
+
+    /// The jitter ladder over `self.l`; returns the number of failed rungs.
+    fn ladder(
+        &mut self,
+        a: &Matrix,
+        first_jitter: f64,
+        max_tries: usize,
+        factor: FactorKernel,
+    ) -> Result<usize, LinalgError> {
         validate(a)?;
         let n = a.nrows();
         let mean_diag = if n == 0 {
             1.0
         } else {
-            a.diagonal().iter().map(|v| v.abs()).sum::<f64>() / n as f64
+            (0..n).map(|i| a[(i, i)].abs()).sum::<f64>() / n as f64
         };
         let base = first_jitter * mean_diag.max(f64::MIN_POSITIVE);
-        let mut l = Matrix::zeros(n, n);
+        if self.l.nrows() != n {
+            self.l = Matrix::zeros(n, n);
+        }
         let mut last_err = None;
         for k in 0..max_tries.max(1) {
             let jitter = if k == 0 {
@@ -278,9 +322,12 @@ impl Cholesky {
             } else {
                 base * 10f64.powi(k as i32 - 1)
             };
-            restore_lower(&mut l, a, jitter);
-            match factor(&mut l) {
-                Ok(()) => return Ok(Cholesky { l, jitter }),
+            restore_lower(&mut self.l, a, jitter);
+            match factor(&mut self.l) {
+                Ok(()) => {
+                    self.jitter = jitter;
+                    return Ok(k);
+                }
                 Err(e @ LinalgError::NotPositiveDefinite { .. }) => {
                     alperf_obs::inc("linalg.cholesky.jitter_retry");
                     last_err = Some(e);
@@ -311,8 +358,27 @@ impl Cholesky {
 
     /// Solve `A x = b` via the two triangular solves.
     pub fn solve(&self, b: &[f64]) -> Result<Vec<f64>, LinalgError> {
-        let y = solve_lower(&self.l, b)?;
-        solve_lower_transpose(&self.l, &y)
+        let mut x = vec![0.0; b.len()];
+        self.solve_into(b, &mut x)?;
+        Ok(x)
+    }
+
+    /// [`Self::solve`] into a caller buffer of the same length as `b`;
+    /// bit-identical to it.
+    ///
+    /// # Errors
+    /// Same conditions as [`Self::solve`]; a wrong-length `x` is a
+    /// [`LinalgError::DimensionMismatch`].
+    pub fn solve_into(&self, b: &[f64], x: &mut [f64]) -> Result<(), LinalgError> {
+        if x.len() != b.len() {
+            return Err(LinalgError::DimensionMismatch {
+                op: "cholesky_solve",
+                details: format!("b has {}, x has {}", b.len(), x.len()),
+            });
+        }
+        x.copy_from_slice(b);
+        solve_lower_in_place(&self.l, x)?;
+        solve_lower_transpose_in_place(&self.l, x)
     }
 
     /// Forward solve only: `L z = b`. The norm of `z` gives the variance
@@ -365,26 +431,37 @@ impl Cholesky {
     /// [`LinalgError::Singular`] if a diagonal entry is zero.
     pub fn factor_inverse(&self) -> Result<Matrix, LinalgError> {
         let n = self.order();
+        let mut inv = Matrix::zeros(n, n);
+        let mut buf = vec![0.0; n * BLOCK.min(n)];
+        self.factor_inverse_lower(&mut inv, &mut buf)?;
+        Ok(inv)
+    }
+
+    /// The lower triangle of [`Self::factor_inverse`] written into `inv`
+    /// (its strict upper triangle is not touched), with `buf` (at least
+    /// `n * min(n, BLOCK)` long) as the column-block buffer.
+    fn factor_inverse_lower(&self, inv: &mut Matrix, buf: &mut [f64]) -> Result<(), LinalgError> {
+        let n = self.order();
         if let Some(i) = (0..n).find(|&i| self.l[(i, i)] == 0.0) {
             return Err(LinalgError::Singular { index: i });
         }
-        let mut inv = Matrix::zeros(n, n);
         for j0 in (0..n).step_by(BLOCK) {
             let nb = BLOCK.min(n - j0);
             // Columns j0..j0+nb of the identity; rows above j0 stay zero
             // and are skipped along with the rest of each column's leading
             // zeros.
-            let mut buf = vec![0.0; n * nb];
+            let buf = &mut buf[..n * nb];
+            buf.fill(0.0);
             for c in 0..nb {
                 buf[(j0 + c) * nb + c] = 1.0;
             }
-            forward_sub_block(&self.l, &mut buf, nb, Some(j0));
+            forward_sub_block(&self.l, buf, nb, Some(j0));
             for i in j0..n {
                 let w = nb.min(i - j0 + 1);
                 inv.row_mut(i)[j0..j0 + w].copy_from_slice(&buf[i * nb..i * nb + w]);
             }
         }
-        Ok(inv)
+        Ok(())
     }
 
     /// Lower triangle of `A^{-1}` (strict upper left zero), formed directly
@@ -405,11 +482,37 @@ impl Cholesky {
     /// # Errors
     /// [`LinalgError::Singular`] if a diagonal entry is zero.
     pub fn inverse_lower(&self) -> Result<Matrix, LinalgError> {
+        let mut w = Matrix::zeros(0, 0);
+        let mut linv = Matrix::zeros(0, 0);
+        self.inverse_lower_into(&mut w, &mut linv)?;
+        Ok(w)
+    }
+
+    /// [`Self::inverse_lower`] into caller buffers, reused when they
+    /// already have the factor's order: `out` receives exactly what
+    /// `inverse_lower` returns, and `linv` is scratch that ends holding
+    /// `L^{-1}` in its lower triangle. Until then `out`'s storage serves as
+    /// the column-block buffer of the unit-RHS solve, so the call allocates
+    /// nothing once both buffers are sized.
+    ///
+    /// # Errors
+    /// [`LinalgError::Singular`] if a diagonal entry is zero.
+    pub fn inverse_lower_into(
+        &self,
+        out: &mut Matrix,
+        linv: &mut Matrix,
+    ) -> Result<(), LinalgError> {
         let n = self.order();
-        let linv = self.factor_inverse()?;
-        let mut w = Matrix::zeros(n, n);
+        for m in [&mut *out, &mut *linv] {
+            if m.nrows() != n || m.ncols() != n {
+                *m = Matrix::zeros(n, n);
+            }
+        }
+        self.factor_inverse_lower(linv, &mut out.as_mut_slice()[..n * BLOCK.min(n)])?;
         for i in 0..n {
-            let wi = &mut w.row_mut(i)[..=i];
+            let wi = out.row_mut(i);
+            wi.fill(0.0);
+            let wi = &mut wi[..=i];
             for k in i..n {
                 let lk = &linv.row(k)[..=i];
                 let c = lk[i];
@@ -418,7 +521,7 @@ impl Cholesky {
                 }
             }
         }
-        Ok(w)
+        Ok(())
     }
 
     /// `log det A = 2 * sum_i log L_ii` — the complexity-penalty term of the
@@ -960,6 +1063,63 @@ mod tests {
         let got = Cholesky::jittered_with(&neg, 1e-10, 4, factor_unblocked).unwrap_err();
         let want = left_looking_jittered(&neg, 1e-10, 4).unwrap_err();
         assert!(same_error(&got, &want), "{got:?} vs {want:?}");
+    }
+
+    #[test]
+    fn refactor_matches_decompose_jittered_bit_for_bit() {
+        // One buffer, reused across orders (both factor kernels) and across
+        // PD inputs, inputs that climb the ladder, and ladders that fail.
+        let mut c = Cholesky::with_order(0);
+        let mut neg = Matrix::from_fn(5, 5, |i, j| if i == j { -1.0 } else { 0.1 });
+        for n in [1usize, 2, 7, 64, 65, 130, 5] {
+            let inputs = if n == 5 {
+                let nan =
+                    Matrix::from_fn(5, 5, |i, j| if i == 3 && j == 1 { f64::NAN } else { 0.0 });
+                vec![neg.clone(), nan]
+            } else {
+                vec![
+                    well_conditioned_spd(n, n as u64),
+                    near_singular(n, n as u64),
+                ]
+            };
+            for a in &inputs {
+                for tries in [1usize, 2, 12] {
+                    let want = Cholesky::decompose_jittered(a, 1e-10, tries);
+                    match (c.refactor_jittered(a, 1e-10, tries), &want) {
+                        (Ok(failed), Ok(w)) => {
+                            assert_eq!(bits(c.factor()), bits(w.factor()), "n={n}");
+                            assert_eq!(c.jitter().to_bits(), w.jitter().to_bits(), "n={n}");
+                            assert_eq!(failed == 0, w.jitter() == 0.0, "n={n}");
+                        }
+                        (Err(e), Err(w)) => assert!(same_error(&e, w), "n={n}: {e:?} vs {w:?}"),
+                        (got, _) => panic!("n={n} tries={tries}: {got:?} vs {want:?}"),
+                    }
+                }
+            }
+        }
+        // An exhausted ladder fails every rung.
+        neg[(0, 0)] = -2.0;
+        assert!(matches!(
+            c.refactor_jittered(&neg, 1e-10, 4),
+            Err(LinalgError::NotPositiveDefinite { .. })
+        ));
+    }
+
+    #[test]
+    fn buffer_reusing_solve_and_inverse_match_the_allocating_ones() {
+        let (mut out, mut linv) = (Matrix::zeros(0, 0), Matrix::zeros(0, 0));
+        for n in [1usize, 3, 64, 65, 130, 40] {
+            let c = Cholesky::decompose(&well_conditioned_spd(n, 5 * n as u64)).unwrap();
+            c.inverse_lower_into(&mut out, &mut linv).unwrap();
+            assert_eq!(bits(&out), bits(&c.inverse_lower().unwrap()), "n={n}");
+            let b: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37).sin()).collect();
+            let mut x = vec![f64::NAN; n];
+            c.solve_into(&b, &mut x).unwrap();
+            let want = c.solve(&b).unwrap();
+            assert!(x.iter().zip(&want).all(|(a, b)| a.to_bits() == b.to_bits()));
+        }
+        let c = Cholesky::decompose(&spd3()).unwrap();
+        assert!(c.solve_into(&[1.0; 3], &mut [0.0; 2]).is_err());
     }
 
     #[test]

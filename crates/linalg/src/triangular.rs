@@ -27,14 +27,24 @@ const RHS_PAR_THRESHOLD: usize = 64 * 64;
 /// [`LinalgError::Singular`] if a diagonal entry is exactly zero;
 /// [`LinalgError::DimensionMismatch`] on shape mismatch.
 pub fn solve_lower(l: &Matrix, b: &[f64]) -> Result<Vec<f64>, LinalgError> {
+    let mut x = b.to_vec();
+    solve_lower_in_place(l, &mut x)?;
+    Ok(x)
+}
+
+/// [`solve_lower`] in place: `x` holds `b` on entry and the solution on
+/// return (bit-identical to `solve_lower`'s).
+///
+/// # Errors
+/// Same conditions as [`solve_lower`].
+pub fn solve_lower_in_place(l: &Matrix, x: &mut [f64]) -> Result<(), LinalgError> {
     let n = l.nrows();
-    if l.ncols() != n || b.len() != n {
+    if l.ncols() != n || x.len() != n {
         return Err(LinalgError::DimensionMismatch {
             op: "solve_lower",
-            details: format!("L is {}x{}, b has {}", l.nrows(), l.ncols(), b.len()),
+            details: format!("L is {}x{}, b has {}", l.nrows(), l.ncols(), x.len()),
         });
     }
-    let mut x = b.to_vec();
     for i in 0..n {
         let row = l.row(i);
         let mut s = x[i];
@@ -47,20 +57,30 @@ pub fn solve_lower(l: &Matrix, b: &[f64]) -> Result<Vec<f64>, LinalgError> {
         }
         x[i] = s / d;
     }
-    Ok(x)
+    Ok(())
 }
 
 /// Solve `L^T x = b` where `L` is lower triangular (so `L^T` is upper
 /// triangular), without materializing the transpose.
 pub fn solve_lower_transpose(l: &Matrix, b: &[f64]) -> Result<Vec<f64>, LinalgError> {
+    let mut x = b.to_vec();
+    solve_lower_transpose_in_place(l, &mut x)?;
+    Ok(x)
+}
+
+/// [`solve_lower_transpose`] in place: `x` holds `b` on entry and the
+/// solution on return (bit-identical to `solve_lower_transpose`'s).
+///
+/// # Errors
+/// Same conditions as [`solve_lower_transpose`].
+pub fn solve_lower_transpose_in_place(l: &Matrix, x: &mut [f64]) -> Result<(), LinalgError> {
     let n = l.nrows();
-    if l.ncols() != n || b.len() != n {
+    if l.ncols() != n || x.len() != n {
         return Err(LinalgError::DimensionMismatch {
             op: "solve_lower_transpose",
-            details: format!("L is {}x{}, b has {}", l.nrows(), l.ncols(), b.len()),
+            details: format!("L is {}x{}, b has {}", l.nrows(), l.ncols(), x.len()),
         });
     }
-    let mut x = b.to_vec();
     for i in (0..n).rev() {
         let mut s = x[i];
         // L^T[i][j] = L[j][i] for j > i.
@@ -73,7 +93,7 @@ pub fn solve_lower_transpose(l: &Matrix, b: &[f64]) -> Result<Vec<f64>, LinalgEr
         }
         x[i] = s / d;
     }
-    Ok(x)
+    Ok(())
 }
 
 /// Solve `U x = b` where `U` is upper triangular (entries below the diagonal
