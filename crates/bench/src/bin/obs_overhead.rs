@@ -41,16 +41,9 @@ const GRID_RATIO_T2_BUDGET: f64 = 0.8;
 /// Minimum CPU count for the 2-worker speedup budget to be meaningful.
 const GRID_RATIO_T2_MIN_CPUS: usize = 2;
 
-/// Minimum-over-repeats wall time of `f`, in milliseconds.
-fn best_ms<F: FnMut()>(reps: usize, mut f: F) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..reps {
-        let t = Instant::now();
-        f();
-        best = best.min(t.elapsed().as_secs_f64() * 1e3);
-    }
-    best
-}
+/// Fit arms last at least this long: a 2% difference has to clear timer
+/// and scheduler noise.
+const FIT_ARM_MS: f64 = 25.0;
 
 /// Median of a non-empty sample.
 fn median(xs: &[f64]) -> f64 {
@@ -101,18 +94,34 @@ struct Overhead {
     pct: f64,
 }
 
-/// Interleave `rounds` disabled/enabled arms of `f`, each the best of
-/// `arm_reps` calls, so both sides sample the same machine epochs: an
+/// Wall time of `batch` back-to-back calls of `f`, in milliseconds per
+/// call.
+fn batch_ms<F: FnMut()>(batch: usize, mut f: F) -> f64 {
+    let t = Instant::now();
+    for _ in 0..batch {
+        f();
+    }
+    t.elapsed().as_secs_f64() * 1e3 / batch as f64
+}
+
+/// How many back-to-back calls of `f` take about `target_ms` (at least
+/// one), from one timed call.
+fn batch_for<F: FnMut()>(target_ms: f64, f: F) -> usize {
+    (target_ms / batch_ms(1, f)).ceil().max(1.0) as usize
+}
+
+/// Interleave `rounds` disabled/enabled arms of `f`, each one timed batch
+/// of `batch` calls, so both sides sample the same machine epochs: an
 /// off-block then on-block would let clock drift or a background phase
 /// masquerade as telemetry overhead. Leaves telemetry disabled.
-fn on_off<F: FnMut()>(rounds: usize, arm_reps: usize, mut f: F) -> Overhead {
+fn on_off<F: FnMut()>(rounds: usize, batch: usize, mut f: F) -> Overhead {
     let (mut off_ms, mut on_ms) = (f64::INFINITY, f64::INFINITY);
     let mut pcts = Vec::with_capacity(rounds);
     for _ in 0..rounds {
         alperf_obs::set_enabled(false);
-        let off = best_ms(arm_reps, &mut f);
+        let off = batch_ms(batch, &mut f);
         alperf_obs::set_enabled(true);
-        let on = best_ms(arm_reps, &mut f);
+        let on = batch_ms(batch, &mut f);
         off_ms = off_ms.min(off);
         on_ms = on_ms.min(on);
         pcts.push((on - off) / off * 100.0);
@@ -158,7 +167,7 @@ fn grid_ms(spec: &GridSpec, width: usize, mode: CommitMode) -> f64 {
         mode,
         ..ExecConfig::default()
     };
-    best_ms(1, || {
+    batch_ms(1, || {
         with_threads(width, || run_grid(spec, &out, &exec)).expect("bench grid must run");
     })
 }
@@ -168,14 +177,14 @@ fn main() -> ExitCode {
     let quick = std::env::args().any(|a| a == "--quick");
     let cpus = std::thread::available_parallelism().map_or(1, |c| c.get());
 
-    // Quick fits take a few ms, so extra rounds are cheap, and the median
-    // ratio needs them to stay stable; each arm takes the best of three
-    // fits so one scheduler blip cannot swing it. Full-size fits run long
-    // enough that one per arm suffices.
-    let (n, m, restarts, rounds, arm_reps, grid_rounds) = if quick {
-        (48, 128, 2, 7, 3, 15)
+    // A quick fit takes a millisecond or two, far too short to resolve a
+    // 2% difference, so each arm times a batch of fits lasting at least
+    // FIT_ARM_MS, and the median ratio runs over many interleaved rounds.
+    // A full-size fit is long enough to be one arm by itself.
+    let (n, m, restarts, rounds, grid_rounds) = if quick {
+        (48, 128, 2, 15, 15)
     } else {
-        (200, 1024, 5, 5, 1, 5)
+        (200, 1024, 5, 5, 5)
     };
     let (x, y) = training_data(n);
     let cfg = GprConfig::new(Box::new(SquaredExponential::unit()))
@@ -194,16 +203,18 @@ fn main() -> ExitCode {
     // Width 1, the width perfbench runs fig7 at: wider, the restart
     // fan-out and the pool's row blocks hand work to other threads, and
     // the ratios measure thread scheduling rather than telemetry.
-    let (fit, predict) = with_threads(1, || {
-        let fit = on_off(rounds, arm_reps, || {
+    let (fit, fit_batch, predict) = with_threads(1, || {
+        let fit_once = || {
             black_box(fit_gpr(&x, &y, &cfg).expect("bench fit"));
-        });
+        };
+        let fit_batch = batch_for(FIT_ARM_MS, fit_once);
+        let fit = on_off(rounds, fit_batch, fit_once);
         // The predict path is short (well under a millisecond at quick
         // sizes): many more rounds are affordable and needed to pin it.
         let predict = on_off(rounds * 20, 1, || {
             black_box(gpr.predict_batch(&pool).expect("bench predict"));
         });
-        (fit, predict)
+        (fit, fit_batch, predict)
     });
 
     // Each round runs the grid buffered and streaming at width 1, then
@@ -246,6 +257,7 @@ fn main() -> ExitCode {
     print!(
         "{{\n  \"bench\": \"obs_overhead\",\n  \"quick\": {quick},\n  \"cpus\": {cpus},\n  \
          \"fit\": {{ \"n\": {n}, \"restarts\": {restarts}, \"threads\": 1, \
+         \"rounds\": {rounds}, \"batch\": {fit_batch}, \
          \"disabled_ms\": {:.3}, \"enabled_ms\": {:.3}, \"overhead_pct\": {:.3}, \
          \"budget_pct\": {BUDGET_PCT} }},\n  \
          \"predict\": {{ \"train_n\": {n}, \"pool_m\": {m}, \"threads\": 1, \

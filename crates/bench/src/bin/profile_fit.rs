@@ -1,21 +1,26 @@
-//! Stage-by-stage profiler for the GPR training path plus a `fit_gpr`
-//! sweep over training-set size and restart count.
+//! Stage-by-stage profiler for the GPR training path plus sweeps over
+//! training-set size.
 //!
 //! Usage:
 //!   profile_fit            # stage tables (SE at n=200; ARD-SE and
-//!                          # Matérn-5/2 at n=13 and n=60) + full sweep
+//!                          # Matérn-5/2 at n=13 and n=60), the kernels at
+//!                          # the Fig. 8 orders, a per-order kernel sweep
+//!                          # (n = 1..=256) and a `fit_gpr` sweep
 //!   profile_fit --quick    # same tables at fewer reps, SE at n=64, tiny
-//!                          # sweep (CI smoke run)
+//!                          # sweeps (CI smoke run)
 //!
 //! Each stage table splits one LML value + gradient evaluation into its
-//! kernels: pointwise covariance assembly, Cholesky (unblocked and
-//! blocked), `L^{-1}` (`factor_inverse`) and the lower triangle of `K^{-1}`
-//! (`inverse_lower`), which together form the gradient's weight matrix,
+//! kernels: pointwise covariance assembly, the Cholesky factorization
+//! (refactored into a reused factor, as every LML value does), `L^{-1}`
+//! (`factor_inverse`) and the lower triangle of `K^{-1}`
+//! (`inverse_lower`, into reused buffers as every gradient forms it),
+//! which together form the gradient's weight matrix,
 //! then the pointwise LML value and the fit's own evaluations: the
 //! per-restart `LmlWorkspace`'s `value` and `grad`, called on one warm
 //! workspace exactly as the optimizer calls them. The ARD-SE and
 //! Matérn-5/2 tables cover the orders of the paper campaigns (Fig. 7 and
-//! the grid, n <= 61).
+//! the grid, n <= 61); the Fig. 8 table times the same kernels under
+//! ARD-SE at n = 60, 128 and 200, where Fig. 8's fits spend their time.
 //!
 //! Every number is timed here with a monotonic clock: the minimum over
 //! `reps` runs of `batch` back-to-back calls, divided by `batch` — the
@@ -74,27 +79,52 @@ fn stage_table(name: &str, kernel: &dyn Kernel, n: usize, sn: f64, reps: usize, 
     let (x, y) = training_data(n);
     let mut ky = lml::assemble_covariance(kernel, &x);
     ky.add_diagonal(sn * sn);
-    let chol = Cholesky::decompose(&ky).unwrap();
-    let cache = FitCache::build(kernel, &x);
-    let mut ws = LmlWorkspace::new(&cache, &y).unwrap();
+    let mut stages = vec![(
+        "assemble_k",
+        min_us(reps, batch, || {
+            black_box(lml::assemble_covariance(kernel, &x));
+        }),
+    )];
+    stages.extend(kernel_stages(kernel, &x, &y, &ky, sn, reps, batch));
+    stages.insert(
+        4,
+        (
+            "lml_pointwise",
+            min_us(reps, batch, || {
+                black_box(lml::lml_value(kernel, sn, &x, &y).unwrap());
+            }),
+        ),
+    );
+    println!("== {name} stages at n={n} (us per call; min over {reps} runs of {batch} calls) ==");
+    for (stage, us) in stages {
+        println!("{stage:<28} {us:>10.3}");
+    }
+}
+
+/// The cubic kernels of one LML value + gradient evaluation of `kernel` on
+/// `(x, y)`, whose `K_y` is `ky` (us per call): the Cholesky refactored into
+/// a reused factor, `factor_inverse`, `inverse_lower` into reused buffers
+/// (as every gradient runs it), and a warm workspace's `value` and `grad`.
+fn kernel_stages(
+    kernel: &dyn Kernel,
+    x: &Matrix,
+    y: &[f64],
+    ky: &Matrix,
+    sn: f64,
+    reps: usize,
+    batch: usize,
+) -> Vec<(&'static str, f64)> {
+    let mut chol = Cholesky::decompose(ky).unwrap();
+    let n = ky.nrows();
+    let (mut w, mut linv) = (Matrix::zeros(n, n), Matrix::zeros(n, n));
+    let cache = FitCache::build(kernel, x);
+    let mut ws = LmlWorkspace::new(&cache, y).unwrap();
     ws.value(kernel, sn).unwrap();
-    let stages: Vec<(&str, f64)> = vec![
+    vec![
         (
-            "assemble_k",
+            "cholesky",
             min_us(reps, batch, || {
-                black_box(lml::assemble_covariance(kernel, &x));
-            }),
-        ),
-        (
-            "chol_unblocked",
-            min_us(reps, batch, || {
-                black_box(Cholesky::decompose_unblocked(&ky).unwrap());
-            }),
-        ),
-        (
-            "chol_blocked",
-            min_us(reps, batch, || {
-                black_box(Cholesky::decompose_blocked(&ky).unwrap());
+                black_box(chol.refactor_jittered(ky, 0.0, 1).unwrap());
             }),
         ),
         (
@@ -106,13 +136,8 @@ fn stage_table(name: &str, kernel: &dyn Kernel, n: usize, sn: f64, reps: usize, 
         (
             "inverse_lower",
             min_us(reps, batch, || {
-                black_box(chol.inverse_lower().unwrap());
-            }),
-        ),
-        (
-            "lml_pointwise",
-            min_us(reps, batch, || {
-                black_box(lml::lml_value(kernel, sn, &x, &y).unwrap());
+                chol.inverse_lower_into(&mut w, &mut linv).unwrap();
+                black_box(&w);
             }),
         ),
         (
@@ -127,10 +152,63 @@ fn stage_table(name: &str, kernel: &dyn Kernel, n: usize, sn: f64, reps: usize, 
                 black_box(ws.grad(kernel, sn, true).unwrap());
             }),
         ),
-    ];
-    println!("== {name} stages at n={n} (us per call; min over {reps} runs of {batch} calls) ==");
-    for (stage, us) in stages {
-        println!("{stage:<28} {us:>10.3}");
+    ]
+}
+
+/// The kernels of [`kernel_stages`] under ARD-SE at the orders of Fig. 8's
+/// fits, one column per order.
+fn fig8_table(kernel: &dyn Kernel, orders: &[usize], reps: usize) {
+    let columns: Vec<Vec<(&str, f64)>> = orders
+        .iter()
+        .map(|&n| {
+            let (x, y) = training_data(n);
+            let mut ky = lml::assemble_covariance(kernel, &x);
+            ky.add_diagonal(0.01);
+            kernel_stages(kernel, &x, &y, &ky, 0.1, reps, 4)
+        })
+        .collect();
+    println!(
+        "== ARD-SE kernels at the Fig. 8 orders (us per call; min over {reps} runs of 4 calls) =="
+    );
+    print!("{:<28}", "stage");
+    for n in orders {
+        print!(" {:>10}", format!("n={n}"));
+    }
+    println!();
+    for (row, (stage, _)) in columns[0].iter().enumerate() {
+        print!("{stage:<28}");
+        for col in &columns {
+            print!(" {:>10.2}", col[row].1);
+        }
+        println!();
+    }
+}
+
+/// Per-order timings of the two cubic kernels behind every LML evaluation
+/// (us per call): the Cholesky refactored into a reused factor and
+/// `inverse_lower_into` into reused buffers, on the SE covariance of
+/// [`training_data`].
+fn kernel_sweep(orders: impl Iterator<Item = usize>) {
+    println!("== kernel sweep (us per call; min over 15 runs) ==");
+    let kernel = SquaredExponential::new(1.0, 1.0);
+    for n in orders {
+        let (x, _) = training_data(n);
+        let mut ky = lml::assemble_covariance(&kernel, &x);
+        ky.add_diagonal(0.01);
+        let mut chol = Cholesky::decompose(&ky).unwrap();
+        let (mut w, mut linv) = (Matrix::zeros(n, n), Matrix::zeros(n, n));
+        // About 100 us of work per timed batch.
+        let batch = (300_000 / (n * n * n + 300)).max(1);
+        let chol_us = min_us(15, batch, || {
+            black_box(chol.refactor_jittered(&ky, 0.0, 1).unwrap());
+        });
+        let inv_us = min_us(15, batch, || {
+            chol.inverse_lower_into(&mut w, &mut linv).unwrap();
+            black_box(&w);
+        });
+        println!(
+            "{{ \"n\": {n}, \"cholesky_us\": {chol_us:.3}, \"inverse_lower_us\": {inv_us:.3} }},"
+        );
     }
 }
 
@@ -179,9 +257,12 @@ fn main() {
         stage_table("ARD-SE", &ard, n, 0.1, reps, 20);
         stage_table("Matern-5/2", &m52, n, 0.1, reps, 20);
     }
+    fig8_table(&ard, &[60, 128, 200], reps);
     if quick {
+        kernel_sweep([1, 13, 41, 128].into_iter());
         sweep(&[32], &[1]);
     } else {
+        kernel_sweep(1..=256);
         sweep(&[50, 100, 200, 400], &[1, 5]);
     }
 }

@@ -8,20 +8,25 @@
 //! retries with geometrically increasing diagonal jitter — the same strategy
 //! scikit-learn's `GaussianProcessRegressor` (used by the paper) employs.
 
+#[cfg(target_arch = "x86_64")]
+use crate::cpu;
 use crate::error::LinalgError;
 use crate::matrix::Matrix;
 use crate::triangular::{
     forward_sub_block, solve_lower, solve_lower_in_place, solve_lower_matrix, solve_lower_rhs_rows,
     solve_lower_transpose_in_place, solve_lower_transpose_matrix,
 };
+use std::ops::Range;
 
-/// Panel width of the blocked right-looking factorization. Matches the
-/// multi-RHS triangular solver's `RHS_BLOCK` so the TRSM step packs into a
-/// single block pass.
+/// Column-block width of [`Cholesky::factor_inverse`]'s unit-RHS solve;
+/// matches the multi-RHS triangular solver's `RHS_BLOCK`.
 const BLOCK: usize = 64;
-/// Below this order the unblocked sweep wins: the blocked variant's panel
-/// copies and matmul dispatch cost more than they save.
-const BLOCKED_MIN: usize = 128;
+
+/// Below this order the factorization runs the scalar sweep on every CPU:
+/// there the tiled kernel mostly waits on its chain of square roots and
+/// divides, and its transposed copies cost more than its tiles save.
+#[cfg(target_arch = "x86_64")]
+const TILED_MIN: usize = 13;
 
 /// A lower-triangular Cholesky factor `L` with `A = L L^T`.
 #[derive(Debug, Clone)]
@@ -30,6 +35,11 @@ pub struct Cholesky {
     /// Jitter that had to be added to the diagonal for the factorization to
     /// succeed (0.0 when the matrix was PD as given).
     jitter: f64,
+    /// Working storage of the factor kernels (the scalar sweep's pivot
+    /// column, the tiled sweep's column-major copy): sized by the first
+    /// [`Cholesky::refactor_jittered`] and reused by every later one; empty
+    /// in one-shot factors.
+    scratch: Vec<f64>,
 }
 
 /// Check that `a` is square with finite entries. Hoisted out of the
@@ -47,12 +57,39 @@ fn validate(a: &Matrix) -> Result<(), LinalgError> {
     Ok(())
 }
 
-/// (Re)initialize the factor buffer from `a`: the strict lower triangle is
-/// copied back and every diagonal entry is set to `a_ii + jitter`. The
-/// right-looking sweep updates the whole trailing triangle after every
-/// pivot, so a failed attempt may have dirtied any lower-triangle entry and
-/// each retry restores all columns. No factor kernel writes the strict
-/// upper triangle, so it stays zero and is never copied.
+/// Factor `a + jitter I` into `l`, a buffer of the same order whose strict
+/// upper triangle is zero and stays so; only the lower triangle of `a` is
+/// read, and `scratch` is resized as the kernel needs. On failure the
+/// lower triangle of `l` is unspecified.
+///
+/// Every element of `L` sees exactly the operations of the left-looking
+/// dot-product sweep, in its order: a separate multiply and subtract per
+/// `k`, `k` ascending, then one square root (diagonal) or divide. So the
+/// factor, the failing pivot and its value are bit-identical to that
+/// sweep's whichever kernel runs, and the kernel is picked from the order
+/// and the CPU alone: the register-tiled AVX-512 sweep from
+/// [`TILED_MIN`] up, the scalar sweep otherwise.
+fn factor(
+    l: &mut Matrix,
+    scratch: &mut Vec<f64>,
+    a: &Matrix,
+    jitter: f64,
+) -> Result<(), LinalgError> {
+    #[cfg(target_arch = "x86_64")]
+    if a.nrows() >= TILED_MIN && cpu::isa() == cpu::Isa::Avx512 {
+        // SAFETY: `isa()` verified avx512f support on this CPU.
+        return unsafe { avx512::factor(l, scratch, a, jitter) };
+    }
+    restore_lower(l, a, jitter);
+    let n = a.nrows();
+    if scratch.len() < n {
+        scratch.resize(n, 0.0);
+    }
+    factor_scalar(l.as_mut_slice(), &mut scratch[..n])
+}
+
+/// Copy the strict lower triangle of `a` into `l` and set every diagonal
+/// entry to `a_ii + jitter`.
 fn restore_lower(l: &mut Matrix, a: &Matrix, jitter: f64) {
     for i in 0..a.nrows() {
         let dst = l.row_mut(i);
@@ -62,51 +99,18 @@ fn restore_lower(l: &mut Matrix, a: &Matrix, jitter: f64) {
     }
 }
 
-/// In-place factorization of the lower triangle of `l` (which on entry
-/// holds `A + jitter I`).
-type FactorKernel = fn(&mut Matrix) -> Result<(), LinalgError>;
-
-/// The kernel [`Cholesky::decompose`] dispatches to for order `n`.
-fn kernel_for(n: usize) -> FactorKernel {
-    if n >= BLOCKED_MIN {
-        factor_blocked
-    } else {
-        factor_unblocked
-    }
-}
-
-/// Unblocked factorization: the right-looking sweep over the whole matrix.
-fn factor_unblocked(l: &mut Matrix) -> Result<(), LinalgError> {
-    let n = l.nrows();
-    factor_diag_block(l, 0, n)
-}
-
-/// In-place right-looking factorization of the diagonal block
-/// `l[k0..k1, k0..k1]` (lower triangle; entries outside the block are
-/// neither read nor written).
+/// The scalar right-looking sweep over the lower triangle of the row-major
+/// `n x n` matrix `data` (which holds `A + jitter I`), `n = buf.len()`.
 ///
-/// After pivot `j` is taken, column `j` is scaled into a contiguous buffer,
-/// and each later row `i` applies `row_i[j+1..=i] -= l_ij * col[j+1..=i]`
-/// as one vectorizable pass. Every element still sees the exact operation
-/// sequence of the classic left-looking dot-product sweep — a separate
-/// multiply and subtract per `k`, `k` ascending, then one divide (or square
-/// root on the diagonal) — so the factor is bit-identical to it, and so are
-/// the failing pivot and its value.
-fn factor_diag_block(l: &mut Matrix, k0: usize, k1: usize) -> Result<(), LinalgError> {
-    let n = l.ncols();
-    // The column buffer lives on the stack for every order the dispatch
-    // sends here; only a forced unblocked factorization of a larger matrix
-    // allocates.
-    let mut stack = [0.0f64; BLOCKED_MIN];
-    let mut heap;
-    let buf: &mut [f64] = if k1 - k0 <= BLOCKED_MIN {
-        &mut stack
-    } else {
-        heap = vec![0.0; k1 - k0];
-        &mut heap
-    };
-    let data = l.as_mut_slice();
-    for j in k0..k1 {
+/// After pivot `j` is taken, column `j` is scaled into the contiguous
+/// `buf`, and each later row `i` applies
+/// `row_i[j+1..=i] -= l_ij * col[j+1..=i]` as one vectorizable pass. Kept
+/// out of line: inlined into the jitter ladder it measured 1–4% slower at
+/// the small orders it serves.
+#[inline(never)]
+fn factor_scalar(data: &mut [f64], buf: &mut [f64]) -> Result<(), LinalgError> {
+    let n = buf.len();
+    for j in 0..n {
         let d = data[j * n + j];
         if d <= 0.0 || !d.is_finite() {
             return Err(LinalgError::NotPositiveDefinite { pivot: j, value: d });
@@ -116,7 +120,7 @@ fn factor_diag_block(l: &mut Matrix, k0: usize, k1: usize) -> Result<(), LinalgE
         // Row t of `rows` is row j+1+t; `col[t]` receives its l_{j+1+t, j}.
         // Row t's update reads only col[..=t], so each row is scaled and
         // updated in one visit.
-        let col = &mut buf[..k1 - j - 1];
+        let col = &mut buf[..n - j - 1];
         let rows = data[(j + 1) * n..].chunks_exact_mut(n);
         for (t, row) in rows.take(col.len()).enumerate() {
             let lij = row[j] / dsqrt;
@@ -130,105 +134,295 @@ fn factor_diag_block(l: &mut Matrix, k0: usize, k1: usize) -> Result<(), LinalgE
     Ok(())
 }
 
-/// In-place blocked right-looking factorization: per `BLOCK`-wide panel,
-/// (1) the right-looking sweep over the diagonal block, (2) TRSM of the
-/// sub-diagonal panel through the runtime-dispatched multi-RHS solver
-/// (`L21 L11^T = A21`, one row per RHS), (3) SYRK-style trailing update
-/// `A22 -= L21 L21^T` evaluated in row chunks through the cache-blocked
-/// matmul, subtracting only the lower triangle.
-fn factor_blocked(l: &mut Matrix) -> Result<(), LinalgError> {
-    let n = l.nrows();
-    let mut k0 = 0usize;
-    while k0 < n {
-        let nb = BLOCK.min(n - k0);
-        let k1 = k0 + nb;
-        factor_diag_block(l, k0, k1)?;
-        let m = n - k1;
-        if m > 0 {
-            // Pack the diagonal block (lower triangle) and the sub-diagonal
-            // panel; solve all panel rows against L11 in one blocked pass.
-            let mut l11 = Matrix::zeros(nb, nb);
-            for i in 0..nb {
-                let src = &l.row(k0 + i)[k0..k0 + i + 1];
-                l11.row_mut(i)[..=i].copy_from_slice(src);
-            }
-            let mut a21 = Matrix::zeros(m, nb);
-            for r in 0..m {
-                a21.row_mut(r).copy_from_slice(&l.row(k1 + r)[k0..k1]);
-            }
-            let l21 = solve_lower_rhs_rows(&l11, &a21)?;
-            for r in 0..m {
-                l.row_mut(k1 + r)[k0..k1].copy_from_slice(l21.row(r));
-            }
-            // Trailing update in row chunks: chunk rows [r0, r1) of the
-            // trailing matrix only need products against rows 0..r1 of L21
-            // (columns past the diagonal belong to the upper triangle), so
-            // each chunk multiplies (r1-r0) x nb by nb x r1 — about half the
-            // flops of the full square product.
-            let mut r0 = 0usize;
-            while r0 < m {
-                let r1 = (r0 + BLOCK).min(m);
-                let lhs = Matrix::from_vec(r1 - r0, nb, l21.as_slice()[r0 * nb..r1 * nb].to_vec())
-                    .expect("chunk shape");
-                let mut rt = Matrix::zeros(nb, r1);
-                for r in 0..r1 {
-                    let row = l21.row(r);
-                    for (c, v) in row.iter().enumerate() {
-                        rt[(c, r)] = *v;
-                    }
-                }
-                let p = lhs.matmul(&rt)?;
-                for r in r0..r1 {
-                    let prow = p.row(r - r0);
-                    let lrow = &mut l.row_mut(k1 + r)[k1..];
-                    for c in 0..=r {
-                        lrow[c] -= prow[c];
-                    }
-                }
-                r0 = r1;
+/// `w[i][..=i] = sum_k linv[k][i] * linv[k][..=i]` for each row `i` in
+/// `rows`, `k` ascending from `i`, and `w[i][i+1..] = 0`: the scalar
+/// accumulation of [`Cholesky::inverse_lower`] (each element starts at
+/// `+0.0` and adds one separately rounded product per `k`).
+fn accumulate_inverse_scalar(linv: &Matrix, w: &mut Matrix, rows: Range<usize>) {
+    let n = linv.nrows();
+    for i in rows {
+        let wi = w.row_mut(i);
+        wi.fill(0.0);
+        let wi = &mut wi[..=i];
+        for k in i..n {
+            let lk = &linv.row(k)[..=i];
+            let c = lk[i];
+            for (a, &b) in wi.iter_mut().zip(lk) {
+                *a += c * b;
             }
         }
-        k0 = k1;
     }
-    Ok(())
+}
+
+/// Register-tiled AVX-512 kernels for the two cubic loops behind every LML
+/// evaluation: the factorization sweep and `inverse_lower`'s accumulation.
+/// Vector lanes only ever hold independent elements, and each element gets
+/// its own `mul` and then a separate `add`/`sub` per `k` (never an FMA),
+/// `k` ascending, then its one `div` or `sqrt`, so both are bit-identical
+/// to the scalar loops.
+#[cfg(target_arch = "x86_64")]
+mod avx512 {
+    use super::{LinalgError, Matrix};
+    use std::arch::x86_64::*;
+
+    /// f64 lanes of a zmm register.
+    const LANES: usize = 8;
+    /// Columns per panel of the tiled factorization.
+    const PANEL: usize = 4;
+
+    /// Mask of the first `k` lanes (all of them for `k >= LANES`).
+    fn lanes(k: usize) -> __mmask8 {
+        ((1u32 << k.min(LANES)) - 1) as __mmask8
+    }
+
+    /// `acc + c * b` as a rounded product, then a rounded sum.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    fn add_product(acc: __m512d, c: __m512d, b: __m512d) -> __m512d {
+        _mm512_add_pd(acc, _mm512_mul_pd(c, b))
+    }
+
+    /// `acc - c * b` as a rounded product, then a rounded difference.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    fn sub_product(acc: __m512d, c: __m512d, b: __m512d) -> __m512d {
+        _mm512_sub_pd(acc, _mm512_mul_pd(c, b))
+    }
+
+    /// Column stride of the tiled sweep's column-major copy: `n` rounded up
+    /// to whole cache lines, and an odd number of them, so that walking
+    /// along a row (one line per column) spreads over every cache set
+    /// instead of aliasing into a few when `8n` is a power of two.
+    fn stride(n: usize) -> usize {
+        let lines = n.div_ceil(LANES);
+        (lines | 1) * LANES
+    }
+
+    /// Tiled factorization of `a + jitter I` into `l`, with the contract
+    /// of `super::factor`.
+    ///
+    /// The sweep runs on a column-major copy in `scratch`, so column `c` of
+    /// `L` (rows `c..n`) is contiguous and vectors run down the rows. It is
+    /// left-looking by panels of [`PANEL`] columns: [`outer`] applies every
+    /// finished column's updates to the panel, the panel's pivots are taken
+    /// in scalar code, and [`below`] finishes the rows under them. Each
+    /// element thus still meets its updates `k = 0, 1, ...` in ascending
+    /// order and then its divide. On success the factor is copied into the
+    /// lower triangle of `l`.
+    ///
+    /// # Safety
+    /// The CPU must support `avx512f`.
+    #[target_feature(enable = "avx512f")]
+    pub(super) unsafe fn factor(
+        l: &mut Matrix,
+        scratch: &mut Vec<f64>,
+        a: &Matrix,
+        jitter: f64,
+    ) -> Result<(), LinalgError> {
+        let n = a.nrows();
+        let s = stride(n);
+        if scratch.len() < s * n {
+            scratch.resize(s * n, 0.0);
+        }
+        let cm = &mut scratch[..s * n];
+        for i in 0..n {
+            let src = a.row(i);
+            for (c, &v) in src[..i].iter().enumerate() {
+                cm[c * s + i] = v;
+            }
+            cm[i * s + i] = src[i] + jitter;
+        }
+        sweep(cm, n, s)?;
+        for i in 0..n {
+            for (c, v) in l.row_mut(i)[..=i].iter_mut().enumerate() {
+                *v = cm[c * s + i];
+            }
+        }
+        Ok(())
+    }
+
+    /// The panel loop of [`factor`] over the column-major `cm` (order `n`,
+    /// column stride `s`). A trailing panel narrower than [`PANEL`] is
+    /// taken one column at a time.
+    #[target_feature(enable = "avx512f")]
+    fn sweep(cm: &mut [f64], n: usize, s: usize) -> Result<(), LinalgError> {
+        let mut c0 = 0;
+        while c0 < n {
+            let w = if n - c0 >= PANEL { PANEL } else { 1 };
+            if w == PANEL {
+                outer::<PANEL>(cm, n, s, c0);
+            } else {
+                outer::<1>(cm, n, s, c0);
+            }
+            // The panel's diagonal block, left-looking over its own
+            // columns: every update from `j < c0` is already in.
+            let mut pivots = [0.0; PANEL];
+            for c in c0..c0 + w {
+                let mut d = cm[c * s + c];
+                for j in c0..c {
+                    let v = cm[j * s + c];
+                    d -= v * v;
+                }
+                if d <= 0.0 || !d.is_finite() {
+                    return Err(LinalgError::NotPositiveDefinite { pivot: c, value: d });
+                }
+                let r = d.sqrt();
+                cm[c * s + c] = r;
+                pivots[c - c0] = r;
+                for i in c + 1..c0 + w {
+                    let mut x = cm[c * s + i];
+                    for j in c0..c {
+                        x -= cm[j * s + i] * cm[j * s + c];
+                    }
+                    cm[c * s + i] = x / r;
+                }
+            }
+            if w == PANEL {
+                below::<PANEL>(cm, n, s, c0, &pivots);
+            } else {
+                below::<1>(cm, n, s, c0, &pivots);
+            }
+            c0 += w;
+        }
+        Ok(())
+    }
+
+    /// Subtract `L[i][j] * L[c][j]`, `j` ascending over the finished
+    /// columns `0..c0`, from every element of panel columns `c0..c0 + W`
+    /// in rows `c0..n`: tiles of 8 rows x `W` columns stay in `W` zmm
+    /// registers for the whole `j` sweep. A tile row above its column's
+    /// diagonal lands in that column's unused upper part.
+    #[target_feature(enable = "avx512f")]
+    fn outer<const W: usize>(cm: &mut [f64], n: usize, s: usize, c0: usize) {
+        if c0 == 0 {
+            return;
+        }
+        assert!(c0 + W <= n && n <= s && cm.len() >= s * n);
+        let p = cm.as_mut_ptr();
+        for i0 in (c0..n).step_by(LANES) {
+            let m = lanes(n - i0);
+            // SAFETY: rows i0..i0 + 8 are masked to i0..n, and every column
+            // touched (`j < c0`, `c0 + t < c0 + W <= n`) lies inside the
+            // s x n buffer `cm`.
+            unsafe {
+                let mut acc: [__m512d; W] =
+                    std::array::from_fn(|t| _mm512_maskz_loadu_pd(m, p.add((c0 + t) * s + i0)));
+                for j in 0..c0 {
+                    let col = p.add(j * s);
+                    let x = _mm512_maskz_loadu_pd(m, col.add(i0));
+                    for (t, a) in acc.iter_mut().enumerate() {
+                        *a = sub_product(*a, x, _mm512_set1_pd(*col.add(c0 + t)));
+                    }
+                }
+                for (t, a) in acc.iter().enumerate() {
+                    _mm512_mask_storeu_pd(p.add((c0 + t) * s + i0), m, *a);
+                }
+            }
+        }
+    }
+
+    /// Finish panel columns `c0..c0 + W` in the rows below their diagonal
+    /// block: each element subtracts `L[i][j] * L[c][j]` for the panel's
+    /// earlier columns `j`, ascending, then divides by its pivot — 8 rows
+    /// per vector, the panel's `W` columns in registers.
+    #[target_feature(enable = "avx512f")]
+    fn below<const W: usize>(cm: &mut [f64], n: usize, s: usize, c0: usize, pivots: &[f64; PANEL]) {
+        assert!(c0 + W <= n && n <= s && cm.len() >= s * n);
+        let p = cm.as_mut_ptr();
+        for i0 in (c0 + W..n).step_by(LANES) {
+            let m = lanes(n - i0);
+            // SAFETY: as in `outer`, rows are masked to i0..n and columns
+            // stay below c0 + W <= n.
+            unsafe {
+                let mut v: [__m512d; W] =
+                    std::array::from_fn(|t| _mm512_maskz_loadu_pd(m, p.add((c0 + t) * s + i0)));
+                for t in 0..W {
+                    for j in 0..t {
+                        let lcj = _mm512_set1_pd(*p.add((c0 + j) * s + c0 + t));
+                        v[t] = sub_product(v[t], v[j], lcj);
+                    }
+                    v[t] = _mm512_div_pd(v[t], _mm512_set1_pd(pivots[t]));
+                }
+                for (t, x) in v.iter().enumerate() {
+                    _mm512_mask_storeu_pd(p.add((c0 + t) * s + i0), m, *x);
+                }
+            }
+        }
+    }
+
+    /// `inverse_lower`'s accumulation `w[i][..=i] += linv[k][i] *
+    /// linv[k][..=i]`, `k` ascending from `i`, for the rows of every full
+    /// tile of 4: tiles of 4 rows x 8 columns stay in zmm registers for the
+    /// whole `k` sweep, and row `i0 + t` of a tile joins it at `k = i0 + t`.
+    /// Writes only the lower triangle of those rows and returns the first
+    /// row it left to the caller.
+    ///
+    /// # Safety
+    /// The CPU must support `avx512f`.
+    #[target_feature(enable = "avx512f")]
+    pub(super) unsafe fn accumulate_inverse(linv: &Matrix, w: &mut Matrix) -> usize {
+        let n = linv.nrows();
+        assert!(linv.ncols() == n && w.nrows() == n && w.ncols() == n);
+        let lp = linv.as_slice().as_ptr();
+        let wp = w.as_mut_slice().as_mut_ptr();
+        let mut i0 = 0;
+        while i0 + 4 <= n {
+            for j0 in (0..i0 + 4).step_by(LANES) {
+                let m = lanes(i0 + 4 - j0);
+                // SAFETY: every row read is k < n, columns are masked to
+                // j0..i0 + 4 <= n, and the stores to rows i0..i0 + 4 < n
+                // are masked to their own lower triangle.
+                unsafe {
+                    let row = |k: usize| lp.add(k * n);
+                    let coef = |k: usize, t: usize| _mm512_set1_pd(*row(k).add(i0 + t));
+                    let mut a0 = _mm512_setzero_pd();
+                    let mut a1 = _mm512_setzero_pd();
+                    let mut a2 = _mm512_setzero_pd();
+                    let mut a3 = _mm512_setzero_pd();
+                    let b = _mm512_maskz_loadu_pd(m, row(i0).add(j0));
+                    a0 = add_product(a0, coef(i0, 0), b);
+                    let b = _mm512_maskz_loadu_pd(m, row(i0 + 1).add(j0));
+                    a0 = add_product(a0, coef(i0 + 1, 0), b);
+                    a1 = add_product(a1, coef(i0 + 1, 1), b);
+                    let b = _mm512_maskz_loadu_pd(m, row(i0 + 2).add(j0));
+                    a0 = add_product(a0, coef(i0 + 2, 0), b);
+                    a1 = add_product(a1, coef(i0 + 2, 1), b);
+                    a2 = add_product(a2, coef(i0 + 2, 2), b);
+                    for k in i0 + 3..n {
+                        let b = _mm512_maskz_loadu_pd(m, row(k).add(j0));
+                        a0 = add_product(a0, coef(k, 0), b);
+                        a1 = add_product(a1, coef(k, 1), b);
+                        a2 = add_product(a2, coef(k, 2), b);
+                        a3 = add_product(a3, coef(k, 3), b);
+                    }
+                    for (t, a) in [a0, a1, a2, a3].into_iter().enumerate() {
+                        let keep = lanes((i0 + t + 1).saturating_sub(j0));
+                        _mm512_mask_storeu_pd(wp.add((i0 + t) * n + j0), keep, a);
+                    }
+                }
+            }
+            i0 += 4;
+        }
+        i0
+    }
 }
 
 impl Cholesky {
     /// Factor a symmetric positive-definite matrix. Only the lower triangle
-    /// of `a` is read. Dispatches to the blocked right-looking algorithm for
-    /// large orders and the unblocked right-looking sweep below
-    /// [`BLOCKED_MIN`].
+    /// of `a` is read. One kernel family serves every order: the
+    /// register-tiled AVX-512 sweep where the CPU has it (from a small
+    /// order up), the scalar right-looking sweep otherwise; both are
+    /// bit-identical to the left-looking dot-product sweep.
     ///
     /// # Errors
     /// [`LinalgError::NotPositiveDefinite`] if a pivot is `<= 0`;
     /// [`LinalgError::DimensionMismatch`] if `a` is not square;
     /// [`LinalgError::NonFinite`] if the input contains NaN/inf.
     pub fn decompose(a: &Matrix) -> Result<Self, LinalgError> {
-        Self::decompose_with(a, kernel_for(a.nrows()))
-    }
-
-    /// Force the unblocked factorization regardless of order. Bit-identical
-    /// to the classic left-looking column sweep; used by equivalence tests
-    /// and available for debugging.
-    pub fn decompose_unblocked(a: &Matrix) -> Result<Self, LinalgError> {
-        Self::decompose_with(a, factor_unblocked)
-    }
-
-    /// Force the blocked right-looking factorization regardless of order
-    /// (exercises the panel/TRSM/SYRK path even for small matrices; agrees
-    /// with [`Self::decompose_unblocked`] to ~1e-12 on well-conditioned
-    /// inputs, differing only in floating-point summation grouping).
-    pub fn decompose_blocked(a: &Matrix) -> Result<Self, LinalgError> {
-        Self::decompose_with(a, factor_blocked)
-    }
-
-    fn decompose_with(a: &Matrix, factor: FactorKernel) -> Result<Self, LinalgError> {
         validate(a)?;
-        let n = a.nrows();
-        let mut l = Matrix::zeros(n, n);
-        restore_lower(&mut l, a, 0.0);
-        factor(&mut l)?;
-        Ok(Cholesky { l, jitter: 0.0 })
+        let mut c = Cholesky::with_order(a.nrows());
+        factor(&mut c.l, &mut Vec::new(), a, 0.0)?;
+        Ok(c)
     }
 
     /// Factor with retries: if the plain factorization fails, add
@@ -237,13 +431,11 @@ impl Cholesky {
     /// diagonal magnitude so the retry ladder is dimensionally sensible.
     ///
     /// The input is validated (shape + finiteness) once up front and every
-    /// retry reuses the same factor buffer. Both factor kernels are
-    /// right-looking — each pivot updates the whole trailing triangle — so
-    /// a failed rung may have dirtied every column, and the next rung
-    /// restores all of them (`O(n^2)` copies, against the `O(n^3)`
-    /// factorization it precedes). A true resume from the failed pivot is
-    /// impossible anyway: each rung's jitter perturbs every pivot. Rung,
-    /// factor and final error are bit-identical to the left-looking sweep's.
+    /// retry reuses the same factor buffer, refilled from `a` (`O(n^2)`
+    /// copies, against the `O(n^3)` factorization they precede). A resume
+    /// from the failed pivot is impossible: each rung's jitter perturbs
+    /// every pivot. Rung, factor and final error are bit-identical to the
+    /// left-looking sweep's.
     ///
     /// Returns the factor together with the jitter that was used (see
     /// [`Cholesky::jitter`]).
@@ -252,17 +444,10 @@ impl Cholesky {
         first_jitter: f64,
         max_tries: usize,
     ) -> Result<Self, LinalgError> {
-        Self::jittered_with(a, first_jitter, max_tries, kernel_for(a.nrows()))
-    }
-
-    fn jittered_with(
-        a: &Matrix,
-        first_jitter: f64,
-        max_tries: usize,
-        factor: FactorKernel,
-    ) -> Result<Self, LinalgError> {
         let mut c = Cholesky::with_order(a.nrows());
-        c.ladder(a, first_jitter, max_tries, factor)?;
+        c.refactor_jittered(a, first_jitter, max_tries)?;
+        // A one-shot factor keeps no working storage.
+        c.scratch = Vec::new();
         Ok(c)
     }
 
@@ -272,12 +457,14 @@ impl Cholesky {
         Cholesky {
             l: Matrix::zeros(n, n),
             jitter: 0.0,
+            scratch: Vec::new(),
         }
     }
 
-    /// [`Self::decompose_jittered`] into this factor's buffer, which is
-    /// reused when `a` has the same order (no allocation below the blocked
-    /// order). The factor, its jitter and any error are bit-identical to
+    /// [`Self::decompose_jittered`] into this factor's buffers, which are
+    /// reused when `a` has the same order (no allocation after the first
+    /// call at that order). The factor, its jitter and any error are
+    /// bit-identical to
     /// `decompose_jittered(a, first_jitter, max_tries)`'s.
     ///
     /// Returns how many rungs failed before one succeeded. An exhausted
@@ -292,17 +479,6 @@ impl Cholesky {
         a: &Matrix,
         first_jitter: f64,
         max_tries: usize,
-    ) -> Result<usize, LinalgError> {
-        self.ladder(a, first_jitter, max_tries, kernel_for(a.nrows()))
-    }
-
-    /// The jitter ladder over `self.l`; returns the number of failed rungs.
-    fn ladder(
-        &mut self,
-        a: &Matrix,
-        first_jitter: f64,
-        max_tries: usize,
-        factor: FactorKernel,
     ) -> Result<usize, LinalgError> {
         validate(a)?;
         let n = a.nrows();
@@ -322,8 +498,7 @@ impl Cholesky {
             } else {
                 base * 10f64.powi(k as i32 - 1)
             };
-            restore_lower(&mut self.l, a, jitter);
-            match factor(&mut self.l) {
+            match factor(&mut self.l, &mut self.scratch, a, jitter) {
                 Ok(()) => {
                     self.jitter = jitter;
                     return Ok(k);
@@ -470,7 +645,10 @@ impl Cholesky {
     /// `linv[k][i] * linv[k][..=i]` for `k` ascending from `i`, about `n^3/6`
     /// multiply-adds. The terms with `k < i` that a full `L^{-T} L^{-1}`
     /// product would add are exactly zero, so the result is bit-identical
-    /// to the lower triangle of that product.
+    /// to the lower triangle of that product. Where the CPU has AVX-512,
+    /// tiles of 4 rows x 8 columns of the result stay in registers for the
+    /// whole `k` sweep; each element still adds its rounded products one at
+    /// a time, `k` ascending, so every ISA gives the same bits.
     ///
     /// `A^{-1}` is symmetric, so this is the whole inverse for consumers
     /// that read one triangle — the LML gradient's weight matrix
@@ -509,18 +687,21 @@ impl Cholesky {
             }
         }
         self.factor_inverse_lower(linv, &mut out.as_mut_slice()[..n * BLOCK.min(n)])?;
-        for i in 0..n {
-            let wi = out.row_mut(i);
-            wi.fill(0.0);
-            let wi = &mut wi[..=i];
-            for k in i..n {
-                let lk = &linv.row(k)[..=i];
-                let c = lk[i];
-                for (a, &b) in wi.iter_mut().zip(lk) {
-                    *a += c * b;
-                }
-            }
+        // Rows 0..tiled through the register-tiled kernel where the CPU has
+        // it (a tile needs 4 rows), the rest through the scalar loop.
+        #[cfg(target_arch = "x86_64")]
+        let tiled = if n >= 4 && cpu::isa() == cpu::Isa::Avx512 {
+            // SAFETY: `isa()` verified avx512f support on this CPU.
+            unsafe { avx512::accumulate_inverse(linv, out) }
+        } else {
+            0
+        };
+        #[cfg(not(target_arch = "x86_64"))]
+        let tiled = 0;
+        for i in 0..tiled {
+            out.row_mut(i)[i + 1..].fill(0.0);
         }
+        accumulate_inverse_scalar(linv, out, tiled..n);
         Ok(())
     }
 
@@ -576,6 +757,7 @@ impl Cholesky {
         Ok(Cholesky {
             l,
             jitter: self.jitter,
+            scratch: Vec::new(),
         })
     }
 
@@ -886,42 +1068,50 @@ mod tests {
         assert!((quad - nz).abs() < 1e-12);
     }
 
-    // ---- Bit-identity of the right-looking sweep -------------------------
+    // ---- Bit-identity of the factor kernels -----------------------------
 
-    /// The left-looking column sweep: the bit-identity reference for the
-    /// right-looking one (over the diagonal block `k0..k1`; `(0, n)` is the
-    /// whole unblocked factorization). On failure it reports the pivot and
-    /// how many columns it dirtied.
-    fn left_looking(l: &mut Matrix, k0: usize, k1: usize) -> Result<(), (LinalgError, usize)> {
-        let nb = k1 - k0;
-        for j in 0..nb {
-            let gj = k0 + j;
-            let mut d = l[(gj, gj)];
+    /// The left-looking column sweep: the bit-identity reference for every
+    /// factor kernel. On failure it reports the pivot and how many columns
+    /// it dirtied.
+    fn left_looking(l: &mut Matrix) -> Result<(), (LinalgError, usize)> {
+        let n = l.nrows();
+        for j in 0..n {
+            let mut d = l[(j, j)];
             for k in 0..j {
-                let v = l[(gj, k0 + k)];
+                let v = l[(j, k)];
                 d -= v * v;
             }
             if d <= 0.0 || !d.is_finite() {
-                return Err((
-                    LinalgError::NotPositiveDefinite {
-                        pivot: gj,
-                        value: d,
-                    },
-                    gj,
-                ));
+                return Err((LinalgError::NotPositiveDefinite { pivot: j, value: d }, j));
             }
             let dsqrt = d.sqrt();
-            l[(gj, gj)] = dsqrt;
-            for i in (j + 1)..nb {
-                let gi = k0 + i;
-                let mut s = l[(gi, gj)];
+            l[(j, j)] = dsqrt;
+            for i in (j + 1)..n {
+                let mut s = l[(i, j)];
                 for k in 0..j {
-                    s -= l[(gi, k0 + k)] * l[(gj, k0 + k)];
+                    s -= l[(i, k)] * l[(j, k)];
                 }
-                l[(gi, gj)] = s / dsqrt;
+                l[(i, j)] = s / dsqrt;
             }
         }
         Ok(())
+    }
+
+    /// Jitter of rung `k` of the ladder over `a` (as `refactor_jittered`
+    /// computes it).
+    fn rung_jitter(a: &Matrix, first_jitter: f64, k: usize) -> f64 {
+        let n = a.nrows();
+        let mean_diag = if n == 0 {
+            1.0
+        } else {
+            a.diagonal().iter().map(|v| v.abs()).sum::<f64>() / n as f64
+        };
+        let base = first_jitter * mean_diag.max(f64::MIN_POSITIVE);
+        if k == 0 {
+            0.0
+        } else {
+            base * 10f64.powi(k as i32 - 1)
+        }
     }
 
     /// The jitter ladder over the left-looking sweep, which lets a retry
@@ -932,27 +1122,17 @@ mod tests {
         max_tries: usize,
     ) -> Result<(Matrix, f64), LinalgError> {
         let n = a.nrows();
-        let mean_diag = if n == 0 {
-            1.0
-        } else {
-            a.diagonal().iter().map(|v| v.abs()).sum::<f64>() / n as f64
-        };
-        let base = first_jitter * mean_diag.max(f64::MIN_POSITIVE);
         let mut l = Matrix::zeros(n, n);
         let mut dirty = n;
         let mut last_err = None;
         for k in 0..max_tries.max(1) {
-            let jitter = if k == 0 {
-                0.0
-            } else {
-                base * 10f64.powi(k as i32 - 1)
-            };
+            let jitter = rung_jitter(a, first_jitter, k);
             for i in 0..n {
                 let lim = i.min(dirty);
                 l.row_mut(i)[..lim].copy_from_slice(&a.row(i)[..lim]);
                 l[(i, i)] = a[(i, i)] + jitter;
             }
-            match left_looking(&mut l, 0, n) {
+            match left_looking(&mut l) {
                 Ok(()) => return Ok((l, jitter)),
                 Err((e, d)) => {
                     dirty = d;
@@ -961,6 +1141,41 @@ mod tests {
             }
         }
         Err(last_err.unwrap())
+    }
+
+    /// `a + jitter I` factored by the left-looking sweep.
+    fn left_looking_factor(a: &Matrix, jitter: f64) -> Result<Matrix, LinalgError> {
+        let mut l = Matrix::zeros(a.nrows(), a.nrows());
+        restore_lower(&mut l, a, jitter);
+        left_looking(&mut l).map(|()| l).map_err(|(e, _)| e)
+    }
+
+    /// A factor kernel: `a + jitter I` into `l` with its scratch, with the
+    /// contract of `factor`.
+    type FactorFn = fn(&mut Matrix, &mut Vec<f64>, &Matrix, f64) -> Result<(), LinalgError>;
+
+    /// Every factor kernel this CPU can run, called directly (whatever
+    /// order `factor` would hand it), then the dispatch itself.
+    fn factor_kernels() -> Vec<(&'static str, FactorFn)> {
+        let mut kernels: Vec<(&str, FactorFn)> = vec![("scalar", |l, _, a, jitter| {
+            restore_lower(l, a, jitter);
+            factor_scalar(l.as_mut_slice(), &mut vec![0.0; a.nrows()])
+        })];
+        #[cfg(target_arch = "x86_64")]
+        if is_x86_feature_detected!("avx512f") {
+            kernels.push(("avx512", |l, scratch, a, jitter| {
+                // SAFETY: avx512f was detected above.
+                unsafe { avx512::factor(l, scratch, a, jitter) }
+            }));
+        }
+        kernels.push(("dispatch", factor));
+        kernels
+    }
+
+    /// Every order up to 130, then a spread of larger ones up to 256 (each
+    /// order's cost grows as `n^3`, and the tests run in debug builds too).
+    fn orders() -> impl Iterator<Item = usize> {
+        (1..=130).chain([131, 144, 160, 173, 191, 200, 224, 255, 256])
     }
 
     fn bits(m: &Matrix) -> Vec<u64> {
@@ -993,45 +1208,51 @@ mod tests {
 
     #[test]
     fn right_looking_sweep_matches_left_looking_bit_for_bit() {
-        for n in 1..=130usize {
+        let kernels = factor_kernels();
+        for n in orders() {
             let a = well_conditioned_spd(n, 7 + n as u64);
-            let mut want = Matrix::zeros(n, n);
-            restore_lower(&mut want, &a, 0.0);
-            left_looking(&mut want, 0, n).unwrap();
-            let got = Cholesky::decompose_unblocked(&a).unwrap();
-            assert_eq!(bits(got.factor()), bits(&want), "n={n}");
-            if n < BLOCKED_MIN {
-                let auto = Cholesky::decompose(&a).unwrap();
-                assert_eq!(bits(auto.factor()), bits(&want), "n={n} (auto)");
+            let want = left_looking_factor(&a, 0.0).unwrap();
+            for (name, kernel) in &kernels {
+                let mut got = Matrix::zeros(n, n);
+                kernel(&mut got, &mut Vec::new(), &a, 0.0).unwrap();
+                assert_eq!(bits(&got), bits(&want), "{name}: n={n}");
             }
-        }
-    }
-
-    #[test]
-    fn blocked_panels_match_left_looking_bit_for_bit() {
-        // The blocked path factors each diagonal block with the same sweep;
-        // check it on the panels of a 130 x 130 matrix, whose trailing
-        // blocks start at 64 and 128.
-        let n = 130;
-        let a = well_conditioned_spd(n, 99);
-        for (k0, k1) in [(0, 64), (64, 128), (128, 130)] {
-            let mut got = Matrix::zeros(n, n);
-            restore_lower(&mut got, &a, 0.0);
-            let mut want = got.clone();
-            factor_diag_block(&mut got, k0, k1).unwrap();
-            left_looking(&mut want, k0, k1).unwrap();
-            assert_eq!(bits(&got), bits(&want), "block {k0}..{k1}");
+            let auto = Cholesky::decompose(&a).unwrap();
+            assert_eq!(bits(auto.factor()), bits(&want), "n={n} (decompose)");
         }
     }
 
     #[test]
     fn jitter_ladder_matches_left_looking_rung_for_rung() {
+        let kernels = factor_kernels();
         let mut climbed = 0;
-        for n in 1..=130usize {
+        for n in orders() {
             let a = near_singular(n, n as u64);
+            // Every kernel on every rung the 12-try ladder climbs, in one
+            // buffer as the ladder reuses it: the same factor, or the same
+            // failing pivot and value with the upper triangle left zero.
+            for (name, kernel) in &kernels {
+                let (mut l, mut scratch) = (Matrix::zeros(n, n), Vec::new());
+                for k in 0..12 {
+                    let jitter = rung_jitter(&a, 1e-10, k);
+                    let want = left_looking_factor(&a, jitter);
+                    match (kernel(&mut l, &mut scratch, &a, jitter), &want) {
+                        (Ok(()), Ok(w)) => {
+                            assert_eq!(bits(&l), bits(w), "{name}: n={n} rung {k}");
+                            break;
+                        }
+                        (Err(e), Err(w)) => {
+                            assert!(same_error(&e, w), "{name}: n={n} rung {k}: {e:?} vs {w:?}");
+                            let upper = (0..n).all(|i| l.row(i)[i + 1..].iter().all(|&v| v == 0.0));
+                            assert!(upper, "{name}: n={n} rung {k}: upper triangle dirtied");
+                        }
+                        (got, _) => panic!("{name}: n={n} rung {k}: {got:?} vs {want:?}"),
+                    }
+                }
+            }
             for tries in [1usize, 2, 12] {
                 let want = left_looking_jittered(&a, 1e-10, tries);
-                let got = Cholesky::jittered_with(&a, 1e-10, tries, factor_unblocked);
+                let got = Cholesky::decompose_jittered(&a, 1e-10, tries);
                 match (&got, &want) {
                     (Ok(c), Ok((l, jitter))) => {
                         assert_eq!(
@@ -1047,31 +1268,26 @@ mod tests {
                     (Err(e), Err(w)) => assert!(same_error(e, w), "n={n}: {e:?} vs {w:?}"),
                     _ => panic!("n={n} tries={tries}: {got:?} vs {want:?}"),
                 }
-                if n < BLOCKED_MIN {
-                    let auto = Cholesky::decompose_jittered(&a, 1e-10, tries);
-                    match (&auto, &got) {
-                        (Ok(x), Ok(y)) => assert_eq!(bits(x.factor()), bits(y.factor())),
-                        (Err(x), Err(y)) => assert!(same_error(x, y)),
-                        _ => panic!("n={n}: dispatch differs"),
-                    }
-                }
             }
         }
         assert!(climbed > 60, "only {climbed} inputs needed jitter");
         // A ladder that never succeeds ends in the same typed error.
-        let neg = Matrix::from_fn(5, 5, |i, j| if i == j { -1.0 } else { 0.1 });
-        let got = Cholesky::jittered_with(&neg, 1e-10, 4, factor_unblocked).unwrap_err();
-        let want = left_looking_jittered(&neg, 1e-10, 4).unwrap_err();
-        assert!(same_error(&got, &want), "{got:?} vs {want:?}");
+        for n in [5, 40] {
+            let neg = Matrix::from_fn(n, n, |i, j| if i == j { -1.0 } else { 0.1 });
+            let got = Cholesky::decompose_jittered(&neg, 1e-10, 4).unwrap_err();
+            let want = left_looking_jittered(&neg, 1e-10, 4).unwrap_err();
+            assert!(same_error(&got, &want), "n={n}: {got:?} vs {want:?}");
+        }
     }
 
     #[test]
     fn refactor_matches_decompose_jittered_bit_for_bit() {
-        // One buffer, reused across orders (both factor kernels) and across
-        // PD inputs, inputs that climb the ladder, and ladders that fail.
+        // One buffer, reused across orders (both sides of the tiled
+        // kernel's crossover) and across PD inputs, inputs that climb the
+        // ladder, and ladders that fail.
         let mut c = Cholesky::with_order(0);
         let mut neg = Matrix::from_fn(5, 5, |i, j| if i == j { -1.0 } else { 0.1 });
-        for n in [1usize, 2, 7, 64, 65, 130, 5] {
+        for n in [1usize, 2, 7, 12, 13, 64, 65, 130, 200, 256, 5] {
             let inputs = if n == 5 {
                 let nan =
                     Matrix::from_fn(5, 5, |i, j| if i == 3 && j == 1 { f64::NAN } else { 0.0 });
@@ -1133,20 +1349,43 @@ mod tests {
         }
     }
 
+    /// An accumulation kernel of `inverse_lower`: `w`'s lower triangle
+    /// from `linv`.
+    type AccumulateFn = fn(&Matrix, &mut Matrix);
+
+    /// Every accumulation kernel this CPU can run, called directly.
+    fn accumulate_kernels() -> Vec<(&'static str, AccumulateFn)> {
+        let mut kernels: Vec<(&str, AccumulateFn)> = vec![("scalar", |linv, w| {
+            accumulate_inverse_scalar(linv, w, 0..linv.nrows())
+        })];
+        #[cfg(target_arch = "x86_64")]
+        if is_x86_feature_detected!("avx512f") {
+            kernels.push(("avx512", |linv, w| {
+                // SAFETY: avx512f was detected above.
+                let tiled = unsafe { avx512::accumulate_inverse(linv, w) };
+                accumulate_inverse_scalar(linv, w, tiled..linv.nrows());
+            }));
+        }
+        kernels
+    }
+
     #[test]
     fn inverse_lower_matches_dense_product_bit_for_bit() {
-        for n in 1..=130usize {
+        let kernels = accumulate_kernels();
+        for n in orders() {
             let c = Cholesky::decompose(&well_conditioned_spd(n, 3 * n as u64)).unwrap();
             let linv = solve_lower_rhs_rows(c.factor(), &Matrix::identity(n))
                 .unwrap()
                 .transpose();
             let full = linv.transpose().matmul(&linv).unwrap();
-            let w = c.inverse_lower().unwrap();
-            for i in 0..n {
-                for j in 0..n {
-                    let want = if j <= i { full[(i, j)] } else { 0.0 };
-                    assert_eq!(w[(i, j)].to_bits(), want.to_bits(), "n={n} ({i},{j})");
-                }
+            let want = Matrix::from_fn(n, n, |i, j| if j <= i { full[(i, j)] } else { 0.0 });
+            assert_eq!(bits(&c.inverse_lower().unwrap()), bits(&want), "n={n}");
+            for (name, kernel) in &kernels {
+                // Start from garbage: each kernel must write every element
+                // of the lower triangle.
+                let mut w = Matrix::from_fn(n, n, |i, j| if j <= i { f64::NAN } else { 0.0 });
+                kernel(&linv, &mut w);
+                assert_eq!(bits(&w), bits(&want), "{name}: n={n}");
             }
         }
     }

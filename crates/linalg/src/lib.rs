@@ -22,6 +22,8 @@
 //! small problem sizes where the fork-join overhead would dominate.
 
 pub mod cholesky;
+#[cfg(target_arch = "x86_64")]
+mod cpu;
 pub mod error;
 pub mod fastmath;
 pub mod matrix;

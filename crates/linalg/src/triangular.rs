@@ -5,6 +5,8 @@
 //! `alpha = L^{-T} (L^{-1} y)`. The predictive variance needs only the
 //! forward solve: `sigma_*^2 = k_** - ||L^{-1} k_*||^2`.
 
+#[cfg(target_arch = "x86_64")]
+use crate::cpu;
 use crate::error::LinalgError;
 use crate::matrix::Matrix;
 use rayon::prelude::*;
@@ -269,18 +271,18 @@ fn panel_update(
 ) {
     #[cfg(target_arch = "x86_64")]
     {
-        match simd::isa() {
-            simd::Isa::Avx512 => {
+        match cpu::isa() {
+            cpu::Isa::Avx512 => {
                 // SAFETY: `isa()` verified avx512f support on this CPU.
                 unsafe { simd::panel_update_avx512(lrows, done, r0, r1, r2, r3, bs, unit) };
                 return;
             }
-            simd::Isa::Fma => {
+            cpu::Isa::Fma => {
                 // SAFETY: `isa()` verified avx2+fma support on this CPU.
                 unsafe { simd::panel_update_fma(lrows, done, r0, r1, r2, r3, bs, unit) };
                 return;
             }
-            simd::Isa::Portable => {}
+            cpu::Isa::Portable => {}
         }
     }
     panel_update_portable(lrows, done, r0, r1, r2, r3, bs, unit);
@@ -349,40 +351,13 @@ fn panel_update_portable(
     }
 }
 
-/// Runtime-dispatched x86-64 FMA kernels for the panel update. The Rust
-/// baseline target is SSE2; these widen the column loop to 256/512-bit
-/// lanes and fuse each multiply-subtract. Detection runs once and is
-/// cached.
+/// Runtime-dispatched x86-64 FMA kernels for the panel update (picked by
+/// [`cpu::isa`]): they widen the column loop to 256/512-bit lanes and fuse
+/// each multiply-subtract.
 #[cfg(target_arch = "x86_64")]
 mod simd {
     use super::{first_row, UnitRhs};
     use std::arch::x86_64::*;
-    use std::sync::OnceLock;
-
-    /// Best instruction set available on this CPU for the panel kernels.
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    pub enum Isa {
-        /// AVX-512F: 8-lane f64 FMA.
-        Avx512,
-        /// AVX2 + FMA: 4-lane f64 FMA.
-        Fma,
-        /// Neither — use the portable tiled loop.
-        Portable,
-    }
-
-    /// Detect (once) the widest usable kernel.
-    pub fn isa() -> Isa {
-        static ISA: OnceLock<Isa> = OnceLock::new();
-        *ISA.get_or_init(|| {
-            if is_x86_feature_detected!("avx512f") {
-                Isa::Avx512
-            } else if is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma") {
-                Isa::Fma
-            } else {
-                Isa::Portable
-            }
-        })
-    }
 
     /// Scalar column remainder shared by both kernels: same update order,
     /// unfused ops (the remainder is at most KCHUNK - 1 columns). Column
@@ -419,7 +394,7 @@ mod simd {
     /// AVX2 + FMA panel update: 8 ymm accumulators (4 rows x 8 columns).
     ///
     /// # Safety
-    /// The CPU must support `avx2` and `fma` (checked by [`isa`]).
+    /// The CPU must support `avx2` and `fma` (checked by [`crate::cpu::isa`]).
     #[target_feature(enable = "avx2", enable = "fma")]
     #[allow(clippy::too_many_arguments)]
     pub unsafe fn panel_update_fma(
@@ -480,7 +455,7 @@ mod simd {
     /// AVX-512F panel update: 8 zmm accumulators (4 rows x 16 columns).
     ///
     /// # Safety
-    /// The CPU must support `avx512f` (checked by [`isa`]).
+    /// The CPU must support `avx512f` (checked by [`crate::cpu::isa`]).
     #[target_feature(enable = "avx512f")]
     #[allow(clippy::too_many_arguments)]
     pub unsafe fn panel_update_avx512(
@@ -544,7 +519,7 @@ mod simd {
     /// pending rows — half the buffer traffic of the 4-row kernel.
     ///
     /// # Safety
-    /// The CPU must support `avx512f` (checked by [`isa`]); `buf` must hold
+    /// The CPU must support `avx512f` (checked by [`crate::cpu::isa`]); `buf` must hold
     /// at least `(p0 + 8) * bs` elements (it is a full `n x bs` block).
     #[target_feature(enable = "avx512f")]
     pub unsafe fn panel_update8_avx512(
@@ -620,7 +595,7 @@ pub(crate) fn forward_sub_block(l: &Matrix, buf: &mut [f64], bs: usize, unit: Un
     // AVX-512 gets double-height panels: 16 zmm accumulators cover
     // 8 rows x 16 columns, so each `x_j` load serves 8 pending rows.
     #[cfg(target_arch = "x86_64")]
-    if simd::isa() == simd::Isa::Avx512 {
+    if cpu::isa() == cpu::Isa::Avx512 {
         while n - p0 >= 2 * PANEL {
             if p0 > 0 {
                 // SAFETY: `isa()` verified avx512f support on this CPU.

@@ -1,6 +1,6 @@
 //! Property-based tests for the linear-algebra substrate.
 
-use alperf_linalg::{cholesky::Cholesky, matrix::Matrix, stats, triangular, vector};
+use alperf_linalg::{cholesky::Cholesky, matrix::Matrix, stats, triangular, vector, LinalgError};
 use proptest::prelude::*;
 
 /// Strategy: vector of `n` finite floats in a tame range.
@@ -156,65 +156,6 @@ proptest! {
     }
 
     #[test]
-    fn blocked_cholesky_matches_unblocked(n in 40usize..150, seed in 1u64..1_000_000) {
-        // Sizes straddle both panel boundaries (64, 128): 1, 2, or 3 panels.
-        let a = pseudo_spd(n, seed);
-        let cb = Cholesky::decompose_blocked(&a).unwrap();
-        let cu = Cholesky::decompose_unblocked(&a).unwrap();
-        let scale = cu
-            .factor()
-            .as_slice()
-            .iter()
-            .fold(1.0f64, |m, v| m.max(v.abs()));
-        let diff = cb.factor().max_abs_diff(cu.factor());
-        prop_assert!(diff <= 1e-12 * scale, "n={n} diff={diff} scale={scale}");
-    }
-
-    #[test]
-    fn blocked_cholesky_matches_unblocked_on_jittered_rank_deficient(
-        n in 80usize..140,
-        seed in 1u64..1_000_000,
-    ) {
-        // Rank-deficient Gram matrix rescued by an explicit diagonal jitter:
-        // both paths must factor it and agree to rounding amplified by the
-        // (deliberately poor) conditioning.
-        let b = pseudo_mat(n, n / 2, seed);
-        let mut a = b.matmul(&b.transpose()).unwrap();
-        let mean_diag = a.diagonal().iter().sum::<f64>() / n as f64;
-        a.add_diagonal(1e-6 * mean_diag);
-        let cb = Cholesky::decompose_blocked(&a).unwrap();
-        let cu = Cholesky::decompose_unblocked(&a).unwrap();
-        let scale = cu
-            .factor()
-            .as_slice()
-            .iter()
-            .fold(1.0f64, |m, v| m.max(v.abs()));
-        let diff = cb.factor().max_abs_diff(cu.factor());
-        prop_assert!(diff <= 1e-8 * scale, "n={n} diff={diff} scale={scale}");
-        // Both reconstruct A to working accuracy.
-        let fro = a.frobenius_norm().max(1.0);
-        prop_assert!(cb.reconstruct().max_abs_diff(&a) <= 1e-9 * fro);
-        prop_assert!(cu.reconstruct().max_abs_diff(&a) <= 1e-9 * fro);
-    }
-
-    #[test]
-    fn jitter_ladder_rescues_rank_deficient_on_blocked_path(
-        n in 128usize..150,
-        seed in 1u64..1_000_000,
-    ) {
-        // n >= 128 exercises the blocked factorization inside the retry
-        // ladder, including the full restore between rungs.
-        let b = pseudo_mat(n, n / 3, seed);
-        let a = b.matmul(&b.transpose()).unwrap();
-        prop_assert!(Cholesky::decompose(&a).is_err());
-        let c = Cholesky::decompose_jittered(&a, 1e-10, 12).unwrap();
-        prop_assert!(c.jitter() > 0.0);
-        let fro = a.frobenius_norm().max(1.0);
-        let diff = c.reconstruct().max_abs_diff(&a);
-        prop_assert!(diff <= 1e-3 * fro, "n={n} diff={diff} fro={fro}");
-    }
-
-    #[test]
     fn linspace_is_monotone(lo in -100.0..100.0f64, span in 0.1..100.0f64, n in 2..50usize) {
         let g = vector::linspace(lo, lo + span, n);
         prop_assert_eq!(g.len(), n);
@@ -226,19 +167,156 @@ proptest! {
     }
 }
 
-/// Exact panel-boundary orders (1 panel, boundary +/- 1, partial last
-/// panel): the blocked and unblocked factors must agree to 1e-12.
-#[test]
-fn blocked_cholesky_boundary_sizes() {
-    for &n in &[1usize, 2, 63, 64, 65, 96, 127, 128, 129, 160] {
-        let a = pseudo_spd(n, 0x5eed + n as u64);
-        let cb = Cholesky::decompose_blocked(&a).unwrap();
-        let cu = Cholesky::decompose_unblocked(&a).unwrap();
-        let diff = cb.factor().max_abs_diff(cu.factor());
-        assert!(diff <= 1e-12, "n={n}: blocked vs unblocked diff {diff}");
-        // The auto path must agree with whichever variant it dispatches to.
-        let ca = Cholesky::decompose(&a).unwrap();
-        let expect = if n >= 128 { &cb } else { &cu };
-        assert_eq!(ca.factor().as_slice(), expect.factor().as_slice(), "n={n}");
+/// Rank-deficient Gram matrix `B B^T` (`B` is `n x n/3`) with every fourth
+/// row of `B` a duplicate of the one before: `K_y` at the 1e-8 noise floor
+/// once a design repeats a configuration.
+fn rank_deficient(n: usize, seed: u64) -> Matrix {
+    let mut b = pseudo_mat(n, n / 3, seed);
+    for i in (1..n).step_by(4) {
+        let prev = b.row(i - 1).to_vec();
+        b.row_mut(i).copy_from_slice(&prev);
+    }
+    b.matmul(&b.transpose()).unwrap()
+}
+
+/// The left-looking dot-product Cholesky of `a + jitter I` (lower triangle
+/// read, strict upper of the result zero): per element a separate multiply
+/// and subtract per `k`, `k` ascending, then one square root or divide.
+/// The bit-identity reference for `Cholesky`'s kernels, on every ISA.
+fn left_looking(a: &Matrix, jitter: f64) -> Result<Matrix, LinalgError> {
+    let n = a.nrows();
+    let mut l = vec![0.0; n * n];
+    for i in 0..n {
+        l[i * n..i * n + i].copy_from_slice(&a.row(i)[..i]);
+        l[i * n + i] = a[(i, i)] + jitter;
+    }
+    for j in 0..n {
+        let mut d = l[j * n + j];
+        for k in 0..j {
+            let v = l[j * n + k];
+            d -= v * v;
+        }
+        if d <= 0.0 || !d.is_finite() {
+            return Err(LinalgError::NotPositiveDefinite { pivot: j, value: d });
+        }
+        let r = d.sqrt();
+        l[j * n + j] = r;
+        for i in j + 1..n {
+            let mut x = l[i * n + j];
+            for k in 0..j {
+                x -= l[i * n + k] * l[j * n + k];
+            }
+            l[i * n + j] = x / r;
+        }
+    }
+    Ok(Matrix::from_vec(n, n, l).unwrap())
+}
+
+/// The jitter ladder of `Cholesky::decompose_jittered` over
+/// [`left_looking`]: the factor and jitter of the first rung that
+/// succeeds, or the last rung's error.
+fn left_looking_jittered(
+    a: &Matrix,
+    first_jitter: f64,
+    max_tries: usize,
+) -> Result<(Matrix, f64), LinalgError> {
+    let n = a.nrows();
+    let mean_diag = a.diagonal().iter().map(|v| v.abs()).sum::<f64>() / n as f64;
+    let base = first_jitter * mean_diag.max(f64::MIN_POSITIVE);
+    let mut last = None;
+    for k in 0..max_tries {
+        let jitter = if k == 0 {
+            0.0
+        } else {
+            base * 10f64.powi(k as i32 - 1)
+        };
+        match left_looking(a, jitter) {
+            Ok(l) => return Ok((l, jitter)),
+            Err(e) => last = Some(e),
+        }
+    }
+    Err(last.unwrap())
+}
+
+fn bits(m: &Matrix) -> Vec<u64> {
+    m.as_slice().iter().map(|v| v.to_bits()).collect()
+}
+
+proptest! {
+    // Each case is an O(n^3) reference at up to n = 255, and the suite
+    // also runs in debug builds.
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn cholesky_matches_left_looking_bit_for_bit(n in 40usize..256, seed in 1u64..1_000_000) {
+        let a = pseudo_spd(n, seed);
+        let want = left_looking(&a, 0.0).unwrap();
+        let c = Cholesky::decompose(&a).unwrap();
+        prop_assert_eq!(bits(c.factor()), bits(&want), "n={}", n);
+    }
+
+    #[test]
+    fn jitter_ladder_matches_left_looking_on_rank_deficient(
+        n in 40usize..256,
+        seed in 1u64..1_000_000,
+    ) {
+        // Rank n/3 with duplicated rows: the plain factorization fails and
+        // the ladder climbs; every rung's factor or failing pivot and value
+        // must be the reference's.
+        let a = rank_deficient(n, seed);
+        for tries in [1usize, 12] {
+            match (Cholesky::decompose_jittered(&a, 1e-10, tries), left_looking_jittered(&a, 1e-10, tries)) {
+                (Ok(c), Ok((l, jitter))) => {
+                    prop_assert_eq!(c.jitter().to_bits(), jitter.to_bits(), "n={}", n);
+                    prop_assert_eq!(bits(c.factor()), bits(&l), "n={}", n);
+                }
+                (
+                    Err(LinalgError::NotPositiveDefinite { pivot: p, value: v }),
+                    Err(LinalgError::NotPositiveDefinite { pivot: q, value: w }),
+                ) => {
+                    prop_assert_eq!((p, v.to_bits()), (q, w.to_bits()), "n={}", n);
+                }
+                (got, want) => prop_assert!(false, "n={}: {:?} vs {:?}", n, got.map(|c| c.jitter()), want.map(|w| w.1)),
+            }
+        }
+    }
+
+    #[test]
+    fn inverse_lower_matches_ascending_accumulation_bit_for_bit(
+        n in 40usize..256,
+        seed in 1u64..1_000_000,
+    ) {
+        // W[i][j] = sum over k ascending from i of linv[k][i] * linv[k][j],
+        // each product rounded, then added, starting from +0.0.
+        let c = Cholesky::decompose(&pseudo_spd(n, seed)).unwrap();
+        let linv = c.factor_inverse().unwrap();
+        let mut want = Matrix::zeros(n, n);
+        for i in 0..n {
+            for j in 0..=i {
+                let mut w = 0.0;
+                for k in i..n {
+                    w += linv[(k, i)] * linv[(k, j)];
+                }
+                want[(i, j)] = w;
+            }
+        }
+        prop_assert_eq!(bits(&c.inverse_lower().unwrap()), bits(&want), "n={}", n);
+    }
+
+    #[test]
+    fn jitter_ladder_rescues_rank_deficient_at_large_orders(
+        n in 128usize..150,
+        seed in 1u64..1_000_000,
+    ) {
+        // The retry ladder at the orders of the Fig. 8 fits, including the
+        // full restore between rungs.
+        let b = pseudo_mat(n, n / 3, seed);
+        let a = b.matmul(&b.transpose()).unwrap();
+        prop_assert!(Cholesky::decompose(&a).is_err());
+        let c = Cholesky::decompose_jittered(&a, 1e-10, 12).unwrap();
+        prop_assert!(c.jitter() > 0.0);
+        let fro = a.frobenius_norm().max(1.0);
+        let diff = c.reconstruct().max_abs_diff(&a);
+        prop_assert!(diff <= 1e-3 * fro, "n={n} diff={diff} fro={fro}");
     }
 }

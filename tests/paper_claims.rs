@@ -10,7 +10,9 @@ use alperf::cluster::workload::WorkloadSpec;
 use alperf::data::partition::Partition;
 use alperf::framework::analysis::paper_kernel_bounds;
 use alperf::gp::kernel::{ArdSquaredExponential, Kernel};
-use alperf::gp::lml::{lml_and_grad_cached, lml_parts, lml_value_cached, FitCache};
+use alperf::gp::lml::{
+    assemble_covariance, lml_and_grad_cached, lml_parts, lml_value_cached, FitCache,
+};
 use alperf::gp::noise::NoiseFloor;
 use alperf::gp::optimize::{fit_gpr, GprConfig};
 use alperf::linalg::matrix::Matrix;
@@ -327,4 +329,103 @@ fn lml_ascent_stops_at_a_box_local_maximum_on_paper_data() {
             }
         }
     }
+}
+
+/// The left-looking dot-product Cholesky of `a + jitter I` (lower triangle
+/// read): per element a separate multiply and subtract per `k`, `k`
+/// ascending, then one square root or divide. On failure, the failing
+/// pivot and its value.
+fn left_looking(a: &Matrix, jitter: f64) -> Result<Vec<f64>, (usize, f64)> {
+    let n = a.nrows();
+    let mut l = vec![0.0; n * n];
+    for i in 0..n {
+        l[i * n..i * n + i].copy_from_slice(&a.row(i)[..i]);
+        l[i * n + i] = a[(i, i)] + jitter;
+    }
+    for j in 0..n {
+        let mut d = l[j * n + j];
+        for k in 0..j {
+            let v = l[j * n + k];
+            d -= v * v;
+        }
+        if d <= 0.0 || !d.is_finite() {
+            return Err((j, d));
+        }
+        let r = d.sqrt();
+        l[j * n + j] = r;
+        for i in j + 1..n {
+            let mut x = l[i * n + j];
+            for k in 0..j {
+                x -= l[i * n + k] * l[j * n + k];
+            }
+            l[i * n + j] = x / r;
+        }
+    }
+    Ok(l)
+}
+
+/// The Cholesky factor and `inverse_lower` behind every LML evaluation of
+/// Fig. 8's fits, on the paper's focus slice at the orders those fits reach
+/// (pool exhaustion is ~190 rows), under both of Fig. 7's noise floors.
+/// Whichever kernel this CPU dispatches to, the factor, its jitter rung and
+/// `K_y^{-1}`'s lower triangle must equal, bit for bit, the left-looking
+/// sweep's (through `lml_parts`' ladder: jitter `1e-10 * mean diag * 10^k`,
+/// 8 rungs) and the ascending-`k` accumulation over `L^{-1}`.
+#[test]
+fn fig8_factor_and_inverse_match_the_left_looking_reference_bit_for_bit() {
+    let (x_all, y_all, _) = focus_slice(Campaign::default());
+    let kernel = ArdSquaredExponential::new(vec![1.5, 0.6], 0.8);
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+    let mut orders: Vec<usize> = [13, 41, 64, 100, 128, 150, 190]
+        .into_iter()
+        .filter(|&n| n <= x_all.nrows())
+        .collect();
+    assert!(orders.len() >= 6, "slice has {} rows", x_all.nrows());
+    orders.push(x_all.nrows().min(256));
+    let mut rungs_climbed = 0;
+    for &n in &orders {
+        let rows: Vec<usize> = (0..n).collect();
+        let x = x_all.select_rows(&rows);
+        let y = &y_all[..n];
+        for floor in [NoiseFloor::loose(), NoiseFloor::recommended()] {
+            let sn = floor.lower_bound(n);
+            let case = format!("n = {n}, sigma_n = {sn:e}");
+            let chol = lml_parts(&kernel, sn, &x, y).expect("lml_parts").chol;
+            let mut ky = assemble_covariance(&kernel, &x);
+            ky.add_diagonal(sn * sn);
+            let mean_diag = ky.diagonal().iter().map(|v| v.abs()).sum::<f64>() / n as f64;
+            let (want, jitter) = (0..8)
+                .find_map(|k| {
+                    let jitter = if k == 0 {
+                        0.0
+                    } else {
+                        1e-10 * mean_diag * 10f64.powi(k - 1)
+                    };
+                    left_looking(&ky, jitter).ok().map(|l| (l, jitter))
+                })
+                .unwrap_or_else(|| panic!("{case}: the reference ladder failed"));
+            rungs_climbed += usize::from(jitter > 0.0);
+            assert_eq!(chol.jitter().to_bits(), jitter.to_bits(), "{case}: jitter");
+            assert_eq!(
+                bits(chol.factor().as_slice()),
+                bits(&want),
+                "{case}: factor"
+            );
+
+            let linv = chol.factor_inverse().expect("factor_inverse");
+            let mut w = vec![0.0; n * n];
+            for i in 0..n {
+                for j in 0..=i {
+                    let mut acc = 0.0;
+                    for k in i..n {
+                        acc += linv[(k, i)] * linv[(k, j)];
+                    }
+                    w[i * n + j] = acc;
+                }
+            }
+            let got = chol.inverse_lower().expect("inverse_lower");
+            assert_eq!(bits(got.as_slice()), bits(&w), "{case}: inverse_lower");
+        }
+    }
+    assert!(rungs_climbed > 0, "no factorization needed jitter");
 }
