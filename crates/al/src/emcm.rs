@@ -25,7 +25,6 @@ use alperf_linalg::matrix::Matrix;
 use alperf_linalg::vector::norm2;
 use rand::rngs::StdRng;
 use rand::Rng;
-use rayon::prelude::*;
 
 /// EMCM acquisition with K bootstrap GPR weak learners.
 pub struct Emcm {
@@ -73,23 +72,15 @@ impl Strategy for Emcm {
             return None;
         }
         let n = ctx.train.len();
-        // Draw all bootstrap index sets serially (determinism: the RNG
-        // stream must not depend on thread scheduling), then fit the K weak
-        // learners in parallel — each fit is an independent O(n^3) Cholesky.
-        let samples: Vec<Vec<usize>> = (0..self.k)
-            .map(|_| (0..n).map(|_| ctx.train[rng.gen_range(0..n)]).collect())
-            .collect();
-        let weak: Vec<Gpr> = samples
-            .par_iter()
-            .map(|sample| {
-                let xs = ctx.x_all.select_rows(sample);
+        // The K weak learners, each fit on its own bootstrap resample.
+        let weak: Vec<Gpr> = (0..self.k)
+            .filter_map(|_| {
+                let sample: Vec<usize> = (0..n).map(|_| ctx.train[rng.gen_range(0..n)]).collect();
+                let xs = ctx.x_all.select_rows(&sample);
                 let ys: Vec<f64> = sample.iter().map(|&i| ctx.y_all[i]).collect();
                 // A degenerate resample fails to factor; skip that learner.
                 Gpr::fit(xs, &ys, self.kernel.clone_box(), self.noise_std, true).ok()
             })
-            .collect::<Vec<_>>()
-            .into_iter()
-            .flatten()
             .collect();
         if weak.is_empty() {
             return None;
@@ -101,10 +92,7 @@ impl Strategy for Emcm {
             .collect();
         let rows: Vec<usize> = eligible.iter().map(|&pos| ctx.pool[pos]).collect();
         let cand_x: Matrix = ctx.x_all.select_rows(&rows);
-        let committee: Vec<_> = weak
-            .par_iter()
-            .map(|w| w.predict_batch(&cand_x).ok())
-            .collect();
+        let committee: Vec<_> = weak.iter().map(|w| w.predict_batch(&cand_x).ok()).collect();
         let mut best: Option<(usize, f64)> = None;
         for (ci, &pos) in eligible.iter().enumerate() {
             let f = ctx.predictions[pos].mean;

@@ -10,7 +10,7 @@ use alperf_gp::kernel::SquaredExponential;
 use alperf_gp::noise::NoiseFloor;
 use alperf_gp::optimize::GprConfig;
 use alperf_linalg::matrix::Matrix;
-use alperf_linalg::threads::with_threads;
+use alperf_linalg::threads::{replicates, with_threads};
 use proptest::prelude::*;
 
 fn problem(ys: &[f64]) -> (Matrix, Vec<f64>, Vec<f64>) {
@@ -133,16 +133,15 @@ proptest! {
 }
 
 proptest! {
-    // Campaigns below run a 340-row pool once per width — fewer cases keep
-    // the suite fast.
+    // Each case runs 32 campaigns on a 340-row pool; fewer cases keep the
+    // suite fast.
     #![proptest_config(ProptestConfig::with_cases(4))]
 
-    /// A whole campaign — fits with their restart fan-out, pool prediction
-    /// through the parallel linalg blocks, acquisition scoring, selection
-    /// — replayed at 2/4/8 rayon workers is bit-identical to the 1-worker
-    /// run, for both acquisition strategies.
+    /// Whole campaigns fanned out through the replicate runner at widths
+    /// 1, 2 and 4 equal a plain serial loop over the same seeds, in seed
+    /// order, for both acquisition strategies.
     #[test]
-    fn restart_fanout_and_linalg_blocks_bit_identical_across_thread_widths(
+    fn replicate_runner_matches_a_serial_loop_across_thread_widths(
         seed in 0u64..50,
         phase in 0.0..3.0f64,
     ) {
@@ -152,32 +151,29 @@ proptest! {
             .map(|i| ((i as f64 * 8.0 / n as f64) + phase).sin() * 2.0)
             .collect();
         let cost: Vec<f64> = (0..n).map(|i| 0.5 + (i % 5) as f64).collect();
-        let part = Partition::random(n, 4, 0.9, seed);
-        let mut vr = VarianceReduction;
-        let mut ce = CostEfficiency;
-        let strategies: [&mut dyn Strategy; 2] = [&mut vr, &mut ce];
-        for strategy in strategies {
-            let mk = || {
+        let seeds: Vec<u64> = (0..4).map(|k| seed + 100 * k).collect();
+        let makers: [fn() -> Box<dyn Strategy>; 2] =
+            [|| Box::new(VarianceReduction), || Box::new(CostEfficiency)];
+        for make in makers {
+            let campaign = |s: u64| {
                 let gpr = GprConfig::new(Box::new(SquaredExponential::unit()))
                     .with_noise_floor(NoiseFloor::Fixed(0.05))
                     .with_restarts(1)
-                    .with_seed(seed);
-                AlConfig { max_iters: 6, seed, ..AlConfig::new(gpr) }
+                    .with_seed(s);
+                let cfg = AlConfig { max_iters: 6, seed: s, ..AlConfig::new(gpr) };
+                let part = Partition::random(n, 4, 0.9, s);
+                run_al(&x, &y, &cost, &part, make().as_mut(), &cfg).expect("AL").history
             };
-            let base = with_threads(1, || {
-                run_al(&x, &y, &cost, &part, &mut *strategy, &mk()).expect("AL")
-            });
-            prop_assert!(!base.history.is_empty());
-            for t in [2usize, 4, 8] {
-                let run = with_threads(t, || {
-                    run_al(&x, &y, &cost, &part, &mut *strategy, &mk()).expect("AL")
-                });
+            let serial: Vec<_> = seeds.iter().map(|&s| campaign(s)).collect();
+            prop_assert!(serial.iter().all(|h| !h.is_empty()));
+            for width in [1usize, 2, 4] {
+                let runs = with_threads(width, || replicates(seeds.len(), |i| campaign(seeds[i])));
                 prop_assert_eq!(
-                    &run.history,
-                    &base.history,
-                    "{} diverged at {} workers",
-                    strategy.name(),
-                    t
+                    &runs,
+                    &serial,
+                    "{} diverged at width {}",
+                    make().name(),
+                    width
                 );
             }
         }

@@ -200,21 +200,17 @@ fn main() -> ExitCode {
     )
     .expect("fit the predict-path model");
     let pool = pool_points(m);
-    // Width 1, the width perfbench runs fig7 at: wider, the restart
-    // fan-out and the pool's row blocks hand work to other threads, and
-    // the ratios measure thread scheduling rather than telemetry.
-    let (fit, fit_batch, predict) = with_threads(1, || {
-        let fit_once = || {
-            black_box(fit_gpr(&x, &y, &cfg).expect("bench fit"));
-        };
-        let fit_batch = batch_for(FIT_ARM_MS, fit_once);
-        let fit = on_off(rounds, fit_batch, fit_once);
-        // The predict path is short (well under a millisecond at quick
-        // sizes): many more rounds are affordable and needed to pin it.
-        let predict = on_off(rounds * 20, 1, || {
-            black_box(gpr.predict_batch(&pool).expect("bench predict"));
-        });
-        (fit, fit_batch, predict)
+    // A fit and a predict run on the calling thread, so the ratios
+    // measure telemetry alone.
+    let fit_once = || {
+        black_box(fit_gpr(&x, &y, &cfg).expect("bench fit"));
+    };
+    let fit_batch = batch_for(FIT_ARM_MS, fit_once);
+    let fit = on_off(rounds, fit_batch, fit_once);
+    // The predict path is short (well under a millisecond at quick
+    // sizes): many more rounds are affordable and needed to pin it.
+    let predict = on_off(rounds * 20, 1, || {
+        black_box(gpr.predict_batch(&pool).expect("bench predict"));
     });
 
     // Each round runs the grid buffered and streaming at width 1, then

@@ -212,15 +212,11 @@ fn kernel_sweep(orders: impl Iterator<Item = usize>) {
     }
 }
 
-/// End-to-end single fits at order `n`: one restart, and five restarts
-/// serially and on the pool (ms, min over `reps`).
+/// End-to-end single fits at order `n`: one restart and five restarts
+/// (ms, min over `reps`).
 fn fit_table(n: usize, reps: usize) {
     let (x, y) = training_data(n);
-    let fits = [
-        ("fit_r1", fit_config(1)),
-        ("fit_r5_serial", fit_config(5).with_parallel(false)),
-        ("fit_r5_parallel", fit_config(5)),
-    ];
+    let fits = [("fit_r1", fit_config(1)), ("fit_r5", fit_config(5))];
     println!("== fit_gpr at n={n} (ms; min over {reps} runs) ==");
     for (name, cfg) in fits {
         let ms = min_us(reps, 1, || {

@@ -14,42 +14,18 @@
 
 use alperf_al::batch::select_batch;
 use alperf_al::runner::test_rmse;
-use alperf_bench::{banner, load_datasets, write_series};
+use alperf_bench::{banner, focus_slice, write_series, FocusSlice};
 use alperf_core::analysis::paper_kernel_bounds;
 use alperf_data::partition::Partition;
 use alperf_gp::kernel::ArdSquaredExponential;
 use alperf_gp::noise::NoiseFloor;
 use alperf_gp::optimize::{fit_gpr, GprConfig};
 use alperf_linalg::matrix::Matrix;
+use alperf_linalg::threads::replicates;
 
 const ROUNDS: usize = 8;
 const Q: usize = 4;
 const REPS: usize = 6;
-
-fn problem() -> (Matrix, Vec<f64>) {
-    let data = load_datasets();
-    let sub = data
-        .performance
-        .fix_level("Operator", "poisson1")
-        .expect("operator")
-        .fix_variable("NP", 32.0)
-        .expect("NP");
-    let sizes = &sub.variable("Global Problem Size").expect("size").values;
-    let freqs = &sub.variable("CPU Frequency").expect("freq").values;
-    let y: Vec<f64> = sub
-        .response("Runtime")
-        .expect("runtime")
-        .iter()
-        .map(|v| v.log10())
-        .collect();
-    let n = sub.n_rows();
-    let mut flat = Vec::with_capacity(2 * n);
-    for i in 0..n {
-        flat.push(sizes[i].log10());
-        flat.push(freqs[i]);
-    }
-    (Matrix::from_vec(n, 2, flat).expect("matrix"), y)
-}
 
 fn gpr_cfg(seed: u64) -> GprConfig {
     GprConfig::new(Box::new(ArdSquaredExponential::unit(2)))
@@ -137,21 +113,22 @@ fn run(mode: Mode, x: &Matrix, y: &[f64], part: &Partition, seed: u64) -> Vec<f6
 
 fn main() {
     let _obs = alperf_bench::obs_from_env();
-    let (x, y) = problem();
+    let FocusSlice { x, y, .. } = focus_slice();
     banner(&format!(
         "X3: batch AL — {ROUNDS} rounds x q={Q}, averaged over {REPS} partitions"
     ));
-    let mut avg = [vec![0.0; ROUNDS], vec![0.0; ROUNDS], vec![0.0; ROUNDS]];
-    for rep in 0..REPS {
+    // One unit per (partition, mode), partition-major; the averages add up
+    // in that order.
+    let modes = [Mode::Sequential, Mode::BatchFantasy, Mode::BatchNaive];
+    let units = replicates(REPS * modes.len(), |u| {
+        let rep = u / modes.len();
         let part = Partition::paper_default(x.nrows(), 5000 + rep as u64);
-        for (mi, mode) in [Mode::Sequential, Mode::BatchFantasy, Mode::BatchNaive]
-            .into_iter()
-            .enumerate()
-        {
-            let rmse = run(mode, &x, &y, &part, rep as u64 * 37);
-            for (a, r) in avg[mi].iter_mut().zip(&rmse) {
-                *a += r / REPS as f64;
-            }
+        run(modes[u % modes.len()], &x, &y, &part, rep as u64 * 37)
+    });
+    let mut avg = [vec![0.0; ROUNDS], vec![0.0; ROUNDS], vec![0.0; ROUNDS]];
+    for (u, rmse) in units.iter().enumerate() {
+        for (a, r) in avg[u % modes.len()].iter_mut().zip(rmse) {
+            *a += r / REPS as f64;
         }
     }
     println!("\nexperiments  sequential  batch-fantasy  batch-naive");

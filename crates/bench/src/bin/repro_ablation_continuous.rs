@@ -12,12 +12,11 @@
 //! pool whenever the true acquisition peak falls between pool levels.
 
 use alperf_al::continuous::{ContinuousAcquisition, Criterion};
-use alperf_bench::{banner, load_datasets, write_series};
+use alperf_bench::{banner, focus_slice, write_series};
 use alperf_core::analysis::paper_kernel_bounds;
 use alperf_gp::kernel::ArdSquaredExponential;
 use alperf_gp::noise::NoiseFloor;
 use alperf_gp::optimize::{fit_gpr, GprConfig};
-use alperf_linalg::matrix::Matrix;
 use alperf_linalg::vector::linspace;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -25,31 +24,16 @@ use rand::SeedableRng;
 
 fn main() {
     let _obs = alperf_bench::obs_from_env();
-    let data = load_datasets();
+    let slice = focus_slice();
     banner("X6: continuous vs finite-pool acquisition optimization");
-    let sub = data
-        .performance
-        .fix_level("Operator", "poisson1")
-        .expect("operator")
-        .fix_variable("NP", 32.0)
-        .expect("NP");
-    let sizes = &sub.variable("Global Problem Size").expect("size").values;
-    let freqs = &sub.variable("CPU Frequency").expect("freq").values;
-    let rts = sub.response("Runtime").expect("runtime");
 
     // Fit a GPR on 12 random jobs.
     let mut rng = StdRng::seed_from_u64(21);
-    let mut idx: Vec<usize> = (0..sub.n_rows()).collect();
+    let mut idx: Vec<usize> = (0..slice.x.nrows()).collect();
     idx.shuffle(&mut rng);
     idx.truncate(12);
-    let mut flat = Vec::new();
-    let mut y = Vec::new();
-    for &i in &idx {
-        flat.push(sizes[i].log10());
-        flat.push(freqs[i]);
-        y.push(rts[i].log10());
-    }
-    let xm = Matrix::from_vec(12, 2, flat).expect("matrix");
+    let xm = slice.x.select_rows(&idx);
+    let y: Vec<f64> = idx.iter().map(|&i| slice.y[i]).collect();
     let cfg = GprConfig::new(Box::new(ArdSquaredExponential::unit(2)))
         .with_noise_floor(NoiseFloor::recommended())
         .with_kernel_bounds(paper_kernel_bounds(2))
@@ -66,9 +50,8 @@ fn main() {
         // 1. Finite pool: the dataset's own factor levels.
         let mut pool_best = f64::NEG_INFINITY;
         let mut pool_x = vec![0.0; 2];
-        for i in 0..sub.n_rows() {
-            let x = [sizes[i].log10(), freqs[i]];
-            let p = gpr.predict_one(&x).expect("predict");
+        for x in (0..slice.x.nrows()).map(|i| slice.x.row(i)) {
+            let p = gpr.predict_one(x).expect("predict");
             let s = criterion.score(p.mean, p.std);
             if s > pool_best {
                 pool_best = s;

@@ -13,46 +13,17 @@ use alperf_al::emcm::Emcm;
 use alperf_al::metrics::paper_metrics;
 use alperf_al::runner::{run_al, AlConfig, AlRun};
 use alperf_al::strategy::{RandomSampling, Strategy, VarianceReduction};
-use alperf_bench::{banner, load_datasets, write_series};
+use alperf_bench::{banner, focus_slice, write_series, FocusSlice};
 use alperf_core::analysis::paper_kernel_bounds;
 use alperf_data::partition::Partition;
 use alperf_gp::kernel::{ArdSquaredExponential, SquaredExponential};
 use alperf_gp::noise::NoiseFloor;
 use alperf_gp::optimize::GprConfig;
 use alperf_linalg::matrix::Matrix;
-use rayon::prelude::*;
+use alperf_linalg::threads::replicates;
 
 const REPETITIONS: usize = 8;
 const ITERS: usize = 40;
-
-fn problem() -> (Matrix, Vec<f64>, Vec<f64>) {
-    let data = load_datasets();
-    let sub = data
-        .performance
-        .fix_level("Operator", "poisson1")
-        .expect("operator")
-        .fix_variable("NP", 32.0)
-        .expect("NP");
-    let sizes = &sub.variable("Global Problem Size").expect("size").values;
-    let freqs = &sub.variable("CPU Frequency").expect("freq").values;
-    let y: Vec<f64> = sub
-        .response("Runtime")
-        .expect("runtime")
-        .iter()
-        .map(|v| v.log10())
-        .collect();
-    let n = sub.n_rows();
-    let mut flat = Vec::with_capacity(2 * n);
-    for i in 0..n {
-        flat.push(sizes[i].log10());
-        flat.push(freqs[i]);
-    }
-    (
-        Matrix::from_vec(n, 2, flat).expect("matrix"),
-        y,
-        vec![1.0; n],
-    )
-}
 
 fn batch(
     x: &Matrix,
@@ -60,32 +31,30 @@ fn batch(
     cost: &[f64],
     make: impl Fn() -> Box<dyn Strategy> + Sync,
 ) -> Vec<AlRun> {
-    (0..REPETITIONS)
-        .into_par_iter()
-        .map(|rep| {
-            let gpr = GprConfig::new(Box::new(ArdSquaredExponential::unit(2)))
-                .with_noise_floor(NoiseFloor::recommended())
-                .with_kernel_bounds(paper_kernel_bounds(2))
-                .with_restarts(2)
-                .with_standardize(false)
-                .with_seed(400 + rep as u64);
-            let cfg = AlConfig {
-                max_iters: ITERS,
-                seed: rep as u64,
-                ..AlConfig::new(gpr)
-            };
-            // Single initial experiment — the regime where the paper says
-            // "EMCM is unlikely to perform well".
-            let part = Partition::paper_default(x.nrows(), 4000 + rep as u64);
-            let mut strategy = make();
-            run_al(x, y, cost, &part, strategy.as_mut(), &cfg).expect("AL run")
-        })
-        .collect()
+    replicates(REPETITIONS, |rep| {
+        let gpr = GprConfig::new(Box::new(ArdSquaredExponential::unit(2)))
+            .with_noise_floor(NoiseFloor::recommended())
+            .with_kernel_bounds(paper_kernel_bounds(2))
+            .with_restarts(2)
+            .with_standardize(false)
+            .with_seed(400 + rep as u64);
+        let cfg = AlConfig {
+            max_iters: ITERS,
+            seed: rep as u64,
+            ..AlConfig::new(gpr)
+        };
+        // Single initial experiment — the regime where the paper says
+        // "EMCM is unlikely to perform well".
+        let part = Partition::paper_default(x.nrows(), 4000 + rep as u64);
+        let mut strategy = make();
+        run_al(x, y, cost, &part, strategy.as_mut(), &cfg).expect("AL run")
+    })
 }
 
 fn main() {
     let _obs = alperf_bench::obs_from_env();
-    let (x, y, cost) = problem();
+    let FocusSlice { x, y, .. } = focus_slice();
+    let cost = vec![1.0; x.nrows()];
     banner(&format!(
         "X2: EMCM vs GPR-variance AL — {REPETITIONS} repetitions x {ITERS} iterations, 1-point seed"
     ));

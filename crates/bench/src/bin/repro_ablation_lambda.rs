@@ -9,65 +9,41 @@
 
 use alperf_al::runner::{run_al, AlConfig, AlRun};
 use alperf_al::strategy::CostWeighted;
-use alperf_bench::{banner, load_datasets, write_series};
+use alperf_bench::{banner, focus_slice, write_series, FocusSlice};
 use alperf_core::analysis::paper_kernel_bounds;
 use alperf_data::partition::Partition;
 use alperf_gp::kernel::ArdSquaredExponential;
 use alperf_gp::noise::NoiseFloor;
 use alperf_gp::optimize::GprConfig;
 use alperf_linalg::matrix::Matrix;
-use rayon::prelude::*;
+use alperf_linalg::threads::replicates;
 
 const REPETITIONS: usize = 6;
 const LAMBDAS: [f64; 5] = [0.0, 0.25, 0.5, 1.0, 2.0];
 
-fn problem() -> (Matrix, Vec<f64>, Vec<f64>) {
-    let data = load_datasets();
-    let sub = data
-        .performance
-        .fix_level("Operator", "poisson1")
-        .expect("operator")
-        .fix_variable("NP", 32.0)
-        .expect("NP");
-    let sizes = &sub.variable("Global Problem Size").expect("size").values;
-    let freqs = &sub.variable("CPU Frequency").expect("freq").values;
-    let runtime = sub.response("Runtime").expect("runtime");
-    let y: Vec<f64> = runtime.iter().map(|v| v.log10()).collect();
-    let cost: Vec<f64> = runtime.iter().map(|r| r * 32.0).collect();
-    let n = sub.n_rows();
-    let mut flat = Vec::with_capacity(2 * n);
-    for i in 0..n {
-        flat.push(sizes[i].log10());
-        flat.push(freqs[i]);
-    }
-    (Matrix::from_vec(n, 2, flat).expect("matrix"), y, cost)
-}
-
 fn batch(x: &Matrix, y: &[f64], cost: &[f64], lambda: f64) -> Vec<AlRun> {
-    (0..REPETITIONS)
-        .into_par_iter()
-        .map(|rep| {
-            let gpr = GprConfig::new(Box::new(ArdSquaredExponential::unit(2)))
-                .with_noise_floor(NoiseFloor::recommended())
-                .with_kernel_bounds(paper_kernel_bounds(2))
-                .with_restarts(2)
-                .with_standardize(false)
-                .with_seed(600 + rep as u64);
-            let cfg = AlConfig {
-                max_iters: 80,
-                refit_every: 4,
-                seed: rep as u64,
-                ..AlConfig::new(gpr)
-            };
-            let part = Partition::paper_default(x.nrows(), 6000 + rep as u64);
-            run_al(x, y, cost, &part, &mut CostWeighted { lambda }, &cfg).expect("AL run")
-        })
-        .collect()
+    replicates(REPETITIONS, |rep| {
+        let gpr = GprConfig::new(Box::new(ArdSquaredExponential::unit(2)))
+            .with_noise_floor(NoiseFloor::recommended())
+            .with_kernel_bounds(paper_kernel_bounds(2))
+            .with_restarts(2)
+            .with_standardize(false)
+            .with_seed(600 + rep as u64);
+        let cfg = AlConfig {
+            max_iters: 80,
+            refit_every: 4,
+            seed: rep as u64,
+            ..AlConfig::new(gpr)
+        };
+        let part = Partition::paper_default(x.nrows(), 6000 + rep as u64);
+        run_al(x, y, cost, &part, &mut CostWeighted { lambda }, &cfg).expect("AL run")
+    })
 }
 
 fn main() {
     let _obs = alperf_bench::obs_from_env();
-    let (x, y, cost) = problem();
+    let FocusSlice { x, y, runtime, .. } = focus_slice();
+    let cost: Vec<f64> = runtime.iter().map(|r| r * 32.0).collect();
     banner(&format!(
         "X4: cost-awareness sweep (sigma - lambda*mu), {REPETITIONS} reps x 80 iters"
     ));

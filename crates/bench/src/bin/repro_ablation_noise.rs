@@ -12,7 +12,7 @@
 use alperf_al::metrics::paper_metrics;
 use alperf_al::runner::{run_al, AlConfig, AlRun};
 use alperf_al::strategy::VarianceReduction;
-use alperf_bench::{banner, load_datasets, write_series};
+use alperf_bench::{banner, focus_slice, write_series, FocusSlice};
 use alperf_core::analysis::paper_kernel_bounds;
 use alperf_data::partition::Partition;
 use alperf_gp::kernel::{ArdSquaredExponential, Kernel};
@@ -20,64 +20,33 @@ use alperf_gp::loocv::loo_cv;
 use alperf_gp::noise::NoiseFloor;
 use alperf_gp::optimize::GprConfig;
 use alperf_linalg::matrix::Matrix;
-use rayon::prelude::*;
+use alperf_linalg::threads::replicates;
 
 const REPETITIONS: usize = 8;
 const ITERS: usize = 50;
 
-fn problem() -> (Matrix, Vec<f64>, Vec<f64>) {
-    let data = load_datasets();
-    let sub = data
-        .performance
-        .fix_level("Operator", "poisson1")
-        .expect("operator")
-        .fix_variable("NP", 32.0)
-        .expect("NP");
-    let sizes = &sub.variable("Global Problem Size").expect("size").values;
-    let freqs = &sub.variable("CPU Frequency").expect("freq").values;
-    let y: Vec<f64> = sub
-        .response("Runtime")
-        .expect("runtime")
-        .iter()
-        .map(|v| v.log10())
-        .collect();
-    let n = sub.n_rows();
-    let mut flat = Vec::with_capacity(2 * n);
-    for i in 0..n {
-        flat.push(sizes[i].log10());
-        flat.push(freqs[i]);
-    }
-    (
-        Matrix::from_vec(n, 2, flat).expect("matrix"),
-        y,
-        vec![1.0; n],
-    )
-}
-
 fn batch(x: &Matrix, y: &[f64], cost: &[f64], floor: NoiseFloor) -> Vec<AlRun> {
-    (0..REPETITIONS)
-        .into_par_iter()
-        .map(|rep| {
-            let gpr = GprConfig::new(Box::new(ArdSquaredExponential::unit(2)))
-                .with_noise_floor(floor)
-                .with_kernel_bounds(paper_kernel_bounds(2))
-                .with_restarts(2)
-                .with_standardize(false)
-                .with_seed(300 + rep as u64);
-            let cfg = AlConfig {
-                max_iters: ITERS,
-                seed: rep as u64,
-                ..AlConfig::new(gpr)
-            };
-            let part = Partition::paper_default(x.nrows(), 3000 + rep as u64);
-            run_al(x, y, cost, &part, &mut VarianceReduction, &cfg).expect("AL run")
-        })
-        .collect()
+    replicates(REPETITIONS, |rep| {
+        let gpr = GprConfig::new(Box::new(ArdSquaredExponential::unit(2)))
+            .with_noise_floor(floor)
+            .with_kernel_bounds(paper_kernel_bounds(2))
+            .with_restarts(2)
+            .with_standardize(false)
+            .with_seed(300 + rep as u64);
+        let cfg = AlConfig {
+            max_iters: ITERS,
+            seed: rep as u64,
+            ..AlConfig::new(gpr)
+        };
+        let part = Partition::paper_default(x.nrows(), 3000 + rep as u64);
+        run_al(x, y, cost, &part, &mut VarianceReduction, &cfg).expect("AL run")
+    })
 }
 
 fn main() {
     let _obs = alperf_bench::obs_from_env();
-    let (x, y, cost) = problem();
+    let FocusSlice { x, y, .. } = focus_slice();
+    let cost = vec![1.0; x.nrows()];
     banner(&format!(
         "X1: noise-floor ablation — {REPETITIONS} repetitions x {ITERS} iterations"
     ));
@@ -104,16 +73,11 @@ fn main() {
             .fold(f64::INFINITY, f64::min);
         let final_amsd = *amsd.mean.last().expect("non-empty");
         let final_rmse = *rmse.mean.last().expect("non-empty");
-        // LOO-CV pseudo-likelihood of the final model of the first run,
-        // refit at the run's last hyperparameters.
-        let run0 = &runs[0];
-        let train = &run0.final_train;
+        // LOO-CV pseudo-likelihood of a fresh fit on the first run's final
+        // training set.
+        let train = &runs[0].final_train;
         let xs = x.select_rows(train);
         let ys: Vec<f64> = train.iter().map(|&i| y[i]).collect();
-        let mut kernel = ArdSquaredExponential::unit(2);
-        // Recover hyperparameters from the recorded noise + a fresh fit.
-        let last = run0.history.last().expect("non-empty");
-        let _ = &mut kernel; // kernel params refit below via LML for simplicity
         let gpr = GprConfig::new(Box::new(ArdSquaredExponential::unit(2)))
             .with_noise_floor(floor)
             .with_kernel_bounds(paper_kernel_bounds(2))
@@ -129,7 +93,6 @@ fn main() {
             "{:<15} {:>14.3e} {:>12.4} {:>12.4} {:>12.1}",
             name, early, final_amsd, final_rmse, lpl
         );
-        let _ = last;
         names.push(name);
         final_rmses.push(final_rmse);
     }

@@ -12,7 +12,7 @@
 //!   uncertainty explodes at the domain edge where no measurement exists,
 //!   and even the means disagree.
 
-use alperf_bench::{banner, load_datasets, write_series};
+use alperf_bench::{banner, focus_slice, write_series};
 use alperf_gp::kernel::SquaredExponential;
 use alperf_gp::model::Gpr;
 use alperf_linalg::matrix::Matrix;
@@ -23,32 +23,6 @@ use rand::SeedableRng;
 
 /// The paper's four illustrative hyperparameter settings (l, sigma_f).
 const SETTINGS: [(f64, f64); 4] = [(0.5, 1.0), (2.0, 1.0), (0.5, 2.0), (2.0, 2.0)];
-
-fn cross_section() -> (Vec<f64>, Vec<f64>) {
-    let data = load_datasets();
-    let sub = data
-        .performance
-        .fix_level("Operator", "poisson1")
-        .expect("operator")
-        .fix_variable("NP", 32.0)
-        .expect("NP")
-        .fix_variable("CPU Frequency", 2.4)
-        .expect("freq");
-    let x: Vec<f64> = sub
-        .variable("Global Problem Size")
-        .expect("size")
-        .values
-        .iter()
-        .map(|v| v.log10())
-        .collect();
-    let y: Vec<f64> = sub
-        .response("Runtime")
-        .expect("runtime")
-        .iter()
-        .map(|v| v.log10())
-        .collect();
-    (x, y)
-}
 
 fn emit_gprs(x: &[f64], y: &[f64], tag: &str) {
     let grid = linspace(
@@ -102,7 +76,7 @@ fn emit_gprs(x: &[f64], y: &[f64], tag: &str) {
 fn main() {
     let _obs = alperf_bench::obs_from_env();
     banner("Fig. 3: predictive distributions for a 1-D cross-section");
-    let (x, y) = cross_section();
+    let (x, y) = focus_slice().cross_section();
 
     // (a) all measurements.
     emit_gprs(&x, &y, "a");

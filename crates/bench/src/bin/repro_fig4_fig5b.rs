@@ -12,7 +12,7 @@
 //! grid's 90th-percentile value; the shallow landscape has a much smaller
 //! drop over the same hyperparameter box.
 
-use alperf_bench::{banner, load_datasets, write_series};
+use alperf_bench::{banner, focus_slice, write_series};
 use alperf_gp::kernel::SquaredExponential;
 use alperf_gp::lml::lml_value;
 use alperf_linalg::matrix::Matrix;
@@ -58,29 +58,9 @@ fn lml_grid(x: &Matrix, y: &[f64], tag: &str) -> (f64, f64) {
 
 fn main() {
     let _obs = alperf_bench::obs_from_env();
-    let data = load_datasets();
+    let slice = focus_slice();
     banner("Fig. 4: LML contour for the data-rich 1-D cross-section");
-    let sub = data
-        .performance
-        .fix_level("Operator", "poisson1")
-        .expect("operator")
-        .fix_variable("NP", 32.0)
-        .expect("NP")
-        .fix_variable("CPU Frequency", 2.4)
-        .expect("freq");
-    let x1: Vec<f64> = sub
-        .variable("Global Problem Size")
-        .expect("size")
-        .values
-        .iter()
-        .map(|v| v.log10())
-        .collect();
-    let y1: Vec<f64> = sub
-        .response("Runtime")
-        .expect("runtime")
-        .iter()
-        .map(|v| v.log10())
-        .collect();
+    let (x1, y1) = slice.cross_section();
     let xm1 = Matrix::from_vec(x1.len(), 1, x1).expect("matrix");
     let (best_rich, drop_rich) = lml_grid(&xm1, &y1, "fig4_lml_rich");
     println!(
@@ -89,27 +69,12 @@ fn main() {
     );
 
     banner("Fig. 5(b): LML contour for the 4-point 2-D dataset");
-    let sub2 = data
-        .performance
-        .fix_level("Operator", "poisson1")
-        .expect("operator")
-        .fix_variable("NP", 32.0)
-        .expect("NP");
-    let sizes = &sub2.variable("Global Problem Size").expect("size").values;
-    let freqs = &sub2.variable("CPU Frequency").expect("freq").values;
-    let rts = sub2.response("Runtime").expect("runtime");
     let mut rng = StdRng::seed_from_u64(55);
-    let mut idx: Vec<usize> = (0..sub2.n_rows()).collect();
+    let mut idx: Vec<usize> = (0..slice.x.nrows()).collect();
     idx.shuffle(&mut rng);
     idx.truncate(4);
-    let mut flat = Vec::new();
-    let mut y2 = Vec::new();
-    for &i in &idx {
-        flat.push(sizes[i].log10());
-        flat.push(freqs[i]);
-        y2.push(rts[i].log10());
-    }
-    let xm2 = Matrix::from_vec(4, 2, flat).expect("matrix");
+    let xm2 = slice.x.select_rows(&idx);
+    let y2: Vec<f64> = idx.iter().map(|&i| slice.y[i]).collect();
     let (best_small, drop_small) = lml_grid(&xm2, &y2, "fig5b_lml_shallow");
     println!("n = 4 points: max LML = {best_small:.2}, peak-to-p90 drop = {drop_small:.2}");
 

@@ -11,11 +11,10 @@
 //!   and Problem Size are near their maximum values, the confidence
 //!   interval bounds are further apart" — AL would sample there next.
 
-use alperf_bench::{banner, load_datasets, write_series};
+use alperf_bench::{banner, focus_slice, write_series};
 use alperf_gp::kernel::ArdSquaredExponential;
 use alperf_gp::noise::NoiseFloor;
 use alperf_gp::optimize::{fit_gpr, GprConfig};
-use alperf_linalg::matrix::Matrix;
 use alperf_linalg::vector::linspace;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -23,38 +22,18 @@ use rand::SeedableRng;
 
 fn main() {
     let _obs = alperf_bench::obs_from_env();
-    let data = load_datasets();
+    let slice = focus_slice();
     banner("Fig. 5(a): GPR surfaces from 4 training points over (size, freq)");
-    let sub = data
-        .performance
-        .fix_level("Operator", "poisson1")
-        .expect("operator")
-        .fix_variable("NP", 32.0)
-        .expect("NP");
-    let sizes = &sub.variable("Global Problem Size").expect("size").values;
-    let freqs = &sub.variable("CPU Frequency").expect("freq").values;
-    let rts = sub.response("Runtime").expect("runtime");
 
     let mut rng = StdRng::seed_from_u64(55);
-    let mut idx: Vec<usize> = (0..sub.n_rows()).collect();
+    let mut idx: Vec<usize> = (0..slice.x.nrows()).collect();
     idx.shuffle(&mut rng);
     idx.truncate(4);
-    let mut flat = Vec::new();
-    let mut y = Vec::new();
-    for &i in &idx {
-        flat.push(sizes[i].log10());
-        flat.push(freqs[i]);
-        y.push(rts[i].log10());
-    }
-    let xm = Matrix::from_vec(4, 2, flat.clone()).expect("matrix");
+    let xm = slice.x.select_rows(&idx);
+    let y: Vec<f64> = idx.iter().map(|&i| slice.y[i]).collect();
     println!("training points (log10 size, freq, log10 runtime):");
-    for (i, &row) in idx.iter().enumerate() {
-        println!(
-            "  ({:.2}, {:.1}) -> {:.3}",
-            flat[2 * i],
-            flat[2 * i + 1],
-            rts[row].log10()
-        );
+    for (i, yi) in y.iter().enumerate() {
+        println!("  ({:.2}, {:.1}) -> {:.3}", xm[(i, 0)], xm[(i, 1)], yi);
     }
 
     // Length scales are bounded to ~2.5 decades of size / 2.5 GHz so the
@@ -106,9 +85,7 @@ fn main() {
     // Checks: CI width at training points vs at the (max size, max freq) corner.
     let at_train: Vec<f64> = (0..4)
         .map(|i| {
-            let p = gpr
-                .predict_one(&[flat[2 * i], flat[2 * i + 1]])
-                .expect("prediction");
+            let p = gpr.predict_one(xm.row(i)).expect("prediction");
             let (a, b) = p.ci95();
             b - a
         })

@@ -10,47 +10,20 @@
 
 use alperf_al::runner::{run_al, AlConfig};
 use alperf_al::strategy::VarianceReduction;
-use alperf_bench::{banner, load_datasets, write_series};
+use alperf_bench::{banner, focus_slice, write_series, FocusSlice};
 use alperf_core::analysis::paper_kernel_bounds;
 use alperf_data::partition::Partition;
 use alperf_gp::kernel::ArdSquaredExponential;
 use alperf_gp::noise::NoiseFloor;
 use alperf_gp::optimize::GprConfig;
-use alperf_linalg::matrix::Matrix;
 
 fn main() {
     let _obs = alperf_bench::obs_from_env();
-    let data = load_datasets();
+    let FocusSlice { x, y, .. } = focus_slice();
     banner("Fig. 6: AL (Variance Reduction) trajectories over (size, freq)");
-    let sub = data
-        .performance
-        .fix_level("Operator", "poisson1")
-        .expect("operator")
-        .fix_variable("NP", 32.0)
-        .expect("NP");
-    println!("subset: {} jobs (paper: 251)", sub.n_rows());
-
-    let sizes: Vec<f64> = sub
-        .variable("Global Problem Size")
-        .expect("size")
-        .values
-        .iter()
-        .map(|v| v.log10())
-        .collect();
-    let freqs = sub.variable("CPU Frequency").expect("freq").values.clone();
-    let y: Vec<f64> = sub
-        .response("Runtime")
-        .expect("runtime")
-        .iter()
-        .map(|v| v.log10())
-        .collect();
-    let n = sub.n_rows();
-    let mut flat = Vec::with_capacity(2 * n);
-    for i in 0..n {
-        flat.push(sizes[i]);
-        flat.push(freqs[i]);
-    }
-    let x = Matrix::from_vec(n, 2, flat).expect("matrix");
+    let n = x.nrows();
+    println!("subset: {n} jobs (paper: 251)");
+    let (sizes, freqs) = (x.col(0), x.col(1));
     let cost = vec![1.0; n];
 
     let partition = Partition::paper_default(n, 17);

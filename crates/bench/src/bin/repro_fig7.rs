@@ -22,14 +22,14 @@
 use alperf_al::metrics::paper_metrics;
 use alperf_al::runner::{run_al, AlConfig, AlRun};
 use alperf_al::strategy::VarianceReduction;
-use alperf_bench::{banner, load_datasets, write_series};
+use alperf_bench::{banner, focus_slice, write_series, FocusSlice};
 use alperf_core::analysis::paper_kernel_bounds;
 use alperf_data::partition::Partition;
 use alperf_gp::kernel::ArdSquaredExponential;
 use alperf_gp::noise::NoiseFloor;
 use alperf_gp::optimize::GprConfig;
 use alperf_linalg::matrix::Matrix;
-use rayon::prelude::*;
+use alperf_linalg::threads::replicates;
 
 fn scale() -> (usize, usize) {
     if std::env::args().any(|a| a == "--quick") {
@@ -39,55 +39,23 @@ fn scale() -> (usize, usize) {
     }
 }
 
-fn problem() -> (Matrix, Vec<f64>, Vec<f64>) {
-    let data = load_datasets();
-    let sub = data
-        .performance
-        .fix_level("Operator", "poisson1")
-        .expect("operator")
-        .fix_variable("NP", 32.0)
-        .expect("NP");
-    let sizes = &sub.variable("Global Problem Size").expect("size").values;
-    let freqs = &sub.variable("CPU Frequency").expect("freq").values;
-    let y: Vec<f64> = sub
-        .response("Runtime")
-        .expect("runtime")
-        .iter()
-        .map(|v| v.log10())
-        .collect();
-    let n = sub.n_rows();
-    let mut flat = Vec::with_capacity(2 * n);
-    for i in 0..n {
-        flat.push(sizes[i].log10());
-        flat.push(freqs[i]);
-    }
-    (
-        Matrix::from_vec(n, 2, flat).expect("matrix"),
-        y,
-        vec![1.0; n],
-    )
-}
-
 fn batch(x: &Matrix, y: &[f64], cost: &[f64], floor: NoiseFloor) -> Vec<AlRun> {
     let (repetitions, iters) = scale();
-    (0..repetitions)
-        .into_par_iter()
-        .map(|rep| {
-            let gpr = GprConfig::new(Box::new(ArdSquaredExponential::unit(2)))
-                .with_noise_floor(floor)
-                .with_restarts(3)
-                .with_kernel_bounds(paper_kernel_bounds(2))
-                .with_standardize(false)
-                .with_seed(100 + rep as u64);
-            let cfg = AlConfig {
-                max_iters: iters,
-                seed: rep as u64,
-                ..AlConfig::new(gpr)
-            };
-            let part = Partition::paper_default(x.nrows(), 1000 + rep as u64);
-            run_al(x, y, cost, &part, &mut VarianceReduction, &cfg).expect("AL run")
-        })
-        .collect()
+    replicates(repetitions, |rep| {
+        let gpr = GprConfig::new(Box::new(ArdSquaredExponential::unit(2)))
+            .with_noise_floor(floor)
+            .with_restarts(3)
+            .with_kernel_bounds(paper_kernel_bounds(2))
+            .with_standardize(false)
+            .with_seed(100 + rep as u64);
+        let cfg = AlConfig {
+            max_iters: iters,
+            seed: rep as u64,
+            ..AlConfig::new(gpr)
+        };
+        let part = Partition::paper_default(x.nrows(), 1000 + rep as u64);
+        run_al(x, y, cost, &part, &mut VarianceReduction, &cfg).expect("AL run")
+    })
 }
 
 fn report(tag: &str, runs: &[AlRun]) -> (f64, f64, f64, f64) {
@@ -128,7 +96,8 @@ fn report(tag: &str, runs: &[AlRun]) -> (f64, f64, f64, f64) {
 fn main() {
     let obs = alperf_bench::obs_from_env();
     let (repetitions, iters) = scale();
-    let (x, y, cost) = problem();
+    let FocusSlice { x, y, .. } = focus_slice();
+    let cost = vec![1.0; x.nrows()];
     banner(&format!(
         "Fig. 7: {repetitions} AL repetitions x {iters} iterations on {} jobs",
         x.nrows()

@@ -16,14 +16,14 @@ use alperf_al::metrics::paper_metrics;
 use alperf_al::runner::{run_al, AlConfig, AlRun};
 use alperf_al::strategy::{CostEfficiency, Strategy, VarianceReduction};
 use alperf_al::tradeoff;
-use alperf_bench::{banner, load_datasets, write_series};
+use alperf_bench::{banner, focus_slice, write_series, FocusSlice};
 use alperf_core::analysis::paper_kernel_bounds;
 use alperf_data::partition::Partition;
 use alperf_gp::kernel::ArdSquaredExponential;
 use alperf_gp::noise::NoiseFloor;
 use alperf_gp::optimize::GprConfig;
 use alperf_linalg::matrix::Matrix;
-use rayon::prelude::*;
+use alperf_linalg::threads::replicates;
 
 /// Partitions per strategy: the paper uses 50; override with
 /// `ALPERF_PARTITIONS` for quicker runs.
@@ -34,63 +34,39 @@ fn partitions() -> usize {
         .unwrap_or(50)
 }
 
-fn problem() -> (Matrix, Vec<f64>, Vec<f64>) {
-    let data = load_datasets();
-    let sub = data
-        .performance
-        .fix_level("Operator", "poisson1")
-        .expect("operator")
-        .fix_variable("NP", 32.0)
-        .expect("NP");
-    let sizes = &sub.variable("Global Problem Size").expect("size").values;
-    let freqs = &sub.variable("CPU Frequency").expect("freq").values;
-    let runtime = sub.response("Runtime").expect("runtime");
-    let y: Vec<f64> = runtime.iter().map(|v| v.log10()).collect();
-    // The paper's cost unit: compute seconds x cores (NP = 32 here).
-    let cost: Vec<f64> = runtime.iter().map(|r| r * 32.0).collect();
-    let n = sub.n_rows();
-    let mut flat = Vec::with_capacity(2 * n);
-    for i in 0..n {
-        flat.push(sizes[i].log10());
-        flat.push(freqs[i]);
-    }
-    (Matrix::from_vec(n, 2, flat).expect("matrix"), y, cost)
-}
-
 fn batch(
     x: &Matrix,
     y: &[f64],
     cost: &[f64],
     make: impl Fn() -> Box<dyn Strategy> + Sync,
 ) -> Vec<AlRun> {
-    (0..partitions())
-        .into_par_iter()
-        .map(|rep| {
-            let gpr = GprConfig::new(Box::new(ArdSquaredExponential::unit(2)))
-                .with_noise_floor(NoiseFloor::recommended())
-                .with_restarts(2)
-                .with_kernel_bounds(paper_kernel_bounds(2))
-                .with_standardize(false)
-                .with_seed(200 + rep as u64);
-            let cfg = AlConfig {
-                max_iters: usize::MAX, // run to pool exhaustion, like the paper
-                // Hyperparameters are re-optimized every 4th iteration once
-                // the training set is large (the model is re-conditioned on
-                // new data every iteration regardless).
-                refit_every: 4,
-                seed: rep as u64,
-                ..AlConfig::new(gpr)
-            };
-            let part = Partition::paper_default(x.nrows(), 2000 + rep as u64);
-            let mut strategy = make();
-            run_al(x, y, cost, &part, strategy.as_mut(), &cfg).expect("AL run")
-        })
-        .collect()
+    replicates(partitions(), |rep| {
+        let gpr = GprConfig::new(Box::new(ArdSquaredExponential::unit(2)))
+            .with_noise_floor(NoiseFloor::recommended())
+            .with_restarts(2)
+            .with_kernel_bounds(paper_kernel_bounds(2))
+            .with_standardize(false)
+            .with_seed(200 + rep as u64);
+        let cfg = AlConfig {
+            max_iters: usize::MAX, // run to pool exhaustion, like the paper
+            // Hyperparameters are re-optimized every 4th iteration once
+            // the training set is large (the model is re-conditioned on
+            // new data every iteration regardless).
+            refit_every: 4,
+            seed: rep as u64,
+            ..AlConfig::new(gpr)
+        };
+        let part = Partition::paper_default(x.nrows(), 2000 + rep as u64);
+        let mut strategy = make();
+        run_al(x, y, cost, &part, strategy.as_mut(), &cfg).expect("AL run")
+    })
 }
 
 fn main() {
     let _obs = alperf_bench::obs_from_env();
-    let (x, y, cost) = problem();
+    let FocusSlice { x, y, runtime, .. } = focus_slice();
+    // The paper's cost unit: compute seconds x cores (NP = 32 here).
+    let cost: Vec<f64> = runtime.iter().map(|r| r * 32.0).collect();
     banner(&format!(
         "Fig. 8: {} partitions per strategy on {} jobs (pool exhaustion)",
         partitions(),

@@ -9,8 +9,8 @@
 //! * the file reads under schema `alperf-obs-v1` (first line is the meta
 //!   record; every line parses as a typed v1 event);
 //! * the spans reconstruct into a *connected* forest — every span that
-//!   declares a parent resolves to it, including spans emitted on rayon
-//!   worker threads (the cross-thread parentage invariant);
+//!   declares a parent resolves to it, including spans emitted on worker
+//!   threads (the cross-thread parentage invariant);
 //! * `al.iteration` records carry the per-iteration payload and a
 //!   strictly increasing `iter` per `run` id.
 //!

@@ -8,8 +8,10 @@
 //! * [`PerformanceAnalysis::prepare`] — build the numeric problem
 //!   (design matrix, transformed response, per-row cost = runtime x NP);
 //! * [`PerformanceAnalysis::run`] — one AL realization over one partition;
-//! * [`PerformanceAnalysis::run_batch`] — many partitions in parallel
-//!   (rayon), the way the paper generates Figs. 7 and 8.
+//! * [`PerformanceAnalysis::run_batch`] — many partitions, one whole
+//!   campaign per unit of the replicate runner
+//!   ([`alperf_linalg::threads::replicates`]), the way the paper generates
+//!   Figs. 7 and 8.
 
 use alperf_al::runner::{run_al, AlConfig, AlError, AlRun};
 use alperf_al::strategy::Strategy;
@@ -20,7 +22,7 @@ use alperf_gp::kernel::ArdSquaredExponential;
 use alperf_gp::noise::NoiseFloor;
 use alperf_gp::optimize::GprConfig;
 use alperf_linalg::matrix::Matrix;
-use rayon::prelude::*;
+use alperf_linalg::threads::replicates;
 
 /// Declarative description of one analysis problem.
 #[derive(Debug, Clone)]
@@ -198,7 +200,8 @@ impl PerformanceAnalysis {
     }
 
     /// Batch evaluation: `n_partitions` random paper-style partitions
-    /// (single initial experiment, 8:2 Active:Test), run in parallel.
+    /// (single initial experiment, 8:2 Active:Test), run through the
+    /// replicate runner and returned in partition order.
     /// `make_strategy` builds a fresh strategy per run (strategies are
     /// stateful).
     ///
@@ -211,28 +214,27 @@ impl PerformanceAnalysis {
     ) -> Result<Vec<AlRun>, AnalysisError> {
         let prob = self.prepare()?;
         let n = prob.x.nrows();
-        (0..n_partitions)
-            .into_par_iter()
-            .map(|i| {
-                let partition = Partition::paper_default(n, self.config.seed ^ (i as u64) << 17);
-                let al = AlConfig {
-                    max_iters: self.config.max_iters,
-                    refit_every: self.config.hyper_refit_every.max(1),
-                    seed: self.config.seed.wrapping_add(i as u64),
-                    ..AlConfig::new(self.gpr_config())
-                };
-                let mut strategy = make_strategy();
-                run_al(
-                    &prob.x,
-                    &prob.y,
-                    &prob.cost,
-                    &partition,
-                    strategy.as_mut(),
-                    &al,
-                )
-                .map_err(AnalysisError::from)
-            })
-            .collect()
+        replicates(n_partitions, |i| {
+            let partition = Partition::paper_default(n, self.config.seed ^ (i as u64) << 17);
+            let al = AlConfig {
+                max_iters: self.config.max_iters,
+                refit_every: self.config.hyper_refit_every.max(1),
+                seed: self.config.seed.wrapping_add(i as u64),
+                ..AlConfig::new(self.gpr_config())
+            };
+            let mut strategy = make_strategy();
+            run_al(
+                &prob.x,
+                &prob.y,
+                &prob.cost,
+                &partition,
+                strategy.as_mut(),
+                &al,
+            )
+            .map_err(AnalysisError::from)
+        })
+        .into_iter()
+        .collect()
     }
 }
 

@@ -18,7 +18,9 @@
 //!    quadratic variants with analytic gradients in log-parameter space.
 //!
 //! All heavy lifting (Cholesky, triangular solves) is delegated to
-//! `alperf-linalg`; covariance assembly parallelizes across rows via rayon.
+//! `alperf-linalg`. A fit runs on its caller's thread, restarts included:
+//! the workspace parallelizes over whole AL campaigns instead
+//! (`alperf_linalg::threads::replicates`).
 
 pub mod kernel;
 pub mod lml;

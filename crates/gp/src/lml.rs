@@ -16,7 +16,6 @@ use crate::kernel::{DistanceForm, Kernel};
 use alperf_linalg::{
     cholesky::Cholesky, fastmath, matrix::Matrix, vector::dot, vector::sq_dist, LinalgError,
 };
-use rayon::prelude::*;
 
 /// First jitter magnitude (relative to the mean diagonal) for the Cholesky
 /// retry ladder, and the number of rungs. Matches scikit-learn's behaviour
@@ -25,34 +24,16 @@ const CHOL_JITTER: f64 = 1e-10;
 const CHOL_TRIES: usize = 8;
 
 /// Assemble the `n x n` kernel matrix `K` for training inputs `x`
-/// (rows = points). Parallelizes across rows for large `n`.
+/// (rows = points): each lower-triangle entry is evaluated once and
+/// mirrored.
 pub fn assemble_covariance(kernel: &dyn Kernel, x: &Matrix) -> Matrix {
     let n = x.nrows();
     let mut k = Matrix::zeros(n, n);
-    // Fill the lower triangle (incl. diagonal) in parallel, then mirror.
-    // Row i costs O(i), so plain row chunking is imbalanced but fine for the
-    // n <= few-thousand sizes this workspace sees.
-    if n >= 64 {
-        let rows: Vec<Vec<f64>> = (0..n)
-            .into_par_iter()
-            .map(|i| {
-                let xi = x.row(i);
-                (0..=i).map(|j| kernel.eval(xi, x.row(j))).collect()
-            })
-            .collect();
-        for (i, row) in rows.into_iter().enumerate() {
-            for (j, v) in row.into_iter().enumerate() {
-                k[(i, j)] = v;
-                k[(j, i)] = v;
-            }
-        }
-    } else {
-        for i in 0..n {
-            for j in 0..=i {
-                let v = kernel.eval(x.row(i), x.row(j));
-                k[(i, j)] = v;
-                k[(j, i)] = v;
-            }
+    for i in 0..n {
+        for j in 0..=i {
+            let v = kernel.eval(x.row(i), x.row(j));
+            k[(i, j)] = v;
+            k[(j, i)] = v;
         }
     }
     k
@@ -580,18 +561,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_assembly_matches_serial() {
-        // 70 points forces the parallel path; compare against direct eval.
-        let n = 70;
-        let x = Matrix::from_fn(n, 2, |i, j| (i as f64) * 0.1 + (j as f64) * 0.05);
-        let k = SquaredExponential::new(1.3, 0.8);
-        let c = assemble_covariance(&k, &x);
-        for &(i, j) in &[(0usize, 0usize), (69, 69), (12, 55), (55, 12)] {
-            assert!((c[(i, j)] - k.eval(x.row(i), x.row(j))).abs() < 1e-15);
-        }
-    }
-
-    #[test]
     fn lml_of_single_point_matches_gaussian_logpdf() {
         // One observation: LML = log N(y | 0, sigma_f^2 + sigma_n^2).
         let x = Matrix::from_rows(&[&[0.0]]).unwrap();
@@ -757,10 +726,9 @@ mod tests {
 
     /// The workspace reproduces the allocating path it replaced bit for
     /// bit — value, gradient with and without the noise entry, and typed
-    /// errors — for every stationary kernel, across orders that straddle
-    /// the 64-row parallel threshold of the old contraction and the
-    /// 128-row blocked Cholesky, with duplicated rows under the 1e-8 noise
-    /// floor (jitter rungs) and one workspace reused across settings.
+    /// errors — for every stationary kernel, at orders from 1 to 130, with
+    /// duplicated rows under the 1e-8 noise floor (jitter rungs) and one
+    /// workspace reused across settings.
     #[test]
     fn workspace_matches_the_allocating_path_bit_for_bit() {
         let mut climbed = 0;

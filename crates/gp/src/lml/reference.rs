@@ -1,6 +1,6 @@
 //! The allocating LML path that [`super::LmlWorkspace`] replaced, kept as
 //! the bit-identity reference for its tests: a fresh covariance, factor,
-//! `alpha` and `K_y^{-1}` per evaluation, a row-parallel contraction for
+//! `alpha` and `K_y^{-1}` per evaluation, a row-by-row contraction for
 //! the SE forms and a per-pair `Kernel::grad` contraction for every other
 //! kernel.
 
@@ -8,7 +8,6 @@ use crate::kernel::{DistanceForm, Kernel};
 use alperf_linalg::{
     cholesky::Cholesky, fastmath, matrix::Matrix, vector::dot, vector::sq_dist, LinalgError,
 };
-use rayon::prelude::*;
 
 /// The distance cache as the SE forms read it; every other kernel takes
 /// the pointwise path.
@@ -168,21 +167,15 @@ pub(super) fn gradient(
     Ok(grad)
 }
 
-fn row_sums(n: usize, nd: usize, f: impl Fn(usize) -> (Vec<f64>, f64) + Sync) -> (Vec<f64>, f64) {
-    let fold = |(mut asl, ask): (Vec<f64>, f64), (bsl, bsk): (Vec<f64>, f64)| {
-        for (a, b) in asl.iter_mut().zip(&bsl) {
-            *a += b;
-        }
-        (asl, ask + bsk)
-    };
-    if n >= 64 {
-        (0..n)
-            .into_par_iter()
-            .map(f)
-            .reduce(|| (vec![0.0; nd], 0.0), fold)
-    } else {
-        (0..n).map(f).fold((vec![0.0; nd], 0.0), fold)
-    }
+fn row_sums(n: usize, nd: usize, f: impl Fn(usize) -> (Vec<f64>, f64)) -> (Vec<f64>, f64) {
+    (0..n)
+        .map(f)
+        .fold((vec![0.0; nd], 0.0), |(mut asl, ask), (bsl, bsk)| {
+            for (a, b) in asl.iter_mut().zip(&bsl) {
+                *a += b;
+            }
+            (asl, ask + bsk)
+        })
 }
 
 fn pointwise_gradient(kernel: &dyn Kernel, x: &Matrix, w: &Matrix) -> Vec<f64> {
@@ -201,23 +194,11 @@ fn pointwise_gradient(kernel: &dyn Kernel, x: &Matrix, w: &Matrix) -> Vec<f64> {
         }
         acc
     };
-    if n >= 64 {
-        (0..n).into_par_iter().map(row_term).reduce(
-            || vec![0.0; np],
-            |mut a, b| {
-                for (x, y) in a.iter_mut().zip(&b) {
-                    *x += y;
-                }
-                a
-            },
-        )
-    } else {
-        let mut acc = vec![0.0; np];
-        for i in 0..n {
-            for (a, b) in acc.iter_mut().zip(&row_term(i)) {
-                *a += b;
-            }
+    let mut acc = vec![0.0; np];
+    for i in 0..n {
+        for (a, b) in acc.iter_mut().zip(&row_term(i)) {
+            *a += b;
         }
-        acc
     }
+    acc
 }

@@ -35,7 +35,6 @@
 
 pub mod cycle;
 pub mod grid3;
-pub mod krylov;
 pub mod model;
 pub mod operator;
 pub mod smoother;

@@ -5,8 +5,8 @@
 //! framework. The Gaussian Process Regression layer (`alperf-gp`) needs
 //! exactly the operations implemented here:
 //!
-//! * a row-major dense [`Matrix`] with (parallel) matrix–vector and
-//!   matrix–matrix products,
+//! * a row-major dense [`Matrix`] with matrix–vector and matrix–matrix
+//!   products,
 //! * a robust [Cholesky factorization](cholesky::Cholesky) of symmetric
 //!   positive-definite matrices with jitter-based retry (covariance matrices
 //!   are SPD in exact arithmetic but frequently borderline in `f64`),
@@ -17,9 +17,9 @@
 //!
 //! Everything is `f64`; the library is deliberately free of external
 //! linear-algebra dependencies so that the whole reproduction is
-//! self-contained. Hot loops (covariance assembly, GEMM) use
-//! [rayon](https://docs.rs/rayon) data parallelism with serial fallbacks for
-//! small problem sizes where the fork-join overhead would dominate.
+//! self-contained. Every kernel runs on the calling thread: the workspace
+//! parallelizes over whole AL campaigns instead, through
+//! [`threads::replicates`], so a fit or a solve never forks.
 
 pub mod cholesky;
 #[cfg(target_arch = "x86_64")]

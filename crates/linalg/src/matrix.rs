@@ -8,14 +8,9 @@
 
 use crate::error::LinalgError;
 use crate::vector::dot;
-use rayon::prelude::*;
-
-/// Below this many total elements, parallel products fall back to the serial
-/// path: rayon's fork-join overhead dominates for tiny matrices.
-const PAR_THRESHOLD: usize = 64 * 64;
 
 /// Tile sizes for the blocked matrix product: `MM_ROW_BLOCK` output rows are
-/// produced per rayon task, and the inner (`k`) dimension is walked in
+/// produced per tile, and the inner (`k`) dimension is walked in
 /// `MM_K_BLOCK`-wide stripes so the corresponding rows of `B` stay cached
 /// while they are reused across the whole row block.
 const MM_ROW_BLOCK: usize = 32;
@@ -89,24 +84,13 @@ impl Matrix {
         })
     }
 
-    /// Build an `n x n` matrix from a function of the index pair. Used for
-    /// covariance assembly; runs rows in parallel when the matrix is large.
-    pub fn from_fn(rows: usize, cols: usize, f: impl Fn(usize, usize) -> f64 + Sync) -> Self {
+    /// Build a `rows x cols` matrix from a function of the index pair, row
+    /// by row. Used for covariance assembly.
+    pub fn from_fn(rows: usize, cols: usize, f: impl Fn(usize, usize) -> f64) -> Self {
         let mut m = Matrix::zeros(rows, cols);
-        if rows * cols >= PAR_THRESHOLD {
-            m.data
-                .par_chunks_mut(cols)
-                .enumerate()
-                .for_each(|(i, row)| {
-                    for (j, v) in row.iter_mut().enumerate() {
-                        *v = f(i, j);
-                    }
-                });
-        } else {
-            for i in 0..rows {
-                for j in 0..cols {
-                    m[(i, j)] = f(i, j);
-                }
+        for i in 0..rows {
+            for j in 0..cols {
+                m[(i, j)] = f(i, j);
             }
         }
         m
@@ -223,22 +207,14 @@ impl Matrix {
                 details: format!("{}x{} * {}", self.rows, self.cols, x.len()),
             });
         }
-        if self.rows * self.cols >= PAR_THRESHOLD {
-            Ok(self
-                .data
-                .par_chunks(self.cols)
-                .map(|row| dot(row, x))
-                .collect())
-        } else {
-            Ok(self.data.chunks(self.cols).map(|row| dot(row, x)).collect())
-        }
+        Ok(self.data.chunks(self.cols).map(|row| dot(row, x)).collect())
     }
 
     /// Matrix–matrix product `A B`.
     ///
     /// Cache-blocked i-k-j order over the row-major layout: output rows are
-    /// produced in `MM_ROW_BLOCK`-row tiles (one rayon task each for large
-    /// problems) and the `k` dimension is walked in `MM_K_BLOCK` stripes so
+    /// produced in `MM_ROW_BLOCK`-row tiles and the `k` dimension is walked
+    /// in `MM_K_BLOCK` stripes so
     /// each stripe of `B` rows is reused across the whole tile while still
     /// hot. The `k` accumulation order is unchanged, so results are
     /// bit-identical to the naive i-k-j product.
@@ -257,11 +233,12 @@ impl Matrix {
         if self.rows == 0 || n == 0 {
             return Ok(out);
         }
-        let compute_tile = |row0: usize, tile: &mut [f64]| {
+        for (t, tile) in out.data.chunks_mut(n * MM_ROW_BLOCK).enumerate() {
+            let row0 = t * MM_ROW_BLOCK;
             for k0 in (0..self.cols).step_by(MM_K_BLOCK) {
                 let k1 = (k0 + MM_K_BLOCK).min(self.cols);
-                for (t, orow) in tile.chunks_mut(n).enumerate() {
-                    let arow = self.row(row0 + t);
+                for (r, orow) in tile.chunks_mut(n).enumerate() {
+                    let arow = self.row(row0 + r);
                     for (k, &aik) in arow.iter().enumerate().take(k1).skip(k0) {
                         let brow = other.row(k);
                         for (o, &b) in orow.iter_mut().zip(brow) {
@@ -269,16 +246,6 @@ impl Matrix {
                         }
                     }
                 }
-            }
-        };
-        if self.rows * n >= PAR_THRESHOLD {
-            out.data
-                .par_chunks_mut(n * MM_ROW_BLOCK)
-                .enumerate()
-                .for_each(|(t, tile)| compute_tile(t * MM_ROW_BLOCK, tile));
-        } else {
-            for (t, tile) in out.data.chunks_mut(n * MM_ROW_BLOCK).enumerate() {
-                compute_tile(t * MM_ROW_BLOCK, tile);
             }
         }
         Ok(out)
@@ -495,16 +462,6 @@ mod tests {
     }
 
     #[test]
-    fn from_fn_parallel_path_consistent() {
-        // Large enough to take the parallel path.
-        let f = |i: usize, j: usize| ((i as f64) * 0.01 - (j as f64) * 0.02).sin();
-        let big = Matrix::from_fn(80, 80, f);
-        for &(i, j) in &[(0, 0), (79, 79), (13, 57)] {
-            assert_eq!(big[(i, j)], f(i, j));
-        }
-    }
-
-    #[test]
     fn row_and_col_access() {
         let m = abc();
         assert_eq!(m.row(1), &[3.0, 4.0]);
@@ -526,18 +483,6 @@ mod tests {
         let y = m.matvec(&[1.0, 1.0]).unwrap();
         assert_eq!(y, vec![3.0, 7.0, 11.0]);
         assert!(m.matvec(&[1.0]).is_err());
-    }
-
-    #[test]
-    fn matvec_parallel_matches_serial() {
-        let n = 100;
-        let m = Matrix::from_fn(n, n, |i, j| ((i + 2 * j) as f64).cos());
-        let x: Vec<f64> = (0..n).map(|i| (i as f64).sin()).collect();
-        let y = m.matvec(&x).unwrap();
-        for (i, yi) in y.iter().enumerate() {
-            let expect = dot(m.row(i), &x);
-            assert!((yi - expect).abs() < 1e-12);
-        }
     }
 
     #[test]

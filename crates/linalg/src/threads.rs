@@ -1,19 +1,24 @@
-//! Process-wide thread-pool configuration.
+//! Process-wide thread width and the workspace's one parallel axis.
 //!
-//! Every parallel region in the workspace (covariance assembly, GEMM,
-//! multi-RHS solves, GPR restart fan-out, EMCM's committee fits, the grid
-//! executor) sizes itself from the rayon pool width. This module builds
-//! the global pool **once** from the `ALPERF_NUM_THREADS` environment
-//! variable and exposes the two primitives everything else needs:
+//! The unit of parallel work is a whole AL campaign: the paper's Figs. 7
+//! and 8 average independent realizations, and the ablations compare
+//! strategies over independent partitions. [`replicates`] fans those units
+//! out; nothing inside a unit (a fit, a solve, a committee) forks. Three
+//! things size themselves from the width configured here: [`replicates`],
+//! the grid executor's workers, and hpgmg's multigrid loops. This module
+//! builds the global width **once** from the `ALPERF_NUM_THREADS`
+//! environment variable and exposes what everything else needs:
 //!
 //! * [`configure_from_env`] — idempotent process-wide setup, called from
 //!   bin entry points (`alperf_bench::obs_from_env` calls it);
 //! * [`with_threads`] — scoped width override for in-process sweeps
-//!   (the width-determinism tests, the grid's per-campaign width 1).
+//!   (the width-determinism tests, the grid's per-campaign width 1);
+//! * [`replicates`] — run independent units at the width, in index order.
 //!
 //! `ALPERF_NUM_THREADS=0`, unset, or unparsable all mean "use all
 //! available cores".
 
+use rayon::prelude::*;
 use std::sync::OnceLock;
 
 /// Environment variable naming the global pool width. `0` or unset means
@@ -90,6 +95,18 @@ pub fn with_threads<R>(n: usize, f: impl FnOnce() -> R) -> R {
     pool.install(f)
 }
 
+/// Run `f(0), f(1), .., f(n - 1)` as independent units of work — whole AL
+/// campaigns, replicates or partitions — on up to [`current`] threads, and
+/// return the results in index order. Each unit runs at nested width 1, so
+/// nothing inside it forks, and the results equal a plain serial loop's at
+/// every width.
+pub fn replicates<R: Send>(n: usize, f: impl Fn(usize) -> R + Sync) -> Vec<R> {
+    (0..n)
+        .into_par_iter()
+        .map(|i| with_threads(1, || f(i)))
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -103,6 +120,16 @@ mod tests {
         // Nested scopes: innermost wins.
         let nested = with_threads(2, || with_threads(5, current));
         assert_eq!(nested, 5);
+    }
+
+    #[test]
+    fn replicates_match_a_serial_loop_in_order_at_nested_width_1() {
+        let unit = |i: usize| (i * i, current());
+        let serial: Vec<(usize, usize)> = (0..7).map(|i| (i * i, 1)).collect();
+        for width in [1, 2, 4] {
+            assert_eq!(with_threads(width, || replicates(7, unit)), serial);
+        }
+        assert!(replicates(0, unit).is_empty());
     }
 
     #[test]

@@ -9,18 +9,11 @@
 use crate::cpu;
 use crate::error::LinalgError;
 use crate::matrix::Matrix;
-use rayon::prelude::*;
 
 /// Number of right-hand-side columns handled per block in the multi-RHS
 /// solves. Each block is copied into a compact `n x RHS_BLOCK` buffer so the
-/// substitution sweeps contiguous memory, and blocks run in parallel under
-/// rayon — the RHS columns are independent even though the `n` dimension is
-/// sequential.
+/// substitution sweeps contiguous memory.
 const RHS_BLOCK: usize = 64;
-
-/// Below this many total RHS elements the multi-RHS solves stay serial;
-/// fork-join overhead dominates tiny problems.
-const RHS_PAR_THRESHOLD: usize = 64 * 64;
 
 /// Solve `L x = b` where `L` is lower triangular (entries above the diagonal
 /// are ignored). Returns the solution vector.
@@ -131,8 +124,7 @@ pub fn solve_upper(u: &Matrix, b: &[f64]) -> Result<Vec<f64>, LinalgError> {
 /// The RHS is processed in column blocks of [`RHS_BLOCK`]: each block is
 /// copied into a compact `n x bs` row-major buffer so the substitution's
 /// inner loop sweeps contiguous memory (a row operation over the block)
-/// instead of striding through `B`, and blocks run in parallel under rayon
-/// above [`RHS_PAR_THRESHOLD`]. Every element sees the same update *order*
+/// instead of striding through `B`. Every element sees the same update *order*
 /// as [`solve_lower`] on its column; the portable path is bit-identical to
 /// the scalar solve, while the runtime-detected x86-64 FMA kernels fuse
 /// each multiply-subtract and agree with it to a few ulps.
@@ -180,27 +172,18 @@ pub fn solve_lower_rhs_rows(l: &Matrix, bt: &Matrix) -> Result<Matrix, LinalgErr
     if n == 0 || m == 0 {
         return Ok(out);
     }
-    let starts: Vec<usize> = (0..m).step_by(RHS_BLOCK).collect();
-    let solve_block = |r0: usize| -> Vec<f64> {
+    let mut block = vec![0.0; n * RHS_BLOCK.min(m)];
+    for r0 in (0..m).step_by(RHS_BLOCK) {
         let bs = RHS_BLOCK.min(m - r0);
+        let buf = &mut block[..n * bs];
         // Pack RHS rows r0..r0+bs as the *columns* of a compact n x bs
         // buffer (the transpose happens inside this copy).
-        let mut buf = vec![0.0; n * bs];
         for (c, row) in (r0..r0 + bs).map(|r| bt.row(r)).enumerate() {
             for i in 0..n {
                 buf[i * bs + c] = row[i];
             }
         }
-        forward_sub_block(l, &mut buf, bs, None);
-        buf
-    };
-    let blocks: Vec<Vec<f64>> = if n * m >= RHS_PAR_THRESHOLD {
-        starts.par_iter().map(|&r0| solve_block(r0)).collect()
-    } else {
-        starts.iter().map(|&r0| solve_block(r0)).collect()
-    };
-    for (&r0, buf) in starts.iter().zip(&blocks) {
-        let bs = RHS_BLOCK.min(m - r0);
+        forward_sub_block(l, buf, bs, None);
         for (c, r) in (r0..r0 + bs).enumerate() {
             let dst = out.row_mut(r);
             for i in 0..n {
@@ -695,8 +678,8 @@ fn multi_rhs_solve(
             ),
         });
     }
-    // Validate the diagonal up front so the blocks can run infallibly in
-    // parallel afterwards.
+    // Validate the diagonal up front so the blocks can run infallibly
+    // afterwards.
     for i in 0..n {
         if l[(i, i)] == 0.0 {
             return Err(LinalgError::Singular { index: i });
@@ -707,23 +690,14 @@ fn multi_rhs_solve(
     if n == 0 || m == 0 {
         return Ok(out);
     }
-    let starts: Vec<usize> = (0..m).step_by(RHS_BLOCK).collect();
-    let solve_block = |j0: usize| -> Vec<f64> {
+    let mut block = vec![0.0; n * RHS_BLOCK.min(m)];
+    for j0 in (0..m).step_by(RHS_BLOCK) {
         let bs = RHS_BLOCK.min(m - j0);
-        let mut buf = vec![0.0; n * bs];
+        let buf = &mut block[..n * bs];
         for i in 0..n {
             buf[i * bs..(i + 1) * bs].copy_from_slice(&b.row(i)[j0..j0 + bs]);
         }
-        substitute(l, &mut buf, bs);
-        buf
-    };
-    let blocks: Vec<Vec<f64>> = if n * m >= RHS_PAR_THRESHOLD {
-        starts.par_iter().map(|&j0| solve_block(j0)).collect()
-    } else {
-        starts.iter().map(|&j0| solve_block(j0)).collect()
-    };
-    for (&j0, buf) in starts.iter().zip(&blocks) {
-        let bs = RHS_BLOCK.min(m - j0);
+        substitute(l, buf, bs);
         for i in 0..n {
             out.row_mut(i)[j0..j0 + bs].copy_from_slice(&buf[i * bs..(i + 1) * bs]);
         }
@@ -832,8 +806,8 @@ mod tests {
 
     #[test]
     fn solve_lower_matrix_matches_columnwise_to_roundoff() {
-        // Wide enough to cross RHS_PAR_THRESHOLD and exercise a ragged
-        // final block (RHS_BLOCK does not divide 150). The multi-RHS path
+        // Wide enough to exercise a ragged final block (RHS_BLOCK does not
+        // divide 150). The multi-RHS path
         // shares the scalar update order but may fuse multiply-subtract in
         // its FMA kernels, so the comparison allows roundoff-level error
         // (bit-identical on the portable path).

@@ -20,7 +20,7 @@
 //!    it never feeds back into any numeric computation. Enabling it must
 //!    not change a single bit of any model output (the AL determinism
 //!    guard test in `alperf-al` proves this end to end). Histogram and
-//!    counter state is kept in atomics so rayon workers record
+//!    counter state is kept in atomics so worker threads record
 //!    concurrently without perturbing the bit-identical serial reductions
 //!    the gp/al layers rely on.
 //! 3. **No external dependencies** beyond the vendored `parking_lot`
@@ -124,7 +124,7 @@ pub fn span(name: &'static str) -> SpanGuard {
 /// [`current_span`] before crossing a thread boundary) instead of this
 /// thread's innermost open span. This is how fork-join call sites keep
 /// their worker spans attached to the logical caller: parentage is
-/// otherwise thread-local, so a span opened on a rayon worker would
+/// otherwise thread-local, so a span opened on a worker thread would
 /// become a root. Children opened *under* the returned guard on the same
 /// thread still nest normally.
 #[inline]

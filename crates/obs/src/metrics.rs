@@ -1,7 +1,7 @@
 //! Counters and log-linear histograms.
 //!
 //! Both are built purely from relaxed atomics, so any number of threads —
-//! including rayon workers inside the parallel restart dispatch — can
+//! including the replicate runner's and the executors' workers — can
 //! record concurrently without locks, and the aggregate is independent of
 //! interleaving (sums and bucket counts commute). Two histograms can also
 //! be [merged](Histogram::merge), e.g. per-worker locals into a global.

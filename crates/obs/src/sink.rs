@@ -4,7 +4,7 @@
 //! record carrying the schema version; every subsequent line is either a
 //! `span` (name, thread, optional parent, start + duration in ns) or a
 //! `record` (name, thread, free-form `fields` object). Lines are written
-//! whole under one lock, so concurrent writers (rayon workers, the
+//! whole under one lock, so concurrent writers (replicate workers, the
 //! crossbeam executor pool) interleave at line granularity only.
 //!
 //! Schema `alperf-obs-v1`, field reference:

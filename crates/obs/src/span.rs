@@ -7,7 +7,7 @@
 //! constructed without touching the clock, the thread-local stack, the id
 //! counter, or the registry.
 //!
-//! Parentage is per-thread by default: a span opened inside a rayon worker
+//! Parentage is per-thread by default: a span opened inside a worker thread
 //! does not see the spawning thread's stack. Fork-join call sites that
 //! want their worker spans attached to the logical caller capture
 //! [`current`] *before* dispatch and open the worker span with

@@ -16,6 +16,7 @@ use alperf::gp::lml::{
 use alperf::gp::noise::NoiseFloor;
 use alperf::gp::optimize::{fit_gpr, GprConfig};
 use alperf::linalg::matrix::Matrix;
+use alperf::linalg::threads::{replicates, with_threads};
 
 /// The test-scale (poisson1, NP = 32) slice: a smaller campaign than the
 /// paper's.
@@ -135,6 +136,33 @@ fn noise_floor_collapse_is_tenfold_at_full_scale() {
         loose < tight / 10.0,
         "loose floor min sigma(x*) {loose:.3e} should be below a tenth of tight {tight:.3e}"
     );
+}
+
+/// Whole campaigns are the workspace's one parallel axis: short VR
+/// campaigns on the full-scale focus slice, fanned out through the
+/// replicate runner at widths 1 and 2, return identical histories in
+/// partition order.
+#[test]
+fn replicate_runner_is_bit_identical_across_widths_on_paper_data() {
+    let (x, y, cost) = focus_slice(Campaign::default());
+    let campaigns = |width: usize| {
+        with_threads(width, || {
+            replicates(4, |rep| {
+                let cfg = AlConfig {
+                    max_iters: 4,
+                    seed: rep as u64,
+                    ..AlConfig::new(gpr(NoiseFloor::recommended(), 100 + rep as u64))
+                };
+                let part = Partition::paper_default(x.nrows(), 1000 + rep as u64);
+                run_al(&x, &y, &cost, &part, &mut VarianceReduction, &cfg)
+                    .expect("AL")
+                    .history
+            })
+        })
+    };
+    let serial = campaigns(1);
+    assert!(serial.len() == 4 && serial.iter().all(|h| h.len() == 4));
+    assert_eq!(campaigns(2), serial);
 }
 
 /// Paper Fig. 6: starting from a single seed, Variance Reduction explores
