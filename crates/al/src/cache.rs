@@ -83,14 +83,30 @@ impl PoolPredictionCache {
     /// # Errors
     /// Propagates [`Gpr::predict_batch_with_cross`] failures.
     pub fn predictions(&mut self, model: &Gpr) -> Result<Vec<Prediction>, GpError> {
-        if !self.is_warm_for(model) {
+        self.warm_up(model);
+        model.predict_batch_with_cross(&self.x, self.kxb.as_ref().expect("warmed up above"))
+    }
+
+    /// The posterior means of [`PoolPredictionCache::predictions`] alone,
+    /// bit for bit, without the forward solve the variances need
+    /// ([`Gpr::predict_mean_batch_with_cross`]).
+    ///
+    /// # Errors
+    /// Propagates [`Gpr::predict_mean_batch_with_cross`] failures.
+    pub fn means(&mut self, model: &Gpr) -> Result<Vec<f64>, GpError> {
+        self.warm_up(model);
+        model.predict_mean_batch_with_cross(self.kxb.as_ref().expect("warmed up above"))
+    }
+
+    /// Rebuild the cross-covariance unless it is warm for `model`.
+    fn warm_up(&mut self, model: &Gpr) {
+        if self.is_warm_for(model) {
+            alperf_obs::inc("al.cache.hit");
+        } else {
             alperf_obs::inc("al.cache.rebuild");
             self.kxb = Some(model.kernel().cross_matrix(&self.x, model.x_train()));
             self.params = model.kernel().params();
-        } else {
-            alperf_obs::inc("al.cache.hit");
         }
-        model.predict_batch_with_cross(&self.x, self.kxb.as_ref().expect("assembled above"))
     }
 
     /// Remove candidate `pos` (the row just promoted into the training
@@ -152,9 +168,14 @@ mod tests {
         .unwrap()
     }
 
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
     /// Replay an AL-like sequence (predict, pick, swap-remove, extend) and
     /// check the incrementally maintained cache stays bit-identical to a
-    /// cold cache rebuilt from scratch every iteration.
+    /// cold cache rebuilt from scratch every iteration, for the full
+    /// predictions and for the means alone.
     #[test]
     fn incremental_updates_match_cold_rebuild() {
         let n_pool = 12;
@@ -173,6 +194,16 @@ mod tests {
                 .unwrap();
             assert_eq!(cached, cold, "step {step} diverged");
             assert!(warm.is_warm_for(&model) || step == 0);
+            // The means-only path reads the same warm matrix and returns
+            // the cold predictions' means bit for bit.
+            let means = warm.means(&model).unwrap();
+            let cold_means: Vec<f64> = cold.iter().map(|p| p.mean).collect();
+            assert_eq!(bits(&means), bits(&cold_means), "step {step} means");
+            assert_eq!(
+                bits(&model.predict_mean_batch(&pool).unwrap()),
+                bits(&cold_means),
+                "step {step} uncached means"
+            );
 
             // Promote candidate `pos` into the training set.
             let pos = step % warm.len();

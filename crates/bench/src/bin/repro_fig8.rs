@@ -49,9 +49,9 @@ fn batch(
             .with_seed(200 + rep as u64);
         let cfg = AlConfig {
             max_iters: usize::MAX, // run to pool exhaustion, like the paper
-            // Hyperparameters are re-optimized every 4th iteration once
-            // the training set is large (the model is re-conditioned on
-            // new data every iteration regardless).
+            // Once the training set passes 30 rows the refit trigger
+            // tests the hyperparameters every 4th iteration (the model is
+            // re-conditioned on new data every iteration regardless).
             refit_every: 4,
             seed: rep as u64,
             ..AlConfig::new(gpr)

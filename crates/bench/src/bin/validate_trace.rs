@@ -12,7 +12,8 @@
 //!   declares a parent resolves to it, including spans emitted on worker
 //!   threads (the cross-thread parentage invariant);
 //! * `al.iteration` records carry the per-iteration payload and a
-//!   strictly increasing `iter` per `run` id.
+//!   strictly increasing `iter` per `run` id, and the refit trigger's
+//!   `stale_pg` is finite wherever present.
 //!
 //! Exit codes: 0 valid; 1 malformed content or violated invariant;
 //! 2 usage; 3 unreadable input; 4 empty trace; 5 unknown schema.
@@ -38,6 +39,11 @@ fn check_iterations(trace: &Trace) -> Result<usize, String> {
         }
         rec.str("refit")
             .ok_or("al.iteration record missing \"refit\"")?;
+        // The refit trigger's statistic, on the iterations that ran its
+        // test: a non-finite value is encoded as null and fails here.
+        if rec.fields.contains_key("stale_pg") && !f("stale_pg")?.is_finite() {
+            return Err("al.iteration record with a non-finite \"stale_pg\"".into());
+        }
         let run = f("run")? as u64;
         let iter = f("iter")? as u64;
         if let Some(&prev) = last_iter.get(&run) {

@@ -48,9 +48,11 @@ pub struct AnalysisConfig {
     pub restarts: usize,
     /// AL iterations per run.
     pub max_iters: usize,
-    /// Re-optimize GPR hyperparameters every this many iterations (1 =
-    /// every iteration, the paper's behaviour; the model is still
-    /// re-conditioned on new data every iteration either way).
+    /// How often the AL loop's refit trigger tests the GPR
+    /// hyperparameters once the training set passes 30 rows (1 = every
+    /// iteration; see `AlConfig::refit_every`). Up to 30 rows every
+    /// iteration re-optimizes, and the model is re-conditioned on new data
+    /// every iteration either way.
     pub hyper_refit_every: usize,
     /// Base RNG seed.
     pub seed: u64,

@@ -207,6 +207,48 @@ impl Gpr {
         self.predict_batch_with_cross(xs, &kxt)
     }
 
+    /// The posterior means of [`Gpr::predict_batch`] alone: the same
+    /// cross-covariance and `K_* alpha` matvec, bit for bit, without the
+    /// `O(n^2 m)` forward solve the variances need. Each row's cross
+    /// covariance and dot product are independent of the others, so the
+    /// batch needs no chunking to match.
+    ///
+    /// # Errors
+    /// [`GpError::Dimension`] when `xs` has the wrong number of columns.
+    pub fn predict_mean_batch(&self, xs: &Matrix) -> Result<Vec<f64>, GpError> {
+        if xs.nrows() == 0 {
+            return Ok(Vec::new());
+        }
+        if xs.ncols() != self.x.ncols() {
+            return Err(GpError::Dimension(format!(
+                "query has {} dims, training data has {}",
+                xs.ncols(),
+                self.x.ncols()
+            )));
+        }
+        self.predict_mean_batch_with_cross(&self.kernel.cross_matrix(xs, &self.x))
+    }
+
+    /// [`Gpr::predict_mean_batch`] with a caller-supplied cross-covariance
+    /// `kxt = K(X_*, X)`, as [`Gpr::predict_batch_with_cross`] takes it.
+    ///
+    /// # Errors
+    /// [`GpError::Dimension`] when `kxt` does not have `n_train` columns.
+    pub fn predict_mean_batch_with_cross(&self, kxt: &Matrix) -> Result<Vec<f64>, GpError> {
+        if kxt.ncols() != self.x.nrows() {
+            return Err(GpError::Dimension(format!(
+                "cross-covariance has {} columns, expected {}",
+                kxt.ncols(),
+                self.x.nrows()
+            )));
+        }
+        let mu_std = kxt.matvec(&self.alpha)?;
+        Ok(mu_std
+            .into_iter()
+            .map(|m| self.standardizer.inverse(m))
+            .collect())
+    }
+
     /// [`Gpr::predict_batch`] with a caller-supplied cross-covariance
     /// `kxt = K(X_*, X)` (rows = candidates, columns = training points).
     ///
@@ -287,6 +329,12 @@ impl Gpr {
     /// The standardizer applied to the response.
     pub fn standardizer(&self) -> &Standardizer {
         &self.standardizer
+    }
+
+    /// Training responses on the standardized scale: the targets the LML
+    /// is evaluated on.
+    pub(crate) fn y_std(&self) -> &[f64] {
+        &self.y_std
     }
 
     /// Condition-number estimate of `K_y` — large values flag numerically
@@ -511,6 +559,44 @@ mod tests {
         assert_eq!(a, b);
     }
 
+    /// The means-only path returns `predict_batch`'s means bit for bit,
+    /// across `predict_batch`'s 256-row chunks and in 2-D under ARD-SE.
+    #[test]
+    fn predict_mean_batch_matches_predict_batch_means_bit_for_bit() {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let gpr = fit_sine(0.1);
+        let xs = Matrix::from_fn(600, 1, |i, _| i as f64 * 0.013 - 1.0);
+        let want: Vec<f64> = gpr
+            .predict_batch(&xs)
+            .unwrap()
+            .iter()
+            .map(|p| p.mean)
+            .collect();
+        assert_eq!(bits(&gpr.predict_mean_batch(&xs).unwrap()), bits(&want));
+        let x2 = Matrix::from_fn(30, 2, |i, j| ((i * 3 + j) as f64 * 0.7).sin());
+        let y2: Vec<f64> = (0..30)
+            .map(|i| (i as f64 * 0.4).cos() * 5.0 + 2.0)
+            .collect();
+        let ard = crate::kernel::ArdSquaredExponential::new(vec![0.8, 1.7], 1.3);
+        let g2 = Gpr::fit(x2, &y2, Box::new(ard), 0.05, true).unwrap();
+        let q = Matrix::from_fn(300, 2, |i, j| ((i * 5 + j) as f64 * 0.37).cos() * 1.2);
+        let want: Vec<f64> = g2
+            .predict_batch(&q)
+            .unwrap()
+            .iter()
+            .map(|p| p.mean)
+            .collect();
+        assert_eq!(bits(&g2.predict_mean_batch(&q).unwrap()), bits(&want));
+        assert!(g2
+            .predict_mean_batch(&Matrix::zeros(0, 2))
+            .unwrap()
+            .is_empty());
+        assert!(matches!(
+            g2.predict_mean_batch(&Matrix::zeros(2, 3)),
+            Err(GpError::Dimension(_))
+        ));
+    }
+
     #[test]
     fn empty_training_rejected() {
         let x = Matrix::zeros(0, 0);
@@ -684,6 +770,109 @@ mod tests {
         assert_eq!(up.n_train(), 21);
         assert_eq!(up.standardizer(), gpr.standardizer());
         assert!(up.predict_one(&[7.0]).unwrap().mean.is_finite());
+    }
+
+    /// `|a - b| <= 1e-10 max(|a|, |b|)` elementwise, over the larger of
+    /// the two slices' magnitudes.
+    fn close(a: &[f64], b: &[f64]) -> bool {
+        let scale = a.iter().chain(b).fold(0.0f64, |m, v| m.max(v.abs()));
+        a.len() == b.len() && a.iter().zip(b).all(|(x, y)| (x - y).abs() <= 1e-10 * scale)
+    }
+
+    /// The rank-one path on degenerate inputs: duplicate rows under the
+    /// 1e-8 floor, constant y, n in {1, 2}, y spanning five decades, and
+    /// hyperparameters on the optimizer's bounds. `Cholesky::extend` and
+    /// `Gpr::with_observation` either fail typed or give a finite model
+    /// whose factor, alpha and LML match a refactorization of the grown set
+    /// (`Gpr::fit` at the same hyperparameters) within 1e-10 relative.
+    #[test]
+    fn rank_one_path_on_degenerate_inputs_matches_a_refactorization_or_fails_typed() {
+        let col = |v: &[f64]| Matrix::from_vec(v.len(), 1, v.to_vec()).unwrap();
+        let decades: Vec<f64> = (0..6).map(|i| 10f64.powi(i)).collect();
+        // (name, x, y, new x, new y)
+        let cases: Vec<(&str, Matrix, Vec<f64>, f64, f64)> = vec![
+            ("n = 1", col(&[0.5]), vec![3.0], 1.5, 2.0),
+            ("n = 2", col(&[0.0, 1.0]), vec![1.0, 2.0], 2.0, 1.5),
+            (
+                "duplicate row",
+                col(&[0.0, 1.0, 2.0, 3.0]),
+                vec![0.0, 1.0, 0.5, 2.0],
+                1.0,
+                1.2,
+            ),
+            (
+                "duplicate rows in the prefix",
+                col(&[0.0, 1.0, 1.0, 2.0]),
+                vec![0.0, 1.0, 1.5, 2.0],
+                1.0,
+                0.5,
+            ),
+            (
+                "constant y",
+                col(&[0.0, 1.0, 2.0, 3.0]),
+                vec![4.2; 4],
+                1.7,
+                4.2,
+            ),
+            (
+                "y spanning five decades",
+                col(&[0.0, 1.0, 2.0, 3.0, 4.0, 5.0]),
+                decades,
+                2.5,
+                3e4,
+            ),
+        ];
+        // Kernel log-parameters: interior, and each end of the default box
+        // `[ln 1e-5, ln 1e5]`.
+        let edge = 11.512925464970229;
+        let thetas = [[0.0, 0.0], [edge, 0.0], [-edge, 0.0], [0.0, -edge]];
+        let (mut matched, mut typed) = (0, 0);
+        for (name, x, y, x_new, y_new) in &cases {
+            for theta in thetas {
+                for noise in [1e-8, 0.1] {
+                    let case = format!("{name}, theta {theta:?}, sigma_n {noise:e}");
+                    let mut kernel = SquaredExponential::unit();
+                    kernel.set_params(&theta);
+                    let Ok(base) = Gpr::fit(x.clone(), y, Box::new(kernel.clone()), noise, false)
+                    else {
+                        typed += 1;
+                        continue;
+                    };
+                    let grown_x = x.with_row(&[*x_new]).unwrap();
+                    let mut grown_y = y.clone();
+                    grown_y.push(*y_new);
+                    let refit = Gpr::fit(grown_x, &grown_y, Box::new(kernel), noise, false);
+                    let kvec = lml::covariance_vector(base.kernel(), &base.x, &[*x_new]);
+                    let diag = base.kernel().diag_value(&[*x_new]) + noise * noise;
+                    let extended = base.chol.extend(&kvec, diag);
+                    let incremental = base.with_observation(&[*x_new], *y_new);
+                    match (extended, incremental) {
+                        (Ok(chol), Ok(inc)) => {
+                            let refit = refit.unwrap_or_else(|e| panic!("{case}: refit {e:?}"));
+                            let (l, want) = (inc.chol.factor(), refit.chol.factor());
+                            assert_eq!(chol.factor(), l, "{case}: extend vs with_observation");
+                            assert!(close(l.as_slice(), want.as_slice()), "{case}: factor");
+                            assert!(inc.alpha.iter().all(|v| v.is_finite()), "{case}");
+                            assert!(close(&inc.alpha, &refit.alpha), "{case}: alpha");
+                            assert!(inc.lml.is_finite(), "{case}: lml {}", inc.lml);
+                            assert!(close(&[inc.lml], &[refit.lml]), "{case}: lml");
+                            let p = inc.predict_one(&[0.3]).unwrap();
+                            assert!(p.mean.is_finite() && p.std.is_finite(), "{case}");
+                            matched += 1;
+                        }
+                        (Err(e), Err(GpError::Linalg(f))) => {
+                            assert_eq!(e, f, "{case}");
+                            typed += 1;
+                        }
+                        (e, i) => panic!("{case}: extend {e:?} vs with_observation {:?}", i.err()),
+                    }
+                }
+            }
+        }
+        assert!(
+            matched > 20 && typed > 0,
+            "{matched} matched, {typed} typed"
+        );
     }
 
     #[test]

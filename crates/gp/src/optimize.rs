@@ -25,7 +25,7 @@ use crate::kernel::Kernel;
 use crate::lml::{FitCache, LmlWorkspace};
 use crate::model::{GpError, Gpr};
 use crate::noise::NoiseFloor;
-use alperf_linalg::{matrix::Matrix, stats::Standardizer, vector::dot};
+use alperf_linalg::{matrix::Matrix, stats::Standardizer, vector::dot, LinalgError};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -200,6 +200,18 @@ fn blocked(theta: f64, (lo, hi): (f64, f64), dir: f64) -> bool {
     (theta <= lo && dir < 0.0) || (theta >= hi && dir > 0.0)
 }
 
+/// Infinity norm of the gradient `g` at `theta` projected on the box
+/// `bounds`: the components [`blocked`] at a bound count as zero. The
+/// statistic [`ascend`] stops on.
+fn projected_norm(theta: &[f64], bounds: &[(f64, f64)], g: &[f64]) -> f64 {
+    theta
+        .iter()
+        .zip(bounds)
+        .zip(g)
+        .filter(|((&t, &b), &gj)| !blocked(t, b, gj))
+        .fold(0.0f64, |a, (_, gj)| a.max(gj.abs()))
+}
+
 /// BFGS update of the inverse Hessian `h` (row-major `m x m`) of the
 /// negated objective from the step `s` and gradient change `y`, with
 /// `rho = 1 / s^T y`: `H+ = (I - rho s y^T) H (I - rho y s^T) + rho s s^T`.
@@ -276,7 +288,7 @@ fn ascend(
             .zip(&fixed)
             .map(|(&gj, &fj)| if fj { 0.0 } else { gj })
             .collect();
-        let pg_norm = pg.iter().fold(0.0f64, |a, v| a.max(v.abs()));
+        let pg_norm = projected_norm(&theta, bounds, &g);
         if pg_norm < grad_tol {
             break (true, pg_norm);
         }
@@ -352,7 +364,8 @@ fn ascend(
 
 /// One restart's LML objective: its own kernel clone and [`LmlWorkspace`],
 /// and the counts `gp.fit.done` reports. Each evaluation sets the kernel's
-/// parameters once, value and gradient alike.
+/// parameters once, value and gradient alike. [`projected_grad_norm`]
+/// evaluates through it too, so its evaluations count as a fit's.
 struct Restart<'a> {
     kernel: Box<dyn Kernel>,
     ws: LmlWorkspace<'a>,
@@ -375,22 +388,30 @@ impl Restart<'_> {
         self.kernel.set_params(&theta[..self.nk]);
         noise_at(theta, self.nk, self.fixed_noise)
     }
+
+    /// [`Objective::value`], keeping the workspace's error.
+    fn try_value(&mut self, theta: &[f64]) -> Result<f64, LinalgError> {
+        self.counts.values += 1;
+        let noise = self.set(theta);
+        self.ws.value(self.kernel.as_ref(), noise)
+    }
+
+    /// [`Objective::grad`], keeping the workspace's error.
+    fn try_grad(&mut self, theta: &[f64]) -> Result<Vec<f64>, LinalgError> {
+        self.counts.gradients += 1;
+        let noise = self.set(theta);
+        let optimize_noise = self.fixed_noise.is_none();
+        self.ws.grad(self.kernel.as_ref(), noise, optimize_noise)
+    }
 }
 
 impl Objective for Restart<'_> {
     fn value(&mut self, theta: &[f64]) -> Option<f64> {
-        self.counts.values += 1;
-        let noise = self.set(theta);
-        self.ws.value(self.kernel.as_ref(), noise).ok()
+        self.try_value(theta).ok()
     }
 
     fn grad(&mut self, theta: &[f64]) -> Option<Vec<f64>> {
-        self.counts.gradients += 1;
-        let noise = self.set(theta);
-        let optimize_noise = self.fixed_noise.is_none();
-        self.ws
-            .grad(self.kernel.as_ref(), noise, optimize_noise)
-            .ok()
+        self.try_grad(theta).ok()
     }
 }
 
@@ -408,6 +429,82 @@ impl std::ops::AddAssign for Counts {
         self.gradients += c.gradients;
         self.jitter_retries += c.jitter_retries;
     }
+}
+
+/// The log-space box [`fit_gpr`] searches on `n` training points: the
+/// kernel bounds (or [`DEFAULT_BOUND`]), then `sigma_n`'s `[floor, upper]`
+/// when the noise level is optimized.
+fn search_box(config: &GprConfig, n: usize) -> Vec<(f64, f64)> {
+    let nk = config.kernel.n_params();
+    let mut bounds: Vec<(f64, f64)> = if config.kernel_bounds.is_empty() {
+        vec![DEFAULT_BOUND; nk]
+    } else {
+        assert_eq!(
+            config.kernel_bounds.len(),
+            nk,
+            "kernel_bounds length must match kernel.n_params()"
+        );
+        config.kernel_bounds.clone()
+    };
+    if config.optimize_noise {
+        let noise_lo = config.noise_floor.lower_bound(n);
+        bounds.push((noise_lo.ln(), config.noise_upper.ln()));
+    }
+    bounds
+}
+
+/// Log-space slack within which a hyperparameter counts as on its bound in
+/// [`projected_grad_norm`]: a parameter [`fit_gpr`] clamped to a bound
+/// comes back from the kernel (or `sigma_n`) through an `exp`/`ln` round
+/// trip that can move it an ulp inside the box. The same relative `1e-9`
+/// as `gp.fit.done`'s `noise_at_floor` test.
+const ON_BOUND: f64 = 1e-9;
+
+/// Infinity norm of the projected LML gradient at `model`'s
+/// hyperparameters, on the model's own training set, in the box
+/// [`fit_gpr`] would search under `config` at that size, shrunk by 1e-9
+/// so that a hyperparameter clamped to a bound counts as on it: the
+/// statistic the ascent stops on once it falls below `grad_tol`.
+///
+/// Costs one LML value and one gradient evaluation (`O(n^3)`), made as a
+/// fit's restart makes them: each sets a clone of the model's kernel to
+/// the model's hyperparameters, so a kernel that counts `set_params` calls
+/// counts them as two LML evaluations, and both add to the
+/// `gp.stale_test.lml_evaluations` counter.
+///
+/// # Errors
+/// [`GpError::Linalg`] when `model`'s kernel has no distance form, when
+/// the covariance cannot be factored even with jitter, or when the
+/// gradient is not finite.
+pub fn projected_grad_norm(model: &Gpr, config: &GprConfig) -> Result<f64, GpError> {
+    let kernel = model.kernel();
+    let mut theta = kernel.params();
+    let fixed_noise = if config.optimize_noise {
+        theta.push(model.noise_std().ln());
+        None
+    } else {
+        Some(model.noise_std())
+    };
+    let cache = FitCache::build(kernel, model.x_train());
+    let mut obj = Restart {
+        kernel: kernel.clone_box(),
+        ws: LmlWorkspace::new(&cache, model.y_std())?,
+        nk: kernel.n_params(),
+        fixed_noise,
+        counts: Counts::default(),
+    };
+    let g = obj.try_value(&theta).and_then(|_| obj.try_grad(&theta));
+    let evals = obj.counts.values + obj.counts.gradients;
+    alperf_obs::add("gp.stale_test.lml_evaluations", evals as u64);
+    let g = g?;
+    if g.iter().any(|v| !v.is_finite()) {
+        return Err(GpError::Linalg(LinalgError::NonFinite { op: "lml_grad" }));
+    }
+    let inner: Vec<(f64, f64)> = search_box(config, model.n_train())
+        .into_iter()
+        .map(|(lo, hi)| (lo + ON_BOUND, hi - ON_BOUND))
+        .collect();
+    Ok(projected_norm(&theta, &inner, &g))
 }
 
 /// Fit a GPR with marginal-likelihood hyperparameter optimization (Eq. 13).
@@ -457,20 +554,8 @@ pub fn fit_gpr(x: &Matrix, y: &[f64], config: &GprConfig) -> Result<(Gpr, OptimO
     let y_std = standardizer.apply_vec(y);
 
     let nk = config.kernel.n_params();
-    let mut bounds: Vec<(f64, f64)> = if config.kernel_bounds.is_empty() {
-        vec![DEFAULT_BOUND; nk]
-    } else {
-        assert_eq!(
-            config.kernel_bounds.len(),
-            nk,
-            "kernel_bounds length must match kernel.n_params()"
-        );
-        config.kernel_bounds.clone()
-    };
+    let bounds = search_box(config, x.nrows());
     let noise_lo = config.noise_floor.lower_bound(x.nrows());
-    if config.optimize_noise {
-        bounds.push((noise_lo.ln(), config.noise_upper.ln()));
-    }
 
     if config.kernel.distance_form().is_none() {
         return Err(GpError::Dimension(
@@ -583,6 +668,8 @@ pub fn fit_gpr(x: &Matrix, y: &[f64], config: &GprConfig) -> Result<(Gpr, OptimO
 mod tests {
     use super::*;
     use crate::kernel::SquaredExponential;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
 
     fn smooth_data(n: usize) -> (Matrix, Vec<f64>) {
         let xs: Vec<f64> = (0..n).map(|i| i as f64 * 0.4).collect();
@@ -924,6 +1011,100 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// At a fit's optimum the statistic is the ascent's own stopping
+    /// statistic, also with `sigma_n` clamped to its floor (an `exp`/`ln`
+    /// round trip away from the bound); adding points from a much wigglier
+    /// function makes it large.
+    #[test]
+    fn projected_grad_norm_is_the_ascents_stopping_statistic() {
+        let (x, y) = noisy_data(30, 5);
+        for floor in [NoiseFloor::Fixed(1e-3), NoiseFloor::Fixed(0.9)] {
+            let cfg = GprConfig::new(Box::new(SquaredExponential::unit()))
+                .with_noise_floor(floor)
+                .with_restarts(2)
+                .with_standardize(false);
+            let (model, out) = fit_gpr(&x, &y, &cfg).unwrap();
+            assert!(out.converged, "{out:?}");
+            let pg = projected_grad_norm(&model, &cfg).unwrap();
+            assert!((pg - out.pg_norm).abs() <= 1e-9, "{pg} vs {}", out.pg_norm);
+            assert!(pg < cfg.grad_tol, "{pg}");
+        }
+        // The 0.9 floor binds: sigma_n sits on it and its gradient points
+        // out of the box.
+        let cfg = GprConfig::new(Box::new(SquaredExponential::unit()))
+            .with_noise_floor(NoiseFloor::Fixed(0.9))
+            .with_standardize(false);
+        let (model, _) = fit_gpr(&x, &y, &cfg).unwrap();
+        assert!(model.noise_std() <= 0.9 * (1.0 + 1e-9));
+        // Grown by points of a function with a tenth of the length scale,
+        // at the same hyperparameters: the gradient says they are stale.
+        let extra: Vec<f64> = (0..10).map(|i| 0.2 + i as f64 * 1.1).collect();
+        let mut xs = x.clone();
+        let mut ys = y.clone();
+        for v in &extra {
+            xs = xs.with_row(&[*v]).unwrap();
+            ys.push((7.0 * v).sin() * 3.0);
+        }
+        let kernel = model.kernel().clone_box();
+        let grown = Gpr::fit(xs, &ys, kernel, model.noise_std(), false).unwrap();
+        assert!(projected_grad_norm(&grown, &cfg).unwrap() > 1.0);
+    }
+
+    /// Squared exponential whose clones share one count of `set_params`
+    /// calls.
+    #[derive(Clone)]
+    struct Counted(SquaredExponential, Arc<AtomicUsize>);
+
+    impl Kernel for Counted {
+        fn eval(&self, a: &[f64], b: &[f64]) -> f64 {
+            self.0.eval(a, b)
+        }
+        fn n_params(&self) -> usize {
+            self.0.n_params()
+        }
+        fn params(&self) -> Vec<f64> {
+            self.0.params()
+        }
+        fn set_params(&mut self, p: &[f64]) {
+            self.1.fetch_add(1, Ordering::Relaxed);
+            self.0.set_params(p);
+        }
+        fn param_names(&self) -> Vec<String> {
+            self.0.param_names()
+        }
+        fn grad(&self, a: &[f64], b: &[f64]) -> Vec<f64> {
+            self.0.grad(a, b)
+        }
+        fn clone_box(&self) -> Box<dyn Kernel> {
+            Box::new(self.clone())
+        }
+        fn distance_form(&self) -> Option<crate::kernel::DistanceForm> {
+            self.0.distance_form()
+        }
+    }
+
+    /// The statistic's value and gradient evaluations each set the
+    /// kernel's parameters once, as a fit's are, so a kernel that counts
+    /// `set_params` calls counts the test as two LML evaluations; the
+    /// model's own kernel is not touched.
+    #[test]
+    fn projected_grad_norm_counts_as_two_lml_evaluations() {
+        let (x, y) = noisy_data(20, 3);
+        let calls = Arc::new(AtomicUsize::new(0));
+        let kernel = Counted(SquaredExponential::new(1.3, 0.9), calls.clone());
+        let model = Gpr::fit(x, &y, Box::new(kernel.clone()), 0.2, false).unwrap();
+        let before = model.kernel().params();
+        for optimize_noise in [true, false] {
+            let mut cfg = GprConfig::new(Box::new(kernel.clone())).with_standardize(false);
+            cfg.optimize_noise = optimize_noise;
+            calls.store(0, Ordering::Relaxed);
+            let pg = projected_grad_norm(&model, &cfg).unwrap();
+            assert!(pg.is_finite() && pg > 0.0, "{pg}");
+            assert_eq!(calls.load(Ordering::Relaxed), 2);
+        }
+        assert_eq!(model.kernel().params(), before);
     }
 
     #[test]

@@ -724,6 +724,14 @@ impl Cholesky {
     /// point extends `K_y` exactly this way, so the AL loop can recondition
     /// in `O(n^2)` instead of refactoring in `O(n^3)`.
     ///
+    /// The new row runs the left-looking sweep's operations in its order:
+    /// each off-diagonal entry is a forward substitution with `k`
+    /// ascending, and the pivot starts from `alpha + j` and subtracts one
+    /// rounded square at a time. So when the grown matrix factors on the
+    /// same jitter rung, the extension equals its refactorization bit for
+    /// bit; a pivot that rounds to `<= 0` is the one the refactorization
+    /// fails on, however close to singular the new row is.
+    ///
     /// # Errors
     /// [`LinalgError::NotPositiveDefinite`] if the extended matrix is not
     /// PD (`alpha + j - ||L^{-1} a||^2 <= 0`);
@@ -737,7 +745,10 @@ impl Cholesky {
             });
         }
         let z = solve_lower(&self.l, a)?;
-        let d2 = alpha + self.jitter - crate::vector::dot(&z, &z);
+        let mut d2 = alpha + self.jitter;
+        for v in &z {
+            d2 -= v * v;
+        }
         if d2 <= 0.0 || !d2.is_finite() {
             return Err(LinalgError::NotPositiveDefinite {
                 pivot: n,
@@ -1019,6 +1030,81 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// Extending the factor of a squared-exponential covariance's leading
+    /// block by its last row, on degenerate inputs: duplicate rows under a
+    /// `sigma^2 = 1e-16` diagonal, an all-equal (rank-one) matrix, orders 1
+    /// and 2, and orders on both sides of the tiled kernel's threshold. The
+    /// extension fails typed exactly when the grown matrix needs a higher
+    /// jitter rung than its leading block, and otherwise equals the grown
+    /// matrix's own factorization: bit for bit without jitter, within
+    /// 1e-10 relative with it (the ladder's jitter is scaled by the mean
+    /// diagonal, which can round differently at the two orders).
+    #[test]
+    fn extend_matches_refactorization_or_fails_typed_on_degenerate_inputs() {
+        let se = |x: &[f64], noise2: f64| {
+            Matrix::from_fn(x.len(), x.len(), |i, j| {
+                let d = x[i] - x[j];
+                (-0.5 * d * d).exp() + if i == j { noise2 } else { 0.0 }
+            })
+        };
+        let spread =
+            |n: usize| -> Vec<f64> { (0..n).map(|i| (i as f64 * 0.77).sin() * 3.0).collect() };
+        let mut cases: Vec<(String, Vec<f64>)> = vec![
+            ("n = 1".into(), vec![0.3, 1.1]),
+            ("n = 2".into(), vec![0.0, 1.0, 2.5]),
+            ("duplicate new row".into(), vec![0.0, 1.0, 2.0, 1.0]),
+            (
+                "duplicates in the prefix".into(),
+                vec![0.0, 1.0, 1.0, 2.0, 1.0],
+            ),
+            ("rank one".into(), vec![0.0; 5]),
+        ];
+        for n in [12, 13, 14, 40] {
+            let mut x = spread(n);
+            cases.push((format!("order {n}"), x.clone()));
+            x.push(x[n / 2]);
+            cases.push((format!("order {n}, duplicate new row"), x));
+        }
+        let (mut same, mut typed) = (0, 0);
+        for (name, x) in &cases {
+            for noise2 in [1e-16, 1e-2] {
+                let case = format!("{name}, sigma^2 {noise2:e}");
+                let a = se(x, noise2);
+                let n = x.len() - 1;
+                let lead = Matrix::from_fn(n, n, |i, j| a[(i, j)]);
+                let prefix = Cholesky::decompose_jittered(&lead, 1e-10, 8).unwrap();
+                let grown = Cholesky::decompose_jittered(&a, 1e-10, 8).unwrap();
+                let col: Vec<f64> = (0..n).map(|j| a[(n, j)]).collect();
+                match prefix.extend(&col, a[(n, n)]) {
+                    Ok(ext) if grown.jitter() == 0.0 => {
+                        assert_eq!(ext.factor(), grown.factor(), "{case}");
+                        same += 1;
+                    }
+                    Ok(ext) => {
+                        let scale = grown
+                            .factor()
+                            .as_slice()
+                            .iter()
+                            .fold(0.0f64, |m, v| m.max(v.abs()));
+                        let diff = ext.factor().max_abs_diff(grown.factor());
+                        assert!(diff <= 1e-10 * scale, "{case}: {diff:e}");
+                        assert!(ext.log_det().is_finite(), "{case}");
+                        same += 1;
+                    }
+                    Err(e) => {
+                        assert!(
+                            matches!(e, LinalgError::NotPositiveDefinite { pivot, .. } if pivot == n),
+                            "{case}: {e:?}"
+                        );
+                        assert!(grown.jitter() > prefix.jitter(), "{case}");
+                        typed += 1;
+                    }
+                }
+            }
+        }
+        assert!(same > 10 && typed > 0, "{same} matched, {typed} typed");
     }
 
     #[test]

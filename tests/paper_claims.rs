@@ -3,8 +3,8 @@
 //! are fast, assertive versions run by `cargo test --workspace`.
 
 use alperf::al::convergence::ConvergenceDetector;
-use alperf::al::runner::{run_al, AlConfig};
-use alperf::al::strategy::VarianceReduction;
+use alperf::al::runner::{run_al, test_rmse, AlConfig};
+use alperf::al::strategy::{SelectionContext, Strategy, VarianceReduction};
 use alperf::cluster::campaign::{Campaign, COL_FREQ, COL_NP, COL_OPERATOR, COL_SIZE};
 use alperf::cluster::workload::WorkloadSpec;
 use alperf::data::partition::Partition;
@@ -17,6 +17,7 @@ use alperf::gp::noise::NoiseFloor;
 use alperf::gp::optimize::{fit_gpr, GprConfig};
 use alperf::linalg::matrix::Matrix;
 use alperf::linalg::threads::{replicates, with_threads};
+use rand::rngs::StdRng;
 
 /// The test-scale (poisson1, NP = 32) slice: a smaller campaign than the
 /// paper's.
@@ -135,6 +136,80 @@ fn noise_floor_collapse_is_tenfold_at_full_scale() {
     assert!(
         loose < tight / 10.0,
         "loose floor min sigma(x*) {loose:.3e} should be below a tenth of tight {tight:.3e}"
+    );
+}
+
+/// Records, per proposal, the training-set size and the bits of the
+/// model's hyperparameters and noise level, then delegates.
+struct ThetaLog {
+    inner: VarianceReduction,
+    seen: Vec<(usize, Vec<u64>)>,
+}
+
+impl Strategy for ThetaLog {
+    fn name(&self) -> &'static str {
+        self.inner.name()
+    }
+
+    fn select(&mut self, ctx: &SelectionContext<'_>, rng: &mut StdRng) -> Option<usize> {
+        let mut theta = ctx.model.kernel().params();
+        theta.push(ctx.model.noise_std());
+        let bits = theta.iter().map(|v| v.to_bits()).collect();
+        self.seen.push((ctx.train.len(), bits));
+        self.inner.select(ctx, rng)
+    }
+}
+
+/// The refit trigger on the paper's data: repetition 0 of `repro_fig7`'s
+/// full-scale campaign under the recommended 1e-1 floor (Fig. 7b), 60
+/// iterations from one seed row. Above 30 training rows the loop extends
+/// the model at fixed hyperparameters in at least half of the iterations,
+/// and the model of its last iteration predicts the test set within 2% of
+/// the RMSE of a fresh 3-restart fit on the same training set.
+#[test]
+fn refit_trigger_extends_above_thirty_rows_and_keeps_rmse_on_paper_data() {
+    let (x, y, cost) = focus_slice(Campaign::default());
+    let gpr = GprConfig::new(Box::new(ArdSquaredExponential::unit(2)))
+        .with_noise_floor(NoiseFloor::recommended())
+        .with_restarts(3)
+        .with_kernel_bounds(paper_kernel_bounds(2))
+        .with_standardize(false)
+        .with_seed(100);
+    let cfg = AlConfig {
+        max_iters: 60,
+        seed: 0,
+        ..AlConfig::new(gpr.clone())
+    };
+    let part = Partition::paper_default(x.nrows(), 1000);
+    let mut log = ThetaLog {
+        inner: VarianceReduction,
+        seen: Vec::new(),
+    };
+    let run = run_al(&x, &y, &cost, &part, &mut log, &cfg).expect("AL");
+    assert_eq!(run.history.len(), 60);
+    let above: Vec<bool> = log
+        .seen
+        .windows(2)
+        .filter(|w| w[1].0 > 30)
+        .map(|w| w[1].1 == w[0].1)
+        .collect();
+    let extended = above.iter().filter(|&&same| same).count();
+    assert_eq!(above.len(), 30);
+    assert!(
+        2 * extended >= above.len(),
+        "extended at fixed hyperparameters in {extended} of {} iterations above n = 30",
+        above.len()
+    );
+    let last = run.history.last().expect("60 iterations");
+    let kept_train = &run.final_train[..run.final_train.len() - 1];
+    let xs = x.select_rows(kept_train);
+    let ys: Vec<f64> = kept_train.iter().map(|&i| y[i]).collect();
+    let (fresh, _) = fit_gpr(&xs, &ys, &gpr).expect("fresh fit");
+    let fresh_rmse = test_rmse(&fresh, &x, &y, &part.test);
+    assert!(
+        (last.rmse - fresh_rmse).abs() <= 0.02 * fresh_rmse,
+        "kept model's test RMSE {} vs a fresh fit's {fresh_rmse}",
+        last.rmse
     );
 }
 
