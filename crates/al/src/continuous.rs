@@ -38,21 +38,6 @@ impl Criterion {
             Criterion::Ucb => mean + 2.0 * std,
         }
     }
-
-    /// Chain rule: criterion gradient from the mean/SD gradients.
-    pub fn score_gradient(&self, grad_mean: &[f64], grad_std: &[f64]) -> Vec<f64> {
-        match self {
-            Criterion::Sigma => grad_std.to_vec(),
-            Criterion::SigmaMinusMean => {
-                grad_std.iter().zip(grad_mean).map(|(s, m)| s - m).collect()
-            }
-            Criterion::Ucb => grad_mean
-                .iter()
-                .zip(grad_std)
-                .map(|(m, s)| m + 2.0 * s)
-                .collect(),
-        }
-    }
 }
 
 /// Box-constrained continuous acquisition maximizer.
@@ -189,99 +174,6 @@ impl ContinuousAcquisition {
         }
         Ok((best_x.expect("at least one start"), best_f))
     }
-
-    /// Like [`ContinuousAcquisition::maximize`] but using *analytic
-    /// gradients* of the GP posterior (projected gradient ascent with
-    /// backtracking) — the paper's §VI "gradient-based methods, which are
-    /// available with GPR". Falls back to the pattern search when the
-    /// model's kernel has no input gradient.
-    ///
-    /// # Errors
-    /// Propagates prediction failures.
-    pub fn maximize_with_gradients(
-        &self,
-        model: &Gpr,
-        criterion: Criterion,
-    ) -> Result<(Vec<f64>, f64), GpError> {
-        // Probe gradient availability once.
-        let center: Vec<f64> = self.bounds.iter().map(|(lo, hi)| 0.5 * (lo + hi)).collect();
-        if model.predict_with_gradient(&center)?.is_none() {
-            return self.maximize(model, criterion);
-        }
-        let eval = |x: &[f64]| -> Result<(f64, Option<Vec<f64>>), GpError> {
-            match model.predict_with_gradient(x)? {
-                Some((p, gm, gs)) => Ok((
-                    criterion.score(p.mean, p.std),
-                    Some(criterion.score_gradient(&gm, &gs)),
-                )),
-                None => {
-                    // sigma = 0 exactly (on a training point): value only.
-                    let p = model.predict_one(x)?;
-                    Ok((criterion.score(p.mean, p.std), None))
-                }
-            }
-        };
-        let mut rng = StdRng::seed_from_u64(self.seed);
-        let mut best_x: Option<Vec<f64>> = None;
-        let mut best_f = f64::NEG_INFINITY;
-        for start in 0..=self.starts {
-            let mut x: Vec<f64> = if start == 0 {
-                center.clone()
-            } else {
-                self.bounds
-                    .iter()
-                    .map(|(lo, hi)| rng.gen_range(*lo..=*hi))
-                    .collect()
-            };
-            let (mut f, mut g) = eval(&x)?;
-            let mut step = self
-                .bounds
-                .iter()
-                .map(|(lo, hi)| hi - lo)
-                .fold(f64::INFINITY, f64::min)
-                * 0.25;
-            for _ in 0..self.iters {
-                let Some(grad) = g.clone() else { break };
-                let gnorm = grad.iter().fold(0.0f64, |m, v| m.max(v.abs()));
-                if gnorm < 1e-10 {
-                    break;
-                }
-                // Backtracking along the (normalized) gradient.
-                let mut accepted = false;
-                let mut local = step;
-                for _ in 0..25 {
-                    let cand: Vec<f64> = x
-                        .iter()
-                        .zip(&grad)
-                        .zip(&self.bounds)
-                        .map(|((xi, gi), (lo, hi))| (xi + local * gi / gnorm).clamp(*lo, *hi))
-                        .collect();
-                    if cand == x {
-                        break;
-                    }
-                    let (fc, gc) = eval(&cand)?;
-                    if fc > f + 1e-14 {
-                        x = cand;
-                        f = fc;
-                        g = gc;
-                        accepted = true;
-                        break;
-                    }
-                    local *= 0.5;
-                }
-                if accepted {
-                    step = local * 2.0;
-                } else {
-                    break;
-                }
-            }
-            if f > best_f {
-                best_f = f;
-                best_x = Some(x);
-            }
-        }
-        Ok((best_x.expect("at least one start"), best_f))
-    }
 }
 
 #[cfg(test)]
@@ -366,43 +258,6 @@ mod tests {
         let a = acq.maximize(&gpr, Criterion::SigmaMinusMean).unwrap();
         let b = acq.maximize(&gpr, Criterion::SigmaMinusMean).unwrap();
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn gradient_ascent_matches_pattern_search() {
-        let gpr = model();
-        let acq = ContinuousAcquisition::new(vec![(0.0, 10.0)]);
-        for criterion in [Criterion::Sigma, Criterion::SigmaMinusMean, Criterion::Ucb] {
-            let (_, f_pat) = acq.maximize(&gpr, criterion).unwrap();
-            let (_, f_grad) = acq.maximize_with_gradients(&gpr, criterion).unwrap();
-            assert!(
-                (f_pat - f_grad).abs() <= 2e-3 * (1.0 + f_pat.abs()),
-                "{criterion:?}: pattern {f_pat} vs gradient {f_grad}"
-            );
-        }
-    }
-
-    #[test]
-    fn gradient_ascent_falls_back_without_kernel_gradients() {
-        // Matern32 has no input gradient: maximize_with_gradients must
-        // silently use exactly the pattern search and still succeed.
-        let xs = vec![2.0, 4.0, 6.0];
-        let y = vec![0.5, 0.9, 0.2];
-        let gpr = Gpr::fit(
-            Matrix::from_vec(3, 1, xs).unwrap(),
-            &y,
-            Box::new(alperf_gp::kernel::Matern32::new(1.0, 1.0)),
-            0.05,
-            false,
-        )
-        .unwrap();
-        let acq = ContinuousAcquisition::new(vec![(0.0, 10.0)]);
-        let (x_star, f_star) = acq.maximize_with_gradients(&gpr, Criterion::Sigma).unwrap();
-        assert!((0.0..=10.0).contains(&x_star[0]));
-        assert!(f_star > 0.0);
-        let (xp, fp) = acq.maximize(&gpr, Criterion::Sigma).unwrap();
-        assert_eq!(xp, x_star, "fallback must be exactly the pattern search");
-        assert_eq!(fp, f_star);
     }
 
     #[test]

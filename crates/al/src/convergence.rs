@@ -45,20 +45,6 @@ impl ConvergenceDetector {
         }
         None
     }
-
-    /// Convenience: should AL stop now, given the AMSD history so far?
-    pub fn should_stop(&self, series: &[f64]) -> bool {
-        self.converged_at(series)
-            .map(|i| i == series.len() - 1 || self.tail_converged(series))
-            .unwrap_or(false)
-    }
-
-    fn tail_converged(&self, series: &[f64]) -> bool {
-        series.len() >= self.window
-            && self
-                .converged_at(&series[series.len() - self.window..])
-                .is_some()
-    }
 }
 
 #[cfg(test)]
@@ -81,7 +67,6 @@ mod tests {
         let d = ConvergenceDetector::default();
         let series = [1.0, 0.8, 0.6, 0.4, 0.3, 0.2, 0.12, 0.05];
         assert_eq!(d.converged_at(&series), None);
-        assert!(!d.should_stop(&series));
     }
 
     #[test]
@@ -89,16 +74,6 @@ mod tests {
         let d = ConvergenceDetector::default();
         assert_eq!(d.converged_at(&[0.5, 0.5]), None);
         assert_eq!(d.converged_at(&[]), None);
-    }
-
-    #[test]
-    fn should_stop_on_stable_tail() {
-        let d = ConvergenceDetector {
-            window: 4,
-            rel_tolerance: 0.1,
-        };
-        let series = [2.0, 1.0, 0.5, 0.31, 0.30, 0.30, 0.29, 0.30];
-        assert!(d.should_stop(&series));
     }
 
     #[test]

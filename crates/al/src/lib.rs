@@ -14,12 +14,13 @@
 //!   the training set — recording the paper's three progress metrics per
 //!   iteration: `sigma_f(x*)`, AMSD over the pool, and Test-set RMSE
 //!   (Section V-B3), plus cumulative experiment cost (runtime x cores).
+//!   Its `batch` setting picks several experiments per round through
+//!   greedy fantasy updates (the paper's future-work extension for
+//!   parallel experiments).
 //! * [`tradeoff`]: cost–error tradeoff curves averaged over many random
 //!   partitions, crossover detection, and relative-error-reduction
 //!   readouts at cost multiples (the paper's 38% / 25% / 21% / 16% / 13%
 //!   series, Section V-B4 and Fig. 8b).
-//! * [`batch`]: greedy batch selection with fantasy variance updates (the
-//!   paper's future-work extension for parallel experiments).
 //! * [`advanced`]: integrated-variance (ALC) and Thompson-sampling
 //!   acquisitions built on the GP joint posterior.
 //! * [`baselines`]: static factorial / latin-hypercube designs evaluated
@@ -29,7 +30,6 @@
 
 pub mod advanced;
 pub mod baselines;
-pub mod batch;
 pub mod cache;
 pub mod continuous;
 pub mod convergence;

@@ -4,10 +4,16 @@
 //!
 //! 1. train a GPR on the Initial rows (hyperparameters optimized with the
 //!    configured noise floor — the knob behind Fig. 7);
-//! 2. each iteration: predict over the Active pool, let the strategy pick a
-//!    candidate, "run the experiment" (reveal that row's measured
-//!    response), move the row into the training set, refit;
-//! 3. per iteration, record the paper's monitoring quantities
+//! 2. each round: refit, predict over the Active pool, let the strategy
+//!    pick a candidate, "run the experiment" (reveal that row's measured
+//!    response) and move the row into the training set. A round holds
+//!    [`AlConfig::batch`] experiments (1, the paper's loop, by default):
+//!    after each pick the model is conditioned on a *fantasy* observation
+//!    of that pick (its own predicted mean, at frozen hyperparameters),
+//!    which shrinks the nearby variances as a real measurement would, and
+//!    the strategy picks again; the picks then run in ascending row order
+//!    (the §VI parallel-experiments extension);
+//! 3. per experiment, record the paper's monitoring quantities
 //!    (Section V-B3): `sigma_f(x*)` at the selected candidate, AMSD
 //!    (arithmetic mean predictive SD over the pool), Test-set RMSE (Eq. 2),
 //!    and the cumulative cost (runtime x cores) spent so far.
@@ -27,6 +33,7 @@ use alperf_obs::names;
 use alperf_obs::Value;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::ops::Range;
 
 /// Configuration of one AL run.
 pub struct AlConfig {
@@ -42,6 +49,14 @@ pub struct AlConfig {
     /// re-optimizes only when the LML gradient says they are stale
     /// (see [`STALE_PG`]).
     pub refit_every: usize,
+    /// Experiments picked per round (1, the default, is the paper's
+    /// one-at-a-time loop). Above 1 each round fills its slots with the
+    /// strategy's own selection under greedy fantasy updates at frozen
+    /// hyperparameters — the parallel-experiments extension of §VI; 0 is
+    /// rejected ([`AlError::ZeroBatch`]). A round refits once and runs any
+    /// re-optimization one of its iterations is due: the full search of
+    /// every tenth iteration, the test of every `refit_every`-th.
+    pub batch: usize,
     /// RNG seed for strategy randomness.
     pub seed: u64,
 }
@@ -53,15 +68,18 @@ impl AlConfig {
             gpr,
             max_iters: 100,
             refit_every: 1,
+            batch: 1,
             seed: 0,
         }
     }
 }
 
-/// Everything recorded about one AL iteration.
+/// Everything recorded about one AL iteration (one experiment). The
+/// experiments of one round share its model, AMSD and RMSE.
 #[derive(Debug, Clone, PartialEq)]
 pub struct IterationRecord {
-    /// Iteration number (0-based).
+    /// Iteration number (0-based): the experiment's index in the run,
+    /// lost experiments included.
     pub iter: usize,
     /// Dataset row chosen this iteration.
     pub chosen_row: usize,
@@ -69,18 +87,19 @@ pub struct IterationRecord {
     pub x: Vec<f64>,
     /// Response revealed by the "experiment".
     pub y: f64,
-    /// Predictive SD at the chosen candidate *before* adding it —
-    /// the paper's `sigma_f(x)` trace.
+    /// Predictive SD at the chosen candidate *before* adding it, as the
+    /// strategy saw it (under the round's fantasy observations after its
+    /// first pick) — the paper's `sigma_f(x)` trace.
     pub sigma_at_chosen: f64,
-    /// Arithmetic Mean of the Standard Deviation over the remaining pool.
+    /// Arithmetic Mean of the Standard Deviation over the round's pool.
     pub amsd: f64,
     /// RMSE on the Test set (Eq. 2).
     pub rmse: f64,
     /// Cumulative experiment cost after running this experiment.
     pub cumulative_cost: f64,
-    /// Log marginal likelihood of the fit used this iteration.
+    /// Log marginal likelihood of the fit used this round.
     pub lml: f64,
-    /// Fitted noise level `sigma_n` this iteration.
+    /// Fitted noise level `sigma_n` this round.
     pub noise_std: f64,
 }
 
@@ -146,6 +165,8 @@ pub enum AlError {
     Gp(GpError),
     /// The partition does not match the dataset size.
     BadPartition(String),
+    /// [`AlConfig::batch`] is 0: a round must pick at least one experiment.
+    ZeroBatch,
 }
 
 impl std::fmt::Display for AlError {
@@ -153,6 +174,7 @@ impl std::fmt::Display for AlError {
         match self {
             AlError::Gp(e) => write!(f, "GPR failure in AL loop: {e}"),
             AlError::BadPartition(s) => write!(f, "bad partition: {s}"),
+            AlError::ZeroBatch => write!(f, "batch size 0: a round picks at least one experiment"),
         }
     }
 }
@@ -214,10 +236,14 @@ pub fn run_al(
 /// experiment's fate. Under a faulty oracle the loop degrades gracefully:
 /// a [`ExperimentOutcome::Lost`] experiment is charged its cost, flagged in
 /// the telemetry stream (`al.degraded_iteration` counter + record), and
-/// removed from the pool — the next iteration re-selects from the
-/// survivors instead of aborting. Lost experiments are reported in
-/// [`AlRun::lost`]; the metric history only contains iterations that
-/// produced a measurement.
+/// removed from the pool — the next round re-selects from the survivors
+/// instead of aborting. Lost experiments are reported in [`AlRun::lost`];
+/// the metric history only contains iterations that produced a
+/// measurement.
+///
+/// Each pass of the loop is one round of up to [`AlConfig::batch`]
+/// experiments (clamped at the pool and at `max_iters`), filled with the
+/// strategy's own picks under fantasy updates (see `select_round`).
 pub fn run_al_with_oracle(
     x_all: &Matrix,
     y_all: &[f64],
@@ -239,6 +265,9 @@ pub fn run_al_with_oracle(
         return Err(AlError::BadPartition(format!(
             "partition does not cover 0..{n} exactly"
         )));
+    }
+    if config.batch == 0 {
+        return Err(AlError::ZeroBatch);
     }
     let mut train: Vec<usize> = partition.initial.clone();
     let mut pool: Vec<usize> = partition.active.clone();
@@ -271,27 +300,29 @@ pub fn run_al_with_oracle(
     }
     // Batched-prediction caches over the pool and the (fixed) test set.
     // Between hyperparameter refits these maintain K(candidates, train)
-    // incrementally — one appended column per iteration — instead of
-    // rebuilding it; see `crate::cache` for the invalidation rule.
+    // incrementally — one appended column per measured experiment —
+    // instead of rebuilding it; see `crate::cache` for the invalidation
+    // rule.
     let mut pool_cache = PoolPredictionCache::new(x_all.select_rows(&pool));
     let mut test_cache = PoolPredictionCache::new(x_all.select_rows(test));
 
     let mut warm_theta: Option<Vec<f64>> = None;
-    for iter in 0..config.max_iters {
-        if pool.is_empty() {
-            break;
-        }
-        // One span per iteration, with fit/predict/select child spans; the
-        // record's *_ns fields are the durations those spans recorded, so
-        // the trace tree decomposes al.iteration into exactly its stages.
+    // Experiments run so far, lost ones included: the next one's iteration.
+    let mut iter = 0;
+    while iter < config.max_iters && !pool.is_empty() {
+        // One span per round, with fit/predict/select child spans; the
+        // round's first record carries the durations those spans recorded,
+        // so the trace tree decomposes al.iteration into exactly its stages.
         let _iter_span = alperf_obs::span(names::AL_ITERATION);
+        // The round's experiments take iterations `iter..iter + slots`.
+        let slots = config.batch.min(config.max_iters - iter).min(pool.len());
         let fit_span = alperf_obs::span("al.iteration.fit");
         let refit = refit_step(
             config,
             x_all,
             y_all,
             &train,
-            iter,
+            iter..iter + slots,
             &mut model,
             &mut warm_theta,
         )?;
@@ -320,7 +351,6 @@ pub fn run_al_with_oracle(
         let select_span = alperf_obs::span("al.iteration.select");
         // AMSD folded directly — no per-iteration Vec of SDs.
         let amsd = predictions.iter().map(|p| p.std).sum::<f64>() / predictions.len() as f64;
-        // Strategy picks.
         let ctx = SelectionContext {
             model: m,
             x_all,
@@ -329,92 +359,108 @@ pub fn run_al_with_oracle(
             pool: &pool,
             predictions: &predictions,
         };
-        let Some(pos) = strategy.select(&ctx, &mut rng) else {
+        let mut picks = select_round(&ctx, strategy, &mut rng, slots, config.gpr.standardize)?;
+        if picks.is_empty() {
             break;
-        };
+        }
         let select_ns = select_span.finish();
-        let row = pool[pos];
-        // "Run" the experiment through the oracle. Either way its cost is
-        // charged — the paper counts failed experiments against the budget.
-        let outcome = oracle.run_experiment(row);
-        cumulative_cost += cost[row];
-        if let ExperimentOutcome::Lost { attempts } = outcome {
-            // Graceful degradation: flag the loss, drop the candidate from
-            // the pool (its measurement cannot be obtained), and re-select
-            // from the survivors next iteration. The model, training set,
-            // and cache->train mapping are untouched.
-            if obs_on {
-                alperf_obs::inc(names::AL_DEGRADED_ITERATION);
-                alperf_obs::record(
-                    names::AL_DEGRADED_ITERATION,
-                    &[
-                        ("run", Value::U64(run_id)),
-                        ("iter", Value::U64(iter as u64)),
-                        ("row", Value::U64(row as u64)),
-                        ("attempts", Value::U64(attempts as u64)),
-                        ("pool_size", Value::U64(pool.len() as u64)),
-                        ("cum_cost", Value::F64(cumulative_cost)),
-                    ],
-                );
+        // Row order within a round is not a choice: the experiments run in
+        // ascending row order.
+        picks.sort_unstable_by_key(|&(pos, _)| pool[pos]);
+        let mut stage_ns = [fit_ns, predict_ns, select_ns];
+        let measured_from = train.len();
+        for &(pos, sigma) in &picks {
+            let row = pool[pos];
+            // "Run" the experiment through the oracle. Either way its cost
+            // is charged — the paper counts failed experiments against the
+            // budget.
+            let outcome = oracle.run_experiment(row);
+            cumulative_cost += cost[row];
+            if let ExperimentOutcome::Lost { attempts } = outcome {
+                // Graceful degradation: flag the loss and drop the
+                // candidate from the pool (its measurement cannot be
+                // obtained) below; the survivors are re-selected from next
+                // round. The model and the training set are untouched.
+                if obs_on {
+                    alperf_obs::inc(names::AL_DEGRADED_ITERATION);
+                    alperf_obs::record(
+                        names::AL_DEGRADED_ITERATION,
+                        &[
+                            ("run", Value::U64(run_id)),
+                            ("iter", Value::U64(iter as u64)),
+                            ("row", Value::U64(row as u64)),
+                            ("attempts", Value::U64(attempts as u64)),
+                            ("pool_size", Value::U64(pool.len() as u64)),
+                            ("cum_cost", Value::F64(cumulative_cost)),
+                        ],
+                    );
+                }
+                lost.push(LostExperiment {
+                    iter,
+                    row,
+                    attempts,
+                    cost: cost[row],
+                });
+                iter += 1;
+                continue;
             }
-            lost.push(LostExperiment {
+            let attempts = outcome.attempts();
+            if obs_on {
+                let [fit_ns, predict_ns, select_ns] = std::mem::take(&mut stage_ns);
+                let mut fields = vec![
+                    ("run", Value::U64(run_id)),
+                    ("iter", Value::U64(iter as u64)),
+                    ("chosen_row", Value::U64(row as u64)),
+                    ("pool_size", Value::U64(pool.len() as u64)),
+                    ("refit", Value::Str(refit.kind)),
+                    ("rank", Value::U64(m.n_train() as u64)),
+                    ("fit_ns", Value::U64(fit_ns)),
+                    ("predict_ns", Value::U64(predict_ns)),
+                    ("select_ns", Value::U64(select_ns)),
+                    ("cache_warm", Value::Bool(cache_warm)),
+                    ("sigma", Value::F64(sigma)),
+                    ("amsd", Value::F64(amsd)),
+                    ("rmse", Value::F64(rmse)),
+                    ("cum_cost", Value::F64(cumulative_cost)),
+                    ("lml", Value::F64(m.lml())),
+                    ("noise", Value::F64(m.noise_std())),
+                    ("attempts", Value::U64(attempts as u64)),
+                ];
+                if let Some(pg) = refit.stale_pg {
+                    fields.push(("stale_pg", Value::F64(pg)));
+                }
+                alperf_obs::record(names::AL_ITERATION, &fields);
+                alperf_obs::inc("al.iterations");
+            }
+            history.push(IterationRecord {
                 iter,
-                row,
-                attempts,
-                cost: cost[row],
+                chosen_row: row,
+                x: x_all.row(row).to_vec(),
+                y: y_all[row],
+                sigma_at_chosen: sigma,
+                amsd,
+                rmse,
+                cumulative_cost,
+                lml: m.lml(),
+                noise_std: m.noise_std(),
             });
+            // The row's measurement joins the training set.
+            train.push(row);
+            iter += 1;
+        }
+        // Drop the picks from the pool and mirror that in the cache
+        // (descending positions stay valid under `swap_remove`), then
+        // extend K(., train) by the measured rows' columns while the kernel
+        // is still the one the caches were built under.
+        picks.sort_unstable_by_key(|&(pos, _)| std::cmp::Reverse(pos));
+        for &(pos, _) in &picks {
             pool.swap_remove(pos);
             pool_cache.swap_remove(pos);
-            continue;
         }
-        let attempts = outcome.attempts();
-        if obs_on {
-            let mut fields = vec![
-                ("run", Value::U64(run_id)),
-                ("iter", Value::U64(iter as u64)),
-                ("chosen_row", Value::U64(row as u64)),
-                ("pool_size", Value::U64(pool.len() as u64)),
-                ("refit", Value::Str(refit.kind)),
-                ("rank", Value::U64(m.n_train() as u64)),
-                ("fit_ns", Value::U64(fit_ns)),
-                ("predict_ns", Value::U64(predict_ns)),
-                ("select_ns", Value::U64(select_ns)),
-                ("cache_warm", Value::Bool(cache_warm)),
-                ("sigma", Value::F64(predictions[pos].std)),
-                ("amsd", Value::F64(amsd)),
-                ("rmse", Value::F64(rmse)),
-                ("cum_cost", Value::F64(cumulative_cost)),
-                ("lml", Value::F64(m.lml())),
-                ("noise", Value::F64(m.noise_std())),
-                ("attempts", Value::U64(attempts as u64)),
-            ];
-            if let Some(pg) = refit.stale_pg {
-                fields.push(("stale_pg", Value::F64(pg)));
-            }
-            alperf_obs::record(names::AL_ITERATION, &fields);
-            alperf_obs::inc("al.iterations");
+        for &row in &train[measured_from..] {
+            pool_cache.extend_train(x_all.row(row), m);
+            test_cache.extend_train(x_all.row(row), m);
         }
-        history.push(IterationRecord {
-            iter,
-            chosen_row: row,
-            x: x_all.row(row).to_vec(),
-            y: y_all[row],
-            sigma_at_chosen: predictions[pos].std,
-            amsd,
-            rmse,
-            cumulative_cost,
-            lml: m.lml(),
-            noise_std: m.noise_std(),
-        });
-        // "Run" the experiment: the row's measurement joins the training set.
-        pool.swap_remove(pos);
-        train.push(row);
-        // Mirror the pool change in the caches and extend K(., train) by
-        // the new point's column while the kernel is still the one the
-        // caches were built under.
-        pool_cache.swap_remove(pos);
-        pool_cache.extend_train(x_all.row(row), m);
-        test_cache.extend_train(x_all.row(row), m);
     }
     Ok(AlRun {
         strategy: strategy.name(),
@@ -422,6 +468,76 @@ pub fn run_al_with_oracle(
         final_train: train,
         lost,
     })
+}
+
+/// One round's picks, `(pool position, predictive SD the strategy saw)`:
+/// up to `slots` distinct candidates. The first is the strategy's
+/// `select` on the round's model and predictions. Each later one is its
+/// `select` over the still-open candidates after the model has been
+/// conditioned on a *fantasy* observation at the previous pick: that
+/// pick's own predicted mean, at frozen hyperparameters (a rank-one
+/// extension, or a fixed-hyperparameter refit where the extension fails;
+/// re-optimizing on invented data would be circular). A fantasy leaves the
+/// mean field unchanged and shrinks the variances near the pick exactly
+/// as a real measurement would, so the picks spread out instead of
+/// clustering. `ctx.train` stays the measured rows.
+fn select_round(
+    ctx: &SelectionContext<'_>,
+    strategy: &mut dyn Strategy,
+    rng: &mut StdRng,
+    slots: usize,
+    standardize: bool,
+) -> Result<Vec<(usize, f64)>, AlError> {
+    let Some(first) = strategy.select(ctx, rng) else {
+        return Ok(Vec::new());
+    };
+    let mut picks = vec![(first, ctx.predictions[first].std)];
+    if slots == 1 {
+        // The paper's loop builds no fantasy state, nothing pool-sized.
+        return Ok(picks);
+    }
+    let (mut pos, mut mean) = (first, ctx.predictions[first].mean);
+    // Pool positions still open, in pool order, and the fantasy training
+    // set a fixed-hyperparameter refit would start from.
+    let mut open: Vec<usize> = (0..ctx.pool.len()).collect();
+    let mut rows = ctx.train.to_vec();
+    let mut ys: Vec<f64> = rows.iter().map(|&i| ctx.y_all[i]).collect();
+    let mut fantasy: Option<Gpr> = None;
+    while picks.len() < slots {
+        open.retain(|&p| p != pos);
+        if open.is_empty() {
+            break;
+        }
+        let row = ctx.pool[pos];
+        rows.push(row);
+        ys.push(mean);
+        let current = fantasy.as_ref().unwrap_or(ctx.model);
+        let next = match current.with_observation(ctx.x_all.row(row), mean) {
+            Ok(m) => m,
+            Err(_) => Gpr::fit(
+                ctx.x_all.select_rows(&rows),
+                &ys,
+                current.kernel().clone_box(),
+                current.noise_std(),
+                standardize,
+            )?,
+        };
+        let open_rows: Vec<usize> = open.iter().map(|&p| ctx.pool[p]).collect();
+        let predictions = next.predict_batch(&ctx.x_all.select_rows(&open_rows))?;
+        let open_ctx = SelectionContext {
+            model: &next,
+            pool: &open_rows,
+            predictions: &predictions,
+            ..*ctx
+        };
+        let Some(k) = strategy.select(&open_ctx, rng) else {
+            break;
+        };
+        (pos, mean) = (open[k], predictions[k].mean);
+        picks.push((pos, predictions[k].std));
+        fantasy = Some(next);
+    }
+    Ok(picks)
 }
 
 /// Training-set size up to which every iteration re-optimizes the
@@ -456,17 +572,19 @@ struct Refit {
 /// One surrogate refit under the runner's policy. Returns the refit kind:
 ///
 /// * up to [`SEARCH_MAX_N`] training rows (and with no model yet), the
-///   hyperparameters are re-optimized every iteration: a full
-///   multi-restart search below 15 rows and every tenth iteration
+///   hyperparameters are re-optimized every round: a full multi-restart
+///   search below 15 rows and on every round that holds a tenth iteration
 ///   (`"full"`), a single ascent warm-started from the previous optimum
 ///   otherwise (`"warm"`);
 /// * above it the model is extended at fixed hyperparameters (`"rank1"`,
-///   or `"refit"` where the rank-one path does not apply). Every
-///   `refit_every`-th iteration the trigger tests the extension: when the
-///   projected LML gradient at the kept hyperparameters exceeds
-///   [`STALE_PG`] (or cannot be formed), one warm ascent from them
-///   replaces it (`"warm"`).
+///   or `"refit"` where the rank-one path does not apply). On every round
+///   that holds a `refit_every`-th iteration the trigger tests the
+///   extension: when the projected LML gradient at the kept
+///   hyperparameters exceeds [`STALE_PG`] (or cannot be formed), one warm
+///   ascent from them replaces it (`"warm"`).
 ///
+/// `iters` are the round's iteration indices, so a round of several
+/// experiments keeps both cadences; at batch 1 it is the one iteration.
 /// The caller invalidates its prediction caches iff the kind re-optimized
 /// (`"full"`/`"warm"`).
 fn refit_step(
@@ -474,16 +592,17 @@ fn refit_step(
     x_all: &Matrix,
     y_all: &[f64],
     train: &[usize],
-    iter: usize,
+    iters: Range<usize>,
     model: &mut Option<Gpr>,
     warm_theta: &mut Option<Vec<f64>>,
 ) -> Result<Refit, AlError> {
+    let holds_multiple = |k: usize| iters.clone().any(|i| i.is_multiple_of(k));
     let xs = x_all.select_rows(train);
     let ys: Vec<f64> = train.iter().map(|&i| y_all[i]).collect();
     let mut stale_pg = None;
     if let Some(prev) = model.as_ref().filter(|_| train.len() > SEARCH_MAX_N) {
         let (grown, kind) = extend(config, x_all, y_all, train, prev, &xs, &ys)?;
-        if !iter.is_multiple_of(config.refit_every.max(1)) {
+        if !holds_multiple(config.refit_every.max(1)) {
             *model = Some(grown);
             return Ok(Refit { kind, stale_pg });
         }
@@ -501,7 +620,7 @@ fn refit_step(
     const FULL_REFIT_EVERY: usize = 10;
     let full_search = warm_theta.is_none()
         || train.len() < 15
-        || (train.len() <= SEARCH_MAX_N && iter.is_multiple_of(FULL_REFIT_EVERY));
+        || (train.len() <= SEARCH_MAX_N && holds_multiple(FULL_REFIT_EVERY));
     let cfg = match warm_theta.as_ref().filter(|_| !full_search) {
         None => config.gpr.clone(),
         Some(theta) => {
@@ -534,8 +653,9 @@ fn refit_step(
 /// rank-one Cholesky extension (`"rank1"`); anything else — standardization
 /// on (the incremental path freezes the old scaler, the refit re-centers on
 /// the grown responses), an unchanged training set after a lost
-/// experiment, or a numerically indefinite extension from a duplicated
-/// point — a full `O(n^3)` fixed-hyperparameter refit (`"refit"`).
+/// experiment, several new points after a batch round, or a numerically
+/// indefinite extension from a duplicated point — a full `O(n^3)`
+/// fixed-hyperparameter refit (`"refit"`).
 fn extend(
     config: &AlConfig,
     x_all: &Matrix,
@@ -797,13 +917,13 @@ mod tests {
         cfg.refit_every = refit_every;
         let (mut model, mut theta) = (None, None);
         let mut train: Vec<usize> = (0..30).collect();
-        let first = refit_step(&cfg, &x, &y, &train, 0, &mut model, &mut theta).unwrap();
+        let first = refit_step(&cfg, &x, &y, &train, 0..1, &mut model, &mut theta).unwrap();
         assert_eq!(first.kind, "full");
         (30..50)
             .map(|row| {
                 train.push(row);
                 let iter = row - 29;
-                refit_step(&cfg, &x, &y, &train, iter, &mut model, &mut theta).unwrap()
+                refit_step(&cfg, &x, &y, &train, iter..iter + 1, &mut model, &mut theta).unwrap()
             })
             .collect()
     }
@@ -840,6 +960,218 @@ mod tests {
 
     fn kinds(refits: &[Refit]) -> Vec<&'static str> {
         refits.iter().map(|r| r.kind).collect()
+    }
+
+    /// A round runs the full search, and the trigger's test, when any of
+    /// its iterations is due one, so batch sizes that do not divide 10 or
+    /// `refit_every` keep both cadences.
+    #[test]
+    fn round_refits_when_any_of_its_iterations_is_due() {
+        let (x, y, _) = dataset(40, 14);
+        let mut cfg = config();
+        cfg.refit_every = 4;
+        let (mut model, mut theta) = (None, None);
+        let mut refit = |rows: usize, iters: Range<usize>| {
+            let train: Vec<usize> = (0..rows).collect();
+            refit_step(&cfg, &x, &y, &train, iters, &mut model, &mut theta).unwrap()
+        };
+        assert_eq!(refit(20, 0..1).kind, "full");
+        assert_eq!(refit(20, 11..14).kind, "warm");
+        assert_eq!(refit(20, 8..11).kind, "full");
+        assert_eq!(refit(20, 27..30).kind, "warm");
+        assert_eq!(refit(20, 28..31).kind, "full");
+        assert!(refit(35, 5..8).stale_pg.is_none());
+        assert!(refit(35, 6..9).stale_pg.is_some());
+    }
+
+    /// The 1-D batch fixture: 21 points on [0, 10], one training point at
+    /// the center, every other row in the pool, no test set.
+    fn center_seeded() -> (Matrix, Vec<f64>, Vec<f64>, Partition) {
+        let n = 21;
+        let x = Matrix::from_fn(n, 1, |i, _| i as f64 * 0.5);
+        let y: Vec<f64> = (0..n).map(|i| (0.3 * i as f64).sin()).collect();
+        let part = Partition {
+            initial: vec![10],
+            active: (0..n).filter(|&i| i != 10).collect(),
+            test: Vec::new(),
+        };
+        (x, y, vec![1.0; n], part)
+    }
+
+    fn batch_config(batch: usize, max_iters: usize) -> AlConfig {
+        let mut cfg = config();
+        cfg.gpr = cfg.gpr.with_standardize(false);
+        AlConfig {
+            batch,
+            max_iters,
+            ..cfg
+        }
+    }
+
+    /// Rounds of 4 pick distinct pool rows for every strategy, run them in
+    /// ascending row order under one model, and give each experiment its
+    /// own iteration index.
+    #[test]
+    fn batch_rounds_pick_distinct_pool_rows() {
+        let (x, y, cost) = dataset(40, 11);
+        let part = Partition::random(40, 2, 0.8, 6);
+        let strategies: [&mut dyn Strategy; 3] = [
+            &mut VarianceReduction,
+            &mut CostEfficiency,
+            &mut RandomSampling,
+        ];
+        for strategy in strategies {
+            let cfg = AlConfig {
+                batch: 4,
+                ..config()
+            };
+            let run = run_al(&x, &y, &cost, &part, strategy, &cfg).unwrap();
+            assert_eq!(run.history.len(), 25);
+            let rows: std::collections::BTreeSet<usize> =
+                run.history.iter().map(|r| r.chosen_row).collect();
+            assert_eq!(rows.len(), 25, "a pool row was picked twice");
+            assert!(rows.iter().all(|r| part.active.contains(r)));
+            for (k, r) in run.history.iter().enumerate() {
+                assert_eq!(r.iter, k);
+            }
+            for round in run.history.chunks(4) {
+                for w in round.windows(2) {
+                    assert!(w[0].chosen_row < w[1].chosen_row);
+                    assert_eq!((w[0].lml, w[0].amsd), (w[1].lml, w[1].amsd));
+                }
+            }
+        }
+    }
+
+    /// Fantasy updates spread a Variance Reduction batch at least as far
+    /// as the naive top-q of the round's own model, which clusters at the
+    /// edges, and cover both sides of the training point.
+    #[test]
+    fn fantasy_batch_spreads_at_least_as_far_as_naive_top_q() {
+        let (x, y, cost, part) = center_seeded();
+        let cfg = batch_config(3, 3);
+        let run = run_al(&x, &y, &cost, &part, &mut VarianceReduction, &cfg).unwrap();
+        let fantasy: Vec<f64> = run.history.iter().map(|r| r.x[0]).collect();
+        assert_eq!(fantasy.len(), 3);
+        // The runner's first round fits exactly this model.
+        let (model, _) = fit_gpr(&x.select_rows(&part.initial), &[y[10]], &cfg.gpr).unwrap();
+        let preds = model.predict_batch(&x.select_rows(&part.active)).unwrap();
+        let mut order: Vec<usize> = (0..preds.len()).collect();
+        order.sort_by(|&a, &b| preds[b].std.total_cmp(&preds[a].std));
+        let naive: Vec<f64> = order[..3]
+            .iter()
+            .map(|&p| x.row(part.active[p])[0])
+            .collect();
+        let min_gap = |v: &[f64]| {
+            let mut s = v.to_vec();
+            s.sort_by(f64::total_cmp);
+            s.windows(2)
+                .map(|w| w[1] - w[0])
+                .fold(f64::INFINITY, f64::min)
+        };
+        assert!(
+            min_gap(&fantasy) >= min_gap(&naive),
+            "fantasy batch {fantasy:?} not more spread than naive {naive:?}"
+        );
+        assert!(fantasy.iter().any(|&v| v < 5.0) && fantasy.iter().any(|&v| v > 5.0));
+    }
+
+    /// Rounds of 4 keep the one-at-a-time loop's accuracy within 3x
+    /// (+0.05) at an equal experiment count.
+    #[test]
+    fn batch_rounds_keep_accuracy_near_sequential() {
+        let (x, y, cost) = dataset(60, 13);
+        let part = Partition::random(60, 2, 0.8, 8);
+        let rmse_after_16 = |batch| {
+            // The 17th experiment is recorded with the RMSE after 16.
+            let cfg = AlConfig {
+                batch,
+                max_iters: 17,
+                ..config()
+            };
+            let run = run_al(&x, &y, &cost, &part, &mut VarianceReduction, &cfg).unwrap();
+            run.history[16].rmse
+        };
+        let (sequential, batched) = (rmse_after_16(1), rmse_after_16(4));
+        assert!(
+            batched < 3.0 * sequential + 0.05,
+            "batch 4 RMSE {batched} vs batch 1 {sequential}"
+        );
+    }
+
+    #[test]
+    fn batch_rounds_clamp_at_max_iters_and_pool_exhaustion() {
+        let (x, y, cost, part) = center_seeded();
+        // max_iters 10 at batch 4: rounds of 4, 4 and 2.
+        let run = run_al(
+            &x,
+            &y,
+            &cost,
+            &part,
+            &mut VarianceReduction,
+            &batch_config(4, 10),
+        )
+        .unwrap();
+        assert_eq!(run.history.len(), 10);
+        assert_eq!(run.history[8].amsd, run.history[9].amsd);
+        assert_ne!(run.history[7].amsd, run.history[8].amsd);
+        // A pool of 20 at batch 6: rounds of 6, 6, 6 and 2.
+        let run = run_al(
+            &x,
+            &y,
+            &cost,
+            &part,
+            &mut VarianceReduction,
+            &batch_config(6, 100),
+        )
+        .unwrap();
+        assert_eq!(run.history.len(), 20);
+        assert_eq!(run.final_train.len(), 21);
+        assert_eq!(run.history[18].amsd, run.history[19].amsd);
+        assert_ne!(run.history[17].amsd, run.history[18].amsd);
+    }
+
+    /// Lost experiments inside a round keep their iteration index, and the
+    /// measured and lost experiments together fill `max_iters`.
+    #[test]
+    fn batch_rounds_degrade_under_faults() {
+        let (x, y, cost) = dataset(60, 12);
+        let part = Partition::random(60, 2, 0.8, 7);
+        let oracle = crate::oracle::SeededFaultOracle::new(3, 0.3);
+        let cfg = AlConfig {
+            batch: 3,
+            ..config()
+        };
+        let run = run_al_with_oracle(&x, &y, &cost, &part, &mut VarianceReduction, &oracle, &cfg)
+            .unwrap();
+        assert!(!run.lost.is_empty());
+        let mut iters: Vec<usize> = run.history.iter().map(|r| r.iter).collect();
+        iters.extend(run.lost.iter().map(|l| l.iter));
+        iters.sort_unstable();
+        assert_eq!(iters, (0..25).collect::<Vec<_>>());
+        assert_eq!(run.final_train.len(), 2 + run.history.len());
+    }
+
+    #[test]
+    fn batch_inputs_are_checked() {
+        let (x, y, cost) = dataset(10, 8);
+        let part = Partition::random(10, 1, 0.8, 0);
+        let cfg = AlConfig {
+            batch: 4,
+            ..config()
+        };
+        assert!(matches!(
+            run_al(&x, &y, &cost[..5], &part, &mut VarianceReduction, &cfg),
+            Err(AlError::BadPartition(_))
+        ));
+        let cfg = AlConfig {
+            batch: 0,
+            ..config()
+        };
+        assert_eq!(
+            run_al(&x, &y, &cost, &part, &mut VarianceReduction, &cfg).unwrap_err(),
+            AlError::ZeroBatch
+        );
     }
 
     #[test]

@@ -20,15 +20,18 @@ use rand::Rng;
 
 /// Everything a strategy may look at when scoring the pool.
 pub struct SelectionContext<'a> {
-    /// The GPR fitted to the current training set.
+    /// The GPR fitted to the current training set. After a batch round's
+    /// first pick it also holds that round's fantasy observations of the
+    /// earlier picks, which `train` does not list.
     pub model: &'a Gpr,
     /// Design matrix over *all* rows of the dataset.
     pub x_all: &'a Matrix,
     /// Response over all rows (log scale where applicable).
     pub y_all: &'a [f64],
-    /// Row indices currently in the training set.
+    /// Row indices currently in the training set (measured rows only).
     pub train: &'a [usize],
-    /// Row indices currently in the candidate pool.
+    /// Row indices currently in the candidate pool (without the round's
+    /// earlier picks).
     pub pool: &'a [usize],
     /// Predictions at each pool row (same order as `pool`).
     pub predictions: &'a [Prediction],

@@ -11,17 +11,21 @@
 //!   run all 4 in parallel (one scheduling round);
 //! * **batch-naive** — pick the top-4 by current variance (no fantasy
 //!   updates), the strawman that clusters its picks.
+//!
+//! All three arms are the one AL loop (`alperf_al::runner`) under the
+//! paper's refit policy, at `batch` 1, 4 and 4.
 
-use alperf_al::batch::select_batch;
-use alperf_al::runner::test_rmse;
+use alperf_al::runner::{run_al, AlConfig};
+use alperf_al::strategy::{SelectionContext, Strategy, VarianceReduction};
 use alperf_bench::{banner, focus_slice, write_series, FocusSlice};
 use alperf_core::analysis::paper_kernel_bounds;
 use alperf_data::partition::Partition;
 use alperf_gp::kernel::ArdSquaredExponential;
 use alperf_gp::noise::NoiseFloor;
-use alperf_gp::optimize::{fit_gpr, GprConfig};
+use alperf_gp::optimize::GprConfig;
 use alperf_linalg::matrix::Matrix;
 use alperf_linalg::threads::replicates;
+use rand::rngs::StdRng;
 
 const ROUNDS: usize = 8;
 const Q: usize = 4;
@@ -43,72 +47,58 @@ enum Mode {
     BatchNaive,
 }
 
-/// Run `ROUNDS` rounds of `Q` experiments; returns RMSE after each round.
-fn run(mode: Mode, x: &Matrix, y: &[f64], part: &Partition, seed: u64) -> Vec<f64> {
-    let mut train = part.initial.clone();
-    let mut pool = part.active.clone();
-    let mut rmses = Vec::new();
-    for round in 0..ROUNDS {
-        let xs = x.select_rows(&train);
-        let ys: Vec<f64> = train.iter().map(|&i| y[i]).collect();
-        let (model, _) = fit_gpr(&xs, &ys, &gpr_cfg(seed + round as u64)).expect("fit");
-        let picks: Vec<usize> = match mode {
-            Mode::BatchFantasy => select_batch(&model, x, &train, &ys, &pool, Q).expect("batch"),
-            Mode::BatchNaive => {
-                let mut scored: Vec<(usize, f64)> = pool
-                    .iter()
-                    .enumerate()
-                    .map(|(pos, &row)| {
-                        (pos, model.predict_one(x.row(row)).expect("prediction").std)
-                    })
-                    .collect();
-                scored.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("finite"));
-                scored.iter().take(Q).map(|&(pos, _)| pos).collect()
-            }
-            Mode::Sequential => {
-                // One at a time with refits inside the round — the
-                // full-feedback ceiling at equal experiment count.
-                let mut inner_train = train.clone();
-                let mut inner_pool = pool.clone();
-                let mut chosen_rows = Vec::new();
-                for k in 0..Q.min(inner_pool.len()) {
-                    let xs = x.select_rows(&inner_train);
-                    let ys: Vec<f64> = inner_train.iter().map(|&i| y[i]).collect();
-                    let (m, _) =
-                        fit_gpr(&xs, &ys, &gpr_cfg(seed + round as u64 + k as u64)).expect("fit");
-                    let (pos, _) = inner_pool
-                        .iter()
-                        .enumerate()
-                        .map(|(pos, &row)| {
-                            (pos, m.predict_one(x.row(row)).expect("prediction").std)
-                        })
-                        .max_by(|a, b| a.1.partial_cmp(&b.1).expect("finite"))
-                        .expect("non-empty pool");
-                    let row = inner_pool.swap_remove(pos);
-                    chosen_rows.push(row);
-                    inner_train.push(row);
-                }
-                // Map back to positions in the outer pool.
-                chosen_rows
-                    .iter()
-                    .map(|row| pool.iter().position(|r| r == row).expect("row in pool"))
-                    .collect()
-            }
-        };
-        // "Run" the q experiments (descending positions keeps indices valid).
-        let mut positions = picks;
-        positions.sort_unstable_by(|a, b| b.cmp(a));
-        for pos in positions {
-            let row = pool.swap_remove(pos);
-            train.push(row);
-        }
-        // Evaluate after the round.
-        let xs = x.select_rows(&train);
-        let ys: Vec<f64> = train.iter().map(|&i| y[i]).collect();
-        let (m, _) = fit_gpr(&xs, &ys, &gpr_cfg(seed + 991)).expect("fit");
-        rmses.push(test_rmse(&m, x, y, &part.test));
+/// Batch-naive selection: the pool ranked once per round by the round
+/// model's predictive SD, its top `Q` taken in order. The fantasy
+/// predictions the runner offers for a round's later slots are ignored.
+/// The arm runs at `batch = Q` on a pool far larger than the campaign, so
+/// every round has exactly `Q` slots and an empty ranking marks a round's
+/// first one.
+#[derive(Default)]
+struct NaiveTopQ {
+    /// The round's unpicked top-`Q` rows, best last.
+    ranked: Vec<usize>,
+}
+
+impl Strategy for NaiveTopQ {
+    fn name(&self) -> &'static str {
+        "batch_naive"
     }
-    rmses
+
+    fn select(&mut self, ctx: &SelectionContext<'_>, _rng: &mut StdRng) -> Option<usize> {
+        if self.ranked.is_empty() {
+            let p = ctx.predictions;
+            let mut order: Vec<usize> = (0..ctx.pool.len()).collect();
+            order.sort_by(|&a, &b| p[b].std.total_cmp(&p[a].std));
+            self.ranked = order[..Q.min(order.len())]
+                .iter()
+                .rev()
+                .map(|&pos| ctx.pool[pos])
+                .collect();
+        }
+        let row = self.ranked.pop()?;
+        ctx.pool.iter().position(|&r| r == row)
+    }
+}
+
+/// One campaign of `ROUNDS` rounds of `Q` experiments through the AL
+/// loop; returns the test RMSE after each round. The loop records each
+/// experiment with the RMSE of the model it was picked under, so one more
+/// experiment reads the RMSE after the last round.
+fn run(mode: Mode, x: &Matrix, y: &[f64], part: &Partition, seed: u64) -> Vec<f64> {
+    let cost = vec![1.0; y.len()];
+    let cfg = AlConfig {
+        max_iters: ROUNDS * Q + 1,
+        batch: if mode == Mode::Sequential { 1 } else { Q },
+        seed,
+        ..AlConfig::new(gpr_cfg(seed))
+    };
+    let history = match mode {
+        Mode::BatchNaive => run_al(x, y, &cost, part, &mut NaiveTopQ::default(), &cfg),
+        _ => run_al(x, y, &cost, part, &mut VarianceReduction, &cfg),
+    }
+    .expect("AL run")
+    .history;
+    (1..=ROUNDS).map(|r| history[r * Q].rmse).collect()
 }
 
 fn main() {

@@ -20,8 +20,6 @@
 
 pub mod analysis;
 pub mod online;
-pub mod parallel;
 
 pub use analysis::{AnalysisConfig, PerformanceAnalysis, PreparedProblem};
-pub use online::{ExperimentOracle, OnlineAl, OnlineRecord};
-pub use parallel::{ParallelCampaign, RoundRecord};
+pub use online::{OnlineAl, OnlineRecord};

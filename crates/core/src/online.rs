@@ -9,27 +9,11 @@
 //! variance stays high (Section III).
 
 use alperf_al::strategy::{SelectionContext, Strategy};
-use alperf_gp::model::{GpError, Prediction};
+use alperf_gp::model::GpError;
 use alperf_gp::optimize::{fit_gpr, GprConfig};
 use alperf_linalg::matrix::Matrix;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-
-/// Something that can run one experiment at a setting and report the
-/// measured response plus what it cost.
-pub trait ExperimentOracle {
-    /// Run the experiment at `x`; returns `(response, cost)`. The response
-    /// is on whatever scale the GPR models (the caller handles log
-    /// transforms); the cost is in the campaign's budget unit.
-    fn measure(&mut self, x: &[f64]) -> (f64, f64);
-}
-
-/// Blanket impl so closures can be oracles.
-impl<F: FnMut(&[f64]) -> (f64, f64)> ExperimentOracle for F {
-    fn measure(&mut self, x: &[f64]) -> (f64, f64) {
-        self(x)
-    }
-}
 
 /// One completed online iteration.
 #[derive(Debug, Clone, PartialEq)]
@@ -72,33 +56,34 @@ impl OnlineAl {
 
     /// Run `iters` iterations: the first measurement is taken at candidate
     /// `seed_candidate` (the paper's "run it once first to verify
-    /// correctness" scenario), then the strategy drives.
+    /// correctness" scenario), then the strategy drives. `oracle` runs the
+    /// experiment at a setting and returns `(response, cost)`: the
+    /// response on whatever scale the GPR models (the caller handles log
+    /// transforms), the cost in the campaign's budget unit.
+    ///
+    /// Strategies see one design matrix whose first rows are the measured
+    /// settings (the training rows, with their responses as `y_all`) and
+    /// whose remaining rows are the candidates (the pool).
     ///
     /// # Errors
     /// Propagates GPR fitting failures.
     pub fn run(
         &self,
-        oracle: &mut dyn ExperimentOracle,
+        oracle: &mut dyn FnMut(&[f64]) -> (f64, f64),
         strategy: &mut dyn Strategy,
         seed_candidate: usize,
         iters: usize,
     ) -> Result<Vec<OnlineRecord>, GpError> {
-        assert!(
-            seed_candidate < self.candidates.nrows(),
-            "seed candidate out of range"
-        );
+        let m = self.candidates.nrows();
+        assert!(seed_candidate < m, "seed candidate out of range");
         let mut rng = StdRng::seed_from_u64(self.seed);
-        let mut x_train = Matrix::zeros(0, 0);
-        let mut y_train: Vec<f64> = Vec::new();
-        let mut records = Vec::new();
-        let mut cumulative_cost = 0.0;
         // Seed measurement.
         let x0 = self.candidates.row(seed_candidate).to_vec();
-        let (y0, c0) = oracle.measure(&x0);
-        x_train = x_train.with_row(&x0).expect("first row");
-        y_train.push(y0);
-        cumulative_cost += c0;
-        records.push(OnlineRecord {
+        let (y0, c0) = oracle(&x0);
+        let mut measured = vec![seed_candidate];
+        let mut y_train = vec![y0];
+        let mut cumulative_cost = c0;
+        let mut records = vec![OnlineRecord {
             iter: 0,
             candidate: seed_candidate,
             x: x0,
@@ -106,41 +91,43 @@ impl OnlineAl {
             sigma_before: f64::NAN, // no model yet
             amsd: f64::NAN,
             cumulative_cost,
-        });
+        }];
         // AL iterations.
-        let all_rows: Vec<usize> = (0..self.candidates.nrows()).collect();
         for iter in 1..iters {
-            let (model, _) = fit_gpr(&x_train, &y_train, &self.gpr)?;
-            let predictions: Vec<Prediction> = all_rows
-                .iter()
-                .map(|&i| model.predict_one(self.candidates.row(i)))
-                .collect::<Result<_, _>>()?;
-            let amsd =
-                predictions.iter().map(|p| p.std).sum::<f64>() / predictions.len().max(1) as f64;
+            let k = measured.len();
+            let x_all = Matrix::from_fn(k + m, self.candidates.ncols(), |i, j| {
+                let setting = if i < k { measured[i] } else { i - k };
+                self.candidates.row(setting)[j]
+            });
+            let rows: Vec<usize> = (0..k + m).collect();
+            let (train, pool) = rows.split_at(k);
+            let (model, _) = fit_gpr(&x_all.select_rows(train), &y_train, &self.gpr)?;
+            let predictions = model.predict_batch(&self.candidates)?;
+            let amsd = predictions.iter().map(|p| p.std).sum::<f64>() / m as f64;
             let ctx = SelectionContext {
                 model: &model,
-                x_all: &self.candidates,
-                y_all: &y_train, // note: only train responses exist online
-                train: &all_rows[..0],
-                pool: &all_rows,
+                x_all: &x_all,
+                y_all: &y_train,
+                train,
+                pool,
                 predictions: &predictions,
             };
             let Some(pos) = strategy.select(&ctx, &mut rng) else {
                 break;
             };
             let x = self.candidates.row(pos).to_vec();
-            let (y, c) = oracle.measure(&x);
+            let (y, c) = oracle(&x);
             cumulative_cost += c;
             records.push(OnlineRecord {
                 iter,
                 candidate: pos,
-                x: x.clone(),
+                x,
                 y,
                 sigma_before: predictions[pos].std,
                 amsd,
                 cumulative_cost,
             });
-            x_train = x_train.with_row(&x).expect("consistent dims");
+            measured.push(pos);
             y_train.push(y);
         }
         Ok(records)
@@ -150,6 +137,7 @@ impl OnlineAl {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use alperf_al::emcm::Emcm;
     use alperf_al::strategy::VarianceReduction;
     use alperf_gp::kernel::SquaredExponential;
     use alperf_gp::noise::NoiseFloor;
@@ -217,6 +205,18 @@ mod tests {
             .run(&mut oracle, &mut VarianceReduction, 0, 5)
             .unwrap();
         assert!((recs.last().unwrap().cumulative_cost - 12.5).abs() < 1e-12);
+    }
+
+    /// EMCM fits its bootstrap committee on the measured points, so an
+    /// online run makes every requested measurement.
+    #[test]
+    fn online_emcm_returns_every_iteration() {
+        let driver = OnlineAl::new(grid(13), gpr());
+        let mut oracle = |x: &[f64]| ((x[0]).cos() * 2.0, 1.0);
+        let mut emcm = Emcm::new(4, Box::new(SquaredExponential::unit()), 0.05);
+        let recs = driver.run(&mut oracle, &mut emcm, 6, 12).unwrap();
+        assert_eq!(recs.len(), 12);
+        assert!(recs[1..].iter().all(|r| r.sigma_before.is_finite()));
     }
 
     #[test]

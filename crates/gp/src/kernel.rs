@@ -55,11 +55,10 @@ pub trait Kernel: Send + Sync {
     fn grad(&self, a: &[f64], b: &[f64]) -> Vec<f64>;
 
     /// Gradient of the covariance with respect to the *first input*:
-    /// `[d k(a, b) / d a_d]`. Returns `None` for kernels without an
-    /// implemented input gradient — callers fall back to derivative-free
-    /// optimization. (The paper's §VI: "Gradient-based methods, which are
-    /// available with GPR, would provide an important benefit for problems
-    /// with high-dimensional parameter spaces.")
+    /// `[d k(a, b) / d a_d]`, or `None` where a kernel has none. No
+    /// workspace kernel implements it and nothing here calls it (the
+    /// continuous acquisition search is derivative-free); perfbench's
+    /// `CountingKernel` forwards it.
     fn grad_x(&self, _a: &[f64], _b: &[f64]) -> Option<Vec<f64>> {
         None
     }
@@ -334,17 +333,6 @@ impl Kernel for SquaredExponential {
         vec![k * r2 / l2, 2.0 * k]
     }
 
-    fn grad_x(&self, a: &[f64], b: &[f64]) -> Option<Vec<f64>> {
-        let k = self.eval(a, b);
-        let inv_l2 = 1.0 / (self.length_scale * self.length_scale);
-        Some(
-            a.iter()
-                .zip(b)
-                .map(|(ai, bi)| -k * (ai - bi) * inv_l2)
-                .collect(),
-        )
-    }
-
     fn clone_box(&self) -> Box<dyn Kernel> {
         Box::new(self.clone())
     }
@@ -445,17 +433,6 @@ impl Kernel for ArdSquaredExponential {
         }
         g.push(2.0 * k);
         g
-    }
-
-    fn grad_x(&self, a: &[f64], b: &[f64]) -> Option<Vec<f64>> {
-        let k = self.eval(a, b);
-        Some(
-            a.iter()
-                .zip(b)
-                .zip(&self.length_scales)
-                .map(|((ai, bi), l)| -k * (ai - bi) / (l * l))
-                .collect(),
-        )
     }
 
     fn clone_box(&self) -> Box<dyn Kernel> {
@@ -617,19 +594,6 @@ impl Kernel for Matern52 {
         let form = self.form();
         let (t, e) = form.radial_parts(alperf_linalg::vector::sq_dist(a, b));
         form.radial_grad(t, e)[..2].to_vec()
-    }
-
-    fn grad_x(&self, a: &[f64], b: &[f64]) -> Option<Vec<f64>> {
-        // dk/ds = -sigma_f^2 e^{-s} s (1+s)/3 with s = sqrt(5) r / l and
-        // ds/da_d = sqrt(5)(a_d - b_d)/(l r); s/r = sqrt(5)/l collapses the
-        // product to -(5/(3 l^2)) sigma_f^2 e^{-s} (1+s) (a_d - b_d),
-        // which is also the correct (zero) limit at r = 0.
-        let r = alperf_linalg::vector::sq_dist(a, b).sqrt();
-        let s = 5f64.sqrt() * r / self.length_scale;
-        let sf2 = self.amplitude * self.amplitude;
-        let factor =
-            -sf2 * (-s).exp() * (1.0 + s) * 5.0 / (3.0 * self.length_scale * self.length_scale);
-        Some(a.iter().zip(b).map(|(ai, bi)| factor * (ai - bi)).collect())
     }
 
     fn clone_box(&self) -> Box<dyn Kernel> {
@@ -944,59 +908,19 @@ mod tests {
         assert!(!se.is_radial() && se.radial_parts(1.0).1.is_nan());
     }
 
-    /// Central finite-difference check of `grad_x` against `eval`.
-    fn check_grad_x(k: &dyn Kernel, a: &[f64], b: &[f64]) {
-        let g = k.grad_x(a, b).expect("kernel implements grad_x");
-        assert_eq!(g.len(), a.len());
-        let h = 1e-6;
-        for d in 0..a.len() {
-            let mut ap = a.to_vec();
-            ap[d] += h;
-            let up = k.eval(&ap, b);
-            ap[d] -= 2.0 * h;
-            let dn = k.eval(&ap, b);
-            let fd = (up - dn) / (2.0 * h);
-            assert!(
-                (fd - g[d]).abs() <= 1e-5 * (1.0 + fd.abs()),
-                "dim {d}: fd={fd} analytic={}",
-                g[d]
-            );
-        }
-    }
-
-    #[test]
-    fn input_gradients_match_fd() {
-        check_grad_x(
-            &SquaredExponential::new(0.8, 1.3),
-            &[0.2, -0.4],
-            &[1.0, 0.3],
-        );
-        check_grad_x(
-            &ArdSquaredExponential::new(vec![0.5, 2.0], 1.1),
-            &[0.2, -0.4],
-            &[1.0, 0.3],
-        );
-        check_grad_x(&Matern52::new(0.9, 1.2), &[0.3, 0.7], &[1.4, -0.2]);
-    }
-
-    #[test]
-    fn input_gradient_zero_at_coincident_points() {
-        for k in [
-            Box::new(SquaredExponential::unit()) as Box<dyn Kernel>,
-            Box::new(Matern52::new(1.0, 1.0)),
-        ] {
-            let g = k.grad_x(&[0.5, 0.5], &[0.5, 0.5]).unwrap();
-            assert!(g.iter().all(|v| v.abs() < 1e-12), "{g:?}");
-        }
-    }
-
     #[test]
     fn input_gradient_defaults_to_none() {
-        // Kernels without an implemented input gradient advertise it.
-        assert!(Matern32::new(1.0, 1.0).grad_x(&[0.0], &[1.0]).is_none());
-        assert!(RationalQuadratic::new(1.0, 1.0, 1.0)
-            .grad_x(&[0.0], &[1.0])
-            .is_none());
+        // No workspace kernel overrides the trait default, so every one
+        // advertises that it has no input gradient.
+        for k in [
+            Box::new(SquaredExponential::unit()) as Box<dyn Kernel>,
+            Box::new(ArdSquaredExponential::unit(1)),
+            Box::new(Matern32::new(1.0, 1.0)),
+            Box::new(Matern52::new(1.0, 1.0)),
+            Box::new(RationalQuadratic::new(1.0, 1.0, 1.0)),
+        ] {
+            assert!(k.grad_x(&[0.0], &[1.0]).is_none());
+        }
     }
 
     #[test]

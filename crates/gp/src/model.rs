@@ -42,10 +42,6 @@ impl From<LinalgError> for GpError {
     }
 }
 
-/// Prediction plus the input-space gradients of the posterior mean and
-/// standard deviation: `(prediction, d mu/dx, d sigma/dx)`.
-pub type PredictionWithGradient = (Prediction, Vec<f64>, Vec<f64>);
-
 /// Posterior predictive distribution at one input point.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Prediction {
@@ -145,18 +141,6 @@ impl Gpr {
         Ok(Prediction {
             mean: self.standardizer.inverse(mu),
             std: self.standardizer.inverse_scale(var.sqrt()),
-        })
-    }
-
-    /// Like [`Gpr::predict_one`] but the predictive variance includes the
-    /// observation noise `sigma_n^2` — the distribution of a *new
-    /// measurement* rather than of the latent function.
-    pub fn predict_one_with_noise(&self, xstar: &[f64]) -> Result<Prediction, GpError> {
-        let p = self.predict_one(xstar)?;
-        let noise_raw = self.standardizer.inverse_scale(self.noise_std);
-        Ok(Prediction {
-            mean: p.mean,
-            std: (p.std * p.std + noise_raw * noise_raw).sqrt(),
         })
     }
 
@@ -350,58 +334,6 @@ impl Gpr {
         Ok(self.chol.solve_forward_rhs_rows(bt)?)
     }
 
-    /// Posterior prediction together with the input-space gradients of the
-    /// mean and standard deviation: `(prediction, d mu/dx, d sigma/dx)`.
-    ///
-    /// ```text
-    /// d mu / dx    = sum_i alpha_i  d k(x, x_i)/dx
-    /// d sigma^2/dx = -2 sum_i (K_y^{-1} k_*)_i  d k(x, x_i)/dx
-    /// d sigma /dx  = (d sigma^2/dx) / (2 sigma)
-    /// ```
-    ///
-    /// Returns `None` if the kernel does not implement
-    /// [`Kernel::grad_x`], or if `sigma = 0` exactly (gradient of the SD is
-    /// undefined at interpolated points).
-    ///
-    /// # Errors
-    /// Propagates dimension/numerical failures like [`Gpr::predict_one`].
-    pub fn predict_with_gradient(
-        &self,
-        xstar: &[f64],
-    ) -> Result<Option<PredictionWithGradient>, GpError> {
-        let p = self.predict_one(xstar)?;
-        let d = self.dim();
-        let n = self.n_train();
-        let kstar = lml::covariance_vector(self.kernel.as_ref(), &self.x, xstar);
-        // w = K_y^{-1} k_*.
-        let w = self.chol.solve(&kstar)?;
-        let mut grad_mu = vec![0.0; d];
-        let mut grad_var = vec![0.0; d];
-        for (i, (&ai, &wi)) in self.alpha.iter().zip(&w).enumerate().take(n) {
-            let Some(gk) = self.kernel.grad_x(xstar, self.x.row(i)) else {
-                return Ok(None);
-            };
-            for j in 0..d {
-                grad_mu[j] += ai * gk[j];
-                grad_var[j] -= 2.0 * wi * gk[j];
-            }
-        }
-        // Map back to the raw response scale.
-        let scale = self.standardizer.std;
-        for g in grad_mu.iter_mut() {
-            *g *= scale;
-        }
-        // sigma (raw) = sigma_std * scale; grad sigma = grad_var_std * scale^2 / (2 sigma_raw).
-        if p.std == 0.0 {
-            return Ok(None);
-        }
-        let grad_sigma: Vec<f64> = grad_var
-            .iter()
-            .map(|gv| gv * scale * scale / (2.0 * p.std))
-            .collect();
-        Ok(Some((p, grad_mu, grad_sigma)))
-    }
-
     /// Condition on one additional observation `(x_new, y_new)` in
     /// `O(n^2)` via a rank-one Cholesky extension — the incremental update
     /// the AL loop performs at every iteration. Hyperparameters, noise
@@ -506,15 +438,6 @@ mod tests {
             std: 0.25,
         };
         assert_eq!(p.ci95(), (0.5, 1.5));
-    }
-
-    #[test]
-    fn with_noise_prediction_is_wider() {
-        let gpr = fit_sine(0.3);
-        let latent = gpr.predict_one(&[0.9]).unwrap();
-        let noisy = gpr.predict_one_with_noise(&[0.9]).unwrap();
-        assert!(noisy.std > latent.std);
-        assert_eq!(noisy.mean, latent.mean);
     }
 
     #[test]
@@ -680,48 +603,6 @@ mod tests {
         assert!(gpr.condition_estimate() >= 1.0);
         assert!(gpr.noise_std_raw() > 0.0);
         assert_eq!(gpr.noise_std(), 0.1);
-    }
-
-    #[test]
-    fn prediction_gradients_match_finite_differences() {
-        let gpr = fit_sine(0.1);
-        let h = 1e-6;
-        for q in [0.45, 2.2, 4.8, 7.5] {
-            let (p, gmu, gsigma) = gpr
-                .predict_with_gradient(&[q])
-                .unwrap()
-                .expect("SE kernel has input gradients");
-            let up = gpr.predict_one(&[q + h]).unwrap();
-            let dn = gpr.predict_one(&[q - h]).unwrap();
-            let fd_mu = (up.mean - dn.mean) / (2.0 * h);
-            let fd_sigma = (up.std - dn.std) / (2.0 * h);
-            assert!(
-                (fd_mu - gmu[0]).abs() <= 1e-4 * (1.0 + fd_mu.abs()),
-                "at {q}: mean fd={fd_mu} analytic={}",
-                gmu[0]
-            );
-            assert!(
-                (fd_sigma - gsigma[0]).abs() <= 1e-4 * (1.0 + fd_sigma.abs()),
-                "at {q}: sigma fd={fd_sigma} analytic={}",
-                gsigma[0]
-            );
-            assert!((p.mean - up.mean).abs() < 1e-3); // same neighbourhood
-        }
-    }
-
-    #[test]
-    fn prediction_gradient_none_for_gradientless_kernel() {
-        let xs: Vec<f64> = (0..6).map(|i| i as f64).collect();
-        let y: Vec<f64> = xs.iter().map(|v| v * 0.2).collect();
-        let gpr = Gpr::fit(
-            Matrix::from_vec(6, 1, xs).unwrap(),
-            &y,
-            Box::new(crate::kernel::Matern32::new(1.0, 1.0)),
-            0.1,
-            true,
-        )
-        .unwrap();
-        assert!(gpr.predict_with_gradient(&[2.5]).unwrap().is_none());
     }
 
     #[test]

@@ -7,21 +7,20 @@
 //! executor run campaigns on any number of workers in any order and
 //! still commit bit-identical summaries.
 //!
-//! Batch sizes > 1 run a round-based variant of the loop: variance
-//! reduction selects through the fantasy-update machinery in
-//! `alperf_al::batch`, cost efficiency takes the top-q score in one
-//! prediction pass, and random sampling draws q distinct candidates;
-//! each round then measures the whole batch through the fault oracle
-//! before the next refit.
+//! Every batch size runs the one AL loop, `alperf_al::runner`, with
+//! [`AlConfig::batch`] set from the config's batch axis: above 1 each
+//! round fills its slots with the strategy's own selection under fantasy
+//! updates and measures them all through the fault oracle before the
+//! next refit.
 
 use crate::spec::{mix, CampaignConfig, KernelKind, StrategyKind};
-use alperf_al::oracle::{ExperimentOracle, ExperimentOutcome, SeededFaultOracle};
+use alperf_al::oracle::SeededFaultOracle;
 use alperf_al::runner::{run_al_with_oracle, AlConfig};
 use alperf_al::strategy::{CostEfficiency, RandomSampling, Strategy, VarianceReduction};
 use alperf_data::partition::Partition;
 use alperf_gp::kernel::{Kernel, Matern32, Matern52, RationalQuadratic, SquaredExponential};
 use alperf_gp::noise::NoiseFloor;
-use alperf_gp::optimize::{fit_gpr, GprConfig};
+use alperf_gp::optimize::GprConfig;
 use alperf_linalg::matrix::Matrix;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
@@ -36,9 +35,11 @@ const ACTIVE_FRACTION: f64 = 0.8;
 /// Everything the summary record needs about one finished campaign.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CampaignResult {
-    /// Per-iteration (or per-round, for batches) test RMSE.
+    /// Test RMSE, one entry per measured iteration at every batch size
+    /// (the experiments of one round share their round's value).
     pub rmse: Vec<f64>,
-    /// Per-iteration mean predictive SD over the remaining pool.
+    /// Mean predictive SD over the remaining pool, one entry per measured
+    /// iteration.
     pub amsd: Vec<f64>,
     /// Total cost charged: initial design + measured + lost experiments.
     pub cost: f64,
@@ -107,47 +108,32 @@ pub fn synthesize(cfg: &CampaignConfig) -> (Matrix, Vec<f64>, Vec<f64>, Partitio
 }
 
 /// Run one campaign to completion. Never panics on fit failure — the
-/// error is carried in [`CampaignResult::error`] instead.
+/// error is carried in [`CampaignResult::error`] instead. Serial
+/// scheduling: grid-level pipelining happens in the executor's summary
+/// stream, never inside the numerics.
 pub fn run_campaign(cfg: &CampaignConfig) -> CampaignResult {
     let (x, y, cost, part) = synthesize(cfg);
     let oracle = SeededFaultOracle::new(mix(cfg.data_seed(), 0x666c74), cfg.fault_rate); // "flt"
-    if cfg.batch <= 1 {
-        run_serial(cfg, &x, &y, &cost, &part, &oracle)
-    } else {
-        run_batched(cfg, &x, &y, &cost, &part, &oracle)
-    }
-}
-
-fn error_result(msg: String) -> CampaignResult {
-    CampaignResult {
-        rmse: Vec::new(),
-        amsd: Vec::new(),
-        cost: 0.0,
-        iters: 0,
-        degraded: 0,
-        failures: 0,
-        error: Some(msg),
-    }
-}
-
-/// Batch size 1: the paper loop, via the standard runner (serial
-/// scheduling — grid-level pipelining happens in the executor's summary
-/// stream, never inside the numerics).
-fn run_serial(
-    cfg: &CampaignConfig,
-    x: &Matrix,
-    y: &[f64],
-    cost: &[f64],
-    part: &Partition,
-    oracle: &dyn ExperimentOracle,
-) -> CampaignResult {
-    let mut al_cfg = AlConfig::new(gpr_config(cfg));
-    al_cfg.max_iters = cfg.iters;
-    al_cfg.seed = cfg.run_seed;
+    let al_cfg = AlConfig {
+        max_iters: cfg.iters,
+        batch: cfg.batch,
+        seed: cfg.run_seed,
+        ..AlConfig::new(gpr_config(cfg))
+    };
     let mut strategy = make_strategy(cfg.strategy);
-    let run = match run_al_with_oracle(x, y, cost, part, strategy.as_mut(), oracle, &al_cfg) {
+    let run = match run_al_with_oracle(&x, &y, &cost, &part, strategy.as_mut(), &oracle, &al_cfg) {
         Ok(run) => run,
-        Err(e) => return error_result(format!("{e}")),
+        Err(e) => {
+            return CampaignResult {
+                rmse: Vec::new(),
+                amsd: Vec::new(),
+                cost: 0.0,
+                iters: 0,
+                degraded: 0,
+                failures: 0,
+                error: Some(format!("{e}")),
+            }
+        }
     };
     let initial_cost: f64 = part.initial.iter().map(|&i| cost[i]).sum();
     let measured_cost: f64 = run.history.iter().map(|r| cost[r.chosen_row]).sum();
@@ -159,125 +145,6 @@ fn run_serial(
         cost: initial_cost + measured_cost + lost_cost,
         iters: run.history.len(),
         degraded: run.lost.len(),
-        failures,
-        error: None,
-    }
-}
-
-/// Batch sizes > 1: round-based AL. Each round fits the surrogate,
-/// records the round's RMSE/AMSD, selects `q` candidates with the
-/// strategy's batch rule, and measures them all through the oracle.
-fn run_batched(
-    cfg: &CampaignConfig,
-    x: &Matrix,
-    y: &[f64],
-    cost: &[f64],
-    part: &Partition,
-    oracle: &dyn ExperimentOracle,
-) -> CampaignResult {
-    let gpr = gpr_config(cfg);
-    let mut train: Vec<usize> = part.initial.clone();
-    let mut pool: Vec<usize> = part.active.clone();
-    let test: Vec<usize> = part.test.clone();
-    let mut rng = StdRng::seed_from_u64(cfg.run_seed);
-    let mut total_cost: f64 = train.iter().map(|&i| cost[i]).sum();
-    let mut rmse_series = Vec::new();
-    let mut amsd_series = Vec::new();
-    let (mut iters, mut degraded, mut failures) = (0usize, 0usize, 0u32);
-    let mut budget = cfg.iters;
-
-    while budget > 0 && !pool.is_empty() {
-        let xt = x.select_rows(&train);
-        let yt: Vec<f64> = train.iter().map(|&i| y[i]).collect();
-        let model = match fit_gpr(&xt, &yt, &gpr) {
-            Ok((m, _)) => m,
-            Err(e) => return error_result(format!("{e}")),
-        };
-        let preds = match model.predict_batch(&x.select_rows(&pool)) {
-            Ok(p) => p,
-            Err(e) => return error_result(format!("{e}")),
-        };
-        if !test.is_empty() {
-            let tp = match model.predict_batch(&x.select_rows(&test)) {
-                Ok(p) => p,
-                Err(e) => return error_result(format!("{e}")),
-            };
-            let se: f64 = tp
-                .iter()
-                .zip(&test)
-                .map(|(p, &i)| (p.mean - y[i]) * (p.mean - y[i]))
-                .sum();
-            rmse_series.push((se / test.len() as f64).sqrt());
-        } else {
-            rmse_series.push(0.0);
-        }
-        amsd_series.push(preds.iter().map(|p| p.std).sum::<f64>() / preds.len() as f64);
-
-        let q = cfg.batch.min(budget).min(pool.len());
-        let positions: Vec<usize> = match cfg.strategy {
-            StrategyKind::VarianceReduction => {
-                match alperf_al::batch::select_batch(&model, x, &train, &yt, &pool, q) {
-                    Ok(p) => p,
-                    Err(e) => return error_result(format!("{e}")),
-                }
-            }
-            StrategyKind::CostEfficiency => {
-                // Top-q by SD per unit cost in one prediction pass.
-                let mut scored: Vec<(usize, f64)> = preds
-                    .iter()
-                    .enumerate()
-                    .map(|(p, pr)| (p, pr.std / cost[pool[p]].max(1e-12)))
-                    .collect();
-                scored.sort_by(|a, b| {
-                    b.1.partial_cmp(&a.1)
-                        .unwrap_or(std::cmp::Ordering::Equal)
-                        .then(a.0.cmp(&b.0))
-                });
-                scored.into_iter().take(q).map(|(p, _)| p).collect()
-            }
-            StrategyKind::Random => {
-                // q distinct positions, Fisher–Yates style over indices.
-                let mut open: Vec<usize> = (0..pool.len()).collect();
-                let mut picks = Vec::with_capacity(q);
-                for _ in 0..q {
-                    let j = rng.gen_range(0..open.len());
-                    picks.push(open.swap_remove(j));
-                }
-                picks
-            }
-        };
-
-        // Measure the whole batch, then remove the rows from the pool
-        // (descending position order keeps earlier positions valid).
-        let mut chosen: Vec<usize> = positions.iter().map(|&p| pool[p]).collect();
-        let mut sorted_positions = positions.clone();
-        sorted_positions.sort_unstable_by(|a, b| b.cmp(a));
-        for p in sorted_positions {
-            pool.swap_remove(p);
-        }
-        chosen.sort_unstable(); // row order within a round is not a choice
-        for row in chosen {
-            total_cost += cost[row];
-            budget -= 1;
-            match oracle.run_experiment(row) {
-                ExperimentOutcome::Measured { attempts: _ } => {
-                    train.push(row);
-                    iters += 1;
-                }
-                ExperimentOutcome::Lost { attempts } => {
-                    degraded += 1;
-                    failures += attempts;
-                }
-            }
-        }
-    }
-
-    CampaignResult {
-        rmse: rmse_series,
-        amsd: amsd_series,
-        cost: total_cost,
-        iters,
-        degraded,
         failures,
         error: None,
     }

@@ -21,7 +21,7 @@
 //! * [`spec`] — axes, canonicalization, cartesian expansion, and the
 //!   splitmix64 per-config seed derivation (injective by construction).
 //! * [`campaign`] — one campaign as a pure function of its config:
-//!   synthetic scenario, AL loop (serial or batched rounds), fault
+//!   synthetic scenario, the one AL loop at the config's batch size, fault
 //!   degradation through the oracle machinery.
 //! * [`exec`] — the worker pool with ordered commits, streaming/buffered
 //!   summary modes, and the resume protocol.

@@ -63,17 +63,6 @@ pub fn max(x: &[f64]) -> Option<f64> {
         })
 }
 
-/// Geometric mean of strictly positive values; `None` if any value is
-/// non-positive or the slice is empty. (The paper mentions evaluating a
-/// geometric-mean variant of the AMSD convergence metric.)
-pub fn geometric_mean(x: &[f64]) -> Option<f64> {
-    if x.is_empty() || x.iter().any(|&v| v <= 0.0) {
-        return None;
-    }
-    let s: f64 = x.iter().map(|v| v.ln()).sum();
-    Some((s / x.len() as f64).exp())
-}
-
 /// Quantile via linear interpolation on the sorted copy, `q` in `[0, 1]`.
 pub fn quantile(x: &[f64], q: f64) -> Option<f64> {
     if x.is_empty() || !(0.0..=1.0).contains(&q) {
@@ -201,13 +190,6 @@ mod tests {
         let x = [3.0, f64::NAN, -1.0, 2.0];
         assert_eq!(min(&x), Some(-1.0));
         assert_eq!(max(&x), Some(3.0));
-    }
-
-    #[test]
-    fn geometric_mean_known() {
-        assert!((geometric_mean(&[1.0, 100.0]).unwrap() - 10.0).abs() < 1e-12);
-        assert_eq!(geometric_mean(&[1.0, -1.0]), None);
-        assert_eq!(geometric_mean(&[]), None);
     }
 
     #[test]

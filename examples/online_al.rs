@@ -11,6 +11,7 @@
 //! ```
 
 use alperf::al::strategy::VarianceReduction;
+use alperf::framework::analysis::paper_kernel_bounds;
 use alperf::framework::online::OnlineAl;
 use alperf::gp::kernel::ArdSquaredExponential;
 use alperf::gp::noise::NoiseFloor;
@@ -50,9 +51,13 @@ fn main() {
         (stats.seconds.log10(), stats.seconds * t as f64)
     };
 
+    // Raw responses and the paper's kernel boxes: on one or two live
+    // measurements a standardized fit collapses its uncertainty (Fig. 7).
     let gpr = GprConfig::new(Box::new(ArdSquaredExponential::unit(2)))
         .with_noise_floor(NoiseFloor::Fixed(0.05))
-        .with_restarts(3);
+        .with_kernel_bounds(paper_kernel_bounds(2))
+        .with_restarts(3)
+        .with_standardize(false);
     let driver = OnlineAl::new(candidates, gpr);
 
     println!("== online AL: 12 live multigrid measurements ==");

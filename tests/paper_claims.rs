@@ -3,8 +3,9 @@
 //! are fast, assertive versions run by `cargo test --workspace`.
 
 use alperf::al::convergence::ConvergenceDetector;
-use alperf::al::runner::{run_al, test_rmse, AlConfig};
-use alperf::al::strategy::{SelectionContext, Strategy, VarianceReduction};
+use alperf::al::oracle::SeededFaultOracle;
+use alperf::al::runner::{run_al, run_al_with_oracle, test_rmse, AlConfig, AlRun};
+use alperf::al::strategy::{CostEfficiency, SelectionContext, Strategy, VarianceReduction};
 use alperf::cluster::campaign::{Campaign, COL_FREQ, COL_NP, COL_OPERATOR, COL_SIZE};
 use alperf::cluster::workload::WorkloadSpec;
 use alperf::data::partition::Partition;
@@ -210,6 +211,86 @@ fn refit_trigger_extends_above_thirty_rows_and_keeps_rmse_on_paper_data() {
         (last.rmse - fresh_rmse).abs() <= 0.02 * fresh_rmse,
         "kept model's test RMSE {} vs a fresh fit's {fresh_rmse}",
         last.rmse
+    );
+}
+
+/// FNV-1a over the exact bits of every number in a run's `history` and
+/// `lost`, in order.
+fn run_digest(run: &AlRun) -> u64 {
+    let mut h: u64 = 0xcbf29ce484222325;
+    let mut eat = |v: u64| {
+        for b in v.to_le_bytes() {
+            h = (h ^ b as u64).wrapping_mul(0x100000001b3);
+        }
+    };
+    for r in &run.history {
+        eat(r.iter as u64);
+        eat(r.chosen_row as u64);
+        r.x.iter().for_each(|v| eat(v.to_bits()));
+        for v in [
+            r.y,
+            r.sigma_at_chosen,
+            r.amsd,
+            r.rmse,
+            r.cumulative_cost,
+            r.lml,
+            r.noise_std,
+        ] {
+            eat(v.to_bits());
+        }
+    }
+    for l in &run.lost {
+        eat(l.iter as u64);
+        eat(l.row as u64);
+        eat(l.attempts as u64);
+        eat(l.cost.to_bits());
+    }
+    h
+}
+
+/// The serial AL loop, bit for bit: three 40-iteration campaigns in
+/// `repro_fig7`'s repetition-0 configuration on the full-scale focus slice
+/// (Variance Reduction under the 1e-8 and the 1e-1 noise floor, and Cost
+/// Efficiency under the 1e-1 floor with a 20% seeded fault rate) cross
+/// n = 30, where the refit trigger takes over, and the last one loses
+/// experiments. Any change to the fit, the refit policy, the caches, the
+/// selection or the oracle path that moves one bit of a trajectory moves
+/// its digest.
+#[test]
+fn serial_loop_histories_are_pinned_bit_for_bit_on_paper_data() {
+    let (x, y, cost) = focus_slice(Campaign::default());
+    let campaign = |floor: NoiseFloor, strategy: &mut dyn Strategy, fault_rate: f64| {
+        let gpr = GprConfig::new(Box::new(ArdSquaredExponential::unit(2)))
+            .with_noise_floor(floor)
+            .with_restarts(3)
+            .with_kernel_bounds(paper_kernel_bounds(2))
+            .with_standardize(false)
+            .with_seed(100);
+        let cfg = AlConfig {
+            max_iters: 40,
+            seed: 0,
+            ..AlConfig::new(gpr)
+        };
+        let part = Partition::paper_default(x.nrows(), 1000);
+        let oracle = SeededFaultOracle::new(7, fault_rate);
+        run_al_with_oracle(&x, &y, &cost, &part, strategy, &oracle, &cfg).expect("AL")
+    };
+    let runs = [
+        campaign(NoiseFloor::loose(), &mut VarianceReduction, 0.0),
+        campaign(NoiseFloor::recommended(), &mut VarianceReduction, 0.0),
+        campaign(NoiseFloor::recommended(), &mut CostEfficiency, 0.2),
+    ];
+    assert_eq!(runs[0].history.len(), 40);
+    assert_eq!(runs[1].history.len(), 40);
+    assert!(!runs[2].lost.is_empty(), "the fault oracle lost nothing");
+    assert_eq!(runs[2].history.len() + runs[2].lost.len(), 40);
+    let digests: Vec<String> = runs
+        .iter()
+        .map(|r| format!("{:016x}", run_digest(r)))
+        .collect();
+    assert_eq!(
+        digests,
+        ["06cba62066d5631a", "fc5c22a92c63560b", "3eee5998cf8e1ff6"]
     );
 }
 
