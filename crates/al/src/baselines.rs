@@ -43,7 +43,7 @@ pub struct StaticResult {
 }
 
 /// Choose `m` rows from `pool` according to the design.
-pub fn choose_rows(
+fn choose_rows(
     design: StaticDesign,
     x_all: &Matrix,
     pool: &[usize],

@@ -70,9 +70,6 @@ impl PoolPredictionCache {
     /// Drop the cached cross-covariance (call after a hyperparameter
     /// refit). The candidate rows are kept.
     pub fn invalidate(&mut self) {
-        if self.kxb.is_some() {
-            alperf_obs::inc("al.cache.invalidate");
-        }
         self.kxb = None;
         self.params.clear();
     }
@@ -100,10 +97,7 @@ impl PoolPredictionCache {
 
     /// Rebuild the cross-covariance unless it is warm for `model`.
     fn warm_up(&mut self, model: &Gpr) {
-        if self.is_warm_for(model) {
-            alperf_obs::inc("al.cache.hit");
-        } else {
-            alperf_obs::inc("al.cache.rebuild");
+        if !self.is_warm_for(model) {
             self.kxb = Some(model.kernel().cross_matrix(&self.x, model.x_train()));
             self.params = model.kernel().params();
         }
@@ -131,7 +125,6 @@ impl PoolPredictionCache {
             // A malformed append (wrong input dimension) must not corrupt
             // the cached matrix: reject it and fall back to a rebuild on
             // the next `predictions` call.
-            alperf_obs::inc("al.cache.append_reject");
             self.invalidate();
             return;
         }
@@ -140,7 +133,6 @@ impl PoolPredictionCache {
             self.invalidate();
             return;
         }
-        alperf_obs::inc("al.cache.append");
         let xm = Matrix::from_vec(1, x_new.len(), x_new.to_vec())
             .expect("one row of x_new.len() values");
         let col = kernel.cross_matrix(&self.x, &xm);

@@ -143,11 +143,6 @@ impl AlRun {
         self.history.iter().map(|r| r.amsd).collect()
     }
 
-    /// The cumulative-cost trajectory.
-    pub fn cost_series(&self) -> Vec<f64> {
-        self.history.iter().map(|r| r.cumulative_cost).collect()
-    }
-
     /// `(cumulative_cost, rmse)` pairs — the raw material of the paper's
     /// Fig. 8(b) tradeoff curves.
     pub fn cost_rmse_points(&self) -> Vec<(f64, f64)> {
@@ -235,9 +230,9 @@ pub fn run_al(
 /// [`run_al`] with an explicit [`ExperimentOracle`] deciding each selected
 /// experiment's fate. Under a faulty oracle the loop degrades gracefully:
 /// a [`ExperimentOutcome::Lost`] experiment is charged its cost, flagged in
-/// the telemetry stream (`al.degraded_iteration` counter + record), and
-/// removed from the pool — the next round re-selects from the survivors
-/// instead of aborting. Lost experiments are reported in [`AlRun::lost`];
+/// the trace (an `al.degraded_iteration` record), and removed from the
+/// pool — the next round re-selects from the survivors instead of
+/// aborting. Lost experiments are reported in [`AlRun::lost`];
 /// the metric history only contains iterations that produced a
 /// measurement.
 ///
@@ -382,7 +377,6 @@ pub fn run_al_with_oracle(
                 // obtained) below; the survivors are re-selected from next
                 // round. The model and the training set are untouched.
                 if obs_on {
-                    alperf_obs::inc(names::AL_DEGRADED_ITERATION);
                     alperf_obs::record(
                         names::AL_DEGRADED_ITERATION,
                         &[
@@ -430,7 +424,6 @@ pub fn run_al_with_oracle(
                     fields.push(("stale_pg", Value::F64(pg)));
                 }
                 alperf_obs::record(names::AL_ITERATION, &fields);
-                alperf_obs::inc("al.iterations");
             }
             history.push(IterationRecord {
                 iter,

@@ -118,7 +118,7 @@ impl Strategy for RandomSampling {
 
 /// `argmax` over predictions with a score function; `None` on empty input
 /// or all-NaN scores. Ties resolve to the first occurrence (deterministic).
-pub fn argmax_by(preds: &[Prediction], score: impl Fn(&Prediction) -> f64) -> Option<usize> {
+fn argmax_by(preds: &[Prediction], score: impl Fn(&Prediction) -> f64) -> Option<usize> {
     let mut best: Option<(usize, f64)> = None;
     for (i, p) in preds.iter().enumerate() {
         let s = score(p);

@@ -165,7 +165,7 @@ pub fn compare(
 impl TradeoffComparison {
     /// Relative error reduction at cost `c` (interpolating the grid as step
     /// functions); `None` when either curve is undefined there.
-    pub fn relative_reduction_at(&self, c: f64) -> Option<f64> {
+    fn relative_reduction_at(&self, c: f64) -> Option<f64> {
         let mut idx = None;
         for (i, &g) in self.cost.iter().enumerate() {
             if g <= c {

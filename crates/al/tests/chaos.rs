@@ -137,7 +137,6 @@ fn al_degrades_gracefully_under_faults() {
     let trace = std::env::temp_dir().join(format!("alperf_chaos_{}.jsonl", std::process::id()));
     alperf_obs::sink::install_jsonl(&trace).unwrap();
     alperf_obs::set_enabled(true);
-    let degraded_before = alperf_obs::counter(alperf_obs::names::AL_DEGRADED_ITERATION).get();
     let on = run_chaos(0.3);
     alperf_obs::set_enabled(false);
     alperf_obs::sink::uninstall();
@@ -158,10 +157,5 @@ fn al_degrades_gracefully_under_faults() {
     assert!(
         text.lines().any(|l| l.contains("\"al.iteration\"")),
         "trace has no al.iteration records"
-    );
-    assert_eq!(
-        alperf_obs::counter(alperf_obs::names::AL_DEGRADED_ITERATION).get() - degraded_before,
-        heavy.lost.len() as u64,
-        "degraded-iteration counter did not advance"
     );
 }

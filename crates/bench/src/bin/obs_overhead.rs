@@ -4,6 +4,9 @@
 //! * telemetry overhead: an instrumented GPR fit and a batched predict
 //!   with telemetry on stay within [`BUDGET_PCT`] of the same calls with
 //!   it off;
+//! * traced campaign: a Fig. 7 AL campaign with telemetry on and a JSONL
+//!   sink under `target/`, flushed inside the timed arm, takes at most
+//!   [`CAMPAIGN_RATIO_BUDGET`] times the untraced campaign's wall time;
 //! * grid summary stream: per-record commits (write + flush per line)
 //!   cost at most [`STREAM_OVERHEAD_BUDGET_PCT`] over one buffered
 //!   end-of-run write;
@@ -14,13 +17,19 @@
 //!   two CPUs and still give the process one of them.
 //!
 //! Usage:
-//!   obs_overhead           # full sizes (n=200 fit, 1024-candidate pool)
-//!   obs_overhead --quick   # small sizes (CI)
+//!   obs_overhead           # full sizes (n=200 fit, 1024-candidate pool,
+//!                          # 60-iteration campaign)
+//!   obs_overhead --quick   # small sizes (CI; 25-iteration campaign)
 //!
 //! Timings use `std::time::Instant` directly, the one place that cannot
 //! route through the layer it is measuring.
 
-use alperf_gp::kernel::SquaredExponential;
+use alperf_al::runner::{run_al, AlConfig, AlRun};
+use alperf_al::strategy::VarianceReduction;
+use alperf_bench::{focus_slice, repro_dir, FocusSlice};
+use alperf_core::analysis::paper_kernel_bounds;
+use alperf_data::partition::Partition;
+use alperf_gp::kernel::{ArdSquaredExponential, SquaredExponential};
 use alperf_gp::model::Gpr;
 use alperf_gp::noise::NoiseFloor;
 use alperf_gp::optimize::{fit_gpr, GprConfig};
@@ -34,6 +43,9 @@ use std::time::Instant;
 
 /// The telemetry overhead budget, percent of hot-path runtime.
 const BUDGET_PCT: f64 = 2.0;
+/// A traced campaign may take at most this multiple of the untraced one's
+/// wall time. A traced `repro_fig7 --quick` read 0.99x of untraced.
+const CAMPAIGN_RATIO_BUDGET: f64 = 1.10;
 /// Per-record flushes may cost at most this much over a single buffered
 /// write of the whole summary file, percent.
 const STREAM_OVERHEAD_BUDGET_PCT: f64 = 10.0;
@@ -50,8 +62,8 @@ const CONTROL_TWO_CPUS: f64 = 0.65;
 /// Steps of [`spin`] per control arm (about 8 ms at 2 GHz).
 const CONTROL_STEPS: u64 = 1 << 19;
 
-/// Fit arms last at least this long: a 2% difference has to clear timer
-/// and scheduler noise.
+/// Fit and campaign arms last at least this long: a 2% difference has to
+/// clear timer and scheduler noise.
 const FIT_ARM_MS: f64 = 25.0;
 
 /// Median of a non-empty sample.
@@ -143,6 +155,32 @@ fn on_off<F: FnMut()>(rounds: usize, batch: usize, mut f: F) -> Overhead {
     }
 }
 
+/// One Fig. 7 campaign of `iters` iterations on the focus slice: Variance
+/// Reduction over ARD-SE under the paper's bounds, 3 restarts, σ_n ≥ 1e-1.
+fn campaign(slice: &FocusSlice, iters: usize) -> AlRun {
+    let gpr = GprConfig::new(Box::new(ArdSquaredExponential::unit(2)))
+        .with_noise_floor(NoiseFloor::recommended())
+        .with_restarts(3)
+        .with_kernel_bounds(paper_kernel_bounds(2))
+        .with_standardize(false)
+        .with_seed(100);
+    let cfg = AlConfig {
+        max_iters: iters,
+        ..AlConfig::new(gpr)
+    };
+    let part = Partition::paper_default(slice.x.nrows(), 1000);
+    let cost = vec![1.0; slice.x.nrows()];
+    run_al(
+        &slice.x,
+        &slice.y,
+        &cost,
+        &part,
+        &mut VarianceReduction,
+        &cfg,
+    )
+    .expect("bench campaign")
+}
+
 /// A dependent chain of `steps` square roots: compute-bound, with no
 /// memory traffic and nothing shared between threads running it.
 fn spin(steps: u64) -> f64 {
@@ -217,10 +255,10 @@ fn main() -> ExitCode {
     // 2% difference, so each arm times a batch of fits lasting at least
     // FIT_ARM_MS, and the median ratio runs over many interleaved rounds.
     // A full-size fit is long enough to be one arm by itself.
-    let (n, m, restarts, rounds, grid_rounds) = if quick {
-        (48, 128, 2, 15, 15)
+    let (n, m, restarts, rounds, grid_rounds, iters) = if quick {
+        (48, 128, 2, 15, 15, 25)
     } else {
-        (200, 1024, 5, 5, 5)
+        (200, 1024, 5, 5, 5, 60)
     };
     let (x, y) = training_data(n);
     let cfg = GprConfig::new(Box::new(SquaredExponential::unit()))
@@ -248,6 +286,21 @@ fn main() -> ExitCode {
     let predict = on_off(rounds * 20, 1, || {
         black_box(gpr.predict_batch(&pool).expect("bench predict"));
     });
+
+    // The campaign arm traces to a real file: the sink stays installed,
+    // and each campaign flushes it, so an untraced arm pays only a flush
+    // of an empty buffer and a traced arm pays for every line it writes.
+    let slice = focus_slice();
+    let trace = repro_dir().join("obs_overhead_campaign.jsonl");
+    alperf_obs::sink::install_jsonl(&trace).expect("install the campaign trace sink");
+    let campaign_once = || {
+        black_box(campaign(&slice, iters));
+        alperf_obs::sink::flush();
+    };
+    let campaign_batch = batch_for(FIT_ARM_MS, campaign_once);
+    let traced = on_off(rounds, campaign_batch, campaign_once);
+    alperf_obs::sink::uninstall();
+    let campaign_ratio = 1.0 + traced.pct / 100.0;
 
     // Each round runs the grid buffered and streaming at width 1, then
     // streaming at width 2, back to back, then the two-thread control. A
@@ -278,6 +331,11 @@ fn main() -> ExitCode {
             predict.pct
         ));
     }
+    if campaign_ratio > CAMPAIGN_RATIO_BUDGET {
+        failed.push(format!(
+            "traced campaign ratio {campaign_ratio:.3} > {CAMPAIGN_RATIO_BUDGET}"
+        ));
+    }
     if stream_pct >= STREAM_OVERHEAD_BUDGET_PCT {
         failed.push(format!(
             "grid stream overhead {stream_pct:.2}% >= {STREAM_OVERHEAD_BUDGET_PCT}%"
@@ -299,6 +357,10 @@ fn main() -> ExitCode {
          \"predict\": {{ \"train_n\": {n}, \"pool_m\": {m}, \"threads\": 1, \
          \"disabled_ms\": {:.3}, \"enabled_ms\": {:.3}, \"overhead_pct\": {:.3}, \
          \"budget_pct\": {BUDGET_PCT} }},\n  \
+         \"campaign\": {{ \"rows\": {}, \"iters\": {iters}, \"threads\": 1, \
+         \"rounds\": {rounds}, \"batch\": {campaign_batch}, \
+         \"untraced_ms\": {:.3}, \"traced_ms\": {:.3}, \"ratio\": {campaign_ratio:.3}, \
+         \"budget_ratio\": {CAMPAIGN_RATIO_BUDGET} }},\n  \
          \"grid\": {{ \"configs\": {}, \"rounds\": {grid_rounds}, \
          \"stream_overhead_pct\": {stream_pct:.3}, \
          \"stream_budget_pct\": {STREAM_OVERHEAD_BUDGET_PCT}, \"ratio_t2\": {ratio_t2:.3}, \
@@ -312,6 +374,9 @@ fn main() -> ExitCode {
         predict.off_ms,
         predict.on_ms,
         predict.pct,
+        slice.x.nrows(),
+        traced.off_ms,
+        traced.on_ms,
         spec.n_configs(),
         failed.is_empty()
     );

@@ -1,13 +1,14 @@
-//! Stage-by-stage profiler for the GPR training path plus sweeps over
-//! training-set size.
+//! Stage-by-stage profiler for the GPR training and prediction paths,
+//! plus sweeps over training-set size.
 //!
 //! Usage:
 //!   profile_fit            # stage tables (SE at n=200; ARD-SE and
 //!                          # Matérn-5/2 at n=13 and n=60), the kernels at
-//!                          # the Fig. 8 orders, a per-order kernel sweep
+//!                          # the Fig. 8 orders, the predict stages (n=200,
+//!                          # 1024-point pool), a per-order kernel sweep
 //!                          # (n = 1..=256) and a `fit_gpr` sweep
-//!   profile_fit --quick    # same tables at fewer reps, SE at n=64, tiny
-//!                          # sweeps (CI smoke run)
+//!   profile_fit --quick    # same tables at fewer reps, SE at n=64, a
+//!                          # 256-point pool, tiny sweeps (CI smoke run)
 //!
 //! Each stage table splits one LML value + gradient evaluation into its
 //! kernels: pointwise covariance assembly, the Cholesky factorization
@@ -21,6 +22,9 @@
 //! Matérn-5/2 tables cover the orders of the paper campaigns (Fig. 7 and
 //! the grid, n <= 61); the Fig. 8 table times the same kernels under
 //! ARD-SE at n = 60, 128 and 200, where Fig. 8's fits spend their time.
+//! The predict table splits scoring a candidate pool into the
+//! cross-covariance, the multi-RHS forward solve (in both layouts), the
+//! batched moments, and `predict_batch` against a loop of `predict_one`.
 //!
 //! Every number is timed here with a monotonic clock: the minimum over
 //! `reps` runs of `batch` back-to-back calls, divided by `batch` — the
@@ -29,10 +33,12 @@
 
 use alperf_gp::kernel::{ArdSquaredExponential, Kernel, Matern52, SquaredExponential};
 use alperf_gp::lml::{self, FitCache, LmlWorkspace};
+use alperf_gp::model::Gpr;
 use alperf_gp::noise::NoiseFloor;
 use alperf_gp::optimize::{fit_gpr, GprConfig};
 use alperf_linalg::cholesky::Cholesky;
 use alperf_linalg::matrix::Matrix;
+use alperf_linalg::triangular::{solve_lower_matrix, solve_lower_rhs_rows};
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -64,6 +70,17 @@ fn training_data(n: usize) -> (Matrix, Vec<f64>) {
         .map(|i| (i as f64 * 0.1).sin() + i as f64 * 0.01)
         .collect();
     (x, y)
+}
+
+/// Synthetic candidate pool over the same ranges as [`training_data`].
+fn pool_points(m: usize) -> Matrix {
+    Matrix::from_fn(m, 2, |i, j| {
+        if j == 0 {
+            3.0 + 6.0 * ((i * 13 % m) as f64 / m as f64)
+        } else {
+            1.2 + 1.2 * ((i * 29 % m) as f64 / m as f64)
+        }
+    })
 }
 
 fn fit_config(restarts: usize) -> GprConfig {
@@ -184,6 +201,102 @@ fn fig8_table(kernel: &dyn Kernel, orders: &[usize], reps: usize) {
     }
 }
 
+/// Print the stages of scoring an `m`-point pool with an SE model trained
+/// on `n` points (us per call; the `predict_one` loop runs at most 5
+/// times).
+fn predict_table(n: usize, m: usize, reps: usize) {
+    let (x, y) = training_data(n);
+    let kern = SquaredExponential::new(1.0, 1.0);
+    let gpr = Gpr::fit(
+        x.clone(),
+        &y,
+        Box::new(SquaredExponential::new(1.0, 1.0)),
+        0.1,
+        true,
+    )
+    .unwrap();
+    let pool = pool_points(m);
+    let kxt = kern.cross_matrix(&pool, &x);
+    let b = kxt.transpose();
+    let l = Matrix::from_fn(n, n, |i, j| {
+        if j <= i {
+            1.0 + (i + j) as f64 * 0.001
+        } else {
+            0.0
+        }
+    });
+    let alpha = vec![0.01; n];
+    let stages = [
+        (
+            "cross_k",
+            min_us(reps, 1, || {
+                black_box(kern.cross_matrix(&pool, &x));
+            }),
+        ),
+        (
+            "transpose",
+            min_us(reps, 1, || {
+                black_box(kxt.transpose());
+            }),
+        ),
+        (
+            "solve_matrix",
+            min_us(reps, 1, || {
+                black_box(solve_lower_matrix(&l, &b).unwrap());
+            }),
+        ),
+        (
+            "solve_rhs_rows",
+            min_us(reps, 1, || {
+                black_box(solve_lower_rhs_rows(&l, &kxt).unwrap());
+            }),
+        ),
+        (
+            "matvec",
+            min_us(reps, 1, || {
+                black_box(kxt.matvec(&alpha).unwrap());
+            }),
+        ),
+        (
+            "row_sq_norms",
+            min_us(reps, 1, || {
+                black_box(kxt.row_sq_norms());
+            }),
+        ),
+        (
+            "cross_plus_solve",
+            min_us(reps, 1, || {
+                let k = kern.cross_matrix(&pool, &x);
+                black_box(solve_lower_rhs_rows(&l, &k).unwrap());
+            }),
+        ),
+        (
+            "batch_with_cross",
+            min_us(reps, 1, || {
+                black_box(gpr.predict_batch_with_cross(&pool, &kxt).unwrap());
+            }),
+        ),
+        (
+            "batch",
+            min_us(reps, 1, || {
+                black_box(gpr.predict_batch(&pool).unwrap());
+            }),
+        ),
+        (
+            "loop_predict_one",
+            min_us(reps.min(5), 1, || {
+                for i in 0..m {
+                    black_box(gpr.predict_one(pool.row(i)).unwrap());
+                }
+            }),
+        ),
+    ];
+    println!("== predict stages at n={n}, pool m={m} (us per call; min over {reps} runs) ==");
+    for (stage, us) in stages {
+        println!("{stage:<28} {us:>10.3}");
+    }
+}
+
 /// Per-order timings of the two cubic kernels behind every LML evaluation
 /// (us per call): the Cholesky refactored into a reused factor and
 /// `inverse_lower_into` into reused buffers, on the SE covariance of
@@ -245,7 +358,11 @@ fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
     let ard = ArdSquaredExponential::new(vec![1.0, 0.5], 1.0);
     let m52 = Matern52::new(1.0, 1.0);
-    let (big, reps, small_reps) = if quick { (64, 3, 20) } else { (200, 10, 200) };
+    let (big, pool_m, reps, small_reps) = if quick {
+        (64, 256, 3, 20)
+    } else {
+        (200, 1024, 10, 200)
+    };
     stage_table("SE", &SquaredExponential::new(1.0, 1.0), big, 0.1, reps, 1);
     fit_table(big, reps.min(5));
     for n in [13, 60] {
@@ -254,6 +371,7 @@ fn main() {
         stage_table("Matern-5/2", &m52, n, 0.1, reps, 20);
     }
     fig8_table(&ard, &[60, 128, 200], reps);
+    predict_table(big, pool_m, reps);
     if quick {
         kernel_sweep([1, 13, 41, 128].into_iter());
         sweep(&[32], &[1]);

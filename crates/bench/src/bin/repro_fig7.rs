@@ -14,10 +14,10 @@
 //! Flags/environment:
 //! * `--quick` — fewer repetitions/iterations (CI smoke run; the paper
 //!   observation check still holds);
-//! * `ALPERF_OBS_TRACE` / `ALPERF_OBS_SNAPSHOT` — run with telemetry,
-//!   writing a JSONL trace and/or Prometheus-style metrics snapshot (see
-//!   `alperf_bench::obs_from_env`). The telemetry-on trajectories are
-//!   bit-identical to telemetry-off (crates/al/tests/obs_determinism.rs).
+//! * `ALPERF_OBS_TRACE` — run with telemetry, writing a JSONL trace (see
+//!   `alperf_bench::obs_from_env`; `trace_report` prints its per-span
+//!   table). The telemetry-on trajectories are bit-identical to
+//!   telemetry-off (crates/al/tests/obs_determinism.rs).
 
 use alperf_al::metrics::paper_metrics;
 use alperf_al::runner::{run_al, AlConfig, AlRun};
@@ -94,7 +94,7 @@ fn report(tag: &str, runs: &[AlRun]) -> (f64, f64, f64, f64) {
 }
 
 fn main() {
-    let obs = alperf_bench::obs_from_env();
+    let _obs = alperf_bench::obs_from_env();
     let (repetitions, iters) = scale();
     let FocusSlice { x, y, .. } = focus_slice();
     let cost = vec![1.0; x.nrows()];
@@ -151,11 +151,4 @@ fn main() {
             14,
         )
     );
-
-    if obs.enabled() {
-        // Print the span aggregates so the run telemetry is visible in the
-        // terminal; the guard flushes the trace and writes the snapshot.
-        banner("run telemetry (span aggregates)");
-        print!("{}", alperf_obs::registry().summary_table());
-    }
 }

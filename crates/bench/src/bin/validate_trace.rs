@@ -13,11 +13,16 @@
 //!   threads (the cross-thread parentage invariant);
 //! * `al.iteration` records carry the per-iteration payload and a
 //!   strictly increasing `iter` per `run` id, and the refit trigger's
-//!   `stale_pg` is finite wherever present.
+//!   `stale_pg` is finite wherever present;
+//! * `gp.fit.done` records, the one place a fit's LML evaluation counts
+//!   are kept, carry `n`, `evaluations`, `values`, `gradients`,
+//!   `jitter_retries`, `noise` and `noise_at_floor`, with
+//!   `evaluations == values + gradients`.
 //!
 //! Exit codes: 0 valid; 1 malformed content or violated invariant;
 //! 2 usage; 3 unreadable input; 4 empty trace; 5 unknown schema.
 
+use alperf_obs::json::Json;
 use alperf_trace::{read_path, SpanForest, Trace};
 use std::collections::BTreeMap;
 use std::path::Path;
@@ -58,6 +63,31 @@ fn check_iterations(trace: &Trace) -> Result<usize, String> {
     Ok(iterations)
 }
 
+fn check_fits(trace: &Trace) -> Result<usize, String> {
+    let mut fits = 0usize;
+    for rec in trace.records_named("gp.fit.done") {
+        fits += 1;
+        let f = |key: &str| {
+            rec.f64(key)
+                .ok_or_else(|| format!("gp.fit.done record missing numeric \"{key}\""))
+        };
+        for key in ["n", "jitter_retries", "noise"] {
+            f(key)?;
+        }
+        if !matches!(rec.fields.get("noise_at_floor"), Some(Json::Bool(_))) {
+            return Err("gp.fit.done record missing boolean \"noise_at_floor\"".into());
+        }
+        let (evaluations, values, gradients) = (f("evaluations")?, f("values")?, f("gradients")?);
+        if evaluations != values + gradients {
+            return Err(format!(
+                "gp.fit.done record with evaluations {evaluations} != \
+                 values {values} + gradients {gradients}"
+            ));
+        }
+    }
+    Ok(fits)
+}
+
 fn main() -> ExitCode {
     let Some(path) = std::env::args().nth(1) else {
         eprintln!("usage: validate_trace <trace.jsonl>");
@@ -77,11 +107,13 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    match check_iterations(&trace) {
-        Ok(iterations) => {
+    let checked =
+        check_iterations(&trace).and_then(|iters| check_fits(&trace).map(|fits| (iters, fits)));
+    match checked {
+        Ok((iterations, fits)) => {
             println!(
                 "{path}: OK — {} spans in {} connected trees, {} records \
-                 ({iterations} al.iteration) under schema {}",
+                 ({iterations} al.iteration, {fits} gp.fit.done) under schema {}",
                 forest.len(),
                 forest.roots.len(),
                 trace.records.len(),

@@ -139,39 +139,15 @@ pub fn banner(title: &str) {
 /// Telemetry switched on from the environment by [`obs_from_env`].
 ///
 /// Dropping the guard finishes the run's telemetry: it flushes the JSONL
-/// trace and writes the metrics snapshot. The drop also runs while a
-/// panic unwinds out of `main` and on every early `return`, so a failed
-/// paper check or a usage error still leaves a complete, readable trace.
+/// trace. The drop also runs while a panic unwinds out of `main` and on
+/// every early `return`, so a failed paper check or a usage error still
+/// leaves a complete, readable trace.
 #[must_use = "telemetry is finished when the guard drops; bind it with `let _obs = ...`"]
-pub struct ObsGuard {
-    enabled: bool,
-    snapshot: Option<PathBuf>,
-}
-
-impl ObsGuard {
-    /// Did the environment switch telemetry on?
-    pub fn enabled(&self) -> bool {
-        self.enabled
-    }
-}
+pub struct ObsGuard(());
 
 impl Drop for ObsGuard {
     fn drop(&mut self) {
-        if !self.enabled {
-            return;
-        }
         alperf_obs::sink::flush();
-        if let Some(path) = &self.snapshot {
-            // A drop must not panic (it may run during an unwind), so a
-            // failed write is reported, not raised.
-            match std::fs::write(path, alperf_obs::registry().prometheus_snapshot()) {
-                Ok(()) => eprintln!("(telemetry: metrics snapshot -> {})", path.display()),
-                Err(e) => eprintln!(
-                    "(telemetry: cannot write metrics snapshot {}: {e})",
-                    path.display()
-                ),
-            }
-        }
     }
 }
 
@@ -179,39 +155,27 @@ impl Drop for ObsGuard {
 /// `ALPERF_NUM_THREADS` (see [`threads_from_env`]), and telemetry, if
 /// requested.
 ///
-/// * `ALPERF_OBS_TRACE=<path>` — install a JSONL trace sink at `<path>`
-///   and switch instrumentation on.
-/// * `ALPERF_OBS_SNAPSHOT=<path>` — write a Prometheus-style metrics
-///   snapshot to `<path>` when the returned guard drops; also switches
-///   instrumentation on.
+/// `ALPERF_OBS_TRACE=<path>` installs a JSONL trace sink at `<path>` and
+/// switches instrumentation on.
 ///
 /// Hold the returned guard for the rest of `main`
 /// (`let _obs = alperf_bench::obs_from_env();`): its drop flushes the
-/// trace and writes the snapshot, panics and early returns included.
+/// trace, panics and early returns included.
 pub fn obs_from_env() -> ObsGuard {
     threads_from_env();
-    let env_path = |key: &str| std::env::var(key).ok().filter(|p| !p.is_empty());
-    let trace = env_path("ALPERF_OBS_TRACE");
-    let snapshot = env_path("ALPERF_OBS_SNAPSHOT").map(PathBuf::from);
-    if trace.is_none() && snapshot.is_none() {
-        return ObsGuard {
-            enabled: false,
-            snapshot: None,
-        };
-    }
-    if let Some(path) = trace {
+    if let Some(path) = std::env::var("ALPERF_OBS_TRACE")
+        .ok()
+        .filter(|p| !p.is_empty())
+    {
         let p = std::path::Path::new(&path);
         if let Some(dir) = p.parent().filter(|d| !d.as_os_str().is_empty()) {
             std::fs::create_dir_all(dir).expect("create trace directory");
         }
         alperf_obs::sink::install_jsonl(p).expect("install JSONL trace sink");
         eprintln!("(telemetry: JSONL trace -> {path})");
+        alperf_obs::set_enabled(true);
     }
-    alperf_obs::set_enabled(true);
-    ObsGuard {
-        enabled: true,
-        snapshot,
-    }
+    ObsGuard(())
 }
 
 /// Configure the global thread width from `ALPERF_NUM_THREADS`, once per

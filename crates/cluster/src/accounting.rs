@@ -37,7 +37,8 @@ pub struct QueueStats {
 }
 
 /// Compute queue statistics for a batch with no failed jobs.
-pub fn queue_stats(records: &[JobRecord], machine: &MachineSpec) -> QueueStats {
+#[cfg(test)]
+fn queue_stats(records: &[JobRecord], machine: &MachineSpec) -> QueueStats {
     queue_stats_with_failures(records, &[], machine)
 }
 

@@ -278,7 +278,7 @@ fn push_variables(data: &mut DataSet, records: &[&JobRecord]) -> Result<(), Data
 }
 
 /// Build the Performance dataset (all records; response: Runtime).
-pub fn records_to_performance_dataset(records: &[JobRecord]) -> Result<DataSet, DataSetError> {
+fn records_to_performance_dataset(records: &[JobRecord]) -> Result<DataSet, DataSetError> {
     let refs: Vec<&JobRecord> = records.iter().collect();
     let mut data = DataSet::new();
     push_variables(&mut data, &refs)?;
@@ -292,7 +292,7 @@ pub fn records_to_performance_dataset(records: &[JobRecord]) -> Result<DataSet, 
 
 /// Build the Power dataset (records with surviving energy estimates;
 /// responses: Runtime and Energy).
-pub fn records_to_power_dataset(records: &[JobRecord]) -> Result<DataSet, DataSetError> {
+fn records_to_power_dataset(records: &[JobRecord]) -> Result<DataSet, DataSetError> {
     let refs: Vec<&JobRecord> = records.iter().filter(|r| r.energy.is_some()).collect();
     let mut data = DataSet::new();
     if refs.is_empty() {

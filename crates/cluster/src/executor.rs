@@ -22,7 +22,7 @@ use crate::job::JobRequest;
 use crate::power::{PowerSample, PowerSampler};
 use alperf_hpgmg::model::PerfModel;
 use alperf_obs::names;
-use alperf_obs::{Clock, SpanCtx, SystemClock, Value};
+use alperf_obs::{SpanCtx, Value};
 use crossbeam::channel;
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
@@ -93,16 +93,9 @@ impl JobOutcome {
         }
     }
 
-    /// Consume into the measurement, if the job succeeded.
-    pub fn into_measurement(self) -> Option<Measurement> {
-        match self {
-            JobOutcome::Ok { measurement, .. } => Some(measurement),
-            JobOutcome::Failed { .. } => None,
-        }
-    }
-
     /// Did the job fail terminally?
-    pub fn is_failed(&self) -> bool {
+    #[cfg(test)]
+    fn is_failed(&self) -> bool {
         matches!(self, JobOutcome::Failed { .. })
     }
 }
@@ -161,7 +154,6 @@ pub fn measure_all(
     retry: &RetryPolicy,
 ) -> Result<Vec<JobOutcome>, ExecError> {
     let _span = alperf_obs::span(names::CLUSTER_MEASURE_BATCH);
-    alperf_obs::add("cluster.jobs", requests.len() as u64);
     // Capture the batch span before crossing thread boundaries so retry /
     // failure spans emitted on workers attach under it.
     let batch_ctx = alperf_obs::current_span();
@@ -208,7 +200,8 @@ pub fn measure_all(
 /// and unwrap the outcomes to plain [`Measurement`]s. Without injected
 /// faults the only possible failure is an internal panic, which is
 /// propagated as [`ExecError::WorkerPanic`].
-pub fn measure_all_ok(
+#[cfg(test)]
+fn measure_all_ok(
     model: &PerfModel,
     sampler: &PowerSampler,
     requests: &[JobRequest],
@@ -266,7 +259,6 @@ fn measure_job(
                     backoff_ns += wait;
                     if alperf_obs::enabled() {
                         let _s = alperf_obs::span_with_parent(names::CLUSTER_RETRY, batch_ctx);
-                        alperf_obs::inc(names::CLUSTER_RETRY);
                         alperf_obs::record(
                             names::CLUSTER_RETRY,
                             &[
@@ -294,15 +286,6 @@ fn measure_job(
                     Ok(mut measurement) => {
                         if let Some(f) = other {
                             apply_trace_fault(f.kind, &mut measurement.trace, job_seed);
-                            match f.kind {
-                                crate::fault::FaultKind::PowerTraceDropout => {
-                                    alperf_obs::inc(names::CLUSTER_POWER_DROPOUT)
-                                }
-                                crate::fault::FaultKind::PowerTraceCorruption => {
-                                    alperf_obs::inc(names::CLUSTER_POWER_CORRUPT)
-                                }
-                                _ => {}
-                            }
                         }
                         return JobOutcome::Ok {
                             measurement,
@@ -340,7 +323,6 @@ fn emit_failed(
         return;
     }
     let _s = alperf_obs::span_with_parent(names::CLUSTER_FAILED, batch_ctx);
-    alperf_obs::inc(names::CLUSTER_FAILED);
     alperf_obs::record(
         names::CLUSTER_FAILED,
         &[
@@ -360,48 +342,7 @@ fn emit_failed(
 }
 
 /// Measure a single job with its identity-derived RNG.
-///
-/// When telemetry is enabled the measurement is timed through the shared
-/// [`SystemClock`] and recorded to the `cluster.measure_job` histogram;
-/// when disabled no clock is read at all. Tests that need deterministic
-/// wall-clock durations call [`measure_one_timed`] with a
-/// [`alperf_obs::FakeClock`] instead.
-pub fn measure_one(
-    model: &PerfModel,
-    sampler: &PowerSampler,
-    request: &JobRequest,
-    idx: usize,
-    campaign_seed: u64,
-) -> Measurement {
-    if alperf_obs::enabled() {
-        let (m, dur_ns) =
-            measure_one_timed(&SystemClock, model, sampler, request, idx, campaign_seed);
-        alperf_obs::histogram("cluster.measure_job").record(dur_ns);
-        m
-    } else {
-        measure_one_untimed(model, sampler, request, idx, campaign_seed)
-    }
-}
-
-/// [`measure_one`] with an injected [`Clock`]: always times the measurement
-/// through `clock` and returns `(measurement, wall_ns)`. The measurement
-/// itself is a pure function of the request identity — the clock only
-/// observes, so the returned `Measurement` is identical to
-/// [`measure_one`]'s for the same inputs.
-pub fn measure_one_timed(
-    clock: &dyn Clock,
-    model: &PerfModel,
-    sampler: &PowerSampler,
-    request: &JobRequest,
-    idx: usize,
-    campaign_seed: u64,
-) -> (Measurement, u64) {
-    let start = clock.now_ns();
-    let m = measure_one_untimed(model, sampler, request, idx, campaign_seed);
-    (m, clock.now_ns().saturating_sub(start))
-}
-
-fn measure_one_untimed(
+fn measure_one(
     model: &PerfModel,
     sampler: &PowerSampler,
     request: &JobRequest,
@@ -490,22 +431,6 @@ mod tests {
         let a = measure_all_ok(&model, &sampler, &reqs, 1, 2).unwrap();
         let b = measure_all_ok(&model, &sampler, &reqs, 2, 2).unwrap();
         assert_ne!(a[0].runtime, b[0].runtime);
-    }
-
-    #[test]
-    fn injected_clock_times_measurement_deterministically() {
-        // The wall-clock is routed through the Clock trait so tests can
-        // inject a fake: two reads of a FakeClock stepping 5 ms apart must
-        // yield exactly 5 ms, and the measurement must be bit-identical to
-        // the untimed path (the clock observes, never perturbs).
-        let model = PerfModel::calibrated();
-        let sampler = PowerSampler::default();
-        let req = requests(1).pop().unwrap();
-        let clock = alperf_obs::FakeClock::with_step(5_000_000);
-        let (timed, dur_ns) = measure_one_timed(&clock, &model, &sampler, &req, 0, 3);
-        assert_eq!(dur_ns, 5_000_000);
-        let plain = measure_one(&model, &sampler, &req, 0, 3);
-        assert_eq!(timed, plain);
     }
 
     #[test]

@@ -48,7 +48,7 @@ pub const DEFAULT_SIZE_LEVELS: usize = 7;
 pub const MAX_REPEATS: usize = 3;
 
 /// Log-spaced size levels between the Table I extremes.
-pub fn size_levels(count: usize) -> Vec<f64> {
+fn size_levels(count: usize) -> Vec<f64> {
     alperf_linalg_levels(SIZE_MIN, SIZE_MAX, count)
 }
 
@@ -89,7 +89,7 @@ impl Default for WorkloadSpec {
 }
 
 /// Whether `(op, np)` is the paper's heavily-sampled focus slice.
-pub fn is_focus_slice(op: OperatorKind, np: usize) -> bool {
+fn is_focus_slice(op: OperatorKind, np: usize) -> bool {
     op == OperatorKind::Poisson1 && np == 32
 }
 

@@ -3,10 +3,10 @@
 //!
 //! [`PerformanceAnalysis`] wraps a [`DataSet`] and a declarative
 //! [`AnalysisConfig`] (which variables, which response, what to
-//! log-transform, which noise floor) and exposes:
+//! log-transform, which noise floor), builds the numeric problem from them
+//! (design matrix, transformed response, per-row cost = runtime x NP), and
+//! exposes:
 //!
-//! * [`PerformanceAnalysis::prepare`] — build the numeric problem
-//!   (design matrix, transformed response, per-row cost = runtime x NP);
 //! * [`PerformanceAnalysis::run`] — one AL realization over one partition;
 //! * [`PerformanceAnalysis::run_batch`] — many partitions, one whole
 //!   campaign per unit of the replicate runner
@@ -60,7 +60,8 @@ pub struct AnalysisConfig {
 
 impl AnalysisConfig {
     /// Paper-style defaults for modeling `Runtime` over the given variables.
-    pub fn runtime_model(variables: &[&str]) -> Self {
+    #[cfg(test)]
+    fn runtime_model(variables: &[&str]) -> Self {
         AnalysisConfig {
             variables: variables.iter().map(|s| s.to_string()).collect(),
             log_variables: vec![],
@@ -116,7 +117,7 @@ impl PerformanceAnalysis {
     ///
     /// # Errors
     /// Unknown columns, non-positive values under a log transform.
-    pub fn prepare(&self) -> Result<PreparedProblem, DataSetError> {
+    fn prepare(&self) -> Result<PreparedProblem, DataSetError> {
         let vars: Vec<&str> = self.config.variables.iter().map(|s| s.as_str()).collect();
         let mut x = self.data.design_matrix(&vars)?;
         // Apply variable log transforms by column.

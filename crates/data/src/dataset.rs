@@ -194,7 +194,8 @@ impl DataSet {
     }
 
     /// Sorted unique values of a variable.
-    pub fn unique_values(&self, name: &str) -> Result<Vec<f64>, DataSetError> {
+    #[cfg(test)]
+    fn unique_values(&self, name: &str) -> Result<Vec<f64>, DataSetError> {
         let var = self.variable(name)?;
         let mut vals = var.values.clone();
         vals.sort_by(|a, b| a.partial_cmp(b).unwrap());
@@ -332,7 +333,8 @@ impl DataSet {
 
     /// Append one row: variable values in declaration order plus responses
     /// by name. Missing responses are an error (keep the table rectangular).
-    pub fn push_row(
+    #[cfg(test)]
+    fn push_row(
         &mut self,
         var_values: &[f64],
         response_values: &BTreeMap<String, f64>,

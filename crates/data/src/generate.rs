@@ -1,15 +1,18 @@
 //! Factorial dataset construction from a measurement oracle.
 //!
-//! This is the bridge between the dataset layer and whatever actually
-//! produces measurements — the cluster simulator in this workspace, real
-//! SLURM jobs in the paper. The builder enumerates a full-factorial grid,
-//! asks the oracle for each (cell, repeat) measurement, and assembles a
-//! [`DataSet`]. The oracle may return `None` to *drop* a job — exactly how
-//! the paper's Power dataset lost jobs whose IPMI power traces had too many
-//! gaps (Section V-A).
+//! The builder enumerates a full-factorial grid, asks the oracle for each
+//! (cell, repeat) measurement, and assembles a
+//! [`DataSet`](crate::dataset::DataSet). The oracle may return `None` to
+//! *drop* a job — exactly how the paper's Power dataset lost jobs whose
+//! IPMI power traces had too many gaps (Section V-A). The Table I datasets
+//! are built by `alperf-cluster`'s campaign instead, so the builder is
+//! compiled for its tests only.
 
+#[cfg(test)]
 use crate::dataset::{DataSet, DataSetError};
+#[cfg(test)]
 use crate::grid::{Factor, Grid};
+#[cfg(test)]
 use std::collections::BTreeMap;
 
 /// Levels of one experiment factor.
@@ -47,6 +50,7 @@ impl FactorSpec {
         }
     }
 
+    #[cfg(test)]
     fn numeric_levels(&self) -> Vec<f64> {
         match &self.levels {
             Levels::Numeric(v) => v.clone(),
@@ -63,7 +67,8 @@ impl FactorSpec {
 ///
 /// # Errors
 /// Propagates dataset-assembly errors (inconsistent response names).
-pub fn factorial_dataset(
+#[cfg(test)]
+fn factorial_dataset(
     factors: &[FactorSpec],
     repeats: usize,
     mut oracle: impl FnMut(&[f64], usize) -> Option<BTreeMap<String, f64>>,

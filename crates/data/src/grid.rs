@@ -29,7 +29,8 @@ impl Factor {
 
     /// A two-level factor from its extremes — the building block of `2^k`
     /// factorial designs.
-    pub fn two_level(name: &str, lo: f64, hi: f64) -> Self {
+    #[cfg(test)]
+    fn two_level(name: &str, lo: f64, hi: f64) -> Self {
         Factor::new(name, vec![lo, hi])
     }
 }
@@ -48,7 +49,7 @@ impl Grid {
     }
 
     /// Number of cells (product of level counts).
-    pub fn n_cells(&self) -> usize {
+    fn n_cells(&self) -> usize {
         self.factors.iter().map(|f| f.levels.len()).product()
     }
 

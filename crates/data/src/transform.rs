@@ -59,7 +59,8 @@ pub fn log_response(data: &mut DataSet, name: &str) -> Result<(), DataSetError> 
 }
 
 /// Apply `Log10` to a numeric variable column in place.
-pub fn log_variable(data: &mut DataSet, name: &str) -> Result<(), DataSetError> {
+#[cfg(test)]
+fn log_variable(data: &mut DataSet, name: &str) -> Result<(), DataSetError> {
     let col = data.variable(name)?.values.clone();
     if let Some(bad) = col.iter().find(|v| !Transform::Log10.accepts(**v)) {
         return Err(DataSetError::Invalid(format!(

@@ -250,7 +250,6 @@ impl Gpr {
     ) -> Result<Vec<Prediction>, GpError> {
         let _span = alperf_obs::span("gp.predict_batch");
         let (m, n) = (xs.nrows(), self.x.nrows());
-        alperf_obs::add("gp.predict.points", m as u64);
         if kxt.nrows() != m || kxt.ncols() != n {
             return Err(GpError::Dimension(format!(
                 "cross-covariance is {}x{}, expected {m}x{n}",

@@ -119,7 +119,8 @@ impl GprConfig {
     }
 
     /// Builder: hold the noise level fixed at `sigma_n`.
-    pub fn with_fixed_noise(mut self, sigma_n: f64) -> Self {
+    #[cfg(test)]
+    fn with_fixed_noise(mut self, sigma_n: f64) -> Self {
         self.noise_init = sigma_n;
         self.optimize_noise = false;
         self
@@ -469,8 +470,7 @@ const ON_BOUND: f64 = 1e-9;
 /// Costs one LML value and one gradient evaluation (`O(n^3)`), made as a
 /// fit's restart makes them: each sets a clone of the model's kernel to
 /// the model's hyperparameters, so a kernel that counts `set_params` calls
-/// counts them as two LML evaluations, and both add to the
-/// `gp.stale_test.lml_evaluations` counter.
+/// counts them as two LML evaluations.
 ///
 /// # Errors
 /// [`GpError::Linalg`] when `model`'s kernel has no distance form, when
@@ -493,10 +493,8 @@ pub fn projected_grad_norm(model: &Gpr, config: &GprConfig) -> Result<f64, GpErr
         fixed_noise,
         counts: Counts::default(),
     };
-    let g = obj.try_value(&theta).and_then(|_| obj.try_grad(&theta));
-    let evals = obj.counts.values + obj.counts.gradients;
-    alperf_obs::add("gp.stale_test.lml_evaluations", evals as u64);
-    let g = g?;
+    obj.try_value(&theta)?;
+    let g = obj.try_grad(&theta)?;
     if g.iter().any(|v| !v.is_finite()) {
         return Err(GpError::Linalg(LinalgError::NonFinite { op: "lml_grad" }));
     }
@@ -614,8 +612,6 @@ pub fn fit_gpr(x: &Matrix, y: &[f64], config: &GprConfig) -> Result<(Gpr, OptimO
         }
     }
     let total_evals = counts.values + counts.gradients;
-
-    alperf_obs::add("gp.fit.lml_evaluations", total_evals as u64);
     let (best_restart, won) = best.ok_or_else(|| {
         GpError::Dimension("all optimizer restarts failed to produce a finite LML".into())
     })?;

@@ -84,7 +84,7 @@ impl Hierarchy {
     }
 
     /// Number of levels (finest = level 0).
-    pub fn n_levels(&self) -> usize {
+    fn n_levels(&self) -> usize {
         self.u.len()
     }
 
@@ -98,26 +98,14 @@ impl Hierarchy {
         &self.u[0]
     }
 
-    /// Mutably borrow the finest-level solution (e.g. to set an initial
-    /// guess).
-    pub fn solution_mut(&mut self) -> &mut Grid3 {
-        &mut self.u[0]
-    }
-
     /// Mutably borrow the finest-level right-hand side.
     pub fn rhs_mut(&mut self) -> &mut Grid3 {
         &mut self.f[0]
     }
 
-    /// Cumulative work counters since construction (or the last
-    /// [`Hierarchy::reset_work`]).
+    /// Cumulative work counters since construction.
     pub fn work(&self) -> WorkCounters {
         self.work
-    }
-
-    /// Reset the work counters.
-    pub fn reset_work(&mut self) {
-        self.work = WorkCounters::default();
     }
 
     fn interior_of(&self, level: usize) -> u64 {

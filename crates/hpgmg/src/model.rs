@@ -73,7 +73,7 @@ impl MachineSpec {
     }
 
     /// Total hardware cores.
-    pub fn total_cores(&self) -> usize {
+    fn total_cores(&self) -> usize {
         self.nodes * self.cores_per_node
     }
 
@@ -160,7 +160,7 @@ impl PerfModel {
     ///
     /// `size` is the Global Problem Size (unknowns), `np` the rank count,
     /// `freq` the CPU frequency in GHz.
-    pub fn runtime_breakdown(
+    fn runtime_breakdown(
         &self,
         op: OperatorKind,
         size: f64,
@@ -251,7 +251,7 @@ impl PerfModel {
     }
 
     /// Whether a job fits in memory (per-node footprint within RAM).
-    pub fn memory_fits(&self, size: f64, np: usize) -> bool {
+    fn memory_fits(&self, size: f64, np: usize) -> bool {
         self.memory_per_node(size, np) <= self.machine.ram_per_node
     }
 

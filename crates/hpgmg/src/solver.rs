@@ -72,11 +72,11 @@ impl FmgSolver {
     }
 
     /// The manufactured solution used for verification.
-    pub fn exact_solution(x: f64, y: f64, z: f64) -> f64 {
+    fn exact_solution(x: f64, y: f64, z: f64) -> f64 {
         (PI * x).sin() * (PI * y).sin() * (PI * z).sin()
     }
 
-    /// The right-hand side consistent with [`FmgSolver::exact_solution`]
+    /// The right-hand side consistent with the manufactured solution
     /// for this solver's operator.
     pub fn rhs(&self, x: f64, y: f64, z: f64) -> f64 {
         let u = Self::exact_solution(x, y, z);

@@ -503,10 +503,7 @@ impl Cholesky {
                     self.jitter = jitter;
                     return Ok(k);
                 }
-                Err(e @ LinalgError::NotPositiveDefinite { .. }) => {
-                    alperf_obs::inc("linalg.cholesky.jitter_retry");
-                    last_err = Some(e);
-                }
+                Err(e @ LinalgError::NotPositiveDefinite { .. }) => last_err = Some(e),
                 Err(e) => return Err(e),
             }
         }

@@ -125,9 +125,7 @@ impl Matrix {
         &mut self.data[i * self.cols..(i + 1) * self.cols]
     }
 
-    /// Copy column `j` into a fresh vector. Allocates; hot paths that read
-    /// columns repeatedly should use [`Matrix::copy_col_into`] with a reused
-    /// buffer instead.
+    /// Copy column `j` into a fresh vector.
     pub fn col(&self, j: usize) -> Vec<f64> {
         let mut out = vec![0.0; self.rows];
         self.copy_col_into(j, &mut out);
@@ -139,7 +137,7 @@ impl Matrix {
     ///
     /// # Panics
     /// Panics if `out.len() != nrows` or `j >= ncols`.
-    pub fn copy_col_into(&self, j: usize, out: &mut [f64]) {
+    fn copy_col_into(&self, j: usize, out: &mut [f64]) {
         assert_eq!(out.len(), self.rows, "copy_col_into: buffer length");
         assert!(j < self.cols, "copy_col_into: column out of range");
         for (i, o) in out.iter_mut().enumerate() {
@@ -178,11 +176,6 @@ impl Matrix {
     /// Mutable flat row-major data.
     pub fn as_mut_slice(&mut self) -> &mut [f64] {
         &mut self.data
-    }
-
-    /// Iterator over rows as slices.
-    pub fn rows_iter(&self) -> impl Iterator<Item = &[f64]> {
-        self.data.chunks(self.cols.max(1))
     }
 
     /// Transposed copy.
@@ -252,7 +245,8 @@ impl Matrix {
     }
 
     /// `self + a * other`, elementwise.
-    pub fn add_scaled(&self, a: f64, other: &Matrix) -> Result<Matrix, LinalgError> {
+    #[cfg(test)]
+    fn add_scaled(&self, a: f64, other: &Matrix) -> Result<Matrix, LinalgError> {
         if self.rows != other.rows || self.cols != other.cols {
             return Err(LinalgError::DimensionMismatch {
                 op: "add_scaled",

@@ -29,7 +29,8 @@ pub fn std_dev(x: &[f64]) -> f64 {
 
 /// Population variance (denominator `n`); used where the "spread of this
 /// exact finite set" is wanted rather than an estimator.
-pub fn population_variance(x: &[f64]) -> f64 {
+#[cfg(test)]
+fn population_variance(x: &[f64]) -> f64 {
     if x.is_empty() {
         return 0.0;
     }
@@ -95,7 +96,8 @@ pub fn rmse(pred: &[f64], truth: &[f64]) -> f64 {
 }
 
 /// Mean absolute error.
-pub fn mae(pred: &[f64], truth: &[f64]) -> f64 {
+#[cfg(test)]
+fn mae(pred: &[f64], truth: &[f64]) -> f64 {
     assert_eq!(pred.len(), truth.len(), "mae: length mismatch");
     if pred.is_empty() {
         return 0.0;

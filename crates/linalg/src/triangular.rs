@@ -57,17 +57,20 @@ pub fn solve_lower_in_place(l: &Matrix, x: &mut [f64]) -> Result<(), LinalgError
 
 /// Solve `L^T x = b` where `L` is lower triangular (so `L^T` is upper
 /// triangular), without materializing the transpose.
-pub fn solve_lower_transpose(l: &Matrix, b: &[f64]) -> Result<Vec<f64>, LinalgError> {
+#[cfg(test)]
+fn solve_lower_transpose(l: &Matrix, b: &[f64]) -> Result<Vec<f64>, LinalgError> {
     let mut x = b.to_vec();
     solve_lower_transpose_in_place(l, &mut x)?;
     Ok(x)
 }
 
-/// [`solve_lower_transpose`] in place: `x` holds `b` on entry and the
-/// solution on return (bit-identical to `solve_lower_transpose`'s).
+/// Solve `L^T x = b` in place, where `L` is lower triangular, without
+/// materializing the transpose: `x` holds `b` on entry and the solution on
+/// return.
 ///
 /// # Errors
-/// Same conditions as [`solve_lower_transpose`].
+/// [`LinalgError::DimensionMismatch`] when `L` is not square or `x` does
+/// not match its order; [`LinalgError::Singular`] on a zero diagonal.
 pub fn solve_lower_transpose_in_place(l: &Matrix, x: &mut [f64]) -> Result<(), LinalgError> {
     let n = l.nrows();
     if l.ncols() != n || x.len() != n {
@@ -93,7 +96,8 @@ pub fn solve_lower_transpose_in_place(l: &Matrix, x: &mut [f64]) -> Result<(), L
 
 /// Solve `U x = b` where `U` is upper triangular (entries below the diagonal
 /// are ignored).
-pub fn solve_upper(u: &Matrix, b: &[f64]) -> Result<Vec<f64>, LinalgError> {
+#[cfg(test)]
+fn solve_upper(u: &Matrix, b: &[f64]) -> Result<Vec<f64>, LinalgError> {
     let n = u.nrows();
     if u.ncols() != n || b.len() != n {
         return Err(LinalgError::DimensionMismatch {
@@ -196,7 +200,8 @@ pub fn solve_lower_rhs_rows(l: &Matrix, bt: &Matrix) -> Result<Matrix, LinalgErr
 
 /// Solve `L^T X = B` for a matrix right-hand side (backward substitution,
 /// without materializing the transpose) — the multi-RHS analog of
-/// [`solve_lower_transpose`], bit-identical to it column-for-column.
+/// [`solve_lower_transpose_in_place`], bit-identical to it
+/// column-for-column.
 pub fn solve_lower_transpose_matrix(l: &Matrix, b: &Matrix) -> Result<Matrix, LinalgError> {
     multi_rhs_solve(l, b, "solve_lower_transpose_matrix", backward_sub_block)
 }
@@ -639,7 +644,7 @@ fn finish_triangle(l: &Matrix, buf: &mut [f64], bs: usize, p0: usize, ph: usize,
 }
 
 /// Backward substitution (`L^T x = b`) on a compact block buffer; the exact
-/// per-element op order of [`solve_lower_transpose`].
+/// per-element op order of [`solve_lower_transpose_in_place`].
 fn backward_sub_block(l: &Matrix, buf: &mut [f64], bs: usize) {
     let n = l.nrows();
     for i in (0..n).rev() {

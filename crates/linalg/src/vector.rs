@@ -5,8 +5,6 @@
 //! rows are all just `Vec<f64>`. These helpers keep that code readable while
 //! staying allocation-free where possible.
 
-use crate::error::LinalgError;
-
 /// Dot product `x . y`.
 ///
 /// # Panics
@@ -87,7 +85,8 @@ pub fn sq_dist(a: &[f64], b: &[f64]) -> f64 {
 /// `sum_d ((a_d - b_d) / l_d)^2` — the quadratic form inside an ARD squared
 /// exponential kernel.
 #[inline]
-pub fn scaled_sq_dist(a: &[f64], b: &[f64], inv_lengths: &[f64]) -> f64 {
+#[cfg(test)]
+fn scaled_sq_dist(a: &[f64], b: &[f64], inv_lengths: &[f64]) -> f64 {
     assert_eq!(a.len(), b.len(), "scaled_sq_dist: length mismatch");
     assert_eq!(a.len(), inv_lengths.len(), "scaled_sq_dist: scale mismatch");
     let mut s = 0.0;
@@ -105,11 +104,12 @@ pub fn sub(x: &[f64], y: &[f64]) -> Vec<f64> {
 }
 
 /// Validate that every element is finite.
-pub fn check_finite(x: &[f64], op: &'static str) -> Result<(), LinalgError> {
+#[cfg(test)]
+fn check_finite(x: &[f64], op: &'static str) -> Result<(), crate::error::LinalgError> {
     if x.iter().all(|v| v.is_finite()) {
         Ok(())
     } else {
-        Err(LinalgError::NonFinite { op })
+        Err(crate::error::LinalgError::NonFinite { op })
     }
 }
 

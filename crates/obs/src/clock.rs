@@ -1,19 +1,7 @@
-//! Wall-clock abstraction.
-//!
-//! All telemetry time comes from a [`Clock`] so that tests can inject a
-//! [`FakeClock`] and make job timings exact and reproducible instead of
-//! depending on the scheduler's mood. Production code uses [`SystemClock`]
-//! (monotone, nanoseconds since the first read in this process).
+//! The telemetry clock: monotone nanoseconds since a process-wide epoch.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 use std::time::Instant;
-
-/// A monotone nanosecond clock.
-pub trait Clock: Send + Sync {
-    /// Current time in nanoseconds. Only differences are meaningful.
-    fn now_ns(&self) -> u64;
-}
 
 /// Nanoseconds since the process-wide epoch (first call wins).
 pub fn monotonic_ns() -> u64 {
@@ -22,89 +10,14 @@ pub fn monotonic_ns() -> u64 {
     Instant::now().duration_since(epoch).as_nanos() as u64
 }
 
-/// The real clock: [`monotonic_ns`] behind the [`Clock`] trait.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SystemClock;
-
-impl Clock for SystemClock {
-    fn now_ns(&self) -> u64 {
-        monotonic_ns()
-    }
-}
-
-/// A deterministic test clock.
-///
-/// Every [`Clock::now_ns`] call returns the current reading and then
-/// advances it by the configured step, so two consecutive reads are
-/// exactly `step` apart — which makes span durations assertable to the
-/// nanosecond. [`FakeClock::advance`] moves time manually on top.
-#[derive(Debug, Default)]
-pub struct FakeClock {
-    now: AtomicU64,
-    step: AtomicU64,
-}
-
-impl FakeClock {
-    /// A clock frozen at 0 (advance it manually).
-    pub fn new() -> Self {
-        FakeClock::default()
-    }
-
-    /// A clock that advances by `step_ns` on every read.
-    pub fn with_step(step_ns: u64) -> Self {
-        FakeClock {
-            now: AtomicU64::new(0),
-            step: AtomicU64::new(step_ns),
-        }
-    }
-
-    /// Advance the clock by `ns`.
-    pub fn advance(&self, ns: u64) {
-        self.now.fetch_add(ns, Ordering::Relaxed);
-    }
-
-    /// Set the absolute reading.
-    pub fn set(&self, ns: u64) {
-        self.now.store(ns, Ordering::Relaxed);
-    }
-}
-
-impl Clock for FakeClock {
-    fn now_ns(&self) -> u64 {
-        self.now
-            .fetch_add(self.step.load(Ordering::Relaxed), Ordering::Relaxed)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn system_clock_is_monotone() {
-        let c = SystemClock;
-        let a = c.now_ns();
-        let b = c.now_ns();
+    fn monotonic_ns_is_monotone() {
+        let a = monotonic_ns();
+        let b = monotonic_ns();
         assert!(b >= a);
-    }
-
-    #[test]
-    fn fake_clock_steps_exactly() {
-        let c = FakeClock::with_step(250);
-        let a = c.now_ns();
-        let b = c.now_ns();
-        assert_eq!(b - a, 250);
-        c.advance(1_000);
-        let d = c.now_ns();
-        assert_eq!(d - b, 250 + 1_000);
-    }
-
-    #[test]
-    fn frozen_clock_needs_manual_advance() {
-        let c = FakeClock::new();
-        assert_eq!(c.now_ns(), 0);
-        assert_eq!(c.now_ns(), 0);
-        c.set(42);
-        assert_eq!(c.now_ns(), 42);
     }
 }

@@ -1,64 +1,64 @@
 #![warn(missing_docs)]
 //! # alperf-obs
 //!
-//! Self-contained observability for the Active-Learning performance-analysis
-//! workspace: hierarchical **spans**, **counters**, and mergeable
-//! **log-linear histograms**, with two sinks — a schema-versioned JSONL
-//! event stream and a Prometheus-style text snapshot.
+//! Self-contained campaign telemetry for the Active-Learning
+//! performance-analysis workspace: hierarchical **spans** and structured
+//! **records**, written to one sink, a schema-versioned JSONL trace
+//! (`alperf-obs-v1`) that the `alperf-trace` crate reads back.
 //!
 //! Design constraints, in order:
 //!
 //! 1. **Zero overhead when disabled.** Every instrumentation entry point
-//!    ([`span`], [`inc`], [`add`], [`record`]) starts with one *relaxed*
-//!    atomic load of a global flag and returns immediately when telemetry
-//!    is off — no clock read, no thread-local access, no allocation. The
-//!    instrumented hot paths (blocked Cholesky, LML gradients,
-//!    `predict_batch`, restart dispatch) therefore cost nothing in the
-//!    common case; the `obs_overhead` bin holds the instrumented fit and
-//!    predict paths, telemetry on, within 2% of telemetry off.
-//! 2. **Determinism.** Telemetry only *reads* clocks and *writes* sinks;
-//!    it never feeds back into any numeric computation. Enabling it must
-//!    not change a single bit of any model output (the AL determinism
-//!    guard test in `alperf-al` proves this end to end). Histogram and
-//!    counter state is kept in atomics so worker threads record
-//!    concurrently without perturbing the bit-identical serial reductions
-//!    the gp/al layers rely on.
+//!    ([`span`](fn@span), [`span_with_parent`], [`record`]) starts with one
+//!    *relaxed* atomic load of a global flag and returns immediately when
+//!    telemetry is off — no clock read, no thread-local access, no
+//!    allocation. The instrumented hot paths (fits, restarts,
+//!    `predict_batch`, the AL iteration stages) therefore cost nothing in
+//!    the common case; the `obs_overhead` bin holds the instrumented fit
+//!    and predict paths, and a traced AL campaign, within budget of
+//!    telemetry off.
+//! 2. **Determinism.** Telemetry only *reads* clocks and *writes* the
+//!    sink; it never feeds back into any numeric computation. Enabling it
+//!    must not change a single bit of any model output (the AL
+//!    determinism guard test in `alperf-al` proves this end to end).
 //! 3. **No external dependencies** beyond the vendored `parking_lot`
 //!    stand-in; JSON is emitted and parsed by the tiny [`json`] module.
 //!
-//! Quick tour:
+//! Quick tour: emit a span and a record, then read them back.
 //!
 //! ```
+//! use alperf_obs::{Event, Value};
+//!
+//! let path = std::env::temp_dir().join(format!("obs_tour_{}.jsonl", std::process::id()));
+//! alperf_obs::sink::install_jsonl(&path).unwrap();
 //! alperf_obs::set_enabled(true);
 //! {
 //!     let _guard = alperf_obs::span("demo.work");
-//!     alperf_obs::inc("demo.items");
-//! } // span duration recorded on drop
-//! let stats = alperf_obs::histogram("demo.work").stats();
-//! assert_eq!(stats.count, 1);
-//! let text = alperf_obs::registry().prometheus_snapshot();
-//! assert!(text.contains("alperf_demo_items_total"));
+//!     alperf_obs::record("demo.items", &[("count", Value::U64(3))]);
+//! } // the span is written when its guard drops
 //! alperf_obs::set_enabled(false);
+//! alperf_obs::sink::uninstall();
+//!
+//! let text = std::fs::read_to_string(&path).unwrap();
+//! let events: Vec<Event> = text.lines().map(|l| Event::parse(l).unwrap()).collect();
+//! assert!(matches!(&events[0], Event::Meta(_)));
+//! assert!(matches!(&events[1], Event::Record(r) if r.f64("count") == Some(3.0)));
+//! assert!(matches!(&events[2], Event::Span(s) if s.name == "demo.work"));
+//! # std::fs::remove_file(&path).ok();
 //! ```
 
 pub mod clock;
 pub mod event;
 pub mod json;
-pub mod metrics;
 pub mod names;
-pub mod registry;
 pub mod sink;
 pub mod span;
 
-pub use clock::{Clock, FakeClock, SystemClock};
 pub use event::{Event, MetaEvent, RecordEvent, SpanEvent};
-pub use metrics::{Counter, HistStats, Histogram};
-pub use registry::Registry;
 pub use sink::Value;
 pub use span::{SpanCtx, SpanGuard};
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
 
 /// Global on/off switch. Off by default: a freshly started process pays
 /// exactly one relaxed atomic load per instrumentation site.
@@ -75,43 +75,10 @@ pub fn set_enabled(on: bool) {
     ENABLED.store(on, Ordering::Relaxed);
 }
 
-/// The global metric registry (created on first use).
-pub fn registry() -> &'static Registry {
-    registry::global()
-}
-
-/// Get-or-create a counter in the global registry. This allocates a map
-/// lookup; hot paths should prefer [`inc`]/[`add`], which bail out before
-/// the lookup when telemetry is disabled.
-pub fn counter(name: &str) -> Arc<Counter> {
-    registry::global().counter(name)
-}
-
-/// Get-or-create a histogram in the global registry.
-pub fn histogram(name: &str) -> Arc<Histogram> {
-    registry::global().histogram(name)
-}
-
-/// Increment counter `name` by one — a no-op when telemetry is disabled.
-#[inline]
-pub fn inc(name: &str) {
-    if enabled() {
-        registry::global().counter(name).inc();
-    }
-}
-
-/// Add `v` to counter `name` — a no-op when telemetry is disabled.
-#[inline]
-pub fn add(name: &str, v: u64) {
-    if enabled() {
-        registry::global().counter(name).add(v);
-    }
-}
-
-/// Open a hierarchical span named `name`. The returned guard records the
-/// span's wall-clock duration into the histogram of the same name (and the
-/// JSONL sink, when installed) on drop. When telemetry is disabled this is
-/// a single relaxed atomic load and an inert guard.
+/// Open a hierarchical span named `name`. The returned guard writes the
+/// span, with its wall-clock duration, to the JSONL sink (when installed)
+/// on drop. When telemetry is disabled this is a single relaxed atomic
+/// load and an inert guard.
 #[inline]
 pub fn span(name: &'static str) -> SpanGuard {
     if !enabled() {
@@ -166,36 +133,65 @@ pub fn next_run_id() -> u64 {
 mod tests {
     use super::*;
 
-    // The global enabled flag is process-wide; tests that toggle it
-    // serialize on this lock so they can run under the default parallel
-    // test harness.
+    // The global enabled flag and the sink are process-wide; tests that
+    // touch either serialize on this lock so they can run under the
+    // default parallel test harness.
     pub(crate) static TEST_LOCK: parking_lot::Mutex<()> = parking_lot::Mutex::new(());
+
+    /// Run `f` under [`TEST_LOCK`] with a fresh JSONL sink installed and
+    /// the global switch set to `on`, and return the span and record
+    /// events it wrote, read back through [`Event::parse`].
+    pub(crate) fn capture(on: bool, f: impl FnOnce()) -> Vec<Event> {
+        static NEXT: AtomicU64 = AtomicU64::new(0);
+        let _l = TEST_LOCK.lock();
+        let path = std::env::temp_dir().join(format!(
+            "alperf_obs_capture_{}_{}.jsonl",
+            std::process::id(),
+            NEXT.fetch_add(1, Ordering::Relaxed)
+        ));
+        sink::install_jsonl(&path).unwrap();
+        set_enabled(on);
+        f();
+        set_enabled(false);
+        sink::uninstall();
+        let text = std::fs::read_to_string(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+        text.lines()
+            .map(|l| Event::parse(l).unwrap())
+            .filter(|e| !matches!(e, Event::Meta(_)))
+            .collect()
+    }
+
+    /// The spans named `name` among `events`.
+    pub(crate) fn spans<'a>(events: &'a [Event], name: &str) -> Vec<&'a SpanEvent> {
+        events
+            .iter()
+            .filter_map(|e| match e {
+                Event::Span(s) if s.name == name => Some(s),
+                _ => None,
+            })
+            .collect()
+    }
 
     #[test]
     fn disabled_sites_do_not_record() {
-        let _l = TEST_LOCK.lock();
-        set_enabled(false);
-        inc("test.disabled.counter");
-        add("test.disabled.counter", 10);
-        {
+        let events = capture(false, || {
             let _s = span("test.disabled.span");
-        }
-        assert_eq!(counter("test.disabled.counter").get(), 0);
-        assert_eq!(histogram("test.disabled.span").stats().count, 0);
+            record("test.disabled.record", &[("n", Value::U64(1))]);
+        });
+        assert_eq!(events, vec![]);
     }
 
     #[test]
     fn enabled_sites_record() {
-        let _l = TEST_LOCK.lock();
-        set_enabled(true);
-        inc("test.enabled.counter");
-        add("test.enabled.counter", 4);
-        {
+        let events = capture(true, || {
             let _s = span("test.enabled.span");
-        }
-        set_enabled(false);
-        assert_eq!(counter("test.enabled.counter").get(), 5);
-        assert_eq!(histogram("test.enabled.span").stats().count, 1);
+            record("test.enabled.record", &[("n", Value::U64(4))]);
+        });
+        assert_eq!(events.len(), 2);
+        assert!(matches!(&events[0], Event::Record(r)
+            if r.name == "test.enabled.record" && r.f64("n") == Some(4.0)));
+        assert_eq!(spans(&events, "test.enabled.span").len(), 1);
     }
 
     #[test]

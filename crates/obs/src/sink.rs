@@ -120,7 +120,7 @@ pub fn active() -> bool {
 }
 
 /// Small monotone per-thread id for disambiguating interleaved events.
-pub fn thread_id() -> u64 {
+fn thread_id() -> u64 {
     static NEXT: AtomicU64 = AtomicU64::new(1);
     thread_local! {
         static TID: u64 = NEXT.fetch_add(1, Ordering::Relaxed);

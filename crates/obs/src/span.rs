@@ -1,11 +1,10 @@
 //! Hierarchical spans with thread-local span stacks and process-unique ids.
 //!
-//! [`crate::span`] returns a guard; the time between construction and drop
-//! is recorded into the histogram of the same name and, when a JSONL sink
-//! is installed, emitted as a `span` event carrying the span's id and its
-//! parent's name + id. When telemetry is disabled the guard is inert —
-//! constructed without touching the clock, the thread-local stack, the id
-//! counter, or the registry.
+//! [`crate::span`](fn@crate::span) returns a guard; the time between construction and drop
+//! is emitted, when a JSONL sink is installed, as a `span` event carrying
+//! the span's id and its parent's name + id. When telemetry is disabled
+//! the guard is inert — constructed without touching the clock, the
+//! thread-local stack or the id counter.
 //!
 //! Parentage is per-thread by default: a span opened inside a worker thread
 //! does not see the spawning thread's stack. Fork-join call sites that
@@ -31,30 +30,6 @@ pub struct SpanCtx {
 
 thread_local! {
     static STACK: RefCell<Vec<SpanCtx>> = const { RefCell::new(Vec::new()) };
-    // Span-name -> histogram handle, keyed by the &'static str's address
-    // (span names are literals, so the address identifies the name). This
-    // keeps the registry's RwLock + HashMap lookup out of every span drop;
-    // handles stay valid across `Registry::reset`, which clears values in
-    // place. Span-name cardinality is tiny (~a dozen), so a linear scan
-    // beats hashing.
-    static HIST_CACHE: RefCell<Vec<(usize, std::sync::Arc<crate::metrics::Histogram>)>> =
-        const { RefCell::new(Vec::new()) };
-}
-
-/// Record `dur` into the histogram for span `name`, via the thread-local
-/// handle cache (no Arc clone on the hit path).
-fn record_span_duration(name: &'static str, dur: u64) {
-    HIST_CACHE.with(|c| {
-        let mut cache = c.borrow_mut();
-        let key = name.as_ptr() as usize;
-        if let Some((_, h)) = cache.iter().find(|(k, _)| *k == key) {
-            h.record(dur);
-            return;
-        }
-        let h = crate::registry::global().histogram(name);
-        h.record(dur);
-        cache.push((key, h));
-    })
 }
 
 /// Ids start at 1; 0 never appears in a trace.
@@ -67,11 +42,6 @@ pub(crate) fn next_span_id() -> u64 {
 /// The innermost open span on this thread, if any.
 pub fn current() -> Option<SpanCtx> {
     STACK.with(|s| s.borrow().last().copied())
-}
-
-/// The innermost open span's *name* on this thread, if any.
-pub fn current_name() -> Option<&'static str> {
-    current().map(|c| c.name)
 }
 
 /// How the span's trace parent is resolved at drop time.
@@ -154,7 +124,7 @@ impl SpanGuard {
         self.close()
     }
 
-    /// Record the span (histogram + sink) and make the guard inert.
+    /// Write the span to the sink and make the guard inert.
     // Out of line on purpose: letting this body inline into every
     // instrumented function slowed `Campaign::run` by 15-20% with telemetry
     // off (2-vCPU Xeon @2.1 GHz), through the callers' codegen. Callers
@@ -175,7 +145,6 @@ impl SpanGuard {
             Parent::Stack => stack_parent,
             Parent::Explicit(p) => p,
         };
-        record_span_duration(self.name, dur);
         crate::sink::emit_span(self.name, self.id, parent, self.start_ns, dur);
         dur
     }
@@ -193,27 +162,37 @@ impl Drop for SpanGuard {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tests::{capture, spans};
 
     #[test]
     fn nesting_tracks_parentage() {
-        let _l = crate::tests::TEST_LOCK.lock();
-        crate::set_enabled(true);
-        assert_eq!(current(), None);
-        {
-            let outer = crate::span("test.span.outer");
-            let outer_ctx = outer.ctx().unwrap();
-            assert_eq!(current(), Some(outer_ctx));
+        let mut outer_ctx = None;
+        let events = capture(true, || {
+            assert_eq!(current(), None);
             {
-                let _inner = crate::span("test.span.inner");
-                assert_eq!(current_name(), Some("test.span.inner"));
-                assert_ne!(current().unwrap().id, outer_ctx.id);
+                let outer = crate::span("test.span.outer");
+                outer_ctx = outer.ctx();
+                assert_eq!(current(), outer_ctx);
+                {
+                    let inner = crate::span("test.span.inner");
+                    assert_eq!(current(), inner.ctx());
+                    assert_ne!(inner.ctx(), outer_ctx);
+                }
+                assert_eq!(current(), outer_ctx);
             }
-            assert_eq!(current(), Some(outer_ctx));
-        }
-        assert_eq!(current(), None);
-        crate::set_enabled(false);
-        assert_eq!(crate::histogram("test.span.outer").stats().count, 1);
-        assert_eq!(crate::histogram("test.span.inner").stats().count, 1);
+            assert_eq!(current(), None);
+        });
+        let outer_ctx = outer_ctx.unwrap();
+        let (outer, inner) = (
+            spans(&events, "test.span.outer"),
+            spans(&events, "test.span.inner"),
+        );
+        assert_eq!((outer.len(), inner.len()), (1, 1));
+        assert_eq!(outer[0].id, Some(outer_ctx.id));
+        assert_eq!(outer[0].parent_id, None);
+        assert_eq!(inner[0].parent.as_deref(), Some("test.span.outer"));
+        assert_eq!(inner[0].parent_id, Some(outer_ctx.id));
+        assert!(outer[0].contains(inner[0]));
     }
 
     #[test]
@@ -232,76 +211,82 @@ mod tests {
 
     #[test]
     fn inert_guard_touches_nothing() {
-        let _l = crate::tests::TEST_LOCK.lock();
-        crate::set_enabled(false);
-        {
+        let events = capture(false, || {
             let g = crate::span("test.span.inert");
             assert_eq!(g.name(), "test.span.inert");
             assert_eq!(g.ctx(), None);
             assert_eq!(current(), None);
-        }
-        assert_eq!(crate::histogram("test.span.inert").stats().count, 0);
+        });
+        assert_eq!(events, vec![]);
     }
 
     #[test]
     fn finish_returns_the_recorded_duration() {
-        let _l = crate::tests::TEST_LOCK.lock();
-        crate::set_enabled(false);
-        assert_eq!(crate::span("test.span.finish_inert").finish(), 0);
-        crate::set_enabled(true);
-        let outer = crate::span("test.span.finish_outer");
-        let g = crate::span("test.span.finish");
-        std::thread::sleep(std::time::Duration::from_millis(1));
-        let dur = g.finish();
-        // Finishing pops the stack like a drop, and records exactly once.
-        assert_eq!(current(), outer.ctx());
-        drop(outer);
-        crate::set_enabled(false);
+        let mut dur = 0;
+        let events = capture(true, || {
+            crate::set_enabled(false);
+            assert_eq!(crate::span("test.span.finish_inert").finish(), 0);
+            crate::set_enabled(true);
+            let outer = crate::span("test.span.finish_outer");
+            let g = crate::span("test.span.finish");
+            std::thread::sleep(std::time::Duration::from_millis(1));
+            dur = g.finish();
+            // Finishing pops the stack like a drop, and emits exactly once.
+            assert_eq!(current(), outer.ctx());
+        });
         assert!(dur >= 1_000_000, "dur {dur}");
-        let stats = crate::histogram("test.span.finish").stats();
-        assert_eq!(stats.count, 1);
-        assert_eq!(stats.sum, dur);
+        assert!(spans(&events, "test.span.finish_inert").is_empty());
+        let finished = spans(&events, "test.span.finish");
+        assert_eq!(finished.len(), 1);
+        assert_eq!(finished[0].dur_ns, dur);
     }
 
     #[test]
     fn explicit_parent_crosses_threads() {
-        let _l = crate::tests::TEST_LOCK.lock();
-        crate::set_enabled(true);
-        let outer = crate::span("test.span.xthread_parent");
-        let parent = outer.ctx();
-        let child_saw = std::thread::spawn(move || {
-            let g = crate::span_with_parent("test.span.xthread_child", parent);
-            // The worker's stack holds the child (so *its* children nest),
-            // but the recorded parent is the explicit one.
-            let on_stack = current() == g.ctx();
-            drop(g);
-            on_stack && current().is_none()
-        })
-        .join()
-        .unwrap();
-        drop(outer);
-        crate::set_enabled(false);
-        assert!(child_saw);
-        assert_eq!(crate::histogram("test.span.xthread_child").stats().count, 1);
+        let mut parent = None;
+        let events = capture(true, || {
+            let outer = crate::span("test.span.xthread_parent");
+            parent = outer.ctx();
+            let child_saw = std::thread::spawn(move || {
+                let g = crate::span_with_parent("test.span.xthread_child", parent);
+                // The worker's stack holds the child (so *its* children
+                // nest), but the recorded parent is the explicit one.
+                let on_stack = current() == g.ctx();
+                drop(g);
+                on_stack && current().is_none()
+            })
+            .join()
+            .unwrap();
+            assert!(child_saw);
+        });
+        let (outer, child) = (
+            spans(&events, "test.span.xthread_parent"),
+            spans(&events, "test.span.xthread_child"),
+        );
+        assert_eq!((outer.len(), child.len()), (1, 1));
+        assert_eq!(child[0].parent_id, parent.map(|p| p.id));
+        assert_ne!(child[0].tid, outer[0].tid);
     }
 
     #[test]
     fn spans_balance_across_threads() {
-        let _l = crate::tests::TEST_LOCK.lock();
-        crate::set_enabled(true);
-        let handles: Vec<_> = (0..4)
-            .map(|_| {
-                std::thread::spawn(|| {
-                    for _ in 0..100 {
-                        let _s = crate::span("test.span.threads");
-                    }
-                    current().is_none()
+        let mut balanced = false;
+        let events = capture(true, || {
+            let handles: Vec<_> = (0..4)
+                .map(|_| {
+                    std::thread::spawn(|| {
+                        for _ in 0..100 {
+                            let _s = crate::span("test.span.threads");
+                        }
+                        current().is_none()
+                    })
                 })
-            })
-            .collect();
-        let balanced = handles.into_iter().all(|h| h.join().unwrap());
-        crate::set_enabled(false);
+                .collect();
+            balanced = handles.into_iter().all(|h| h.join().unwrap());
+        });
         assert!(balanced);
-        assert!(crate::histogram("test.span.threads").stats().count >= 400);
+        let threads = spans(&events, "test.span.threads");
+        assert_eq!(threads.len(), 400);
+        assert!(threads.iter().all(|s| s.parent_id.is_none()));
     }
 }
