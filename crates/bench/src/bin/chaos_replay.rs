@@ -29,6 +29,7 @@ use alperf_gp::kernel::SquaredExponential;
 use alperf_gp::noise::NoiseFloor;
 use alperf_gp::optimize::GprConfig;
 use alperf_linalg::matrix::Matrix;
+use alperf_linalg::threads::with_threads;
 use alperf_trace::read_path;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -175,21 +176,9 @@ fn replay(path: &str) -> ExitCode {
     let model = alperf_hpgmg::model::PerfModel::calibrated();
     let sampler = alperf_cluster::power::PowerSampler::default();
     let requests = workload::build_requests(&spec, &model);
-    let outcomes = match executor::measure_all(
-        &model,
-        &sampler,
-        &requests,
-        spec.seed,
-        workers.max(1),
-        Some(&plan),
-        &retry,
-    ) {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("chaos_replay: re-execution failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let outcomes = with_threads(workers.max(1), || {
+        executor::measure_all(&model, &sampler, &requests, spec.seed, Some(&plan), &retry)
+    });
     let mut replayed: Vec<FailureKey> = outcomes
         .iter()
         .filter_map(|o| match o {

@@ -10,11 +10,9 @@
 
 pub mod plot;
 
-use alperf_cluster::campaign::{
-    Campaign, CampaignOutput, COL_FREQ, COL_NP, COL_OPERATOR, COL_SIZE,
-};
+pub use alperf_cluster::campaign::FocusSlice;
+use alperf_cluster::campaign::{Campaign, CampaignOutput};
 use alperf_data::dataset::DataSet;
-use alperf_linalg::matrix::Matrix;
 use std::path::PathBuf;
 
 /// Directory for reproduction outputs (`target/repro`).
@@ -41,60 +39,14 @@ pub fn load_datasets() -> Datasets {
     Datasets { performance, power }
 }
 
-/// The paper's focus slice — the Performance dataset's poisson1 jobs at
-/// NP = 32 (251 jobs in the paper's Fig. 6) — and its 2-D problem:
-/// (log10 size, frequency) -> log10 runtime.
-pub struct FocusSlice {
-    /// The slice's rows.
-    pub data: DataSet,
-    /// One row per job: `[log10 Global Problem Size, CPU Frequency]`.
-    pub x: Matrix,
-    /// log10 Runtime, one value per job.
-    pub y: Vec<f64>,
-    /// Runtime in seconds, one value per job; the bins derive their cost
-    /// unit from it.
-    pub runtime: Vec<f64>,
-}
-
-impl FocusSlice {
-    /// Fig. 3's 1-D cross-section: the slice's 2.4 GHz jobs as
-    /// (log10 size, log10 runtime).
-    pub fn cross_section(&self) -> (Vec<f64>, Vec<f64>) {
-        let sub = self.data.fix_variable(COL_FREQ, 2.4).expect("freq");
-        let log10 = |v: &[f64]| v.iter().map(|v| v.log10()).collect();
-        (
-            log10(&sub.variable(COL_SIZE).expect("size").values),
-            log10(sub.response("Runtime").expect("runtime")),
-        )
-    }
-}
-
 /// Cut the focus slice from the generated Performance dataset
-/// ([`load_datasets`]).
+/// ([`load_datasets`]'s campaign).
 pub fn focus_slice() -> FocusSlice {
-    let data = load_datasets()
-        .performance
-        .fix_level(COL_OPERATOR, "poisson1")
-        .expect("operator")
-        .fix_variable(COL_NP, 32.0)
-        .expect("NP");
-    let sizes = &data.variable(COL_SIZE).expect("size").values;
-    let freqs = &data.variable(COL_FREQ).expect("freq").values;
-    let runtime = data.response("Runtime").expect("runtime").to_vec();
-    let y = runtime.iter().map(|v| v.log10()).collect();
-    let n = data.n_rows();
-    let mut flat = Vec::with_capacity(2 * n);
-    for i in 0..n {
-        flat.push(sizes[i].log10());
-        flat.push(freqs[i]);
-    }
-    let x = Matrix::from_vec(n, 2, flat).expect("matrix");
-    FocusSlice {
-        data,
-        x,
-        y,
-        runtime,
-    }
+    Campaign::default()
+        .run()
+        .expect("campaign")
+        .focus_slice()
+        .expect("focus slice")
 }
 
 /// Write a simple CSV of named columns to `target/repro/<name>.csv`.

@@ -11,8 +11,10 @@
 //!
 //! Both come back as [`alperf_data::DataSet`]s with the Table I columns:
 //! `Operator` (categorical), `Global Problem Size`, `NP`, `CPU Frequency`.
+//! [`CampaignOutput::focus_slice`] cuts the paper's evaluation slice from
+//! the Performance dataset.
 
-use crate::executor::{self, ExecError, JobOutcome};
+use crate::executor::{self, JobOutcome};
 use crate::fault::{FaultPlan, RetryPolicy};
 use crate::job::{FailedJob, JobRecord, JobRequest};
 use crate::power::PowerSampler;
@@ -20,6 +22,8 @@ use crate::scheduler::{self, ScheduleError};
 use crate::workload::{self, WorkloadSpec};
 use alperf_data::dataset::{DataSet, DataSetError};
 use alperf_hpgmg::model::PerfModel;
+use alperf_linalg::matrix::Matrix;
+use alperf_linalg::threads;
 use alperf_obs::{names, Value};
 
 /// Column names used in the generated datasets (Table I's variables).
@@ -46,7 +50,9 @@ pub struct Campaign {
     pub model: PerfModel,
     /// The IPMI sampler configuration.
     pub sampler: PowerSampler,
-    /// Worker threads for the measurement executor.
+    /// Thread width the measurement executor runs at (0 counts as 1).
+    /// Defaults to [`threads::current`], so campaigns follow
+    /// `ALPERF_NUM_THREADS` and any enclosing [`threads::with_threads`].
     pub workers: usize,
     /// Retry policy for faulted jobs.
     pub retry: RetryPolicy,
@@ -58,7 +64,7 @@ impl Default for Campaign {
             spec: WorkloadSpec::default(),
             model: PerfModel::calibrated(),
             sampler: PowerSampler::default(),
-            workers: 8,
+            workers: threads::current(),
             retry: RetryPolicy::default(),
         }
     }
@@ -69,9 +75,6 @@ impl Default for Campaign {
 pub enum CampaignError {
     /// Dataset assembly failed.
     Data(DataSetError),
-    /// The measurement executor failed at the infrastructure level
-    /// (per-job faults are data, not errors — see [`CampaignOutput::failures`]).
-    Exec(ExecError),
     /// The scheduler rejected the batch.
     Schedule(ScheduleError),
 }
@@ -80,7 +83,6 @@ impl std::fmt::Display for CampaignError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             CampaignError::Data(e) => write!(f, "dataset assembly: {e:?}"),
-            CampaignError::Exec(e) => write!(f, "executor: {e}"),
             CampaignError::Schedule(e) => write!(f, "scheduler: {e}"),
         }
     }
@@ -91,12 +93,6 @@ impl std::error::Error for CampaignError {}
 impl From<DataSetError> for CampaignError {
     fn from(e: DataSetError) -> Self {
         CampaignError::Data(e)
-    }
-}
-
-impl From<ExecError> for CampaignError {
-    fn from(e: ExecError) -> Self {
-        CampaignError::Exec(e)
     }
 }
 
@@ -122,6 +118,66 @@ pub struct CampaignOutput {
     pub makespan: f64,
 }
 
+/// The paper's focus slice — the Performance dataset's poisson1 jobs at
+/// NP = 32 (251 jobs in the paper's Fig. 6) — and its 2-D problem:
+/// (log10 size, frequency) -> log10 runtime.
+#[derive(Debug, Clone)]
+pub struct FocusSlice {
+    /// The slice's rows.
+    pub data: DataSet,
+    /// One row per job: `[log10 Global Problem Size, CPU Frequency]`.
+    pub x: Matrix,
+    /// log10 Runtime, one value per job.
+    pub y: Vec<f64>,
+    /// Runtime in seconds, one value per job; callers derive their cost
+    /// unit from it.
+    pub runtime: Vec<f64>,
+}
+
+impl FocusSlice {
+    /// Fig. 3's 1-D cross-section: the slice's 2.4 GHz jobs as
+    /// (log10 size, log10 runtime).
+    pub fn cross_section(&self) -> (Vec<f64>, Vec<f64>) {
+        let sub = self.data.fix_variable(COL_FREQ, 2.4).expect("freq");
+        let log10 = |v: &[f64]| v.iter().map(|v| v.log10()).collect();
+        (
+            log10(&sub.variable(COL_SIZE).expect("size").values),
+            log10(sub.response(RESP_RUNTIME).expect("runtime")),
+        )
+    }
+}
+
+impl CampaignOutput {
+    /// Cut the [`FocusSlice`] from the Performance dataset.
+    ///
+    /// # Errors
+    /// [`DataSetError`] when no poisson1 job completed, so the `Operator`
+    /// column has no such level.
+    pub fn focus_slice(&self) -> Result<FocusSlice, DataSetError> {
+        let data = self
+            .performance
+            .fix_level(COL_OPERATOR, "poisson1")?
+            .fix_variable(COL_NP, 32.0)?;
+        let sizes = &data.variable(COL_SIZE)?.values;
+        let freqs = &data.variable(COL_FREQ)?.values;
+        let runtime = data.response(RESP_RUNTIME)?.to_vec();
+        let y = runtime.iter().map(|v| v.log10()).collect();
+        let n = data.n_rows();
+        let mut flat = Vec::with_capacity(2 * n);
+        for i in 0..n {
+            flat.push(sizes[i].log10());
+            flat.push(freqs[i]);
+        }
+        let x = Matrix::from_vec(n, 2, flat).expect("two values per row");
+        Ok(FocusSlice {
+            data,
+            x,
+            y,
+            runtime,
+        })
+    }
+}
+
 impl Campaign {
     /// The fault plan this campaign injects: seeded from the workload seed
     /// (on an independent stream from measurement noise) at the spec's
@@ -145,8 +201,8 @@ impl Campaign {
     /// silently dropped anymore.
     ///
     /// # Errors
-    /// Propagates dataset-assembly, executor-infrastructure, and
-    /// scheduler-rejection errors. Per-job faults are *not* errors.
+    /// Propagates dataset-assembly and scheduler-rejection errors. Per-job
+    /// faults are *not* errors.
     pub fn run(&self) -> Result<CampaignOutput, CampaignError> {
         let requests = workload::build_requests(&self.spec, &self.model);
         let plan = self.fault_plan();
@@ -183,15 +239,16 @@ impl Campaign {
         );
         // Measure runtimes + traces (concurrently, deterministically),
         // injecting faults and retrying at the executor boundary.
-        let outcomes = executor::measure_all(
-            &self.model,
-            &self.sampler,
-            &requests,
-            self.spec.seed,
-            self.workers,
-            Some(&plan),
-            &self.retry,
-        )?;
+        let outcomes = threads::with_threads(self.workers.max(1), || {
+            executor::measure_all(
+                &self.model,
+                &self.sampler,
+                &requests,
+                self.spec.seed,
+                Some(&plan),
+                &self.retry,
+            )
+        });
         // Partition: completed jobs proceed to scheduling; failures are
         // charged the compute their attempts burned (the model's expected
         // runtime per attempt — the noisy measurement never materialized).
@@ -499,6 +556,14 @@ mod tests {
             assert_eq!(out.records, base.records, "workers={workers}");
             assert_eq!(out.failures, base.failures, "workers={workers}");
             assert_eq!(out.makespan, base.makespan, "workers={workers}");
+        }
+    }
+
+    #[test]
+    fn default_workers_follow_the_thread_width() {
+        for width in [1, 3] {
+            let c = threads::with_threads(width, Campaign::default);
+            assert_eq!(c.workers, width);
         }
     }
 

@@ -1,30 +1,29 @@
-//! Concurrent measurement executor with fault injection and retry.
+//! Measurement executor with fault injection and retry.
 //!
 //! Sampling a runtime and a full power trace for thousands of jobs is
-//! embarrassingly parallel; this module fans the work out over a crossbeam
-//! scoped worker pool, with a `parking_lot`-protected collection of
-//! results. Every job derives its RNG seed from its own identity
-//! ([`crate::job::JobRequest::seed`]), so the measurement a job receives is
-//! bit-identical no matter which worker runs it or in what order — the
-//! simulation is deterministic despite the concurrency.
+//! embarrassingly parallel; this module fans the jobs out through the
+//! workspace's one parallel axis, [`alperf_linalg::threads::replicates`],
+//! at the caller's thread width. Every job derives its RNG seed from its
+//! own identity ([`crate::job::JobRequest::seed`]), so the measurement a
+//! job receives is bit-identical no matter which thread runs it or in what
+//! order — the simulation is deterministic at every width.
 //!
 //! The same identity seed drives the [`crate::fault`] layer: when a
 //! [`FaultPlan`] is supplied, each execution attempt may fault, fatal
 //! faults are retried under a [`RetryPolicy`] with simulated
 //! exponential-backoff accounting, and jobs that exhaust their attempts
 //! come back as [`JobOutcome::Failed`] instead of aborting the batch.
-//! Worker panics are caught per attempt and surface as a permanent
-//! [`FaultKind::BenchmarkCrash`] on that job alone — one poisoned job can
-//! no longer take down a whole campaign.
+//! Measurement panics are caught per attempt and surface as a permanent
+//! [`FaultKind::BenchmarkCrash`](crate::fault::FaultKind::BenchmarkCrash)
+//! on that job alone — one poisoned job cannot take down a whole campaign.
 
 use crate::fault::{apply_trace_fault, Fault, FaultPlan, RetryPolicy};
 use crate::job::JobRequest;
 use crate::power::{PowerSample, PowerSampler};
 use alperf_hpgmg::model::PerfModel;
+use alperf_linalg::threads::replicates;
 use alperf_obs::names;
-use alperf_obs::{SpanCtx, Value};
-use crossbeam::channel;
-use parking_lot::Mutex;
+use alperf_obs::Value;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -100,34 +99,6 @@ impl JobOutcome {
     }
 }
 
-/// Infrastructure-level executor failure (distinct from per-job faults,
-/// which are data: [`JobOutcome::Failed`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ExecError {
-    /// A worker thread died outside the per-attempt panic guard — an
-    /// executor bug, not a job fault.
-    WorkerPanic(String),
-    /// The work queue disconnected before all jobs were enqueued.
-    QueueDisconnected,
-    /// A job produced no outcome (worker loop bug).
-    MissingResult {
-        /// Index of the request that was never resolved.
-        idx: usize,
-    },
-}
-
-impl std::fmt::Display for ExecError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ExecError::WorkerPanic(msg) => write!(f, "worker pool panicked: {msg}"),
-            ExecError::QueueDisconnected => write!(f, "work queue disconnected"),
-            ExecError::MissingResult { idx } => write!(f, "job {idx} produced no outcome"),
-        }
-    }
-}
-
-impl std::error::Error for ExecError {}
-
 fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
@@ -138,97 +109,37 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Measure every job in `requests` concurrently on `workers` threads,
-/// injecting faults from `faults` (if any) and retrying fatal faults under
-/// `retry`. Outcomes are returned in request order and are bit-identical
-/// for the same `(requests, campaign_seed, faults, retry)` regardless of
-/// worker count or queue order — every per-job decision derives from the
-/// job's identity seed, never from shared state.
+/// Measure every job in `requests` on up to
+/// [`alperf_linalg::threads::current`] threads, injecting faults from
+/// `faults` (if any) and retrying fatal faults under `retry`. Outcomes are
+/// returned in request order and are bit-identical for the same
+/// `(requests, campaign_seed, faults, retry)` at every thread width —
+/// every per-job decision derives from the job's identity seed, never
+/// from shared state.
 pub fn measure_all(
     model: &PerfModel,
     sampler: &PowerSampler,
     requests: &[JobRequest],
     campaign_seed: u64,
-    workers: usize,
     faults: Option<&FaultPlan>,
     retry: &RetryPolicy,
-) -> Result<Vec<JobOutcome>, ExecError> {
+) -> Vec<JobOutcome> {
     let _span = alperf_obs::span(names::CLUSTER_MEASURE_BATCH);
-    // Capture the batch span before crossing thread boundaries so retry /
-    // failure spans emitted on workers attach under it.
-    let batch_ctx = alperf_obs::current_span();
-    let workers = workers.max(1);
-    let (tx, rx) = channel::unbounded::<usize>();
-    for idx in 0..requests.len() {
-        if tx.send(idx).is_err() {
-            return Err(ExecError::QueueDisconnected);
-        }
-    }
-    drop(tx);
-    let results: Mutex<Vec<Option<JobOutcome>>> = Mutex::new(vec![None; requests.len()]);
-    crossbeam::scope(|s| {
-        for _ in 0..workers {
-            let rx = rx.clone();
-            let results = &results;
-            s.spawn(move |_| {
-                while let Ok(idx) = rx.recv() {
-                    let out = measure_job(
-                        model,
-                        sampler,
-                        &requests[idx],
-                        idx,
-                        campaign_seed,
-                        faults,
-                        retry,
-                        batch_ctx,
-                    );
-                    results.lock()[idx] = Some(out);
-                }
-            });
-        }
+    replicates(requests.len(), |idx| {
+        measure_job(
+            model,
+            sampler,
+            &requests[idx],
+            idx,
+            campaign_seed,
+            faults,
+            retry,
+        )
     })
-    .map_err(|p| ExecError::WorkerPanic(panic_message(p)))?;
-    results
-        .into_inner()
-        .into_iter()
-        .enumerate()
-        .map(|(idx, m)| m.ok_or(ExecError::MissingResult { idx }))
-        .collect()
-}
-
-/// Fault-free convenience wrapper: measure every job with no fault plan
-/// and unwrap the outcomes to plain [`Measurement`]s. Without injected
-/// faults the only possible failure is an internal panic, which is
-/// propagated as [`ExecError::WorkerPanic`].
-#[cfg(test)]
-fn measure_all_ok(
-    model: &PerfModel,
-    sampler: &PowerSampler,
-    requests: &[JobRequest],
-    campaign_seed: u64,
-    workers: usize,
-) -> Result<Vec<Measurement>, ExecError> {
-    measure_all(
-        model,
-        sampler,
-        requests,
-        campaign_seed,
-        workers,
-        None,
-        &RetryPolicy::no_retries(),
-    )?
-    .into_iter()
-    .map(|o| match o {
-        JobOutcome::Ok { measurement, .. } => Ok(measurement),
-        JobOutcome::Failed { idx, fault, .. } => Err(ExecError::WorkerPanic(format!(
-            "job {idx} failed without a fault plan: {fault:?}"
-        ))),
-    })
-    .collect()
 }
 
 /// Run one measurement attempt, converting a panic in the measurement
-/// code into an error message instead of unwinding through the pool.
+/// code into an error message instead of unwinding through the batch.
 fn run_attempt(f: impl FnOnce() -> Measurement) -> Result<Measurement, String> {
     catch_unwind(AssertUnwindSafe(f)).map_err(panic_message)
 }
@@ -236,7 +147,6 @@ fn run_attempt(f: impl FnOnce() -> Measurement) -> Result<Measurement, String> {
 /// Drive one job through its fault/retry lifecycle. Pure in everything
 /// that reaches the returned outcome: faults and backoffs derive from the
 /// job's identity seed, and telemetry only observes.
-#[allow(clippy::too_many_arguments)]
 fn measure_job(
     model: &PerfModel,
     sampler: &PowerSampler,
@@ -245,7 +155,6 @@ fn measure_job(
     campaign_seed: u64,
     faults: Option<&FaultPlan>,
     retry: &RetryPolicy,
-    batch_ctx: Option<SpanCtx>,
 ) -> JobOutcome {
     let job_seed = request.seed(campaign_seed);
     let max_attempts = retry.max_attempts.max(1);
@@ -257,20 +166,17 @@ fn measure_job(
                 if attempt + 1 < max_attempts {
                     let wait = retry.backoff_ns(job_seed, attempt + 1);
                     backoff_ns += wait;
-                    if alperf_obs::enabled() {
-                        let _s = alperf_obs::span_with_parent(names::CLUSTER_RETRY, batch_ctx);
-                        alperf_obs::record(
-                            names::CLUSTER_RETRY,
-                            &[
-                                ("idx", Value::U64(idx as u64)),
-                                ("attempt", Value::U64((attempt + 1) as u64)),
-                                ("kind", Value::Str(f.kind.name())),
-                                ("backoff_ns", Value::U64(wait)),
-                            ],
-                        );
-                    }
+                    alperf_obs::record(
+                        names::CLUSTER_RETRY,
+                        &[
+                            ("idx", Value::U64(idx as u64)),
+                            ("attempt", Value::U64((attempt + 1) as u64)),
+                            ("kind", Value::Str(f.kind.name())),
+                            ("backoff_ns", Value::U64(wait)),
+                        ],
+                    );
                 } else {
-                    emit_failed(idx, max_attempts, f, backoff_ns, batch_ctx);
+                    emit_failed(idx, max_attempts, f, backoff_ns);
                     return JobOutcome::Failed {
                         idx,
                         attempts: max_attempts,
@@ -297,7 +203,7 @@ fn measure_job(
                         // A deterministic panic would repeat on every
                         // retry: classify as a permanent crash and stop.
                         let fault = Fault::from_panic();
-                        emit_failed(idx, attempt + 1, fault, backoff_ns, batch_ctx);
+                        emit_failed(idx, attempt + 1, fault, backoff_ns);
                         return JobOutcome::Failed {
                             idx,
                             attempts: attempt + 1,
@@ -312,17 +218,7 @@ fn measure_job(
     unreachable!("retry loop always returns before exhausting max_attempts");
 }
 
-fn emit_failed(
-    idx: usize,
-    attempts: u32,
-    fault: Fault,
-    backoff_ns: u64,
-    batch_ctx: Option<SpanCtx>,
-) {
-    if !alperf_obs::enabled() {
-        return;
-    }
-    let _s = alperf_obs::span_with_parent(names::CLUSTER_FAILED, batch_ctx);
+fn emit_failed(idx: usize, attempts: u32, fault: Fault, backoff_ns: u64) {
     alperf_obs::record(
         names::CLUSTER_FAILED,
         &[
@@ -368,6 +264,22 @@ mod tests {
     use super::*;
     use crate::fault::FaultKind;
     use alperf_hpgmg::operator::OperatorKind;
+    use alperf_linalg::threads::with_threads;
+
+    /// Measure every job with no fault plan and unwrap the outcomes to
+    /// plain [`Measurement`]s: without injected faults every job succeeds.
+    fn measure_all_ok(
+        model: &PerfModel,
+        sampler: &PowerSampler,
+        requests: &[JobRequest],
+        campaign_seed: u64,
+    ) -> Vec<Measurement> {
+        let retry = RetryPolicy::no_retries();
+        measure_all(model, sampler, requests, campaign_seed, None, &retry)
+            .iter()
+            .map(|o| o.measurement().expect("no fault plan").clone())
+            .collect()
+    }
 
     fn requests(n: usize) -> Vec<JobRequest> {
         (0..n)
@@ -386,9 +298,11 @@ mod tests {
         let model = PerfModel::calibrated();
         let sampler = PowerSampler::default();
         let reqs = requests(40);
-        let par = measure_all_ok(&model, &sampler, &reqs, 9, 8).unwrap();
-        let ser = measure_all_ok(&model, &sampler, &reqs, 9, 1).unwrap();
-        assert_eq!(par, ser);
+        let ser = with_threads(1, || measure_all_ok(&model, &sampler, &reqs, 9));
+        for width in [2, 8] {
+            let par = with_threads(width, || measure_all_ok(&model, &sampler, &reqs, 9));
+            assert_eq!(par, ser, "width={width}");
+        }
     }
 
     #[test]
@@ -396,7 +310,7 @@ mod tests {
         let model = PerfModel::calibrated();
         let sampler = PowerSampler::default();
         let reqs = requests(10);
-        let out = measure_all_ok(&model, &sampler, &reqs, 0, 4).unwrap();
+        let out = with_threads(4, || measure_all_ok(&model, &sampler, &reqs, 0));
         for (i, m) in out.iter().enumerate() {
             assert_eq!(m.idx, i);
         }
@@ -428,8 +342,8 @@ mod tests {
         let model = PerfModel::calibrated();
         let sampler = PowerSampler::default();
         let reqs = requests(5);
-        let a = measure_all_ok(&model, &sampler, &reqs, 1, 2).unwrap();
-        let b = measure_all_ok(&model, &sampler, &reqs, 2, 2).unwrap();
+        let a = measure_all_ok(&model, &sampler, &reqs, 1);
+        let b = measure_all_ok(&model, &sampler, &reqs, 2);
         assert_ne!(a[0].runtime, b[0].runtime);
     }
 
@@ -437,7 +351,7 @@ mod tests {
     fn empty_batch_is_fine() {
         let model = PerfModel::calibrated();
         let sampler = PowerSampler::default();
-        let out = measure_all_ok(&model, &sampler, &[], 0, 4).unwrap();
+        let out = with_threads(4, || measure_all_ok(&model, &sampler, &[], 0));
         assert!(out.is_empty());
     }
 
@@ -448,7 +362,9 @@ mod tests {
         let reqs = requests(120);
         let plan = FaultPlan::new(17, 0.5);
         let retry = RetryPolicy::default();
-        let out = measure_all(&model, &sampler, &reqs, 9, 4, Some(&plan), &retry).unwrap();
+        let out = with_threads(4, || {
+            measure_all(&model, &sampler, &reqs, 9, Some(&plan), &retry)
+        });
         assert_eq!(out.len(), reqs.len());
         let failed = out.iter().filter(|o| o.is_failed()).count();
         let retried = out
@@ -491,11 +407,14 @@ mod tests {
         let reqs = requests(60);
         let plan = FaultPlan::new(5, 0.3);
         let retry = RetryPolicy::default();
-        let base = measure_all(&model, &sampler, &reqs, 3, 1, Some(&plan), &retry).unwrap();
-        for workers in [2, 8] {
-            let out =
-                measure_all(&model, &sampler, &reqs, 3, workers, Some(&plan), &retry).unwrap();
-            assert_eq!(out, base, "workers={workers}");
+        let run = |width| {
+            with_threads(width, || {
+                measure_all(&model, &sampler, &reqs, 3, Some(&plan), &retry)
+            })
+        };
+        let base = run(1);
+        for width in [2, 8] {
+            assert_eq!(run(width), base, "width={width}");
         }
     }
 
@@ -528,11 +447,9 @@ mod tests {
             &sampler,
             &reqs,
             1,
-            2,
             Some(&plan),
             &RetryPolicy::no_retries(),
-        )
-        .unwrap();
+        );
         for o in &out {
             assert_eq!(o.attempts(), 1);
             if let JobOutcome::Failed { backoff_ns, .. } = o {

@@ -13,7 +13,7 @@
 //!   [`Persistence::Transient`] (clears on retry) or
 //!   [`Persistence::Permanent`] (every retry fails). Because the decision
 //!   never touches a shared RNG stream, outcomes are bit-identical
-//!   regardless of worker count or queue order — the same property the
+//!   regardless of thread width or queue order — the same property the
 //!   executor already guarantees for measurement noise.
 //! * [`RetryPolicy`] — bounded exponential backoff with deterministic
 //!   jitter. The simulator never sleeps: backoff durations are *simulated*

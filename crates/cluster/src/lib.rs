@@ -20,9 +20,9 @@
 //! 5. [`campaign`] assembles the Performance (~3.2k jobs) and Power
 //!    (~0.6k jobs) datasets.
 //!
-//! The [`executor`] module runs campaign measurement sampling on a
-//! crossbeam worker pool; per-job RNG seeds are derived from job identity,
-//! so results are bit-identical regardless of worker interleaving.
+//! The [`executor`] module fans campaign measurement sampling out through
+//! the workspace's replicate runner; per-job RNG seeds are derived from job
+//! identity, so results are bit-identical at every thread width.
 
 pub mod accounting;
 pub mod campaign;
@@ -33,7 +33,7 @@ pub mod power;
 pub mod scheduler;
 pub mod workload;
 
-pub use campaign::{Campaign, CampaignOutput};
-pub use executor::{ExecError, JobOutcome};
+pub use campaign::{Campaign, CampaignOutput, FocusSlice};
+pub use executor::JobOutcome;
 pub use fault::{Fault, FaultKind, FaultPlan, Persistence, RetryPolicy};
 pub use job::{FailedJob, JobRecord, JobRequest};

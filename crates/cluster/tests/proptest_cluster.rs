@@ -1,7 +1,7 @@
 //! Property-based tests for the cluster simulator: scheduler conservation
 //! laws, power-trace integration bounds, the performance model's
 //! physical sanity over random job parameters, and chaos determinism —
-//! fault/retry outcomes are bit-identical across worker counts and queue
+//! fault/retry outcomes are bit-identical across thread widths and queue
 //! orders for any fault-plan seed.
 
 use alperf_cluster::executor::{measure_all, JobOutcome};
@@ -11,6 +11,7 @@ use alperf_cluster::power::{PowerSample, PowerSampler};
 use alperf_cluster::scheduler::schedule_batch;
 use alperf_hpgmg::model::PerfModel;
 use alperf_hpgmg::operator::OperatorKind;
+use alperf_linalg::threads::with_threads;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -188,7 +189,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// Chaos determinism: for ANY fault-plan seed and failure rate, the
-    /// `JobOutcome` vector is bit-identical across worker counts {1, 2, 8},
+    /// `JobOutcome` vector is bit-identical across thread widths {1, 2, 8},
     /// and per-job outcomes are invariant under queue reordering (faults
     /// and backoffs derive from job identity, never from shared state) —
     /// the fault-injection mirror of the obs on/off determinism test.
@@ -203,20 +204,22 @@ proptest! {
         let sampler = PowerSampler::default();
         let plan = FaultPlan::new(plan_seed, rate);
         let retry = RetryPolicy::default();
-        let base = measure_all(&model, &sampler, &reqs, campaign_seed, 1, Some(&plan), &retry)
-            .expect("executor infrastructure must not fail");
+        let run = |width: usize, reqs: &[JobRequest]| {
+            with_threads(width, || {
+                measure_all(&model, &sampler, reqs, campaign_seed, Some(&plan), &retry)
+            })
+        };
+        let base = run(1, &reqs);
         prop_assert_eq!(base.len(), reqs.len());
-        for workers in [2usize, 8] {
-            let out = measure_all(&model, &sampler, &reqs, campaign_seed, workers, Some(&plan), &retry)
-                .expect("executor infrastructure must not fail");
-            prop_assert_eq!(&out, &base, "worker count {} changed outcomes", workers);
+        for width in [2usize, 8] {
+            let out = run(width, &reqs);
+            prop_assert_eq!(&out, &base, "width {} changed outcomes", width);
         }
         // Queue-order invariance: run the same jobs reversed; outcome i of
         // the base run must equal outcome n-1-i of the reversed run, up to
         // the batch index.
         let rev: Vec<JobRequest> = reqs.iter().rev().copied().collect();
-        let out_rev = measure_all(&model, &sampler, &rev, campaign_seed, 4, Some(&plan), &retry)
-            .expect("executor infrastructure must not fail");
+        let out_rev = run(4, &rev);
         let a: Vec<NormalizedOutcome> = base.iter().map(normalize).collect();
         let mut b: Vec<NormalizedOutcome> = out_rev.iter().map(normalize).collect();
         b.reverse();

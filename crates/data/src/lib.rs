@@ -13,19 +13,12 @@
 //!   on log-transformed Runtime, Energy, and Global Problem Size).
 //! * [`partition`]: the Initial/Active/Test random split (a single initial
 //!   experiment; the rest split 8:2 Active:Test) driving each AL run.
-//! * [`grid`]: full-factorial level grids for workload generation and for
-//!   candidate pools.
 //! * [`csvio`]: plain CSV persistence of datasets (the paper publishes its
 //!   data as CSV).
 //! * [`summary`]: Table I-style dataset summaries.
-//! * [`generate`]: factorial dataset construction from a caller-supplied
-//!   measurement oracle (the cluster simulator plugs in here).
 
-pub mod aggregate;
 pub mod csvio;
 pub mod dataset;
-pub mod generate;
-pub mod grid;
 pub mod partition;
 pub mod summary;
 pub mod transform;

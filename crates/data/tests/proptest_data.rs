@@ -1,9 +1,8 @@
 //! Property-based tests for the dataset layer: partitions, transforms,
-//! CSV round-trips, and grid enumeration invariants.
+//! CSV round-trips and fixed-variable views.
 
 use alperf_data::csvio;
 use alperf_data::dataset::DataSet;
-use alperf_data::grid::{latin_hypercube, Factor, Grid};
 use alperf_data::partition::Partition;
 use alperf_data::transform::Transform;
 use proptest::prelude::*;
@@ -62,52 +61,6 @@ proptest! {
         for i in 0..n {
             prop_assert_eq!(back.variable("x").unwrap().values[i].to_bits(), xs[i].to_bits());
             prop_assert_eq!(back.response("y").unwrap()[i].to_bits(), ys[i].to_bits());
-        }
-    }
-
-    /// Grid enumeration visits exactly the cartesian product: right count,
-    /// all distinct, every value a declared level.
-    #[test]
-    fn grid_enumeration_is_cartesian(
-        l1 in prop::collection::vec(-10.0..10.0f64, 1..5),
-        l2 in prop::collection::vec(-10.0..10.0f64, 1..5),
-    ) {
-        let mut u1 = l1.clone();
-        u1.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        u1.dedup();
-        let mut u2 = l2.clone();
-        u2.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        u2.dedup();
-        let g = Grid::new(vec![Factor::new("a", u1.clone()), Factor::new("b", u2.clone())]);
-        let pts = g.points();
-        prop_assert_eq!(pts.len(), u1.len() * u2.len());
-        for p in &pts {
-            prop_assert!(u1.contains(&p[0]));
-            prop_assert!(u2.contains(&p[1]));
-        }
-        // All distinct.
-        for i in 0..pts.len() {
-            for j in (i + 1)..pts.len() {
-                prop_assert_ne!(&pts[i], &pts[j]);
-            }
-        }
-    }
-
-    /// Latin hypercube sampling covers each factor's levels within one of
-    /// the perfectly balanced count.
-    #[test]
-    fn latin_hypercube_is_balanced(n_mult in 1usize..5, seed in 0u64..100) {
-        let levels = vec![1.0, 2.0, 3.0, 4.0];
-        let g = Grid::new(vec![
-            Factor::new("a", levels.clone()),
-            Factor::new("b", vec![0.0, 1.0]),
-        ]);
-        let n = n_mult * 4;
-        let pts = latin_hypercube(&g, n, seed);
-        prop_assert_eq!(pts.len(), n);
-        for lvl in &levels {
-            let count = pts.iter().filter(|p| p[0] == *lvl).count();
-            prop_assert_eq!(count, n / 4, "level {} of factor a", lvl);
         }
     }
 

@@ -144,11 +144,6 @@ impl Gpr {
         })
     }
 
-    /// Predict at every row of `xs`. Alias for [`Gpr::predict_batch`].
-    pub fn predict(&self, xs: &Matrix) -> Result<Vec<Prediction>, GpError> {
-        self.predict_batch(xs)
-    }
-
     /// Batched posterior prediction at every row of `xs`.
     ///
     /// Builds the cross-covariance `K(X_*, X)` in one blocked pass, then
@@ -446,7 +441,7 @@ mod tests {
         // (1e-10, far above the ~1e-13 identity error), not bit-exact.
         let gpr = fit_sine(0.1);
         let grid = Matrix::from_vec(3, 1, vec![0.1, 2.0, 4.5]).unwrap();
-        let many = gpr.predict(&grid).unwrap();
+        let many = gpr.predict_batch(&grid).unwrap();
         for (i, p) in many.iter().enumerate() {
             let q = gpr.predict_one(grid.row(i)).unwrap();
             assert!((p.mean - q.mean).abs() <= 1e-10 * (1.0 + q.mean.abs()));

@@ -3,7 +3,8 @@
 //! The unit of parallel work is a whole AL campaign: the paper's Figs. 7
 //! and 8 average independent realizations, and the ablations compare
 //! strategies over independent partitions. [`replicates`] fans those units
-//! out; nothing inside a unit (a fit, a solve, a committee) forks. Three
+//! out, and the simulated measurement campaign fans its jobs out the same
+//! way; nothing inside a unit (a fit, a solve, a committee) forks. Three
 //! things size themselves from the width configured here: [`replicates`],
 //! the grid executor's workers, and hpgmg's multigrid loops. This module
 //! builds the global width **once** from the `ALPERF_NUM_THREADS`

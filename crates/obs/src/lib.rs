@@ -9,7 +9,7 @@
 //! Design constraints, in order:
 //!
 //! 1. **Zero overhead when disabled.** Every instrumentation entry point
-//!    ([`span`](fn@span), [`span_with_parent`], [`record`]) starts with one
+//!    ([`span`](fn@span), [`record`]) starts with one
 //!    *relaxed* atomic load of a global flag and returns immediately when
 //!    telemetry is off — no clock read, no thread-local access, no
 //!    allocation. The instrumented hot paths (fits, restarts,
@@ -21,8 +21,8 @@
 //!    sink; it never feeds back into any numeric computation. Enabling it
 //!    must not change a single bit of any model output (the AL
 //!    determinism guard test in `alperf-al` proves this end to end).
-//! 3. **No external dependencies** beyond the vendored `parking_lot`
-//!    stand-in; JSON is emitted and parsed by the tiny [`json`] module.
+//! 3. **No external dependencies**: the standard library only; JSON is
+//!    emitted and parsed by the tiny [`json`] module.
 //!
 //! Quick tour: emit a span and a record, then read them back.
 //!
@@ -87,29 +87,6 @@ pub fn span(name: &'static str) -> SpanGuard {
     SpanGuard::enter(name)
 }
 
-/// Open a span whose trace parent is `parent` (captured with
-/// [`current_span`] before crossing a thread boundary) instead of this
-/// thread's innermost open span. This is how fork-join call sites keep
-/// their worker spans attached to the logical caller: parentage is
-/// otherwise thread-local, so a span opened on a worker thread would
-/// become a root. Children opened *under* the returned guard on the same
-/// thread still nest normally.
-#[inline]
-pub fn span_with_parent(name: &'static str, parent: Option<SpanCtx>) -> SpanGuard {
-    if !enabled() {
-        return SpanGuard::inert(name);
-    }
-    SpanGuard::enter_with_parent(name, parent)
-}
-
-/// The innermost open span on this thread — capture before dispatching
-/// fork-join work and hand to [`span_with_parent`] on the workers.
-/// `None` when no span is open (including whenever telemetry is off).
-#[inline]
-pub fn current_span() -> Option<SpanCtx> {
-    span::current()
-}
-
 /// Emit a structured record event (one JSONL line) — a no-op when
 /// telemetry is disabled or no sink is installed. `fields` appear under
 /// the `"fields"` key of the emitted object.
@@ -132,18 +109,25 @@ pub fn next_run_id() -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::{Mutex, MutexGuard};
 
     // The global enabled flag and the sink are process-wide; tests that
     // touch either serialize on this lock so they can run under the
     // default parallel test harness.
-    pub(crate) static TEST_LOCK: parking_lot::Mutex<()> = parking_lot::Mutex::new(());
+    static TEST_LOCK: Mutex<()> = Mutex::new(());
+
+    /// Take [`TEST_LOCK`], recovering it if a test panicked while holding
+    /// it (the lock guards no data).
+    pub(crate) fn test_lock() -> MutexGuard<'static, ()> {
+        TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner())
+    }
 
     /// Run `f` under [`TEST_LOCK`] with a fresh JSONL sink installed and
     /// the global switch set to `on`, and return the span and record
     /// events it wrote, read back through [`Event::parse`].
     pub(crate) fn capture(on: bool, f: impl FnOnce()) -> Vec<Event> {
         static NEXT: AtomicU64 = AtomicU64::new(0);
-        let _l = TEST_LOCK.lock();
+        let _l = test_lock();
         let path = std::env::temp_dir().join(format!(
             "alperf_obs_capture_{}_{}.jsonl",
             std::process::id(),

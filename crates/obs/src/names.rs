@@ -8,9 +8,9 @@
 
 /// Span around one `executor::measure_all` batch.
 pub const CLUSTER_MEASURE_BATCH: &str = "cluster.measure_batch";
-/// Span + record: one retry of a faulted job attempt.
+/// Record: one retry of a faulted job attempt.
 pub const CLUSTER_RETRY: &str = "cluster.retry";
-/// Span + record: a job that exhausted its retry budget.
+/// Record: a job that exhausted its retry budget.
 pub const CLUSTER_FAILED: &str = "cluster.failed";
 /// Record carrying the full fault-plan parameters of a campaign, emitted
 /// once per campaign so `chaos_replay` can reconstruct and re-execute it.

@@ -4,8 +4,8 @@
 //! record carrying the schema version; every subsequent line is either a
 //! `span` (name, thread, optional parent, start + duration in ns) or a
 //! `record` (name, thread, free-form `fields` object). Lines are written
-//! whole under one lock, so concurrent writers (replicate workers, the
-//! crossbeam executor pool) interleave at line granularity only.
+//! whole under one lock, so concurrent writers (replicate workers)
+//! interleave at line granularity only.
 //!
 //! Schema `alperf-obs-v1`, field reference:
 //!
@@ -17,11 +17,10 @@
 
 use crate::json;
 use crate::span::SpanCtx;
-use parking_lot::Mutex;
 use std::io::{BufWriter, Write};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Schema identifier written in the meta line of every trace file.
 pub const SCHEMA: &str = "alperf-obs-v1";
@@ -53,6 +52,14 @@ impl Value<'_> {
     }
 }
 
+/// Take `m`'s lock, recovering it if a thread panicked while holding it:
+/// every critical section here either swaps the installed sink or writes
+/// a line formatted before the lock was taken, so the guarded data is
+/// valid whenever a panic could interrupt it.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 struct Sink {
     writer: Mutex<BufWriter<std::fs::File>>,
 }
@@ -64,7 +71,7 @@ impl Drop for Sink {
     // [`uninstall`] (statics are not dropped), which the bench crate's
     // telemetry guard does on drop — panics included.
     fn drop(&mut self) {
-        let _ = self.writer.lock().flush();
+        let _ = lock(&self.writer).flush();
     }
 }
 
@@ -77,7 +84,7 @@ fn current_sink() -> Option<Arc<Sink>> {
     if !SINK_PRESENT.load(Ordering::Relaxed) {
         return None;
     }
-    SINK.lock().as_ref().map(Arc::clone)
+    lock(&SINK).as_ref().map(Arc::clone)
 }
 
 /// Install a JSONL sink writing to `path` (truncating), and write the
@@ -88,13 +95,13 @@ pub fn install_jsonl(path: &Path) -> std::io::Result<()> {
         writer: Mutex::new(BufWriter::new(file)),
     });
     {
-        let mut w = sink.writer.lock();
+        let mut w = lock(&sink.writer);
         writeln!(
             w,
             "{{\"v\":1,\"t\":\"meta\",\"schema\":\"{SCHEMA}\",\"unit\":\"ns\"}}"
         )?;
     }
-    *SINK.lock() = Some(sink);
+    *lock(&SINK) = Some(sink);
     SINK_PRESENT.store(true, Ordering::Relaxed);
     Ok(())
 }
@@ -102,15 +109,15 @@ pub fn install_jsonl(path: &Path) -> std::io::Result<()> {
 /// Flush and remove the installed sink (if any).
 pub fn uninstall() {
     SINK_PRESENT.store(false, Ordering::Relaxed);
-    if let Some(sink) = SINK.lock().take() {
-        let _ = sink.writer.lock().flush();
+    if let Some(sink) = lock(&SINK).take() {
+        let _ = lock(&sink.writer).flush();
     }
 }
 
 /// Flush the installed sink without removing it.
 pub fn flush() {
     if let Some(sink) = current_sink() {
-        let _ = sink.writer.lock().flush();
+        let _ = lock(&sink.writer).flush();
     }
 }
 
@@ -130,7 +137,7 @@ fn thread_id() -> u64 {
 
 fn write_line(line: &str) {
     if let Some(sink) = current_sink() {
-        let mut w = sink.writer.lock();
+        let mut w = lock(&sink.writer);
         let _ = writeln!(w, "{line}");
     }
 }
@@ -186,7 +193,7 @@ mod tests {
     // that flip global state.
     #[test]
     fn emitted_lines_parse_and_follow_schema() {
-        let _l = crate::tests::TEST_LOCK.lock();
+        let _l = crate::tests::test_lock();
         let path =
             std::env::temp_dir().join(format!("alperf_obs_sink_{}.jsonl", std::process::id()));
         install_jsonl(&path).unwrap();
@@ -239,7 +246,7 @@ mod tests {
 
     #[test]
     fn no_sink_means_noop() {
-        let _l = crate::tests::TEST_LOCK.lock();
+        let _l = crate::tests::test_lock();
         uninstall();
         assert!(!active());
         emit_span("unit.nosink", 1, None, 0, 0);

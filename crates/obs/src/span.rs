@@ -6,20 +6,16 @@
 //! the guard is inert — constructed without touching the clock, the
 //! thread-local stack or the id counter.
 //!
-//! Parentage is per-thread by default: a span opened inside a worker thread
-//! does not see the spawning thread's stack. Fork-join call sites that
-//! want their worker spans attached to the logical caller capture
-//! [`current`] *before* dispatch and open the worker span with
-//! [`crate::span_with_parent`] — the explicit [`SpanCtx`] crosses the
-//! thread boundary as plain `Copy` data, so the fast path still has no
-//! cross-thread bookkeeping.
+//! Parentage is per-thread: a span's parent is the span below it on its
+//! own thread's stack, so a span opened on another thread starts a tree
+//! of its own. The replicate runner's units are whole campaigns, so each
+//! campaign's spans still form complete trees.
 
 use crate::clock::monotonic_ns;
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Identity of an open span: its (static) name plus process-unique id.
-/// `Copy`, and safe to send into worker closures for explicit parentage.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SpanCtx {
     /// The span's name.
@@ -44,14 +40,6 @@ pub fn current() -> Option<SpanCtx> {
     STACK.with(|s| s.borrow().last().copied())
 }
 
-/// How the span's trace parent is resolved at drop time.
-enum Parent {
-    /// Whatever span is below this one on the thread-local stack.
-    Stack,
-    /// An explicit parent captured on (possibly) another thread.
-    Explicit(Option<SpanCtx>),
-}
-
 /// Guard for one span. Records on drop (or [`SpanGuard::finish`]); inert
 /// when telemetry was disabled at entry (a flip mid-span keeps the entry
 /// decision, preserving stack balance).
@@ -60,7 +48,6 @@ pub struct SpanGuard {
     name: &'static str,
     id: u64,
     start_ns: u64,
-    parent: Parent,
     active: bool,
 }
 
@@ -72,7 +59,6 @@ impl SpanGuard {
             name,
             id: 0,
             start_ns: 0,
-            parent: Parent::Stack,
             active: false,
         }
     }
@@ -80,24 +66,12 @@ impl SpanGuard {
     /// Open a live span: push onto this thread's stack and stamp the
     /// start time.
     pub(crate) fn enter(name: &'static str) -> SpanGuard {
-        SpanGuard::open(name, Parent::Stack)
-    }
-
-    /// Open a live span whose trace parent is the explicitly given span
-    /// (captured via [`current`] before crossing a thread boundary)
-    /// instead of this thread's stack.
-    pub(crate) fn enter_with_parent(name: &'static str, parent: Option<SpanCtx>) -> SpanGuard {
-        SpanGuard::open(name, Parent::Explicit(parent))
-    }
-
-    fn open(name: &'static str, parent: Parent) -> SpanGuard {
         let id = next_span_id();
         STACK.with(|s| s.borrow_mut().push(SpanCtx { name, id }));
         SpanGuard {
             name,
             id,
             start_ns: monotonic_ns(),
-            parent,
             active: true,
         }
     }
@@ -107,8 +81,8 @@ impl SpanGuard {
         self.name
     }
 
-    /// The span's identity, usable as an explicit parent for spans opened
-    /// on worker threads. `None` for an inert (telemetry-off) guard.
+    /// The span's name and id, as written to the trace. `None` for an
+    /// inert (telemetry-off) guard.
     pub fn ctx(&self) -> Option<SpanCtx> {
         self.active.then_some(SpanCtx {
             name: self.name,
@@ -136,15 +110,11 @@ impl SpanGuard {
         }
         self.active = false;
         let dur = monotonic_ns().saturating_sub(self.start_ns);
-        let stack_parent = STACK.with(|s| {
+        let parent = STACK.with(|s| {
             let mut stack = s.borrow_mut();
             stack.pop();
             stack.last().copied()
         });
-        let parent = match self.parent {
-            Parent::Stack => stack_parent,
-            Parent::Explicit(p) => p,
-        };
         crate::sink::emit_span(self.name, self.id, parent, self.start_ns, dur);
         dur
     }
@@ -197,7 +167,7 @@ mod tests {
 
     #[test]
     fn span_ids_are_unique() {
-        let _l = crate::tests::TEST_LOCK.lock();
+        let _l = crate::tests::test_lock();
         crate::set_enabled(true);
         let a = crate::span("test.span.id_a");
         let b = crate::span("test.span.id_b");
@@ -239,33 +209,6 @@ mod tests {
         let finished = spans(&events, "test.span.finish");
         assert_eq!(finished.len(), 1);
         assert_eq!(finished[0].dur_ns, dur);
-    }
-
-    #[test]
-    fn explicit_parent_crosses_threads() {
-        let mut parent = None;
-        let events = capture(true, || {
-            let outer = crate::span("test.span.xthread_parent");
-            parent = outer.ctx();
-            let child_saw = std::thread::spawn(move || {
-                let g = crate::span_with_parent("test.span.xthread_child", parent);
-                // The worker's stack holds the child (so *its* children
-                // nest), but the recorded parent is the explicit one.
-                let on_stack = current() == g.ctx();
-                drop(g);
-                on_stack && current().is_none()
-            })
-            .join()
-            .unwrap();
-            assert!(child_saw);
-        });
-        let (outer, child) = (
-            spans(&events, "test.span.xthread_parent"),
-            spans(&events, "test.span.xthread_child"),
-        );
-        assert_eq!((outer.len(), child.len()), (1, 1));
-        assert_eq!(child[0].parent_id, parent.map(|p| p.id));
-        assert_ne!(child[0].tid, outer[0].tid);
     }
 
     #[test]

@@ -14,8 +14,7 @@
 //!   and a malformed line (each maps to its own CI exit code).
 //! * [`tree`] — span-forest reconstruction. Spans written by current
 //!   `alperf-obs` carry process-unique ids + parent ids, so linking is
-//!   exact (including spans that crossed a thread boundary via
-//!   `span_with_parent`); pre-id traces fall back to parent-name plus
+//!   exact, on any thread; pre-id traces fall back to parent-name plus
 //!   interval-containment matching. Connectivity is asserted: a span that
 //!   names a parent which cannot be found is an error, not a silent root.
 //! * [`analyze`] — per-name total/self-time aggregation and critical

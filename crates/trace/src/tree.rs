@@ -7,9 +7,7 @@
 //! Linking rules, in precedence order per span:
 //!
 //! 1. **By parent id** (`pid` field) — exact, and the only rule that can
-//!    attach across threads (worker spans opened with
-//!    `span_with_parent`, such as the cluster executor's, carry the
-//!    dispatching span's id).
+//!    attach a span to a parent on another thread.
 //! 2. **By parent name + interval containment** — the fallback for
 //!    pre-id traces: the innermost span with the declared name whose
 //!    interval contains the child's, preferring candidates on the same

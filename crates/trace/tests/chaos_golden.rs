@@ -80,7 +80,7 @@ fn chaos_forest_attaches_retries_across_threads() {
     assert_eq!(forest.roots.len(), 3, "batch + two al.iterations");
 
     // Worker-side retry/failed spans (tids 2, 3) attach under the batch
-    // span on tid 1 — the explicit-parent linkage the executor relies on.
+    // span on tid 1 through their parent ids.
     for name in ["cluster.retry", "cluster.failed"] {
         for i in forest.named(name) {
             let parent = forest.nodes[i].parent.expect("must have parent");

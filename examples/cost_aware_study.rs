@@ -9,7 +9,7 @@
 
 use alperf::al::strategy::{CostEfficiency, Strategy, VarianceReduction};
 use alperf::al::tradeoff;
-use alperf::cluster::campaign::{Campaign, COL_FREQ, COL_NP, COL_OPERATOR, COL_SIZE};
+use alperf::cluster::campaign::{Campaign, COL_FREQ, COL_SIZE};
 use alperf::cluster::workload::WorkloadSpec;
 use alperf::framework::analysis::{AnalysisConfig, PerformanceAnalysis};
 use alperf::gp::noise::NoiseFloor;
@@ -25,12 +25,7 @@ fn main() {
         ..Default::default()
     };
     let out = campaign.run().expect("campaign");
-    let slice = out
-        .performance
-        .fix_level(COL_OPERATOR, "poisson1")
-        .expect("operator")
-        .fix_variable(COL_NP, 32.0)
-        .expect("NP");
+    let slice = out.focus_slice().expect("focus slice").data;
     println!("focus slice: {} jobs", slice.n_rows());
 
     let config = AnalysisConfig {

@@ -6,7 +6,7 @@
 //! ```
 
 use alperf::al::strategy::{CostEfficiency, VarianceReduction};
-use alperf::cluster::campaign::{Campaign, COL_FREQ, COL_NP, COL_OPERATOR, COL_SIZE};
+use alperf::cluster::campaign::{Campaign, COL_FREQ, COL_SIZE};
 use alperf::cluster::workload::WorkloadSpec;
 use alperf::data::partition::Partition;
 use alperf::framework::analysis::{AnalysisConfig, PerformanceAnalysis};
@@ -36,12 +36,7 @@ fn main() {
     // 2. The paper's evaluation slice: Operator = poisson1, NP = 32;
     //    model log10(Runtime) against log10(Global Problem Size) and
     //    CPU Frequency.
-    let slice = out
-        .performance
-        .fix_level(COL_OPERATOR, "poisson1")
-        .expect("operator column")
-        .fix_variable(COL_NP, 32.0)
-        .expect("NP column");
+    let slice = out.focus_slice().expect("focus slice").data;
     println!(
         "\n== AL on the (poisson1, NP=32) slice: {} jobs ==",
         slice.n_rows()

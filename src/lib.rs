@@ -36,9 +36,9 @@
 //! |---|---|
 //! | [`linalg`] | dense matrices, Cholesky, triangular solves |
 //! | [`gp`] | GPR, kernels, LML optimization, noise floors |
-//! | [`data`] | datasets, partitions, transforms, CSV, factor grids |
+//! | [`data`] | datasets, partitions, transforms, CSV, Table I summaries |
 //! | [`hpgmg`] | full-multigrid Poisson solver + calibrated perf/energy model |
-//! | [`cluster`] | SLURM-like scheduler, IPMI power traces, campaign pipeline |
+//! | [`cluster`] | SLURM-like scheduler, IPMI power traces, campaign pipeline, focus slice |
 //! | [`al`] | acquisition strategies, AL loop, metrics, tradeoff analysis |
 //! | [`framework`] | high-level offline/online analysis sessions |
 //!

@@ -6,7 +6,7 @@ use alperf::al::convergence::ConvergenceDetector;
 use alperf::al::oracle::SeededFaultOracle;
 use alperf::al::runner::{run_al, run_al_with_oracle, test_rmse, AlConfig, AlRun};
 use alperf::al::strategy::{CostEfficiency, SelectionContext, Strategy, VarianceReduction};
-use alperf::cluster::campaign::{Campaign, COL_FREQ, COL_NP, COL_OPERATOR, COL_SIZE};
+use alperf::cluster::campaign::{Campaign, FocusSlice};
 use alperf::cluster::workload::WorkloadSpec;
 use alperf::data::partition::Partition;
 use alperf::framework::analysis::paper_kernel_bounds;
@@ -37,32 +37,13 @@ fn focus_problem() -> (Matrix, Vec<f64>, Vec<f64>) {
 /// The (poisson1, NP = 32) slice of `campaign`'s Performance dataset:
 /// `[log10 size, frequency]` rows, log10 runtimes and unit costs.
 fn focus_slice(campaign: Campaign) -> (Matrix, Vec<f64>, Vec<f64>) {
-    let out = campaign.run().expect("campaign");
-    let sub = out
-        .performance
-        .fix_level(COL_OPERATOR, "poisson1")
-        .expect("operator")
-        .fix_variable(COL_NP, 32.0)
-        .expect("NP");
-    let sizes = &sub.variable(COL_SIZE).expect("size").values;
-    let freqs = &sub.variable(COL_FREQ).expect("freq").values;
-    let y: Vec<f64> = sub
-        .response("Runtime")
-        .expect("runtime")
-        .iter()
-        .map(|v| v.log10())
-        .collect();
-    let n = sub.n_rows();
-    let mut flat = Vec::with_capacity(2 * n);
-    for i in 0..n {
-        flat.push(sizes[i].log10());
-        flat.push(freqs[i]);
-    }
-    (
-        Matrix::from_vec(n, 2, flat).expect("matrix"),
-        y,
-        vec![1.0; n],
-    )
+    let FocusSlice { x, y, .. } = campaign
+        .run()
+        .expect("campaign")
+        .focus_slice()
+        .expect("focus slice");
+    let n = x.nrows();
+    (x, y, vec![1.0; n])
 }
 
 fn gpr(floor: NoiseFloor, seed: u64) -> GprConfig {

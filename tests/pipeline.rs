@@ -28,12 +28,7 @@ fn focus_analysis(
     out: &alperf::cluster::campaign::CampaignOutput,
     max_iters: usize,
 ) -> PerformanceAnalysis {
-    let slice = out
-        .performance
-        .fix_level(COL_OPERATOR, "poisson1")
-        .expect("operator")
-        .fix_variable(COL_NP, 32.0)
-        .expect("NP");
+    let slice = out.focus_slice().expect("focus slice").data;
     let config = AnalysisConfig {
         variables: vec![COL_SIZE.into(), COL_FREQ.into()],
         log_variables: vec![COL_SIZE.into()],
