@@ -4,8 +4,7 @@
 //!
 //! Usage:
 //!   grid_runner [--out <path>] [--spec <file> | --quick] [--resume]
-//!               [--buffered] [--timing] [--seed <n>] [--rank]
-//!               [--check-resume]
+//!               [--timing] [--seed <n>] [--rank] [--check-resume]
 //!   grid_runner --rank-only <summaries.jsonl> [--baseline-strategy <s>]
 //!
 //! With no `--spec`, the built-in **paper-claims** grid runs: every
@@ -24,12 +23,12 @@
 //! the original. `--resume` continues a partially written run for real.
 //!
 //! Determinism: output bytes are identical for any worker width
-//! (`ALPERF_NUM_THREADS`), commit mode (`--buffered`), and kill/resume
-//! history — unless `--timing` arms real wall/CPU nanoseconds per
-//! record. See `crates/grid` docs and DESIGN.md §4k.
+//! (`ALPERF_NUM_THREADS`) and kill/resume history — unless `--timing`
+//! arms real wall/CPU nanoseconds per record. See `crates/grid` docs and
+//! DESIGN.md §4k.
 
 use alperf_bench::{obs_from_env, threads_from_env};
-use alperf_grid::exec::{run_grid, CommitMode, ExecConfig};
+use alperf_grid::exec::{run_grid, ExecConfig};
 use alperf_grid::rank::{
     leaderboards, render_claims, render_leaderboards, render_significance, significance, RankConfig,
 };
@@ -143,8 +142,8 @@ fn check_resume(spec: &GridSpec, out: &Path, exec: &ExecConfig) -> Result<(), St
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: grid_runner [--out <path>] [--spec <file> | --quick] [--resume] [--buffered]\n\
-         \x20                  [--timing] [--seed <n>] [--rank] [--check-resume]\n\
+        "usage: grid_runner [--out <path>] [--spec <file> | --quick] [--resume] [--timing]\n\
+         \x20                  [--seed <n>] [--rank] [--check-resume]\n\
          \x20      grid_runner --rank-only <summaries.jsonl> [--baseline-strategy <s>]"
     );
     ExitCode::from(2)
@@ -176,8 +175,6 @@ fn main() -> ExitCode {
             },
             "--quick" => quick = true,
             "--resume" => exec.resume = true,
-            "--buffered" => exec.mode = CommitMode::Buffered,
-            "--stream" => exec.mode = CommitMode::Streaming,
             "--timing" => exec.timing = true,
             "--seed" => match it.next().and_then(|v| v.parse().ok()) {
                 Some(s) => seed = Some(s),
@@ -247,12 +244,11 @@ fn main() -> ExitCode {
         }
     };
     println!(
-        "grid {}: {} campaigns -> {} (pool: {}, mode: {:?}{}{})",
+        "grid {}: {} campaigns -> {} (pool: {}{}{})",
         spec.name,
         n,
         out.display(),
         pool_source,
-        exec.mode,
         if exec.timing { ", timing" } else { "" },
         if exec.resume { ", resume" } else { "" },
     );

@@ -7,9 +7,6 @@
 //! * traced campaign: a Fig. 7 AL campaign with telemetry on and a JSONL
 //!   sink under `target/`, flushed inside the timed arm, takes at most
 //!   [`CAMPAIGN_RATIO_BUDGET`] times the untraced campaign's wall time;
-//! * grid summary stream: per-record commits (write + flush per line)
-//!   cost at most [`STREAM_OVERHEAD_BUDGET_PCT`] over one buffered
-//!   end-of-run write;
 //! * grid width: 2 workers run the grid in under [`GRID_RATIO_T2_BUDGET`]
 //!   of the 1-worker wall time, checked only where a two-thread control
 //!   kernel timed in the same rounds shows two usable CPUs (its 2-thread
@@ -33,7 +30,7 @@ use alperf_gp::kernel::{ArdSquaredExponential, SquaredExponential};
 use alperf_gp::model::Gpr;
 use alperf_gp::noise::NoiseFloor;
 use alperf_gp::optimize::{fit_gpr, GprConfig};
-use alperf_grid::exec::{run_grid, CommitMode, ExecConfig};
+use alperf_grid::exec::{run_grid, ExecConfig};
 use alperf_grid::spec::{GridSpec, KernelKind, StrategyKind};
 use alperf_linalg::matrix::Matrix;
 use alperf_linalg::threads::with_threads;
@@ -46,9 +43,6 @@ const BUDGET_PCT: f64 = 2.0;
 /// A traced campaign may take at most this multiple of the untraced one's
 /// wall time. A traced `repro_fig7 --quick` read 0.99x of untraced.
 const CAMPAIGN_RATIO_BUDGET: f64 = 1.10;
-/// Per-record flushes may cost at most this much over a single buffered
-/// write of the whole summary file, percent.
-const STREAM_OVERHEAD_BUDGET_PCT: f64 = 10.0;
 /// 2-worker over 1-worker grid wall time: campaigns are embarrassingly
 /// parallel, so two real cores must beat 1.25x.
 const GRID_RATIO_T2_BUDGET: f64 = 0.8;
@@ -232,15 +226,12 @@ fn bench_spec(quick: bool) -> GridSpec {
 
 /// Wall time of one run of the bench grid at `width` workers, in ms.
 /// Every run writes the same bytes (the executor's determinism
-/// contract), so times compare across widths and commit modes.
-fn grid_ms(spec: &GridSpec, width: usize, mode: CommitMode) -> f64 {
+/// contract), so times compare across widths.
+fn grid_ms(spec: &GridSpec, width: usize) -> f64 {
     let dir = std::env::temp_dir().join("alperf-grid-bench");
     std::fs::create_dir_all(&dir).expect("create grid bench dir");
-    let out = dir.join(format!("grid_t{width}_{mode:?}.jsonl"));
-    let exec = ExecConfig {
-        mode,
-        ..ExecConfig::default()
-    };
+    let out = dir.join(format!("grid_t{width}.jsonl"));
+    let exec = ExecConfig::default();
     batch_ms(1, || {
         with_threads(width, || run_grid(spec, &out, &exec)).expect("bench grid must run");
     })
@@ -302,22 +293,19 @@ fn main() -> ExitCode {
     alperf_obs::sink::uninstall();
     let campaign_ratio = 1.0 + traced.pct / 100.0;
 
-    // Each round runs the grid buffered and streaming at width 1, then
-    // streaming at width 2, back to back, then the two-thread control. A
-    // quick run takes ~10 ms and its per-line flushes a small share of
-    // that, so only the medians of the per-round ratios, which one
-    // CPU-steal spike cannot move, resolve it.
+    // Each round runs the grid at widths 1 and 2, back to back, then the
+    // two-thread control. A quick run takes ~10 ms, so only the medians of
+    // the per-round ratios, which one CPU-steal spike cannot move,
+    // resolve it.
     let spec = bench_spec(quick);
-    let (mut stream_pcts, mut ratios, mut controls) = (Vec::new(), Vec::new(), Vec::new());
+    let (mut ratios, mut controls) = (Vec::new(), Vec::new());
     for _ in 0..grid_rounds {
-        let buffered = grid_ms(&spec, 1, CommitMode::Buffered);
-        let t1 = grid_ms(&spec, 1, CommitMode::Streaming);
-        let t2 = grid_ms(&spec, 2, CommitMode::Streaming);
-        stream_pcts.push((t1 - buffered) / buffered * 100.0);
+        let t1 = grid_ms(&spec, 1);
+        let t2 = grid_ms(&spec, 2);
         ratios.push(t2 / t1);
         controls.push(control_ratio());
     }
-    let (stream_pct, ratio_t2) = (median(&stream_pcts), median(&ratios));
+    let ratio_t2 = median(&ratios);
     let control_t2 = median(&controls);
     let ratio_enforced = control_t2 <= CONTROL_TWO_CPUS;
 
@@ -334,11 +322,6 @@ fn main() -> ExitCode {
     if campaign_ratio > CAMPAIGN_RATIO_BUDGET {
         failed.push(format!(
             "traced campaign ratio {campaign_ratio:.3} > {CAMPAIGN_RATIO_BUDGET}"
-        ));
-    }
-    if stream_pct >= STREAM_OVERHEAD_BUDGET_PCT {
-        failed.push(format!(
-            "grid stream overhead {stream_pct:.2}% >= {STREAM_OVERHEAD_BUDGET_PCT}%"
         ));
     }
     if ratio_enforced && ratio_t2 >= GRID_RATIO_T2_BUDGET {
@@ -361,9 +344,7 @@ fn main() -> ExitCode {
          \"rounds\": {rounds}, \"batch\": {campaign_batch}, \
          \"untraced_ms\": {:.3}, \"traced_ms\": {:.3}, \"ratio\": {campaign_ratio:.3}, \
          \"budget_ratio\": {CAMPAIGN_RATIO_BUDGET} }},\n  \
-         \"grid\": {{ \"configs\": {}, \"rounds\": {grid_rounds}, \
-         \"stream_overhead_pct\": {stream_pct:.3}, \
-         \"stream_budget_pct\": {STREAM_OVERHEAD_BUDGET_PCT}, \"ratio_t2\": {ratio_t2:.3}, \
+         \"grid\": {{ \"configs\": {}, \"rounds\": {grid_rounds}, \"ratio_t2\": {ratio_t2:.3}, \
          \"control_ratio_t2\": {control_t2:.3}, \"ratio_t2_budget\": {GRID_RATIO_T2_BUDGET}, \
          \"control_two_cpus_max\": {CONTROL_TWO_CPUS}, \
          \"ratio_t2_enforced\": {ratio_enforced} }},\n  \

@@ -16,13 +16,9 @@
 //!    in a reorder buffer until their index is next — the file is an
 //!    append-only log in config order no matter the completion order.
 //!
-//! Two commit modes exist only to *prove* the stream layer is inert:
-//! [`CommitMode::Streaming`] writes each record as it commits (the
-//! pipelined default — summaries overlap campaign execution),
-//! [`CommitMode::Buffered`] holds everything and writes once at the
-//! end. Byte-identical output across modes is part of the determinism
-//! test, and the `obs_overhead` bin holds the streaming overhead under
-//! 10% of the buffered run.
+//! The committer writes and flushes each record the moment it commits,
+//! so summaries overlap campaign execution and a killed run loses at
+//! most the torn tail line that resume discards.
 //!
 //! Resume: re-running onto a partially written file validates the meta
 //! line against the spec byte-for-byte, keeps the longest valid prefix
@@ -43,23 +39,9 @@ use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
 
-/// How committed records reach the output file.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CommitMode {
-    /// Write each record the moment it commits (summary stream pipelined
-    /// against campaign execution; flushed per line so a killed run
-    /// loses at most the torn tail resume discards).
-    #[default]
-    Streaming,
-    /// Hold all records in memory and write once after the last commit.
-    Buffered,
-}
-
 /// Executor options.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ExecConfig {
-    /// Commit mode (stream vs buffer; bytes are identical either way).
-    pub mode: CommitMode,
     /// Record real wall/CPU nanoseconds per campaign. Forfeits
     /// byte-identity across runs — off in the deterministic default.
     pub timing: bool,
@@ -279,21 +261,12 @@ pub fn run_grid(spec: &GridSpec, out: &Path, exec: &ExecConfig) -> Result<GridRe
         // append in config order.
         let mut pending: BTreeMap<usize, Commit> = BTreeMap::new();
         let mut next_commit = start;
-        let mut buffered = String::new();
         for commit in rx {
             pending.insert(commit.index, commit);
             while let Some(c) = pending.remove(&next_commit) {
-                match exec.mode {
-                    CommitMode::Streaming => {
-                        file.write_all(c.line.as_bytes())?;
-                        file.write_all(b"\n")?;
-                        file.flush()?;
-                    }
-                    CommitMode::Buffered => {
-                        buffered.push_str(&c.line);
-                        buffered.push('\n');
-                    }
-                }
+                file.write_all(c.line.as_bytes())?;
+                file.write_all(b"\n")?;
+                file.flush()?;
                 executed += 1;
                 errors += c.error as usize;
                 degraded_total += c.degraded as usize;
@@ -301,10 +274,6 @@ pub fn run_grid(spec: &GridSpec, out: &Path, exec: &ExecConfig) -> Result<GridRe
             }
         }
         debug_assert!(pending.is_empty());
-        if exec.mode == CommitMode::Buffered {
-            file.write_all(buffered.as_bytes())?;
-            file.flush()?;
-        }
         Ok(())
     })?;
 

@@ -6,8 +6,8 @@
 //! noise × batch × fault rate × replicate seed) expands into a
 //! canonical config list; the executor runs every config across worker
 //! threads and streams one `alperf-grid-v1` JSONL summary per campaign,
-//! **bit-identical for any worker width, commit mode, or kill/resume
-//! cycle**; the ranking layer turns summary files into per-slice strategy
+//! **bit-identical for any worker width or kill/resume cycle**; the
+//! ranking layer turns summary files into per-slice strategy
 //! leaderboards and pairwise bootstrap significance verdicts — the
 //! paper's "variance reduction beats random" claim, tested across a whole
 //! scenario space instead of one configuration.
@@ -23,8 +23,8 @@
 //! * [`campaign`] — one campaign as a pure function of its config:
 //!   synthetic scenario, the one AL loop at the config's batch size, fault
 //!   degradation through the oracle machinery.
-//! * [`exec`] — the worker pool with ordered commits, streaming/buffered
-//!   summary modes, and the resume protocol.
+//! * [`exec`] — the worker pool with ordered, streamed commits and the
+//!   resume protocol.
 //! * [`summary`] — the `alperf-grid-v1` schema: byte-deterministic
 //!   rendering, trajectory digests, and the reader.
 //! * [`rank`] — leaderboards, pairwise significance (via
@@ -37,7 +37,7 @@ pub mod spec;
 pub mod summary;
 
 pub use campaign::{run_campaign, CampaignResult};
-pub use exec::{run_grid, CommitMode, ExecConfig, GridError, GridReport};
+pub use exec::{run_grid, ExecConfig, GridError, GridReport};
 pub use rank::{
     claim_counts, leaderboards, render_claims, render_leaderboards, render_significance,
     significance, PairVerdict, RankConfig, SliceBoard,

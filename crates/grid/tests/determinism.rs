@@ -1,9 +1,8 @@
 //! End-to-end determinism: a 64-config grid with a 20% fault rate must
 //! produce **byte-identical** summary files regardless of worker width
-//! (1/2/8), commit mode (streaming vs buffered), or a kill-and-resume
-//! cycle mid-grid.
+//! (1/2/8) or a kill-and-resume cycle mid-grid.
 
-use alperf_grid::exec::{run_grid, CommitMode, ExecConfig};
+use alperf_grid::exec::{run_grid, ExecConfig};
 use alperf_grid::spec::{GridSpec, KernelKind, StrategyKind};
 use alperf_linalg::threads;
 use std::fs;
@@ -33,11 +32,8 @@ fn tmp(name: &str) -> PathBuf {
     dir.join(name)
 }
 
-fn run_at(width: usize, mode: CommitMode, path: &PathBuf) -> String {
-    let exec = ExecConfig {
-        mode,
-        ..ExecConfig::default()
-    };
+fn run_at(width: usize, path: &PathBuf) -> String {
+    let exec = ExecConfig::default();
     let report = threads::with_threads(width, || run_grid(&spec64(), path, &exec)).unwrap();
     assert_eq!(report.n_configs, 64);
     assert_eq!(report.executed, 64);
@@ -50,26 +46,18 @@ fn run_at(width: usize, mode: CommitMode, path: &PathBuf) -> String {
 }
 
 #[test]
-fn byte_identical_across_widths_and_commit_modes() {
-    let reference = run_at(1, CommitMode::Streaming, &tmp("w1-stream.jsonl"));
+fn byte_identical_across_widths() {
+    let reference = run_at(1, &tmp("w1.jsonl"));
     assert_eq!(reference.lines().count(), 65, "meta line + 64 records");
-    for (name, width, mode) in [
-        ("w2-stream.jsonl", 2, CommitMode::Streaming),
-        ("w8-stream.jsonl", 8, CommitMode::Streaming),
-        ("w1-buffer.jsonl", 1, CommitMode::Buffered),
-        ("w8-buffer.jsonl", 8, CommitMode::Buffered),
-    ] {
-        let got = run_at(width, mode, &tmp(name));
-        assert_eq!(
-            got, reference,
-            "summary bytes diverged at width {width} mode {mode:?}"
-        );
+    for (name, width) in [("w2.jsonl", 2), ("w8.jsonl", 8)] {
+        let got = run_at(width, &tmp(name));
+        assert_eq!(got, reference, "summary bytes diverged at width {width}");
     }
 }
 
 #[test]
 fn kill_and_resume_reproduces_the_same_bytes() {
-    let reference = run_at(1, CommitMode::Streaming, &tmp("resume-ref.jsonl"));
+    let reference = run_at(1, &tmp("resume-ref.jsonl"));
 
     // Simulate a kill mid-grid: keep the meta line + the first 20
     // records, plus a torn 21st record (half its bytes, no newline).
@@ -97,7 +85,7 @@ fn kill_and_resume_reproduces_the_same_bytes() {
 #[test]
 fn resume_onto_a_complete_file_is_a_no_op() {
     let path = tmp("resume-done.jsonl");
-    let reference = run_at(2, CommitMode::Streaming, &path);
+    let reference = run_at(2, &path);
     let exec = ExecConfig {
         resume: true,
         ..ExecConfig::default()
@@ -111,7 +99,7 @@ fn resume_onto_a_complete_file_is_a_no_op() {
 #[test]
 fn resume_rejects_a_different_grid() {
     let path = tmp("resume-mismatch.jsonl");
-    run_at(1, CommitMode::Streaming, &path);
+    run_at(1, &path);
     let mut other = spec64();
     other.base_seed = 8;
     let exec = ExecConfig {

@@ -6,13 +6,35 @@
 //! `1 <= i,j,k <= n-1`, spacing `h = 1/n`.
 //!
 //! Storage is one contiguous `Vec<f64>` in x-fastest order so that z-slabs
-//! (`k = const` planes) are contiguous — the unit of rayon parallelism for
-//! every stencil sweep.
+//! (`k = const` planes) are contiguous — the unit of parallelism for every
+//! stencil sweep ([`interior_slabs`]).
 
-use rayon::prelude::*;
+use alperf_linalg::threads;
 
-/// Minimum number of interior points per z-slab sweep before rayon is used.
+/// Minimum number of interior points before a z-slab sweep fans out.
 const PAR_MIN_POINTS: usize = 32 * 32 * 32;
+
+/// Run `body(k, slab)` on every interior `k = const` plane of a
+/// refinement-`n` grid and return the results in plane order. `slabs`
+/// yields all `n + 1` planes, boundary planes included. Grids with at
+/// least [`PAR_MIN_POINTS`] interior points fan the planes out through
+/// [`threads::fan_out`]; smaller ones run on the calling thread. A
+/// `body` call writes only its own plane and reads only data no call
+/// writes, so the output is the same at every width.
+pub(crate) fn interior_slabs<T: Send, R: Send>(
+    n: usize,
+    slabs: impl Iterator<Item = T>,
+    body: impl Fn(usize, T) -> R + Sync,
+) -> Vec<R> {
+    let interior = |(k, slab): (usize, T)| (k != 0 && k != n).then(|| body(k, slab));
+    let planes = slabs.enumerate();
+    let out: Vec<Option<R>> = if (n - 1).pow(3) >= PAR_MIN_POINTS {
+        threads::fan_out(planes.collect(), interior)
+    } else {
+        planes.map(interior).collect()
+    };
+    out.into_iter().flatten().collect()
+}
 
 /// A scalar field on the `(n+1)^3` vertices of the unit cube at refinement
 /// `n` (which must be a power of two, `>= 2`).
@@ -107,11 +129,7 @@ impl Grid3 {
         let n = self.n;
         let side = self.side();
         let h = self.h();
-        let plane = side * side;
-        let body = |k: usize, slab: &mut [f64]| {
-            if k == 0 || k == n {
-                return;
-            }
+        interior_slabs(n, self.data.chunks_mut(side * side), |k, slab| {
             let z = k as f64 * h;
             for j in 1..n {
                 let y = j as f64 * h;
@@ -120,17 +138,7 @@ impl Grid3 {
                     slab[row + i] = f(i as f64 * h, y, z);
                 }
             }
-        };
-        if self.n_interior() >= PAR_MIN_POINTS {
-            self.data
-                .par_chunks_mut(plane)
-                .enumerate()
-                .for_each(|(k, slab)| body(k, slab));
-        } else {
-            for (k, slab) in self.data.chunks_mut(plane).enumerate() {
-                body(k, slab);
-            }
-        }
+        });
     }
 
     /// Set every value (interior and boundary) to zero.
@@ -158,33 +166,15 @@ impl Grid3 {
         let n = self.n;
         let side = self.side();
         let plane = side * side;
-        let apply = |k: usize, slab: &mut [f64], oslab: &[f64]| {
-            if k == 0 || k == n {
-                return;
-            }
+        let slabs = self.data.chunks_mut(plane).zip(other.data.chunks(plane));
+        interior_slabs(n, slabs, |_, (slab, oslab)| {
             for j in 1..n {
                 let row = j * side;
                 for i in 1..n {
                     slab[row + i] += a * oslab[row + i];
                 }
             }
-        };
-        if self.n_interior() >= PAR_MIN_POINTS {
-            self.data
-                .par_chunks_mut(plane)
-                .zip(other.data.par_chunks(plane))
-                .enumerate()
-                .for_each(|(k, (slab, oslab))| apply(k, slab, oslab));
-        } else {
-            for (k, (slab, oslab)) in self
-                .data
-                .chunks_mut(plane)
-                .zip(other.data.chunks(plane))
-                .enumerate()
-            {
-                apply(k, slab, oslab);
-            }
-        }
+        });
     }
 
     /// Max-norm of `self - other` over the interior.
@@ -202,20 +192,18 @@ impl Grid3 {
         m
     }
 
+    /// Fold each interior plane from `init` with `f`, then combine the
+    /// plane results in plane order, starting from `init`.
     fn fold_interior<T: Send + Sync + Copy>(
         &self,
         init: T,
         f: impl Fn(T, f64) -> T + Sync,
-        combine: impl Fn(T, T) -> T + Sync + Send,
+        combine: impl Fn(T, T) -> T,
     ) -> T {
         let n = self.n;
         let side = self.side();
-        let plane = side * side;
-        let slab_fold = |k: usize, slab: &[f64]| -> T {
+        interior_slabs(n, self.data.chunks(side * side), |_, slab| {
             let mut acc = init;
-            if k == 0 || k == n {
-                return acc;
-            }
             for j in 1..n {
                 let row = j * side;
                 for i in 1..n {
@@ -223,20 +211,9 @@ impl Grid3 {
                 }
             }
             acc
-        };
-        if self.n_interior() >= PAR_MIN_POINTS {
-            self.data
-                .par_chunks(plane)
-                .enumerate()
-                .map(|(k, slab)| slab_fold(k, slab))
-                .reduce(|| init, &combine)
-        } else {
-            self.data
-                .chunks(plane)
-                .enumerate()
-                .map(|(k, slab)| slab_fold(k, slab))
-                .fold(init, &combine)
-        }
+        })
+        .into_iter()
+        .fold(init, combine)
     }
 
     /// `true` if every boundary vertex is exactly zero (invariant check).

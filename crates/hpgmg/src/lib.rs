@@ -30,8 +30,10 @@
 //! problem-size range (up to 1.1e9 unknowns) that cannot be executed
 //! locally.
 //!
-//! Smoothers, residuals and grid transfers parallelize over z-slabs with
-//! rayon, following HPGMG's own OpenMP slab decomposition.
+//! Grid fills, updates and norms, operator applications, residuals and
+//! smoothers sweep z-slabs through `alperf_linalg::threads::fan_out` once a
+//! grid has 32³ interior points, following HPGMG's own OpenMP slab
+//! decomposition.
 
 pub mod cycle;
 pub mod grid3;

@@ -13,11 +13,7 @@
 //!   deformation `(x, y, z) -> (x, sy y, sz z)` pulled back to the unit
 //!   cube (shear omitted; see crate docs).
 
-use crate::grid3::Grid3;
-use rayon::prelude::*;
-
-/// Number of interior points above which stencil sweeps use rayon.
-const PAR_MIN_POINTS: usize = 32 * 32 * 32;
+use crate::grid3::{interior_slabs, Grid3};
 
 /// Which elliptic operator to solve — the paper's `Operator` factor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -149,32 +145,6 @@ pub fn stencil_at(kind: OperatorKind, n: usize, i: usize, j: usize, k: usize) ->
     }
 }
 
-/// Sweep a function over all interior z-slabs of `out`, in parallel when
-/// the grid is large. The closure receives `(k, out_slab)` where `out_slab`
-/// is the contiguous `k = const` plane of `out`.
-fn sweep_slabs(out: &mut Grid3, body: impl Fn(usize, &mut [f64]) + Sync) {
-    let n = out.n();
-    let side = out.side();
-    let plane = side * side;
-    let interior = out.n_interior();
-    let data = out.as_mut_slice();
-    if interior >= PAR_MIN_POINTS {
-        data.par_chunks_mut(plane)
-            .enumerate()
-            .for_each(|(k, slab)| {
-                if k != 0 && k != n {
-                    body(k, slab);
-                }
-            });
-    } else {
-        for (k, slab) in data.chunks_mut(plane).enumerate() {
-            if k != 0 && k != n {
-                body(k, slab);
-            }
-        }
-    }
-}
-
 /// `out = A u` over the interior (boundary of `out` left at zero).
 ///
 /// # Panics
@@ -185,7 +155,7 @@ pub fn apply(kind: OperatorKind, u: &Grid3, out: &mut Grid3) {
     let side = u.side();
     let plane = side * side;
     let ud = u.as_slice();
-    sweep_slabs(out, |k, slab| {
+    interior_slabs(n, out.as_mut_slice().chunks_mut(plane), |k, slab| {
         for j in 1..n {
             let row = j * side;
             for i in 1..n {
@@ -213,7 +183,7 @@ pub fn residual(kind: OperatorKind, u: &Grid3, f: &Grid3, r: &mut Grid3) {
     let plane = side * side;
     let ud = u.as_slice();
     let fd = f.as_slice();
-    sweep_slabs(r, |k, slab| {
+    interior_slabs(n, r.as_mut_slice().chunks_mut(plane), |k, slab| {
         for j in 1..n {
             let row = j * side;
             for i in 1..n {

@@ -7,12 +7,8 @@
 //! from the Gershgorin bound — the same recipe as HPGMG's `CHEBYSHEV_DEGREE`
 //! smoother.
 
-use crate::grid3::Grid3;
+use crate::grid3::{interior_slabs, Grid3};
 use crate::operator::{self, OperatorKind};
-use rayon::prelude::*;
-
-/// Threshold for parallel sweeps, matching the operator module.
-const PAR_MIN_POINTS: usize = 32 * 32 * 32;
 
 /// One damped-Jacobi sweep: `u <- u + omega D^{-1} (f - A u)`.
 ///
@@ -23,12 +19,7 @@ pub fn jacobi_sweep(kind: OperatorKind, u: &mut Grid3, f: &Grid3, scratch: &mut 
     let side = u.side();
     let plane = side * side;
     let rd = scratch.as_slice();
-    let interior = u.n_interior();
-    let data = u.as_mut_slice();
-    let body = |k: usize, slab: &mut [f64]| {
-        if k == 0 || k == n {
-            return;
-        }
+    interior_slabs(n, u.as_mut_slice().chunks_mut(plane), |k, slab| {
         for j in 1..n {
             let row = j * side;
             for i in 1..n {
@@ -36,16 +27,7 @@ pub fn jacobi_sweep(kind: OperatorKind, u: &mut Grid3, f: &Grid3, scratch: &mut 
                 slab[row + i] += omega * rd[i + row + k * plane] / st.diag;
             }
         }
-    };
-    if interior >= PAR_MIN_POINTS {
-        data.par_chunks_mut(plane)
-            .enumerate()
-            .for_each(|(k, s)| body(k, s));
-    } else {
-        for (k, s) in data.chunks_mut(plane).enumerate() {
-            body(k, s);
-        }
-    }
+    });
 }
 
 /// Run `sweeps` damped-Jacobi iterations with the standard damping 2/3.
@@ -120,12 +102,7 @@ pub fn gauss_seidel_rb(kind: OperatorKind, u: &mut Grid3, f: &Grid3, scratch: &m
         let plane = side * side;
         let sd = scratch.as_slice();
         let fd = f.as_slice();
-        let interior = u.n_interior();
-        let data = u.as_mut_slice();
-        let body = |k: usize, slab: &mut [f64]| {
-            if k == 0 || k == n {
-                return;
-            }
+        interior_slabs(n, u.as_mut_slice().chunks_mut(plane), |k, slab| {
             for j in 1..n {
                 let row = j * side;
                 // Points of the requested color in this row.
@@ -144,16 +121,7 @@ pub fn gauss_seidel_rb(kind: OperatorKind, u: &mut Grid3, f: &Grid3, scratch: &m
                     i += 2;
                 }
             }
-        };
-        if interior >= PAR_MIN_POINTS {
-            data.par_chunks_mut(plane)
-                .enumerate()
-                .for_each(|(k, s)| body(k, s));
-        } else {
-            for (k, s) in data.chunks_mut(plane).enumerate() {
-                body(k, s);
-            }
-        }
+        });
     }
 }
 
@@ -161,13 +129,7 @@ pub fn gauss_seidel_rb(kind: OperatorKind, u: &mut Grid3, f: &Grid3, scratch: &m
 fn precondition_in_place(kind: OperatorKind, g: &mut Grid3) {
     let n = g.n();
     let side = g.side();
-    let plane = side * side;
-    let interior = g.n_interior();
-    let data = g.as_mut_slice();
-    let body = |k: usize, slab: &mut [f64]| {
-        if k == 0 || k == n {
-            return;
-        }
+    interior_slabs(n, g.as_mut_slice().chunks_mut(side * side), |k, slab| {
         for j in 1..n {
             let row = j * side;
             for i in 1..n {
@@ -175,16 +137,7 @@ fn precondition_in_place(kind: OperatorKind, g: &mut Grid3) {
                 slab[row + i] /= st.diag;
             }
         }
-    };
-    if interior >= PAR_MIN_POINTS {
-        data.par_chunks_mut(plane)
-            .enumerate()
-            .for_each(|(k, s)| body(k, s));
-    } else {
-        for (k, s) in data.chunks_mut(plane).enumerate() {
-            body(k, s);
-        }
-    }
+    });
 }
 
 /// Scale a grid by a constant (interior and boundary; boundary is zero).

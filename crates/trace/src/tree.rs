@@ -17,7 +17,8 @@
 //! Connectivity is *asserted*: a span that declares a parent which cannot
 //! be resolved is a [`TreeError::MissingParent`], not a silent extra root
 //! — this is the regression guard for the historical bug where spans
-//! opened inside rayon-parallel GPR restarts lost their parent entirely.
+//! opened on another thread than their parent (GPR restarts once ran on
+//! worker threads) lost their parent entirely.
 
 use alperf_obs::event::SpanEvent;
 use std::collections::HashMap;

@@ -35,8 +35,9 @@ fn golden_forest_is_connected_with_cross_thread_restarts() {
     assert_eq!(forest.len(), 12);
     assert_eq!(forest.roots.len(), 2, "one root per al.iteration");
 
-    // The rayon-side restart spans (tid 2 and 3) attach under gp.fit on
-    // tid 1 — the exact linkage the explicit-parent fix exists for.
+    // The fixture's restart spans (tid 2 and 3, recorded when restarts
+    // ran on worker threads) attach under gp.fit on tid 1 — the exact
+    // linkage the explicit-parent fix exists for.
     for i in forest.named("gp.fit.restart") {
         let parent = forest.nodes[i].parent.expect("restart must have parent");
         assert_eq!(forest.nodes[parent].span.name, "gp.fit");

@@ -67,7 +67,7 @@ fn main() {
     }
     match cmp.crossover {
         Some(c) => {
-            println!("\ncrossover cost C = {c:.1} core-seconds");
+            println!("\ncrossover cost C = {c:.1} seconds");
             println!(
                 "max relative error reduction after C: {:.0}% (paper: up to 38%)",
                 100.0 * cmp.max_relative_reduction

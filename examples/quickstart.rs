@@ -47,7 +47,7 @@ fn main() {
         log_variables: vec![COL_SIZE.into()],
         response: "Runtime".into(),
         log_response: true,
-        np_column: None, // NP fixed in this slice; cost = runtime * 32
+        np_column: None, // focus_slice() drops NP; cost = runtime in seconds
         runtime_column: "Runtime".into(),
         noise_floor: NoiseFloor::recommended(),
         restarts: 3,
@@ -76,7 +76,7 @@ fn main() {
         let first = &run.history[0];
         let last = run.history.last().expect("non-empty run");
         println!(
-            "{label}: RMSE {:.3} -> {:.3} (log10 s) | cost {:.0} -> {:.0} core-s over {} iters",
+            "{label}: RMSE {:.3} -> {:.3} (log10 s) | cost {:.0} -> {:.0} s over {} iters",
             first.rmse,
             last.rmse,
             first.cumulative_cost,

@@ -275,13 +275,32 @@ fn serial_loop_histories_are_pinned_bit_for_bit_on_paper_data() {
     );
 }
 
-/// Whole campaigns are the workspace's one parallel axis: short VR
-/// campaigns on the full-scale focus slice, fanned out through the
-/// replicate runner at widths 1 and 2, return identical histories in
-/// partition order.
+/// Whole campaigns are the workspace's one parallel axis: the Table I
+/// measurement campaign, whose jobs fan out at 1 and 2 workers, yields
+/// the same datasets, failures and makespan, and short VR campaigns on
+/// its focus slice, fanned out through the replicate runner at widths 1
+/// and 2, return identical histories in partition order.
 #[test]
 fn replicate_runner_is_bit_identical_across_widths_on_paper_data() {
-    let (x, y, cost) = focus_slice(Campaign::default());
+    let measure = |workers: usize| {
+        Campaign {
+            workers,
+            ..Default::default()
+        }
+        .run()
+        .expect("campaign")
+    };
+    let (one, two) = (measure(1), measure(2));
+    assert!(
+        !one.failures.is_empty(),
+        "the default 2% fault rate failed nothing"
+    );
+    assert_eq!(one.performance, two.performance);
+    assert_eq!(one.power, two.power);
+    assert_eq!(one.failures, two.failures);
+    assert_eq!(one.makespan.to_bits(), two.makespan.to_bits());
+    let FocusSlice { x, y, .. } = two.focus_slice().expect("focus slice");
+    let cost = vec![1.0; x.nrows()];
     let campaigns = |width: usize| {
         with_threads(width, || {
             replicates(4, |rep| {
