@@ -27,7 +27,7 @@ use crate::oracle::{DatasetOracle, ExperimentOracle, ExperimentOutcome};
 use crate::strategy::{SelectionContext, Strategy};
 use alperf_data::partition::Partition;
 use alperf_gp::model::{GpError, Gpr};
-use alperf_gp::optimize::{fit_gpr, projected_grad_norm, GprConfig};
+use alperf_gp::optimize::{fit_gpr, fit_gpr_warm, projected_grad_norm, GprConfig, OptimOutcome};
 use alperf_linalg::matrix::Matrix;
 use alperf_obs::names;
 use alperf_obs::Value;
@@ -301,7 +301,9 @@ pub fn run_al_with_oracle(
     let mut pool_cache = PoolPredictionCache::new(x_all.select_rows(&pool));
     let mut test_cache = PoolPredictionCache::new(x_all.select_rows(test));
 
-    let mut warm_theta: Option<Vec<f64>> = None;
+    // The last fit's optimum and final inverse Hessian: where the next
+    // warm ascent starts, and the curvature it steps by.
+    let mut warm: Option<OptimOutcome> = None;
     // Experiments run so far, lost ones included: the next one's iteration.
     let mut iter = 0;
     while iter < config.max_iters && !pool.is_empty() {
@@ -319,7 +321,7 @@ pub fn run_al_with_oracle(
             &train,
             iter..iter + slots,
             &mut model,
-            &mut warm_theta,
+            &mut warm,
         )?;
         let fit_ns = fit_span.finish();
         let m = model.as_ref().expect("model fitted above");
@@ -568,7 +570,8 @@ struct Refit {
 ///   hyperparameters are re-optimized every round: a full multi-restart
 ///   search below 15 rows and on every round that holds a tenth iteration
 ///   (`"full"`), a single ascent warm-started from the previous optimum
-///   otherwise (`"warm"`);
+///   otherwise (`"warm"`), stepping by the inverse Hessian the previous
+///   fit's ascent ended with;
 /// * above it the model is extended at fixed hyperparameters (`"rank1"`,
 ///   or `"refit"` where the rank-one path does not apply). On every round
 ///   that holds a `refit_every`-th iteration the trigger tests the
@@ -578,7 +581,9 @@ struct Refit {
 ///
 /// `iters` are the round's iteration indices, so a round of several
 /// experiments keeps both cadences; at batch 1 it is the one iteration.
-/// The caller invalidates its prediction caches iff the kind re-optimized
+/// `warm` holds the last fit's outcome, the next warm ascent's start (its
+/// `theta` and `inv_hessian`); every fit replaces it. The caller
+/// invalidates its prediction caches iff the kind re-optimized
 /// (`"full"`/`"warm"`).
 fn refit_step(
     config: &AlConfig,
@@ -587,7 +592,7 @@ fn refit_step(
     train: &[usize],
     iters: Range<usize>,
     model: &mut Option<Gpr>,
-    warm_theta: &mut Option<Vec<f64>>,
+    warm: &mut Option<OptimOutcome>,
 ) -> Result<Refit, AlError> {
     let holds_multiple = |k: usize| iters.clone().any(|i| i.is_multiple_of(k));
     let xs = x_all.select_rows(train);
@@ -611,13 +616,14 @@ fn refit_step(
     // from the previous optimum, with a full refresh every
     // `FULL_REFIT_EVERY` iterations while n <= SEARCH_MAX_N.
     const FULL_REFIT_EVERY: usize = 10;
-    let full_search = warm_theta.is_none()
+    let full_search = warm.is_none()
         || train.len() < 15
         || (train.len() <= SEARCH_MAX_N && holds_multiple(FULL_REFIT_EVERY));
-    let cfg = match warm_theta.as_ref().filter(|_| !full_search) {
-        None => config.gpr.clone(),
-        Some(theta) => {
+    let (m, outcome) = match warm.as_ref().filter(|_| !full_search) {
+        None => fit_gpr(&xs, &ys, &config.gpr)?,
+        Some(prev) => {
             // Seed the single ascent from the previous optimum.
+            let theta = &prev.theta;
             let mut kernel = config.gpr.kernel.clone_box();
             let nk = kernel.n_params();
             kernel.set_params(&theta[..nk]);
@@ -631,11 +637,12 @@ fn refit_step(
             // ascent suffices.
             cfg.max_iters = cfg.max_iters.min(60);
             cfg.grad_tol = cfg.grad_tol.max(1e-4);
-            cfg
+            // The curvature the previous ascent built shapes the first
+            // steps too, instead of being re-learned from a scaled identity.
+            fit_gpr_warm(&xs, &ys, &cfg, prev.inv_hessian.as_deref())?
         }
     };
-    let (m, outcome) = fit_gpr(&xs, &ys, &cfg)?;
-    *warm_theta = Some(outcome.theta);
+    *warm = Some(outcome);
     *model = Some(m);
     let kind = if full_search { "full" } else { "warm" };
     Ok(Refit { kind, stale_pg })
@@ -908,15 +915,15 @@ mod tests {
         let mut cfg = config();
         cfg.gpr = cfg.gpr.with_standardize(false);
         cfg.refit_every = refit_every;
-        let (mut model, mut theta) = (None, None);
+        let (mut model, mut warm) = (None, None);
         let mut train: Vec<usize> = (0..30).collect();
-        let first = refit_step(&cfg, &x, &y, &train, 0..1, &mut model, &mut theta).unwrap();
+        let first = refit_step(&cfg, &x, &y, &train, 0..1, &mut model, &mut warm).unwrap();
         assert_eq!(first.kind, "full");
         (30..50)
             .map(|row| {
                 train.push(row);
                 let iter = row - 29;
-                refit_step(&cfg, &x, &y, &train, iter..iter + 1, &mut model, &mut theta).unwrap()
+                refit_step(&cfg, &x, &y, &train, iter..iter + 1, &mut model, &mut warm).unwrap()
             })
             .collect()
     }
@@ -963,10 +970,10 @@ mod tests {
         let (x, y, _) = dataset(40, 14);
         let mut cfg = config();
         cfg.refit_every = 4;
-        let (mut model, mut theta) = (None, None);
+        let (mut model, mut warm) = (None, None);
         let mut refit = |rows: usize, iters: Range<usize>| {
             let train: Vec<usize> = (0..rows).collect();
-            refit_step(&cfg, &x, &y, &train, iters, &mut model, &mut theta).unwrap()
+            refit_step(&cfg, &x, &y, &train, iters, &mut model, &mut warm).unwrap()
         };
         assert_eq!(refit(20, 0..1).kind, "full");
         assert_eq!(refit(20, 11..14).kind, "warm");

@@ -17,7 +17,9 @@
 //! * `gp.fit.done` records, the one place a fit's LML evaluation counts
 //!   are kept, carry `n`, `evaluations`, `values`, `gradients`,
 //!   `jitter_retries`, `noise` and `noise_at_floor`, with
-//!   `evaluations == values + gradients`.
+//!   `evaluations == values + gradients`, the fitted log-hyperparameters
+//!   `theta` (a non-empty array of finite numbers, one per hyperparameter
+//!   searched) and the boolean `inherited_h`.
 //!
 //! Exit codes: 0 valid; 1 malformed content or violated invariant;
 //! 2 usage; 3 unreadable input; 4 empty trace; 5 unknown schema.
@@ -74,8 +76,21 @@ fn check_fits(trace: &Trace) -> Result<usize, String> {
         for key in ["n", "jitter_retries", "noise"] {
             f(key)?;
         }
-        if !matches!(rec.fields.get("noise_at_floor"), Some(Json::Bool(_))) {
-            return Err("gp.fit.done record missing boolean \"noise_at_floor\"".into());
+        for key in ["noise_at_floor", "inherited_h"] {
+            if !matches!(rec.fields.get(key), Some(Json::Bool(_))) {
+                return Err(format!("gp.fit.done record missing boolean \"{key}\""));
+            }
+        }
+        // A non-finite entry is encoded as null and fails here.
+        match rec.fields.get("theta") {
+            Some(Json::Arr(theta))
+                if !theta.is_empty()
+                    && theta.iter().all(|v| v.as_f64().is_some_and(f64::is_finite)) => {}
+            _ => {
+                return Err(
+                    "gp.fit.done record without a non-empty array of finite \"theta\"".into(),
+                )
+            }
         }
         let (evaluations, values, gradients) = (f("evaluations")?, f("values")?, f("gradients")?);
         if evaluations != values + gradients {

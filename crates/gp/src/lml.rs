@@ -269,8 +269,8 @@ fn form_mismatch() -> LinalgError {
 /// The buffers of repeated LML evaluations over one [`FitCache`]: `K_y`,
 /// its Cholesky factor, `alpha`, the gradient's weight matrix and the
 /// gradient's scratch, all sized once, so a value evaluation allocates
-/// nothing and a gradient only the vector it returns. Each optimizer
-/// restart owns one.
+/// nothing and a gradient only the vector it returns ([`Self::grad_into`]
+/// reuses the caller's). Each optimizer restart owns one.
 ///
 /// [`Self::value`] writes the lower triangle of `K_y` from the cached
 /// distances (a vectorized scale-and-exp for the SE forms, one scalar
@@ -450,6 +450,24 @@ impl<'a> LmlWorkspace<'a> {
         noise_std: f64,
         optimize_noise: bool,
     ) -> Result<Vec<f64>, LinalgError> {
+        let mut grad = Vec::with_capacity(kernel.n_params() + 1);
+        self.grad_into(kernel, noise_std, optimize_noise, &mut grad)?;
+        Ok(grad)
+    }
+
+    /// [`Self::grad`] into `grad`, which is cleared first, so a caller
+    /// that keeps one vector allocates nothing after the first call.
+    ///
+    /// # Errors
+    /// As [`Self::grad`].
+    pub fn grad_into(
+        &mut self,
+        kernel: &dyn Kernel,
+        noise_std: f64,
+        optimize_noise: bool,
+        grad: &mut Vec<f64>,
+    ) -> Result<(), LinalgError> {
+        grad.clear();
         let n = self.cache.order();
         let (w, ky) = (&mut self.w, &self.ky);
         self.chol.inverse_lower_into(w, &mut self.linv)?;
@@ -460,7 +478,6 @@ impl<'a> LmlWorkspace<'a> {
             }
         }
         let np = kernel.n_params();
-        let mut grad = Vec::with_capacity(np + 1);
         match (&self.cache.kind, kernel.distance_form()) {
             (CacheKind::Total { d2 }, Some(DistanceForm::IsoSe { length_scale, sf2 })) => {
                 let inv_l2 = 1.0 / (length_scale * length_scale);
@@ -527,7 +544,7 @@ impl<'a> LmlWorkspace<'a> {
             let tr_w: f64 = (0..n).map(|i| w[(i, i)]).sum();
             grad.push(noise_std * noise_std * tr_w);
         }
-        Ok(grad)
+        Ok(())
     }
 }
 

@@ -19,7 +19,10 @@
 //! direction, and Armijo backtracking picks its length (see `ascend`).
 //! With at most a handful of hyperparameters the dense `m x m` inverse
 //! Hessian costs nothing next to one LML evaluation, and most restarts
-//! converge in a few dozen evaluations.
+//! converge in a few dozen evaluations. A fit returns the winner's final
+//! inverse Hessian ([`OptimOutcome::inv_hessian`]), and [`fit_gpr_warm`]
+//! starts a re-fit near that optimum from it, so the curvature is not
+//! re-learned from a scaled identity.
 
 use crate::kernel::Kernel;
 use crate::lml::{FitCache, LmlWorkspace};
@@ -156,6 +159,11 @@ pub struct OptimOutcome {
     pub converged: bool,
     /// Infinity norm of the winning restart's projected gradient at `theta`.
     pub pg_norm: f64,
+    /// The winning restart's final inverse-Hessian approximation of the
+    /// negated LML over `theta` (row-major, `theta.len()` squared), when it
+    /// ended holding one: the curvature an ascent from a nearby optimum
+    /// can start from ([`fit_gpr_warm`]).
+    pub inv_hessian: Option<Vec<f64>>,
 }
 
 /// Default log-space box for kernel parameters when the caller gives none.
@@ -178,6 +186,10 @@ struct Ascent {
     converged: bool,
     /// Infinity norm of the projected gradient at `theta`.
     pg_norm: f64,
+    /// The inverse-Hessian approximation the ascent ended with, row-major
+    /// `m x m`; `None` when it held none (no curvature pair yet, or the
+    /// last one was dropped).
+    inv_hessian: Option<Vec<f64>>,
 }
 
 /// The function [`ascend`] maximizes. `None`, or a non-finite result, from
@@ -185,10 +197,11 @@ struct Ascent {
 trait Objective {
     /// The objective at `theta`.
     fn value(&mut self, theta: &[f64]) -> Option<f64>;
-    /// The gradient at `theta`, which is always the point of the last
-    /// `value` call that returned a finite value, so an implementation may
-    /// reuse that evaluation's state.
-    fn grad(&mut self, theta: &[f64]) -> Option<Vec<f64>>;
+    /// The gradient at `theta`, written into `g` (cleared first); `false`
+    /// marks `theta` as infeasible. `theta` is always the point of the
+    /// last `value` call that returned a finite value, so an
+    /// implementation may reuse that evaluation's state.
+    fn grad(&mut self, theta: &[f64], g: &mut Vec<f64>) -> bool;
 }
 
 /// Sufficient-increase constant of the Armijo test.
@@ -213,24 +226,29 @@ fn projected_norm(theta: &[f64], bounds: &[(f64, f64)], g: &[f64]) -> f64 {
         .fold(0.0f64, |a, (_, gj)| a.max(gj.abs()))
 }
 
-/// BFGS update of the inverse Hessian `h` (row-major `m x m`) of the
-/// negated objective from the step `s` and gradient change `y`, with
-/// `rho = 1 / s^T y`: `H+ = (I - rho s y^T) H (I - rho y s^T) + rho s s^T`.
-/// Returns `None` when the update overflows.
-fn bfgs_update(h: &[f64], s: &[f64], y: &[f64], rho: f64) -> Option<Vec<f64>> {
+/// BFGS update, in place, of the inverse Hessian `h` (row-major `m x m`)
+/// of the negated objective from the step `s` and gradient change `y`,
+/// with `rho = 1 / s^T y`: `H+ = (I - rho s y^T) H (I - rho y s^T) +
+/// rho s s^T`. `hy` is scratch for `H y`. Returns `false` when the update
+/// overflows, leaving `h` unusable.
+fn bfgs_update(h: &mut [f64], s: &[f64], y: &[f64], rho: f64, hy: &mut [f64]) -> bool {
     let m = s.len();
-    let hy: Vec<f64> = h.chunks_exact(m).map(|row| dot(row, y)).collect();
-    let c = rho * rho * dot(y, &hy) + rho;
-    let mut out = vec![0.0; m * m];
-    for i in 0..m {
-        for j in 0..m {
-            out[i * m + j] = h[i * m + j] - rho * (hy[i] * s[j] + s[i] * hy[j]) + c * s[i] * s[j];
+    for (v, row) in hy.iter_mut().zip(h.chunks_exact(m)) {
+        *v = dot(row, y);
+    }
+    let c = rho * rho * dot(y, hy) + rho;
+    for (i, row) in h.chunks_exact_mut(m).enumerate() {
+        for (j, v) in row.iter_mut().enumerate() {
+            *v = *v - rho * (hy[i] * s[j] + s[i] * hy[j]) + c * s[i] * s[j];
         }
     }
-    out.iter().all(|v| v.is_finite()).then_some(out)
+    h.iter().all(|v| v.is_finite())
 }
 
-/// Projected BFGS ascent of `obj` from `theta0` inside the box `bounds`.
+/// Projected BFGS ascent of `obj` from `theta0` inside the box `bounds`,
+/// its quasi-Newton steps shaped by `h0` (a row-major `m x m` inverse
+/// Hessian, such as the one a previous ascent ended with) from the first
+/// iteration when one is given.
 ///
 /// The gradient is only ever asked for at the point just accepted, right
 /// after its value, so it reuses the factorization that value evaluation
@@ -247,15 +265,22 @@ fn bfgs_update(h: &[f64], s: &[f64], y: &[f64], rho: f64) -> Option<Vec<f64>> {
 ///    the projected gradient itself, which carries no curvature scale;
 /// 4. the inverse Hessian is updated only when `s^T y > 0`, with the
 ///    identity scaled by Shanno–Phua's `s^T y / y^T y` before the first
-///    pair. The pair covers the coordinates that moved: a fixed
-///    coordinate's gradient change says nothing about the free subspace.
+///    pair when no `h0` was given. The pair covers the coordinates that
+///    moved: a fixed coordinate's gradient change says nothing about the
+///    free subspace.
 ///
 /// A quasi-Newton direction that is not an ascent direction, or whose line
-/// search finds no increase, is dropped with its curvature history, and
-/// one projected-gradient step is tried instead; when that also fails, the
-/// ascent stops unconverged. So does reaching `max_iters`.
+/// search finds no increase, is dropped with its curvature history (an
+/// inherited `h0` too), and one projected-gradient step is tried instead;
+/// when that also fails, the ascent stops unconverged. So does reaching
+/// `max_iters`.
+///
+/// Every vector of the state (point, gradient, inverse Hessian, line-search
+/// candidate, curvature pair) is allocated once, here, and reused by every
+/// iteration.
 fn ascend(
     theta0: Vec<f64>,
+    h0: Option<&[f64]>,
     bounds: &[(f64, f64)],
     max_iters: usize,
     grad_tol: f64,
@@ -264,31 +289,42 @@ fn ascend(
     let m = theta0.len();
     let mut theta = theta0;
     clamp_vec(&mut theta, bounds);
+    let mut g = Vec::with_capacity(m);
     let start = obj
         .value(&theta)
         .filter(|f| f.is_finite())
-        .and_then(|f| Some((f, obj.grad(&theta)?)))
-        .filter(|(_, g)| g.iter().all(|v| v.is_finite()));
-    let Some((mut f, mut g)) = start else {
+        .filter(|_| obj.grad(&theta, &mut g) && g.iter().all(|v| v.is_finite()));
+    let Some(mut f) = start else {
         return Ascent {
             theta,
             value: f64::NEG_INFINITY,
             iterations: 0,
             converged: false,
             pg_norm: f64::INFINITY,
+            inv_hessian: None,
         };
     };
-    // Inverse Hessian of -value, row-major; `None` stands for the identity
-    // until the first curvature pair arrives.
-    let mut h: Option<Vec<f64>> = None;
+    // Inverse Hessian of -value, row-major; it stands for the identity
+    // while `has_h` is false, until the first curvature pair arrives.
+    let mut h = vec![0.0; m * m];
+    let mut has_h = false;
+    if let Some(h0) = h0 {
+        h.copy_from_slice(h0);
+        has_h = true;
+    }
+    let mut fixed = vec![false; m];
+    let mut pg = vec![0.0; m];
+    // Quasi-Newton direction; line-search candidate and the step to it;
+    // the accepted candidate's gradient; gradient change and `H y`.
+    let (mut d, mut cand, mut s) = (vec![0.0; m], vec![0.0; m], vec![0.0; m]);
+    let mut gc = Vec::with_capacity(m);
+    let (mut y, mut hy) = (vec![0.0; m], vec![0.0; m]);
     let mut iters = 0usize;
     let (converged, pg_norm) = loop {
-        let fixed: Vec<bool> = (0..m).map(|j| blocked(theta[j], bounds[j], g[j])).collect();
-        let pg: Vec<f64> = g
-            .iter()
-            .zip(&fixed)
-            .map(|(&gj, &fj)| if fj { 0.0 } else { gj })
-            .collect();
+        for j in 0..m {
+            fixed[j] = blocked(theta[j], bounds[j], g[j]);
+            pg[j] = if fixed[j] { 0.0 } else { g[j] };
+        }
         let pg_norm = projected_norm(&theta, bounds, &g);
         if pg_norm < grad_tol {
             break (true, pg_norm);
@@ -297,62 +333,77 @@ fn ascend(
             break (false, pg_norm);
         }
         iters += 1;
-        let mut search = |d: &[f64], mut alpha: f64| {
+        // Armijo backtracking along `dir` from `alpha`: the accepted value,
+        // with the point in `cand` and the step to it in `s`.
+        let mut search = |dir: &[f64], mut alpha: f64, cand: &mut [f64], s: &mut [f64]| {
             for _ in 0..MAX_BACKTRACKS {
-                let mut cand: Vec<f64> =
-                    theta.iter().zip(d).map(|(t, dj)| t + alpha * dj).collect();
-                clamp_vec(&mut cand, bounds);
-                if cand == theta {
+                for (j, c) in cand.iter_mut().enumerate() {
+                    let (lo, hi) = bounds[j];
+                    *c = (theta[j] + alpha * dir[j]).clamp(lo, hi);
+                }
+                if *cand == *theta {
                     return None;
                 }
-                let step: Vec<f64> = cand.iter().zip(&theta).map(|(c, t)| c - t).collect();
-                let rise = ARMIJO_C1 * dot(&g, &step);
-                if let Some(fc) = obj.value(&cand).filter(|fc| fc.is_finite()) {
+                for ((sj, c), t) in s.iter_mut().zip(&*cand).zip(&theta) {
+                    *sj = c - t;
+                }
+                let rise = ARMIJO_C1 * dot(&g, s);
+                if let Some(fc) = obj.value(cand).filter(|fc| fc.is_finite()) {
                     if fc > f && fc >= f + rise {
-                        return Some((cand, fc));
+                        return Some(fc);
                     }
                 }
                 alpha *= 0.5;
             }
             None
         };
-        let qn = h.as_ref().and_then(|h| {
-            let mut d: Vec<f64> = h.chunks_exact(m).map(|row| dot(row, &pg)).collect();
+        let qn = has_h && {
+            for (dj, row) in d.iter_mut().zip(h.chunks_exact(m)) {
+                *dj = dot(row, &pg);
+            }
             for (j, dj) in d.iter_mut().enumerate() {
                 if fixed[j] || blocked(theta[j], bounds[j], *dj) {
                     *dj = 0.0;
                 }
             }
-            (dot(&g, &d) > 0.0).then_some(d)
-        });
-        let found = qn.and_then(|d| search(&d, 1.0)).or_else(|| {
-            h = None;
-            search(&pg, (1.0 / dot(&pg, &pg).sqrt()).min(1.0))
-        });
-        let Some((cand, fc)) = found else {
+            dot(&g, &d) > 0.0
+        };
+        let mut found = if qn {
+            search(&d, 1.0, &mut cand, &mut s)
+        } else {
+            None
+        };
+        if found.is_none() {
+            has_h = false;
+            let alpha = (1.0 / dot(&pg, &pg).sqrt()).min(1.0);
+            found = search(&pg, alpha, &mut cand, &mut s);
+        }
+        let Some(fc) = found else {
             break (false, pg_norm);
         };
-        let Some(gc) = obj.grad(&cand).filter(|g| g.iter().all(|v| v.is_finite())) else {
+        if !(obj.grad(&cand, &mut gc) && gc.iter().all(|v| v.is_finite())) {
             break (false, pg_norm);
-        };
+        }
         // Curvature pair of -value over the coordinates that moved.
-        let s: Vec<f64> = cand.iter().zip(&theta).map(|(c, t)| c - t).collect();
-        let y: Vec<f64> = (0..m)
-            .map(|j| if s[j] == 0.0 { 0.0 } else { g[j] - gc[j] })
-            .collect();
+        for j in 0..m {
+            y[j] = if s[j] == 0.0 { 0.0 } else { g[j] - gc[j] };
+        }
         let sy = dot(&s, &y);
         let rho = 1.0 / sy;
         if sy > 0.0 && rho.is_finite() {
-            let base = h.take().or_else(|| {
+            if !has_h {
                 let gamma = sy / dot(&y, &y);
-                let diag = |k: usize| if k.is_multiple_of(m + 1) { gamma } else { 0.0 };
-                gamma.is_finite().then(|| (0..m * m).map(diag).collect())
-            });
-            h = base.and_then(|b| bfgs_update(&b, &s, &y, rho));
+                if gamma.is_finite() {
+                    h.fill(0.0);
+                    h.iter_mut().step_by(m + 1).for_each(|v| *v = gamma);
+                    has_h = true;
+                }
+            }
+            has_h = has_h && bfgs_update(&mut h, &s, &y, rho, &mut hy);
         }
-        theta = cand;
+        std::mem::swap(&mut theta, &mut cand);
+        std::mem::swap(&mut g, &mut gc);
         f = fc;
-        g = gc;
     };
     Ascent {
         theta,
@@ -360,6 +411,7 @@ fn ascend(
         iterations: iters,
         converged,
         pg_norm,
+        inv_hessian: has_h.then_some(h),
     }
 }
 
@@ -398,11 +450,12 @@ impl Restart<'_> {
     }
 
     /// [`Objective::grad`], keeping the workspace's error.
-    fn try_grad(&mut self, theta: &[f64]) -> Result<Vec<f64>, LinalgError> {
+    fn try_grad(&mut self, theta: &[f64], g: &mut Vec<f64>) -> Result<(), LinalgError> {
         self.counts.gradients += 1;
         let noise = self.set(theta);
         let optimize_noise = self.fixed_noise.is_none();
-        self.ws.grad(self.kernel.as_ref(), noise, optimize_noise)
+        self.ws
+            .grad_into(self.kernel.as_ref(), noise, optimize_noise, g)
     }
 }
 
@@ -411,8 +464,8 @@ impl Objective for Restart<'_> {
         self.try_value(theta).ok()
     }
 
-    fn grad(&mut self, theta: &[f64]) -> Option<Vec<f64>> {
-        self.try_grad(theta).ok()
+    fn grad(&mut self, theta: &[f64], g: &mut Vec<f64>) -> bool {
+        self.try_grad(theta, g).is_ok()
     }
 }
 
@@ -494,7 +547,8 @@ pub fn projected_grad_norm(model: &Gpr, config: &GprConfig) -> Result<f64, GpErr
         counts: Counts::default(),
     };
     obj.try_value(&theta)?;
-    let g = obj.try_grad(&theta)?;
+    let mut g = Vec::new();
+    obj.try_grad(&theta, &mut g)?;
     if g.iter().any(|v| !v.is_finite()) {
         return Err(GpError::Linalg(LinalgError::NonFinite { op: "lml_grad" }));
     }
@@ -531,6 +585,25 @@ pub fn projected_grad_norm(model: &Gpr, config: &GprConfig) -> Result<f64, GpErr
 /// Propagates fit errors ([`GpError`]); if *every* restart fails to produce
 /// a finite LML the error from the final refit is returned.
 pub fn fit_gpr(x: &Matrix, y: &[f64], config: &GprConfig) -> Result<(Gpr, OptimOutcome), GpError> {
+    fit_gpr_warm(x, y, config, None)
+}
+
+/// [`fit_gpr`] whose first restart (the configured initial point) takes its
+/// quasi-Newton steps from `inv_hessian`, an inverse Hessian such as
+/// [`OptimOutcome::inv_hessian`] of an earlier fit, instead of building its
+/// curvature up from a scaled identity. An `inv_hessian` of the wrong size
+/// for the search box is ignored; a direction it shapes that does not
+/// ascend falls back to a projected-gradient step, as any stale curvature
+/// does. The later restarts start from the identity as in [`fit_gpr`].
+///
+/// # Errors
+/// As [`fit_gpr`].
+pub fn fit_gpr_warm(
+    x: &Matrix,
+    y: &[f64],
+    config: &GprConfig,
+    inv_hessian: Option<&[f64]>,
+) -> Result<(Gpr, OptimOutcome), GpError> {
     let _span = alperf_obs::span("gp.fit");
     if x.nrows() == 0 {
         return Err(GpError::Empty);
@@ -553,6 +626,7 @@ pub fn fit_gpr(x: &Matrix, y: &[f64], config: &GprConfig) -> Result<(Gpr, OptimO
 
     let nk = config.kernel.n_params();
     let bounds = search_box(config, x.nrows());
+    let inherited = inv_hessian.filter(|h| h.len() == bounds.len() * bounds.len());
     let noise_lo = config.noise_floor.lower_bound(x.nrows());
 
     if config.kernel.distance_form().is_none() {
@@ -600,7 +674,15 @@ pub fn fit_gpr(x: &Matrix, y: &[f64], config: &GprConfig) -> Result<(Gpr, OptimO
             fixed_noise,
             counts: Counts::default(),
         };
-        let a = ascend(theta0, &bounds, config.max_iters, config.grad_tol, &mut obj);
+        let h0 = if r == 0 { inherited } else { None };
+        let a = ascend(
+            theta0,
+            h0,
+            &bounds,
+            config.max_iters,
+            config.grad_tol,
+            &mut obj,
+        );
         obj.counts.jitter_retries = obj.ws.jitter_retries();
         counts += obj.counts;
         let better = match &best {
@@ -644,6 +726,8 @@ pub fn fit_gpr(x: &Matrix, y: &[f64], config: &GprConfig) -> Result<(Gpr, OptimO
             ("converged", alperf_obs::Value::Bool(won.converged)),
             ("noise", alperf_obs::Value::F64(noise)),
             ("noise_at_floor", alperf_obs::Value::Bool(noise_at_floor)),
+            ("theta", alperf_obs::Value::F64s(&won.theta)),
+            ("inherited_h", alperf_obs::Value::Bool(inherited.is_some())),
         ],
     );
     Ok((
@@ -656,6 +740,7 @@ pub fn fit_gpr(x: &Matrix, y: &[f64], config: &GprConfig) -> Result<(Gpr, OptimO
             evaluations: total_evals,
             converged: won.converged,
             pg_norm: won.pg_norm,
+            inv_hessian: won.inv_hessian,
         },
     ))
 }
@@ -932,8 +1017,10 @@ mod tests {
                 let (c, g) = (self.0, (self.1)(t));
                 Some(0.5 * ((t[0] - c[0]) * g[0] + (t[1] - c[1]) * g[1]))
             }
-            fn grad(&mut self, t: &[f64]) -> Option<Vec<f64>> {
-                Some((self.1)(t))
+            fn grad(&mut self, t: &[f64], g: &mut Vec<f64>) -> bool {
+                g.clear();
+                g.extend((self.1)(t));
+                true
             }
         }
         // Coordinate 0 rests on its upper bound; coordinate 1 maximizes
@@ -943,6 +1030,7 @@ mod tests {
         let bounds = [(-1.0, 1.0); 2];
         let out = ascend(
             vec![-0.9, 0.8],
+            None,
             &bounds,
             200,
             1e-9,
@@ -1101,6 +1189,51 @@ mod tests {
             assert_eq!(calls.load(Ordering::Relaxed), 2);
         }
         assert_eq!(model.kernel().params(), before);
+    }
+
+    /// A re-fit on one more point, from the previous optimum, reaches the
+    /// same optimum in fewer evaluations when its ascent starts from the
+    /// previous fit's inverse Hessian. One of the wrong size is ignored, and
+    /// one whose direction descends is dropped for the projected-gradient
+    /// step an identity start takes first, so both fits equal the
+    /// identity-started one bit for bit.
+    #[test]
+    fn warm_fit_steps_by_the_inherited_inverse_hessian() {
+        let (x, y) = noisy_data(40, 2);
+        let cfg = GprConfig::new(Box::new(SquaredExponential::unit()))
+            .with_restarts(2)
+            .with_standardize(false)
+            .with_seed(3);
+        let head: Vec<usize> = (0..39).collect();
+        let (_, prev) = fit_gpr(&x.select_rows(&head), &y[..39], &cfg).unwrap();
+        let h = prev
+            .inv_hessian
+            .clone()
+            .expect("the winner ends with curvature");
+        assert_eq!(h.len(), 9);
+        let mut warm_cfg = cfg.clone().with_restarts(1);
+        warm_cfg.kernel.set_params(&prev.theta[..2]);
+        warm_cfg.noise_init = prev.theta[2].exp();
+        let (_, identity) = fit_gpr(&x, &y, &warm_cfg).unwrap();
+        let (_, warm) = fit_gpr_warm(&x, &y, &warm_cfg, Some(&h)).unwrap();
+        assert!(identity.converged && warm.converged);
+        assert!(
+            warm.evaluations < identity.evaluations,
+            "{} vs {} evaluations",
+            warm.evaluations,
+            identity.evaluations
+        );
+        assert!(
+            (warm.lml - identity.lml).abs() < 1e-6,
+            "{warm:?} vs {identity:?}"
+        );
+        let misshapen = fit_gpr_warm(&x, &y, &warm_cfg, Some(&h[..4])).unwrap().1;
+        assert_eq!(misshapen, identity);
+        let minus_identity = [-1.0, 0.0, 0.0, 0.0, -1.0, 0.0, 0.0, 0.0, -1.0];
+        let downhill = fit_gpr_warm(&x, &y, &warm_cfg, Some(&minus_identity))
+            .unwrap()
+            .1;
+        assert_eq!(downhill, identity);
     }
 
     #[test]

@@ -1,13 +1,16 @@
-//! Heap traffic of the LML workspace, counted by a global allocator: after
-//! one warm-up evaluation, value evaluations allocate nothing and gradient
-//! evaluations allocate a fixed count (the returned vector), whatever the
-//! training-set order. This file is a test binary of its own, so the
-//! counting allocator serves only these tests; counts are per thread.
+//! Heap traffic of the LML workspace and the ascent, counted by a global
+//! allocator: after one warm-up evaluation, value evaluations allocate
+//! nothing and gradient evaluations allocate a fixed count (the returned
+//! vector, none when the caller's is reused), whatever the training-set
+//! order, and an ascent allocates nothing per iteration. This file is a
+//! test binary of its own, so the counting allocator serves only these
+//! tests; counts are per thread.
 
 use alperf_gp::kernel::{
     ArdSquaredExponential, Kernel, Matern32, Matern52, RationalQuadratic, SquaredExponential,
 };
 use alperf_gp::lml::{FitCache, LmlWorkspace};
+use alperf_gp::optimize::{fit_gpr, GprConfig};
 use alperf_linalg::matrix::Matrix;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -116,4 +119,47 @@ fn ard_allocates_only_its_form_at_every_order() {
     for n in [10, 60] {
         assert_eq!(per_100(&kernel, n, 0.1), (100, 200), "n={n}");
     }
+}
+
+/// With the caller's vector reused, gradients allocate nothing after the
+/// first call.
+#[test]
+fn gradients_into_a_reused_vector_allocate_nothing() {
+    let kernel = SquaredExponential::new(0.8, 1.1);
+    let (x, y) = data(60);
+    let cache = FitCache::build(&kernel, &x);
+    let mut ws = LmlWorkspace::new(&cache, &y).unwrap();
+    let mut g = Vec::new();
+    ws.value(&kernel, 0.1).unwrap();
+    ws.grad_into(&kernel, 0.1, true, &mut g).unwrap();
+    let grads = allocations(|| {
+        for _ in 0..100 {
+            ws.grad_into(&kernel, 0.1, true, &mut g).unwrap();
+            black_box(&g);
+        }
+    });
+    assert_eq!(grads, 0);
+    assert_eq!(g, ws.grad(&kernel, 0.1, true).unwrap());
+}
+
+/// The ascent sizes its state once per restart: a single-restart SE fit
+/// allocates exactly as much when its ascent runs to convergence as when
+/// it is stopped after two iterations.
+#[test]
+fn ascent_allocates_nothing_per_iteration() {
+    let (x, y) = data(30);
+    let fit = |max_iters: usize| {
+        let mut cfg = GprConfig::new(Box::new(SquaredExponential::new(20.0, 0.2)))
+            .with_restarts(1)
+            .with_standardize(false);
+        cfg.max_iters = max_iters;
+        let mut iterations = 0;
+        let count = allocations(|| iterations = fit_gpr(&x, &y, &cfg).unwrap().1.iterations);
+        (count, iterations)
+    };
+    let (short, two) = fit(2);
+    let (long, many) = fit(200);
+    assert_eq!(two, 2);
+    assert!(many > 10, "{many} iterations");
+    assert_eq!(short, long, "{two} vs {many} iterations");
 }

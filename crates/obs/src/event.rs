@@ -11,7 +11,7 @@
 
 use crate::json::{self, Json};
 use std::collections::BTreeMap;
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// One parsed line of an `alperf-obs-v1` trace.
 #[derive(Debug, Clone, PartialEq)]
@@ -166,18 +166,18 @@ pub(crate) fn span_line(
     let mut line = String::with_capacity(112);
     line.push_str("{\"v\":1,\"t\":\"span\",\"name\":");
     json::escape_into(&mut line, name);
-    line.push_str(&format!(",\"tid\":{tid}"));
+    let _ = write!(line, ",\"tid\":{tid}");
     if let Some(id) = id {
-        line.push_str(&format!(",\"id\":{id}"));
+        let _ = write!(line, ",\"id\":{id}");
     }
     if let Some(p) = parent {
         line.push_str(",\"parent\":");
         json::escape_into(&mut line, p);
     }
     if let Some(pid) = parent_id {
-        line.push_str(&format!(",\"pid\":{pid}"));
+        let _ = write!(line, ",\"pid\":{pid}");
     }
-    line.push_str(&format!(",\"start_ns\":{start_ns},\"dur_ns\":{dur_ns}}}"));
+    let _ = write!(line, ",\"start_ns\":{start_ns},\"dur_ns\":{dur_ns}}}");
     line
 }
 

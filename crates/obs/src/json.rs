@@ -4,6 +4,7 @@
 //! uses. No external dependencies.
 
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -74,10 +75,17 @@ pub fn escape_into(out: &mut String, s: &str) {
 /// Format a finite `f64` as JSON (non-finite values become `null`, which
 /// JSON cannot represent).
 pub fn number(v: f64) -> String {
+    let mut out = String::new();
+    number_into(&mut out, v);
+    out
+}
+
+/// [`number`], appended to `out`.
+pub fn number_into(out: &mut String, v: f64) {
     if v.is_finite() {
-        format!("{v}")
+        let _ = write!(out, "{v}");
     } else {
-        "null".to_string()
+        out.push_str("null");
     }
 }
 

@@ -17,6 +17,7 @@
 
 use crate::json;
 use crate::span::SpanCtx;
+use std::fmt::Write as _;
 use std::io::{BufWriter, Write};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -34,6 +35,8 @@ pub enum Value<'a> {
     I64(i64),
     /// Float (non-finite values serialize as `null`).
     F64(f64),
+    /// Array of floats (non-finite entries serialize as `null`).
+    F64s(&'a [f64]),
     /// String.
     Str(&'a str),
     /// Boolean.
@@ -41,11 +44,26 @@ pub enum Value<'a> {
 }
 
 impl Value<'_> {
+    /// Append the value's JSON to `out`, numbers formatted in place.
     fn write_into(&self, out: &mut String) {
         match self {
-            Value::U64(v) => out.push_str(&v.to_string()),
-            Value::I64(v) => out.push_str(&v.to_string()),
-            Value::F64(v) => out.push_str(&json::number(*v)),
+            Value::U64(v) => {
+                let _ = write!(out, "{v}");
+            }
+            Value::I64(v) => {
+                let _ = write!(out, "{v}");
+            }
+            Value::F64(v) => json::number_into(out, *v),
+            Value::F64s(vs) => {
+                out.push('[');
+                for (i, v) in vs.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    json::number_into(out, *v);
+                }
+                out.push(']');
+            }
             Value::Str(s) => json::escape_into(out, s),
             Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
         }
@@ -171,7 +189,7 @@ pub fn emit_record(name: &str, fields: &[(&str, Value<'_>)]) {
     let mut line = String::with_capacity(128);
     line.push_str("{\"v\":1,\"t\":\"record\",\"name\":");
     json::escape_into(&mut line, name);
-    line.push_str(&format!(",\"tid\":{},\"fields\":{{", thread_id()));
+    let _ = write!(line, ",\"tid\":{},\"fields\":{{", thread_id());
     for (i, (key, value)) in fields.iter().enumerate() {
         if i > 0 {
             line.push(',');
@@ -216,6 +234,7 @@ mod tests {
                 ("ok", Value::Bool(true)),
                 ("delta", Value::I64(-2)),
                 ("bad", Value::F64(f64::NAN)),
+                ("theta", Value::F64s(&[0.5, -1e-9, f64::INFINITY])),
             ],
         );
         uninstall();
@@ -233,6 +252,16 @@ mod tests {
         assert_eq!(
             span.get("parent").and_then(Json::as_str),
             Some("unit.parent")
+        );
+        let prefix = "{\"v\":1,\"t\":\"record\",\"name\":\"unit.record\",\"tid\":";
+        let (head, tail) = lines[2].split_at(prefix.len());
+        assert_eq!(head, prefix);
+        let (tid, tail) = tail.split_once(',').unwrap();
+        assert_eq!(tid, thread_id().to_string());
+        assert_eq!(
+            tail,
+            "\"fields\":{\"iter\":3,\"rmse\":0.25,\"kind\":\"warm \\\"quoted\\\"\",\
+             \"ok\":true,\"delta\":-2,\"bad\":null,\"theta\":[0.5,-0.000000001,null]}}"
         );
         let rec = json::parse(lines[2]).unwrap();
         let fields = rec.get("fields").unwrap();
