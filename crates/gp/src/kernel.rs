@@ -16,16 +16,17 @@ use alperf_linalg::matrix::Matrix;
 /// A positive-definite covariance function over `R^d`.
 ///
 /// Implementations must be cheap to clone (they hold only hyperparameters)
-/// and `Send + Sync` so covariance assembly can parallelize across rows.
+/// and `Send + Sync` so a config or model holding one can cross the threads
+/// of `alperf_linalg::threads::replicates`.
 pub trait Kernel: Send + Sync {
     /// Covariance `k(a, b)`.
     fn eval(&self, a: &[f64], b: &[f64]) -> f64;
 
     /// Cross-covariance matrix `K[i, j] = k(a_i, b_j)` over the rows of `a`
-    /// and `b`. The default evaluates pointwise (parallel over rows for
-    /// large outputs); squared-exponential kernels override it with a
-    /// blocked-matmul formulation that is an order of magnitude faster for
-    /// batched prediction.
+    /// and `b`. The default evaluates pointwise on the calling thread;
+    /// squared-exponential kernels override it with a blocked-matmul
+    /// formulation that is an order of magnitude faster for batched
+    /// prediction.
     fn cross_matrix(&self, a: &Matrix, b: &Matrix) -> Matrix {
         Matrix::from_fn(a.nrows(), b.nrows(), |i, j| self.eval(a.row(i), b.row(j)))
     }

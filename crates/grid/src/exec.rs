@@ -10,8 +10,8 @@
 //! 2. workers claim config indices from a shared atomic counter
 //!    (dynamic load balancing — campaign durations vary wildly across
 //!    the fault/batch axes), and each runs its campaign under
-//!    `with_threads(1, ..)` so nested pool parallelism cannot introduce
-//!    a second scheduling dimension;
+//!    `with_threads(1, ..)` so a nested `threads::replicates` cannot
+//!    introduce a second scheduling dimension;
 //! 3. finished records flow to the committer through a channel and wait
 //!    in a reorder buffer until their index is next — the file is an
 //!    append-only log in config order no matter the completion order.
@@ -230,9 +230,9 @@ pub fn run_grid(spec: &GridSpec, out: &Path, exec: &ExecConfig) -> Result<GridRe
                         break;
                     }
                     let cfg = &configs[i];
-                    // Campaigns are the unit of parallelism; nested pool
-                    // parallelism would not break determinism (the pool
-                    // reductions are order-fixed) but oversubscribes.
+                    // Campaigns are the unit of parallelism; a nested
+                    // `replicates` would not break determinism (it returns
+                    // its results in index order) but oversubscribes.
                     let (res, wall_ns, cpu_ns) = threads::with_threads(1, || {
                         if timing {
                             let t0 = std::time::Instant::now();

@@ -2,9 +2,10 @@
 //!
 //! The hierarchy coarsens by factors of two down to `n = 2` (one interior
 //! unknown, solved exactly by one Jacobi step with `omega = 1`). The
-//! V-cycle uses pre/post damped-Jacobi smoothing; FMG bootstraps each level
-//! from the coarser solution via prolongation and finishes with V-cycles —
-//! the algorithmic shape of HPGMG.
+//! V-cycle smooths with two red-black Gauss–Seidel sweeps before and after
+//! the coarse correction; FMG bootstraps each level from the coarser
+//! solution via prolongation and finishes with V-cycles — the algorithmic
+//! shape of HPGMG.
 
 use crate::grid3::Grid3;
 use crate::operator::{self, OperatorKind};
@@ -15,8 +16,8 @@ use crate::transfer;
 /// updates* — the quantity the analytic performance model scales by
 /// [`crate::operator::OperatorKind::flops_per_point`]. Comparing
 /// `total() / unknowns` against [`crate::model::PerfModel::mg_sweeps`]
-/// grounds the model in the real solver (see the `work_model_grounding`
-/// integration test).
+/// grounds the model in the real solver (see the integration test
+/// `tests/grounding.rs::model_work_constant_matches_instrumented_solver`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WorkCounters {
     /// Stencil applications from smoother sweeps (both colors).
@@ -137,9 +138,9 @@ impl Hierarchy {
             let kind = self.kind;
             let sweeps = self.pre_sweeps;
             let pts = self.interior_of(level);
-            let (u, f, s) = self.level_mut(level);
+            let (u, f, _) = self.level_mut(level);
             for _ in 0..sweeps {
-                smoother::gauss_seidel_rb(kind, u, f, s);
+                smoother::gauss_seidel_rb(kind, u, f);
             }
             self.work.smoother_points += sweeps as u64 * pts;
         }
@@ -174,9 +175,9 @@ impl Hierarchy {
             let kind = self.kind;
             let sweeps = self.post_sweeps;
             let pts = self.interior_of(level);
-            let (u, f, s) = self.level_mut(level);
+            let (u, f, _) = self.level_mut(level);
             for _ in 0..sweeps {
-                smoother::gauss_seidel_rb(kind, u, f, s);
+                smoother::gauss_seidel_rb(kind, u, f);
             }
             self.work.smoother_points += sweeps as u64 * pts;
         }

@@ -5,36 +5,10 @@
 //! crate). The interior unknowns are the `(n-1)^3` vertices with
 //! `1 <= i,j,k <= n-1`, spacing `h = 1/n`.
 //!
-//! Storage is one contiguous `Vec<f64>` in x-fastest order so that z-slabs
-//! (`k = const` planes) are contiguous — the unit of parallelism for every
-//! stencil sweep ([`interior_slabs`]).
-
-use alperf_linalg::threads;
-
-/// Minimum number of interior points before a z-slab sweep fans out.
-const PAR_MIN_POINTS: usize = 32 * 32 * 32;
-
-/// Run `body(k, slab)` on every interior `k = const` plane of a
-/// refinement-`n` grid and return the results in plane order. `slabs`
-/// yields all `n + 1` planes, boundary planes included. Grids with at
-/// least [`PAR_MIN_POINTS`] interior points fan the planes out through
-/// [`threads::fan_out`]; smaller ones run on the calling thread. A
-/// `body` call writes only its own plane and reads only data no call
-/// writes, so the output is the same at every width.
-pub(crate) fn interior_slabs<T: Send, R: Send>(
-    n: usize,
-    slabs: impl Iterator<Item = T>,
-    body: impl Fn(usize, T) -> R + Sync,
-) -> Vec<R> {
-    let interior = |(k, slab): (usize, T)| (k != 0 && k != n).then(|| body(k, slab));
-    let planes = slabs.enumerate();
-    let out: Vec<Option<R>> = if (n - 1).pow(3) >= PAR_MIN_POINTS {
-        threads::fan_out(planes.collect(), interior)
-    } else {
-        planes.map(interior).collect()
-    };
-    out.into_iter().flatten().collect()
-}
+//! Storage is one contiguous `Vec<f64>` in x-fastest order, so vertex
+//! `(i, j, k)` sits at `i + side * (j + side * k)` and `k = const` planes
+//! are contiguous; every sweep in this crate walks the interior plane by
+//! plane on the calling thread.
 
 /// A scalar field on the `(n+1)^3` vertices of the unit cube at refinement
 /// `n` (which must be a power of two, `>= 2`).
@@ -125,20 +99,20 @@ impl Grid3 {
 
     /// Fill the interior from a function of physical coordinates; the
     /// boundary shell stays zero (homogeneous Dirichlet).
-    pub fn fill_interior(&mut self, f: impl Fn(f64, f64, f64) -> f64 + Sync) {
+    pub fn fill_interior(&mut self, f: impl Fn(f64, f64, f64) -> f64) {
         let n = self.n;
         let side = self.side();
         let h = self.h();
-        interior_slabs(n, self.data.chunks_mut(side * side), |k, slab| {
+        for k in 1..n {
             let z = k as f64 * h;
             for j in 1..n {
                 let y = j as f64 * h;
-                let row = j * side;
+                let row = side * (j + side * k);
                 for i in 1..n {
-                    slab[row + i] = f(i as f64 * h, y, z);
+                    self.data[row + i] = f(i as f64 * h, y, z);
                 }
             }
-        });
+        }
     }
 
     /// Set every value (interior and boundary) to zero.
@@ -165,16 +139,14 @@ impl Grid3 {
         assert_eq!(self.n, other.n, "axpy: refinement mismatch");
         let n = self.n;
         let side = self.side();
-        let plane = side * side;
-        let slabs = self.data.chunks_mut(plane).zip(other.data.chunks(plane));
-        interior_slabs(n, slabs, |_, (slab, oslab)| {
+        for k in 1..n {
             for j in 1..n {
-                let row = j * side;
+                let row = side * (j + side * k);
                 for i in 1..n {
-                    slab[row + i] += a * oslab[row + i];
+                    self.data[row + i] += a * other.data[row + i];
                 }
             }
-        });
+        }
     }
 
     /// Max-norm of `self - other` over the interior.
@@ -193,27 +165,29 @@ impl Grid3 {
     }
 
     /// Fold each interior plane from `init` with `f`, then combine the
-    /// plane results in plane order, starting from `init`.
-    fn fold_interior<T: Send + Sync + Copy>(
+    /// plane results in plane order, starting from `init`. The per-plane
+    /// partial sums fix the rounding of [`Grid3::norm_l2`], which decides
+    /// when a solve stops.
+    fn fold_interior<T: Copy>(
         &self,
         init: T,
-        f: impl Fn(T, f64) -> T + Sync,
+        f: impl Fn(T, f64) -> T,
         combine: impl Fn(T, T) -> T,
     ) -> T {
         let n = self.n;
         let side = self.side();
-        interior_slabs(n, self.data.chunks(side * side), |_, slab| {
+        let mut total = init;
+        for k in 1..n {
             let mut acc = init;
             for j in 1..n {
-                let row = j * side;
+                let row = side * (j + side * k);
                 for i in 1..n {
-                    acc = f(acc, slab[row + i]);
+                    acc = f(acc, self.data[row + i]);
                 }
             }
-            acc
-        })
-        .into_iter()
-        .fold(init, combine)
+            total = combine(total, acc);
+        }
+        total
     }
 
     /// `true` if every boundary vertex is exactly zero (invariant check).
@@ -285,19 +259,6 @@ mod tests {
         g.fill_interior(|x, y, z| x + 10.0 * y + 100.0 * z);
         // Vertex (1,2,3): x=0.25, y=0.5, z=0.75.
         assert!((g.get(1, 2, 3) - (0.25 + 5.0 + 75.0)).abs() < 1e-12);
-    }
-
-    #[test]
-    fn parallel_fill_matches_serial() {
-        // n=64 exceeds the parallel threshold.
-        let f = |x: f64, y: f64, z: f64| (x * 3.0).sin() + y * z;
-        let mut big = Grid3::zeros(64);
-        big.fill_interior(f);
-        for (i, j, k) in [(1, 1, 1), (32, 17, 5), (63, 63, 63)] {
-            let (x, y, z) = big.coords(i, j, k);
-            assert_eq!(big.get(i, j, k), f(x, y, z));
-        }
-        assert!(big.boundary_is_zero());
     }
 
     #[test]

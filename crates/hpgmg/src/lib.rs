@@ -30,10 +30,11 @@
 //! problem-size range (up to 1.1e9 unknowns) that cannot be executed
 //! locally.
 //!
-//! Grid fills, updates and norms, operator applications, residuals and
-//! smoothers sweep z-slabs through `alperf_linalg::threads::fan_out` once a
-//! grid has 32³ interior points, following HPGMG's own OpenMP slab
-//! decomposition.
+//! Every sweep (grid fills, updates and norms, operator applications,
+//! residuals and smoothers) runs plane by plane on the calling thread. The
+//! solver is the online mode's measurement oracle; the paper's `NP` factor
+//! lives in the calibrated [`model::PerfModel`] behind the Table I
+//! datasets, not in a solve.
 
 pub mod cycle;
 pub mod grid3;

@@ -9,7 +9,6 @@
 use crate::cycle::Hierarchy;
 use crate::grid3::Grid3;
 use crate::operator::OperatorKind;
-use alperf_linalg::threads::with_threads;
 use std::f64::consts::PI;
 use std::time::Instant;
 
@@ -25,11 +24,6 @@ pub struct FmgSolver {
     pub tolerance: f64,
     /// Maximum extra V-cycles after the FMG pass.
     pub max_vcycles: usize,
-    /// Width the z-slab sweeps fan out at, applied through
-    /// [`alperf_linalg::threads::with_threads`] (0 = the caller's width).
-    /// Emulates the paper's `NP` factor on a single machine; grids below
-    /// 32³ interior points (refinement 32 and under) always sweep serially.
-    pub threads: usize,
 }
 
 use crate::cycle::WorkCounters;
@@ -70,7 +64,6 @@ impl FmgSolver {
             n,
             tolerance: 1e-8,
             max_vcycles: 20,
-            threads: 0,
         }
     }
 
@@ -108,13 +101,6 @@ impl FmgSolver {
     /// assert_eq!(stats.unknowns, 343);
     /// ```
     pub fn run(&self) -> SolveStats {
-        match self.threads {
-            0 => self.run_inner(),
-            t => with_threads(t, || self.run_inner()),
-        }
-    }
-
-    fn run_inner(&self) -> SolveStats {
         let mut h = Hierarchy::new(self.kind, self.n);
         let me = *self;
         h.rhs_mut().fill_interior(move |x, y, z| me.rhs(x, y, z));
@@ -171,22 +157,51 @@ mod tests {
     }
 
     #[test]
-    fn explicit_thread_count_gives_same_answer() {
-        // n = 64 (63³ interior points) is the smallest refinement whose
-        // sweeps fan out. Each sweep writes every plane from inputs no
-        // plane writes, and norms combine planes in order, so the bits
-        // match.
-        let solve = |threads| {
-            FmgSolver {
-                threads,
-                ..FmgSolver::new(OperatorKind::Poisson2, 64)
+    fn solves_are_pinned_bit_for_bit() {
+        // Per solve: the bits of initial_residual, final_residual and
+        // error_inf, and the V-cycles. Any change to the arithmetic of a
+        // sweep or a norm moves them.
+        let pinned = [
+            // n = 16: poisson1, poisson2, poisson2affine
+            "4024efc4885605cb 3e57ef284b0b01eb 3f6a5ea791cea000 7",
+            "402a543e9bf1cf3e 3e5e4f44aac7e229 3f6a58a641d65c00 7",
+            "4026598d5189e8bb 3e62693e503dca53 3f6a5ea794712200 7",
+            // n = 32
+            "4024efc4885605c9 3e75d7ae25561f8f 3f4a54da3ed0a800 6",
+            "402a54cbc0721a73 3e7b9d2d0ab30a7b 3f4a4ec90ee91800 6",
+            "4026598d5189e8bd 3e5e5fcae99e24e3 3f4a54e4a2c92800 7",
+        ];
+        // The work of a solve, by refinement and V-cycles.
+        let work = |n, vcycles| {
+            let [smoother_points, residual_points, restrict_points, prolong_points] =
+                match (n, vcycles) {
+                    (16, 7) => [121_439, 30_357, 3_368, 34_102],
+                    (32, 6) => [955_587, 238_894, 30_368, 272_430],
+                    (32, 7) => [1_089_732, 272_430, 34_114, 305_966],
+                    _ => unreachable!("the bits check pins the V-cycles first"),
+                };
+            WorkCounters {
+                smoother_points,
+                residual_points,
+                restrict_points,
+                prolong_points,
             }
-            .run()
         };
-        let (a, b) = (solve(1), solve(2));
-        assert_eq!(a.final_residual.to_bits(), b.final_residual.to_bits());
-        assert_eq!(a.error_inf.to_bits(), b.error_inf.to_bits());
-        assert_eq!(a.vcycles, b.vcycles);
+        let solves = [16, 32]
+            .into_iter()
+            .flat_map(|n| OperatorKind::all().map(|kind| (kind, n)));
+        for ((kind, n), bits) in solves.zip(pinned) {
+            let s = FmgSolver::new(kind, n).run();
+            let got = format!(
+                "{:016x} {:016x} {:016x} {}",
+                s.initial_residual.to_bits(),
+                s.final_residual.to_bits(),
+                s.error_inf.to_bits(),
+                s.vcycles
+            );
+            assert_eq!(got, bits, "{kind:?} n={n}");
+            assert_eq!(s.work, work(n, s.vcycles), "{kind:?} n={n}");
+        }
     }
 
     #[test]

@@ -5,19 +5,18 @@
 //! strategies over independent partitions. [`replicates`] fans those units
 //! out, and the simulated measurement campaign fans its jobs out the same
 //! way; nothing inside a unit (a fit, a solve, a committee) forks. Two
-//! things size themselves from the width configured here: [`fan_out`],
-//! which [`replicates`] and hpgmg's z-slab sweeps run on, and the grid
-//! executor's workers. [`configure_from_env`] reads the width from the
-//! `ALPERF_NUM_THREADS` environment variable **once** per process, and
-//! [`fan_out`] runs on `std::thread::scope`, so no thread outlives its
-//! call. The module exposes:
+//! things size themselves from the width configured here: [`replicates`]
+//! and the grid executor's workers. [`configure_from_env`] reads the width
+//! from the `ALPERF_NUM_THREADS` environment variable **once** per
+//! process, and [`replicates`] runs on `std::thread::scope`, so no thread
+//! outlives its call. The module exposes:
 //!
 //! * [`configure_from_env`] — idempotent process-wide setup, called from
 //!   bin entry points (`alperf_bench::obs_from_env` calls it);
 //! * [`with_threads`] — scoped width override for in-process sweeps
 //!   (the width-determinism tests, the grid's per-campaign width 1);
-//! * [`fan_out`] — run independent units at the width, in input order;
-//! * [`replicates`] — [`fan_out`] over unit indices `0..n`.
+//! * [`replicates`] — run independent units `0..n` at the width, in index
+//!   order.
 //!
 //! `ALPERF_NUM_THREADS=0`, unset, or unparsable all mean "use all
 //! available cores".
@@ -85,8 +84,8 @@ pub fn current() -> usize {
 }
 
 /// Run `f` with the width scoped to `n` threads on this thread (restored
-/// afterwards). `0` means the process-wide width. [`fan_out`] calls inside
-/// `f` see the scope; threads the caller spawns directly see the
+/// afterwards). `0` means the process-wide width. [`replicates`] calls
+/// inside `f` see the scope; threads the caller spawns directly see the
 /// process-wide width instead.
 pub fn with_threads<R>(n: usize, f: impl FnOnce() -> R) -> R {
     let prev = SCOPED.with(|c| c.replace((n > 0).then_some(n)));
@@ -95,26 +94,26 @@ pub fn with_threads<R>(n: usize, f: impl FnOnce() -> R) -> R {
     out
 }
 
-/// Run `f` on every item as independent units of work, on up to
-/// [`current`] scoped threads, and return the results in input order.
-/// The items are cut into contiguous blocks of `⌈len / width⌉`, one
-/// thread per block; every unit runs at nested width 1, so nothing inside
-/// it forks, and the results equal a plain serial loop's at every width.
-/// A panic in any unit propagates to the caller.
-pub fn fan_out<T: Send, R: Send>(items: Vec<T>, f: impl Fn(T) -> R + Sync) -> Vec<R> {
-    let n = items.len();
+/// Run `f(0), f(1), .., f(n - 1)` as independent units of work — whole AL
+/// campaigns, replicates or partitions — on up to [`current`] scoped
+/// threads, and return the results in index order. The indices are cut
+/// into contiguous blocks of `⌈n / width⌉`, one thread per block; every
+/// unit runs at nested width 1, so nothing inside it forks, and the
+/// results equal a plain serial loop's at every width. A panic in any unit
+/// propagates to the caller.
+pub fn replicates<R: Send>(n: usize, f: impl Fn(usize) -> R + Sync) -> Vec<R> {
     let width = current().min(n);
     if width <= 1 {
-        return with_threads(1, || items.into_iter().map(f).collect());
+        return with_threads(1, || (0..n).map(f).collect());
     }
     let block = n.div_ceil(width);
-    let mut items = items.into_iter();
     let f = &f;
     std::thread::scope(|s| {
-        let handles: Vec<_> = (0..n.div_ceil(block))
-            .map(|_| {
-                let b: Vec<T> = items.by_ref().take(block).collect();
-                s.spawn(move || with_threads(1, || b.into_iter().map(f).collect::<Vec<R>>()))
+        let handles: Vec<_> = (0..n)
+            .step_by(block)
+            .map(|start| {
+                let units = start..n.min(start + block);
+                s.spawn(move || with_threads(1, || units.map(f).collect::<Vec<R>>()))
             })
             .collect();
         let mut out = Vec::with_capacity(n);
@@ -126,12 +125,6 @@ pub fn fan_out<T: Send, R: Send>(items: Vec<T>, f: impl Fn(T) -> R + Sync) -> Ve
         }
         out
     })
-}
-
-/// Run `f(0), f(1), .., f(n - 1)` as independent units of work — whole AL
-/// campaigns, replicates or partitions — through [`fan_out`].
-pub fn replicates<R: Send>(n: usize, f: impl Fn(usize) -> R + Sync) -> Vec<R> {
-    fan_out((0..n).collect(), f)
 }
 
 #[cfg(test)]

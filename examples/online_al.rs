@@ -4,7 +4,7 @@
 //! AL iteration selects a configuration, actually runs HPGMG-FE (our
 //! full-multigrid Poisson solver), measures wall-clock runtime, and updates
 //! the GPR model. The controlled variables are grid refinement (problem
-//! size) and thread count.
+//! size) and Table I's `Operator` factor.
 //!
 //! ```sh
 //! cargo run --release --example online_al
@@ -21,36 +21,33 @@ use alperf::hpgmg::solver::FmgSolver;
 use alperf::linalg::matrix::Matrix;
 
 fn main() {
-    // Candidate settings: (log2 refinement, threads). Refinements 16..64
-    // keep single-solve times comfortable for a demo. The thread factor
-    // changes the solve only at refinement 64: the slab sweeps fan out from
-    // 32³ interior points, and refinement 32 has 31³ = 29,791.
-    let refinements = [16usize, 32, 64];
-    let threads = [1usize, 2, 4];
+    // Candidate settings: (log2 refinement, operator level), the level
+    // indexing `OperatorKind::all()` in Table I order. Refinements 16..64
+    // keep single-solve times comfortable for a demo.
+    let operators = OperatorKind::all();
     let mut rows = Vec::new();
-    for &n in &refinements {
-        for &t in &threads {
-            rows.push(vec![(n as f64).log2(), t as f64]);
+    for log2_n in [4.0, 5.0, 6.0] {
+        for level in 0..operators.len() {
+            rows.push(vec![log2_n, level as f64]);
         }
     }
     let flat: Vec<f64> = rows.iter().flatten().copied().collect();
     let candidates = Matrix::from_vec(rows.len(), 2, flat).expect("candidate matrix");
 
-    // The oracle: run the solver, return log10(seconds) and the raw cost
-    // (seconds x threads), mirroring the paper's cost unit.
+    // The oracle: run the solver, return log10(seconds) and the raw cost.
+    // The solve runs on one core, so its cost in core-seconds is its
+    // wall-clock time.
     let mut oracle = |x: &[f64]| -> (f64, f64) {
-        let n = (2f64.powf(x[0])).round() as usize;
-        let t = x[1] as usize;
-        let stats = FmgSolver {
-            threads: t,
-            ..FmgSolver::new(OperatorKind::Poisson1, n)
-        }
-        .run();
+        let n = 1usize << x[0] as u32;
+        let kind = operators[x[1] as usize];
+        let stats = FmgSolver::new(kind, n).run();
         println!(
-            "  measured n={n:<3} threads={t}: {:.4} s (residual {:.1e})",
-            stats.seconds, stats.final_residual
+            "  measured n={n:<3} {:<14}: {:.4} s (residual {:.1e})",
+            kind.name(),
+            stats.seconds,
+            stats.final_residual
         );
-        (stats.seconds.log10(), stats.seconds * t as f64)
+        (stats.seconds.log10(), stats.seconds)
     };
 
     // Raw responses and the paper's kernel boxes: on one or two live
