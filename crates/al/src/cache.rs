@@ -12,12 +12,14 @@
 //! [`PoolPredictionCache::predictions`] therefore revalidates against the
 //! model's current kernel parameters and training size on every call and
 //! silently rebuilds when anything moved — a stale cache is impossible, it
-//! can only be slower than intended. Incrementally appended columns go
-//! through the same [`Kernel::cross_matrix`] kernels as a full rebuild, so
-//! cached and rebuilt matrices are bit-identical and a cache hit never
-//! changes an AL trajectory.
+//! can only be slower than intended. A promoted point's column is built
+//! only then, by the model that reads it: [`PoolPredictionCache::extend_train`]
+//! just records the point, so a refit that moves the hyperparameters
+//! costs no column it would throw away. Appended columns go through the
+//! same [`Kernel::cross_matrix`] kernels as a full rebuild, so cached and
+//! rebuilt matrices are bit-identical and a cache hit never changes an AL
+//! trajectory.
 
-use alperf_gp::kernel::Kernel;
 use alperf_gp::model::{GpError, Gpr, Prediction};
 use alperf_linalg::matrix::Matrix;
 
@@ -30,6 +32,9 @@ pub struct PoolPredictionCache {
     kxb: Option<Matrix>,
     /// Kernel (log-)hyperparameters `kxb` was assembled under.
     params: Vec<f64>,
+    /// Training points promoted since `kxb` was last brought up to date,
+    /// flat, in promotion order: their columns are still to come.
+    pending: Vec<f64>,
 }
 
 impl PoolPredictionCache {
@@ -40,6 +45,7 @@ impl PoolPredictionCache {
             x,
             kxb: None,
             params: Vec::new(),
+            pending: Vec::new(),
         }
     }
 
@@ -58,20 +64,22 @@ impl PoolPredictionCache {
         self.x.nrows() == 0
     }
 
-    /// Whether the cached cross-covariance currently matches `model`.
+    /// Whether the cached cross-covariance, with the columns of the
+    /// recorded points appended, matches `model`.
     pub fn is_warm_for(&self, model: &Gpr) -> bool {
         self.kxb.as_ref().is_some_and(|k| {
             k.nrows() == self.x.nrows()
-                && k.ncols() == model.x_train().nrows()
+                && k.ncols() + self.pending.len() / self.x.ncols().max(1) == model.x_train().nrows()
                 && self.params == model.kernel().params()
         })
     }
 
-    /// Drop the cached cross-covariance (call after a hyperparameter
-    /// refit). The candidate rows are kept.
+    /// Drop the cached cross-covariance and the recorded points (call
+    /// after a hyperparameter refit). The candidate rows are kept.
     pub fn invalidate(&mut self) {
         self.kxb = None;
         self.params.clear();
+        self.pending.clear();
     }
 
     /// Batched predictions at every candidate, reusing (or lazily
@@ -95,12 +103,25 @@ impl PoolPredictionCache {
         model.predict_mean_batch_with_cross(self.kxb.as_ref().expect("warmed up above"))
     }
 
-    /// Rebuild the cross-covariance unless it is warm for `model`.
+    /// Bring the cross-covariance up to `model`: append the recorded
+    /// points' columns, one at a time, when it is warm for `model`, and
+    /// rebuild it otherwise.
     fn warm_up(&mut self, model: &Gpr) {
-        if !self.is_warm_for(model) {
-            self.kxb = Some(model.kernel().cross_matrix(&self.x, model.x_train()));
-            self.params = model.kernel().params();
+        let kernel = model.kernel();
+        if self.is_warm_for(model) {
+            let kxb = self.kxb.as_mut().expect("warm");
+            for x_new in self.pending.chunks_exact(self.x.ncols().max(1)) {
+                let xm = Matrix::from_vec(1, x_new.len(), x_new.to_vec())
+                    .expect("one row of x_new.len() values");
+                let col = kernel.cross_matrix(&self.x, &xm);
+                kxb.push_col(col.as_slice())
+                    .expect("column length equals candidate count");
+            }
+        } else {
+            self.kxb = Some(kernel.cross_matrix(&self.x, model.x_train()));
+            self.params = kernel.params();
         }
+        self.pending.clear();
     }
 
     /// Remove candidate `pos` (the row just promoted into the training
@@ -113,11 +134,11 @@ impl PoolPredictionCache {
         }
     }
 
-    /// Record that `x_new` was appended to the training set: extends the
-    /// cached cross-covariance by the column `k(candidate_i, x_new)`. If the
-    /// model's kernel hyperparameters differ from the cached ones the cache
-    /// is invalidated instead (the next `predictions` call rebuilds).
-    pub fn extend_train(&mut self, x_new: &[f64], model: &Gpr) {
+    /// Record that `x_new` was appended to the training set. Its column
+    /// `k(candidate_i, x_new)` is appended by the next `predictions` or
+    /// `means` call if that model's kernel hyperparameters are the cached
+    /// ones, and never built if they moved (the call rebuilds instead).
+    pub fn extend_train(&mut self, x_new: &[f64]) {
         if self.kxb.is_none() {
             return;
         }
@@ -128,19 +149,7 @@ impl PoolPredictionCache {
             self.invalidate();
             return;
         }
-        let kernel: &dyn Kernel = model.kernel();
-        if kernel.params() != self.params {
-            self.invalidate();
-            return;
-        }
-        let xm = Matrix::from_vec(1, x_new.len(), x_new.to_vec())
-            .expect("one row of x_new.len() values");
-        let col = kernel.cross_matrix(&self.x, &xm);
-        self.kxb
-            .as_mut()
-            .expect("checked above")
-            .push_col(col.as_slice())
-            .expect("column length equals candidate count");
+        self.pending.extend_from_slice(x_new);
     }
 }
 
@@ -167,7 +176,9 @@ mod tests {
     /// Replay an AL-like sequence (predict, pick, swap-remove, extend) and
     /// check the incrementally maintained cache stays bit-identical to a
     /// cold cache rebuilt from scratch every iteration, for the full
-    /// predictions and for the means alone.
+    /// predictions and for the means alone. At step 3 a re-fit with another
+    /// length scale follows a recorded point: that point's column is never
+    /// built, the cache rebuilds, and appends again from there.
     #[test]
     fn incremental_updates_match_cold_rebuild() {
         let n_pool = 12;
@@ -178,14 +189,15 @@ mod tests {
         let mut warm = PoolPredictionCache::new(pool_x.clone());
         let mut pool = pool_x.clone();
         for step in 0..6 {
-            let model = fit(&train_x, &y, 1.1);
+            let model = fit(&train_x, &y, if step < 3 { 1.1 } else { 0.7 });
+            assert_eq!(warm.is_warm_for(&model), step % 3 != 0, "step {step}");
             let cached = warm.predictions(&model).unwrap();
             // Cold reference: fresh cache, same candidates.
             let cold = PoolPredictionCache::new(pool.clone())
                 .predictions(&model)
                 .unwrap();
             assert_eq!(cached, cold, "step {step} diverged");
-            assert!(warm.is_warm_for(&model) || step == 0);
+            assert!(warm.is_warm_for(&model));
             // The means-only path reads the same warm matrix and returns
             // the cold predictions' means bit for bit.
             let means = warm.means(&model).unwrap();
@@ -204,7 +216,7 @@ mod tests {
             warm.swap_remove(pos);
             train_x = train_x.with_row(&chosen).unwrap();
             y.push((step as f64 * 0.3).sin());
-            warm.extend_train(&chosen, &model);
+            warm.extend_train(&chosen);
         }
     }
 
@@ -234,8 +246,14 @@ mod tests {
         let mut cache = PoolPredictionCache::new(pool_x);
         let m1 = fit(&train_x, &y, 1.0);
         cache.predictions(&m1).unwrap();
-        let other = fit(&train_x, &y, 0.3);
-        cache.extend_train(&[9.0], &other);
+        cache.extend_train(&[9.0]);
+        let grown_x = train_x.with_row(&[9.0]).unwrap();
+        let other = fit(&grown_x, &[0.0, 1.0, 0.5, 0.2], 0.3);
+        assert!(!cache.is_warm_for(&other));
+        assert_eq!(
+            cache.predictions(&other).unwrap(),
+            other.predict_batch(cache.candidates()).unwrap()
+        );
         assert!(!cache.is_warm_for(&m1));
         // And it recovers transparently.
         assert_eq!(cache.predictions(&m1).unwrap().len(), 4);
@@ -251,7 +269,7 @@ mod tests {
         cache.predictions(&m).unwrap();
         assert!(cache.is_warm_for(&m));
         // 3 coordinates into a 2-D cache: rejected, cache cold but intact.
-        cache.extend_train(&[1.0, 2.0, 3.0], &m);
+        cache.extend_train(&[1.0, 2.0, 3.0]);
         assert!(!cache.is_warm_for(&m));
         let via_cache = cache.predictions(&m).unwrap();
         let direct = m.predict_batch(cache.candidates()).unwrap();

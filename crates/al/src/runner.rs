@@ -27,7 +27,7 @@ use crate::oracle::{DatasetOracle, ExperimentOracle, ExperimentOutcome};
 use crate::strategy::{SelectionContext, Strategy};
 use alperf_data::partition::Partition;
 use alperf_gp::model::{GpError, Gpr};
-use alperf_gp::optimize::{fit_gpr, fit_gpr_warm, projected_grad_norm, GprConfig, OptimOutcome};
+use alperf_gp::optimize::{fit_gpr, fit_gpr_warm, FitState, GprConfig, OptimOutcome};
 use alperf_linalg::matrix::Matrix;
 use alperf_obs::names;
 use alperf_obs::Value;
@@ -304,6 +304,9 @@ pub fn run_al_with_oracle(
     // The last fit's optimum and final inverse Hessian: where the next
     // warm ascent starts, and the curvature it steps by.
     let mut warm: Option<OptimOutcome> = None;
+    // The refit trigger's LML state above `SEARCH_MAX_N` rows, grown with
+    // the training set from the first test on.
+    let mut fit_state: Option<FitState> = None;
     // Experiments run so far, lost ones included: the next one's iteration.
     let mut iter = 0;
     while iter < config.max_iters && !pool.is_empty() {
@@ -322,6 +325,7 @@ pub fn run_al_with_oracle(
             iter..iter + slots,
             &mut model,
             &mut warm,
+            &mut fit_state,
         )?;
         let fit_ns = fit_span.finish();
         let m = model.as_ref().expect("model fitted above");
@@ -445,16 +449,16 @@ pub fn run_al_with_oracle(
         }
         // Drop the picks from the pool and mirror that in the cache
         // (descending positions stay valid under `swap_remove`), then
-        // extend K(., train) by the measured rows' columns while the kernel
-        // is still the one the caches were built under.
+        // record the measured rows: the next round's model appends their
+        // columns of K(., train) if it kept the caches' kernel.
         picks.sort_unstable_by_key(|&(pos, _)| std::cmp::Reverse(pos));
         for &(pos, _) in &picks {
             pool.swap_remove(pos);
             pool_cache.swap_remove(pos);
         }
         for &row in &train[measured_from..] {
-            pool_cache.extend_train(x_all.row(row), m);
-            test_cache.extend_train(x_all.row(row), m);
+            pool_cache.extend_train(x_all.row(row));
+            test_cache.extend_train(x_all.row(row));
         }
     }
     Ok(AlRun {
@@ -543,7 +547,7 @@ const SEARCH_MAX_N: usize = 30;
 /// Staleness threshold of the refit trigger: above [`SEARCH_MAX_N`] rows
 /// the loop re-optimizes only when the infinity norm of the projected LML
 /// gradient at the current hyperparameters, on the grown training set
-/// ([`projected_grad_norm`]), exceeds this. A fit ends with that norm below
+/// ([`FitState::test`]), exceeds this. A fit ends with that norm below
 /// its `grad_tol` (1e-4 for a warm ascent), so the statistic measures what
 /// the added points did to the optimum, in LML units per unit of log
 /// hyperparameter. On the Fig. 7 slice its median is 0.18 under the 1e-1
@@ -559,8 +563,8 @@ pub const STALE_PG: f64 = 0.5;
 struct Refit {
     /// `"full"`, `"warm"`, `"rank1"` or `"refit"`.
     kind: &'static str,
-    /// [`projected_grad_norm`] at the kept hyperparameters on the grown
-    /// training set, when the test ran and the gradient was finite.
+    /// [`FitState::test`]'s statistic at the kept hyperparameters on the
+    /// grown training set, when the test ran and the gradient was finite.
     stale_pg: Option<f64>,
 }
 
@@ -582,9 +586,12 @@ struct Refit {
 /// `iters` are the round's iteration indices, so a round of several
 /// experiments keeps both cadences; at batch 1 it is the one iteration.
 /// `warm` holds the last fit's outcome, the next warm ascent's start (its
-/// `theta` and `inv_hessian`); every fit replaces it. The caller
-/// invalidates its prediction caches iff the kind re-optimized
-/// (`"full"`/`"warm"`).
+/// `theta` and `inv_hessian`); every fit replaces it. `state` is the
+/// trigger's [`FitState`]: made by the first test, it tests every later
+/// extension and runs the warm ascents that fire, and a fit made outside
+/// it drops it. The caller invalidates its prediction caches iff the kind
+/// re-optimized (`"full"`/`"warm"`).
+#[allow(clippy::too_many_arguments)]
 fn refit_step(
     config: &AlConfig,
     x_all: &Matrix,
@@ -593,6 +600,7 @@ fn refit_step(
     iters: Range<usize>,
     model: &mut Option<Gpr>,
     warm: &mut Option<OptimOutcome>,
+    state: &mut Option<FitState>,
 ) -> Result<Refit, AlError> {
     let holds_multiple = |k: usize| iters.clone().any(|i| i.is_multiple_of(k));
     let xs = x_all.select_rows(train);
@@ -604,7 +612,8 @@ fn refit_step(
             *model = Some(grown);
             return Ok(Refit { kind, stale_pg });
         }
-        stale_pg = projected_grad_norm(&grown, &config.gpr).ok();
+        let tester = state.get_or_insert_with(|| FitState::new(&grown, &config.gpr));
+        stale_pg = tester.test(&grown, &config.gpr).ok();
         if stale_pg.is_some_and(|pg| pg <= STALE_PG) {
             *model = Some(grown);
             return Ok(Refit { kind, stale_pg });
@@ -620,7 +629,10 @@ fn refit_step(
         || train.len() < 15
         || (train.len() <= SEARCH_MAX_N && holds_multiple(FULL_REFIT_EVERY));
     let (m, outcome) = match warm.as_ref().filter(|_| !full_search) {
-        None => fit_gpr(&xs, &ys, &config.gpr)?,
+        None => {
+            *state = None;
+            fit_gpr(&xs, &ys, &config.gpr)?
+        }
         Some(prev) => {
             // Seed the single ascent from the previous optimum.
             let theta = &prev.theta;
@@ -639,7 +651,11 @@ fn refit_step(
             cfg.grad_tol = cfg.grad_tol.max(1e-4);
             // The curvature the previous ascent built shapes the first
             // steps too, instead of being re-learned from a scaled identity.
-            fit_gpr_warm(&xs, &ys, &cfg, prev.inv_hessian.as_deref())?
+            let h = prev.inv_hessian.as_deref();
+            match state.as_mut() {
+                Some(st) => st.fit_warm(&xs, &ys, &cfg, h)?,
+                None => fit_gpr_warm(&xs, &ys, &cfg, h)?,
+            }
         }
     };
     *warm = Some(outcome);
@@ -915,15 +931,21 @@ mod tests {
         let mut cfg = config();
         cfg.gpr = cfg.gpr.with_standardize(false);
         cfg.refit_every = refit_every;
-        let (mut model, mut warm) = (None, None);
+        let (mut model, mut warm, mut state) = (None, None, None);
         let mut train: Vec<usize> = (0..30).collect();
-        let first = refit_step(&cfg, &x, &y, &train, 0..1, &mut model, &mut warm).unwrap();
+        let mut refit = |train: &[usize], iters| {
+            refit_step(
+                &cfg, &x, &y, train, iters, &mut model, &mut warm, &mut state,
+            )
+            .unwrap()
+        };
+        let first = refit(&train, 0..1);
         assert_eq!(first.kind, "full");
         (30..50)
             .map(|row| {
                 train.push(row);
                 let iter = row - 29;
-                refit_step(&cfg, &x, &y, &train, iter..iter + 1, &mut model, &mut warm).unwrap()
+                refit(&train, iter..iter + 1)
             })
             .collect()
     }
@@ -970,10 +992,13 @@ mod tests {
         let (x, y, _) = dataset(40, 14);
         let mut cfg = config();
         cfg.refit_every = 4;
-        let (mut model, mut warm) = (None, None);
+        let (mut model, mut warm, mut state) = (None, None, None);
         let mut refit = |rows: usize, iters: Range<usize>| {
             let train: Vec<usize> = (0..rows).collect();
-            refit_step(&cfg, &x, &y, &train, iters, &mut model, &mut warm).unwrap()
+            refit_step(
+                &cfg, &x, &y, &train, iters, &mut model, &mut warm, &mut state,
+            )
+            .unwrap()
         };
         assert_eq!(refit(20, 0..1).kind, "full");
         assert_eq!(refit(20, 11..14).kind, "warm");

@@ -16,6 +16,7 @@ use crate::kernel::{DistanceForm, Kernel};
 use alperf_linalg::{
     cholesky::Cholesky, fastmath, matrix::Matrix, vector::dot, vector::sq_dist, LinalgError,
 };
+use std::ops::Range;
 
 /// First jitter magnitude (relative to the mean diagonal) for the Cholesky
 /// retry ladder, and the number of rungs. Matches scikit-learn's behaviour
@@ -55,7 +56,8 @@ pub fn covariance_vector(kernel: &dyn Kernel, x: &Matrix, xstar: &[f64]) -> Vec<
 /// distances only ([`Kernel::distance_form`]), so those are computed once
 /// here — `O(n^2 d)` — and each covariance rebuild in an
 /// [`LmlWorkspace`] reads them. Only the lower triangle is kept, packed
-/// row by row.
+/// row by row, so a training set that grows by a point grows the cache by
+/// one packed row ([`FitCache::grow`]).
 pub struct FitCache {
     n: usize,
     kind: CacheKind,
@@ -68,24 +70,22 @@ enum CacheKind {
     PerDim { d2: Vec<Vec<f64>> },
 }
 
+/// Offset of row `i` in a packed lower triangle: `i (i + 1) / 2`.
+fn tri_start(i: usize) -> usize {
+    i * (i + 1) / 2
+}
+
 /// Row `i` of a packed lower triangle, diagonal included (`i + 1` long).
 fn tri_row(packed: &[f64], i: usize) -> &[f64] {
-    &packed[i * (i + 1) / 2..][..=i]
+    &packed[tri_start(i)..][..=i]
 }
 
-/// Copy a packed lower triangle into the lower triangle of `m`.
-fn unpack_lower(packed: &[f64], m: &mut Matrix) {
-    for i in 0..m.nrows() {
+/// Copy rows `rows` of a packed lower triangle into the lower triangle of
+/// `m`.
+fn unpack_lower(packed: &[f64], m: &mut Matrix, rows: Range<usize>) {
+    for i in rows {
         m.row_mut(i)[..=i].copy_from_slice(tri_row(packed, i));
     }
-}
-
-/// The lower triangle of `f(i, j)` over `n` points, packed row by row.
-fn packed(n: usize, f: impl Fn(usize, usize) -> f64) -> Vec<f64> {
-    (0..n)
-        .flat_map(|i| (0..=i).map(move |j| (i, j)))
-        .map(|(i, j)| f(i, j))
-        .collect()
 }
 
 impl FitCache {
@@ -93,28 +93,52 @@ impl FitCache {
     /// the training inputs `x` (rows = points): per dimension for ARD-SE,
     /// total otherwise.
     pub fn build(kernel: &dyn Kernel, x: &Matrix) -> FitCache {
-        let n = x.nrows();
         let kind = match kernel.distance_form() {
             Some(DistanceForm::ArdSe { .. }) => CacheKind::PerDim {
-                d2: (0..x.ncols())
-                    .map(|c| {
-                        packed(n, |i, j| {
-                            let v = x.row(i)[c] - x.row(j)[c];
-                            v * v
-                        })
-                    })
-                    .collect(),
+                d2: vec![Vec::new(); x.ncols()],
             },
-            _ => CacheKind::Total {
-                d2: packed(n, |i, j| sq_dist(x.row(i), x.row(j))),
-            },
+            _ => CacheKind::Total { d2: Vec::new() },
         };
-        FitCache { n, kind }
+        let mut cache = FitCache { n: 0, kind };
+        cache.grow(x);
+        cache
+    }
+
+    /// Append the packed rows of the points of `x` past the ones cached,
+    /// whose rows must be `x`'s first ones: the cache then equals
+    /// [`FitCache::build`] on `x` bit for bit. `O(k n d)` for `k` new
+    /// points, into storage that grows geometrically.
+    pub fn grow(&mut self, x: &Matrix) {
+        let (from, n) = (self.n, x.nrows());
+        let pairs = move || (from..n).flat_map(|i| (0..=i).map(move |j| (i, j)));
+        match &mut self.kind {
+            CacheKind::PerDim { d2 } => {
+                for (c, dm) in d2.iter_mut().enumerate() {
+                    dm.extend(pairs().map(|(i, j)| {
+                        let v = x.row(i)[c] - x.row(j)[c];
+                        v * v
+                    }));
+                }
+            }
+            CacheKind::Total { d2 } => {
+                d2.extend(pairs().map(|(i, j)| sq_dist(x.row(i), x.row(j))));
+            }
+        }
+        self.n = self.n.max(n);
     }
 
     /// Number of training points.
     pub fn order(&self) -> usize {
         self.n
+    }
+
+    /// Input dimensions the ARD-SE cache splits its distances over (0 for
+    /// the total distances).
+    fn dims(&self) -> usize {
+        match &self.kind {
+            CacheKind::PerDim { d2 } => d2.len(),
+            CacheKind::Total { .. } => 0,
+        }
     }
 }
 
@@ -215,17 +239,29 @@ pub fn lml_and_grad_cached(
     Ok((lml, ws.grad(kernel, noise_std, optimize_noise)?))
 }
 
-/// The radial forms' covariance: each pair's `DistanceForm::radial_parts`
-/// from the packed squared distances `d2` into `arg` and `tri`, then its
-/// `radial_value` into the lower triangle of `ky`. Inlined into one call
-/// site per variant, so each copy's per-pair `match` on the variant folds
-/// away.
+/// The radial forms' covariance on the training rows `rows`: each of
+/// their pairs' `DistanceForm::radial_parts` from the packed squared
+/// distances `d2` into `arg` and `tri`, then its `radial_value` into the
+/// lower triangle of `ky`. Inlined into one call site per variant, so each
+/// copy's per-pair `match` on the variant folds away.
 #[inline(always)]
-fn radial_fill(form: &DistanceForm, d2: &[f64], arg: &mut [f64], tri: &mut [f64], ky: &mut Matrix) {
-    for ((t, e), &dv) in arg.iter_mut().zip(tri.iter_mut()).zip(d2) {
+fn radial_fill(
+    form: &DistanceForm,
+    d2: &[f64],
+    arg: &mut [f64],
+    tri: &mut [f64],
+    ky: &mut Matrix,
+    rows: Range<usize>,
+) {
+    let span = tri_start(rows.start)..tri_start(rows.end);
+    for ((t, e), &dv) in arg[span.clone()]
+        .iter_mut()
+        .zip(&mut tri[span.clone()])
+        .zip(&d2[span])
+    {
         (*t, *e) = form.radial_parts(dv);
     }
-    for i in 0..ky.nrows() {
+    for i in rows {
         let parts = tri_row(arg, i).iter().zip(tri_row(tri, i));
         for (k, (&t, &e)) in ky.row_mut(i)[..=i].iter_mut().zip(parts) {
             *k = form.radial_value(t, e);
@@ -282,6 +318,13 @@ fn form_mismatch() -> LinalgError {
 pub struct LmlWorkspace<'a> {
     cache: &'a FitCache,
     y: &'a [f64],
+    buf: Buffers,
+}
+
+/// The storage of an [`LmlWorkspace`], apart from the cache and targets it
+/// reads: a fit state keeps it between workspaces and grows it with the
+/// training set ([`LmlWorkspace::with_buffers`]).
+pub(crate) struct Buffers {
     /// `K_y`, lower triangle (the strict upper triangle stays zero).
     ky: Matrix,
     chol: Cholesky,
@@ -304,6 +347,49 @@ pub struct LmlWorkspace<'a> {
     jitter_retries: usize,
 }
 
+impl Default for Buffers {
+    fn default() -> Self {
+        Buffers::new(0, 0)
+    }
+}
+
+impl Buffers {
+    /// Buffers for `n` points split over `nd` ARD dimensions.
+    fn new(n: usize, nd: usize) -> Self {
+        Buffers {
+            ky: Matrix::zeros(n, n),
+            chol: Cholesky::with_order(n),
+            alpha: vec![0.0; n],
+            w: Matrix::zeros(n, n),
+            linv: Matrix::zeros(n, n),
+            tri: vec![0.0; tri_start(n)],
+            arg: vec![0.0; tri_start(n)],
+            row: vec![0.0; n],
+            dims: vec![0.0; nd],
+            jitter_retries: 0,
+        }
+    }
+
+    /// Grow every buffer but the factor (which [`Cholesky::grow`] and
+    /// [`Cholesky::refactor_jittered`] size) to `n >= ` the current order,
+    /// in place: `K_y`'s entries keep their positions, so rows assembled at
+    /// the current hyperparameters stay valid.
+    fn grow(&mut self, n: usize, nd: usize) {
+        for m in [&mut self.ky, &mut self.w, &mut self.linv] {
+            m.grow(n, n);
+        }
+        for (v, len) in [
+            (&mut self.alpha, n),
+            (&mut self.tri, tri_start(n)),
+            (&mut self.arg, tri_start(n)),
+            (&mut self.row, n),
+            (&mut self.dims, nd),
+        ] {
+            v.resize(len, 0.0);
+        }
+    }
+}
+
 impl<'a> LmlWorkspace<'a> {
     /// Workspace for the targets `y` of the points `cache` was built on.
     ///
@@ -311,6 +397,38 @@ impl<'a> LmlWorkspace<'a> {
     /// [`LinalgError::DimensionMismatch`] if `y` does not have one value
     /// per cached point.
     pub fn new(cache: &'a FitCache, y: &'a [f64]) -> Result<Self, LinalgError> {
+        Self::check(cache, y)?;
+        Ok(LmlWorkspace {
+            cache,
+            y,
+            buf: Buffers::new(cache.order(), cache.dims()),
+        })
+    }
+
+    /// [`Self::new`] in `buf`, the storage of an earlier workspace, grown
+    /// to the cache's order (no allocation while its capacity lasts). The
+    /// buffers keep what the earlier workspace left in them, which
+    /// [`Self::value_from`] can build on; the jitter count starts at 0.
+    ///
+    /// # Errors
+    /// As [`Self::new`]; the buffers are dropped with the error.
+    pub(crate) fn with_buffers(
+        cache: &'a FitCache,
+        y: &'a [f64],
+        mut buf: Buffers,
+    ) -> Result<Self, LinalgError> {
+        Self::check(cache, y)?;
+        buf.grow(cache.order(), cache.dims());
+        buf.jitter_retries = 0;
+        Ok(LmlWorkspace { cache, y, buf })
+    }
+
+    /// The storage, for a later [`Self::with_buffers`].
+    pub(crate) fn into_buffers(self) -> Buffers {
+        self.buf
+    }
+
+    fn check(cache: &FitCache, y: &[f64]) -> Result<(), LinalgError> {
         let n = cache.order();
         if y.len() != n {
             return Err(LinalgError::DimensionMismatch {
@@ -318,24 +436,7 @@ impl<'a> LmlWorkspace<'a> {
                 details: format!("X has {n} rows, y has {}", y.len()),
             });
         }
-        let nd = match &cache.kind {
-            CacheKind::PerDim { d2 } => d2.len(),
-            CacheKind::Total { .. } => 0,
-        };
-        Ok(LmlWorkspace {
-            cache,
-            y,
-            ky: Matrix::zeros(n, n),
-            chol: Cholesky::with_order(n),
-            alpha: vec![0.0; n],
-            w: Matrix::zeros(n, n),
-            linv: Matrix::zeros(n, n),
-            tri: vec![0.0; n * (n + 1) / 2],
-            arg: vec![0.0; n * (n + 1) / 2],
-            row: vec![0.0; n],
-            dims: vec![0.0; nd],
-            jitter_retries: 0,
-        })
+        Ok(())
     }
 
     /// [`Self::new`] that also checks `x` has the cached point count.
@@ -352,7 +453,13 @@ impl<'a> LmlWorkspace<'a> {
     /// Jitter-ladder rungs that failed across this workspace's
     /// evaluations (an exhausted ladder counts all of its rungs).
     pub fn jitter_retries(&self) -> usize {
-        self.jitter_retries
+        self.buf.jitter_retries
+    }
+
+    /// Whether the factor holds `K_y` at the last value's hyperparameters
+    /// without jitter, so that [`Self::value_from`] can grow it.
+    pub(crate) fn unjittered(&self) -> bool {
+        self.buf.chol.jitter() == 0.0
     }
 
     /// LML (Eq. 12) at `kernel`'s current hyperparameters and noise
@@ -365,55 +472,90 @@ impl<'a> LmlWorkspace<'a> {
     /// exhausted), or a [`LinalgError::DimensionMismatch`] when the
     /// kernel's distance form does not match the cache.
     pub fn value(&mut self, kernel: &dyn Kernel, noise_std: f64) -> Result<f64, LinalgError> {
+        self.value_from(kernel, noise_std, 0)
+    }
+
+    /// [`Self::value`], bit for bit, where the buffers already hold `K_y`
+    /// and its factor without jitter, at these hyperparameters, for the
+    /// first `kept` points (an evaluation in them on fewer points, which
+    /// [`Self::unjittered`] accepted): only the rows of the points past
+    /// `kept` are assembled, and the factor grows by them in the
+    /// left-looking order ([`Cholesky::grow`]), `O(n^2)` a row instead of
+    /// the `O(n^3)` refactorization. A growth that fails (a non-finite row,
+    /// a pivot that needs jitter) refactors the whole matrix as `value`
+    /// does. `kept = 0` is `value`.
+    ///
+    /// # Errors
+    /// As [`Self::value`].
+    pub(crate) fn value_from(
+        &mut self,
+        kernel: &dyn Kernel,
+        noise_std: f64,
+        kept: usize,
+    ) -> Result<f64, LinalgError> {
         let n = self.cache.order();
-        let (ky, tri) = (&mut self.ky, &mut self.tri);
+        let buf = &mut self.buf;
+        let kept = if kept <= n && kept == buf.chol.order() && buf.chol.jitter() == 0.0 {
+            kept
+        } else {
+            0
+        };
+        let (ky, tri) = (&mut buf.ky, &mut buf.tri);
+        let span = tri_start(kept)..tri_start(n);
         match (&self.cache.kind, kernel.distance_form()) {
             (CacheKind::Total { d2 }, Some(DistanceForm::IsoSe { length_scale, sf2 })) => {
                 let c = -0.5 / (length_scale * length_scale);
-                for (k, dv) in tri.iter_mut().zip(d2) {
+                let tri = &mut tri[span.clone()];
+                for (k, dv) in tri.iter_mut().zip(&d2[span.clone()]) {
                     *k = dv * c;
                 }
                 fastmath::exp_inplace_scaled(tri, sf2);
-                unpack_lower(tri, ky);
+                unpack_lower(&buf.tri, ky, kept..n);
             }
             (CacheKind::PerDim { d2 }, Some(DistanceForm::ArdSe { length_scales, sf2 }))
                 if d2.len() == length_scales.len() =>
             {
+                let tri = &mut tri[span.clone()];
                 tri.fill(0.0);
                 for (dm, l) in d2.iter().zip(&length_scales) {
                     let c = -0.5 / (l * l);
-                    for (q, dv) in tri.iter_mut().zip(dm) {
+                    for (q, dv) in tri.iter_mut().zip(&dm[span.clone()]) {
                         *q += c * dv;
                     }
                 }
                 fastmath::exp_inplace_scaled(tri, sf2);
-                unpack_lower(tri, ky);
+                unpack_lower(&buf.tri, ky, kept..n);
             }
             (CacheKind::Total { d2 }, Some(form)) if form.is_radial() => {
-                let arg = &mut self.arg;
+                let (arg, rows) = (&mut buf.arg, kept..n);
                 match form {
-                    DistanceForm::Matern32 { .. } => radial_fill(&form, d2, arg, tri, ky),
-                    DistanceForm::Matern52 { .. } => radial_fill(&form, d2, arg, tri, ky),
-                    _ => radial_fill(&form, d2, arg, tri, ky),
+                    DistanceForm::Matern32 { .. } => radial_fill(&form, d2, arg, tri, ky, rows),
+                    DistanceForm::Matern52 { .. } => radial_fill(&form, d2, arg, tri, ky, rows),
+                    _ => radial_fill(&form, d2, arg, tri, ky, rows),
                 }
             }
             _ => return Err(form_mismatch()),
         }
         let noise_var = noise_std * noise_std;
-        for i in 0..n {
+        for i in kept..n {
             ky[(i, i)] += noise_var;
         }
-        match self.chol.refactor_jittered(ky, CHOL_JITTER, CHOL_TRIES) {
-            Ok(failed) => self.jitter_retries += failed,
-            Err(e) => {
-                if matches!(e, LinalgError::NotPositiveDefinite { .. }) {
-                    self.jitter_retries += CHOL_TRIES;
+        let grown = kept > 0
+            && (kept..n).all(|i| ky.row(i)[..=i].iter().all(|v| v.is_finite()))
+            && buf.chol.grow(ky).is_ok();
+        if !grown {
+            match buf.chol.refactor_jittered(ky, CHOL_JITTER, CHOL_TRIES) {
+                Ok(failed) => buf.jitter_retries += failed,
+                Err(e) => {
+                    if matches!(e, LinalgError::NotPositiveDefinite { .. }) {
+                        buf.jitter_retries += CHOL_TRIES;
+                    }
+                    return Err(e);
                 }
-                return Err(e);
             }
         }
-        self.chol.solve_into(self.y, &mut self.alpha)?;
-        Ok(lml_from(self.y, &self.alpha, &self.chol))
+        buf.chol.solve_into(self.y, &mut buf.alpha)?;
+        Ok(lml_from(self.y, &buf.alpha, &buf.chol))
     }
 
     /// Gradient of the LML with respect to
@@ -469,11 +611,12 @@ impl<'a> LmlWorkspace<'a> {
     ) -> Result<(), LinalgError> {
         grad.clear();
         let n = self.cache.order();
-        let (w, ky) = (&mut self.w, &self.ky);
-        self.chol.inverse_lower_into(w, &mut self.linv)?;
+        let buf = &mut self.buf;
+        let (w, ky) = (&mut buf.w, &buf.ky);
+        buf.chol.inverse_lower_into(w, &mut buf.linv)?;
         for i in 0..n {
-            let ai = self.alpha[i];
-            for (wv, aj) in w.row_mut(i)[..=i].iter_mut().zip(&self.alpha) {
+            let ai = buf.alpha[i];
+            for (wv, aj) in w.row_mut(i)[..=i].iter_mut().zip(&buf.alpha) {
                 *wv = ai * aj - *wv;
             }
         }
@@ -506,17 +649,17 @@ impl<'a> LmlWorkspace<'a> {
                 grad.resize(d2.len(), 0.0);
                 let mut sk = 0.0;
                 for i in 0..n {
-                    let wk = &mut self.row[..i];
+                    let wk = &mut buf.row[..i];
                     for ((o, wv), kv) in wk.iter_mut().zip(&w.row(i)[..i]).zip(&ky.row(i)[..i]) {
                         *o = wv * kv;
                     }
-                    for (rd, dm) in self.dims.iter_mut().zip(d2) {
+                    for (rd, dm) in buf.dims.iter_mut().zip(d2) {
                         *rd = 0.0;
                         for (wkv, dv) in wk.iter().zip(tri_row(dm, i)) {
                             *rd += wkv * dv;
                         }
                     }
-                    for (g, rd) in grad.iter_mut().zip(&self.dims) {
+                    for (g, rd) in grad.iter_mut().zip(&buf.dims) {
                         *g += rd;
                     }
                     // `0.0 +` as the reference has it: a row of `-0.0`
@@ -530,7 +673,7 @@ impl<'a> LmlWorkspace<'a> {
                 grad.push(2.0 * sk);
             }
             (CacheKind::Total { .. }, Some(form)) if form.is_radial() => {
-                let (arg, tri) = (&self.arg, &self.tri);
+                let (arg, tri) = (&buf.arg, &buf.tri);
                 let total = match form {
                     DistanceForm::Matern32 { .. } => radial_contract(&form, w, arg, tri),
                     DistanceForm::Matern52 { .. } => radial_contract(&form, w, arg, tri),

@@ -25,7 +25,7 @@
 //! re-learned from a scaled identity.
 
 use crate::kernel::Kernel;
-use crate::lml::{FitCache, LmlWorkspace};
+use crate::lml::{Buffers, FitCache, LmlWorkspace};
 use crate::model::{GpError, Gpr};
 use crate::noise::NoiseFloor;
 use alperf_linalg::{matrix::Matrix, stats::Standardizer, vector::dot, LinalgError};
@@ -417,8 +417,8 @@ fn ascend(
 
 /// One restart's LML objective: its own kernel clone and [`LmlWorkspace`],
 /// and the counts `gp.fit.done` reports. Each evaluation sets the kernel's
-/// parameters once, value and gradient alike. [`projected_grad_norm`]
-/// evaluates through it too, so its evaluations count as a fit's.
+/// parameters once, value and gradient alike, except the one a fit state's
+/// test already made ([`Primed`]).
 struct Restart<'a> {
     kernel: Box<dyn Kernel>,
     ws: LmlWorkspace<'a>,
@@ -427,6 +427,28 @@ struct Restart<'a> {
     /// `sigma_n` when it is held fixed; `None` when it is `theta[nk]`'s exp.
     fixed_noise: Option<f64>,
     counts: Counts,
+    /// An evaluation made before the ascent, for its start: taken by the
+    /// first `value` call, and used when that call is at its point.
+    primed: Option<Primed<'a>>,
+    /// The primed gradient, for the `grad` call right after a primed value.
+    primed_grad: Option<&'a [f64]>,
+}
+
+/// A value and gradient a [`FitState`]'s test evaluated at `theta` (with
+/// `sigma_n = noise`) on the targets and points a fit then starts on: the
+/// fit's first evaluation, if its ascent starts at that point bit for bit.
+/// It counts as the fit's evaluation, its jitter retries included.
+struct Primed<'a> {
+    theta: &'a [f64],
+    noise: f64,
+    value: f64,
+    grad: &'a [f64],
+    jitter_retries: usize,
+}
+
+/// Whether `a` and `b` hold the same bits.
+fn same_bits(a: &[f64], b: &[f64]) -> bool {
+    a.len() == b.len() && a.iter().zip(b).all(|(u, v)| u.to_bits() == v.to_bits())
 }
 
 /// `sigma_n` at `theta`: `fixed_noise` when it is held fixed, else the
@@ -461,10 +483,26 @@ impl Restart<'_> {
 
 impl Objective for Restart<'_> {
     fn value(&mut self, theta: &[f64]) -> Option<f64> {
+        self.primed_grad = None;
+        if let Some(p) = self.primed.take() {
+            let noise = noise_at(theta, self.nk, self.fixed_noise);
+            if same_bits(p.theta, theta) && p.noise.to_bits() == noise.to_bits() {
+                self.counts.values += 1;
+                self.counts.jitter_retries += p.jitter_retries;
+                self.primed_grad = Some(p.grad);
+                return Some(p.value);
+            }
+        }
         self.try_value(theta).ok()
     }
 
     fn grad(&mut self, theta: &[f64], g: &mut Vec<f64>) -> bool {
+        if let Some(pg) = self.primed_grad.take() {
+            self.counts.gradients += 1;
+            g.clear();
+            g.extend_from_slice(pg);
+            return true;
+        }
         self.try_grad(theta, g).is_ok()
     }
 }
@@ -489,22 +527,29 @@ impl std::ops::AddAssign for Counts {
 /// kernel bounds (or [`DEFAULT_BOUND`]), then `sigma_n`'s `[floor, upper]`
 /// when the noise level is optimized.
 fn search_box(config: &GprConfig, n: usize) -> Vec<(f64, f64)> {
+    let mut bounds = Vec::new();
+    search_box_into(config, n, &mut bounds);
+    bounds
+}
+
+/// [`search_box`] into `bounds`, which is cleared first.
+fn search_box_into(config: &GprConfig, n: usize, bounds: &mut Vec<(f64, f64)>) {
     let nk = config.kernel.n_params();
-    let mut bounds: Vec<(f64, f64)> = if config.kernel_bounds.is_empty() {
-        vec![DEFAULT_BOUND; nk]
+    bounds.clear();
+    if config.kernel_bounds.is_empty() {
+        bounds.resize(nk, DEFAULT_BOUND);
     } else {
         assert_eq!(
             config.kernel_bounds.len(),
             nk,
             "kernel_bounds length must match kernel.n_params()"
         );
-        config.kernel_bounds.clone()
-    };
+        bounds.extend_from_slice(&config.kernel_bounds);
+    }
     if config.optimize_noise {
         let noise_lo = config.noise_floor.lower_bound(n);
         bounds.push((noise_lo.ln(), config.noise_upper.ln()));
     }
-    bounds
 }
 
 /// Log-space slack within which a hyperparameter counts as on its bound in
@@ -523,40 +568,169 @@ const ON_BOUND: f64 = 1e-9;
 /// Costs one LML value and one gradient evaluation (`O(n^3)`), made as a
 /// fit's restart makes them: each sets a clone of the model's kernel to
 /// the model's hyperparameters, so a kernel that counts `set_params` calls
-/// counts them as two LML evaluations.
+/// counts them as two LML evaluations. A [`FitState`] kept across a
+/// campaign makes the same test in `O(n^2)` plus the gradient.
 ///
 /// # Errors
 /// [`GpError::Linalg`] when `model`'s kernel has no distance form, when
 /// the covariance cannot be factored even with jitter, or when the
 /// gradient is not finite.
 pub fn projected_grad_norm(model: &Gpr, config: &GprConfig) -> Result<f64, GpError> {
-    let kernel = model.kernel();
-    let mut theta = kernel.params();
-    let fixed_noise = if config.optimize_noise {
-        theta.push(model.noise_std().ln());
-        None
-    } else {
-        Some(model.noise_std())
-    };
-    let cache = FitCache::build(kernel, model.x_train());
-    let mut obj = Restart {
-        kernel: kernel.clone_box(),
-        ws: LmlWorkspace::new(&cache, model.y_std())?,
-        nk: kernel.n_params(),
-        fixed_noise,
-        counts: Counts::default(),
-    };
-    obj.try_value(&theta)?;
-    let mut g = Vec::new();
-    obj.try_grad(&theta, &mut g)?;
-    if g.iter().any(|v| !v.is_finite()) {
-        return Err(GpError::Linalg(LinalgError::NonFinite { op: "lml_grad" }));
+    FitState::new(model, config).test(model, config)
+}
+
+/// The LML evaluations of one AL campaign's refit trigger, in one state
+/// grown with the training set instead of rebuilt for every test: the
+/// packed squared distances ([`FitCache::grow`]), the workspace's buffers
+/// (grown in place, geometrically) and `K_y`'s factor at the kept
+/// hyperparameters, grown by each new point's row in the left-looking
+/// order ([`Cholesky::grow`](alperf_linalg::cholesky::Cholesky::grow))
+/// instead of refactored.
+///
+/// A test ([`FitState::test`]) on `n` points then costs the new rows'
+/// `O(n^2)` value evaluation and the `O(n^3)` gradient, in reused
+/// buffers, and equals [`projected_grad_norm`]'s fresh evaluation bit for
+/// bit. A test that fires hands its evaluation to the warm ascent that
+/// follows ([`FitState::fit_warm`]), which runs in the same buffers.
+///
+/// The state holds the hyperparameters of the model it was made from
+/// ([`FitState::new`]) or last fitted: the caller tests only models with
+/// those hyperparameters, grown by points appended to the training set.
+pub struct FitState {
+    cache: FitCache,
+    /// The targets of the last evaluation (standardized responses).
+    y: Vec<f64>,
+    buf: Buffers,
+    /// Evaluation kernel: set to `theta` before every evaluation.
+    kernel: Box<dyn Kernel>,
+    /// The kept hyperparameters, as a fit's restart reads them from the
+    /// model: its kernel's log-parameters, then `ln sigma_n` when the noise
+    /// level is optimized.
+    theta: Vec<f64>,
+    /// `sigma_n` when it is held fixed.
+    fixed_noise: Option<f64>,
+    /// Points whose rows of `K_y` at `theta` and its unjittered factor the
+    /// buffers hold (0: none).
+    factored: usize,
+    /// The last test's evaluation at `theta`, when it succeeded: its LML,
+    /// `sigma_n` and jitter retries; the gradient is in `grad`.
+    tested: Option<(f64, f64, usize)>,
+    grad: Vec<f64>,
+    /// Scratch for the search box.
+    bounds: Vec<(f64, f64)>,
+}
+
+impl FitState {
+    /// The state of `model` under `config`: its training points and
+    /// targets, and its hyperparameters as the kept ones.
+    pub fn new(model: &Gpr, config: &GprConfig) -> FitState {
+        let kernel = model.kernel().clone_box();
+        let mut state = FitState {
+            cache: FitCache::build(kernel.as_ref(), model.x_train()),
+            y: model.y_std().to_vec(),
+            buf: Buffers::default(),
+            kernel,
+            theta: Vec::new(),
+            fixed_noise: None,
+            factored: 0,
+            tested: None,
+            grad: Vec::new(),
+            bounds: Vec::new(),
+        };
+        state.keep(model, config);
+        state
     }
-    let inner: Vec<(f64, f64)> = search_box(config, model.n_train())
-        .into_iter()
-        .map(|(lo, hi)| (lo + ON_BOUND, hi - ON_BOUND))
-        .collect();
-    Ok(projected_norm(&theta, &inner, &g))
+
+    /// Take `model`'s hyperparameters as the kept ones.
+    fn keep(&mut self, model: &Gpr, config: &GprConfig) {
+        self.theta = model.kernel().params();
+        self.fixed_noise = if config.optimize_noise {
+            self.theta.push(model.noise_std().ln());
+            None
+        } else {
+            Some(model.noise_std())
+        };
+        self.factored = 0;
+        self.tested = None;
+    }
+
+    /// The refit trigger's test on `model`, the kept model grown by points
+    /// appended to its training set (`model`'s first points are the ones
+    /// the state holds): the LML value and gradient at the kept
+    /// hyperparameters on `model`'s points and targets, each setting the
+    /// state's kernel to them once, as a fit's restart does (so a kernel
+    /// that counts `set_params` calls counts two evaluations), and the
+    /// statistic of [`projected_grad_norm`] from them.
+    ///
+    /// The distances and the factor grow by the new points only; after
+    /// warm-up (once the buffers' capacity covers the points) a test
+    /// allocates nothing for a kernel whose distance form does not.
+    ///
+    /// # Errors
+    /// As [`projected_grad_norm`].
+    pub fn test(&mut self, model: &Gpr, config: &GprConfig) -> Result<f64, GpError> {
+        let n = model.n_train();
+        self.cache.grow(model.x_train());
+        self.y.clear();
+        self.y.extend_from_slice(model.y_std());
+        self.tested = None;
+        let kept = std::mem::take(&mut self.factored);
+        let buf = std::mem::take(&mut self.buf);
+        let mut ws = LmlWorkspace::with_buffers(&self.cache, &self.y, buf)?;
+        let nk = self.kernel.n_params();
+        let optimize_noise = self.fixed_noise.is_none();
+        let noise = noise_at(&self.theta, nk, self.fixed_noise);
+        self.kernel.set_params(&self.theta[..nk]);
+        let value = ws.value_from(self.kernel.as_ref(), noise, kept);
+        let grad = value.is_ok().then(|| {
+            self.kernel.set_params(&self.theta[..nk]);
+            ws.grad_into(self.kernel.as_ref(), noise, optimize_noise, &mut self.grad)
+        });
+        let (unjittered, retries) = (ws.unjittered(), ws.jitter_retries());
+        self.buf = ws.into_buffers();
+        let value = value?;
+        if unjittered {
+            self.factored = n;
+        }
+        grad.expect("evaluated after a value")?;
+        if self.grad.iter().any(|v| !v.is_finite()) {
+            return Err(GpError::Linalg(LinalgError::NonFinite { op: "lml_grad" }));
+        }
+        self.tested = Some((value, noise, retries));
+        search_box_into(config, n, &mut self.bounds);
+        for (lo, hi) in &mut self.bounds {
+            (*lo, *hi) = (*lo + ON_BOUND, *hi - ON_BOUND);
+        }
+        Ok(projected_norm(&self.theta, &self.bounds, &self.grad))
+    }
+
+    /// [`fit_gpr_warm`] on the state's points, `x` (whose first rows are
+    /// the ones the state holds), with restart 0 evaluating in the state's
+    /// buffers: its ascent starts from the last test's value and gradient
+    /// when it starts at the tested hyperparameters, on the tested targets,
+    /// bit for bit (they count as its first evaluation, so the fit's counts
+    /// are those of a fresh one). The fitted model's hyperparameters become
+    /// the kept ones. The result equals `fit_gpr_warm`'s bit for bit.
+    ///
+    /// # Errors
+    /// As [`fit_gpr_warm`].
+    pub fn fit_warm(
+        &mut self,
+        x: &Matrix,
+        y: &[f64],
+        config: &GprConfig,
+        inv_hessian: Option<&[f64]>,
+    ) -> Result<(Gpr, OptimOutcome), GpError> {
+        let fitted = fit(x, y, config, inv_hessian, Some(&mut *self));
+        match &fitted {
+            Ok((model, _)) => self.keep(model, config),
+            Err(_) => {
+                self.factored = 0;
+                self.tested = None;
+            }
+        }
+        fitted
+    }
 }
 
 /// Fit a GPR with marginal-likelihood hyperparameter optimization (Eq. 13).
@@ -604,6 +778,18 @@ pub fn fit_gpr_warm(
     config: &GprConfig,
     inv_hessian: Option<&[f64]>,
 ) -> Result<(Gpr, OptimOutcome), GpError> {
+    fit(x, y, config, inv_hessian, None)
+}
+
+/// [`fit_gpr_warm`], with restart 0 in `state`'s buffers when one is given
+/// (see [`FitState::fit_warm`]).
+fn fit(
+    x: &Matrix,
+    y: &[f64],
+    config: &GprConfig,
+    inv_hessian: Option<&[f64]>,
+    state: Option<&mut FitState>,
+) -> Result<(Gpr, OptimOutcome), GpError> {
     let _span = alperf_obs::span("gp.fit");
     if x.nrows() == 0 {
         return Err(GpError::Empty);
@@ -622,7 +808,7 @@ pub fn fit_gpr_warm(
     } else {
         Standardizer::identity()
     };
-    let y_std = standardizer.apply_vec(y);
+    let mut y_std = standardizer.apply_vec(y);
 
     let nk = config.kernel.n_params();
     let bounds = search_box(config, x.nrows());
@@ -635,9 +821,33 @@ pub fn fit_gpr_warm(
         ));
     }
     // The distance matrices depend only on X, which is fixed for the whole
-    // multi-restart optimization: build them once and share across every
-    // LML evaluation of every restart.
-    let cache = FitCache::build(config.kernel.as_ref(), x);
+    // multi-restart optimization: build them once (or grow the state's) and
+    // share across every LML evaluation of every restart.
+    let fresh;
+    let (cache, y_std, mut state_buf, mut primed) = match state {
+        Some(st) => {
+            st.cache.grow(x);
+            let same_y = same_bits(&st.y, &y_std);
+            std::mem::swap(&mut st.y, &mut y_std);
+            let primed =
+                st.tested
+                    .take()
+                    .filter(|_| same_y)
+                    .map(|(value, noise, jitter_retries)| Primed {
+                        theta: &st.theta,
+                        noise,
+                        value,
+                        grad: &st.grad,
+                        jitter_retries,
+                    });
+            st.factored = 0;
+            (&st.cache, &st.y[..], Some(&mut st.buf), primed)
+        }
+        None => {
+            fresh = FitCache::build(config.kernel.as_ref(), x);
+            (&fresh, &y_std[..], None, None)
+        }
+    };
 
     // Restart 0 starts from the configured kernel, every later one from a
     // point drawn inside the box by the seeded RNG. Each restart evaluates
@@ -667,12 +877,19 @@ pub fn fit_gpr_warm(
                 .collect()
         };
         let _restart_span = alperf_obs::span("gp.fit.restart");
+        let reused = state_buf.as_deref_mut().filter(|_| r == 0);
+        let ws = match reused {
+            Some(buf) => LmlWorkspace::with_buffers(cache, y_std, std::mem::take(buf))?,
+            None => LmlWorkspace::new(cache, y_std)?,
+        };
         let mut obj = Restart {
             kernel: config.kernel.clone_box(),
-            ws: LmlWorkspace::new(&cache, &y_std)?,
+            ws,
             nk,
             fixed_noise,
             counts: Counts::default(),
+            primed: primed.take(),
+            primed_grad: None,
         };
         let h0 = if r == 0 { inherited } else { None };
         let a = ascend(
@@ -683,8 +900,11 @@ pub fn fit_gpr_warm(
             config.grad_tol,
             &mut obj,
         );
-        obj.counts.jitter_retries = obj.ws.jitter_retries();
+        obj.counts.jitter_retries += obj.ws.jitter_retries();
         counts += obj.counts;
+        if let Some(buf) = state_buf.as_deref_mut().filter(|_| r == 0) {
+            *buf = obj.ws.into_buffers();
+        }
         let better = match &best {
             Some((_, b)) => a.value > b.value,
             None => a.value.is_finite(),
@@ -1134,6 +1354,108 @@ mod tests {
         let kernel = model.kernel().clone_box();
         let grown = Gpr::fit(xs, &ys, kernel, model.noise_std(), false).unwrap();
         assert!(projected_grad_norm(&grown, &cfg).unwrap() > 1.0);
+    }
+
+    /// The trigger's test in a fresh [`FitCache`] and [`LmlWorkspace`] on
+    /// `model`'s points and targets: the value, the gradient and the
+    /// statistic, as [`FitState::test`] computes them from nothing.
+    fn fresh_test(model: &Gpr, cfg: &GprConfig) -> Result<(f64, Vec<f64>, f64), LinalgError> {
+        let mut kernel = model.kernel().clone_box();
+        let nk = kernel.n_params();
+        let mut theta = kernel.params();
+        let fixed_noise = if cfg.optimize_noise {
+            theta.push(model.noise_std().ln());
+            None
+        } else {
+            Some(model.noise_std())
+        };
+        let noise = noise_at(&theta, nk, fixed_noise);
+        let cache = FitCache::build(kernel.as_ref(), model.x_train());
+        let mut ws = LmlWorkspace::new(&cache, model.y_std())?;
+        kernel.set_params(&theta[..nk]);
+        let value = ws.value(kernel.as_ref(), noise)?;
+        let g = ws.grad(kernel.as_ref(), noise, cfg.optimize_noise)?;
+        let inner: Vec<(f64, f64)> = search_box(cfg, model.n_train())
+            .into_iter()
+            .map(|(lo, hi)| (lo + ON_BOUND, hi - ON_BOUND))
+            .collect();
+        let stat = projected_norm(&theta, &inner, &g);
+        Ok((value, g, stat))
+    }
+
+    /// 80 two-dimensional points with every ninth a duplicate of the one
+    /// before it (so the 1e-8 floor climbs the jitter ladder), and a
+    /// smooth response.
+    fn growing_data() -> (Matrix, Vec<f64>) {
+        let mut x = Matrix::from_fn(80, 2, |i, j| ((i * (5 + 2 * j)) as f64 * 0.61).sin() * 2.0);
+        for i in (9..80).step_by(9) {
+            let prev = x.row(i - 1).to_vec();
+            x.row_mut(i).copy_from_slice(&prev);
+        }
+        let y = (0..80)
+            .map(|i| (1.3 * x.row(i)[0]).sin() + 0.5 * x.row(i)[1])
+            .collect();
+        (x, y)
+    }
+
+    /// A fit state grown a point at a time tests as a fresh evaluation
+    /// does, bit for bit: at every n from 31 to 80, after a rank-one
+    /// extension of the model (a fixed-hyperparameter refit where that
+    /// fails), the value, the gradient and the statistic equal
+    /// [`fresh_test`]'s, for SE and ARD-SE under the 1e-8 and 0.1 floors.
+    /// Under the 0.1 floor the tests grow the factor by the new row instead
+    /// of refactoring it; under 1e-8 most need jitter and refactor.
+    #[test]
+    fn grown_state_tests_equal_a_fresh_evaluation_bit_for_bit() {
+        let (x, y) = growing_data();
+        let kernels: [Box<dyn Kernel>; 2] = [
+            Box::new(SquaredExponential::unit()),
+            Box::new(crate::kernel::ArdSquaredExponential::unit(2)),
+        ];
+        let (mut grown, mut refactored) = (0, 0);
+        for kernel in kernels {
+            for floor in [1e-8, 0.1] {
+                let cfg = GprConfig::new(kernel.clone_box())
+                    .with_noise_floor(NoiseFloor::Fixed(floor))
+                    .with_restarts(2)
+                    .with_standardize(false);
+                let head: Vec<usize> = (0..30).collect();
+                let (mut model, _) = fit_gpr(&x.select_rows(&head), &y[..30], &cfg).unwrap();
+                let mut state: Option<FitState> = None;
+                for n in 31..=80 {
+                    model = model
+                        .with_observation(x.row(n - 1), y[n - 1])
+                        .or_else(|_| {
+                            let rows: Vec<usize> = (0..n).collect();
+                            let k = model.kernel().clone_box();
+                            Gpr::fit(x.select_rows(&rows), &y[..n], k, model.noise_std(), false)
+                        })
+                        .unwrap();
+                    let st = state.get_or_insert_with(|| FitState::new(&model, &cfg));
+                    let before = st.factored;
+                    let case = format!("{:?} floor {floor} n {n}", cfg.kernel.param_names());
+                    match (st.test(&model, &cfg), fresh_test(&model, &cfg)) {
+                        (Ok(stat), Ok((value, g, want))) => {
+                            let (got, _, _) = st.tested.expect("a passed test keeps its value");
+                            assert_eq!(got.to_bits(), value.to_bits(), "{case}: value");
+                            assert!(same_bits(&st.grad, &g), "{case}: gradient");
+                            assert_eq!(stat.to_bits(), want.to_bits(), "{case}: statistic");
+                        }
+                        (Err(e), Err(w)) => assert_eq!(e, GpError::Linalg(w), "{case}"),
+                        (got, want) => panic!("{case}: {got:?} vs {want:?}"),
+                    }
+                    if before == n - 1 && st.factored == n {
+                        grown += 1;
+                    } else {
+                        refactored += 1;
+                    }
+                }
+            }
+        }
+        assert!(
+            grown > 90 && refactored > 50,
+            "{grown} grown, {refactored} refactored"
+        );
     }
 
     /// Squared exponential whose clones share one count of `set_params`

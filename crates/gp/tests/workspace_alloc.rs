@@ -10,7 +10,7 @@ use alperf_gp::kernel::{
     ArdSquaredExponential, Kernel, Matern32, Matern52, RationalQuadratic, SquaredExponential,
 };
 use alperf_gp::lml::{FitCache, LmlWorkspace};
-use alperf_gp::optimize::{fit_gpr, GprConfig};
+use alperf_gp::optimize::{fit_gpr, FitState, GprConfig};
 use alperf_linalg::matrix::Matrix;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -162,4 +162,38 @@ fn ascent_allocates_nothing_per_iteration() {
     assert_eq!(two, 2);
     assert!(many > 10, "{many} iterations");
     assert_eq!(short, long, "{two} vs {many} iterations");
+}
+
+/// The refit trigger's test in a campaign's fit state allocates nothing
+/// once its buffers' capacity covers the training set: a model grown one
+/// point at a time from 30 to 80 is tested at every order, twice (as
+/// after a round whose experiment was lost). Every repeated test allocates
+/// nothing, and a test that grows the state allocates only in the few
+/// orders where a buffer outgrows its geometric capacity.
+#[test]
+fn trigger_tests_allocate_nothing_after_warm_up() {
+    let (x, y) = data(80);
+    let cfg = GprConfig::new(Box::new(SquaredExponential::new(1.3, 0.9)))
+        .with_restarts(1)
+        .with_standardize(false);
+    let head: Vec<usize> = (0..30).collect();
+    let (mut model, _) = fit_gpr(&x.select_rows(&head), &y[..30], &cfg).unwrap();
+    let mut state: Option<FitState> = None;
+    let mut growing = Vec::new();
+    for n in 31..=80 {
+        model = model.with_observation(x.row(n - 1), y[n - 1]).unwrap();
+        let state = state.get_or_insert_with(|| FitState::new(&model, &cfg));
+        growing.push(allocations(|| {
+            black_box(state.test(&model, &cfg).ok());
+        }));
+        let repeated = allocations(|| {
+            black_box(state.test(&model, &cfg).ok());
+        });
+        assert_eq!(repeated, 0, "repeated test at n = {n}");
+    }
+    let allocating = growing[1..].iter().filter(|&&a| a > 0).count();
+    assert!(
+        allocating <= 6,
+        "{allocating} of 49 growing tests allocated: {growing:?}"
+    );
 }

@@ -99,6 +99,41 @@ fn restore_lower(l: &mut Matrix, a: &Matrix, jitter: f64) {
     }
 }
 
+/// Row `r` of the factor `l` from its finished rows `0..r`, the new row
+/// `a` of `A` left of the diagonal and `d`, its diagonal entry plus the
+/// jitter: `L[r][..r] = L^{-1} a` by [`solve_lower`]'s forward substitution
+/// (`k` ascending, one rounded product and difference at a time, then the
+/// divide), and the pivot `sqrt(d - sum_k L[r][k]^2)`, one rounded square
+/// at a time.
+fn factor_row(l: &mut Matrix, r: usize, a: &[f64], d: f64) -> Result<(), LinalgError> {
+    let n = l.ncols();
+    let (done, rest) = l.as_mut_slice().split_at_mut(r * n);
+    let row = &mut rest[..=r];
+    for (i, &ai) in a.iter().enumerate() {
+        let li = &done[i * n..][..=i];
+        let mut s = ai;
+        for (lk, zk) in li[..i].iter().zip(&row[..i]) {
+            s -= lk * zk;
+        }
+        if li[i] == 0.0 {
+            return Err(LinalgError::Singular { index: i });
+        }
+        row[i] = s / li[i];
+    }
+    let mut d2 = d;
+    for v in &row[..r] {
+        d2 -= v * v;
+    }
+    if d2 <= 0.0 || !d2.is_finite() {
+        return Err(LinalgError::NotPositiveDefinite {
+            pivot: r,
+            value: d2,
+        });
+    }
+    row[r] = d2.sqrt();
+    Ok(())
+}
+
 /// The scalar right-looking sweep over the lower triangle of the row-major
 /// `n x n` matrix `data` (which holds `A + jitter I`), `n = buf.len()`.
 ///
@@ -463,7 +498,7 @@ impl Cholesky {
 
     /// [`Self::decompose_jittered`] into this factor's buffers, which are
     /// reused when `a` has the same order (no allocation after the first
-    /// call at that order). The factor, its jitter and any error are
+    /// call at that order) and grown in place when it is larger. The factor, its jitter and any error are
     /// bit-identical to
     /// `decompose_jittered(a, first_jitter, max_tries)`'s.
     ///
@@ -488,7 +523,9 @@ impl Cholesky {
             (0..n).map(|i| a[(i, i)].abs()).sum::<f64>() / n as f64
         };
         let base = first_jitter * mean_diag.max(f64::MIN_POSITIVE);
-        if self.l.nrows() != n {
+        if self.l.nrows() < n {
+            self.l.grow(n, n);
+        } else if self.l.nrows() > n {
             self.l = Matrix::zeros(n, n);
         }
         let mut last_err = None;
@@ -741,32 +778,46 @@ impl Cholesky {
                 details: format!("column has {} entries, factor order is {n}", a.len()),
             });
         }
-        let z = solve_lower(&self.l, a)?;
-        let mut d2 = alpha + self.jitter;
-        for v in &z {
-            d2 -= v * v;
-        }
-        if d2 <= 0.0 || !d2.is_finite() {
-            return Err(LinalgError::NotPositiveDefinite {
-                pivot: n,
-                value: d2,
-            });
-        }
         let mut l = Matrix::zeros(n + 1, n + 1);
         for i in 0..n {
-            for j in 0..=i {
-                l[(i, j)] = self.l[(i, j)];
-            }
+            l.row_mut(i)[..=i].copy_from_slice(&self.l.row(i)[..=i]);
         }
-        for (j, zj) in z.iter().enumerate() {
-            l[(n, j)] = *zj;
-        }
-        l[(n, n)] = d2.sqrt();
+        factor_row(&mut l, n, a, alpha + self.jitter)?;
         Ok(Cholesky {
             l,
             jitter: self.jitter,
             scratch: Vec::new(),
         })
+    }
+
+    /// [`Self::extend`] in place, by every row this factor lacks: given the
+    /// factor of the leading `m x m` block of `a + jI` (`m` = [`Self::order`],
+    /// `j` = [`Self::jitter`]), grow it to the factor of all of `a + jI`,
+    /// one row at a time, `m..n` ascending, each as `extend` computes it
+    /// (only the lower triangle of `a` is read). The factor's buffer grows
+    /// geometrically, so growing it a row at a time allocates `O(log n)`
+    /// times. On the same jitter rung the result equals the refactorization
+    /// of `a` bit for bit.
+    ///
+    /// # Errors
+    /// [`LinalgError::NotPositiveDefinite`] at the first new pivot that is
+    /// not positive, after which the factor is unspecified until the next
+    /// successful [`Self::refactor_jittered`];
+    /// [`LinalgError::DimensionMismatch`] if `a` is not square or is
+    /// smaller than the factor.
+    pub fn grow(&mut self, a: &Matrix) -> Result<(), LinalgError> {
+        let (m, n) = (self.order(), a.nrows());
+        if a.ncols() != n || n < m {
+            return Err(LinalgError::DimensionMismatch {
+                op: "cholesky_grow",
+                details: format!("{n}x{} cannot extend a factor of order {m}", a.ncols()),
+            });
+        }
+        self.l.grow(n, n);
+        for r in m..n {
+            factor_row(&mut self.l, r, &a.row(r)[..r], a[(r, r)] + self.jitter)?;
+        }
+        Ok(())
     }
 
     /// Reconstruct `A = L L^T` (testing / diagnostics).
@@ -1102,6 +1153,40 @@ mod tests {
             }
         }
         assert!(same > 10 && typed > 0, "{same} matched, {typed} typed");
+    }
+
+    /// Growing a refactored buffer in place, by one row or by several,
+    /// equals factoring the grown matrix bit for bit, on both sides of the
+    /// tiled kernel's threshold; a pivot that fails fails typed.
+    #[test]
+    fn grow_in_place_matches_refactorization_bit_for_bit() {
+        let a = well_conditioned_spd(40, 3);
+        let lead = |n: usize| Matrix::from_fn(n, n, |i, j| a[(i, j)]);
+        for (m, n) in [
+            (0, 1),
+            (1, 2),
+            (5, 6),
+            (12, 13),
+            (12, 20),
+            (30, 31),
+            (30, 40),
+        ] {
+            let mut c = Cholesky::with_order(0);
+            c.refactor_jittered(&lead(m), 1e-10, 8).unwrap();
+            c.grow(&lead(n)).unwrap();
+            let full = Cholesky::decompose(&lead(n)).unwrap();
+            assert_eq!(bits(c.factor()), bits(full.factor()), "{m} -> {n}");
+        }
+        let mut c = Cholesky::decompose(&Matrix::from_rows(&[&[1.0]]).unwrap()).unwrap();
+        let indefinite = Matrix::from_rows(&[&[1.0, 2.0], &[2.0, 1.0]]).unwrap();
+        assert!(matches!(
+            c.grow(&indefinite),
+            Err(LinalgError::NotPositiveDefinite { pivot: 1, .. })
+        ));
+        assert!(matches!(
+            c.grow(&Matrix::zeros(0, 0)),
+            Err(LinalgError::DimensionMismatch { .. })
+        ));
     }
 
     #[test]

@@ -165,6 +165,25 @@ mod tests {
         }
     }
 
+    /// An element's result does not depend on where it falls: at every
+    /// position of slices of 1 to 40 elements (every lane of the vector
+    /// chunks, and the scalar tail after them) it gets the bits it gets
+    /// alone. The LML fit state relies on this when it exponentiates only
+    /// the packed rows of new training points.
+    #[test]
+    fn an_element_gets_the_same_bits_at_every_position() {
+        let value = |k: usize| -((k * 37 % 101) as f64) * 0.173;
+        for len in 1..=40 {
+            let mut v: Vec<f64> = (0..len).map(value).collect();
+            exp_inplace_scaled(&mut v, 1.7);
+            for (k, got) in v.iter().enumerate() {
+                let mut alone = [value(k)];
+                exp_inplace_scaled(&mut alone, 1.7);
+                assert_eq!(got.to_bits(), alone[0].to_bits(), "len {len}, position {k}");
+            }
+        }
+    }
+
     #[test]
     fn positive_side_stays_finite() {
         let mut v = [700.0, 709.0, 800.0];

@@ -374,6 +374,31 @@ impl Matrix {
         Ok(())
     }
 
+    /// Grow to `rows x cols` in place (neither may shrink): every entry
+    /// keeps its `(i, j)`, and the new ones are zero. The backing store
+    /// grows geometrically, so a matrix grown one row and column at a time
+    /// reallocates `O(log n)` times; the rows are moved to their new stride
+    /// inside it, last first. The LML fit state grows its buffers this way,
+    /// one training row at a time.
+    pub fn grow(&mut self, rows: usize, cols: usize) {
+        assert!(
+            rows >= self.rows && cols >= self.cols,
+            "grow: {}x{} cannot shrink to {rows}x{cols}",
+            self.rows,
+            self.cols
+        );
+        let old = self.cols;
+        self.data.resize(rows * cols, 0.0);
+        if cols > old {
+            for i in (0..self.rows).rev() {
+                self.data.copy_within(i * old..(i + 1) * old, i * cols);
+                self.data[i * cols + old..(i + 1) * cols].fill(0.0);
+            }
+        }
+        self.rows = rows;
+        self.cols = cols;
+    }
+
     /// Remove row `i` in O(row) by moving the last row into its place
     /// (order is NOT preserved) — mirrors `Vec::swap_remove`, matching how
     /// the AL loop removes a chosen candidate from its pool.
@@ -566,6 +591,31 @@ mod tests {
         let mut b = Matrix::identity(2);
         b[(0, 1)] = 0.25;
         assert_eq!(a.max_abs_diff(&b), 0.25);
+    }
+
+    /// Growing in place keeps every entry at its `(i, j)` and zeroes the
+    /// new ones, from empty up and one row and column at a time.
+    #[test]
+    fn grow_keeps_entries_and_zeroes_the_rest() {
+        let mut m = Matrix::zeros(0, 0);
+        for n in 1..=9 {
+            m.grow(n, n);
+            for j in 0..n {
+                m[(n - 1, j)] = (n * 10 + j) as f64;
+            }
+        }
+        let want = Matrix::from_fn(9, 9, |i, j| {
+            if j <= i {
+                ((i + 1) * 10 + j) as f64
+            } else {
+                0.0
+            }
+        });
+        assert_eq!(m, want);
+        let mut r = abc();
+        r.grow(3, 5);
+        let want = Matrix::from_fn(3, 5, |i, j| if j < 2 { abc()[(i, j)] } else { 0.0 });
+        assert_eq!(r, want);
     }
 
     #[test]
