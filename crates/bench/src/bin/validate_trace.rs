@@ -13,7 +13,7 @@
 //!   threads (the cross-thread parentage invariant);
 //! * `al.iteration` records carry the per-iteration payload and a
 //!   strictly increasing `iter` per `run` id, and the refit trigger's
-//!   `stale_pg` is finite wherever present;
+//!   `stale_gain` is finite wherever present;
 //! * `gp.fit.done` records, the one place a fit's LML evaluation counts
 //!   are kept, carry `n`, `evaluations`, `values`, `gradients`,
 //!   `jitter_retries`, `noise` and `noise_at_floor`, with
@@ -48,8 +48,8 @@ fn check_iterations(trace: &Trace) -> Result<usize, String> {
             .ok_or("al.iteration record missing \"refit\"")?;
         // The refit trigger's statistic, on the iterations that ran its
         // test: a non-finite value is encoded as null and fails here.
-        if rec.fields.contains_key("stale_pg") && !f("stale_pg")?.is_finite() {
-            return Err("al.iteration record with a non-finite \"stale_pg\"".into());
+        if rec.fields.contains_key("stale_gain") && !f("stale_gain")?.is_finite() {
+            return Err("al.iteration record with a non-finite \"stale_gain\"".into());
         }
         let run = f("run")? as u64;
         let iter = f("iter")? as u64;

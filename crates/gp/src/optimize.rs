@@ -553,30 +553,30 @@ fn search_box_into(config: &GprConfig, n: usize, bounds: &mut Vec<(f64, f64)>) {
 }
 
 /// Log-space slack within which a hyperparameter counts as on its bound in
-/// [`projected_grad_norm`]: a parameter [`fit_gpr`] clamped to a bound
-/// comes back from the kernel (or `sigma_n`) through an `exp`/`ln` round
-/// trip that can move it an ulp inside the box. The same relative `1e-9`
-/// as `gp.fit.done`'s `noise_at_floor` test.
+/// [`FitState::test`]: a parameter [`fit_gpr`] clamped to a bound comes
+/// back from the kernel (or `sigma_n`) through an `exp`/`ln` round trip
+/// that can move it an ulp inside the box. The same relative `1e-9` as
+/// `gp.fit.done`'s `noise_at_floor` test.
 const ON_BOUND: f64 = 1e-9;
 
-/// Infinity norm of the projected LML gradient at `model`'s
-/// hyperparameters, on the model's own training set, in the box
-/// [`fit_gpr`] would search under `config` at that size, shrunk by 1e-9
-/// so that a hyperparameter clamped to a bound counts as on it: the
-/// statistic the ascent stops on once it falls below `grad_tol`.
-///
-/// Costs one LML value and one gradient evaluation (`O(n^3)`), made as a
-/// fit's restart makes them: each sets a clone of the model's kernel to
-/// the model's hyperparameters, so a kernel that counts `set_params` calls
-/// counts them as two LML evaluations. A [`FitState`] kept across a
-/// campaign makes the same test in `O(n^2)` plus the gradient.
-///
-/// # Errors
-/// [`GpError::Linalg`] when `model`'s kernel has no distance form, when
-/// the covariance cannot be factored even with jitter, or when the
-/// gradient is not finite.
-pub fn projected_grad_norm(model: &Gpr, config: &GprConfig) -> Result<f64, GpError> {
-    FitState::new(model, config).test(model, config)
+/// The LML gain a quasi-Newton step from `theta` predicts: `1/2 pg^T H pg`
+/// over the free coordinates, where `pg` is the gradient `g` with the
+/// components [`blocked`] on the box `bounds` zeroed, and `H` the
+/// row-major inverse Hessian `h` of the negated LML. For a quadratic model
+/// of the LML with that curvature, the step `H pg` rises by exactly this.
+/// The sum runs row by row, `j` ascending inside a row.
+fn predicted_gain(theta: &[f64], bounds: &[(f64, f64)], g: &[f64], h: &[f64]) -> f64 {
+    let m = theta.len();
+    let free = |j: usize| !blocked(theta[j], bounds[j], g[j]);
+    let mut gain = 0.0;
+    for (i, row) in h.chunks_exact(m).enumerate().filter(|&(i, _)| free(i)) {
+        let mut hg = 0.0;
+        for (j, hij) in row.iter().enumerate().filter(|&(j, _)| free(j)) {
+            hg += hij * g[j];
+        }
+        gain += g[i] * hg;
+    }
+    0.5 * gain
 }
 
 /// The LML evaluations of one AL campaign's refit trigger, in one state
@@ -589,9 +589,10 @@ pub fn projected_grad_norm(model: &Gpr, config: &GprConfig) -> Result<f64, GpErr
 ///
 /// A test ([`FitState::test`]) on `n` points then costs the new rows'
 /// `O(n^2)` value evaluation and the `O(n^3)` gradient, in reused
-/// buffers, and equals [`projected_grad_norm`]'s fresh evaluation bit for
-/// bit. A test that fires hands its evaluation to the warm ascent that
-/// follows ([`FitState::fit_warm`]), which runs in the same buffers.
+/// buffers, and equals a fresh [`FitCache`] and [`LmlWorkspace`]
+/// evaluation bit for bit. A test that fires hands its evaluation to the
+/// warm ascent that follows ([`FitState::fit_warm`]), which runs in the
+/// same buffers.
 ///
 /// The state holds the hyperparameters of the model it was made from
 /// ([`FitState::new`]) or last fitted: the caller tests only models with
@@ -659,16 +660,29 @@ impl FitState {
     /// the state holds): the LML value and gradient at the kept
     /// hyperparameters on `model`'s points and targets, each setting the
     /// state's kernel to them once, as a fit's restart does (so a kernel
-    /// that counts `set_params` calls counts two evaluations), and the
-    /// statistic of [`projected_grad_norm`] from them.
+    /// that counts `set_params` calls counts two evaluations), and from
+    /// them the LML gain a quasi-Newton step by `inv_hessian` would predict:
+    /// `1/2 pg^T H pg` over the coordinates free in the box [`fit_gpr`]
+    /// would search under `config` on `model`'s points. That box is shrunk
+    /// by 1e-9 in log space, so a hyperparameter clamped to a bound counts
+    /// as on it. `inv_hessian` is the last fit's
+    /// ([`OptimOutcome::inv_hessian`]); without one of the box's size the
+    /// gain is `None`.
     ///
     /// The distances and the factor grow by the new points only; after
     /// warm-up (once the buffers' capacity covers the points) a test
     /// allocates nothing for a kernel whose distance form does not.
     ///
     /// # Errors
-    /// As [`projected_grad_norm`].
-    pub fn test(&mut self, model: &Gpr, config: &GprConfig) -> Result<f64, GpError> {
+    /// [`GpError::Linalg`] when `model`'s kernel has no distance form, when
+    /// the covariance cannot be factored even with jitter, or when the
+    /// gradient is not finite.
+    pub fn test(
+        &mut self,
+        model: &Gpr,
+        config: &GprConfig,
+        inv_hessian: Option<&[f64]>,
+    ) -> Result<Option<f64>, GpError> {
         let n = model.n_train();
         self.cache.grow(model.x_train());
         self.y.clear();
@@ -701,7 +715,10 @@ impl FitState {
         for (lo, hi) in &mut self.bounds {
             (*lo, *hi) = (*lo + ON_BOUND, *hi - ON_BOUND);
         }
-        Ok(projected_norm(&self.theta, &self.bounds, &self.grad))
+        let m = self.theta.len();
+        Ok(inv_hessian
+            .filter(|h| h.len() == m * m)
+            .map(|h| predicted_gain(&self.theta, &self.bounds, &self.grad, h)))
     }
 
     /// [`fit_gpr_warm`] on the state's points, `x` (whose first rows are
@@ -721,15 +738,9 @@ impl FitState {
         config: &GprConfig,
         inv_hessian: Option<&[f64]>,
     ) -> Result<(Gpr, OptimOutcome), GpError> {
-        let fitted = fit(x, y, config, inv_hessian, Some(&mut *self));
-        match &fitted {
-            Ok((model, _)) => self.keep(model, config),
-            Err(_) => {
-                self.factored = 0;
-                self.tested = None;
-            }
-        }
-        fitted
+        let fitted = fit(x, y, config, inv_hessian, Some(&mut *self))?;
+        self.keep(&fitted.0, config);
+        Ok(fitted)
     }
 }
 
@@ -1317,13 +1328,18 @@ mod tests {
         }
     }
 
-    /// At a fit's optimum the statistic is the ascent's own stopping
-    /// statistic, also with `sigma_n` clamped to its floor (an `exp`/`ln`
-    /// round trip away from the bound); adding points from a much wigglier
-    /// function makes it large.
+    /// At a fit's optimum, with the inverse Hessian the fit ended with, the
+    /// predicted gain is negligible, also with `sigma_n` clamped to its
+    /// floor (an `exp`/`ln` round trip away from the bound, its gradient
+    /// pointing out of the box); adding points from a much wigglier
+    /// function makes it large. Without an inverse Hessian there is no
+    /// gain.
     #[test]
-    fn projected_grad_norm_is_the_ascents_stopping_statistic() {
+    fn predicted_gain_is_negligible_at_an_optimum_and_large_when_stale() {
         let (x, y) = noisy_data(30, 5);
+        let gain = |model: &Gpr, cfg: &GprConfig, h: Option<&[f64]>| {
+            FitState::new(model, cfg).test(model, cfg, h).unwrap()
+        };
         for floor in [NoiseFloor::Fixed(1e-3), NoiseFloor::Fixed(0.9)] {
             let cfg = GprConfig::new(Box::new(SquaredExponential::unit()))
                 .with_noise_floor(floor)
@@ -1331,19 +1347,20 @@ mod tests {
                 .with_standardize(false);
             let (model, out) = fit_gpr(&x, &y, &cfg).unwrap();
             assert!(out.converged, "{out:?}");
-            let pg = projected_grad_norm(&model, &cfg).unwrap();
-            assert!((pg - out.pg_norm).abs() <= 1e-9, "{pg} vs {}", out.pg_norm);
-            assert!(pg < cfg.grad_tol, "{pg}");
+            let h = out.inv_hessian.as_deref();
+            let at_optimum = gain(&model, &cfg, h).expect("the fit ends with curvature");
+            assert!((0.0..1e-8).contains(&at_optimum), "{at_optimum}");
+            assert_eq!(gain(&model, &cfg, None), None);
+            assert_eq!(gain(&model, &cfg, Some(&[1.0])), None);
         }
-        // The 0.9 floor binds: sigma_n sits on it and its gradient points
-        // out of the box.
+        // The 0.9 floor binds: sigma_n sits on it.
         let cfg = GprConfig::new(Box::new(SquaredExponential::unit()))
             .with_noise_floor(NoiseFloor::Fixed(0.9))
             .with_standardize(false);
-        let (model, _) = fit_gpr(&x, &y, &cfg).unwrap();
+        let (model, out) = fit_gpr(&x, &y, &cfg).unwrap();
         assert!(model.noise_std() <= 0.9 * (1.0 + 1e-9));
         // Grown by points of a function with a tenth of the length scale,
-        // at the same hyperparameters: the gradient says they are stale.
+        // at the same hyperparameters: a step would gain much.
         let extra: Vec<f64> = (0..10).map(|i| 0.2 + i as f64 * 1.1).collect();
         let mut xs = x.clone();
         let mut ys = y.clone();
@@ -1353,13 +1370,19 @@ mod tests {
         }
         let kernel = model.kernel().clone_box();
         let grown = Gpr::fit(xs, &ys, kernel, model.noise_std(), false).unwrap();
-        assert!(projected_grad_norm(&grown, &cfg).unwrap() > 1.0);
+        let stale = gain(&grown, &cfg, out.inv_hessian.as_deref()).unwrap();
+        assert!(stale > 1.0, "{stale}");
     }
 
     /// The trigger's test in a fresh [`FitCache`] and [`LmlWorkspace`] on
     /// `model`'s points and targets: the value, the gradient and the
-    /// statistic, as [`FitState::test`] computes them from nothing.
-    fn fresh_test(model: &Gpr, cfg: &GprConfig) -> Result<(f64, Vec<f64>, f64), LinalgError> {
+    /// predicted gain by `h`, as [`FitState::test`] computes them from
+    /// nothing.
+    fn fresh_test(
+        model: &Gpr,
+        cfg: &GprConfig,
+        h: &[f64],
+    ) -> Result<(f64, Vec<f64>, f64), LinalgError> {
         let mut kernel = model.kernel().clone_box();
         let nk = kernel.n_params();
         let mut theta = kernel.params();
@@ -1379,7 +1402,7 @@ mod tests {
             .into_iter()
             .map(|(lo, hi)| (lo + ON_BOUND, hi - ON_BOUND))
             .collect();
-        let stat = projected_norm(&theta, &inner, &g);
+        let stat = predicted_gain(&theta, &inner, &g, h);
         Ok((value, g, stat))
     }
 
@@ -1401,8 +1424,9 @@ mod tests {
     /// A fit state grown a point at a time tests as a fresh evaluation
     /// does, bit for bit: at every n from 31 to 80, after a rank-one
     /// extension of the model (a fixed-hyperparameter refit where that
-    /// fails), the value, the gradient and the statistic equal
-    /// [`fresh_test`]'s, for SE and ARD-SE under the 1e-8 and 0.1 floors.
+    /// fails), the value, the gradient and the predicted gain by a coupled
+    /// inverse Hessian equal [`fresh_test`]'s, for SE and ARD-SE under the
+    /// 1e-8 and 0.1 floors.
     /// Under the 0.1 floor the tests grow the factor by the new row instead
     /// of refactoring it; under 1e-8 most need jitter and refactor.
     #[test]
@@ -1421,6 +1445,11 @@ mod tests {
                     .with_standardize(false);
                 let head: Vec<usize> = (0..30).collect();
                 let (mut model, _) = fit_gpr(&x.select_rows(&head), &y[..30], &cfg).unwrap();
+                // A coupled, positive definite inverse Hessian of the box's size.
+                let m = cfg.kernel.n_params() + 1;
+                let h: Vec<f64> = (0..m * m)
+                    .map(|k| if k % (m + 1) == 0 { 1.5 } else { 0.2 })
+                    .collect();
                 let mut state: Option<FitState> = None;
                 for n in 31..=80 {
                     model = model
@@ -1434,8 +1463,11 @@ mod tests {
                     let st = state.get_or_insert_with(|| FitState::new(&model, &cfg));
                     let before = st.factored;
                     let case = format!("{:?} floor {floor} n {n}", cfg.kernel.param_names());
-                    match (st.test(&model, &cfg), fresh_test(&model, &cfg)) {
-                        (Ok(stat), Ok((value, g, want))) => {
+                    match (
+                        st.test(&model, &cfg, Some(&h)),
+                        fresh_test(&model, &cfg, &h),
+                    ) {
+                        (Ok(Some(stat)), Ok((value, g, want))) => {
                             let (got, _, _) = st.tested.expect("a passed test keeps its value");
                             assert_eq!(got.to_bits(), value.to_bits(), "{case}: value");
                             assert!(same_bits(&st.grad, &g), "{case}: gradient");
@@ -1491,12 +1523,12 @@ mod tests {
         }
     }
 
-    /// The statistic's value and gradient evaluations each set the
-    /// kernel's parameters once, as a fit's are, so a kernel that counts
-    /// `set_params` calls counts the test as two LML evaluations; the
-    /// model's own kernel is not touched.
+    /// The test's value and gradient evaluations each set the kernel's
+    /// parameters once, as a fit's are, so a kernel that counts
+    /// `set_params` calls counts the test as two LML evaluations, with or
+    /// without an inverse Hessian; the model's own kernel is not touched.
     #[test]
-    fn projected_grad_norm_counts_as_two_lml_evaluations() {
+    fn trigger_test_counts_as_two_lml_evaluations() {
         let (x, y) = noisy_data(20, 3);
         let calls = Arc::new(AtomicUsize::new(0));
         let kernel = Counted(SquaredExponential::new(1.3, 0.9), calls.clone());
@@ -1505,10 +1537,18 @@ mod tests {
         for optimize_noise in [true, false] {
             let mut cfg = GprConfig::new(Box::new(kernel.clone())).with_standardize(false);
             cfg.optimize_noise = optimize_noise;
-            calls.store(0, Ordering::Relaxed);
-            let pg = projected_grad_norm(&model, &cfg).unwrap();
-            assert!(pg.is_finite() && pg > 0.0, "{pg}");
-            assert_eq!(calls.load(Ordering::Relaxed), 2);
+            let m = 2 + usize::from(optimize_noise);
+            let identity: Vec<f64> = (0..m * m)
+                .map(|k| if k % (m + 1) == 0 { 1.0 } else { 0.0 })
+                .collect();
+            for h in [None, Some(&identity[..])] {
+                let mut state = FitState::new(&model, &cfg);
+                calls.store(0, Ordering::Relaxed);
+                let gain = state.test(&model, &cfg, h).unwrap();
+                assert_eq!(gain.is_some(), h.is_some());
+                assert!(gain.is_none_or(|g| g.is_finite() && g > 0.0), "{gain:?}");
+                assert_eq!(calls.load(Ordering::Relaxed), 2);
+            }
         }
         assert_eq!(model.kernel().params(), before);
     }

@@ -177,17 +177,18 @@ fn trigger_tests_allocate_nothing_after_warm_up() {
         .with_restarts(1)
         .with_standardize(false);
     let head: Vec<usize> = (0..30).collect();
-    let (mut model, _) = fit_gpr(&x.select_rows(&head), &y[..30], &cfg).unwrap();
+    let (mut model, out) = fit_gpr(&x.select_rows(&head), &y[..30], &cfg).unwrap();
+    let h = out.inv_hessian.as_deref();
     let mut state: Option<FitState> = None;
     let mut growing = Vec::new();
     for n in 31..=80 {
         model = model.with_observation(x.row(n - 1), y[n - 1]).unwrap();
         let state = state.get_or_insert_with(|| FitState::new(&model, &cfg));
         growing.push(allocations(|| {
-            black_box(state.test(&model, &cfg).ok());
+            black_box(state.test(&model, &cfg, h).ok());
         }));
         let repeated = allocations(|| {
-            black_box(state.test(&model, &cfg).ok());
+            black_box(state.test(&model, &cfg, h).ok());
         });
         assert_eq!(repeated, 0, "repeated test at n = {n}");
     }
